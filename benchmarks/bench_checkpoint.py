@@ -10,10 +10,10 @@ Two measurements:
 * the Time Warp twin: state-saving interval vs rollback cost (save every
   event = cheap rollback, sparse saves = coast-forward re-execution).
 
-Both measurements run the default full-replay mode deliberately: this
-file IS the cost being measured.  ``HopeSystem(fast_rollback=True)``
-removes the prefix-proportional term via shadow-checkpoint promotion —
-see bench_rollback_cascade.py and docs/PERFORMANCE.md §3.
+The HOPE body declares no commit point on purpose: this file IS the cost
+of replaying from process start.  ``p.commit_point`` under
+``fossil_collect`` removes the prefix-proportional term — see
+docs/PERFORMANCE.md §3.
 """
 
 import time

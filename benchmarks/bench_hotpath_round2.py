@@ -86,12 +86,6 @@ def _load_track():
 _ENGINE_MODES = {
     "plain": {},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
-    "fast-rollback": {"fast_rollback": True},
-    "fossil+fast": {
-        "fossil_collect": True,
-        "fossil_interval": 4,
-        "fast_rollback": True,
-    },
 }
 
 

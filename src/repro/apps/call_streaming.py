@@ -104,15 +104,18 @@ class CallStreamResult:
 # ---------------------------------------------------------------------------
 # the shared print server
 # ---------------------------------------------------------------------------
-def print_server(p, page_size: int, service_time: float):
+def print_server(p, page_size: int, service_time: float, resume=None):
     """A page-oriented print service.
 
     Operations (all RPCs): ``("print", label, nlines)`` appends ``nlines``
     and replies with the line counter after printing; ``("newpage",)``
     resets the counter.  Every committed operation is emitted to the
     output ledger, which is the observable the equivalence tests compare.
+
+    Restartable: ``resume`` is the line counter after the last served
+    request.
     """
-    line = 0
+    line = 0 if resume is None else resume
     while True:
         msg = yield p.recv()
         request = msg.payload
@@ -129,6 +132,7 @@ def print_server(p, page_size: int, service_time: float):
             yield p.reply(msg, 0)
         else:
             raise ValueError(f"unknown print-server op {op!r}")
+        yield p.commit_point(line)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +161,15 @@ def pessimistic_worker(p, config: CallStreamConfig):
 # ---------------------------------------------------------------------------
 # Figure 2: the optimistic worker + WorryWart(s)
 # ---------------------------------------------------------------------------
-def optimistic_worker(p, config: CallStreamConfig):
+def optimistic_worker(p, config: CallStreamConfig, resume=None):
     """The Figure 2 transformation: guess PartPage, stream S3, let the
-    WorryWart verify in parallel."""
-    corr = 0
-    for index, nlines in enumerate(config.report_lines):
+    WorryWart verify in parallel.
+
+    Restartable: ``resume`` is ``(next report index, next correlation id)``.
+    """
+    start, corr = (0, 0) if resume is None else resume
+    for index in range(start, config.n_reports):
+        nlines = config.report_lines[index]
         yield p.compute(config.local_compute)
         part_page = yield p.aid_init(f"PartPage-{index}")
         order = yield p.aid_init(f"Order-{index}")
@@ -177,12 +185,17 @@ def optimistic_worker(p, config: CallStreamConfig):
         yield p.send(
             "server_oneway", ("print", f"summary-{index}", config.summary_lines)
         )
+        yield p.commit_point((index + 1, corr))
 
 
-def worrywart(p, config: CallStreamConfig, expected_reports: int):
-    """Executes S1 on the Worker's behalf and verifies PartPage (Figure 2)."""
-    corr = 0
-    for _ in range(expected_reports):
+def worrywart(p, config: CallStreamConfig, expected_reports: int, resume=None):
+    """Executes S1 on the Worker's behalf and verifies PartPage (Figure 2).
+
+    Restartable: ``resume`` is the number of reports already verified (one
+    RPC each, so it is also the next correlation id).
+    """
+    corr = 0 if resume is None else resume
+    while corr < expected_reports:
         msg = yield p.recv(predicate=lambda m: not isinstance(m.payload, RpcReply))
         part_page, order, index, nlines = msg.payload
         line = yield from call(p, "server", ("print", f"total-{index}", nlines), corr)
@@ -192,9 +205,10 @@ def worrywart(p, config: CallStreamConfig, expected_reports: int):
             yield p.affirm(part_page)
         else:
             yield p.deny(part_page)
+        yield p.commit_point(corr)
 
 
-def oneway_gateway(p):
+def oneway_gateway(p, resume=None):
     """Forwards one-way prints to the server and absorbs the replies.
 
     Figure 2's S3 is *streamed*: the Worker does not wait for the print
@@ -204,12 +218,15 @@ def oneway_gateway(p):
     gateway becomes dependent on the original message's tags at receive
     time, its forward carries them onward and rollback semantics are
     preserved end to end.
+
+    Restartable: ``resume`` is the next correlation id.
     """
-    corr = 0
+    corr = 0 if resume is None else resume
     while True:
         msg = yield p.recv(predicate=lambda m: not isinstance(m.payload, RpcReply))
         yield from call(p, "server", msg.payload, corr)
         corr += 1
+        yield p.commit_point(corr)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +252,10 @@ def _build_system(
         rollback_overhead=config.rollback_overhead,
         trace=trace,
         metrics=metrics,
+        # Every Figure 2 body declares a commit point per loop iteration:
+        # rebase points are promoted as the WorryWarts affirm, so a restart
+        # replays the speculative window, not the run so far.
+        fossil_collect=True,
     )
 
 
@@ -260,14 +281,19 @@ def run_optimistic(
 ) -> CallStreamResult:
     """Run the Figure 2 program; returns timing and the server ledger."""
     system = _build_system(config, seed, trace, metrics)
+    _spawn_optimistic(system, config)
+    makespan = system.run()
+    return _collect(system, makespan)
+
+
+def _spawn_optimistic(system: HopeSystem, config: CallStreamConfig) -> None:
+    """The Figure 2 process tree: server, gateway, WorryWarts, Worker."""
     system.spawn("server", print_server, config.page_size, config.server_service_time)
     system.spawn("server_oneway", oneway_gateway)
     for w in range(config.n_warts):
         expected = len(range(w, config.n_reports, config.n_warts))
         system.spawn(f"worrywart-{w}", worrywart, config, expected)
     system.spawn("worker", optimistic_worker, config)
-    makespan = system.run()
-    return _collect(system, makespan)
 
 
 def _collect(system: HopeSystem, makespan: float) -> CallStreamResult:

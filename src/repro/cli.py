@@ -193,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical traces every way (see docs/PERFORMANCE.md §6 and §8)",
     )
     run.add_argument(
-        "--fast-rollback",
-        action="store_true",
-        help="restore rollbacks from shadow replicas (see docs/PERFORMANCE.md §3)",
-    )
-    run.add_argument(
         "--fossil-collect",
         action="store_true",
         help="reclaim committed state behind the commit frontier "
@@ -467,7 +462,6 @@ def cmd_run(args, out) -> int:
         trace=tracer,
         aid_mode=args.aid_mode,
         kernel=args.kernel,
-        fast_rollback=args.fast_rollback,
         fossil_collect=args.fossil_collect,
         fossil_interval=args.fossil_interval,
         metrics=registry,

@@ -2,9 +2,10 @@
 
 An execution history is a sequence of states separated by events.  The
 machine records one :class:`HistoryEntry` per state transition; rollback
-implements ``Del(H, A)`` (§4) by truncating every entry from A's start
-index onward — Theorem 5.1 guarantees the deletion is always a suffix,
-and :meth:`ProcessRecord.truncate_from` asserts it.
+implements ``Del(H, A)`` (§4) by cutting every entry from A's start index
+onward off the tail — Theorem 5.1 guarantees the deletion is always a
+suffix.  :meth:`ProcessRecord.append` keeps the history index-ordered as
+it grows and :meth:`ProcessRecord.truncate_from` checks the cut.
 """
 
 from __future__ import annotations
@@ -75,28 +76,42 @@ class ProcessRecord:
     # ------------------------------------------------------------------
     def append(self, kind: str, **detail: Any) -> HistoryEntry:
         """Record a state transition (HP ← HP · S, the Eq 6 pattern)."""
-        entry = HistoryEntry(self._next_index, kind, self.current, self.g, detail)
-        self._next_index += 1
-        self.history.append(entry)
+        history = self.history
+        index = self._next_index
+        if history and history[-1].index >= index:
+            raise MachineInvariantError(
+                f"history of {self.name!r} is not strictly index-ordered: "
+                f"entry {index} would follow entry {history[-1].index}"
+            )
+        entry = HistoryEntry(index, kind, self.current, self.g, detail)
+        self._next_index = index + 1
+        history.append(entry)
         return entry
 
     def truncate_from(self, start_index: int) -> list[HistoryEntry]:
         """Del(H, A): discard the history suffix from ``start_index`` on.
 
-        Returns the removed entries.  Raises if the removal would not be a
-        contiguous suffix (that would contradict Theorem 5.1).
+        Returns the removed entries, at a cost proportional to their
+        number.  Indices are handed out consecutively and only ever cut
+        off the tail (here) or the head (:meth:`fossilize_before`), so
+        the entries at or after ``start_index`` must be exactly the last
+        ``_next_index - start_index`` (all of them, if the cut reaches
+        below a fossilized prefix); if the tail scan finds another count,
+        one of them is stranded behind an older entry and the removal
+        would not be a contiguous suffix (Theorem 5.1).
         """
-        indices = [entry.index for entry in self.history]
-        if any(a >= b for a, b in zip(indices, indices[1:])):
+        history = self.history
+        cut = len(history)
+        while cut and history[cut - 1].index >= start_index:
+            cut -= 1
+        drop = history[cut:]
+        expected = min(max(self._next_index - start_index, 0), len(history))
+        if len(drop) != expected:
             raise MachineInvariantError(
                 f"history of {self.name!r} is not strictly index-ordered; "
                 "a deletion would not be a contiguous suffix"
             )
-        keep: list[HistoryEntry] = []
-        drop: list[HistoryEntry] = []
-        for entry in self.history:
-            (drop if entry.index >= start_index else keep).append(entry)
-        self.history = keep
+        del history[cut:]
         self._next_index = start_index
         return drop
 

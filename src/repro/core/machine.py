@@ -77,6 +77,10 @@ def _interval_order(interval: Interval) -> tuple:
     return (interval.pid, interval.start_index, interval.serial)
 
 
+def _interval_serial(interval: Interval) -> int:
+    return interval.serial
+
+
 #: Resolution of an empty tag set: alive, no dependencies.  Shared so the
 #: per-delivery fast path allocates nothing.
 _LIVE_NO_DEPS: tuple[bool, frozenset] = (True, frozenset())
@@ -555,11 +559,14 @@ class Machine:
             return
         self._bump_resolution_epoch()
         record = self.processes[interval.pid]
-        discarded = [
-            iv
-            for iv in record.intervals
-            if iv.speculative and iv.start_index >= interval.start_index
-        ]
+        # S.IS holds exactly the live speculative intervals, so the dead
+        # suffix is found without walking every interval ever created;
+        # serials restore creation order.
+        start_index = interval.start_index
+        discarded = sorted(
+            (iv for iv in record.speculative if iv.start_index >= start_index),
+            key=_interval_serial,
+        )
         for dead in discarded:
             dead.state = IntervalState.ROLLED_BACK
             record.speculative.discard(dead)
@@ -575,17 +582,12 @@ class Machine:
             dead.spec_affirms.clear()
         self.stats["rollbacks"] += 1
         self.stats["intervals_discarded"] += len(discarded)
-        record.truncate_from(interval.start_index)               # Eq 24: Del(HP, A)
+        record.truncate_from(start_index)                        # Eq 24: Del(HP, A)
         # Resume into the newest interval that survives the truncation.
         # This is usually interval.parent, but the parent may have been
         # finalized in the meantime — a finalized prefix stays definite
         # (Theorem 5.2), so the process resumes with I = ∅ in that case.
-        survivors = [
-            iv
-            for iv in record.intervals
-            if iv.speculative and iv.start_index < interval.start_index
-        ]
-        record.current = survivors[-1] if survivors else None
+        record.current = max(record.speculative, key=_interval_serial, default=None)
         record.g = False                                         # Eq 24: S.G ← False
         record.rollback_count += 1
         record.append(

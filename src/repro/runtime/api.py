@@ -195,7 +195,13 @@ class HopeProcess:
 
         Everything the body carries across the commit point must live in
         ``state`` (locals not derivable from it are lost on a rebased
-        restart), and ``state`` must be deep-copyable.  A no-op when the
+        restart), and ``state`` must be deep-copyable.  The resumed
+        body's first effect must be the one *following* the commit entry,
+        i.e. ``state`` must be the state after the commit point — so the
+        commit point goes at the end of the round it describes, not at
+        the top of the loop (a body that yields it before the work fails
+        its first rebased restart with a ``ReplayDivergenceError`` saying
+        so).  A no-op when the
         system runs without ``fossil_collect=True`` (the effect is still
         logged, so traces match between modes).  Resumes with ``None``.
         """

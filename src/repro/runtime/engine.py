@@ -82,7 +82,6 @@ from .replay import (
     Checkpoint,
     EffectLog,
     RebasePoint,
-    ShadowCheckpoint,
     _make_entry,
 )
 from .resilience import (
@@ -129,7 +128,7 @@ class ProcessRuntime:
     """Per-process runtime state: body, effect log, current task incarnation."""
 
     __slots__ = (
-        "name", "fn", "args", "facade", "log", "shadow", "task",
+        "name", "fn", "args", "facade", "log", "task",
         "incarnation", "restarts", "done", "result", "crashed", "outputs",
         "track", "mailbox", "mproc", "bridge", "rebase", "rebase_candidates",
     )
@@ -140,9 +139,6 @@ class ProcessRuntime:
         self.args = args
         self.facade = HopeProcess(name)
         self.log = EffectLog()
-        #: Replica incarnation parked at the newest checkpoint (only when
-        #: the system runs with fast_rollback=True).
-        self.shadow: Optional[ShadowCheckpoint] = None
         self.task: Optional[Task] = None
         self.incarnation = 0
         self.restarts = 0
@@ -266,25 +262,14 @@ class HopeSystem:
         Forward the machine's strict resolution-conflict mode.  The
         runtime default is lenient because rollback legitimately
         re-executes resolution statements (see Figure 2's WorryWart).
-    fast_rollback:
-        Keep a :class:`ShadowCheckpoint` replica per process, advanced
-        incrementally at guess boundaries, so a rollback restores the
-        newest checkpoint at or before its truncation point instead of
-        replaying the effect log from entry 0.  Off by default: it
-        strengthens the body contract from "deterministic in effect
-        results" to "no out-of-band side effects at all", because the
-        replica re-executes the pre-checkpoint prefix eagerly (a body
-        that appends to a closure list would observe the extra pass).
-        All benchmarks and every paper program satisfy the stronger
-        contract; see docs/PERFORMANCE.md.
     fossil_collect:
         Reclaim committed state behind the commit frontier (Theorem 6.1:
         finalized intervals never roll back).  Bounds long-run memory to
         O(active speculation window): machine history prefixes, retired
         AIDs, unreachable interned DepSets, effect-log prefixes behind a
-        ``commit_point``, stale shadow replicas, and closed timeline
-        spans are all dropped.  Semantics-neutral — traces are identical
-        with it on or off; see docs/PERFORMANCE.md §4.
+        ``commit_point``, and closed timeline spans are all dropped.
+        Semantics-neutral — traces are identical with it on or off; see
+        docs/PERFORMANCE.md §4.
     fossil_interval:
         Collect after every N machine finalizes (default 64).  Lower =
         tighter memory, more collection overhead.
@@ -367,7 +352,6 @@ class HopeSystem:
         control_latency: float = 1.0,
         speculation: bool = True,
         shuffle_ties: bool = False,
-        fast_rollback: bool = False,
         fossil_collect: bool = False,
         fossil_interval: int = 64,
         metrics: Optional[MetricsRegistry] = None,
@@ -448,7 +432,6 @@ class HopeSystem:
         #: are resolved only by the guessing process itself would
         #: deadlock in this mode; that is inherent, not a bug.
         self.speculation = speculation
-        self.fast_rollback = fast_rollback
         self.fossil_collect = fossil_collect
         if fossil_interval < 1:
             raise HopeError(f"fossil_interval must be >= 1, got {fossil_interval}")
@@ -542,7 +525,6 @@ class HopeSystem:
                     "rollback_overhead": rollback_overhead,
                     "strict_aids": strict_aids,
                     "speculation": speculation,
-                    "fast_rollback": fast_rollback,
                     "kernel": kernel,
                     "metered": self._metered,
                     # options rejected by the parallel backend (validated
@@ -752,10 +734,6 @@ class HopeSystem:
         proc.rebase = None
         proc.rebase_candidates.clear()
         proc.log.truncate(0)
-        # The shadow replica models volatile memory too: a crash loses it.
-        if proc.shadow is not None:
-            proc.shadow.invalidate()
-            proc.shadow = None
         # Outputs from forgotten intervals are permanently uncommitted
         # (their intervals are now rolled back); drop them from the buffer.
         proc.outputs = [r for r in proc.outputs if r.committed]
@@ -797,12 +775,6 @@ class HopeSystem:
             "sim_events": self.sim.events_processed,
             "restarts": sum(p.restarts for p in self.procs.values()),
             "replayed_effects": sum(p.log.replayed_entries_total for p in self.procs.values()),
-            "replay_skipped_entries": sum(
-                p.log.skipped_entries_total for p in self.procs.values()
-            ),
-            "shadow_feeds": sum(
-                p.log.shadow_feeds_total for p in self.procs.values()
-            ),
             "fossil_log_dropped": sum(
                 p.log.fossil_dropped_total for p in self.procs.values()
             ),
@@ -939,63 +911,6 @@ class HopeSystem:
         return to_dot(self.machine)
 
     # ------------------------------------------------------------------
-    # shadow checkpoints (fast rollback)
-    # ------------------------------------------------------------------
-    def _note_checkpoint(self, proc: ProcessRuntime, checkpoint: Checkpoint) -> None:
-        """Advance the process's shadow replica to the new guess boundary.
-
-        Incremental: only the log delta since the previous checkpoint is
-        fed.  A shadow that has diverged (effect-impure body) stays
-        invalid as a tombstone so we never pay for it again; one that was
-        consumed by a promotion is rebuilt from scratch here.
-        """
-        if not self.fast_rollback:
-            return
-        shadow = proc.shadow
-        if shadow is None:
-            # A rebuilt replica starts where fresh incarnations do: at the
-            # log base, from the rebase state if one was promoted.
-            shadow = proc.shadow = ShadowCheckpoint(proc.body(None), pos=proc.log.base)
-        if shadow.valid:
-            shadow.advance(proc.log, checkpoint.log_index)
-
-    def _try_promote_shadow(self, proc: ProcessRuntime, log_index: int, delay: float) -> bool:
-        """Restore a rollback checkpoint by promoting the shadow replica.
-
-        Returns False (leaving a full replay to the caller) when there is
-        no shadow, it diverged, or it sits past the truncation point —
-        the shadow tracks the *newest* checkpoint, so a rollback to an
-        older one falls back to replay from entry 0.
-        """
-        shadow = proc.shadow
-        if shadow is None or not shadow.valid or shadow.pos > log_index:
-            if shadow is not None and shadow.pos > log_index:
-                shadow.invalidate()
-                proc.shadow = None
-            return False
-        if not shadow.advance(proc.log, log_index):   # catch up the delta
-            proc.shadow = None
-            return False
-        proc.shadow = None
-        effect = shadow.pending_effect
-        proc.log.begin_replay_at(log_index)
-        task = Task(
-            self.sim,
-            proc.name,
-            proc.body,
-            handler=self._handle_effect,
-            on_exit=self._on_task_exit,
-            context=proc,
-        )
-        proc.task = task
-        task.start_adopted(
-            shadow.gen,
-            delay,
-            lambda t, e=effect: t.dispatch(e),
-        )
-        return True
-
-    # ------------------------------------------------------------------
     # fossil collection (commit frontier)
     # ------------------------------------------------------------------
     def _run_fossil_collection(self) -> None:
@@ -1046,12 +961,6 @@ class HopeSystem:
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
                 ]
                 proc.log.drop_prefix(best.log_index)
-                # A shadow replica parked before the new base can never
-                # catch up (its feed entries are gone); the next guess
-                # rebuilds one from the rebase state instead.
-                if proc.shadow is not None and proc.shadow.pos < proc.log.base:
-                    proc.shadow.invalidate()
-                    proc.shadow = None
                 if self._durable is not None:
                     self._durable.note_promotion(proc)
             proc.track.compact_before(frontier_time)
@@ -1190,10 +1099,7 @@ class HopeSystem:
             return
         checkpoint = Checkpoint(len(proc.log), self.sim.now)
         value = self.machine.guess(proc.name, aid, ps=checkpoint)
-        if value and aid.pending:
-            # A real speculative interval was opened: this checkpoint is
-            # now a possible rollback target, so park the shadow on it.
-            self._note_checkpoint(proc, checkpoint)
+        if value and aid.pending:     # a real speculative interval opened
             self.control.note_guess(proc.name, 1)
         proc.log.append("guess", value)
         if self._tracing:
@@ -1490,7 +1396,6 @@ class HopeSystem:
                 checkpoint = Checkpoint(len(proc.log), self.sim.now)
                 interval = self.machine.guess_many(proc.name, deps, ps=checkpoint)
                 if interval is not None:
-                    self._note_checkpoint(proc, checkpoint)
                     self.control.note_guess(proc.name, len(deps))
                     if self._tracing:
                         self.tracer.record(
@@ -1644,18 +1549,16 @@ class HopeSystem:
                 self._defer_delivery = prev
         proc.restarts += 1
         delay = self.rollback_overhead + self.control.notify_delay()
-        promoted = self._try_promote_shadow(proc, checkpoint.log_index, delay)
-        if not promoted:
-            self._start_task(proc, delay)
+        self._start_task(proc, delay)
         if self._metered:
             spec = self.spec_metrics
             spec.restarts.inc()
             spec.wasted_time.inc(wasted)
-            spec.replay_entries.inc(0 if promoted else len(proc.log))
+            spec.replay_entries.inc(len(proc.log))
         self.tracer.record(
             self.sim.now,
             "restart",
             proc.name,
-            replay=0 if promoted else len(proc.log),
+            replay=len(proc.log),
             wasted=round(wasted, 6),
         )

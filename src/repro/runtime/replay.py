@@ -14,15 +14,13 @@ randomness — flows through effects).  It is also *measurable*: the CKPT
 benchmark charges real wall-clock for replays, matching the paper's remark
 that their checkpointing is the inefficiency to optimize.
 
-Checkpointed partial replay (``HopeSystem(fast_rollback=True)``) closes
-that inefficiency for rollback: a :class:`ShadowCheckpoint` is a replica
-incarnation of the process parked at the newest guess boundary, advanced
-incrementally as checkpoints are taken.  A rollback whose truncation
-point is at or after the shadow's position promotes the replica to be
-the live incarnation instead of replaying the whole log from entry 0 —
-restoring a checkpoint costs only the log delta since the shadow, i.e.
-O(work since the rolled-back guess), not O(full history).  See
-docs/PERFORMANCE.md for the exact contract (bodies must be effect-pure).
+Replaying from entry 0 makes a restart cost the whole run so far.  A body
+that declares commit points (``p.commit_point(state)``) bounds it instead:
+under ``HopeSystem(fossil_collect=True)`` the newest :class:`RebasePoint`
+behind the commit frontier becomes the log's base, the prefix is dropped,
+and a restart calls ``body(resume=state)`` and replays only the entries
+since — O(speculative window), not O(full history).  That is the one
+rollback path; see docs/PERFORMANCE.md §3.
 """
 
 from __future__ import annotations
@@ -129,8 +127,6 @@ class EffectLog:
         "pending",
         "replay_count",
         "replayed_entries_total",
-        "skipped_entries_total",
-        "shadow_feeds_total",
         "fossil_dropped_total",
     )
 
@@ -147,11 +143,6 @@ class EffectLog:
         self.pending = 0
         self.replay_count = 0
         self.replayed_entries_total = 0
-        #: Entries a rollback did NOT re-feed because a shadow checkpoint
-        #: already covered them (see :class:`ShadowCheckpoint`).
-        self.skipped_entries_total = 0
-        #: Entries fed into shadow replicas (checkpoint-maintenance work).
-        self.shadow_feeds_total = 0
         #: Entries dropped from the front by fossil collection.
         self.fossil_dropped_total = 0
 
@@ -192,29 +183,21 @@ class EffectLog:
         if self.entries:
             self.replay_count += 1
 
-    def begin_replay_at(self, index: int) -> None:
-        """Resume an incarnation whose prefix is vouched for externally.
-
-        Used when a :class:`ShadowCheckpoint` is promoted: the replica
-        already consumed everything below ``index``, so the cursor starts
-        there and only the remainder (normally nothing — the truncation
-        point IS the checkpoint) is re-fed.
-        """
-        if index > len(self) or index < self.base:
-            raise HopeError(
-                f"replay start index {index} outside log window "
-                f"[{self.base}, {len(self)}]"
-            )
-        self.cursor = index
-        self.pending = len(self) - index
-        self.skipped_entries_total += index - self.base
-        if self.cursor < len(self):
-            self.replay_count += 1
-
     def feed(self, kind: str) -> Any:
         """Return the logged result for the next effect, checking its kind."""
         entry = self.entries[self.cursor - self.base]
         if entry.kind != kind:
+            if self.cursor == self.base > 0:
+                # The very first effect of an incarnation resumed from a
+                # rebase point: what a misplaced commit point looks like.
+                raise ReplayDivergenceError(
+                    f"replay divergence at entry {self.cursor}, the first "
+                    f"after a promoted commit point: the resumed body "
+                    f"yielded {kind!r} but the log recorded {entry.kind!r} — "
+                    "the resumed body's first effect must be the one "
+                    "following the commit entry, i.e. the state passed to "
+                    "commit_point must be the state *after* the commit point"
+                )
             raise ReplayDivergenceError(
                 f"replay divergence at entry {self.cursor}: process yielded "
                 f"{kind!r} but the log recorded {entry.kind!r} — the process "
@@ -282,84 +265,3 @@ class EffectLog:
             f"<EffectLog {self.cursor}/{len(self)} base={self.base} "
             f"replays={self.replay_count}>"
         )
-
-
-class ShadowCheckpoint:
-    """A replica incarnation parked at a guess boundary.
-
-    Python generators cannot be copied, so a checkpoint cannot literally
-    snapshot the live frame.  Instead the engine keeps one *replica*
-    generator per process: at every checkpoint it is advanced by feeding
-    it the logged effect results up to the checkpoint's log index — each
-    log entry is fed to the replica at most once between rebuilds, so
-    maintenance is incremental, O(new entries since the last checkpoint).
-    A rollback that truncates at or after the replica's position promotes
-    it to be the live incarnation: the restart replays only the delta
-    instead of rewinding to log entry 0.
-
-    Soundness contract: the process body must be *effect-pure* — all of
-    its observable behaviour flows through yielded effects (the same
-    determinism replay already requires, strengthened to "no out-of-band
-    side effects", because the replica re-executes the prefix eagerly).
-    A kind mismatch while feeding marks the shadow invalid and the
-    engine falls back to full replay; semantics never depend on it.
-    """
-
-    __slots__ = ("gen", "pos", "pending_effect", "valid")
-
-    def __init__(self, gen, pos: int = 0) -> None:
-        self.gen = gen
-        #: Absolute log position the replica has consumed up to.  A
-        #: replica built from a rebase point starts at the log's base.
-        self.pos = pos
-        #: The effect the replica is suspended on (yielded, not yet fed).
-        self.pending_effect: Any = None
-        self.valid = True
-
-    def advance(self, log: EffectLog, target: int) -> bool:
-        """Feed logged results until ``pos`` reaches ``target``.
-
-        Returns False (and invalidates the shadow) on any divergence —
-        the replica yielding a different effect kind than the log, or
-        finishing early.  Feeds are charged to ``log.shadow_feeds_total``.
-        """
-        if (
-            not self.valid
-            or target > len(log)
-            or target < self.pos
-            or self.pos < log.base
-        ):
-            # pos < base: fossil collection dropped entries this replica
-            # would still need to feed — it can never catch up again.
-            self.invalidate()
-            return False
-        try:
-            if self.pending_effect is None:
-                self.pending_effect = self.gen.send(None)
-            while self.pos < target:
-                entry = log.entry_at(self.pos)
-                if entry.kind != getattr(self.pending_effect, "kind", None):
-                    self.invalidate()
-                    return False
-                self.pending_effect = self.gen.send(entry.result)
-                self.pos += 1
-                log.shadow_feeds_total += 1
-        except StopIteration:
-            self.invalidate()
-            return False
-        except Exception:
-            # A replica crash must never take down the live run; the
-            # shadow is an optimization, so fall back to full replay.
-            self.invalidate()
-            return False
-        return True
-
-    def invalidate(self) -> None:
-        self.valid = False
-        if self.gen is not None:
-            self.gen.close()
-            self.gen = None
-
-    def __repr__(self) -> str:
-        state = "valid" if self.valid else "invalid"
-        return f"<ShadowCheckpoint pos={self.pos} {state}>"

@@ -228,34 +228,6 @@ class Task:
         self._pending = self.sim.schedule(delay, self._step, None, False, label=f"start:{self.name}")
         return self
 
-    def start_adopted(
-        self,
-        gen: Generator,
-        delay: float,
-        kickoff: Callable[["Task"], None],
-    ) -> "Task":
-        """Start from an already-advanced generator instead of a fresh one.
-
-        Used to promote a replay shadow (see
-        :class:`repro.runtime.replay.ShadowCheckpoint`): ``gen`` is
-        suspended at a yield whose effect the caller already holds, so no
-        first ``send(None)`` happens — ``kickoff(task)`` runs after
-        ``delay`` and must dispatch that held effect (after which the
-        task behaves exactly like one that replayed its way here).
-        """
-        if self._state != Task._FRESH:
-            raise SimulationError(f"task {self.name!r} already started")
-        self._gen = gen
-        self._state = Task._WAITING
-        self._pending = self.sim.schedule(
-            delay, self._run_kickoff, kickoff, label=f"adopt:{self.name}"
-        )
-        return self
-
-    def _run_kickoff(self, kickoff: Callable[["Task"], None]) -> None:
-        self._pending = None
-        kickoff(self)
-
     @property
     def state(self) -> str:
         return self._state

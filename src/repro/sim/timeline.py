@@ -94,25 +94,28 @@ class ProcessTimeline:
         re-labelled duration — spans already of ``kind`` (a deeper rollback
         sweeping over an earlier rollback's window) count zero, so the
         per-call returns sum exactly to ``aggregate(kind)``.
+
+        Spans are appended in time order, so only the tail that ends
+        after ``start_time`` is touched — the cost follows the window
+        undone, not the length of the run.
         """
         self.close(now)
+        spans = self.spans
+        cut = len(spans)
+        while cut and spans[cut - 1].end > start_time:
+            cut -= 1
+        tail = spans[cut:]
+        del spans[cut:]
         wasted = 0.0
-        kept: list[Span] = []
-        for span in self.spans:
-            end = span.end if span.end is not None else now
-            if end <= start_time:
-                kept.append(span)
-            elif span.start >= start_time:
-                if span.kind != kind:
-                    wasted += end - span.start
-                kept.append(Span(kind, span.start, end))
-            else:
+        for span in tail:
+            start = span.start
+            if start < start_time:
                 # straddles the boundary: split
-                kept.append(Span(span.kind, span.start, start_time))
-                if span.kind != kind:
-                    wasted += end - start_time
-                kept.append(Span(kind, start_time, end))
-        self.spans = kept
+                spans.append(Span(span.kind, start, start_time))
+                start = start_time
+            if span.kind != kind:
+                wasted += span.end - start
+            spans.append(Span(kind, start, span.end))
         self._open = None
         return wasted
 

@@ -9,7 +9,16 @@ the headline theorems are respected at quiescence.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AidStatus, IntervalState, Machine, ResolutionConflictError
+import pytest
+
+from repro.core import (
+    AidStatus,
+    IntervalState,
+    Machine,
+    MachineInvariantError,
+    ProcessRecord,
+    ResolutionConflictError,
+)
 
 PROCS = ["p0", "p1", "p2"]
 
@@ -127,3 +136,75 @@ def test_theorem_6_2_finalize_iff_all_affirmed(actions, target_idx):
         for interval in record.intervals:
             if interval.state is IntervalState.DEFINITE:
                 assert not interval.ido
+
+
+# ----------------------------------------------------------------------
+# truncate_from cuts the tail: same answer as the whole-history partition
+# ----------------------------------------------------------------------
+def _partition_truncate(record, start_index):
+    """The pre-suffix-cut ``truncate_from``: validate strict order over
+    the whole history, then partition it.  Returns ``(keep, drop)``."""
+    indices = [entry.index for entry in record.history]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise MachineInvariantError("not strictly index-ordered")
+    keep = [e for e in record.history if e.index < start_index]
+    drop = [e for e in record.history if e.index >= start_index]
+    return keep, drop
+
+
+HISTORY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 6)),
+        st.tuples(st.just("truncate"), st.floats(0, 1)),
+        st.tuples(st.just("fossilize"), st.floats(0, 1)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HISTORY_OPS)
+def test_truncate_from_matches_the_partition_reference(ops):
+    record = ProcessRecord("p")
+    for op, arg in ops:
+        if op == "append":
+            for _ in range(arg):
+                record.append("event")
+        elif op == "fossilize":
+            record.fossilize_before(int(arg * record._next_index))
+        else:
+            start = int(arg * record._next_index)
+            keep, drop = _partition_truncate(record, start)
+            assert record.truncate_from(start) == drop
+            assert record.history == keep
+            assert record._next_index == start
+    indices = [e.index for e in record.history]
+    assert indices == list(range(record._next_index - len(indices), record._next_index))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.data())
+def test_truncate_from_rejects_a_stranded_entry(n, data):
+    """An entry at or after the cut sitting *before* an older one means the
+    deletion is not a contiguous suffix — the tail cut must still see it."""
+    record = ProcessRecord("p")
+    for _ in range(n):
+        record.append("event")
+    high = data.draw(st.integers(1, n - 1))
+    low = data.draw(st.integers(0, high - 1))
+    history = record.history
+    history.insert(low, history.pop(high))      # strand `high` before `low`
+    start = data.draw(st.integers(low + 1, high))
+    with pytest.raises(MachineInvariantError):
+        _partition_truncate(record, start)
+    with pytest.raises(MachineInvariantError):
+        record.truncate_from(start)
+
+
+def test_append_refuses_to_create_disorder():
+    record = ProcessRecord("p")
+    record.append("event")
+    record.append("event")
+    record._next_index = 1                      # a rewound clock, entries kept
+    with pytest.raises(MachineInvariantError):
+        record.append("event")

@@ -11,6 +11,7 @@ prefixes), never behaviour.
 
 import pytest
 
+from repro.runtime import ReplayDivergenceError
 from repro.runtime.engine import HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
@@ -56,7 +57,7 @@ def judge(p, rounds, deny_rate, resume=None):
     return "judged"
 
 
-def _run(seed, fossil, fast_rollback, rounds=40, deny_rate=0.3):
+def _run(seed, fossil, rounds=40, deny_rate=0.3):
     tracer = Tracer()
     system = HopeSystem(
         seed=seed,
@@ -64,7 +65,6 @@ def _run(seed, fossil, fast_rollback, rounds=40, deny_rate=0.3):
         trace=tracer,
         fossil_collect=fossil,
         fossil_interval=8,
-        fast_rollback=fast_rollback,
     )
     system.spawn("judge", judge, rounds, deny_rate)
     system.spawn("worker", worker, rounds)
@@ -86,10 +86,9 @@ _OUTCOME_KEYS = (
 # ----------------------------------------------------------------- property
 class TestCollectedEqualsUncollected:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
-    @pytest.mark.parametrize("fast_rollback", [False, True])
-    def test_identical_traces_and_outcomes(self, seed, fast_rollback):
-        base, base_tr, t_base = _run(seed, fossil=False, fast_rollback=fast_rollback)
-        coll, coll_tr, t_coll = _run(seed, fossil=True, fast_rollback=fast_rollback)
+    def test_identical_traces_and_outcomes(self, seed):
+        base, base_tr, t_base = _run(seed, fossil=False)
+        coll, coll_tr, t_coll = _run(seed, fossil=True)
         # byte-identical traces: collection draws no randomness and
         # schedules nothing
         assert base_tr.fingerprint() == coll_tr.fingerprint()
@@ -105,8 +104,8 @@ class TestCollectedEqualsUncollected:
         assert s_coll["fossil_collections"] >= 1
 
     def test_collected_run_actually_reclaims(self):
-        base, _, _ = _run(seed=3, fossil=False, fast_rollback=False)
-        coll, _, _ = _run(seed=3, fossil=True, fast_rollback=False)
+        base, _, _ = _run(seed=3, fossil=False)
+        coll, _, _ = _run(seed=3, fossil=True)
         s = coll.stats()
         assert s["fossil_history_dropped"] > 0
         assert s["fossil_aids_retired"] > 0
@@ -124,7 +123,7 @@ class TestCollectedEqualsUncollected:
     def test_finalized_intervals_stay_definite(self):
         """Theorem 6.1 end-to-end: after a collected run completes, no
         retained interval is speculative and the worker is definite."""
-        coll, _, _ = _run(seed=5, fossil=True, fast_rollback=False)
+        coll, _, _ = _run(seed=5, fossil=True)
         assert coll.machine.is_definite("worker")
         for record in coll.machine.processes.values():
             assert not record.speculative
@@ -135,8 +134,8 @@ class TestCommitPointSemantics:
     def test_restart_resumes_from_rebase_state(self):
         """Once the frontier passes a commit point, a denial replays from
         the rebase snapshot instead of program entry."""
-        coll, _, _ = _run(seed=2, fossil=True, fast_rollback=False, rounds=60)
-        base, _, _ = _run(seed=2, fossil=False, fast_rollback=False, rounds=60)
+        coll, _, _ = _run(seed=2, fossil=True, rounds=60)
+        base, _, _ = _run(seed=2, fossil=False, rounds=60)
         s_coll, s_base = coll.stats(), base.stats()
         assert s_coll["rollbacks"] == s_base["rollbacks"] > 0
         # identical results from far fewer replayed effects
@@ -144,14 +143,14 @@ class TestCommitPointSemantics:
         assert s_coll["replayed_effects"] < s_base["replayed_effects"]
 
     def test_commit_point_is_noop_without_fossil_collect(self):
-        base, _, _ = _run(seed=1, fossil=False, fast_rollback=False, rounds=10)
+        base, _, _ = _run(seed=1, fossil=False, rounds=10)
         proc = base.procs["worker"]
         assert proc.rebase is None
         assert proc.rebase_candidates == []
         assert proc.log.base == 0
 
     def test_crash_clears_rebase_state(self):
-        coll, _, _ = _run(seed=1, fossil=True, fast_rollback=False, rounds=40)
+        coll, _, _ = _run(seed=1, fossil=True, rounds=40)
         proc = coll.procs["worker"]
         assert proc.rebase is not None
         coll.crash_process("worker")
@@ -162,7 +161,7 @@ class TestCommitPointSemantics:
     def test_rebase_state_is_isolated_per_restart(self):
         """Restarts get a deep copy: mutations by one incarnation must
         not leak into the parked rebase snapshot."""
-        coll, _, _ = _run(seed=4, fossil=True, fast_rollback=False, rounds=60)
+        coll, _, _ = _run(seed=4, fossil=True, rounds=60)
         proc = coll.procs["worker"]
         assert proc.rebase is not None
         snapshot_round = proc.rebase.state["round"]
@@ -171,6 +170,33 @@ class TestCommitPointSemantics:
         assert proc.done
         assert proc.result == coll.result_of("worker")
         assert proc.rebase.state["round"] == snapshot_round < 60
+
+    def test_misplaced_commit_point_is_named_as_such(self):
+        """commit_point at the *top* of the loop captures the state before
+        the round it precedes: the resumed body re-yields the commit
+        instead of the effect that follows it.  The error must say that,
+        not blame the body's determinism."""
+        def misplaced(p, rounds, resume=None):
+            state = resume if resume is not None else {"round": 0}
+            while state["round"] < rounds:
+                yield p.commit_point(state)        # wrong: before the work
+                a = yield p.aid_init(f"r{state['round']}")
+                yield p.send("judge", a)
+                yield p.guess(a)
+                yield p.compute(1.0)
+                state["round"] += 1
+
+        system = HopeSystem(
+            seed=0, latency=ConstantLatency(1.0),
+            fossil_collect=True, fossil_interval=8,
+        )
+        system.spawn("judge", judge, 40, 0.3)
+        system.spawn("worker", misplaced, 40)
+        with pytest.raises(ReplayDivergenceError) as err:
+            system.run()
+        message = str(err.value)
+        assert "state *after* the commit point" in message
+        assert "not deterministic" not in message
 
 
 # ---------------------------------------------------------------- pinning

@@ -25,12 +25,6 @@ KERNELS = ("heap", "wheel", "window")
 ENGINE_MODES = {
     "plain": {},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
-    "fast-rollback": {"fast_rollback": True},
-    "fossil+fast": {
-        "fossil_collect": True,
-        "fossil_interval": 4,
-        "fast_rollback": True,
-    },
 }
 
 

@@ -8,10 +8,12 @@ from repro.sim import (
     RandomStreams,
     Recv,
     Simulator,
+    Span,
     Task,
     Timeout,
     Tracer,
 )
+from repro.sim.timeline import ProcessTimeline
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,3 +130,67 @@ def test_run_until_is_prefix_of_full_run(delays):
         return fired
 
     assert collect(None) == collect(5.0)
+
+
+# ----------------------------------------------------------------------
+# reclassify_since rewrites the tail: same spans, same duration as the
+# whole-list rebuild it replaced
+# ----------------------------------------------------------------------
+def _rebuild_reclassify(spans, start_time, kind, now):
+    """The pre-suffix-cut ``reclassify_since`` over closed spans: rebuild
+    every span.  Returns ``(new span triples, newly re-labelled time)``."""
+    wasted = 0.0
+    kept = []
+    for span in spans:
+        if span.end <= start_time:
+            kept.append((span.kind, span.start, span.end))
+        elif span.start >= start_time:
+            if span.kind != kind:
+                wasted += span.end - span.start
+            kept.append((kind, span.start, span.end))
+        else:
+            kept.append((span.kind, span.start, start_time))
+            if span.kind != kind:
+                wasted += span.end - start_time
+            kept.append((kind, start_time, span.end))
+    return kept, wasted
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([Span.BUSY, Span.BLOCKED]),
+        # zero-length steps included: spans that open and close in one tick
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS, st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_reclassify_since_matches_the_full_rebuild(steps, rollbacks):
+    """Random mark sequences, then a series of rollbacks at random depths:
+    later ones straddle spans and sweep over windows an earlier one
+    already made WASTED (the double-count case)."""
+    tl = ProcessTimeline("p")
+    now = 0.0
+    for kind, dt in steps:
+        tl.mark(kind, now)
+        now += dt
+    total_wasted = 0.0
+    for fraction in rollbacks:
+        start_time = fraction * now
+        tl.close(now)
+        expected_spans, expected = _rebuild_reclassify(
+            tl.spans, start_time, Span.WASTED, now
+        )
+        got = tl.reclassify_since(start_time, Span.WASTED, now)
+        assert got == expected
+        assert [(s.kind, s.start, s.end) for s in tl.spans] == expected_spans
+        assert tl._open is None
+        total_wasted += got
+        # the process re-executes for a while before the next rollback
+        tl.mark(Span.BUSY, now)
+        now += 1.0
+    assert abs(tl.total(Span.WASTED) - total_wasted) < 1e-9

@@ -5,7 +5,7 @@ The wheel is only admissible because it implements the exact same
 runs the same workload under ``kernel="heap"`` and ``kernel="wheel"``
 and asserts byte-identical outcomes: execution sequences for the raw
 simulator, trace fingerprints for full HOPE systems (across seeds,
-fault plans, fossil collection, fast rollback, and shuffled ties).
+fault plans, fossil collection, and shuffled ties).
 """
 
 import random
@@ -96,12 +96,6 @@ def _system_fingerprint(kernel: str, build, seed: int, **system_kw) -> str:
 _ENGINE_MODES = {
     "plain": {},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
-    "fast-rollback": {"fast_rollback": True},
-    "fossil+fast": {
-        "fossil_collect": True,
-        "fossil_interval": 4,
-        "fast_rollback": True,
-    },
     "shuffled": {"shuffle_ties": True},
 }
 
