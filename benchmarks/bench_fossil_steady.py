@@ -77,17 +77,50 @@ def _judge(p, deny_rate, resume=None):
         yield p.commit_point(state)
 
 
+def _emitting_worker(p, resume=None):
+    """``_worker`` in the e2e ``steady`` shape: the handle rides in the
+    payload (so from round 1 on it sits in a *tagged* message the judge's
+    implicit-guess interval holds) and every round emits an output."""
+    state = resume if resume is not None else {"round": 0, "acc": 0}
+    while True:
+        a = yield p.aid_init("round")
+        yield p.send("judge", (a, state["round"]))
+        ok = yield p.guess(a)
+        yield p.compute(1.0 if ok else 2.0)
+        state["acc"] += 3 if ok else -1
+        yield p.emit((state["round"], state["acc"]))
+        state["round"] += 1
+        yield p.commit_point(dict(state))
+
+
+def _emitting_judge(p, deny_rate, resume=None):
+    state = resume if resume is not None else {"seen": 0}
+    while True:
+        a, i = (yield p.recv()).payload
+        yield p.compute(0.3)
+        ok = (yield p.random()) >= deny_rate
+        if ok:
+            yield p.affirm(a)
+        else:
+            yield p.deny(a)
+        state["seen"] += 1
+        yield p.emit((i, "checked", ok))
+        yield p.commit_point(dict(state))
+
+
 def run_horizon(
     fossil: bool,
     events_total: int = EVENTS_TOTAL,
     segment: int = SEGMENT,
     seed: int = 0,
+    emitting: bool = False,
 ) -> dict:
     """Drive the steady-state pair for ``events_total`` sim events.
 
     Returns per-segment samples plus a run summary, including a
     streaming digest of the full trace (identical digests ⇒ identical
-    behaviour across fossil modes).
+    behaviour across fossil modes).  ``emitting`` swaps in the bodies
+    that emit every round and ship the handle inside the payload.
     """
     digest = hashlib.sha256()
     tracer = Tracer(max_records=1)  # stream to the digest, retain nothing
@@ -101,8 +134,8 @@ def run_horizon(
         fossil_collect=fossil,
         fossil_interval=FOSSIL_INTERVAL,
     )
-    system.spawn("judge", _judge, DENY_RATE)
-    system.spawn("worker", _worker)
+    system.spawn("judge", _emitting_judge if emitting else _judge, DENY_RATE)
+    system.spawn("worker", _emitting_worker if emitting else _worker)
     machine = system.machine
     worker = system.procs["worker"]
     segments = []
@@ -125,6 +158,13 @@ def run_horizon(
                     len(r.history) for r in machine.processes.values()
                 ),
                 "aid_table": len(machine.aids),
+                "handle_table": len(system._handles),
+                "output_intervals": len({
+                    id(r.interval)
+                    for proc in system.procs.values()
+                    for r in proc.outputs
+                    if r.interval is not None
+                }),
                 "log_entries": len(worker.log.entries),
                 "depset_table": len(machine.depsets),
             }
@@ -152,6 +192,30 @@ def run_horizon(
             )
         },
     }
+
+
+def test_fossil_steady_emitting_tables_stay_flat():
+    """The shape the ``aid_table`` cap above missed: with an output every
+    round and the handle in the payload, a committed output record used to
+    keep its interval — and through it the message, the payload and the
+    handle — so the AID and handle tables grew with the horizon even
+    though collection ran.  No wall-clock assertion: table sizes only."""
+    collected = run_horizon(True, emitting=True)
+    uncollected = run_horizon(False, events_total=2 * SEGMENT, emitting=True)
+    segs = collected["segments"]
+    assert len(segs) >= 3
+    for metric in ("aid_table", "handle_table", "output_intervals", "history_rows",
+                   "log_entries"):
+        series = [s[metric] for s in segs]
+        # bounded by the speculation window (same slack as the caps in
+        # test_fossil_steady_state), and no drift across the horizon
+        assert max(series) <= 500, (metric, series)
+        assert max(series[len(series) // 2:]) <= 1.25 * max(series[:len(series) // 2]) + 8, (
+            metric, series)
+    # the uncollected run shows what unbounded looks like on this shape
+    assert uncollected["segments"][-1]["aid_table"] > 10 * max(s["aid_table"] for s in segs)
+    stats = collected["stats"]
+    assert stats["fossil_aids_retired"] > 0 and stats["fossil_log_dropped"] > 0
 
 
 def test_fossil_steady_state(benchmark):

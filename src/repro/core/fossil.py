@@ -29,6 +29,10 @@ This module reclaims, per collection pass:
   ``resolve_tag_keys`` results whose key mentions a retired AID, so
   retirement never leaves a cache entry pinning a dead identifier.
 
+A pass costs what changed since the last one, not what exists: it visits
+only the records the machine queued (``Machine.changed``) and examines
+only AIDs whose DOM is empty (see the comments in :func:`collect`).
+
 The frontier mirrors Time Warp's GVT + fossil collection (compare
 ``repro.baselines.timewarp.gvt.GvtManager.fossil_collect``): GVT is the
 min over unprocessed/in-flight timestamps; the HOPE frontier is the min
@@ -94,29 +98,49 @@ def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilS
     """
     out = FossilStats()
 
-    # 1. History prefixes and dead intervals, per-process frontier.
-    for record in machine.processes.values():
-        frontier = record.frontier_index()
-        dropped_hist, dropped_iv = record.fossilize_before(frontier)
-        out.history_dropped += dropped_hist
-        out.intervals_dropped += dropped_iv
-
-    # 2. Retire resolved AIDs nothing retained can reach.
+    # 1. History prefixes and dead intervals, per-process frontier — of
+    # the records that changed since the last pass.  One nothing touched
+    # and that kept no interval last time has nothing to drop and nothing
+    # to contribute below: skipping it reclaims what a full sweep would.
+    visited = list(machine.changed)
+    machine.changed.clear()
     referenced: set = set()
     live_depsets = []
-    for record in machine.processes.values():
+    for record in visited:
+        record.changed = False
+        dropped_hist, dropped_iv = record.fossilize_before(record.frontier_index())
+        out.history_dropped += dropped_hist
+        out.intervals_dropped += dropped_iv
         for iv in record.intervals:
-            referenced.update(iv.ido)
             referenced.update(iv.ihd)
             referenced.update(iv.spec_affirms)
             live_depsets.append(iv.ido)
-    retired = []
-    for key, aid in machine.aids.items():
-        if aid.dom or aid in referenced or key in pinned_keys:
-            continue
-        retired.append(aid)
-    for aid in retired:
-        del machine.aids[aid.key]
+        if record.intervals:
+            # Retained speculation must be seen again next pass (its IDO
+            # sets keep interned DepSets alive) even if nothing touches it.
+            record.mark_changed()
+
+    # 2. Retire AIDs nothing retained can reach.  Only AIDs with an empty
+    # DOM are examined: those the machine queued since the last pass join
+    # those an earlier pass had to defer.  A live interval's IDO needs no
+    # scan — by Lemma 5.1 it shows up as a non-empty X.DOM, which only
+    # empties through a resolution or a rollback, and both queue the AID.
+    aids = machine.aids
+    deferred = machine._retire_deferred
+    for aid in machine._retire_candidates:
+        if not aid.dom:
+            key = aid.key
+            if aids.get(key) is aid:        # not already retired
+                deferred[key] = aid
+    machine._retire_candidates.clear()
+    retired = {}
+    for key in deferred.keys() - pinned_keys:     # one C-level set difference
+        aid = deferred[key]
+        if not (aid.dom or aid in referenced):
+            retired[key] = aid
+            del deferred[key]
+            del aids[key]
+    for aid in retired.values():
         if aid.status is AidStatus.AFFIRMED:
             machine.stats["aids_retired_affirmed"] += 1
         elif aid.status is AidStatus.DENIED:
@@ -141,8 +165,8 @@ def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilS
     # 4. Purge resolution-cache entries that mention a retired AID
     # (satellite: retirement must not leave pinned resolution results).
     if retired:
-        retired_set = set(retired)
-        retired_keys = {a.key for a in retired}
+        retired_set = set(retired.values())
+        retired_keys = retired.keys()
         out.resolve_entries_purged += _purge_cache(
             machine._resolve_cache, lambda tagset: not retired_set.isdisjoint(tagset)
         )
@@ -151,6 +175,7 @@ def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilS
         )
 
     machine.stats["fossil_collections"] += 1
+    machine.stats["fossil_records_visited"] += len(visited)
     machine.stats["fossil_history_dropped"] += out.history_dropped
     machine.stats["fossil_intervals_dropped"] += out.intervals_dropped
     machine.stats["fossil_aids_retired"] += out.aids_retired

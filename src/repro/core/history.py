@@ -54,11 +54,19 @@ class ProcessRecord:
 
     __slots__ = (
         "name", "history", "intervals", "current", "speculative", "g",
-        "_next_index", "rollback_count",
+        "_next_index", "rollback_count", "order", "changed", "_changed_sink",
     )
 
-    def __init__(self, name: str) -> None:
+    def __init__(
+        self, name: str, order: int = 0, changed_sink: Optional[list] = None
+    ) -> None:
         self.name = name
+        #: Creation rank within the owning machine (stable visiting order).
+        self.order = order
+        #: True while queued in ``_changed_sink``, the owning machine's
+        #: list of records the next fossil pass has to look at.
+        self.changed = False
+        self._changed_sink = changed_sink if changed_sink is not None else []
         self.history: list[HistoryEntry] = []
         #: All intervals ever created, in creation order (including dead ones).
         self.intervals: list[Interval] = []
@@ -76,6 +84,8 @@ class ProcessRecord:
     # ------------------------------------------------------------------
     def append(self, kind: str, **detail: Any) -> HistoryEntry:
         """Record a state transition (HP ← HP · S, the Eq 6 pattern)."""
+        if not self.changed:
+            self.mark_changed()
         history = self.history
         index = self._next_index
         if history and history[-1].index >= index:
@@ -87,6 +97,15 @@ class ProcessRecord:
         self._next_index = index + 1
         history.append(entry)
         return entry
+
+    def mark_changed(self) -> None:
+        """Queue this record for the next fossil pass (idempotent).
+
+        Every history append does this; an embedding runtime calls it for
+        changes the machine cannot see (its own per-process tables)."""
+        if not self.changed:
+            self.changed = True
+            self._changed_sink.append(self)
 
     def truncate_from(self, start_index: int) -> list[HistoryEntry]:
         """Del(H, A): discard the history suffix from ``start_index`` on.

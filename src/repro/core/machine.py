@@ -116,6 +116,7 @@ class Machine:
             "resolve_cache_hits": 0,
             "resolve_cache_misses": 0,
             "fossil_collections": 0,
+            "fossil_records_visited": 0,
             "fossil_history_dropped": 0,
             "fossil_intervals_dropped": 0,
             "fossil_aids_retired": 0,
@@ -135,6 +136,15 @@ class Machine:
         self.resolution_epoch = 0
         self._resolve_cache: dict[frozenset, tuple[bool, frozenset]] = {}
         self._resolve_key_cache: dict[frozenset, tuple[bool, frozenset]] = {}
+        #: What the next fossil pass has to look at, so that it costs what
+        #: changed, not what exists: the records whose history moved (each
+        #: queued once, :meth:`ProcessRecord.mark_changed`); the AIDs that
+        #: may have become retirable — created, definitively resolved, or
+        #: orphaned by a rollback; and, by key, the ones a pass examined
+        #: but had to keep (still referenced or pinned).
+        self.changed: list[ProcessRecord] = []
+        self._retire_candidates: list[AssumptionId] = []
+        self._retire_deferred: dict[str, AssumptionId] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -143,7 +153,7 @@ class Machine:
         """Register a process; idempotent."""
         record = self.processes.get(name)
         if record is None:
-            record = ProcessRecord(name)
+            record = ProcessRecord(name, len(self.processes), self.changed)
             self.processes[name] = record
             record.append("init")
         return record
@@ -159,6 +169,7 @@ class Machine:
         self._aid_serials += 1
         aid = AssumptionId(name, serial=self._aid_serials)
         self.aids[aid.key] = aid
+        self._retire_candidates.append(aid)
         return aid
 
     def aid(self, key: str) -> AssumptionId:
@@ -196,6 +207,7 @@ class Machine:
                 raise UnknownAidError(f"malformed assumption identifier {key!r}")
             aid = AssumptionId(name, serial=int(serial))
             self.aids[key] = aid
+            self._retire_candidates.append(aid)
         return aid
 
     def subscribe(self, listener: Callable[[MachineEvent], None]) -> None:
@@ -361,6 +373,7 @@ class Machine:
             if not dependent.ido:                                # Eq 9: finalize
                 self._finalize(dependent)
         aid.dom.clear()
+        self._retire_candidates.append(aid)
 
     def _affirm_speculative(
         self,
@@ -443,6 +456,7 @@ class Machine:
             if dependent.speculative:
                 self._rollback(dependent, cause=aid)
         aid.dom.clear()
+        self._retire_candidates.append(aid)
 
     # ------------------------------------------------------------------
     # free_of — Eq 17-19
@@ -568,18 +582,7 @@ class Machine:
             key=_interval_serial,
         )
         for dead in discarded:
-            dead.state = IntervalState.ROLLED_BACK
-            record.speculative.discard(dead)
-            for dep_aid in dead.ido:
-                dep_aid.dom.discard(dead)
-            for affirmed in dead.spec_affirms:
-                # Footnote 2: the rollback of a speculative affirm acts as
-                # a deny for X's former dependents (already arranged by the
-                # Eq 12 IDO merge); X itself returns to PENDING so the
-                # re-execution may resolve it again.
-                if affirmed.speculative_affirmer is dead:
-                    affirmed.speculative_affirmer = None
-            dead.spec_affirms.clear()
+            self._discard_interval(record, dead)
         self.stats["rollbacks"] += 1
         self.stats["intervals_discarded"] += len(discarded)
         record.truncate_from(start_index)                        # Eq 24: Del(HP, A)
@@ -604,6 +607,26 @@ class Machine:
                 cause=cause,
             )
         )
+
+    def _discard_interval(self, record: ProcessRecord, dead: Interval) -> None:
+        """Kill one speculative interval (rollback or crash): unlink it
+        from S.IS and every DOM, and release what it speculatively affirmed."""
+        dead.state = IntervalState.ROLLED_BACK
+        record.speculative.discard(dead)
+        candidates = self._retire_candidates
+        for dep_aid in dead.ido:
+            dep_aid.dom.discard(dead)
+            if not dep_aid.dom:
+                candidates.append(dep_aid)
+        for affirmed in dead.spec_affirms:
+            # Footnote 2: the rollback of a speculative affirm acts as
+            # a deny for X's former dependents (already arranged by the
+            # Eq 12 IDO merge); X itself returns to PENDING so the
+            # re-execution may resolve it again.
+            if affirmed.speculative_affirmer is dead:
+                affirmed.speculative_affirmer = None
+        candidates.extend(dead.spec_affirms)
+        dead.spec_affirms.clear()
 
     # ------------------------------------------------------------------
     # resolution-conflict policy
@@ -749,14 +772,7 @@ class Machine:
         self._bump_resolution_epoch()
         discarded = [iv for iv in record.intervals if iv.speculative]
         for dead in discarded:
-            dead.state = IntervalState.ROLLED_BACK
-            record.speculative.discard(dead)
-            for dep_aid in dead.ido:
-                dep_aid.dom.discard(dead)
-            for affirmed in dead.spec_affirms:
-                if affirmed.speculative_affirmer is dead:
-                    affirmed.speculative_affirmer = None
-            dead.spec_affirms.clear()
+            self._discard_interval(record, dead)
         record.current = None
         record.g = None
         record.truncate_from(0)

@@ -48,15 +48,17 @@ def _fresh_proc_doc() -> Dict[str, Any]:
 class _ProcImage:
     """In-memory mirror of one process's persisted slice (encoded form)."""
 
-    __slots__ = ("base", "entries", "outputs", "rebase", "out_floor",
+    __slots__ = ("base", "entries", "outputs", "rebase",
                  "send_extras", "res_extras")
 
     def __init__(self) -> None:
         self.base = 0
         self.entries: List[list] = []     # [kind, encoded_result, extra|None]
-        self.outputs: List[list] = []     # [encoded_value, log_index, time]
+        #: [encoded_value, log_index, time] for every flushed output — the
+        #: whole committed ledger, so its length is also how far into
+        #: ``proc.outputs`` this image has read.
+        self.outputs: List[list] = []
         self.rebase: Optional[list] = None  # [encoded_state, time]
-        self.out_floor = 0                # outputs below this log index flushed
         # Hot-path side buffers, folded into WAL records at flush time and
         # truncated on rollback exactly like the effect log itself.
         self.send_extras: List[tuple] = []  # (pos, msg_id, dst, payload, tags)
@@ -143,16 +145,19 @@ class DurableRecorder:
         side-buffer suffix the same way.  ``index`` is always at or past
         the commit frontier, so flushed records are never affected."""
         img = self._img(name)
-        if img.send_extras:
-            img.send_extras = [e for e in img.send_extras if e[0] < index]
-        if img.res_extras:
-            img.res_extras = [e for e in img.res_extras if e[0] < index]
+        for extras in (img.send_extras, img.res_extras):   # appended in log order
+            cut = len(extras)
+            while cut and extras[cut - 1][0] >= index:
+                cut -= 1
+            del extras[cut:]
 
     # -- fossil-pass flushing ------------------------------------------------
 
     def flush_proc(self, proc, target: int) -> None:
-        """Persist ``proc``'s committed log entries and outputs below the
-        absolute position ``target`` (the commit frontier for this pass)."""
+        """Persist ``proc``'s committed log entries below the absolute
+        position ``target`` (the commit frontier for this pass) and the
+        outputs its commit watermark — already advanced to ``target`` by
+        the engine — has passed since the last flush."""
         img = self._img(proc.name)
         cursor = img.cursor
         if target > cursor:
@@ -200,15 +205,11 @@ class DurableRecorder:
                 img.entries.append([kind, enc, extra])
             img.send_extras = [e for e in img.send_extras if e[0] >= target]
             img.res_extras = [e for e in img.res_extras if e[0] >= target]
-        if target > img.out_floor:
-            for record in proc.outputs:
-                if img.out_floor <= record.log_index < target:
-                    enc = encode_value(record.value)
-                    self._append({"t": "o", "p": proc.name,
-                                  "i": record.log_index, "v": enc,
-                                  "tm": record.time})
-                    img.outputs.append([enc, record.log_index, record.time])
-            img.out_floor = target
+        for record in proc.outputs[len(img.outputs):proc.committed_count]:
+            enc = encode_value(record.value)
+            self._append({"t": "o", "p": proc.name, "i": record.log_index,
+                          "v": enc, "tm": record.time})
+            img.outputs.append([enc, record.log_index, record.time])
 
     def _definite_status(self, key: str, kind: str) -> str:
         """Status to persist for a committed affirm/deny.  A committed
@@ -445,7 +446,6 @@ class DurableRecorder:
             img.entries = [list(e) for e in pdoc["entries"]]
             img.outputs = [list(o) for o in pdoc["outputs"]]
             img.rebase = list(pdoc["rebase"]) if pdoc.get("rebase") else None
-            img.out_floor = img.cursor
             entries = []
             for kind, enc, _extra in img.entries:
                 result = decode_value(enc)
@@ -467,6 +467,7 @@ class DurableRecorder:
                 OutputRecord(decode_value(v), int(i), None, tm)
                 for v, i, tm in img.outputs
             ]
+            proc.committed_count = len(proc.outputs)
 
         for key, (aid_name, status) in image["aids"].items():
             aid = machine.adopt_aid(key)

@@ -53,8 +53,13 @@ def _wal_name(gen: int) -> str:
     return f"wal-{gen:08d}.jsonl"
 
 
+#: One canonical encoder: ``json.dumps`` with non-default options builds a
+#: fresh ``JSONEncoder`` per call, and a run encodes a record per WAL line.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_bytes(doc: Any) -> bytes:
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 class DurableStore:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import weakref
+from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
 from ..core import (
@@ -104,7 +105,10 @@ class SpeculativeSpawnError(HopeError):
 
 class OutputRecord:
     """One emitted output: the value, where in the log it happened, and the
-    speculative interval (if any) whose fate it shares."""
+    speculative interval (if any) whose fate it shares.  Once the commit
+    watermark passes a record (:attr:`ProcessRuntime.committed_count`) its
+    ``interval`` is dropped: a committed output must not keep the interval,
+    and through it messages, payloads and AID handles, alive."""
 
     __slots__ = ("value", "log_index", "interval", "time")
 
@@ -131,6 +135,7 @@ class ProcessRuntime:
         "name", "fn", "args", "facade", "log", "task",
         "incarnation", "restarts", "done", "result", "crashed", "outputs",
         "track", "mailbox", "mproc", "bridge", "rebase", "rebase_candidates",
+        "committed_count",
     )
 
     def __init__(self, name: str, fn: Callable[..., Generator], args: tuple) -> None:
@@ -146,6 +151,11 @@ class ProcessRuntime:
         self.result: Any = None
         self.crashed = False
         self.outputs: list[OutputRecord] = []
+        #: Commit watermark into ``outputs`` (appended in log order): the
+        #: records below it are behind the commit frontier for good
+        #: (Theorem 6.1) and hold no interval.  Advanced by fossil passes;
+        #: rollback, crash and the durable flush only look above it.
+        self.committed_count = 0
         #: Cached timeline track and mailbox (assigned at spawn; hot-path
         #: marks and recv registrations skip the per-event name lookups).
         self.track = None
@@ -668,16 +678,8 @@ class HopeSystem:
         """Flush every process's committed frontier and seal an envelope
         (the same frontier computation as a fossil pass, minus the
         collection)."""
-        machine = self.machine
-        for name, proc in self.procs.items():
-            record = machine.processes.get(name)
-            frontier_log = len(proc.log)
-            if record is not None:
-                for iv in record.speculative:
-                    cp = iv.ps
-                    if isinstance(cp, Checkpoint):
-                        frontier_log = min(frontier_log, cp.log_index)
-            self._durable.flush_proc(proc, min(frontier_log, proc.log.cursor))
+        for proc in self.procs.values():
+            self._settle_frontier(proc)
         self._durable.end_pass(self.sim.now, force_snapshot=True)
 
     def aid(self, ref: AidRef) -> AssumptionId:
@@ -736,7 +738,15 @@ class HopeSystem:
         proc.log.truncate(0)
         # Outputs from forgotten intervals are permanently uncommitted
         # (their intervals are now rolled back); drop them from the buffer.
-        proc.outputs = [r for r in proc.outputs if r.committed]
+        # The survivors are committed and the log restarts at 0, so the
+        # watermark moves past them: no later rollback may judge them by
+        # their pre-crash log positions.
+        mark = proc.committed_count
+        survivors = [r for r in proc.outputs[mark:] if r.committed]
+        for record in survivors:
+            record.interval = None
+        proc.outputs[mark:] = survivors
+        proc.committed_count = len(proc.outputs)
         self.tracer.record(self.sim.now, "crash", name)
 
     def restart_process(self, name: str) -> None:
@@ -926,29 +936,20 @@ class HopeSystem:
         self._fossil_pending = False
         self._finalizes_since_collect = 0
         machine = self.machine
-        for name, proc in self.procs.items():
-            record = machine.processes.get(name)
-            if record is None:
+        # Only a process whose record changed since the last pass (every
+        # effect, delivery and machine transition marks it) or still holds
+        # speculation has anything to settle.  Spawn order: the order of
+        # durable flushes is the order of records in the WAL.
+        changed = sorted(machine.changed, key=attrgetter("order"))
+        for record in changed:
+            proc = self.procs.get(record.name)
+            if proc is None:
                 continue
-            # Per-process frontier: the oldest still-speculative guess's
-            # checkpoint (log position + virtual time); with no live
-            # speculation everything up to now is committed.
-            frontier_log = len(proc.log)
-            frontier_time = self.sim.now
-            for iv in record.speculative:
-                cp = iv.ps
-                if isinstance(cp, Checkpoint):
-                    frontier_log = min(frontier_log, cp.log_index)
-                    frontier_time = min(frontier_time, cp.time)
+            target, frontier_time = self._settle_frontier(proc)
             # Effect-log prefix: promote the newest rebase candidate at or
             # behind the frontier (and behind any in-flight replay cursor)
-            # and drop the entries it makes unreachable.
-            target = min(frontier_log, proc.log.cursor)
-            # Durable flush first, while the entries below the frontier are
-            # still in the log: everything the prefix-drop below may
-            # reclaim has then already reached the WAL.
-            if self._durable is not None:
-                self._durable.flush_proc(proc, target)
+            # and drop the entries it makes unreachable — all of which the
+            # durable flush in _settle_frontier has already put in the WAL.
             best: Optional[RebasePoint] = None
             for cand in proc.rebase_candidates:
                 if cand.log_index <= target and (
@@ -964,7 +965,7 @@ class HopeSystem:
                 if self._durable is not None:
                     self._durable.note_promotion(proc)
             proc.track.compact_before(frontier_time)
-        fossil_stats = machine.fossil_collect(self._pinned_aid_keys())
+        fossil_stats = machine.fossil_collect(self._pinned_aid_keys(changed))
         if self._durable is not None:
             # Durability point: the pass's WAL records become recoverable
             # here (sealed batch marker + fsync), and every Nth pass
@@ -978,25 +979,56 @@ class HopeSystem:
             spec.fossil_aids_retired.inc(fossil_stats.aids_retired)
             spec.fossil_depsets_dropped.inc(fossil_stats.depsets_dropped)
 
-    def _pinned_aid_keys(self) -> frozenset:
+    def _settle_frontier(self, proc: ProcessRuntime) -> tuple:
+        """Advance ``proc``'s commit watermark to its frontier and hand the
+        newly committed slice to the durable layer.  Returns the frontier,
+        ``(log position, virtual time)``: the oldest still-speculative
+        guess's checkpoint (everything up to now with no live speculation),
+        the log position held behind an in-flight replay cursor."""
+        frontier_log = len(proc.log)
+        frontier_time = self.sim.now
+        for iv in proc.mproc.speculative:
+            cp = iv.ps
+            if isinstance(cp, Checkpoint):
+                frontier_log = min(frontier_log, cp.log_index)
+                frontier_time = min(frontier_time, cp.time)
+        target = min(frontier_log, proc.log.cursor)
+        outputs = proc.outputs
+        mark = proc.committed_count
+        while mark < len(outputs) and outputs[mark].log_index < target:
+            record = outputs[mark]
+            if not record.committed:
+                raise HopeError(
+                    f"output {record!r} of {proc.name!r} sits behind the commit "
+                    f"frontier (log {record.log_index} < {target}) but is not "
+                    "committed — violates Theorem 6.1"
+                )
+            record.interval = None
+            mark += 1
+        proc.committed_count = mark
+        if self._durable is not None:
+            self._durable.flush_proc(proc, target)
+        return target, frontier_time
+
+    def _pinned_aid_keys(self, changed: list) -> set:
         """AID keys that must survive retirement even if the machine is
         done with them: tags of messages still in flight or queued (their
         delivery resolves tags by key), tags of messages held by live
         speculative intervals (a rollback requeues them), and every
-        handle user code still reaches (a late ``guess`` looks it up)."""
-        pinned: set = set(self._handles.keys())
+        handle user code still reaches (a late ``guess`` looks it up).
+        ``changed``, the pass's records, includes all with live speculation."""
+        # .data is the live-key dict: keys() re-checks every referent in
+        # Python, and a just-dead entry only defers its AID one pass.
+        pinned: set = set(self._handles.data)
         pinned.update(self.network.pinned_tag_keys())
         if self.reliable is not None:
             pinned.update(self.reliable.pinned_tag_keys())
-        for name, proc in self.procs.items():
-            record = self.machine.processes.get(name)
-            if record is None:
-                continue
+        for record in changed:
             for iv in record.speculative:
                 for message in iv.meta.get("received", ()):
                     if not message.dead:
                         pinned.update(message.tags)
-        return frozenset(pinned)
+        return pinned
 
     # ------------------------------------------------------------------
     # task lifecycle
@@ -1033,6 +1065,11 @@ class HopeSystem:
             # reclamation cannot observe a half-applied transition.
             self._run_fossil_collection()
         proc: ProcessRuntime = task.env.context
+        # The next fossil pass must look at this process, replay included
+        # (it moves the cursor the frontier is held behind).
+        mproc = proc.mproc
+        if not mproc.changed:
+            mproc.mark_changed()
         # Handler lookup doubles as the type check: only HOPE effects are
         # registered, so a miss means a foreign (or subclassed) effect.
         # (_handler_get is _LIVE_HANDLERS.get pre-bound at __init__ — this
@@ -1250,6 +1287,7 @@ class HopeSystem:
         )
 
     def _finish_compute(self, proc: ProcessRuntime, task: Task) -> None:
+        proc.mproc.mark_changed()
         proc.track.mark(Span.BLOCKED, self.sim.now)
         proc.log.append("compute", None)
         task.resume_inline(None)
@@ -1355,7 +1393,10 @@ class HopeSystem:
 
     def committed_outputs(self, name: str) -> list[Any]:
         """Outputs that no live speculation can withdraw anymore."""
-        return [r.value for r in self.procs[name].outputs if r.committed]
+        proc = self.procs[name]
+        mark = proc.committed_count
+        tail = [r.value for r in proc.outputs[mark:] if r.committed]
+        return [r.value for r in proc.outputs[:mark]] + tail
 
     # ------------------------------------------------------------------
     # message delivery (via bridges)
@@ -1371,6 +1412,9 @@ class HopeSystem:
             self._run_fossil_collection()
         if proc.incarnation != bridge.incarnation:
             return  # stale delivery aimed at a rolled-back incarnation
+        mproc = proc.mproc
+        if not mproc.changed:
+            mproc.mark_changed()
         task = proc.task
         if value is TIMED_OUT:
             proc.log.append("recv", TIMED_OUT)
@@ -1532,10 +1576,15 @@ class HopeSystem:
             ]
         # Withdraw speculative outputs produced after the checkpoint
         # (the output-commit discipline: uncommitted outputs die with the
-        # speculation that produced them).
-        proc.outputs = [
-            r for r in proc.outputs if r.log_index < checkpoint.log_index
-        ]
+        # speculation that produced them).  Outputs are appended in log
+        # order, so they are a suffix — and one above the watermark (the
+        # machine refuses to roll back a definite interval, Theorem 5.2).
+        outputs = proc.outputs
+        mark = proc.committed_count
+        cut = len(outputs)
+        while cut > mark and outputs[cut - 1].log_index >= checkpoint.log_index:
+            cut -= 1
+        del outputs[cut:]
         wasted = proc.track.reclassify_since(
             checkpoint.time, Span.WASTED, self.sim.now
         )

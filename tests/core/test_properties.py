@@ -7,10 +7,13 @@ symmetry, the Theorem 5.1 subset chain, IS/I consistency — hold, and that
 the headline theorems are respected at quiescence.
 """
 
-from hypothesis import given, settings, strategies as st
+import copy
+
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
+from repro.core.fossil import FossilStats
 from repro.core import (
     AidStatus,
     IntervalState,
@@ -208,3 +211,157 @@ def test_append_refuses_to_create_disorder():
     record._next_index = 1                      # a rewound clock, entries kept
     with pytest.raises(MachineInvariantError):
         record.append("event")
+
+
+# ----------------------------------------------------------------------
+# fossil passes over the changed-record set: same answer as a full sweep
+# ----------------------------------------------------------------------
+def _full_sweep(machine, pinned_keys=frozenset()):
+    """The pre-incremental ``fossil.collect``: visit every record and every
+    AID in the table.  Kept here as the reference the incremental pass is
+    compared against; ignores ``Machine.changed`` and the candidate queues."""
+    out = FossilStats()
+    referenced, live_depsets = set(), []
+    for record in machine.processes.values():
+        hist, ivs = record.fossilize_before(record.frontier_index())
+        out.history_dropped += hist
+        out.intervals_dropped += ivs
+    for record in machine.processes.values():
+        for iv in record.intervals:
+            referenced.update(iv.ido)
+            referenced.update(iv.ihd)
+            referenced.update(iv.spec_affirms)
+            live_depsets.append(iv.ido)
+    retired = [
+        aid for key, aid in machine.aids.items()
+        if not (aid.dom or aid in referenced or key in pinned_keys)
+    ]
+    for aid in retired:
+        del machine.aids[aid.key]
+        machine.stats["aids_retired_" + aid.status.value] += 1
+    out.aids_retired = len(retired)
+    out.depsets_dropped = machine.depsets.compact(live_depsets)
+    if retired:
+        gone, gone_keys = set(retired), {a.key for a in retired}
+        for cache, dead in (
+            (machine._resolve_cache, gone), (machine._resolve_key_cache, gone_keys)
+        ):
+            stale = [k for k in cache if not dead.isdisjoint(k)]
+            out.resolve_entries_purged += len(stale)
+            for k in stale:
+                del cache[k]
+    machine.stats["fossil_collections"] += 1
+    machine.stats["fossil_history_dropped"] += out.history_dropped
+    machine.stats["fossil_intervals_dropped"] += out.intervals_dropped
+    machine.stats["fossil_aids_retired"] += out.aids_retired
+    machine.stats["fossil_depsets_dropped"] += out.depsets_dropped
+    return out
+
+
+def _tables(machine):
+    """Everything a fossil pass may touch, in a comparable form."""
+    def keys(aids):
+        return tuple(sorted(a.key for a in aids))
+
+    return {
+        "aids": sorted(machine.aids),
+        "history": {n: [e.index for e in r.history] for n, r in machine.processes.items()},
+        "intervals": {n: [iv.serial for iv in r.intervals] for n, r in machine.processes.items()},
+        "parents": {
+            n: [iv.parent.serial if iv.parent is not None else None for iv in r.intervals]
+            for n, r in machine.processes.items()
+        },
+        "depsets": sorted(keys(members) for members in machine.depsets._table),
+        "resolve_cache": sorted(keys(tagset) for tagset in machine._resolve_cache),
+        "resolve_key_cache": sorted(tuple(sorted(k)) for k in machine._resolve_key_cache),
+        "stats": {
+            k: v for k, v in machine.stats.items()
+            if k.startswith(("fossil_", "aids_retired_")) and k != "fossil_records_visited"
+        },
+    }
+
+
+FOSSIL_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["guess", "affirm", "deny", "free_of", "recv", "step"]),
+            st.integers(0, len(PROCS) - 1),
+            st.integers(0, 40),
+        ),
+        st.tuples(st.just("aid_init"), st.integers(0, len(PROCS) - 1), st.just(0)),
+        st.tuples(st.just("resolve_key"), st.just(0), st.integers(0, 40)),
+        # a pass, pinning the AIDs whose pool index has a bit set in the mask
+        st.tuples(st.just("collect"), st.just(0), st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FOSSIL_ACTIONS)
+# An AID a pass skipped for its non-empty DOM, then orphaned by the
+# rollback of its only dependent (another AID of that interval is denied):
+@example([("guess", 0, 1), ("guess", 0, 0), ("collect", 0, 0),
+          ("deny", 1, 1), ("collect", 0, 0)])
+# ... and one whose DOM a speculative affirm emptied, orphaned when the
+# affirming interval rolls back:
+@example([("guess", 2, 0), ("collect", 0, 0), ("guess", 0, 1),
+          ("affirm", 0, 0), ("deny", 1, 1), ("collect", 0, 0)])
+def test_incremental_fossil_pass_reclaims_what_a_full_sweep_does(actions):
+    """Over random primitive / rollback / orphaning schedules with passes
+    (and pins) at random points, every incremental pass leaves the tables
+    and reports the FossilStats a full sweep of the same machine would —
+    orphaned-AID retirement, DepSet compaction and the resolve-cache purge
+    included — although it only visits the records queued as changed."""
+    machine = _machine()
+    aids = [machine.aid_init(f"a{i}") for i in range(3)]
+    passes = 0
+    for op, pidx, n in actions:
+        aid = aids[n % len(aids)]
+        if op == "aid_init":
+            # minted by a process, possibly inside an interval that later
+            # rolls back (an orphan once nothing references or pins it)
+            aids.append(machine.aid_init(f"a{len(aids)}"))
+        elif op == "resolve_key":
+            if aid.key in machine.aids:
+                machine.resolve_tag_keys(frozenset([aid.key]))
+        elif op == "collect":
+            pinned = frozenset(a.key for i, a in enumerate(aids) if n >> (i % 8) & 1)
+            reference = copy.deepcopy(machine)
+            want = _full_sweep(reference, pinned)
+            got = machine.fossil_collect(pinned)
+            for field in FossilStats.__slots__:
+                assert getattr(got, field) == getattr(want, field), field
+            assert _tables(machine) == _tables(reference)
+            machine.check_invariants()
+            passes += 1
+            assert machine.stats["fossil_collections"] == passes
+        else:
+            _apply(machine, aids, op, PROCS[pidx], aid)
+    # and a closing pass with nothing pinned agrees too
+    reference = copy.deepcopy(machine)
+    _full_sweep(reference)
+    machine.fossil_collect()
+    assert _tables(machine) == _tables(reference)
+
+
+def test_a_pass_visits_only_changed_records_and_those_still_speculating():
+    machine = Machine(strict=False)
+    for i in range(50):
+        machine.create_process(f"idle{i}")
+    machine.create_process("p")
+    machine.create_process("q")
+    machine.fossil_collect()
+    assert machine.stats["fossil_records_visited"] == 52     # all new
+    x = machine.aid_init("x")
+    machine.guess("p", x)
+    machine.fossil_collect()
+    machine.fossil_collect()
+    # p changed, then is revisited only because it still speculates
+    assert machine.stats["fossil_records_visited"] == 52 + 1 + 1
+    machine.affirm("q", x)
+    machine.fossil_collect()
+    machine.fossil_collect()
+    assert machine.stats["fossil_records_visited"] == 54 + 2 + 0
+    assert x.key not in machine.aids

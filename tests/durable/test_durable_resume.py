@@ -11,6 +11,8 @@ corruption detection with one-generation fallback, and the constructor
 guardrails.
 """
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -211,6 +213,95 @@ class TestFossilRestartEdges:
         # The consolidation snapshot at restore is a *new* generation on
         # top of the one recovery loaded.
         assert stats["generation"] > stats["resumed_generation"]
+
+
+# ------------------------------------------- the watermark across a resume
+def _build_long_counter(system):
+    build_durable_counter(system, workers=2, rounds=20)
+
+
+class TestWatermarkAcrossResume:
+    def test_kill_after_the_watermark_advanced_several_passes(self, tmp_path):
+        system = HopeSystem(**_durable_kwargs(tmp_path, fossil_interval=2))
+        _build_long_counter(system)
+        with pytest.raises(EventLimitExceeded):
+            system.run(max_events=90)
+        assert system.stats()["fossil_collections"] >= 6
+        flushed = {name: p.committed_count for name, p in system.procs.items()}
+        assert all(count >= 2 for count in flushed.values()), flushed
+        del system          # abandoned mid-run: the in-process "crash"
+
+        resumed = _resume(tmp_path, build=_build_long_counter, fossil_interval=2)
+        restored = {}
+        for name, proc in resumed.procs.items():
+            # the rebuilt ledger is committed for good: watermark at its end
+            assert 0 < len(proc.outputs) <= flushed[name]
+            assert proc.committed_count == len(proc.outputs)
+            assert all(r.interval is None for r in proc.outputs)
+            restored[name] = list(proc.outputs)
+
+        rollbacks = []
+        apply_rollback = resumed._apply_rollback
+
+        def checked_rollback(event):
+            apply_rollback(event)
+            proc = resumed.procs[event.pid]
+            kept = restored[event.pid]
+            # only post-resume outputs may be withdrawn
+            assert proc.outputs[:len(kept)] == kept
+            assert proc.committed_count >= len(kept)
+            rollbacks.append(event.pid)
+
+        resumed._apply_rollback = checked_rollback
+        resumed.run()
+        assert rollbacks, "the continued run never rolled back"
+        twin = HopeSystem(seed=1, latency=ConstantLatency(1.0),
+                          fossil_collect=True, fossil_interval=2)
+        _build_long_counter(twin)
+        twin.run()
+        assert _committed(resumed) == _committed(twin)
+        for name, proc in resumed.procs.items():
+            assert [r.value for r in proc.outputs[:len(restored[name])]] == [
+                r.value for r in restored[name]
+            ]
+
+
+# --------------------------------------------------- bytes on disk are fixed
+class TestBytesOnDisk:
+    #: SHA-256 over (file name, file bytes) of every file the run below
+    #: leaves in its directory, recorded at commit 0561248 — before the
+    #: commit watermark, the changed-record fossil pass and the shared JSON
+    #: encoder.  None of them may move a byte, a CRC, an HMAC or a seal.
+    GOLDEN = "4be567bf8ed25c730c7d9b94329a24f71c1b026aa7b930d976a32cc77afbfeb7"
+
+    def test_wal_and_envelopes_are_byte_identical_to_the_parent(self, tmp_path):
+        (tmp_path / "key.bin").write_bytes(bytes(range(32)))
+        system = HopeSystem(**_durable_kwargs(
+            tmp_path, durable_opts={"snapshot_every": 2, "retain": 1000}
+        ))
+        _build_long_counter(system)
+        system.run()
+        digest = hashlib.sha256()
+        names = sorted(os.listdir(tmp_path))
+        for name in names:
+            digest.update(name.encode())
+            digest.update((tmp_path / name).read_bytes())
+        stats = system.stats()["durable"]
+        assert (len(names), stats["wal_records"], stats["wal_bytes"]) == (8, 520, 56168)
+        assert digest.hexdigest() == self.GOLDEN
+
+    def test_shared_encoder_matches_json_dumps(self):
+        from repro.durable.store import _json_bytes
+
+        docs = [
+            {"t": "e", "p": "c0", "i": 3, "k": "send", "r": 17,
+             "x": {"d": "judge", "pl": {"$": "tuple", "v": [1, "é", None]}, "g": ["a#1"]}},
+            {"b": [1.5, float("inf"), True], "a": {"z": 0, "y": "\u2028"}},
+            [],
+        ]
+        for doc in docs:
+            want = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+            assert _json_bytes(doc) == want
 
 
 # -------------------------------------------------------------- guardrails

@@ -9,6 +9,9 @@ memory accounting (shorter histories, retired AIDs, dropped log
 prefixes), never behaviour.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.runtime import ReplayDivergenceError
@@ -237,3 +240,133 @@ class TestHandlePinning:
         # the held handle's AID survived every pass
         assert system.machine.aid(held[0].key).affirmed
         system.machine.check_invariants()
+
+
+# ------------------------------------------------- the watermark and leaks
+def _emitting_counter(p, judge_name, rounds, refs, resume=None):
+    """The e2e ``steady`` shape: the handle travels in the payload, every
+    round emits, and ``commit_point`` comes last."""
+    state = resume if resume is not None else {"round": 0, "acc": 0}
+    while state["round"] < rounds:
+        i = state["round"]
+        a = yield p.aid_init("round")
+        refs.setdefault((p.name, i), weakref.ref(a))
+        yield p.send(judge_name, (a, p.name, i))
+        ok = yield p.guess(a)
+        yield p.compute(1.0 if ok else 2.0)
+        state["acc"] += 3 if ok else -1
+        yield p.emit(((p.name, i), state["acc"]))
+        state["round"] += 1
+        yield p.commit_point(dict(state))
+
+
+def _emitting_judge(p, total, resume=None):
+    state = resume if resume is not None else {"seen": 0}
+    while state["seen"] < total:
+        a, name, i = (yield p.recv()).payload
+        yield p.compute(0.3)
+        ok = (i * 7 + len(name)) % 4 != 0
+        if ok:
+            yield p.affirm(a)
+        else:
+            yield p.deny(a)
+        state["seen"] += 1
+        yield p.emit(((name, i), "checked", ok))
+        yield p.commit_point(dict(state))
+
+
+def _steady_peaks(rounds, counters=2):
+    """Run the shape to quiescence; returns (system, refs, table sizes at
+    their largest over the run — sampled as each fossil pass starts, i.e.
+    at their high-water marks)."""
+    system = HopeSystem(
+        seed=3, latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=16
+    )
+    refs: dict = {}
+    system.spawn("judge", _emitting_judge, counters * rounds)
+    for w in range(counters):
+        system.spawn(f"c{w}", _emitting_counter, "judge", rounds, refs)
+    peaks = {"aids": 0, "handles": 0, "intervals": 0}
+    run_pass = system._run_fossil_collection
+
+    def sampled_pass():
+        reachable = {
+            id(r.interval)
+            for proc in system.procs.values()
+            for r in proc.outputs
+            if r.interval is not None
+        }
+        peaks["aids"] = max(peaks["aids"], len(system.machine.aids))
+        peaks["handles"] = max(peaks["handles"], len(system._handles))
+        peaks["intervals"] = max(peaks["intervals"], len(reachable))
+        run_pass()
+
+    system._run_fossil_collection = sampled_pass
+    system.run()
+    system.machine.check_invariants()
+    return system, refs, peaks
+
+
+class TestCommittedOutputsPinNothing:
+    def test_tables_are_flat_across_the_horizon(self):
+        short, _, at_100 = _steady_peaks(100)
+        long_, refs, at_400 = _steady_peaks(400)
+        assert long_.stats()["fossil_collections"] > 3 * short.stats()["fossil_collections"]
+        for table, size in at_400.items():
+            assert 0 < at_100[table] and size <= 1.25 * at_100[table], (table, at_100, at_400)
+        assert at_400["aids"] < 100
+        # committed records keep their value and stay committed, intervals gone
+        for proc in long_.procs.values():
+            assert proc.committed_count > 0
+            for record in proc.outputs[:proc.committed_count]:
+                assert record.committed and record.interval is None
+        assert len(long_.committed_outputs("judge")) == 800
+        # every AID ever minted was retired, bar the live tail
+        stats = long_.stats()
+        minted = long_.machine._aid_serials
+        assert minted >= 800
+        assert len(long_.machine.aids) <= at_100["aids"]
+        assert stats["fossil_aids_retired"] == minted - len(long_.machine.aids)
+
+    def test_early_round_handles_die(self):
+        """From round 1 on the handle rides in a *tagged* message, which
+        the judge's implicit-guess interval holds — and a committed output
+        record used to hold that interval for the rest of the run."""
+        system, refs, _ = _steady_peaks(100)    # the system stays alive
+        gc.collect()
+        early = [ref for (_name, i), ref in refs.items() if i < 50]
+        assert len(early) == 100
+        assert [ref() for ref in early] == [None] * 100
+        assert len(system.committed_outputs("judge")) == 200
+
+
+class TestPassCost:
+    @staticmethod
+    def _visits_per_pass(idle):
+        """One active worker/judge pair among ``idle`` processes that
+        spawn, block on a receive, and never hear anything."""
+        def sleeper(p):
+            yield p.recv()
+
+        system = HopeSystem(
+            seed=0, latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=8
+        )
+        for i in range(idle):
+            system.spawn(f"idle{i}", sleeper)
+        system.spawn("judge", judge, 80, 0.0)
+        system.spawn("worker", worker, 80)
+        system.run(until=30.0)
+        early = system.stats()
+        assert early["fossil_collections"] >= 1          # the all-new pass is behind us
+        system.run()
+        late = system.stats()
+        passes = late["fossil_collections"] - early["fossil_collections"]
+        assert passes >= 5
+        visited = late["fossil_records_visited"] - early["fossil_records_visited"]
+        assert early["fossil_records_visited"] >= idle   # the first pass saw everyone once
+        return visited, passes
+
+    def test_idle_processes_are_not_visited(self):
+        visited, passes = self._visits_per_pass(2000)
+        assert visited <= 2 * passes                     # the pair, nobody else
+        assert self._visits_per_pass(4000) == (visited, passes)

@@ -1,6 +1,10 @@
 """Output-commit discipline: p.emit under speculation, rollback, replay."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.runtime import HopeSystem
+from repro.sim import ConstantLatency
+from repro.verify.invariants import LedgerMonitor
 
 
 def _verify(decision):
@@ -86,3 +90,138 @@ def test_replay_does_not_duplicate_emits():
     system.run()
     assert system.outputs("worker") == ["pre", "tail"]
     assert system.committed_outputs("worker") == ["pre", "tail"]
+
+
+# ----------------------------------------------------------------------
+# the commit watermark: suffix withdrawal ≡ the old whole-list filter
+# ----------------------------------------------------------------------
+def _scripted(p, ops, resume=None):
+    """Runs ``ops`` in order; deterministic, and restartable from any
+    commit point (the ``resume=`` contract)."""
+    state = resume if resume is not None else {"pos": 0}
+    while state["pos"] < len(ops):
+        pos = state["pos"]
+        op = ops[pos]
+        state["pos"] = pos + 1
+        if op[0] == "emit":
+            yield p.emit(("emit", pos))
+        elif op[0] == "guess":
+            x = yield p.aid_init("x")
+            yield p.send("judge", (x, op[1], op[2]))
+            ok = yield p.guess(x)
+            yield p.emit(("guess", pos, ok))
+        elif op[0] == "compute":
+            yield p.compute(op[1])
+        else:
+            yield p.commit_point(dict(state))
+
+
+def _scripted_judge(p):
+    while True:
+        x, ok, delay = (yield p.recv()).payload
+        yield p.compute(delay)
+        if ok:
+            yield p.affirm(x)
+        else:
+            yield p.deny(x)
+        yield p.emit(("judged", ok))
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("emit")),
+        st.tuples(st.just("guess"), st.booleans(), st.sampled_from([0.0, 0.5, 2.5, 6.0])),
+        st.tuples(st.just("compute"), st.sampled_from([0.5, 1.0, 3.0])),
+        st.tuples(st.just("commit")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _check_watermarks(system):
+    for proc in system.procs.values():
+        mark = proc.committed_count
+        assert 0 <= mark <= len(proc.outputs)
+        # never past the first uncommitted record, and nothing behind it
+        # holds an interval
+        assert all(r.committed and r.interval is None for r in proc.outputs[:mark])
+        positions = [r.log_index for r in proc.outputs[mark:]]
+        assert positions == sorted(positions)
+
+
+def _run_scripted(ops, fossil, fossil_interval, pass_every):
+    system = HopeSystem(
+        seed=7, latency=ConstantLatency(1.0),
+        fossil_collect=fossil, fossil_interval=fossil_interval,
+    )
+    system.spawn("judge", _scripted_judge)
+    system.spawn("worker", _scripted, tuple(ops))
+    monitor = LedgerMonitor(system)
+
+    apply_rollback = system._apply_rollback
+
+    def checked_rollback(event):
+        proc = system.procs[event.pid]
+        cut = event.resume_interval.ps.log_index
+        want = [r for r in proc.outputs if r.log_index < cut]   # the old filter
+        apply_rollback(event)
+        assert proc.outputs == want
+        assert proc.committed_count <= len(proc.outputs)
+
+    system._apply_rollback = checked_rollback
+    steps = 0
+    while system.sim.step():
+        steps += 1
+        if fossil and pass_every and steps % pass_every == 0:
+            system._run_fossil_collection()     # between events: quiescent
+        _check_watermarks(system)
+    monitor.assert_monotone()
+    system.machine.check_invariants()
+    return system
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS, st.integers(1, 5), st.integers(0, 7))
+def test_suffix_withdrawal_matches_the_filter_and_the_watermark_is_sound(
+    ops, fossil_interval, pass_every
+):
+    collected = _run_scripted(ops, True, fossil_interval, pass_every)
+    plain = _run_scripted(ops, False, fossil_interval, 0)
+    assert plain.procs["worker"].committed_count == 0       # no pass, no watermark
+    for name in ("worker", "judge"):
+        assert collected.outputs(name) == plain.outputs(name)
+        assert collected.committed_outputs(name) == plain.committed_outputs(name)
+
+
+def test_crash_keeps_committed_outputs_out_of_later_rollbacks():
+    """After a crash the log restarts at 0, so surviving (committed)
+    outputs carry positions from the old log; a rollback in the new
+    incarnation must not judge them by those (the whole-list filter did,
+    and withdrew them)."""
+    def worker(p):
+        x = yield p.aid_init("x")
+        yield p.send("verifier", x)
+        ok = yield p.guess(x)               # log position 2, both incarnations
+        for i in range(3):
+            yield p.emit((ok, i))
+        yield p.compute(10.0)
+
+    def verifier(p):
+        yield p.affirm((yield p.recv()).payload)
+        x = (yield p.recv()).payload
+        yield p.compute(2.0)
+        yield p.deny(x)
+
+    system = HopeSystem()
+    system.spawn("worker", worker)
+    system.spawn("verifier", verifier)
+    system.run(until=5.0)
+    first = [(True, i) for i in range(3)]
+    assert system.committed_outputs("worker") == first
+    system.crash_process("worker")
+    proc = system.procs["worker"]
+    assert proc.committed_count == 3 and all(r.interval is None for r in proc.outputs)
+    system.restart_process("worker")
+    system.run()
+    assert system.committed_outputs("worker") == first + [(False, i) for i in range(3)]
