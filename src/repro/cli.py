@@ -16,14 +16,41 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 from .lang import CheckError, check_program, compile_program, parse
 from .obs import FORMATS, MetricsRegistry
 from .runtime import HopeSystem
 from .sim import ConstantLatency, FaultPlan, LinkFaults, Partition, Tracer
+
+
+class _CollectorClock:
+    """``gc.callbacks`` listener for ``run --profile``: collections per
+    generation and the seconds they took — a cost cProfile cannot place
+    (it lands on whichever function happened to allocate)."""
+
+    def __init__(self) -> None:
+        self.counts = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        else:
+            generation = info["generation"]
+            self.counts[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._began
+
+    def line(self) -> str:
+        return "collector: " + ", ".join(
+            f"gen{g} {n} in {s:.3f}s"
+            for g, (n, s) in enumerate(zip(self.counts, self.seconds))
+        )
 
 
 def parse_partition(raw: str) -> Partition:
@@ -209,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="run under cProfile and print the top 25 functions by "
-        "cumulative time after the run (see docs/PERFORMANCE.md §8)",
+        "cumulative time after the run, then the garbage collector's "
+        "collections and seconds per generation (docs/PERFORMANCE.md §8, §11)",
     )
     run.add_argument(
         "--profile-out",
@@ -479,12 +507,15 @@ def cmd_run(args, out) -> int:
         import cProfile
 
         profiler = cProfile.Profile()
+        collector = _CollectorClock()
+        gc.callbacks.append(collector)
         profiler.enable()
     try:
         final = system.run(until=args.until, max_events=args.max_events)
     finally:
         if profiler is not None:
             profiler.disable()
+            gc.callbacks.remove(collector)
     stats = system.stats()
     print(f"finished at t={final:g}", file=out)
     for spec in args.spawn:
@@ -538,6 +569,7 @@ def cmd_run(args, out) -> int:
         print("\nprofile (top 25 by cumulative time):", file=out)
         stats_obj = pstats.Stats(profiler, stream=out)
         stats_obj.sort_stats("cumulative").print_stats(25)
+        print(collector.line(), file=out)
         if args.profile_out is not None:
             stats_obj.dump_stats(args.profile_out)
             print(f"profile: wrote pstats data to {args.profile_out}", file=out)

@@ -45,11 +45,17 @@ class AssumptionId:
     string form (used in message tags and traces) includes both.
     """
 
-    __slots__ = ("name", "serial", "dom", "status", "resolved_by", "speculative_affirmer")
+    __slots__ = (
+        "name", "serial", "key", "dom", "status", "resolved_by",
+        "speculative_affirmer",
+    )
 
     def __init__(self, name: str, serial: Optional[int] = None) -> None:
         self.name = name
         self.serial = serial if serial is not None else next(_aid_serial)
+        #: Globally unique string identity, safe to put in message tags.
+        #: Formatted once: name and serial never change.
+        self.key = f"{name}#{self.serial}"
         #: X.DOM — intervals that depend on this assumption (Def 4.2).
         self.dom: set["Interval"] = set()
         self.status = AidStatus.PENDING
@@ -60,11 +66,6 @@ class AssumptionId:
         #: to PENDING (footnote 2: rollback of a speculative affirm is a
         #: conservative deny; the re-execution may then resolve X afresh).
         self.speculative_affirmer: Optional["Interval"] = None
-
-    @property
-    def key(self) -> str:
-        """Globally unique string identity, safe to put in message tags."""
-        return f"{self.name}#{self.serial}"
 
     @property
     def pending(self) -> bool:

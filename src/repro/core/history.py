@@ -6,6 +6,11 @@ implements ``Del(H, A)`` (§4) by cutting every entry from A's start index
 onward off the tail — Theorem 5.1 guarantees the deletion is always a
 suffix.  :meth:`ProcessRecord.append` keeps the history index-ordered as
 it grows and :meth:`ProcessRecord.truncate_from` checks the cut.
+
+The semantics only ever reads the *index clock* (where the next entry
+would go, where the retained history starts); the entries themselves are
+a ledger for people.  A record built with ``keeps_history=False`` runs
+the same clock and materialises no entry.
 """
 
 from __future__ import annotations
@@ -54,13 +59,20 @@ class ProcessRecord:
 
     __slots__ = (
         "name", "history", "intervals", "current", "speculative", "g",
-        "_next_index", "rollback_count", "order", "changed", "_changed_sink",
+        "_next_index", "_floor_index", "rollback_count", "order", "changed",
+        "_changed_sink", "keeps_history",
     )
 
     def __init__(
-        self, name: str, order: int = 0, changed_sink: Optional[list] = None
+        self,
+        name: str,
+        order: int = 0,
+        changed_sink: Optional[list] = None,
+        keeps_history: bool = True,
     ) -> None:
         self.name = name
+        #: False: :meth:`append` only advances the index clock.
+        self.keeps_history = keeps_history
         #: Creation rank within the owning machine (stable visiting order).
         self.order = order
         #: True while queued in ``_changed_sink``, the owning machine's
@@ -77,13 +89,21 @@ class ProcessRecord:
         #: S.G — result of the most recent guess (None before any guess).
         self.g: Optional[bool] = None
         self._next_index = 0
+        #: Lowest index not yet fossilized (the retained history starts here).
+        self._floor_index = 0
         self.rollback_count = 0
 
     # ------------------------------------------------------------------
     # history bookkeeping
     # ------------------------------------------------------------------
-    def append(self, kind: str, **detail: Any) -> HistoryEntry:
-        """Record a state transition (HP ← HP · S, the Eq 6 pattern)."""
+    def append(self, kind: str, **detail: Any) -> Optional[HistoryEntry]:
+        """Record a state transition (HP ← HP · S, the Eq 6 pattern).
+
+        Returns the new entry, or None when this record keeps no history
+        (the transition still takes its index)."""
+        if not self.keeps_history:
+            self.tick()
+            return None
         if not self.changed:
             self.mark_changed()
         history = self.history
@@ -97,6 +117,16 @@ class ProcessRecord:
         self._next_index = index + 1
         history.append(entry)
         return entry
+
+    def tick(self) -> None:
+        """Give a state transition its index without recording an entry.
+
+        What :meth:`append` does on a record that keeps no history; a
+        caller whose entry details cost something to build checks
+        ``keeps_history`` and calls this instead of building them."""
+        if not self.changed:
+            self.mark_changed()
+        self._next_index += 1
 
     def mark_changed(self) -> None:
         """Queue this record for the next fossil pass (idempotent).
@@ -132,6 +162,8 @@ class ProcessRecord:
             )
         del history[cut:]
         self._next_index = start_index
+        if start_index < self._floor_index:
+            self._floor_index = start_index
         return drop
 
     def fossilize_before(self, index: int) -> tuple[int, int]:
@@ -143,7 +175,9 @@ class ProcessRecord:
         (Theorem 6.1: finalized intervals never roll back, so no future
         ``Del(H, A)`` can reach below it).  Indices are never reassigned,
         so the surviving suffix stays comparable with interval start
-        indices.  Returns ``(entries_dropped, intervals_dropped)``.
+        indices.  Returns ``(entries_dropped, intervals_dropped)``; the
+        entries are counted as indices passed (they are consecutive), so
+        the count is the same whether or not the record keeps them.
         """
         frontier = self.frontier_index()
         if index > frontier:
@@ -151,8 +185,11 @@ class ProcessRecord:
                 f"fossilize_before({index}) on {self.name!r} would cross the "
                 f"commit frontier at {frontier}"
             )
-        n_hist = len(self.history)
-        self.history = [e for e in self.history if e.index >= index]
+        passed = max(index - self._floor_index, 0)
+        if passed:
+            self._floor_index = index
+            if self.history:
+                self.history = [e for e in self.history if e.index >= index]
         # An interval is fossil once it can never matter again: finalized
         # and started before the drop point, or rolled back (a terminal
         # state wherever it sits — truncation already rewound the index
@@ -175,7 +212,7 @@ class ProcessRecord:
             for iv in keep:
                 if iv.parent is not None and not iv.parent.speculative:
                     iv.parent = None
-        return (n_hist - len(self.history), dropped)
+        return (passed, dropped)
 
     def frontier_index(self) -> int:
         """This process's commit frontier: the start index of its oldest

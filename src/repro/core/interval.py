@@ -54,6 +54,7 @@ class Interval:
         "state",
         "spec_affirms",
         "meta",
+        "_label",
     )
 
     def __init__(
@@ -84,6 +85,7 @@ class Interval:
         self.spec_affirms: list["AssumptionId"] = []
         #: Free slot for the embedding runtime (e.g. sent-message list).
         self.meta: dict[str, Any] = {}
+        self._label: Optional[str] = None
 
     @property
     def speculative(self) -> bool:
@@ -99,8 +101,13 @@ class Interval:
 
     @property
     def label(self) -> str:
-        head = self.aid.key if self.aid is not None else "recv"
-        return f"{self.pid}/I{self.serial}({head})"
+        """Display name, formatted on first use: pid, serial and head AID
+        never change, and a run that keeps no history or trace never asks."""
+        label = self._label
+        if label is None:
+            head = self.aid.key if self.aid is not None else "recv"
+            label = self._label = f"{self.pid}/I{self.serial}({head})"
+        return label
 
     def depends_on(self, aid: "AssumptionId") -> bool:
         """Definition 4.5 dependence, as currently recorded in IDO."""

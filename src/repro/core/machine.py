@@ -90,12 +90,16 @@ class Machine:
     """The abstract machine of §4, with the five primitives of §3.
 
     ``strict`` selects resolution-conflict behaviour (see module
-    docstring).  Subscribed listeners receive a :class:`MachineEvent` for
-    every guess, affirm, deny, finalize and rollback.
+    docstring).  ``history=False`` keeps each process's index clock but
+    not the Definition 4.1 entries — no primitive reads them back, so an
+    embedding runtime that shows them to nobody need not retain them.
+    Subscribed listeners receive a :class:`MachineEvent` for every guess,
+    affirm, deny, finalize and rollback.
     """
 
-    def __init__(self, strict: bool = True) -> None:
+    def __init__(self, strict: bool = True, history: bool = True) -> None:
         self.strict = strict
+        self.history = history
         self.processes: dict[str, ProcessRecord] = {}
         self.aids: dict[str, AssumptionId] = {}
         # Per-machine serial counters keep runs with equal seeds fully
@@ -153,7 +157,9 @@ class Machine:
         """Register a process; idempotent."""
         record = self.processes.get(name)
         if record is None:
-            record = ProcessRecord(name, len(self.processes), self.changed)
+            record = ProcessRecord(
+                name, len(self.processes), self.changed, self.history
+            )
             self.processes[name] = record
             record.append("init")
         return record
@@ -326,11 +332,14 @@ class Machine:
         record.current = interval                       # Eq 5: S.I ← A
         record.speculative.add(interval)                # Eq 5: S.IS ∪ {A}
         record.g = True                                 # Eq 5: S.G ← True
-        record.append(                                  # Eq 6: HP ← HP · S
-            "guess",
-            aid=head_aid.key if head_aid is not None else None,
-            tags=tuple(sorted(a.key for a in new_aids)),
-        )
+        if record.keeps_history:
+            record.append(                              # Eq 6: HP ← HP · S
+                "guess",
+                aid=head_aid.key if head_aid is not None else None,
+                tags=tuple(sorted(a.key for a in new_aids)),
+            )
+        else:
+            record.tick()
         self._emit(GuessEvent(record.name, interval))
         return interval
 
@@ -367,13 +376,18 @@ class Machine:
                 continue
             dependent.ido = self.depsets.discard(dependent.ido, aid)   # Eq 8
             aid.dom.discard(dependent)                           # Eq 9
-            self.processes[dependent.pid].append(
-                "ido_update", aid=aid.key, interval=dependent.label
-            )
+            self._note_ido_update(dependent, aid)
             if not dependent.ido:                                # Eq 9: finalize
                 self._finalize(dependent)
         aid.dom.clear()
         self._retire_candidates.append(aid)
+
+    def _note_ido_update(self, dependent: Interval, aid: AssumptionId) -> None:
+        record = self.processes[dependent.pid]
+        if record.keeps_history:
+            record.append("ido_update", aid=aid.key, interval=dependent.label)
+        else:
+            record.tick()
 
     def _affirm_speculative(
         self,
@@ -399,9 +413,7 @@ class Machine:
                 self.depsets.union(dependent.ido, affirmer_ido), aid
             )
             aid.dom.discard(dependent)                           # Eq 14
-            self.processes[dependent.pid].append(
-                "ido_update", aid=aid.key, interval=dependent.label
-            )
+            self._note_ido_update(dependent, aid)
             if not dependent.ido:                                # Eq 13
                 self._finalize(dependent)
         aid.dom.clear()
@@ -514,7 +526,10 @@ class Machine:
         interval.state = IntervalState.DEFINITE
         record = self.processes[interval.pid]
         record.speculative.discard(interval)                     # Eq 21
-        record.append("finalize", interval=interval.label)
+        if record.keeps_history:
+            record.append("finalize", interval=interval.label)
+        else:
+            record.tick()
         if record.current is interval and record.speculative:
             raise MachineInvariantError(
                 f"current interval {interval.label} finalized while older "
@@ -593,12 +608,15 @@ class Machine:
         record.current = max(record.speculative, key=_interval_serial, default=None)
         record.g = False                                         # Eq 24: S.G ← False
         record.rollback_count += 1
-        record.append(
-            "resume",
-            from_interval=interval.label,
-            aid=interval.aid.key if interval.aid is not None else None,
-            cause=cause.key if cause is not None else None,
-        )
+        if record.keeps_history:
+            record.append(
+                "resume",
+                from_interval=interval.label,
+                aid=interval.aid.key if interval.aid is not None else None,
+                cause=cause.key if cause is not None else None,
+            )
+        else:
+            record.tick()
         self._emit(
             RollbackEvent(
                 record.name,

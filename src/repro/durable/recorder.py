@@ -269,8 +269,9 @@ class DurableRecorder:
             "aid_serials": machine._aid_serials,
             "interval_serials": machine._interval_serials,
             "messages_sent": self.system.network.messages_sent,
-            "aids": {k: list(v) for k, v in self.registry.items()},
-            "open_sends": {k: dict(v) for k, v in self.open_sends.items()},
+            # Encoded in place: write_envelope serialises before returning.
+            "aids": self.registry,
+            "open_sends": self.open_sends,
             "consumed": sorted(self.consumed),
             "procs": {
                 name: {

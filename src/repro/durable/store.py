@@ -141,7 +141,7 @@ class DurableStore:
         """Start (or append to) the WAL for generation ``gen``."""
         self.close()
         path = os.path.join(self.root, _wal_name(gen))
-        self._wal_fh = open(path, "a", encoding="utf-8")
+        self._wal_fh = open(path, "ab")
         self._wal_gen = gen
         self._batch_digest = hashlib.sha256()
         self._batch_records = 0
@@ -152,10 +152,13 @@ class DurableStore:
         if self._wal_fh is None:
             raise DurableError("no WAL open — open_wal() first")
         body = _json_bytes(rec)
-        line = body.decode("utf-8") + " " + crc_hex(body) + "\n"
-        self._wal_fh.write(line)
         self._batch_digest.update(body)
         self._batch_records += 1
+        return self._write_line(body)
+
+    def _write_line(self, body: bytes) -> int:
+        line = body + b" " + crc_hex(body).encode("ascii") + b"\n"
+        self._wal_fh.write(line)
         return len(line)
 
     def write_marker(self, batch_index: int) -> int:
@@ -164,15 +167,13 @@ class DurableStore:
             raise DurableError("no WAL open — open_wal() first")
         digest = self._batch_digest.hexdigest()
         mac = seal_hex(self.key, f"{self._wal_gen}:{batch_index}:{digest}".encode())
-        body = _json_bytes({"t": "m", "n": batch_index, "h": mac})
-        line = body.decode("utf-8") + " " + crc_hex(body) + "\n"
-        self._wal_fh.write(line)
+        size = self._write_line(_json_bytes({"t": "m", "n": batch_index, "h": mac}))
         self._wal_fh.flush()
         if self.fsync:
             os.fsync(self._wal_fh.fileno())
         self._batch_digest = hashlib.sha256()
         self._batch_records = 0
-        return len(line)
+        return size
 
     def close(self) -> None:
         if self._wal_fh is not None:

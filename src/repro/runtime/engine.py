@@ -164,8 +164,8 @@ class ProcessRuntime:
         #: never replaces a record, so send/recv/emit skip the dict hop).
         self.mproc = None
         #: Reusable recv bridge for the current incarnation (one recv is
-        #: outstanding at a time, so one bridge serves them all; replaced
-        #: on rollback because its captured incarnation goes stale).
+        #: outstanding at a time, so one bridge serves them all; dropped
+        #: with the incarnation, see ``HopeSystem._kill_incarnation``).
         self.bridge: Optional["_RecvBridge"] = None
         #: The promoted rebase point — always at ``log.base`` (None means
         #: incarnations start from program entry; see commit_point).
@@ -268,6 +268,9 @@ class HopeSystem:
         calls its own mechanism "not particularly efficient").
     trace:
         Optional :class:`Tracer`; pass ``Tracer()`` to record everything.
+        A run given an enabled tracer also keeps the machine's process
+        histories (``Machine(history=True)``); without one the machine
+        keeps only the index clock and ``ProcessRecord.history`` is empty.
     strict_aids:
         Forward the machine's strict resolution-conflict mode.  The
         runtime default is lenient because rollback legitimately
@@ -420,16 +423,19 @@ class HopeSystem:
             )
         else:
             self.network = Network(self.sim, latency_model)
-        self.machine = Machine(strict=strict_aids)
+        self.tracer = trace if trace is not None else Tracer(categories=())
+        #: Hot-path guard: with a disabled tracer every per-effect record
+        #: call is pure overhead, so the handlers skip them wholesale.
+        self._tracing = not getattr(self.tracer, "_disabled", False)
+        # A traced run is one somebody means to read, so it keeps the
+        # Definition 4.1 history too; any other run keeps the index clock
+        # only (nothing in the engine reads the entries back).
+        self.machine = Machine(strict=strict_aids, history=self._tracing)
         self.machine.subscribe(self._on_machine_event)
         #: Pre-bound effect-dispatch lookup and interned-empty DepSet —
         #: read once per effect / per definite send (see _handle_effect).
         self._handler_get = self._LIVE_HANDLERS.get
         self._empty_ido = self.machine.depsets.empty
-        self.tracer = trace if trace is not None else Tracer(categories=())
-        #: Hot-path guard: with a disabled tracer every per-effect record
-        #: call is pure overhead, so the handlers skip them wholesale.
-        self._tracing = not getattr(self.tracer, "_disabled", False)
         self.timeline = Timeline()
         self.failures = FailureInjector(self.sim)
         self.failures.attach(
@@ -717,10 +723,8 @@ class HopeSystem:
                 "host-crash semantics instead; see docs/DURABILITY.md)"
             )
         proc = self.procs[name]
-        if proc.task is not None and proc.task.alive:
-            proc.task.kill("crash")
+        self._kill_incarnation(proc, "crash")
         proc.crashed = True
-        proc.incarnation += 1
         forgotten = self.machine.forget_process(name)
         if self._metered:
             # A crash discards speculation without a RollbackEvent; keep
@@ -1046,6 +1050,21 @@ class HopeSystem:
         proc.task = task
         task.start(delay=delay)
 
+    def _kill_incarnation(self, proc: ProcessRuntime, reason: str) -> None:
+        """End ``proc``'s current incarnation (rollback or crash) and take
+        its recv bridge apart.  The bridge points at itself twice (its
+        pre-bound ``on_kill`` and its waiter); cut here, it and the killed
+        task are freed by reference counting on the spot instead of
+        waiting, as cyclic garbage, for a full collection."""
+        proc.incarnation += 1
+        task = proc.task
+        if task is not None and task.alive:
+            task.kill(reason)
+        bridge = proc.bridge
+        if bridge is not None:
+            proc.bridge = None
+            bridge.on_kill = bridge.waiter = None
+
     def _on_task_exit(self, task: Task) -> None:
         proc: ProcessRuntime = task.env.context
         if task is not proc.task:
@@ -1231,7 +1250,7 @@ class HopeSystem:
 
     def _do_recv(self, proc, task, effect: RecvEffect) -> None:
         bridge = proc.bridge
-        if bridge is None or bridge.incarnation != proc.incarnation:
+        if bridge is None:      # first recv of this incarnation
             proc.bridge = bridge = _RecvBridge(self, proc, effect)
         else:
             # One recv is outstanding at a time, so the incarnation's
@@ -1560,9 +1579,7 @@ class HopeSystem:
         )
         # Kill the current incarnation first so redelivered messages do not
         # reach its (now invalid) receive bridge.
-        proc.incarnation += 1
-        if proc.task is not None and proc.task.alive:
-            proc.task.kill("rollback")
+        self._kill_incarnation(proc, "rollback")
         proc.done = False
         proc.log.truncate(checkpoint.log_index)
         if self._durable is not None:

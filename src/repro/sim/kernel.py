@@ -49,9 +49,16 @@ schedules exactly.
 
 from __future__ import annotations
 
+import gc
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
+
+
+#: Third ``gc`` threshold while :meth:`Simulator.run` is looping: out of
+#: reach of the young-collection count it is compared against, so no full
+#: (generation-2) collection starts inside a run.
+_NO_FULL_COLLECTION = 1 << 30
 
 
 class SimulationError(Exception):
@@ -808,12 +815,26 @@ class Simulator:
         exactly ``until`` fire.  A ``max_events`` bound turns a livelocked
         simulation into a diagnosable :class:`EventLimitExceeded` instead of
         a hang.
+
+        Full (generation-2) garbage collections are held off while the
+        loop runs and the caller's thresholds restored on the way out: a
+        run's heap is mostly append-only journals (effect logs, intervals,
+        messages), which a full pass walks end to end, again and again, to
+        free nothing — the runtime itself leaves no reference cycles
+        behind.  The young generations collect as before, so short-lived
+        cycles a user body makes are still reclaimed during the run;
+        cycles among objects that have already aged wait for the first
+        full pass after ``run`` returns.  A collector the caller disabled
+        is left alone.
         """
         self._running = True
         self._stopped = False
         budget = max_events
         queue = self._queue
         controlled = self._controller is not None
+        thresholds = gc.get_threshold() if gc.isenabled() else None
+        if thresholds is not None:
+            gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_COLLECTION)
         try:
             while not self._stopped:
                 event = queue.peek()
@@ -840,6 +861,8 @@ class Simulator:
                 event.fn(*event.args)
         finally:
             self._running = False
+            if thresholds is not None:
+                gc.set_threshold(*thresholds)
         if until is not None and self._now < until and queue.peek() is None:
             self._now = until
         return self._now

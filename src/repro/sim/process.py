@@ -317,8 +317,7 @@ class Task:
                 pass
             finally:
                 self._gen.close()
-        if self.on_exit is not None:
-            self.on_exit(self)
+        self._exit()
 
     def add_cleanup(self, fn: Callable[[], None]) -> None:
         """Register a callback to run when the task is killed while waiting."""
@@ -386,22 +385,33 @@ class Task:
         except StopIteration as stop:
             self._state = Task._DONE
             self.result = stop.value
-            if self.on_exit is not None:
-                self.on_exit(self)
+            self._exit()
             return None
         except TaskKilled:
             self._state = Task._KILLED
-            if self.on_exit is not None:
-                self.on_exit(self)
+            self._exit()
             return None
         except Exception as exc:
             self._state = Task._FAILED
             self.error = exc
-            if self.on_exit is not None:
-                self.on_exit(self)
+            self._exit()
             raise
         self._state = Task._WAITING
         return effect
+
+    def _exit(self) -> None:
+        """Last step of every terminal transition: tell ``on_exit``, then
+        unlink.
+
+        A dead task keeps neither its generator nor the env's pointer back
+        to it, so there is no ``Task ↔ TaskEnv ↔ generator`` ring: the
+        incarnation is freed by reference counting as soon as its owner
+        lets go (for a HOPE rollback, at the kill), not by the cycle
+        collector some full pass later."""
+        if self.on_exit is not None:
+            self.on_exit(self)
+        self._gen = None
+        self.env.task = None
 
     def _run_cleanups(self) -> None:
         cleanups, self._cleanups = self._cleanups, []
@@ -436,7 +446,6 @@ def default_effect_handler(task: Task, effect: Effect) -> None:
         task._state = Task._DONE
         if task._gen is not None:
             task._gen.close()
-        if task.on_exit is not None:
-            task.on_exit(task)
+        task._exit()
     else:
         raise UnknownEffectError(f"task {task.name!r} yielded unknown effect {effect!r}")

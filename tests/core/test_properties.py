@@ -365,3 +365,67 @@ def test_a_pass_visits_only_changed_records_and_those_still_speculating():
     machine.fossil_collect()
     assert machine.stats["fossil_records_visited"] == 54 + 2 + 0
     assert x.key not in machine.aids
+
+
+# ----------------------------------------------------------------------
+# Machine(history=False): the same machine, minus the entries
+# ----------------------------------------------------------------------
+def _without_entries(machine):
+    """:func:`_tables` with the history rows swapped for the index clock
+    they were handed out by, plus every interval field and every counter."""
+    view = _tables(machine)
+    del view["history"]
+    view["clock"] = {
+        n: (r._next_index, r._floor_index, r.frontier_index(), r.rollback_count, r.g)
+        for n, r in machine.processes.items()
+    }
+    view["intervals"] = {
+        n: [
+            (iv.serial, iv.start_index, iv.ps, iv.state, sorted(a.key for a in iv.ido))
+            for iv in r.intervals
+        ]
+        for n, r in machine.processes.items()
+    }
+    view["stats"] = dict(machine.stats)
+    return view
+
+
+@settings(max_examples=300, deadline=None)
+@given(FOSSIL_ACTIONS)
+def test_machine_without_history_is_the_same_machine(actions):
+    """Random primitive / rollback / fossil-pass schedules on a recording
+    machine and on ``Machine(history=False)`` in lockstep: every index,
+    interval, AID table, counter and FossilStats field agrees (a pass
+    counts the history it drops in indices, so even that one does), the
+    invariants hold on both, and the second keeps no entry at all."""
+    machines = [Machine(strict=False), Machine(strict=False, history=False)]
+    pools = []
+    for machine in machines:
+        for name in PROCS:
+            machine.create_process(name)
+        pools.append([machine.aid_init(f"a{i}") for i in range(3)])
+    for op, pidx, n in actions:
+        passes = []
+        for machine, aids in zip(machines, pools):
+            aid = aids[n % len(aids)]
+            if op == "aid_init":
+                aids.append(machine.aid_init(f"a{len(aids)}"))
+            elif op == "resolve_key":
+                if aid.key in machine.aids:
+                    machine.resolve_tag_keys(frozenset([aid.key]))
+            elif op == "collect":
+                pinned = frozenset(a.key for i, a in enumerate(aids) if n >> (i % 8) & 1)
+                got = machine.fossil_collect(pinned)
+                passes.append([getattr(got, f) for f in FossilStats.__slots__])
+            else:
+                _apply(machine, aids, op, PROCS[pidx], aid)
+            machine.check_invariants()
+        assert passes[:1] == passes[1:]
+        assert _without_entries(machines[0]) == _without_entries(machines[1])
+    recording, clock_only = machines
+    for name in PROCS:
+        kept = recording.processes[name]
+        assert [e.index for e in kept.history] == list(
+            range(kept._floor_index, kept._next_index)
+        )
+        assert clock_only.processes[name].history == []

@@ -235,6 +235,9 @@ def test_run_profile_prints_hotspots():
     assert "cumulative" in out
     # the runtime's own hot path shows up in the report
     assert "engine.py" in out
+    # ... and, after it, the cost a profile cannot place: the collector's
+    assert out.rstrip().splitlines()[-1].startswith("collector: gen0 ")
+    assert "gen2 " in out.rstrip().splitlines()[-1]
 
 
 def test_run_profile_out_writes_pstats(tmp_path):

@@ -6,6 +6,8 @@ Generic behaviour is parametrized over all three event-queue kernels
 compaction, wheel buckets) pin their kernel explicitly.
 """
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -393,3 +395,84 @@ def test_wheel_resolution_only_affects_performance():
     assert all(o == orders[0] for o in orders)
     with pytest.raises(SimulationError):
         Simulator(kernel="wheel", wheel_resolution=0.0)
+
+
+# ----------------------------------------------------------------------
+# run() holds full collections off, and gives the thresholds back
+# ----------------------------------------------------------------------
+@pytest.fixture
+def thresholds():
+    """A distinctive (enabled) collector configuration, restored after.
+    Read back rather than assumed: an interpreter whose collector has no
+    third threshold reports 0 for it, and the hold is then a no-op."""
+    saved, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.enable()
+    gc.set_threshold(701, 11, 13)
+    yield gc.get_threshold()
+    gc.set_threshold(*saved)
+    if not was_enabled:
+        gc.disable()
+
+
+def _seen_inside(sim, seen):
+    sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+
+
+def _held(inside, thresholds):
+    """Young generations untouched; the third out of reach of any run
+    (where the interpreter has one)."""
+    return inside[:2] == thresholds[:2] and (
+        inside[2] > 1_000_000 or thresholds[2] == 0
+    )
+
+
+def test_run_raises_only_the_third_threshold_and_restores_it(sim, thresholds):
+    seen = []
+    _seen_inside(sim, seen)
+    sim.run()
+    assert len(seen) == 1 and _held(seen[0], thresholds)
+    assert gc.get_threshold() == thresholds
+
+
+def test_run_restores_thresholds_when_the_event_limit_trips(sim, thresholds):
+    for i in range(5):
+        sim.schedule(float(i), lambda: None)
+    with pytest.raises(EventLimitExceeded):
+        sim.run(max_events=2)
+    assert gc.get_threshold() == thresholds
+
+
+def test_run_restores_thresholds_when_a_callback_raises(sim, thresholds):
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert gc.get_threshold() == thresholds
+
+
+def test_nested_run_keeps_the_hold_and_the_outer_run_restores(sim, thresholds):
+    inner = Simulator()
+    seen = []
+    _seen_inside(inner, seen)
+
+    def nested():
+        inner.run()
+        seen.append(gc.get_threshold())          # still held by the outer run
+
+    sim.schedule(1.0, nested)
+    sim.run()
+    assert seen[0] == seen[1] and _held(seen[0], thresholds)
+    assert gc.get_threshold() == thresholds
+
+
+def test_run_leaves_a_disabled_collector_alone(sim, thresholds):
+    gc.disable()
+    seen = []
+    _seen_inside(sim, seen)
+    sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [thresholds, False]
+    assert not gc.isenabled()
+    assert gc.get_threshold() == thresholds
