@@ -6,9 +6,10 @@ Three budgets from ``overhead_threshold.json``:
   with snapshot+WAL recording on vs. off must stay at or below
   ``max_durable_overhead_ratio``, judged best-of-attempts like the TRACK
   check in ``smoke_overhead.py``.  Recording writes sealed envelopes and
-  fsyncs WAL batch markers from every fossil pass, so the ratio is well
-  above 1 by design; the budget catches a regression that starts
-  serializing speculative state or snapshotting every event.
+  fsyncs WAL batch markers from every fossil pass, so the ratio is above
+  1 by design; the budget catches a regression that starts serializing
+  speculative state, history the pass itself discards, or the whole run
+  into every envelope.
 * **RECOVERY wall** — killing the workload at the latest budgeted crash
   point and resuming (load + verify + WAL replay + reconvergence) must
   finish within ``max_recovery_wall_s``.
@@ -17,7 +18,8 @@ Three budgets from ``overhead_threshold.json``:
   when the platform has ``fork``; in-process abandonment otherwise) and
   the resumed run's committed state must equal the uninterrupted twin's
   byte for byte — plus one envelope- and one WAL-corruption case that
-  must be *detected* (counted rejections/discards) and survived.
+  must be *detected* (counted rejections/discards) and survived, and one
+  ledger-corruption case that must be *refused* by name.
 
 Fully deterministic except for wall clocks; the equality checks are a
 real regression whenever they fail, never flake.
@@ -67,12 +69,18 @@ def _check_overhead(budget: dict) -> int:
             )
             stats = dur.stats()["durable"]
         ratio = dur_wall / bare_wall if bare_wall > 0 else float("inf")
+        # The two terms a regression would grow: bytes per committed op
+        # (the WAL stopped eliding) and the envelope (it stopped being
+        # live state only).
         print(
             f"durable overhead attempt {attempt + 1}: bare {bare_wall:.3f}s, "
             f"durable {dur_wall:.3f}s, ratio {ratio:.2f} (budget {limit}); "
             f"{stats['snapshots_written']} snapshots, "
             f"{stats['wal_records']} WAL records, "
-            f"{stats['wal_bytes']} WAL bytes"
+            f"{stats['wal_bytes']} WAL bytes = "
+            f"{stats['wal_bytes'] / (workers * rounds):.0f} per committed op, "
+            f"newest envelope {stats['envelope_bytes']} bytes, "
+            f"{stats['ledger_rows']} ledger rows"
         )
         if not stats["snapshots_written"] or not stats["wal_records"]:
             print("FAIL: the durable run never persisted anything")

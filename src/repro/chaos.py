@@ -33,6 +33,12 @@ import tempfile
 from typing import Any, Callable, Iterable, Optional
 
 from .bench.workloads import build_chaos_mesh, build_chaos_ring, build_durable_counter
+from .durable import (
+    DurableError,
+    corrupt_latest_envelope,
+    corrupt_ledger,
+    corrupt_wal_tail,
+)
 from .runtime import DetectorConfig, HopeSystem, ReliableConfig
 from .sim import ConstantLatency, EventLimitExceeded, FaultPlan, LinkFaults, Partition, Tracer
 from .verify.invariants import InvariantViolation, attach_monitors, check_quiescent
@@ -268,6 +274,14 @@ _KILL_DURABLE_OPTS = {"snapshot_every": 1}
 _KILL_FOSSIL_INTERVAL = 4
 #: Default seeded crash points, as fractions of the twin's event count.
 KILL_FRACS = (0.25, 0.55, 0.85)
+#: ``corrupt=`` modes: the helper that does the damage, and the
+#: ``stats()["durable"]`` counter that must show recovery saw it (None:
+#: nothing to fall back to, so ``resume`` must refuse by name instead).
+_CORRUPTIONS = {
+    "envelope": (corrupt_latest_envelope, "envelopes_rejected"),
+    "wal": (corrupt_wal_tail, "wal_records_discarded"),
+    "ledger": (corrupt_ledger, None),
+}
 #: Child exit codes: the kill landed as planned / the child errored.
 _KILLED_OK = 37
 _CHILD_ERROR = 41
@@ -353,7 +367,10 @@ def run_kill_resume_case(
     ``corrupt`` ("envelope" | "wal") additionally flips bytes in the
     newest envelope / WAL tail before resuming and requires recovery to
     *detect* the damage (counted rejections/discards) and still
-    converge via one-generation fallback.  ``in_process=True`` skips the
+    converge via one-generation fallback.  ``corrupt="ledger"`` flips a
+    byte inside the output ledger's sealed prefix: committed outputs exist
+    nowhere else, so the only honest outcome — and the one required — is
+    a ``DurableError`` naming the ledger.  ``in_process=True`` skips the
     fork and simply abandons the recording system mid-run — same
     recovery path, available on platforms without ``os.fork``.
     The run directory is deleted on success unless ``keep_dir``.
@@ -421,14 +438,11 @@ def run_kill_resume_case(
             failure = f"recording run raised: {exc!r}"
     corrupted_path = None
     if failure is None and corrupt is not None:
-        from .durable import corrupt_latest_envelope, corrupt_wal_tail
-
-        if corrupt == "envelope":
-            corrupted_path = corrupt_latest_envelope(run_dir)
-        elif corrupt == "wal":
-            corrupted_path = corrupt_wal_tail(run_dir)
-        else:
-            raise ValueError(f"corrupt must be 'envelope' or 'wal', got {corrupt!r}")
+        if corrupt not in _CORRUPTIONS:
+            raise ValueError(
+                f"corrupt must be 'envelope', 'wal' or 'ledger', got {corrupt!r}"
+            )
+        corrupted_path = _CORRUPTIONS[corrupt][0](run_dir)
         if corrupted_path is None:
             # Nothing on disk to damage means the case proves nothing —
             # surface that instead of green-lighting a no-op.
@@ -462,18 +476,19 @@ def run_kill_resume_case(
                     f"resumed committed state diverged from twin for {diff}"
                 )
             elif corrupted_path is not None:
-                detected = (
-                    durable_stats.get("envelopes_rejected", 0)
-                    if corrupt == "envelope"
-                    else durable_stats.get("wal_records_discarded", 0)
-                )
-                if detected <= 0:
+                # A damaged ledger has no counter to show: resume must have
+                # refused (below), so getting here at all is the failure.
+                if durable_stats.get(_CORRUPTIONS[corrupt][1], 0) <= 0:
                     failure = (
                         f"{corrupt} corruption was not detected by recovery "
                         "(silent acceptance of damaged state)"
                     )
         except EventLimitExceeded as exc:
             failure = f"livelock after resume: {exc}"
+        except DurableError as exc:
+            # The one refusal that is a pass: a damaged ledger, named.
+            if corrupt != "ledger" or "ledger" not in str(exc):
+                failure = f"resume failed: {exc!r}"
         except Exception as exc:
             failure = f"resume failed: {exc!r}"
     if own_dir and failure is None and not keep_dir:
@@ -494,8 +509,9 @@ def run_kill_resume_matrix(
     kernel: str = "wheel",
     in_process: bool = False,
 ) -> dict:
-    """Sweep workloads × seeds × seeded crash points (plus one envelope-
-    and one WAL-corruption case per workload); returns a report dict."""
+    """Sweep workloads × seeds × seeded crash points (plus one envelope-,
+    one WAL- and one ledger-corruption case per workload); returns a
+    report dict."""
     names = list(workloads) if workloads is not None else list(KILL_RESUME_WORKLOADS)
     seeds = list(seeds)
     fracs = list(fracs)
@@ -508,7 +524,7 @@ def run_kill_resume_matrix(
                 ))
         if corruption_cases:
             # Late kill points so there is sealed state to damage.
-            for mode in ("envelope", "wal"):
+            for mode in _CORRUPTIONS:
                 results.append(run_kill_resume_case(
                     wname, seeds[0], max(fracs), corrupt=mode,
                     kernel=kernel, in_process=in_process,

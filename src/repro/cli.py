@@ -620,7 +620,9 @@ def cmd_resume(args, out) -> int:
             f"at t={system.sim.now:g} "
             f"(rejected envelopes: {durable.get('envelopes_rejected', 0)}, "
             f"torn WAL records discarded: "
-            f"{durable.get('wal_records_discarded', 0)})",
+            f"{durable.get('wal_records_discarded', 0)}, "
+            f"frames replayed: {durable.get('frames_replayed', 0)}, "
+            f"ledger rows verified: {durable.get('ledger_rows_verified', 0)})",
             file=out,
         )
     else:

@@ -9,7 +9,8 @@ Entry points:
 
 * ``HopeSystem(durable_dir="run/")`` — record a run durably.
 * ``HopeSystem.resume("run/", build)`` — reload the newest verifiable
-  snapshot, replay the WAL suffix, and continue.
+  snapshot, verify the output ledger it seals, replay the WAL suffix,
+  and continue.
 * ``repro.chaos.run_kill_resume_matrix`` — kill a child process mid-run
   at seeded points and prove the resumed committed state is byte-
   identical to an uninterrupted twin.
@@ -17,13 +18,19 @@ Entry points:
 
 from .codec import DurableError, decode_value, encode_value
 from .recorder import DurableRecorder
-from .store import DurableStore, corrupt_latest_envelope, corrupt_wal_tail
+from .store import (
+    DurableStore,
+    corrupt_latest_envelope,
+    corrupt_ledger,
+    corrupt_wal_tail,
+)
 
 __all__ = [
     "DurableError",
     "DurableRecorder",
     "DurableStore",
     "corrupt_latest_envelope",
+    "corrupt_ledger",
     "corrupt_wal_tail",
     "decode_value",
     "encode_value",

@@ -2,19 +2,24 @@
 
 Only *committed* state goes to disk — exactly the prefix of each
 process's effect log that the commit frontier has passed (PR 2,
-Theorem 6.1: finalized state never rolls back), plus the metadata needed
-to make that prefix replayable in a fresh process tree:
+Theorem 6.1: finalized state never rolls back) — and of that, only what a
+resumed run can still reach.  The recoverable image is:
 
-* per-process committed log entries, with enough send-side detail
-  (destination, payload, tags) to re-inject messages whose *receive*
-  had not committed by the crash;
-* promoted rebase snapshots (``p.commit_point`` states) and the log
-  ``base`` they anchor, so fossil-collected prefixes stay restorable;
-* committed emitted outputs (the run's observable product);
-* the committed slice of the AID registry — key, name, and definite
-  status.  Definite statuses are stable (an AFFIRMED/DENIED assumption
-  never reverts), so they can be snapshotted as plain values;
+* per process, the committed log entries at or above the log ``base``,
+  and the promoted rebase snapshot (``p.commit_point`` state) that stands
+  in for everything below it;
+* committed sends whose *receive* has not committed (destination and
+  payload, to re-inject what the crash ate).  A committed send carries no
+  tags: its interval finalized, so every assumption it was tagged with is
+  definitely affirmed and resolves to nothing at delivery;
+* the status of every assumption the machine has not retired — definite
+  statuses are stable (an AFFIRMED/DENIED assumption never reverts), so
+  they are plain values; a row leaves with its AID;
 * machine serial counters, the network message counter, and the clock.
+
+Committed emitted outputs are the run's *product*, not recovery state:
+they go to an append-only ledger, and the image holds only the
+``[rows, digest]`` that seals it.
 
 Speculative state is intentionally *not* persisted: a resumed run
 replays the committed prefix (replay invokes no handlers) and then
@@ -23,11 +28,17 @@ That is the HOPE model's own crash story — optimism is free to die with
 the world, commitments are not.
 
 Write path: the engine calls ``note_send``/``note_resolution`` on the
-hot path (cheap side-buffer appends), ``flush_proc`` + ``end_pass`` from
-the fossil-collection pass (committed entries become WAL records, a
-sealed batch marker makes them durable), and every ``snapshot_every``-th
-pass consolidates into a new sealed envelope, rotating the WAL so disk
-stays bounded like RAM.
+hot path (cheap side-buffer appends).  A fossil-collection pass calls
+``flush_proc`` once per changed process — after it has chosen the pass's
+rebase promotion, so entries the promotion drops are never encoded — and
+the *change* to that process's image becomes one WAL frame;
+``end_pass`` seals the pass's frames under a batch marker (the
+durability point).  Every ``snapshot_every``-th pass moves the output
+rows since the last envelope into the ledger and writes the image — the
+live state, not the history — as a new sealed envelope, rotating the WAL
+so disk stays bounded like RAM.  The image in memory is only ever
+changed by :meth:`DurableRecorder._apply`, and recovery rebuilds it by
+applying the same frames.
 """
 
 from __future__ import annotations
@@ -38,39 +49,38 @@ from ..runtime.messages import ReceivedMessage
 from .codec import DurableError, decode_value, encode_value
 from .store import DurableStore
 
-_RESOLUTION_KINDS = ("affirm", "deny", "free_of")
-
-
-def _fresh_proc_doc() -> Dict[str, Any]:
-    return {"base": 0, "entries": [], "outputs": [], "rebase": None}
+IMAGE_VERSION = 2
+#: Entry kinds whose commit changes the image beyond the entry itself.
+_EFFECTFUL = frozenset({"send", "recv", "aid_init", "affirm", "deny", "free_of"})
 
 
 class _ProcImage:
-    """In-memory mirror of one process's persisted slice (encoded form)."""
+    """One process's slice of the recoverable image (encoded form), plus
+    the recorder's cursors and hot-path side buffers for it."""
 
-    __slots__ = ("base", "entries", "outputs", "rebase",
+    __slots__ = ("base", "entries", "rebase", "flushed", "ledgered",
                  "send_extras", "res_extras")
 
     def __init__(self) -> None:
         self.base = 0
-        self.entries: List[list] = []     # [kind, encoded_result, extra|None]
-        #: [encoded_value, log_index, time] for every flushed output — the
-        #: whole committed ledger, so its length is also how far into
-        #: ``proc.outputs`` this image has read.
-        self.outputs: List[list] = []
+        self.entries: List[list] = []     # [kind, encoded_result] from ``base`` on
         self.rebase: Optional[list] = None  # [encoded_state, time]
-        # Hot-path side buffers, folded into WAL records at flush time and
+        #: How far into ``proc.outputs`` frames have been written, and how
+        #: far of that has reached the ledger.
+        self.flushed = 0
+        self.ledgered = 0
+        # Hot-path side buffers, consumed in log order at flush time and
         # truncated on rollback exactly like the effect log itself.
-        self.send_extras: List[tuple] = []  # (pos, msg_id, dst, payload, tags)
+        self.send_extras: List[tuple] = []  # (pos, msg_id, dst, payload)
         self.res_extras: List[tuple] = []   # (pos, aid_key)
 
-    @property
-    def cursor(self) -> int:
-        return self.base + len(self.entries)
+    def doc(self) -> Dict[str, Any]:
+        return {"base": self.base, "entries": self.entries, "rebase": self.rebase}
 
 
 class DurableRecorder:
-    """Engine-side durable persistence: WAL + sealed snapshot envelopes."""
+    """Engine-side durable persistence: WAL frames, the output ledger and
+    sealed snapshot envelopes."""
 
     def __init__(self, system, root: str, *, seed: int,
                  opts: Optional[Dict[str, Any]] = None) -> None:
@@ -96,14 +106,14 @@ class DurableRecorder:
         self._dirty_since_marker = False
         self._dirty_since_snapshot = False
         self.procs: Dict[str, _ProcImage] = {}
-        self.registry: Dict[str, list] = {}       # aid key -> [name, status]
-        self.open_sends: Dict[str, dict] = {}     # str(msg_id) -> send record
-        #: msg_ids whose committed *receive* flushed before the matching
-        #: committed send did (possible: processes flush in spawn order
-        #: within a pass, and the receiver may sit earlier in it).  The
-        #: send's later flush consumes the marker instead of opening an
+        self.registry: Dict[str, str] = {}        # live aid key -> status
+        #: str(msg_id) -> [src, dst, encoded payload] of a committed send
+        #: whose receive has not committed; ``None`` where the committed
+        #: *receive* flushed first (possible: processes flush in spawn
+        #: order within a pass, and the receiver may sit earlier in it) —
+        #: the send's later flush removes the marker instead of opening an
         #: in-flight record that nothing would ever close.
-        self.consumed: set = set()
+        self.open_sends: Dict[str, Optional[list]] = {}
         self.stats: Dict[str, Any] = {
             "snapshots_written": 0,
             "wal_records": 0,
@@ -111,6 +121,9 @@ class DurableRecorder:
             "wal_batches": 0,
             "envelopes_rejected": 0,
             "wal_records_discarded": 0,
+            "frames_replayed": 0,
+            "ledger_rows_verified": 0,
+            "ledger_bytes_truncated": 0,
             "injected_messages": 0,
             "resumed": False,
             "resumed_generation": None,
@@ -122,6 +135,7 @@ class DurableRecorder:
                     "HopeSystem.resume(...) instead of starting a fresh one"
                 )
             self.store.open_wal(0)
+            self.store.open_ledger()
 
     # -- hot-path hooks (engine calls these; all O(1) appends) ---------------
 
@@ -132,10 +146,8 @@ class DurableRecorder:
         return img
 
     def note_send(self, name: str, pos: int, msg_id: int, dst: str,
-                  payload: Any, tags) -> None:
-        self._img(name).send_extras.append(
-            (pos, msg_id, dst, payload, tuple(tags or ()))
-        )
+                  payload: Any) -> None:
+        self._img(name).send_extras.append((pos, msg_id, dst, payload))
 
     def note_resolution(self, name: str, pos: int, aid_key: str) -> None:
         self._img(name).res_extras.append((pos, aid_key))
@@ -153,94 +165,111 @@ class DurableRecorder:
 
     # -- fossil-pass flushing ------------------------------------------------
 
-    def flush_proc(self, proc, target: int) -> None:
-        """Persist ``proc``'s committed log entries below the absolute
-        position ``target`` (the commit frontier for this pass) and the
-        outputs its commit watermark — already advanced to ``target`` by
-        the engine — has passed since the last flush."""
-        img = self._img(proc.name)
-        cursor = img.cursor
+    def flush_proc(self, proc, target: int, rebase=None) -> None:
+        """Persist what this pass changes in ``proc``'s image: ``rebase``,
+        the rebase point the pass is about to promote (None: the base
+        stays); the committed log entries below the absolute position
+        ``target`` (the commit frontier for this pass) that survive the
+        promotion; and the outputs the commit watermark — already advanced
+        to ``target`` by the engine — has passed since the last flush.
+        Entries the promotion drops only leave their side effects: a send
+        opened or closed, an assumption's status."""
+        name = proc.name
+        img = self._img(name)
+        frame: Dict[str, Any] = {}
+        base = img.base
+        if rebase is not None:
+            base = rebase.log_index
+            frame["b"] = base
+            frame["rb"] = [encode_value(rebase.state), rebase.time]
+        cursor = img.base + len(img.entries)
         if target > cursor:
-            send_x = {e[0]: e for e in img.send_extras if e[0] < target}
-            res_x = {e[0]: e[1] for e in img.res_extras if e[0] < target}
-            for pos in range(cursor, target):
-                entry = proc.log.entry_at(pos)
-                kind = entry.kind
-                enc = encode_value(entry.result)
-                extra = None
-                if kind == "send":
-                    _, msg_id, dst, payload, tags = send_x[pos]
-                    extra = {"d": dst, "pl": encode_value(payload), "g": list(tags)}
-                    if msg_id in self.consumed:
-                        self.consumed.discard(msg_id)
-                    else:
-                        self.open_sends[str(msg_id)] = {
-                            "s": proc.name, "d": dst, "pl": extra["pl"],
-                            "g": extra["g"], "m": msg_id,
-                        }
-                elif kind in _RESOLUTION_KINDS:
-                    key = res_x[pos]
-                    extra = {"a": key}
-                    if kind != "free_of":
-                        status = self._definite_status(key, kind)
-                        extra["st"] = status
-                        ent = self.registry.setdefault(
-                            key, [key.rpartition("#")[0], "pending"]
-                        )
-                        ent[1] = status
-                elif kind == "recv":
-                    result = entry.result
-                    if isinstance(result, ReceivedMessage):
-                        if str(result.msg_id) in self.open_sends:
-                            del self.open_sends[str(result.msg_id)]
+            kept: List[list] = []
+            opened: Dict[str, Optional[list]] = {}
+            closed: List[str] = []
+            statuses: Dict[str, str] = {}
+            open_sends = self.open_sends
+            registry = self.registry
+            aids = self.system.machine.aids
+            sends = resolutions = 0
+            log = proc.log
+            pos = cursor
+            for kind, result in log.entries[cursor - log.base:target - log.base]:
+                if kind in _EFFECTFUL:
+                    if kind == "send":
+                        at, msg_id, dst, payload = img.send_extras[sends]
+                        sends += 1
+                        if at != pos:
+                            raise DurableError(
+                                f"send side buffer of {name!r} names entry {at}, "
+                                f"the log has the send at {pos}"
+                            )
+                        mid = str(msg_id)
+                        if mid in open_sends:
+                            closed.append(mid)
                         else:
-                            self.consumed.add(result.msg_id)
-                elif kind == "aid_init":
-                    handle = entry.result
-                    self.registry.setdefault(handle.key, [handle.name, "pending"])
-                rec = {"t": "e", "p": proc.name, "i": pos, "k": kind, "r": enc}
-                if extra is not None:
-                    rec["x"] = extra
-                self._append(rec)
-                img.entries.append([kind, enc, extra])
-            img.send_extras = [e for e in img.send_extras if e[0] >= target]
-            img.res_extras = [e for e in img.res_extras if e[0] >= target]
-        for record in proc.outputs[len(img.outputs):proc.committed_count]:
-            enc = encode_value(record.value)
-            self._append({"t": "o", "p": proc.name, "i": record.log_index,
-                          "v": enc, "tm": record.time})
-            img.outputs.append([enc, record.log_index, record.time])
-
-    def _definite_status(self, key: str, kind: str) -> str:
-        """Status to persist for a committed affirm/deny.  A committed
-        resolution entry implies the AID is definite (a speculative affirm
-        inside a still-open interval blocks the frontier), and definite
-        statuses never revert — so the machine's live answer is final.
-        The entry's own direction is the fallback once the AID has been
-        fossil-retired."""
-        aid = self.system.machine.aids.get(key)
-        if aid is not None:
-            if aid.affirmed:
-                return "affirmed"
-            if aid.denied:
-                return "denied"
-        return "affirmed" if kind == "affirm" else "denied"
-
-    def note_promotion(self, proc) -> None:
-        """Fossil collection promoted a rebase point: trim the persisted
-        image below the new base and capture the promoted state."""
-        img = self._img(proc.name)
-        new_base = proc.log.base
-        if new_base > img.base:
-            img.entries = img.entries[new_base - img.base:]
-            img.base = new_base
-        if proc.rebase is not None:
-            img.rebase = [encode_value(proc.rebase.state), proc.rebase.time]
-        self._dirty_since_snapshot = True
+                            opened[mid] = [name, dst, encode_value(payload)]
+                    elif kind == "recv":
+                        if isinstance(result, ReceivedMessage):
+                            mid = str(result.msg_id)
+                            if mid in opened:
+                                del opened[mid]
+                            elif mid in open_sends:
+                                closed.append(mid)
+                            else:
+                                opened[mid] = None
+                    elif kind == "aid_init":
+                        key = result.key
+                        if key in aids and key not in registry:
+                            statuses.setdefault(key, "pending")
+                    else:
+                        key = img.res_extras[resolutions][1]
+                        resolutions += 1
+                        aid = aids.get(key)
+                        if kind != "free_of" and aid is not None:
+                            # A committed resolution implies the AID is
+                            # definite (a speculative affirm inside a still-
+                            # open interval blocks the frontier), and definite
+                            # statuses never revert: the machine's live answer
+                            # is final, the entry's own direction the fallback.
+                            if aid.affirmed or (kind == "affirm" and not aid.denied):
+                                status = "affirmed"
+                            else:
+                                status = "denied"
+                            if registry.get(key) != status:
+                                statuses[key] = status
+                if pos >= base:
+                    kept.append([kind, encode_value(result)])
+                pos += 1
+            del img.send_extras[:sends]
+            del img.res_extras[:resolutions]
+            if kept:
+                frame["i"] = target - len(kept)
+                frame["e"] = kept
+            if opened:
+                frame["so"] = opened
+            if closed:
+                frame["sc"] = closed
+            if statuses:
+                frame["rg"] = statuses
+        if proc.committed_count > img.flushed:
+            frame["o"] = _rows(proc.outputs[img.flushed:proc.committed_count])
+        if frame:
+            frame["t"] = "f"
+            frame["p"] = name
+            self._append(frame)
+            self.stats["wal_records"] += (
+                len(frame.get("e", ())) + len(frame.get("o", ()))
+            )
 
     def end_pass(self, now: float, force_snapshot: bool = False) -> None:
-        """Close the fossil pass: seal the WAL batch (durability point) and
+        """Close the fossil pass: drop the rows of the AIDs the machine
+        has retired, seal the WAL batch (durability point) and
         periodically consolidate into a fresh envelope."""
+        aids = self.system.machine.aids
+        gone = sorted(key for key in self.registry if key not in aids)
+        if gone:
+            self._append({"t": "r", "k": gone})
         if self._dirty_since_marker:
             self.batch_index += 1
             self.stats["wal_bytes"] += self.store.write_marker(self.batch_index)
@@ -252,16 +281,57 @@ class DurableRecorder:
             self.write_snapshot(now)
 
     def _append(self, rec: Dict[str, Any]) -> None:
+        self._apply(rec)
         self.stats["wal_bytes"] += self.store.append_record(rec)
-        self.stats["wal_records"] += 1
         self._dirty_since_marker = True
         self._dirty_since_snapshot = True
 
+    def _apply(self, rec: Dict[str, Any]) -> None:
+        """Fold one WAL record into the image: the only place the image
+        changes, while recording and while recovering alike."""
+        kind = rec.get("t")
+        if kind == "r":
+            for key in rec["k"]:
+                del self.registry[key]
+            return
+        if kind != "f":
+            raise DurableError(
+                f"unsupported durable image version: WAL record type {kind!r} "
+                f"(this build reads version {IMAGE_VERSION})"
+            )
+        name = rec["p"]
+        img = self._img(name)
+        base = rec.get("b")
+        if base is not None:
+            del img.entries[:base - img.base]
+            img.base = base
+            img.rebase = rec["rb"]
+        kept = rec.get("e")
+        if kept:
+            expect = img.base + len(img.entries)
+            if rec["i"] != expect:
+                raise DurableError(
+                    f"WAL gap for process {name!r}: found entry {rec['i']}, "
+                    f"expected {expect} (store is inconsistent)"
+                )
+            img.entries.extend(kept)
+        img.flushed += len(rec.get("o", ()))
+        self.open_sends.update(rec.get("so", ()))
+        for mid in rec.get("sc", ()):
+            del self.open_sends[mid]
+        self.registry.update(rec.get("rg", ()))
+
     def write_snapshot(self, now: float) -> None:
+        store = self.store
+        for name, img in self.procs.items():
+            if img.flushed > img.ledgered:
+                outputs = self.system.procs[name].outputs
+                store.append_ledger(name, _rows(outputs[img.ledgered:img.flushed]))
+                img.ledgered = img.flushed
         machine = self.system.machine
         gen = self.generation + 1
         doc = {
-            "v": 1,
+            "v": IMAGE_VERSION,
             "gen": gen,
             "prev": self.prev_seal,
             "seed": self.seed,
@@ -269,21 +339,14 @@ class DurableRecorder:
             "aid_serials": machine._aid_serials,
             "interval_serials": machine._interval_serials,
             "messages_sent": self.system.network.messages_sent,
+            # The envelope may only name ledger rows that are on disk.
+            "ledger": store.seal_ledger(),
             # Encoded in place: write_envelope serialises before returning.
             "aids": self.registry,
             "open_sends": self.open_sends,
-            "consumed": sorted(self.consumed),
-            "procs": {
-                name: {
-                    "base": img.base,
-                    "entries": img.entries,
-                    "outputs": img.outputs,
-                    "rebase": img.rebase,
-                }
-                for name, img in self.procs.items()
-            },
+            "procs": {name: img.doc() for name, img in self.procs.items()},
         }
-        self.prev_seal = self.store.write_envelope(gen, doc)
+        self.prev_seal = store.write_envelope(gen, doc)
         self.generation = gen
         self.batch_index = 0
         self.passes_since_snapshot = 0
@@ -298,23 +361,27 @@ class DurableRecorder:
     # -- recovery ------------------------------------------------------------
 
     def load_image(self) -> Optional[Dict[str, Any]]:
-        """Scan the run directory for the newest restorable state.
+        """Rebuild the image from the newest restorable state on disk.
 
         Walks envelopes newest-first; a CRC/seal/chain failure rejects
-        that generation (counted) and falls back one.  The chosen
-        envelope's WAL suffix is then applied, generation by generation,
-        stopping at the first torn tail (discarded records counted).
-        Returns the merged image, or None when the directory holds no
-        restorable state at all.
+        that generation (counted) and falls back one.  The ledger prefix
+        the chosen envelope sealed must verify — there is no second copy
+        of an output to fall back to — and anything past it is cut off
+        (counted).  The envelope's WAL suffix is then applied, generation
+        by generation, stopping at the first torn tail (discarded frames
+        counted).  Returns the envelope's document with what else
+        :meth:`restore` needs (the recovered clock, the committed
+        ``outputs``, the chain position), or None when the directory
+        holds no restorable state at all.
         """
         store = self.store
         env_gens = store.envelope_gens()
-        base_doc: Optional[Dict[str, Any]] = None
+        doc: Optional[Dict[str, Any]] = None
         base_gen = 0
         base_seal = ""
         for g in sorted(env_gens, reverse=True):
             try:
-                doc, seal = store.load_envelope(g)
+                candidate, seal = store.load_envelope(g)
             except DurableError:
                 self.stats["envelopes_rejected"] += 1
                 continue
@@ -323,95 +390,69 @@ class DurableRecorder:
                     _, prev_seal = store.load_envelope(g - 1)
                 except DurableError:
                     prev_seal = None
-                if prev_seal is not None and doc.get("prev") != prev_seal:
+                if prev_seal is not None and candidate.get("prev") != prev_seal:
                     # A validly-sealed envelope that does not chain onto its
                     # predecessor: a stale or transplanted file.  Reject it.
                     self.stats["envelopes_rejected"] += 1
                     continue
-            base_doc, base_gen, base_seal = doc, g, seal
+            doc, base_gen, base_seal = candidate, g, seal
             break
-        if base_doc is None:
-            image: Dict[str, Any] = {
-                "v": 1, "gen": 0, "seed": self.seed, "time": 0.0,
+        restorable = doc is not None
+        if doc is None:
+            doc = {
+                "v": IMAGE_VERSION, "seed": self.seed, "time": 0.0,
                 "aid_serials": 0, "interval_serials": 0, "messages_sent": 0,
-                "aids": {}, "open_sends": {}, "consumed": [], "procs": {},
+                "ledger": (), "aids": {}, "open_sends": {}, "procs": {},
             }
-        else:
-            image = base_doc
+        elif doc.get("v") != IMAGE_VERSION:
+            raise DurableError(
+                f"unsupported durable image version {doc.get('v')!r} "
+                f"(this build reads version {IMAGE_VERSION})"
+            )
+        lines, truncated = store.open_ledger(*doc["ledger"])
+        self.stats["ledger_rows_verified"] = store.ledger_rows
+        self.stats["ledger_bytes_truncated"] = truncated
+        self.registry = doc["aids"]
+        self.open_sends = doc["open_sends"]
+        for name, pdoc in doc["procs"].items():
+            img = self._img(name)
+            img.base, img.entries, img.rebase = (
+                pdoc["base"], pdoc["entries"], pdoc["rebase"]
+            )
+        outputs: Dict[str, list] = {}
+        for name, rows in lines:
+            outputs.setdefault(name, []).extend(rows)
+        for name, rows in outputs.items():
+            img = self._img(name)
+            img.flushed = img.ledgered = len(rows)
+        now = doc["time"]
         wal_gens = store.wal_gens()
-        applied_any = False
         g = base_gen
         while g in wal_gens:
-            records, discarded, clean = store.scan_wal(g)
+            frames, discarded, clean = store.scan_wal(g)
             self.stats["wal_records_discarded"] += discarded
-            if records:
-                self._apply_wal(image, records)
-                applied_any = True
+            self.stats["frames_replayed"] += len(frames)
+            for frame in frames:
+                self._apply(frame)
+                rows = frame.get("o")
+                if rows:
+                    outputs.setdefault(frame["p"], []).extend(rows)
+                    now = max(now, rows[-1][2])
             if not clean:
                 break
             g += 1
-        image["_seal"] = base_seal
-        image["_maxgen"] = max(env_gens + wal_gens + [0])
-        if base_doc is None and not applied_any:
+        if not restorable and not self.stats["frames_replayed"]:
             return None
-        return image
+        doc.update(time=now, gen=base_gen, seal=base_seal, outputs=outputs,
+                   maxgen=max(env_gens + wal_gens + [0]))
+        return doc
 
-    def _apply_wal(self, image: Dict[str, Any], records: List[dict]) -> None:
-        procs = image["procs"]
-        for rec in records:
-            t = rec.get("t")
-            if t == "e":
-                p = procs.setdefault(rec["p"], _fresh_proc_doc())
-                pos = rec["i"]
-                expect = p["base"] + len(p["entries"])
-                if pos != expect:
-                    raise DurableError(
-                        f"WAL gap for process {rec['p']!r}: found entry "
-                        f"{pos}, expected {expect} (store is inconsistent)"
-                    )
-                extra = rec.get("x")
-                kind = rec["k"]
-                p["entries"].append([kind, rec["r"], extra])
-                if kind == "send":
-                    msg_id = rec["r"]
-                    consumed = image.setdefault("consumed", [])
-                    if msg_id in consumed:
-                        consumed.remove(msg_id)
-                    else:
-                        image["open_sends"][str(msg_id)] = {
-                            "s": rec["p"], "d": extra["d"], "pl": extra["pl"],
-                            "g": extra["g"], "m": msg_id,
-                        }
-                elif kind == "recv":
-                    result = decode_value(rec["r"])
-                    if isinstance(result, ReceivedMessage):
-                        if str(result.msg_id) in image["open_sends"]:
-                            del image["open_sends"][str(result.msg_id)]
-                        else:
-                            image.setdefault("consumed", []).append(result.msg_id)
-                elif kind == "aid_init":
-                    handle = decode_value(rec["r"])
-                    image["aids"].setdefault(handle.key, [handle.name, "pending"])
-                elif kind in ("affirm", "deny") and extra:
-                    key = extra.get("a")
-                    status = extra.get("st")
-                    if key and status:
-                        ent = image["aids"].setdefault(
-                            key, [key.rpartition("#")[0], "pending"]
-                        )
-                        ent[1] = status
-            elif t == "o":
-                p = procs.setdefault(rec["p"], _fresh_proc_doc())
-                p["outputs"].append([rec["v"], rec["i"], rec["tm"]])
-                tm = rec.get("tm")
-                if tm is not None:
-                    image["time"] = max(image.get("time", 0.0), tm)
-
-    def restore(self, image: Dict[str, Any]) -> None:
-        """Rebuild committed runtime state from a loaded image.  Called
-        after ``build()`` has spawned the process tree; the engine's
-        ``_defer_start`` kept the initial tasks unscheduled so replay can
-        start from the restored logs instead."""
+    def restore(self, loaded: Dict[str, Any]) -> None:
+        """Rebuild committed runtime state from the image
+        :meth:`load_image` left in this recorder.  Called after ``build()``
+        has spawned the process tree; the engine's ``_defer_start`` kept
+        the initial tasks unscheduled so replay can start from the
+        restored logs instead."""
         # Engine-module imports are deferred: repro.runtime imports
         # repro.durable, not the other way around at module load.
         from ..core.aid import AidStatus
@@ -420,35 +461,29 @@ class DurableRecorder:
         from ..sim.channel import Message, Network
 
         system = self.system
-        if image.get("v") != 1:
-            raise DurableError(f"unsupported durable image version {image.get('v')!r}")
-        if image.get("seed") != self.seed:
+        if loaded["seed"] != self.seed:
             raise DurableError(
                 f"seed mismatch: durable run was recorded with seed "
-                f"{image.get('seed')!r}, resume constructed with {self.seed!r}"
+                f"{loaded['seed']!r}, resume constructed with {self.seed!r}"
             )
-        missing = sorted(set(image["procs"]) - set(system.procs))
+        missing = sorted(set(self.procs) - set(system.procs))
         if missing:
             raise DurableError(
                 f"durable state names process(es) {missing} that build() did "
                 "not spawn — the resume build must recreate the same tree"
             )
+        self.check_image()
 
         machine = system.machine
-        machine._aid_serials = max(machine._aid_serials, int(image["aid_serials"]))
+        machine._aid_serials = max(machine._aid_serials, int(loaded["aid_serials"]))
         machine._interval_serials = max(
-            machine._interval_serials, int(image["interval_serials"])
+            machine._interval_serials, int(loaded["interval_serials"])
         )
 
-        for name, pdoc in image["procs"].items():
+        for name, img in self.procs.items():
             proc = system.procs[name]
-            img = self._img(name)
-            img.base = int(pdoc["base"])
-            img.entries = [list(e) for e in pdoc["entries"]]
-            img.outputs = [list(o) for o in pdoc["outputs"]]
-            img.rebase = list(pdoc["rebase"]) if pdoc.get("rebase") else None
             entries = []
-            for kind, enc, _extra in img.entries:
+            for kind, enc in img.entries:
                 result = decode_value(enc)
                 if kind == "aid_init":
                     # Re-pin the handle: the log entry holds the strong
@@ -458,7 +493,7 @@ class DurableRecorder:
             log = proc.log
             log.base = img.base
             log.entries = entries
-            log.cursor = img.cursor
+            log.cursor = img.base + len(entries)
             log.pending = 0
             if img.rebase is not None and img.base > 0:
                 proc.rebase = RebasePoint(
@@ -466,55 +501,86 @@ class DurableRecorder:
                 )
             proc.outputs = [
                 OutputRecord(decode_value(v), int(i), None, tm)
-                for v, i, tm in img.outputs
+                for v, i, tm in loaded["outputs"].get(name, ())
             ]
             proc.committed_count = len(proc.outputs)
 
-        for key, (aid_name, status) in image["aids"].items():
+        for key, status in self.registry.items():
             aid = machine.adopt_aid(key)
+            # The envelope's counter predates the AIDs its WAL suffix
+            # committed; a fresh aid_init must not mint one of their keys.
+            machine._aid_serials = max(machine._aid_serials, aid.serial)
             if status == "affirmed" and not aid.affirmed:
                 aid.status = AidStatus.AFFIRMED
                 aid.resolved_by = aid.resolved_by or "durable-resume"
             elif status == "denied" and not aid.denied:
                 aid.status = AidStatus.DENIED
                 aid.resolved_by = aid.resolved_by or "durable-resume"
-            self.registry[key] = [aid_name, status]
 
         network = system.network
-        self.open_sends = {k: dict(v) for k, v in image["open_sends"].items()}
-        self.consumed = set(image.get("consumed", ()))
-        max_msg = int(image["messages_sent"])
-        for rec in self.open_sends.values():
-            max_msg = max(max_msg, int(rec["m"]))
-        network.messages_sent = max(network.messages_sent, max_msg)
+        in_flight = sorted(
+            (int(mid), rec) for mid, rec in self.open_sends.items() if rec is not None
+        )
+        # Likewise the message counter: past every id the image still names.
+        network.messages_sent = max(
+            network.messages_sent, int(loaded["messages_sent"]),
+            *map(int, self.open_sends),
+        )
         # Re-inject committed sends whose receive had not committed: the
         # crash may have eaten the in-flight copy.  Base-class scheduling
         # on purpose — a FaultyNetwork must not re-judge a committed send.
-        for rec in sorted(self.open_sends.values(), key=lambda r: int(r["m"])):
-            box = network.mailbox(rec["d"])
+        for mid, (src, dst, payload) in in_flight:
             message = Message(
-                rec["s"], rec["d"], decode_value(rec["pl"]),
-                frozenset(rec["g"]), system.sim.now, int(rec["m"]),
+                src, dst, decode_value(payload), frozenset(), system.sim.now, mid,
             )
-            delay = network.latency.sample(rec["s"], rec["d"])
-            Network._schedule_delivery(network, box, message, delay)
+            delay = network.latency.sample(src, dst)
+            Network._schedule_delivery(network, network.mailbox(dst), message, delay)
             self.stats["injected_messages"] += 1
 
         for name in system.procs:
             system._start_task(system.procs[name], delay=0.0)
 
-        self.generation = int(image.get("_maxgen", image.get("gen", 0)))
-        self.prev_seal = image.get("_seal", "")
+        self.generation = loaded["maxgen"]
+        self.prev_seal = loaded["seal"]
         self.stats["resumed"] = True
-        self.stats["resumed_generation"] = int(image.get("gen", 0))
+        self.stats["resumed_generation"] = loaded["gen"]
         self._dirty_since_snapshot = True
         self.write_snapshot(system.sim.now)
+
+    # -- the image invariant -------------------------------------------------
+
+    def image_aid_keys(self) -> set:
+        """Every AID key the persisted image can reach: handles inside
+        retained entry results, open-send payloads and rebase states."""
+        keys: set = set()
+        for img in self.procs.values():
+            for _kind, enc in img.entries:
+                _collect_handle_keys(decode_value(enc), keys)
+            if img.rebase is not None:
+                _collect_handle_keys(decode_value(img.rebase[0]), keys)
+        for rec in self.open_sends.values():
+            if rec is not None:
+                _collect_handle_keys(decode_value(rec[2]), keys)
+        return keys
+
+    def check_image(self) -> None:
+        """The registry forgets an AID when the machine retires it; that is
+        only sound if nothing a resumed run would replay or re-inject can
+        still name the AID.  Raises :class:`DurableError` otherwise."""
+        missing = sorted(self.image_aid_keys() - self.registry.keys())
+        if missing:
+            raise DurableError(
+                f"durable image names assumption(s) {missing} that have no "
+                "registry row — a resumed run could not resolve them"
+            )
 
     # -- reporting -----------------------------------------------------------
 
     def stats_entries(self) -> Dict[str, Any]:
         out = dict(self.stats)
         out["generation"] = self.generation
+        out["envelope_bytes"] = self.store.envelope_bytes
+        out["ledger_rows"] = self.store.ledger_rows
         return out
 
     def observe_gauges(self, registry) -> None:
@@ -525,6 +591,10 @@ class DurableRecorder:
           "Committed effect-WAL records written").set(self.stats["wal_records"])
         g("hope_durable_wal_bytes_total",
           "Bytes appended to the effect WAL").set(self.stats["wal_bytes"])
+        g("hope_durable_envelope_bytes",
+          "Size of the newest sealed envelope").set(self.store.envelope_bytes)
+        g("hope_durable_ledger_rows_total",
+          "Committed output rows in the ledger").set(self.store.ledger_rows)
         g("hope_durable_envelopes_rejected_total",
           "Envelopes rejected at recovery (CRC/seal/chain)").set(
               self.stats["envelopes_rejected"])
@@ -534,3 +604,24 @@ class DurableRecorder:
         g("hope_durable_injected_messages_total",
           "Committed in-flight sends re-injected at resume").set(
               self.stats["injected_messages"])
+
+
+def _rows(records) -> List[list]:
+    """Committed output records as frame / ledger rows."""
+    return [[encode_value(r.value), r.log_index, r.time] for r in records]
+
+
+def _collect_handle_keys(value: Any, keys: set) -> None:
+    from ..runtime.api import AidHandle
+
+    if isinstance(value, AidHandle):
+        keys.add(value.key)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _collect_handle_keys(key, keys)
+            _collect_handle_keys(item, keys)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            _collect_handle_keys(item, keys)
+    elif hasattr(value, "__dict__"):
+        _collect_handle_keys(vars(value), keys)

@@ -4,8 +4,10 @@ A run directory holds::
 
     key.bin             per-run HMAC key (32 random bytes, created once)
     snap-<gen>.env      sealed snapshot envelope, generation ``gen``
-    wal-<gen>.jsonl     effect WAL with the records written *after*
+    wal-<gen>.jsonl     effect WAL with the frames written *after*
                         envelope ``gen`` (gen 0: before any envelope)
+    ledger.jsonl        every committed output row, append-only; never
+                        pruned (it is the run's product, not recovery state)
 
 Envelope file format — a header line then the JSON body::
 
@@ -20,13 +22,20 @@ the old generation or the new one, never a torn file.
 
 WAL records are one compact JSON object per line with a trailing CRC32::
 
-    {"i":7,"k":"send","p":"w0",...} <crc32>\\n
+    {"e":[...],"i":7,"o":[...],"p":"w0","t":"f"} <crc32>\\n
 
 Records become durable in *batches*: a marker record (``"t":"m"``)
 closes each batch with an HMAC over the batch's rolling SHA-256 digest,
 and the file is flushed (+fsynced) at markers only.  Recovery discards
 any suffix after the last valid marker — a torn tail is detected and
 counted, never silently applied.
+
+Ledger lines have the same ``<json> <crc32>`` shape, one line per process
+per envelope: ``{"p":"w0","r":[[value, log_index, time], ...]}``.  The
+lines are chained by one rolling SHA-256 over their bodies, and each
+envelope seals ``[rows, digest]`` of the prefix it covers after that
+prefix was fsynced — so a byte changed inside a sealed prefix is always
+found, and bytes past it (an envelope that never landed) are cut off.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ _ENV_MAGIC = "HOPEENV1"
 _ENV_RE = re.compile(r"^snap-(\d{8})\.env$")
 _WAL_RE = re.compile(r"^wal-(\d{8})\.jsonl$")
 KEY_FILE = "key.bin"
+LEDGER_FILE = "ledger.jsonl"
 
 
 def _env_name(gen: int) -> str:
@@ -60,6 +70,19 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _json_bytes(doc: Any) -> bytes:
     return _ENCODER.encode(doc).encode("utf-8")
+
+
+def _line(body: bytes) -> bytes:
+    """One WAL / ledger line: the JSON body and its CRC32."""
+    return body + b" " + crc_hex(body).encode("ascii") + b"\n"
+
+
+def _checked_body(raw_line: bytes) -> Optional[bytes]:
+    """The body of a line :func:`_line` wrote, None if torn or corrupt."""
+    body, _, crc = raw_line.rstrip(b"\n").rpartition(b" ")
+    if not body or crc.decode("ascii", "replace") != crc_hex(body):
+        return None
+    return body
 
 
 class DurableStore:
@@ -83,6 +106,12 @@ class DurableStore:
         # mirrored by scan_wal during recovery.
         self._batch_digest = hashlib.sha256()
         self._batch_records = 0
+        self._ledger_fh = None
+        self._ledger_digest = hashlib.sha256()
+        self._ledger_unsynced = False
+        #: Output rows in the ledger, and the size of the newest envelope.
+        self.ledger_rows = 0
+        self.envelope_bytes = 0
 
     # -- key ----------------------------------------------------------------
 
@@ -108,8 +137,11 @@ class DurableStore:
     # -- layout queries ------------------------------------------------------
 
     def has_run_state(self) -> bool:
-        """Any envelope or WAL present (i.e. a run already lives here)?"""
-        return bool(self.envelope_gens() or self.wal_gens())
+        """Any envelope, WAL or ledger present (i.e. a run already lives here)?"""
+        return bool(
+            self.envelope_gens() or self.wal_gens()
+            or os.path.exists(os.path.join(self.root, LEDGER_FILE))
+        )
 
     def envelope_gens(self) -> List[int]:
         return self._gens(_ENV_RE)
@@ -118,13 +150,7 @@ class DurableStore:
         return self._gens(_WAL_RE)
 
     def _gens(self, pattern) -> List[int]:
-        gens = []
-        for name in os.listdir(self.root):
-            m = pattern.match(name)
-            if m:
-                gens.append(int(m.group(1)))
-        gens.sort()
-        return gens
+        return sorted(_gens_in(self.root, pattern))
 
     def _dir_fsync(self) -> None:
         if not self.fsync or not hasattr(os, "O_DIRECTORY"):
@@ -139,7 +165,7 @@ class DurableStore:
 
     def open_wal(self, gen: int) -> None:
         """Start (or append to) the WAL for generation ``gen``."""
-        self.close()
+        self._close_wal()
         path = os.path.join(self.root, _wal_name(gen))
         self._wal_fh = open(path, "ab")
         self._wal_gen = gen
@@ -154,12 +180,7 @@ class DurableStore:
         body = _json_bytes(rec)
         self._batch_digest.update(body)
         self._batch_records += 1
-        return self._write_line(body)
-
-    def _write_line(self, body: bytes) -> int:
-        line = body + b" " + crc_hex(body).encode("ascii") + b"\n"
-        self._wal_fh.write(line)
-        return len(line)
+        return self._wal_fh.write(_line(body))
 
     def write_marker(self, batch_index: int) -> int:
         """Seal the current batch with an HMAC marker and flush to disk."""
@@ -167,7 +188,9 @@ class DurableStore:
             raise DurableError("no WAL open — open_wal() first")
         digest = self._batch_digest.hexdigest()
         mac = seal_hex(self.key, f"{self._wal_gen}:{batch_index}:{digest}".encode())
-        size = self._write_line(_json_bytes({"t": "m", "n": batch_index, "h": mac}))
+        size = self._wal_fh.write(
+            _line(_json_bytes({"t": "m", "n": batch_index, "h": mac}))
+        )
         self._wal_fh.flush()
         if self.fsync:
             os.fsync(self._wal_fh.fileno())
@@ -175,12 +198,95 @@ class DurableStore:
         self._batch_records = 0
         return size
 
-    def close(self) -> None:
+    def _close_wal(self) -> None:
         if self._wal_fh is not None:
             self._wal_fh.flush()
             self._wal_fh.close()
             self._wal_fh = None
             self._wal_gen = None
+
+    def close(self) -> None:
+        self._close_wal()
+        if self._ledger_fh is not None:
+            self._ledger_fh.close()
+            self._ledger_fh = None
+
+    # -- the output ledger ---------------------------------------------------
+
+    def open_ledger(self, rows: int = 0, digest: Optional[str] = None
+                    ) -> Tuple[List[Tuple[str, list]], int]:
+        """Verify the ledger prefix an envelope sealed as ``[rows, digest]``
+        (nothing, for a run with no envelope yet), cut off whatever follows
+        it, and leave the file open for appending.
+
+        Returns ``(lines, truncated)``: the prefix as ``(process, rows)``
+        pairs and how many bytes past it were dropped.  Raises
+        :class:`DurableError` when the prefix itself does not verify —
+        committed outputs exist nowhere else, so there is nothing to fall
+        back to.
+        """
+        path = os.path.join(self.root, LEDGER_FILE)
+        lines: List[Tuple[str, list]] = []
+        hasher = hashlib.sha256()
+        seen = end = 0
+        if rows:
+            try:
+                fh = open(path, "rb")
+            except OSError as exc:
+                raise DurableError(f"ledger: unreadable ({exc})")
+            with fh:
+                for raw_line in fh:
+                    body = _checked_body(raw_line)
+                    if body is None:
+                        raise DurableError(
+                            f"ledger: CRC mismatch at byte {end}, inside the "
+                            f"{rows} rows the envelope sealed"
+                        )
+                    doc = json.loads(body)
+                    lines.append((doc["p"], doc["r"]))
+                    hasher.update(body)
+                    seen += len(doc["r"])
+                    end += len(raw_line)
+                    if seen >= rows:
+                        break
+            if seen != rows:
+                raise DurableError(
+                    f"ledger: holds {seen} rows where the envelope sealed {rows}"
+                )
+        if hasher.hexdigest() != (digest or hashlib.sha256().hexdigest()):
+            raise DurableError(
+                f"ledger: digest of the first {rows} rows does not match the "
+                "envelope's seal"
+            )
+        if self._ledger_fh is not None:
+            self._ledger_fh.close()
+        self._ledger_fh = open(path, "ab")
+        truncated = os.fstat(self._ledger_fh.fileno()).st_size - end
+        if truncated:
+            self._ledger_fh.truncate(end)
+        self._ledger_digest = hasher
+        self._ledger_unsynced = False
+        self.ledger_rows = rows
+        return lines, truncated
+
+    def append_ledger(self, name: str, rows: list) -> None:
+        """Append one process's newly committed output rows (buffered; they
+        count once :meth:`seal_ledger` has run)."""
+        body = _json_bytes({"p": name, "r": rows})
+        self._ledger_digest.update(body)
+        self._ledger_fh.write(_line(body))
+        self._ledger_unsynced = True
+        self.ledger_rows += len(rows)
+
+    def seal_ledger(self) -> Tuple[int, str]:
+        """Make everything appended durable; returns the ``(rows, digest)``
+        pair the next envelope seals."""
+        if self._ledger_unsynced:
+            self._ledger_fh.flush()
+            if self.fsync:
+                os.fsync(self._ledger_fh.fileno())
+            self._ledger_unsynced = False
+        return self.ledger_rows, self._ledger_digest.hexdigest()
 
     # -- envelope writing ----------------------------------------------------
 
@@ -201,6 +307,7 @@ class DurableStore:
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._dir_fsync()
+        self.envelope_bytes = len(header) + len(body)
         self.open_wal(gen)
         self._prune(gen)
         return seal
@@ -271,20 +378,14 @@ class DurableStore:
         broken = False
         with fh:
             for raw_line in fh:
-                line = raw_line.rstrip(b"\n")
-                if not line:
+                if raw_line == b"\n":
                     continue
-                sp = line.rfind(b" ")
-                if sp < 0:
-                    broken = True
-                    break
-                body, crc = line[:sp], line[sp + 1:]
-                if crc.decode("ascii", "replace") != crc_hex(body):
-                    broken = True
-                    break
+                body = _checked_body(raw_line)
                 try:
-                    rec = json.loads(body)
+                    rec = json.loads(body) if body is not None else None
                 except ValueError:
+                    rec = None
+                if rec is None:
                     broken = True
                     break
                 if rec.get("t") == "m":
@@ -316,14 +417,14 @@ def _flip_byte(path: str, offset: int) -> None:
         fh.write(bytes([byte[0] ^ 0xFF]))
 
 
+def _gens_in(root: str, pattern) -> List[int]:
+    return [int(m.group(1)) for name in os.listdir(root) if (m := pattern.match(name))]
+
+
 def corrupt_latest_envelope(root: str) -> Optional[str]:
     """Flip one byte in the newest envelope's body.  Returns the path, or
     None when no envelope exists yet."""
-    gens = []
-    for name in os.listdir(root):
-        m = _ENV_RE.match(name)
-        if m:
-            gens.append(int(m.group(1)))
+    gens = _gens_in(root, _ENV_RE)
     if not gens:
         return None
     path = os.path.join(root, _env_name(max(gens)))
@@ -340,21 +441,11 @@ def corrupt_wal_tail(root: str) -> Optional[str]:
     newest envelope, so damaging an older (already-consolidated) WAL
     would never be noticed.  Returns the path, or None when there is
     nothing recovery would read."""
-    env_gens = [
-        int(m.group(1))
-        for name in os.listdir(root)
-        if (m := _ENV_RE.match(name))
+    floor = max(_gens_in(root, _ENV_RE), default=0)
+    candidates = [
+        gen for gen in _gens_in(root, _WAL_RE)
+        if gen >= floor and os.path.getsize(os.path.join(root, _wal_name(gen))) > 0
     ]
-    floor = max(env_gens) if env_gens else 0
-    candidates = []
-    for name in os.listdir(root):
-        m = _WAL_RE.match(name)
-        if (
-            m
-            and int(m.group(1)) >= floor
-            and os.path.getsize(os.path.join(root, name)) > 0
-        ):
-            candidates.append(int(m.group(1)))
     if not candidates:
         return None
     path = os.path.join(root, _wal_name(max(candidates)))
@@ -365,4 +456,26 @@ def corrupt_wal_tail(root: str) -> Optional[str]:
         return None
     start = stripped.rfind(b"\n") + 1
     _flip_byte(path, start + (len(stripped) - start) // 2)
+    return path
+
+
+def corrupt_ledger(root: str) -> Optional[str]:
+    """Flip one byte in the ledger's first line — inside the prefix every
+    envelope that sealed any row covers.  Returns the path, or None when
+    no envelope has sealed a row yet."""
+    path = os.path.join(root, LEDGER_FILE)
+    gens = _gens_in(root, _ENV_RE)
+    if not gens or not os.path.exists(path):
+        return None
+    with open(os.path.join(root, _env_name(max(gens))), "rb") as fh:
+        fh.readline()
+        try:
+            sealed_rows = json.loads(fh.read())["ledger"][0]
+        except (ValueError, LookupError, TypeError):
+            return None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    if not sealed_rows or not first:
+        return None
+    _flip_byte(path, len(first) // 2)
     return path

@@ -377,7 +377,6 @@ class HopeSystem:
         transport: Optional[Callable[..., Network]] = None,
         parallel_opts: Optional[dict] = None,
         controller: Optional[Any] = None,
-        durable: bool = False,
         durable_dir: Optional[str] = None,
         durable_opts: Optional[dict] = None,
     ) -> None:
@@ -566,12 +565,10 @@ class HopeSystem:
         #: tasks unscheduled so restored logs replay instead.
         self._defer_start = False
         #: Durable persistence (repro.durable) — None keeps every hot-path
-        #: hook a single attribute test, and durable=False traces stay
+        #: hook a single attribute test, and traces without durable_dir stay
         #: byte-identical to pre-durable builds.
         self._durable = None
-        if durable or durable_dir is not None:
-            if durable_dir is None:
-                raise HopeError("durable=True needs durable_dir= (the run directory)")
+        if durable_dir is not None:
             if backend != "sim":
                 raise HopeError("durable runs require the sim backend")
             if self.reliable is not None or self.detector is not None:
@@ -650,17 +647,17 @@ class HopeSystem:
         (``seed``, ``latency``, ``kernel``, ``fossil_interval``, ...)
         must match the original run; the seed is verified against the
         envelope.  Recovery picks the newest envelope whose CRC, seal,
-        and generation chain verify, applies the WAL suffix up to its
-        last valid batch marker, and falls back one generation on a
-        torn or corrupt tail — rejections are counted in
-        ``stats()["durable"]``, never silently ignored.
+        and generation chain verify, checks the output ledger against
+        the prefix that envelope sealed (a mismatch is a
+        ``DurableError``: outputs exist nowhere else), applies the WAL
+        suffix up to its last valid batch marker, and falls back one
+        generation on a torn or corrupt envelope — rejections are
+        counted in ``stats()["durable"]``, never silently ignored.
         """
         opts = dict(durable_opts or {})
         opts["_resuming"] = True
-        kwargs.pop("durable", None)
         kwargs.pop("durable_dir", None)
-        system = cls(durable=True, durable_dir=durable_dir,
-                     durable_opts=opts, **kwargs)
+        system = cls(durable_dir=durable_dir, durable_opts=opts, **kwargs)
         recorder = system._durable
         image = recorder.load_image()
         if image is None:
@@ -685,7 +682,8 @@ class HopeSystem:
         (the same frontier computation as a fossil pass, minus the
         collection)."""
         for proc in self.procs.values():
-            self._settle_frontier(proc)
+            target, _ = self._settle_frontier(proc)
+            self._durable.flush_proc(proc, target)
         self._durable.end_pass(self.sim.now, force_snapshot=True)
 
     def aid(self, ref: AidRef) -> AssumptionId:
@@ -952,26 +950,30 @@ class HopeSystem:
             target, frontier_time = self._settle_frontier(proc)
             # Effect-log prefix: promote the newest rebase candidate at or
             # behind the frontier (and behind any in-flight replay cursor)
-            # and drop the entries it makes unreachable — all of which the
-            # durable flush in _settle_frontier has already put in the WAL.
+            # and drop the entries it makes unreachable.  The durable flush
+            # sits between the choice and the drop: it reads the committed
+            # slice while it is whole, and encodes only what the promotion
+            # leaves behind.
             best: Optional[RebasePoint] = None
             for cand in proc.rebase_candidates:
                 if cand.log_index <= target and (
                     best is None or cand.log_index > best.log_index
                 ):
                     best = cand
-            if best is not None and best.log_index > proc.log.base:
+            if best is not None and best.log_index <= proc.log.base:
+                best = None
+            if self._durable is not None:
+                self._durable.flush_proc(proc, target, best)
+            if best is not None:
                 proc.rebase = best
                 proc.rebase_candidates = [
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
                 ]
                 proc.log.drop_prefix(best.log_index)
-                if self._durable is not None:
-                    self._durable.note_promotion(proc)
             proc.track.compact_before(frontier_time)
         fossil_stats = machine.fossil_collect(self._pinned_aid_keys(changed))
         if self._durable is not None:
-            # Durability point: the pass's WAL records become recoverable
+            # Durability point: the pass's WAL frames become recoverable
             # here (sealed batch marker + fsync), and every Nth pass
             # consolidates into a fresh envelope, rotating the WAL.
             self._durable.end_pass(self.sim.now)
@@ -984,9 +986,8 @@ class HopeSystem:
             spec.fossil_depsets_dropped.inc(fossil_stats.depsets_dropped)
 
     def _settle_frontier(self, proc: ProcessRuntime) -> tuple:
-        """Advance ``proc``'s commit watermark to its frontier and hand the
-        newly committed slice to the durable layer.  Returns the frontier,
-        ``(log position, virtual time)``: the oldest still-speculative
+        """Advance ``proc``'s commit watermark to its frontier.  Returns the
+        frontier, ``(log position, virtual time)``: the oldest still-speculative
         guess's checkpoint (everything up to now with no live speculation),
         the log position held behind an in-flight replay cursor."""
         frontier_log = len(proc.log)
@@ -1010,8 +1011,6 @@ class HopeSystem:
             record.interval = None
             mark += 1
         proc.committed_count = mark
-        if self._durable is not None:
-            self._durable.flush_proc(proc, target)
         return target, frontier_time
 
     def _pinned_aid_keys(self, changed: list) -> set:
@@ -1240,7 +1239,7 @@ class HopeSystem:
         log.cursor += 1
         if self._durable is not None:
             self._durable.note_send(
-                proc.name, log.cursor - 1, msg_id, effect.dst, effect.payload, tags
+                proc.name, log.cursor - 1, msg_id, effect.dst, effect.payload
             )
         if self._tracing:
             self.tracer.record(

@@ -14,9 +14,12 @@ guardrails.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench.workloads import build_durable_counter
 from repro.chaos import (
     KILL_RESUME_WORKLOADS,
@@ -157,6 +160,24 @@ class TestCorruptionFallback:
         assert result.corrupted_path is not None
         assert result.durable_stats["wal_records_discarded"] >= 1
 
+    def test_ledger_corruption_is_refused_by_name(self):
+        """No fallback to pretend with: an output exists only in the ledger."""
+        result = run_kill_resume_case(
+            "counter", 1, 0.85, corrupt="ledger", in_process=True
+        )
+        assert result.ok, result.failure
+        assert result.corrupted_path.endswith("ledger.jsonl")
+
+    def test_undamaged_ledger_fails_the_ledger_case(self, monkeypatch):
+        """The case passes only on the named refusal, not on a clean resume."""
+        import repro.chaos
+
+        monkeypatch.setitem(repro.chaos._CORRUPTIONS, "ledger", (lambda root: root, None))
+        result = run_kill_resume_case(
+            "counter", 1, 0.85, corrupt="ledger", in_process=True
+        )
+        assert not result.ok and "not detected" in result.failure
+
     def test_bad_corrupt_mode_raises(self):
         with pytest.raises(ValueError, match="envelope.*wal"):
             run_kill_resume_case("counter", 1, 0.85, corrupt="bitrot",
@@ -267,28 +288,83 @@ class TestWatermarkAcrossResume:
 
 
 # --------------------------------------------------- bytes on disk are fixed
+def _two_tag_sender(p, peer):
+    x = yield p.aid_init("x")
+    y = yield p.aid_init("y")
+    yield p.send(peer, (x, y))
+    yield p.guess(x)
+    yield p.guess(y)
+    for i in range(3):
+        yield p.send(peer, i)           # tagged with both x and y
+    yield p.emit("sent")
+
+
+def _two_tag_peer(p):
+    x, y = (yield p.recv()).payload
+    for _ in range(3):
+        yield p.emit((yield p.recv()).payload)
+    yield p.affirm(y)
+    yield p.affirm(x)
+
+
+def _golden_run(run_dir):
+    """The long counter plus a pair exchanging two-tag messages; returns
+    the directory's (files, wal_records, wal_bytes) and its SHA-256 over
+    (file name, file bytes)."""
+    with open(os.path.join(run_dir, "key.bin"), "wb") as fh:
+        fh.write(bytes(range(32)))
+    system = HopeSystem(**_durable_kwargs(
+        run_dir, durable_opts={"snapshot_every": 2, "retain": 1000}
+    ))
+    _build_long_counter(system)
+    system.spawn("peer", _two_tag_peer)
+    system.spawn("sender", _two_tag_sender, "peer")
+    system.run()
+    assert system.stats()["tags_attached"] >= 6
+    digest = hashlib.sha256()
+    names = sorted(os.listdir(run_dir))
+    for name in names:
+        digest.update(name.encode())
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            digest.update(fh.read())
+    stats = system.stats()["durable"]
+    return (len(names), stats["wal_records"], stats["wal_bytes"]), digest.hexdigest()
+
+
 class TestBytesOnDisk:
-    #: SHA-256 over (file name, file bytes) of every file the run below
-    #: leaves in its directory, recorded at commit 0561248 — before the
-    #: commit watermark, the changed-record fossil pass and the shared JSON
-    #: encoder.  None of them may move a byte, a CRC, an HMAC or a seal.
-    GOLDEN = "4be567bf8ed25c730c7d9b94329a24f71c1b026aa7b930d976a32cc77afbfeb7"
+    #: Recorded once for image version 2 (frames, ledger, live-state
+    #: envelopes), key pinned.  Later changes may not move a byte, a CRC,
+    #: an HMAC or a seal.
+    SHAPE = (9, 336, 23673)
+    GOLDEN = "26a4c6d16b64b43665cfafcf99b8ba5281af2880eb40bdf97364379c6cd7bd16"
 
     def test_wal_and_envelopes_are_byte_identical_to_the_parent(self, tmp_path):
-        (tmp_path / "key.bin").write_bytes(bytes(range(32)))
-        system = HopeSystem(**_durable_kwargs(
-            tmp_path, durable_opts={"snapshot_every": 2, "retain": 1000}
-        ))
-        _build_long_counter(system)
-        system.run()
-        digest = hashlib.sha256()
-        names = sorted(os.listdir(tmp_path))
-        for name in names:
-            digest.update(name.encode())
-            digest.update((tmp_path / name).read_bytes())
-        stats = system.stats()["durable"]
-        assert (len(names), stats["wal_records"], stats["wal_bytes"]) == (8, 520, 56168)
-        assert digest.hexdigest() == self.GOLDEN
+        shape, digest = _golden_run(str(tmp_path))
+        assert shape == self.SHAPE
+        assert digest == self.GOLDEN
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Set iteration order (a two-tag frozenset, the dicts of AID keys)
+        must not reach the disk."""
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "from test_durable_resume import _golden_run;"
+            "print(_golden_run(sys.argv[2])[1])"
+        )
+        for hash_seed in ("1", "2"):
+            run_dir = tmp_path / hash_seed
+            run_dir.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.dirname(os.path.dirname(repro.__file__)),
+                 env.get("PYTHONPATH", "")]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script, os.path.dirname(__file__), str(run_dir)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == self.GOLDEN, hash_seed
 
     def test_shared_encoder_matches_json_dumps(self):
         from repro.durable.store import _json_bytes
@@ -306,10 +382,6 @@ class TestBytesOnDisk:
 
 # -------------------------------------------------------------- guardrails
 class TestGuardrails:
-    def test_durable_needs_a_directory(self):
-        with pytest.raises(HopeError, match="durable_dir"):
-            HopeSystem(seed=1, latency=ConstantLatency(1.0), durable=True)
-
     def test_no_reliable_delivery(self, tmp_path):
         with pytest.raises(HopeError, match="reliable"):
             HopeSystem(seed=1, latency=ConstantLatency(1.0),

@@ -1,10 +1,11 @@
-"""The file layer of durable runs: codec, envelopes, WALs, corruption.
+"""The file layer of durable runs: codec, envelopes, WALs, ledger, corruption.
 
 Everything here is below the runtime — pure bytes-on-disk contracts:
 values survive the codec (including ``TIMED_OUT``'s identity), envelopes
-verify or fail loudly, WAL recovery honors batch markers, retention
-prunes, and the chaos corruption helpers damage exactly what recovery
-would read.
+verify or fail loudly, WAL recovery honors batch markers, the output
+ledger verifies the prefix an envelope sealed and drops what follows it,
+retention prunes everything but the ledger, and the chaos corruption
+helpers damage exactly what recovery would read.
 """
 
 import os
@@ -15,6 +16,7 @@ from repro.durable import (
     DurableError,
     DurableStore,
     corrupt_latest_envelope,
+    corrupt_ledger,
     corrupt_wal_tail,
     decode_value,
     encode_value,
@@ -171,12 +173,94 @@ class TestWal:
         assert store.scan_wal(3) == ([], 0, True)
 
 
+# ------------------------------------------------------------------ ledger
+def _sealed_ledger(tmp_path, retain=2):
+    """Two sealed batches of rows, the second named by envelope 1."""
+    store = DurableStore(str(tmp_path), retain=retain)
+    store.open_ledger()
+    store.append_ledger("c0", [["a", 1, 0.5], ["b", 2, 1.5]])
+    store.append_ledger("judge", [["j", 1, 1.0]])
+    first = store.seal_ledger()
+    store.append_ledger("c0", [["c", 3, 2.5]])
+    sealed = store.seal_ledger()
+    store.write_envelope(1, {"v": 2, "gen": 1, "ledger": sealed})
+    return store, first, sealed
+
+
+class TestLedger:
+    def test_sealed_prefix_reads_back(self, tmp_path):
+        store, first, sealed = _sealed_ledger(tmp_path)
+        assert first[0] == 3 and sealed[0] == 4 and first[1] != sealed[1]
+        store.close()
+        again = DurableStore(str(tmp_path))
+        lines, truncated = again.open_ledger(*sealed)
+        assert lines == [("c0", [["a", 1, 0.5], ["b", 2, 1.5]]),
+                         ("judge", [["j", 1, 1.0]]),
+                         ("c0", [["c", 3, 2.5]])]
+        assert truncated == 0 and again.ledger_rows == 4
+        # the chain continues from the verified prefix
+        again.append_ledger("c0", [["d", 4, 3.5]])
+        rows, digest = again.seal_ledger()
+        again.close()
+        assert rows == 5
+        assert DurableStore(str(tmp_path)).open_ledger(rows, digest)[1] == 0
+
+    def test_bytes_past_the_sealed_prefix_are_cut_and_counted(self, tmp_path):
+        store, first, sealed = _sealed_ledger(tmp_path)
+        store.append_ledger("c0", [["never sealed", 9, 9.0]])
+        store.close()
+        path = tmp_path / "ledger.jsonl"
+        full = path.stat().st_size
+        again = DurableStore(str(tmp_path))
+        lines, truncated = again.open_ledger(*sealed)
+        assert len(lines) == 3 and truncated > 0
+        assert path.stat().st_size == full - truncated
+        # an older envelope's shorter seal verifies too, and cuts more
+        lines, more = again.open_ledger(*first)
+        assert len(lines) == 2 and more > 0 and again.ledger_rows == 3
+        # no envelope at all: nothing is sealed, nothing survives
+        lines, rest = again.open_ledger()
+        assert lines == [] and rest > 0 and path.stat().st_size == 0
+
+    def test_flipped_byte_inside_the_sealed_prefix_is_named(self, tmp_path):
+        store, _first, sealed = _sealed_ledger(tmp_path)
+        store.close()
+        assert corrupt_ledger(str(tmp_path)).endswith("ledger.jsonl")
+        with pytest.raises(DurableError, match="ledger"):
+            DurableStore(str(tmp_path)).open_ledger(*sealed)
+
+    def test_wrong_seal_or_short_file_is_refused(self, tmp_path):
+        store, first, sealed = _sealed_ledger(tmp_path)
+        store.close()
+        fresh = DurableStore(str(tmp_path))
+        with pytest.raises(DurableError, match="ledger.*digest"):
+            fresh.open_ledger(sealed[0], first[1])
+        with pytest.raises(DurableError, match="ledger.*rows"):
+            fresh.open_ledger(sealed[0] + 1, sealed[1])
+        with pytest.raises(DurableError, match="ledger.*rows"):
+            fresh.open_ledger(1, sealed[1])      # a seal never splits a line
+
+    def test_retention_never_prunes_the_ledger(self, tmp_path):
+        store, _first, sealed = _sealed_ledger(tmp_path, retain=1)
+        for gen in range(2, 6):
+            store.write_envelope(gen, {"v": 2, "gen": gen, "ledger": sealed})
+        store.close()
+        assert store.envelope_gens() == [5]
+        assert DurableStore(str(tmp_path)).open_ledger(*sealed)[1] == 0
+
+
 # ------------------------------------------------- chaos corruption helpers
 class TestCorruptionHelpers:
     def test_nothing_to_corrupt_returns_none(self, tmp_path):
-        DurableStore(str(tmp_path))           # just the key file
+        store = DurableStore(str(tmp_path))   # just the key file
         assert corrupt_latest_envelope(str(tmp_path)) is None
         assert corrupt_wal_tail(str(tmp_path)) is None
+        assert corrupt_ledger(str(tmp_path)) is None
+        # rows no envelope has sealed are not on the recovery path either
+        store.open_ledger()
+        store.append_ledger("c0", [["a", 1, 0.5]])
+        store.seal_ledger()
+        assert corrupt_ledger(str(tmp_path)) is None
 
     def test_wal_helper_only_touches_the_replay_path(self, tmp_path):
         """WALs already consolidated into a newer envelope are invisible

@@ -358,6 +358,7 @@ def test_run_durable_then_resume_completed(tmp_path):
     )
     assert code == 0
     assert "resumed from generation" in out
+    assert "frames replayed: 0, ledger rows verified: 2)" in out
     assert "'Summary ...', 11" in out      # committed outputs preserved
 
 
@@ -394,6 +395,7 @@ def test_chaos_kill_at_matrix():
     assert code == 0
     assert "kill/resume matrix:" in out
     assert "corrupt=envelope" in out and "corrupt=wal" in out
+    assert "corrupt=ledger" in out
 
 
 def test_chaos_kill_at_unknown_workload():
