@@ -84,7 +84,7 @@ def _load_track():
 # byte-identity matrix: kernels x engine modes x one faulted chaos case
 # ----------------------------------------------------------------------
 _ENGINE_MODES = {
-    "plain": {},
+    "plain": {"fossil_collect": False},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
 }
 

@@ -237,6 +237,7 @@ def _build_system(
     seed: int,
     trace: Optional[Tracer],
     metrics=None,
+    fossil_collect: bool = True,
 ) -> HopeSystem:
     links = LinkLatency(default=ConstantLatency(config.latency))
     for w in range(config.n_warts):
@@ -253,9 +254,10 @@ def _build_system(
         trace=trace,
         metrics=metrics,
         # Every Figure 2 body declares a commit point per loop iteration:
-        # rebase points are promoted as the WorryWarts affirm, so a restart
-        # replays the speculative window, not the run so far.
-        fossil_collect=True,
+        # fossil passes promote rebase points as the WorryWarts affirm, so
+        # a restart replays the speculative window, not the run so far
+        # (False: the reference twin of the differential tests).
+        fossil_collect=fossil_collect,
     )
 
 

@@ -325,7 +325,6 @@ def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
         seed=seed,
         latency=ConstantLatency(1.0),
         kernel=kernel,
-        fossil_collect=True,
         fossil_interval=_KILL_FOSSIL_INTERVAL,
         durable_dir=run_dir,
         durable_opts=dict(durable_opts),
@@ -456,7 +455,7 @@ def run_kill_resume_case(
             resumed = HopeSystem.resume(
                 run_dir, workload.build, seed=seed,
                 latency=ConstantLatency(1.0), kernel=kernel,
-                fossil_collect=True, fossil_interval=_KILL_FOSSIL_INTERVAL,
+                fossil_interval=_KILL_FOSSIL_INTERVAL,
                 durable_opts=dict(durable_opts),
             )
             resumed.run(max_events=workload.max_events)

@@ -53,6 +53,31 @@ class _CollectorClock:
         )
 
 
+class _PassClock:
+    """Stands in for ``HopeSystem._run_fossil_collection`` under ``run
+    --profile``: the seconds the fossil passes took, measured only for
+    the profiled run (their count and visits are always in ``stats()``)."""
+
+    def __init__(self, system: HopeSystem) -> None:
+        self.seconds = 0.0
+        self._run_pass = system._run_fossil_collection
+        system._run_fossil_collection = self
+
+    def __call__(self) -> None:
+        began = time.perf_counter()
+        try:
+            self._run_pass()
+        finally:
+            self.seconds += time.perf_counter() - began
+
+    def line(self, stats: dict) -> str:
+        return (
+            f"fossil: {stats['fossil_collections']} passes, "
+            f"{stats['fossil_records_visited']} records visited, "
+            f"{stats['fossil_aids_examined']} AIDs examined, {self.seconds:.3f} s"
+        )
+
+
 def parse_partition(raw: str) -> Partition:
     """Parse ``--partition a,b|c,d:START-HEAL`` (HEAL optional: ``5-``
     never heals)."""
@@ -220,24 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
         "identical traces every way (see docs/PERFORMANCE.md §6 and §8)",
     )
     run.add_argument(
-        "--fossil-collect",
-        action="store_true",
-        help="reclaim committed state behind the commit frontier "
-        "(bounded memory on long runs; see docs/PERFORMANCE.md §4)",
-    )
-    run.add_argument(
         "--fossil-interval",
         type=int,
         default=64,
         metavar="N",
-        help="fossil-collect after every N finalizes (with --fossil-collect)",
+        help="minimum finalizes between fossil-collection passes "
+        "(see docs/PERFORMANCE.md §4 and §13)",
     )
     run.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the top 25 functions by "
         "cumulative time after the run, then the garbage collector's "
-        "collections and seconds per generation (docs/PERFORMANCE.md §8, §11)",
+        "collections and seconds per generation and the fossil passes' "
+        "count, visits and seconds (docs/PERFORMANCE.md §8, §11, §13)",
     )
     run.add_argument(
         "--profile-out",
@@ -264,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="record sealed snapshots + an effect WAL into DIR so a killed "
-        "run can be resumed with `repro resume` (implies fossil "
-        "collection; see docs/DURABILITY.md)",
+        "run can be resumed with `repro resume` (flushed at fossil-"
+        "collection passes; see docs/DURABILITY.md)",
     )
     add_fault_arguments(run)
 
@@ -303,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--fossil-interval", type=int, default=64, metavar="N",
-        help="fossil-collect after every N finalizes",
+        help="minimum finalizes between fossil-collection passes",
     )
     resume.add_argument(
         "--until", type=float, default=None, help="stop at this virtual time"
@@ -490,7 +511,6 @@ def cmd_run(args, out) -> int:
         trace=tracer,
         aid_mode=args.aid_mode,
         kernel=args.kernel,
-        fossil_collect=args.fossil_collect,
         fossil_interval=args.fossil_interval,
         metrics=registry,
         faults=faults,
@@ -508,6 +528,7 @@ def cmd_run(args, out) -> int:
 
         profiler = cProfile.Profile()
         collector = _CollectorClock()
+        passes = _PassClock(system)
         gc.callbacks.append(collector)
         profiler.enable()
     try:
@@ -570,6 +591,7 @@ def cmd_run(args, out) -> int:
         stats_obj = pstats.Stats(profiler, stream=out)
         stats_obj.sort_stats("cumulative").print_stats(25)
         print(collector.line(), file=out)
+        print(passes.line(stats), file=out)
         if args.profile_out is not None:
             stats_obj.dump_stats(args.profile_out)
             print(f"profile: wrote pstats data to {args.profile_out}", file=out)
@@ -607,7 +629,6 @@ def cmd_resume(args, out) -> int:
             latency=ConstantLatency(args.latency),
             trace=tracer,
             kernel=args.kernel,
-            fossil_collect=True,
             fossil_interval=args.fossil_interval,
         )
     except DurableError as exc:

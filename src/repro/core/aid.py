@@ -47,7 +47,7 @@ class AssumptionId:
 
     __slots__ = (
         "name", "serial", "key", "dom", "status", "resolved_by",
-        "speculative_affirmer",
+        "speculative_affirmer", "parked_denies",
     )
 
     def __init__(self, name: str, serial: Optional[int] = None) -> None:
@@ -61,11 +61,17 @@ class AssumptionId:
         self.status = AidStatus.PENDING
         #: Diagnostic: which process performed the definite resolution.
         self.resolved_by: Optional[str] = None
-        #: The speculative interval whose affirm(X) emptied DOM, if any.
-        #: Needed so a rollback of that interval can release the AID back
-        #: to PENDING (footnote 2: rollback of a speculative affirm is a
-        #: conservative deny; the re-execution may then resolve X afresh).
+        #: The live speculative interval whose affirm(X) emptied DOM, if
+        #: any.  Needed so a rollback of that interval can release the AID
+        #: back to PENDING (footnote 2: rollback of a speculative affirm is
+        #: a conservative deny; the re-execution may then resolve X
+        #: afresh).  Cleared when the interval finalizes or rolls back, so
+        #: an AID never reaches an interval behind the commit frontier.
         self.speculative_affirmer: Optional["Interval"] = None
+        #: How many live speculative intervals hold a deny of X parked in
+        #: their IHD (Eq 16).  Such an AID is about to change status at a
+        #: finalize, so fossil collection must not retire it yet.
+        self.parked_denies = 0
 
     @property
     def pending(self) -> bool:

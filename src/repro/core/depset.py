@@ -16,10 +16,13 @@ depth-*n* guess chain cost O(n²) set copies and every send O(|IDO|).
   send is O(1) after the first send from a given dependency state.
 
 Interning is scoped to a :class:`DepSetInterner` owned by one
-:class:`~repro.core.machine.Machine`; AIDs and DepSets live exactly as
-long as their machine, which is what makes the ``id()``-keyed operation
-memos sound (CPython ids are stable while an object is strongly held,
-and the interner's canonical table holds every DepSet it ever made).
+:class:`~repro.core.machine.Machine`.  The canonical table holds its
+sets *weakly*: a DepSet lives as long as something carries it — an
+interval's IDO, or an operation memo until the next fossil pass clears
+them — and leaves the table when the last of those goes, so nobody has
+to work out which sets are still reachable.  The ``id()``-keyed memos
+stay sound because each entry strongly holds its operands (CPython ids
+are stable while an object is held).
 
 Semantics are untouched: a DepSet behaves exactly like the frozenset of
 its members for membership, iteration, comparison, and equality — the
@@ -28,6 +31,7 @@ Lemma 5.1 / Theorem 5.1 invariant checks run against DepSets unchanged.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -43,7 +47,7 @@ class DepSet:
     equality so existing tests and user code keep reading naturally.
     """
 
-    __slots__ = ("members", "_interner", "_tag_keys")
+    __slots__ = ("members", "_interner", "_tag_keys", "__weakref__")
 
     def __init__(self, members: frozenset, interner: "DepSetInterner") -> None:
         self.members = members
@@ -134,6 +138,13 @@ class DepSet:
         return f"DepSet{{{inner}}}"
 
 
+class _TableRef(weakref.ref):
+    """The table's weak reference to an interned set; remembers the key it
+    sits under so that its death can remove the entry."""
+
+    __slots__ = ("members",)
+
+
 class DepSetInterner:
     """Hash-consing table plus operation memos for one machine's DepSets.
 
@@ -150,17 +161,25 @@ class DepSetInterner:
         stats.setdefault("depset_hits", 0)
         stats.setdefault("depset_misses", 0)
         self.stats = stats
-        self._table: dict[frozenset, DepSet] = {}
+        #: members -> weak reference to the canonical set.  (By hand, not
+        #: a WeakValueDictionary: one is a microsecond per set slower, on
+        #: the path every guess takes.)
+        self._table: dict[frozenset, _TableRef] = {}
+        self._on_death = self._forget
         #: (id(base), id(aid)) -> base ∪ {aid}
         self._add_memo: dict[tuple[int, int], DepSet] = {}
         #: (id(base), id(aid)) -> base ∖ {aid}
         self._discard_memo: dict[tuple[int, int], DepSet] = {}
         #: (id(a), id(b)) -> a ∪ b
         self._union_memo: dict[tuple[int, int], DepSet] = {}
+        #: The memo operands no memo value reaches, held so that the ids
+        #: in the memo keys cannot be recycled while the entry exists (an
+        #: AID operand is a member of the held base or result).
+        self._memo_operands: list[DepSet] = []
         self.empty = self.intern(frozenset())
 
     def __len__(self) -> int:
-        """Number of distinct dependency sets ever interned."""
+        """Number of distinct dependency sets currently alive."""
         return len(self._table)
 
     # ------------------------------------------------------------------
@@ -172,40 +191,37 @@ class DepSetInterner:
             return members
         if not isinstance(members, frozenset):
             members = frozenset(members)
-        ds = self._table.get(members)
+        ref = self._table.get(members)
+        ds = ref() if ref is not None else None
         if ds is None:
             ds = DepSet(members, self)
-            self._table[members] = ds
+            ref = _TableRef(ds, self._on_death)
+            ref.members = members
+            self._table[members] = ref
             self.stats["depset_misses"] += 1
         else:
             self.stats["depset_hits"] += 1
         return ds
 
-    def compact(self, live: Iterable[DepSet]) -> int:
-        """Drop interned sets not in ``live`` (plus ∅) and all memos.
+    def _forget(self, ref: _TableRef) -> None:
+        if self._table.get(ref.members) is ref:
+            del self._table[ref.members]
 
-        Fossil collection calls this with the DepSets still reachable from
-        live machine state.  The memos are cleared wholesale because their
-        ``id()`` keys are only sound while the table strongly holds every
-        operand — a retained memo entry whose operand was dropped could
-        collide with a recycled id.  Dropped sets may be re-derived later;
-        they re-intern as fresh (but equal) canonical objects.
+    def clear_memos(self) -> int:
+        """Drop the operation memos and, with them, every interned set
+        that only a memo kept alive; returns how many sets that freed.
+
+        Fossil collection calls this once per pass, which bounds the memos
+        by the work between two passes.  A dropped set may be re-derived
+        later; it re-interns as a fresh canonical object, and since the
+        old one is gone by then the two can never meet.
         """
-        keep = {ds.members: ds for ds in live if isinstance(ds, DepSet)}
-        keep[self.empty.members] = self.empty
-        dropped = len(self._table) - len(keep)
-        if dropped <= 0:
-            return 0
-        self._table = keep
-        self.clear_memos()
-        return dropped
-
-    def clear_memos(self) -> None:
-        """Drop the operation memos (their ``id()`` keys are only sound
-        while every operand — DepSet *and* AID — stays strongly held)."""
+        before = len(self._table)
         self._add_memo.clear()
         self._discard_memo.clear()
         self._union_memo.clear()
+        self._memo_operands.clear()
+        return before - len(self._table)
 
     # ------------------------------------------------------------------
     # memoized operations (the machine's hot rewrites)
@@ -220,6 +236,7 @@ class DepSetInterner:
         if ds is None:
             ds = self.intern(base.members | {aid})
             self._add_memo[key] = ds
+            self._memo_operands.append(base)
         else:
             self.stats["depset_hits"] += 1
         return ds
@@ -241,6 +258,7 @@ class DepSetInterner:
         if ds is None:
             ds = self.intern(base.members - {aid})
             self._discard_memo[key] = ds
+            self._memo_operands.append(base)
         else:
             self.stats["depset_hits"] += 1
         return ds
@@ -258,6 +276,7 @@ class DepSetInterner:
         if ds is None:
             ds = self.intern(a.members | b.members)
             self._union_memo[key] = ds
+            self._memo_operands += (a, b)
         else:
             self.stats["depset_hits"] += 1
         return ds

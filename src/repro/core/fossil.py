@@ -14,24 +14,28 @@ This module reclaims, per collection pass:
   rows and dead (finalized or rolled-back) intervals behind each
   process's own frontier (rollback is per-process, so the per-process
   frontier suffices for history);
-* **unreachable AIDs** — identifiers no longer referenced by any
-  retained interval and not *pinned* by the caller (the runtime pins
-  tags of in-flight and queued messages plus user-reachable handles).
+* **unreachable AIDs** — identifiers no live interval depends on, has
+  speculatively affirmed or has parked a deny of, and that nothing
+  outside the machine has *pinned* (:meth:`Machine.pin`: the runtime pins
+  the tags of messages not yet consumed plus user-reachable handles).
   Resolved ones are committed by Theorem 6.1; *pending* ones are
   orphans minted inside rolled-back intervals that nothing can ever
   resolve.  A retired AID leaves ``Machine.aids``; by-object use
   (``guess`` on a held reference) still works, by-key lookup raises;
-* **interned DepSets** — table entries unreachable from retained
-  intervals, plus *all* the ``id()``-keyed operation memos (which are
-  only sound while every operand is strongly held — see
-  :meth:`~repro.core.depset.DepSetInterner.compact`);
+* **interned DepSets** — the table holds its sets weakly, so one dies
+  with the last interval that carries it; a pass drops what else kept
+  them, the ``id()``-keyed operation memos (see
+  :meth:`~repro.core.depset.DepSetInterner.clear_memos`);
 * **stale resolution-cache entries** — memoized ``resolve_tags`` /
   ``resolve_tag_keys`` results whose key mentions a retired AID, so
   retirement never leaves a cache entry pinning a dead identifier.
 
-A pass costs what changed since the last one, not what exists: it visits
-only the records the machine queued (``Machine.changed``) and examines
-only AIDs whose DOM is empty (see the comments in :func:`collect`).
+A pass costs what it can reclaim, not what exists: it visits the records
+the machine queued because an interval of theirs finalized or rolled
+back, lets a bounded number of merely changed ones ride along
+(:meth:`Machine.take_queued`), and examines only the AIDs whose state
+changed or whose last pin was released (see the comments in
+:func:`collect`).
 
 The frontier mirrors Time Warp's GVT + fossil collection (compare
 ``repro.baselines.timewarp.gvt.GvtManager.fossil_collect``): GVT is the
@@ -42,7 +46,7 @@ in-transit messages.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .aid import AidStatus
 
@@ -85,60 +89,49 @@ class FossilStats:
         )
 
 
-def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilStats:
-    """Run one fossil-collection pass over ``machine``.
+def collect(machine: "Machine", visited: list) -> FossilStats:
+    """Run one fossil-collection pass over ``machine``, visiting the
+    records in ``visited`` (see :meth:`Machine.take_queued`).
 
     Must be called at a quiescent point — not from inside a machine
     primitive or event listener (the runtime defers collection to its
     effect-dispatch boundary for exactly this reason).
-
-    ``pinned_keys`` are AID string keys that must stay resolvable by key
-    (``Machine.aid(key)``) even though the machine itself no longer needs
-    them — message tags still in flight, handles user code still holds.
     """
     out = FossilStats()
 
-    # 1. History prefixes and dead intervals, per-process frontier — of
-    # the records that changed since the last pass.  One nothing touched
-    # and that kept no interval last time has nothing to drop and nothing
-    # to contribute below: skipping it reclaims what a full sweep would.
-    visited = list(machine.changed)
-    machine.changed.clear()
-    referenced: set = set()
-    live_depsets = []
+    # 1. History prefixes and dead intervals, per-process frontier.  A
+    # finalize or a rollback queues its record, so one that is not in the
+    # batch has no interval to drop: skipping it reclaims what a full
+    # sweep would.
     for record in visited:
-        record.changed = False
-        dropped_hist, dropped_iv = record.fossilize_before(record.frontier_index())
+        dropped_hist, dropped_iv = record.fossilize_before()
         out.history_dropped += dropped_hist
         out.intervals_dropped += dropped_iv
-        for iv in record.intervals:
-            referenced.update(iv.ihd)
-            referenced.update(iv.spec_affirms)
-            live_depsets.append(iv.ido)
-        if record.intervals:
-            # Retained speculation must be seen again next pass (its IDO
-            # sets keep interned DepSets alive) even if nothing touches it.
-            record.mark_changed()
 
-    # 2. Retire AIDs nothing retained can reach.  Only AIDs with an empty
-    # DOM are examined: those the machine queued since the last pass join
-    # those an earlier pass had to defer.  A live interval's IDO needs no
-    # scan — by Lemma 5.1 it shows up as a non-empty X.DOM, which only
-    # empties through a resolution or a rollback, and both queue the AID.
+    # 2. Retire AIDs nothing can reach any more.  Only the AIDs the
+    # machine queued since the last pass are examined, and every way an
+    # AID is kept ends in an event that queues it again: a live
+    # interval's IDO shows up as a non-empty X.DOM (Lemma 5.1), which
+    # only empties through a resolution or a rollback; a speculative
+    # affirm or a parked deny ends when its interval finalizes or rolls
+    # back; a pin ends in Machine.unpin.  The queue is swapped out first
+    # so that an unpin arriving mid-pass (a handle dying as the pass
+    # drops what held it) lands in the next one.
+    candidates, machine._retire_candidates = machine._retire_candidates, []
     aids = machine.aids
+    pins = machine.pins
     deferred = machine._retire_deferred
-    for aid in machine._retire_candidates:
-        if not aid.dom:
-            key = aid.key
-            if aids.get(key) is aid:        # not already retired
-                deferred[key] = aid
-    machine._retire_candidates.clear()
     retired = {}
-    for key in deferred.keys() - pinned_keys:     # one C-level set difference
-        aid = deferred[key]
-        if not (aid.dom or aid in referenced):
+    for aid in candidates:
+        if aid.dom or aid.parked_denies or aid.speculative_affirmer is not None:
+            continue
+        key = aid.key
+        if aids.get(key) is not aid:        # already retired
+            continue
+        if key in pins:
+            deferred[key] = aid
+        else:
             retired[key] = aid
-            del deferred[key]
             del aids[key]
     for aid in retired.values():
         if aid.status is AidStatus.AFFIRMED:
@@ -154,13 +147,9 @@ def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilS
             machine.stats["aids_retired_pending"] += 1
     out.aids_retired = len(retired)
 
-    # 3. Compact the DepSet interner to what retained intervals reach.
-    out.depsets_dropped = machine.depsets.compact(live_depsets)
-    if retired and not out.depsets_dropped:
-        # Retired AID ids may be recycled once the last reference dies;
-        # the id()-keyed memos must not survive that even when the table
-        # itself had nothing to drop.
-        machine.depsets.clear_memos()
+    # 3. Drop the DepSet operation memos: what only they kept alive goes
+    # with them, and no id() key outlives the AID it was taken from.
+    out.depsets_dropped = machine.depsets.clear_memos()
 
     # 4. Purge resolution-cache entries that mention a retired AID
     # (satellite: retirement must not leave pinned resolution results).
@@ -176,6 +165,7 @@ def collect(machine: "Machine", pinned_keys: frozenset = frozenset()) -> FossilS
 
     machine.stats["fossil_collections"] += 1
     machine.stats["fossil_records_visited"] += len(visited)
+    machine.stats["fossil_aids_examined"] += len(candidates)
     machine.stats["fossil_history_dropped"] += out.history_dropped
     machine.stats["fossil_intervals_dropped"] += out.intervals_dropped
     machine.stats["fossil_aids_retired"] += out.aids_retired

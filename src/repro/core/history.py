@@ -18,7 +18,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import MachineInvariantError
-from .interval import Interval
+from .interval import Interval, IntervalState
+
+_SPECULATIVE = IntervalState.SPECULATIVE
+_ROLLED_BACK = IntervalState.ROLLED_BACK
 
 if TYPE_CHECKING:  # pragma: no cover
     from .aid import AssumptionId
@@ -60,7 +63,7 @@ class ProcessRecord:
     __slots__ = (
         "name", "history", "intervals", "current", "speculative", "g",
         "_next_index", "_floor_index", "rollback_count", "order", "changed",
-        "_changed_sink", "keeps_history",
+        "_changed_sink", "reclaimable", "_reclaimable_sink", "keeps_history",
     )
 
     def __init__(
@@ -69,16 +72,26 @@ class ProcessRecord:
         order: int = 0,
         changed_sink: Optional[list] = None,
         keeps_history: bool = True,
+        reclaimable_sink: Optional[list] = None,
     ) -> None:
         self.name = name
         #: False: :meth:`append` only advances the index clock.
         self.keeps_history = keeps_history
         #: Creation rank within the owning machine (stable visiting order).
         self.order = order
-        #: True while queued in ``_changed_sink``, the owning machine's
-        #: list of records the next fossil pass has to look at.
-        self.changed = False
+        #: True from a change until the next visit by a fossil pass; the
+        #: record then has a place in ``_changed_sink``, the owning
+        #: machine's first-come queue of records that merely changed.
+        #: None (false, but not False): visited out of turn since, place
+        #: kept — the queue never holds a record twice.
+        self.changed: Optional[bool] = False
         self._changed_sink = changed_sink if changed_sink is not None else []
+        #: True while queued in ``_reclaimable_sink``, the machine's list
+        #: of records a pass has something to reclaim from.
+        self.reclaimable = False
+        self._reclaimable_sink = (
+            reclaimable_sink if reclaimable_sink is not None else []
+        )
         self.history: list[HistoryEntry] = []
         #: All intervals ever created, in creation order (including dead ones).
         self.intervals: list[Interval] = []
@@ -134,8 +147,20 @@ class ProcessRecord:
         Every history append does this; an embedding runtime calls it for
         changes the machine cannot see (its own per-process tables)."""
         if not self.changed:
+            if self.changed is False:
+                self._changed_sink.append(self)
             self.changed = True
-            self._changed_sink.append(self)
+
+    def mark_reclaimable(self) -> None:
+        """Queue this record for the next fossil pass as one it can reclaim
+        something from (idempotent): the machine calls it when one of the
+        record's intervals finalizes or rolls back, an embedding runtime
+        for what it will be able to drop itself (a log prefix behind a
+        new commit point).  A pass visits every such record; one that
+        merely :meth:`mark_changed` waits its turn."""
+        if not self.reclaimable:
+            self.reclaimable = True
+            self._reclaimable_sink.append(self)
 
     def truncate_from(self, start_index: int) -> list[HistoryEntry]:
         """Del(H, A): discard the history suffix from ``start_index`` on.
@@ -166,9 +191,10 @@ class ProcessRecord:
             self._floor_index = start_index
         return drop
 
-    def fossilize_before(self, index: int) -> tuple[int, int]:
+    def fossilize_before(self, index: Optional[int] = None) -> tuple[int, int]:
         """Drop the committed prefix: history entries and dead intervals
-        strictly below ``index``.
+        strictly below ``index`` (default: the commit frontier itself,
+        what a fossil pass does with every record it visits).
 
         The inverse of :meth:`truncate_from` — a *prefix* drop, sound only
         when ``index`` is at or below the process's commit frontier
@@ -180,16 +206,23 @@ class ProcessRecord:
         the count is the same whether or not the record keeps them.
         """
         frontier = self.frontier_index()
-        if index > frontier:
+        if index is None:
+            index = frontier
+        elif index > frontier:
             raise MachineInvariantError(
                 f"fossilize_before({index}) on {self.name!r} would cross the "
                 f"commit frontier at {frontier}"
             )
-        passed = max(index - self._floor_index, 0)
-        if passed:
+        passed = index - self._floor_index
+        if passed > 0:
             self._floor_index = index
             if self.history:
                 self.history = [e for e in self.history if e.index >= index]
+        else:
+            passed = 0
+        intervals = self.intervals
+        if not intervals:
+            return (passed, 0)
         # An interval is fossil once it can never matter again: finalized
         # and started before the drop point, or rolled back (a terminal
         # state wherever it sits — truncation already rewound the index
@@ -197,20 +230,19 @@ class ProcessRecord:
         # ``parent`` keeps a surviving child from pinning a dropped
         # ancestor chain.
         keep: list[Interval] = []
-        dropped = 0
-        for iv in self.intervals:
-            if iv.rolled_back or (
-                not iv.speculative
-                and iv is not self.current
-                and iv.start_index < index
+        current = self.current
+        for iv in intervals:
+            state = iv.state
+            if state is not _ROLLED_BACK and (
+                state is _SPECULATIVE or iv is current or iv.start_index >= index
             ):
-                dropped += 1
-            else:
                 keep.append(iv)
+        dropped = len(intervals) - len(keep)
         if dropped:
             self.intervals = keep
             for iv in keep:
-                if iv.parent is not None and not iv.parent.speculative:
+                parent = iv.parent
+                if parent is not None and parent.state is not _SPECULATIVE:
                     iv.parent = None
         return (passed, dropped)
 

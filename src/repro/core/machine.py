@@ -107,6 +107,9 @@ class Machine:
         # instances and change AID/interval labels between runs).
         self._aid_serials = 0
         self._interval_serials = 0
+        #: Where this machine's serials start (:meth:`offset_serials`): a
+        #: key numbered in ``(_serial_base, _aid_serials]`` was minted here.
+        self._serial_base = 0
         self._listeners: list[Callable[[MachineEvent], None]] = []
         self.stats = {
             "guesses": 0,
@@ -121,6 +124,7 @@ class Machine:
             "resolve_cache_misses": 0,
             "fossil_collections": 0,
             "fossil_records_visited": 0,
+            "fossil_aids_examined": 0,
             "fossil_history_dropped": 0,
             "fossil_intervals_dropped": 0,
             "fossil_aids_retired": 0,
@@ -141,14 +145,21 @@ class Machine:
         self._resolve_cache: dict[frozenset, tuple[bool, frozenset]] = {}
         self._resolve_key_cache: dict[frozenset, tuple[bool, frozenset]] = {}
         #: What the next fossil pass has to look at, so that it costs what
-        #: changed, not what exists: the records whose history moved (each
-        #: queued once, :meth:`ProcessRecord.mark_changed`); the AIDs that
-        #: may have become retirable — created, definitively resolved, or
-        #: orphaned by a rollback; and, by key, the ones a pass examined
-        #: but had to keep (still referenced or pinned).
+        #: it can reclaim, not what exists: the records with an interval
+        #: that finalized or rolled back (:meth:`ProcessRecord.mark_reclaimable`)
+        #: and, first come first served, the ones that merely changed
+        #: (:meth:`ProcessRecord.mark_changed`; see :meth:`take_queued`);
+        #: the AIDs that may have become retirable — created, definitively
+        #: resolved, orphaned by a rollback, or released by whatever kept
+        #: them; and, by key, the ones a pass found retirable but pinned,
+        #: which wait here until :meth:`unpin` drops their last pin.
+        self.reclaimable: list[ProcessRecord] = []
         self.changed: list[ProcessRecord] = []
         self._retire_candidates: list[AssumptionId] = []
         self._retire_deferred: dict[str, AssumptionId] = {}
+        #: AID key -> number of things outside the machine that may still
+        #: look the key up (:meth:`pin`).
+        self.pins: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -158,7 +169,8 @@ class Machine:
         record = self.processes.get(name)
         if record is None:
             record = ProcessRecord(
-                name, len(self.processes), self.changed, self.history
+                name, len(self.processes), self.changed, self.history,
+                self.reclaimable,
             )
             self.processes[name] = record
             record.append("init")
@@ -181,8 +193,40 @@ class Machine:
     def aid(self, key: str) -> AssumptionId:
         aid = self.aids.get(key)
         if aid is None:
+            serial = key.rpartition("#")[2]
+            if serial.isdigit() and self._serial_base < int(serial) <= self._aid_serials:
+                raise UnknownAidError(
+                    f"assumption identifier {key!r} was retired by collection — "
+                    "its last handle, tag and interval are gone; hold the "
+                    "`AidHandle`, not `aid.key`"
+                )
             raise UnknownAidError(f"unknown assumption identifier {key!r}")
         return aid
+
+    def pin(self, keys: Iterable[str]) -> None:
+        """Keep the AIDs named by ``keys`` resolvable by :meth:`aid` even
+        once the machine itself is done with them.  An embedding runtime
+        pins what can still name an AID by key — a user-held handle, the
+        tags of a message not yet consumed — and calls :meth:`unpin` when
+        that holder is gone.  Pins count: each call needs its own unpin."""
+        pins = self.pins
+        for key in keys:
+            pins[key] = pins.get(key, 0) + 1
+
+    def unpin(self, keys: Iterable[str]) -> None:
+        """Undo one :meth:`pin` of each key.  An AID a fossil pass kept
+        only for its pins is examined again at the next pass once the last
+        one goes — the release is the event, no pass rescans the table."""
+        pins = self.pins
+        for key in keys:
+            count = pins[key] - 1
+            if count:
+                pins[key] = count
+            else:
+                del pins[key]
+                aid = self._retire_deferred.pop(key, None)
+                if aid is not None:
+                    self._retire_candidates.append(aid)
 
     def offset_serials(self, base: int) -> None:
         """Start the AID/interval serial counters at ``base``.
@@ -194,7 +238,7 @@ class Machine:
         """
         if self._aid_serials or self._interval_serials:
             raise HopeError("offset_serials must be called before any aid_init/guess")
-        self._aid_serials = base
+        self._aid_serials = self._serial_base = base
         self._interval_serials = base
 
     def adopt_aid(self, key: str) -> AssumptionId:
@@ -458,7 +502,9 @@ class Machine:
         via: str,
     ) -> None:
         """Speculative deny: Eq 16.  Parked in A.IHD until finalize."""
-        current.ihd.add(aid)
+        if aid not in current.ihd:
+            current.ihd.add(aid)
+            aid.parked_denies += 1
         record.append("deny", aid=aid.key, mode="speculative", via=via)
         self._emit(DenyEvent(record.name, aid, definite=False))
 
@@ -526,6 +572,7 @@ class Machine:
         interval.state = IntervalState.DEFINITE
         record = self.processes[interval.pid]
         record.speculative.discard(interval)                     # Eq 21
+        record.mark_reclaimable()
         if record.keeps_history:
             record.append("finalize", interval=interval.label)
         else:
@@ -542,12 +589,18 @@ class Machine:
         # now-unrevocable status and release any dependents the AID
         # accumulated after the speculative affirm (e.g. later guesses).
         for affirmed in interval.spec_affirms:
+            # The affirm is definite from here on; an AID that outlives
+            # this interval must not keep it (and what it holds) reachable.
+            if affirmed.speculative_affirmer is interval:
+                affirmed.speculative_affirmer = None
             if affirmed.pending:
                 affirmed.status = AidStatus.AFFIRMED
                 affirmed.resolved_by = interval.pid
                 self._emit(AffirmEvent(interval.pid, affirmed, definite=True))
                 self._shed_affirmed(affirmed)
         for parked in sorted(interval.ihd, key=_aid_order):      # Eq 22
+            parked.parked_denies -= 1
+            self._retire_candidates.append(parked)
             if parked.denied:
                 continue
             if parked.affirmed:
@@ -631,6 +684,7 @@ class Machine:
         from S.IS and every DOM, and release what it speculatively affirmed."""
         dead.state = IntervalState.ROLLED_BACK
         record.speculative.discard(dead)
+        record.mark_reclaimable()
         candidates = self._retire_candidates
         for dep_aid in dead.ido:
             dep_aid.dom.discard(dead)
@@ -645,6 +699,9 @@ class Machine:
                 affirmed.speculative_affirmer = None
         candidates.extend(dead.spec_affirms)
         dead.spec_affirms.clear()
+        for parked in dead.ihd:             # parked denies die with the interval
+            parked.parked_denies -= 1
+        candidates.extend(dead.ihd)
 
     # ------------------------------------------------------------------
     # resolution-conflict policy
@@ -754,19 +811,53 @@ class Machine:
     # ------------------------------------------------------------------
     # fossil collection (commit frontier)
     # ------------------------------------------------------------------
-    def fossil_collect(self, pinned_keys: frozenset = frozenset()):
+    def take_queued(self, limit: Optional[int] = None) -> list[ProcessRecord]:
+        """Dequeue the records the next fossil pass visits.
+
+        Every record with something to reclaim comes first and always
+        (an interval of it finalized or rolled back since its last visit,
+        so the visit is paid for).  Up to ``limit`` of the records that
+        merely changed follow (``None``: all of them), oldest change
+        first; the rest keep their place in the queue, so a system of
+        many processes that each did a little does not make every pass
+        walk all of them.  The queue holds a record once, so with a
+        positive ``limit`` every queued record is reached within
+        ``len(changed) / limit`` passes, however many are reclaimable.
+        """
+        batch = list(self.reclaimable)
+        self.reclaimable.clear()
+        for record in batch:
+            record.reclaimable = False
+            if record.changed:
+                record.changed = None           # its place in the queue is stale
+        queue = self.changed
+        room = len(queue) if limit is None else limit
+        scanned = 0
+        for record in queue:
+            if room <= 0:
+                break
+            scanned += 1
+            if record.changed:                  # not a stale place
+                batch.append(record)
+                room -= 1
+            record.changed = False
+        del queue[:scanned]
+        return batch
+
+    def fossil_collect(self, records: Optional[list] = None):
         """Reclaim committed state behind each process's commit frontier.
 
         See :mod:`repro.core.fossil` for what is reclaimed and why it is
-        sound (Theorem 6.1).  ``pinned_keys`` are AID string keys that
-        must remain resolvable by :meth:`aid` — callers embedding the
-        machine (the runtime) pin tags of in-flight messages and
-        user-held handles.  Must be called between primitives, never from
-        an event listener.  Returns :class:`repro.core.fossil.FossilStats`.
+        sound (Theorem 6.1).  ``records`` is the batch an embedding
+        runtime took with :meth:`take_queued` (and has settled its own
+        tables for); by default every queued record is visited.  AIDs
+        whose keys are pinned (:meth:`pin`) stay resolvable by
+        :meth:`aid`.  Must be called between primitives, never from an
+        event listener.  Returns :class:`repro.core.fossil.FossilStats`.
         """
         from .fossil import collect
 
-        return collect(self, pinned_keys)
+        return collect(self, self.take_queued() if records is None else records)
 
     # ------------------------------------------------------------------
     # crash support (optimistic recovery)

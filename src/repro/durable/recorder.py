@@ -487,8 +487,8 @@ class DurableRecorder:
                 result = decode_value(enc)
                 if kind == "aid_init":
                     # Re-pin the handle: the log entry holds the strong
-                    # reference, the weak map gives tags a way back to it.
-                    system._handles[result.key] = result
+                    # reference, the pin lasts as long as it does.
+                    system._pin_handle(result)
                 entries.append(_make_entry((kind, result)))
             log = proc.log
             log.base = img.base

@@ -59,7 +59,6 @@ _REJECTED = {
     "faults": "fault plans assume one shared network fate stream",
     "reliable": "reliable delivery duplicates the wire-format acks",
     "failure_detector": "worker death is the detector (coordinator-side)",
-    "fossil_collect": "fossil collection cannot see cross-shard pins",
     "shuffle_ties": "tie shuffling is a model-checking (sim) feature",
     "controller": "directed scheduling is a model-checking (sim) feature",
     "transport": "the parallel backend installs its own ShardTransport",

@@ -52,6 +52,11 @@ def _build_system(spec: ShardSpec):
         kernel=config["kernel"],
         metrics=MetricsRegistry() if config["metered"] else None,
         transport=transport_factory,
+        # A shard never collects, whatever the coordinator was asked for:
+        # the pins on an AID (handles, tags of messages in flight) can sit
+        # on another shard, where this machine cannot see them, so it
+        # could retire an AID a remote delivery will still look up by key.
+        fossil_collect=False,
     )
     transport = holder["transport"]
     # Disjoint serial ranges: shard k mints AID keys "name#<k*STRIDE+n>",

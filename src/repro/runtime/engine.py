@@ -34,6 +34,7 @@ from ..core import (
     AssumptionId,
     FinalizeEvent,
     HopeError,
+    IntervalState,
     Machine,
     MachineEvent,
     RollbackEvent,
@@ -76,6 +77,8 @@ from .effects import (
 from functools import partial
 
 from .messages import ReceivedMessage
+
+_DEFINITE = IntervalState.DEFINITE
 
 #: C-level ReceivedMessage constructor (see replay._make_entry).
 _new_received = partial(tuple.__new__, ReceivedMessage)
@@ -277,15 +280,24 @@ class HopeSystem:
         re-executes resolution statements (see Figure 2's WorryWart).
     fossil_collect:
         Reclaim committed state behind the commit frontier (Theorem 6.1:
-        finalized intervals never roll back).  Bounds long-run memory to
-        O(active speculation window): machine history prefixes, retired
-        AIDs, unreachable interned DepSets, effect-log prefixes behind a
-        ``commit_point``, and closed timeline spans are all dropped.
-        Semantics-neutral — traces are identical with it on or off; see
-        docs/PERFORMANCE.md §4.
+        finalized intervals never roll back) — on by default.  Bounds
+        long-run memory to O(active speculation window): machine history
+        prefixes, retired AIDs, unreachable interned DepSets, effect-log
+        prefixes behind a ``commit_point``, and closed timeline spans are
+        all dropped.  Semantics-neutral — traces are identical with it on
+        or off; see docs/PERFORMANCE.md §4 and §13.  ``False`` keeps
+        everything and exists as the reference twin for differential
+        tests (and for the parallel backend's shards); a durable run
+        refuses it.
     fossil_interval:
-        Collect after every N machine finalizes (default 64).  Lower =
-        tighter memory, more collection overhead.
+        Collect after every N machine finalizes (default 64).  A pass
+        visits the processes it can reclaim something from — an interval
+        finalized or rolled back, a commit point was declared — and lets
+        the ones that merely ran ride along a few at a time, so its cost
+        follows what the N finalizes left behind, not the number of
+        processes (a durable run visits all that changed: the pass it
+        seals is the recovery image).  Lower = tighter memory, more
+        collection overhead.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  When given, the
         engine feeds the standard speculation instrument set
@@ -365,7 +377,7 @@ class HopeSystem:
         control_latency: float = 1.0,
         speculation: bool = True,
         shuffle_ties: bool = False,
-        fossil_collect: bool = False,
+        fossil_collect: bool = True,
         fossil_interval: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
@@ -457,6 +469,9 @@ class HopeSystem:
         #: delivery boundary.
         self._fossil_pending = False
         self._finalizes_since_collect = 0
+        #: Machine finalizes + discarded intervals at the last pass: what
+        #: has been added since is what the next pass can reclaim.
+        self._dead_at_collect = 0
         #: True while a rollback's message requeue is handing messages to
         #: waiting receivers: the machine is mid-primitive there, so
         #: deliveries fall back to scheduled resumes instead of stepping
@@ -464,13 +479,14 @@ class HopeSystem:
         self._defer_delivery = False
         self._aid_waiters: dict[str, list] = {}
         self.procs: dict[str, ProcessRuntime] = {}
-        #: User-space AID handles by key.  Weak values: a handle that user
+        #: User-space AID handles by key, held weakly: a handle that user
         #: code (or a log entry, message payload, or rebase state) still
-        #: references pins its AID against retirement; one nothing holds
-        #: lets the AID go once the machine is done with it.
-        self._handles: "weakref.WeakValueDictionary[str, AidHandle]" = (
-            weakref.WeakValueDictionary()
-        )
+        #: references pins its AID against retirement; when the last
+        #: reference dies the pin is released on the spot (no pass ever
+        #: reads this table).
+        self._handles: dict[str, weakref.KeyedRef] = {}
+        #: Pre-bound: every handle's weak reference shares this callback.
+        self._on_handle_death = self._handle_died
         from .aid_task import AidTaskControlPlane, RegistryControlPlane
 
         if aid_mode == "registry":
@@ -548,7 +564,6 @@ class HopeSystem:
                     "aid_mode": aid_mode,
                     "shuffle_ties": shuffle_ties,
                     "controller": controller,
-                    "fossil_collect": fossil_collect,
                     "faults": faults,
                     "reliable": reliable,
                     "failure_detector": failure_detector,
@@ -584,14 +599,21 @@ class HopeSystem:
                 )
             if aid_mode != "registry":
                 raise HopeError("durable runs require aid_mode='registry'")
-            # The WAL is flushed from fossil-collection passes; durable
-            # without the commit frontier would persist nothing.
-            self.fossil_collect = True
+            if not fossil_collect:
+                raise HopeError(
+                    "durable runs require fossil collection (fossil_collect="
+                    "False was passed): the WAL is flushed from collection "
+                    "passes, so without them nothing would be persisted"
+                )
             from ..durable.recorder import DurableRecorder
 
             self._durable = DurableRecorder(
                 self, durable_dir, seed=seed, opts=durable_opts
             )
+        if fossil_collect:
+            # Only a collecting run retires AIDs, so only it accounts for
+            # the tags of outstanding messages (Network.hold).
+            self.network.pins = self.machine
 
     # ------------------------------------------------------------------
     # public API
@@ -729,7 +751,11 @@ class HopeSystem:
             # the open-guess table and span tree honest about it.
             self.spec_metrics.forget_intervals(forgotten)
             self.spans.discard(forgotten, self.sim.now)
-        self.network.mailbox(name).purge()
+        # What the dead incarnation had received is not requeued, and what
+        # was queued for it is lost: those copies are consumed.
+        for interval in forgotten:
+            self._release_received(interval.meta.get("received", ()))
+        self.network.purge(name)
         if self.reliable is not None:
             self.reliable.on_crash(name)
         # Rebase state is volatile memory: a crashed node restarts from
@@ -759,7 +785,7 @@ class HopeSystem:
         proc.crashed = False
         proc.done = False
         # Anything that landed while the node was down is lost too.
-        self.network.mailbox(name).purge()
+        self.network.purge(name)
         self._start_task(proc, delay=0.0)
         self.tracer.record(self.sim.now, "restart_after_crash", name)
 
@@ -925,6 +951,11 @@ class HopeSystem:
     # ------------------------------------------------------------------
     # fossil collection (commit frontier)
     # ------------------------------------------------------------------
+    #: Fewest records a pass may visit, and the fewest of them it takes
+    #: from the merely-changed queue (see _run_fossil_collection).
+    _PASS_ALLOWANCE = 64
+    _PASS_TURNS = 16
+
     def _run_fossil_collection(self) -> None:
         """One deferred collection pass (see the ``fossil_collect`` doc).
 
@@ -938,12 +969,32 @@ class HopeSystem:
         self._fossil_pending = False
         self._finalizes_since_collect = 0
         machine = self.machine
-        # Only a process whose record changed since the last pass (every
-        # effect, delivery and machine transition marks it) or still holds
-        # speculation has anything to settle.  Spawn order: the order of
-        # durable flushes is the order of records in the WAL.
-        changed = sorted(machine.changed, key=attrgetter("order"))
-        for record in changed:
+        # Every process with something to reclaim is visited: an interval
+        # of it finalized or rolled back, or it declared a commit point.
+        # The ones that merely ran (every effect and delivery marks the
+        # record changed) have little to settle and take turns, oldest
+        # change first: as many as bring the pass to one visit per
+        # interval that died since the last one (or to _PASS_ALLOWANCE,
+        # so that a small system is settled whole, every time), and never
+        # fewer than _PASS_TURNS — however many records are reclaimable,
+        # the queue advances.
+        dead = machine.stats["finalizes"] + machine.stats["intervals_discarded"]
+        limit: Optional[int] = max(
+            max(dead - self._dead_at_collect, self._PASS_ALLOWANCE)
+            - len(machine.reclaimable),
+            self._PASS_TURNS,
+        )
+        self._dead_at_collect = dead
+        if self._durable is not None:
+            # The sealed batch is a consistent cut only if it holds every
+            # change made so far: a definite sender is merely changed, and
+            # a receiver's committed recv sealed without the send it
+            # consumed would have resume re-execute that send live.
+            limit = None
+        batch = machine.take_queued(limit)
+        # Spawn order: the order of durable flushes is the order of
+        # records in the WAL.
+        for record in sorted(batch, key=attrgetter("order")):
             proc = self.procs.get(record.name)
             if proc is None:
                 continue
@@ -955,13 +1006,14 @@ class HopeSystem:
             # slice while it is whole, and encodes only what the promotion
             # leaves behind.
             best: Optional[RebasePoint] = None
-            for cand in proc.rebase_candidates:
-                if cand.log_index <= target and (
-                    best is None or cand.log_index > best.log_index
-                ):
-                    best = cand
-            if best is not None and best.log_index <= proc.log.base:
-                best = None
+            if proc.rebase_candidates:
+                for cand in proc.rebase_candidates:
+                    if cand.log_index <= target and (
+                        best is None or cand.log_index > best.log_index
+                    ):
+                        best = cand
+                if best is not None and best.log_index <= proc.log.base:
+                    best = None
             if self._durable is not None:
                 self._durable.flush_proc(proc, target, best)
             if best is not None:
@@ -971,7 +1023,7 @@ class HopeSystem:
                 ]
                 proc.log.drop_prefix(best.log_index)
             proc.track.compact_before(frontier_time)
-        fossil_stats = machine.fossil_collect(self._pinned_aid_keys(changed))
+        fossil_stats = machine.fossil_collect(batch)
         if self._durable is not None:
             # Durability point: the pass's WAL frames become recoverable
             # here (sealed batch marker + fsync), and every Nth pass
@@ -990,19 +1042,23 @@ class HopeSystem:
         frontier, ``(log position, virtual time)``: the oldest still-speculative
         guess's checkpoint (everything up to now with no live speculation),
         the log position held behind an in-flight replay cursor."""
-        frontier_log = len(proc.log)
-        frontier_time = self.sim.now
+        log = proc.log
+        frontier_log = log.base + len(log.entries)
+        frontier_time = self.sim._now
         for iv in proc.mproc.speculative:
             cp = iv.ps
             if isinstance(cp, Checkpoint):
-                frontier_log = min(frontier_log, cp.log_index)
-                frontier_time = min(frontier_time, cp.time)
-        target = min(frontier_log, proc.log.cursor)
+                if cp.log_index < frontier_log:
+                    frontier_log = cp.log_index
+                if cp.time < frontier_time:
+                    frontier_time = cp.time
+        target = min(frontier_log, log.cursor)
         outputs = proc.outputs
         mark = proc.committed_count
         while mark < len(outputs) and outputs[mark].log_index < target:
             record = outputs[mark]
-            if not record.committed:
+            interval = record.interval
+            if interval is not None and interval.state is not _DEFINITE:
                 raise HopeError(
                     f"output {record!r} of {proc.name!r} sits behind the commit "
                     f"frontier (log {record.log_index} < {target}) but is not "
@@ -1013,25 +1069,26 @@ class HopeSystem:
         proc.committed_count = mark
         return target, frontier_time
 
-    def _pinned_aid_keys(self, changed: list) -> set:
-        """AID keys that must survive retirement even if the machine is
-        done with them: tags of messages still in flight or queued (their
-        delivery resolves tags by key), tags of messages held by live
-        speculative intervals (a rollback requeues them), and every
-        handle user code still reaches (a late ``guess`` looks it up).
-        ``changed``, the pass's records, includes all with live speculation."""
-        # .data is the live-key dict: keys() re-checks every referent in
-        # Python, and a just-dead entry only defers its AID one pass.
-        pinned: set = set(self._handles.data)
-        pinned.update(self.network.pinned_tag_keys())
-        if self.reliable is not None:
-            pinned.update(self.reliable.pinned_tag_keys())
-        for record in changed:
-            for iv in record.speculative:
-                for message in iv.meta.get("received", ()):
-                    if not message.dead:
-                        pinned.update(message.tags)
-        return pinned
+    def _pin_handle(self, handle: AidHandle) -> None:
+        """Pin ``handle``'s AID for as long as the handle object lives: a
+        late ``guess`` or resolution looks the AID up by the handle's key."""
+        key = handle.key
+        self._handles[key] = weakref.KeyedRef(handle, self._on_handle_death, key)
+        self.machine.pin((key,))
+
+    def _handle_died(self, ref: weakref.KeyedRef) -> None:
+        key = ref.key
+        if self._handles.get(key) is ref:
+            del self._handles[key]
+            self.machine.unpin((key,))
+
+    def _release_received(self, messages) -> None:
+        """The interval that kept ``messages`` can no longer un-receive them
+        (it finalized, or its incarnation crashed): the copies are consumed."""
+        network = self.network
+        for message in messages:
+            if message.holds:
+                network.release(message)
 
     # ------------------------------------------------------------------
     # task lifecycle
@@ -1126,7 +1183,7 @@ class HopeSystem:
     def _do_aid_init(self, proc, task, effect: AidInitEffect) -> None:
         aid = self.machine.aid_init(effect.name)
         handle = AidHandle(aid.key, effect.name)
-        self._handles[aid.key] = handle
+        self._pin_handle(handle)
         if self._aid_owner is not None:
             self._aid_owner[aid.key] = proc.name
         if self.remote is not None:
@@ -1350,6 +1407,8 @@ class HopeSystem:
             proc.rebase_candidates.append(
                 RebasePoint(len(proc.log), state, self.sim.now)
             )
+            # a log prefix the next pass may be able to drop
+            proc.mproc.mark_reclaimable()
             if len(proc.rebase_candidates) > self._MAX_REBASE_CANDIDATES:
                 del proc.rebase_candidates[1::2]
         if self._tracing:
@@ -1452,6 +1511,8 @@ class HopeSystem:
                     self.tracer.record(
                         self.sim.now, "drop_dead_message", proc.name, msg=message.msg_id
                     )
+                if message.holds:
+                    self.network.release(message)
                 self._register_bridge(bridge)
                 return
             if deps:
@@ -1471,7 +1532,11 @@ class HopeSystem:
         received = _new_received((message.payload, message.src, message.msg_id))
         current = proc.mproc.current
         if current is not None:
+            # A rollback of this interval un-receives the message, so the
+            # interval takes over the copy (and its hold on the tags).
             current.meta.setdefault("received", []).append(message)
+        elif message.holds:
+            self.network.release(message)   # a definite receive is for good
         # log.append inlined, as in _do_send (one entry per delivery).
         log = proc.log
         log.entries.append(_make_entry(("recv", received)))
@@ -1518,6 +1583,9 @@ class HopeSystem:
                     aid=interval.aid.key if interval.aid is not None else None,
                 )
             if self.fossil_collect:
+                received = event.interval.meta.get("received")
+                if received:
+                    self._release_received(received)
                 # Finalize is what advances the commit frontier (Eq 21), so
                 # it is the natural collection trigger — but the machine is
                 # mid-primitive here, so only raise the deferred flag.

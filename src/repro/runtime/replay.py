@@ -16,8 +16,8 @@ that their checkpointing is the inefficiency to optimize.
 
 Replaying from entry 0 makes a restart cost the whole run so far.  A body
 that declares commit points (``p.commit_point(state)``) bounds it instead:
-under ``HopeSystem(fossil_collect=True)`` the newest :class:`RebasePoint`
-behind the commit frontier becomes the log's base, the prefix is dropped,
+at a fossil pass the newest :class:`RebasePoint` behind the commit
+frontier becomes the log's base, the prefix is dropped,
 and a restart calls ``body(resume=state)`` and replays only the entries
 since — O(speculative window), not O(full history).  That is the one
 rollback path; see docs/PERFORMANCE.md §3.

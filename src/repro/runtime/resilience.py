@@ -186,6 +186,11 @@ class ReliableTransport:
         record = _PendingSend(delivery.message.msg_id, src, dst, payload, tags)
         record.deliveries.append(delivery)
         self._pending[record.msg_id] = record
+        pins = self.engine.network.pins
+        if tags and pins is not None:
+            # A retransmission re-resolves the tags at delivery, so they
+            # stay pinned for as long as the send can still be retried.
+            pins.pin(tags)
         record.timer = self.engine.sim.schedule(
             self.config.ack_timeout,
             self._on_timeout,
@@ -243,6 +248,9 @@ class ReliableTransport:
             if record.timer is not None:
                 record.timer.cancel()
                 record.timer = None
+            pins = self.engine.network.pins
+            if record.tags and pins is not None:
+                pins.unpin(record.tags)
         # Retraction is NOT gated on `closed`: an ack only settles the
         # retry loop, it does not outlive a rollback.  A sender rolling
         # back past an already-acked (and possibly consumed) send must
@@ -302,14 +310,6 @@ class ReliableTransport:
         for record in list(self._pending.values()):
             if record.src == name:
                 self._close(record, retract=False)
-
-    def pinned_tag_keys(self) -> set:
-        """Tags of unacked sends: a future retransmission re-resolves
-        them at delivery, so fossil collection must not retire them."""
-        pinned: set = set()
-        for record in self._pending.values():
-            pinned.update(record.tags)
-        return pinned
 
 
 class DetectorConfig:

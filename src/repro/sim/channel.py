@@ -33,9 +33,14 @@ class Message:
     ``tags`` is the set of assumption identifiers the sender depended on at
     send time (empty for definite sends).  ``dead`` marks a message
     retracted by rollback; mailboxes silently drop dead messages.
+    ``holds`` counts the copies of a tagged message that are still
+    outstanding and so pin its tag keys (see :meth:`Network.hold`).
     """
 
-    __slots__ = ("msg_id", "src", "dst", "payload", "tags", "send_time", "deliver_time", "dead")
+    __slots__ = (
+        "msg_id", "src", "dst", "payload", "tags", "send_time", "deliver_time",
+        "dead", "holds",
+    )
 
     def __init__(
         self,
@@ -54,6 +59,7 @@ class Message:
         self.send_time = send_time
         self.deliver_time: Optional[float] = None
         self.dead = False
+        self.holds = 0
 
     def __repr__(self) -> str:
         flags = " dead" if self.dead else ""
@@ -70,14 +76,26 @@ class Delivery:
     rolled-back receive should be redelivered.
     """
 
-    __slots__ = ("message", "_event")
+    __slots__ = ("message", "_event", "_network")
 
-    def __init__(self, message: Message, event: Optional[ScheduledEvent]) -> None:
+    def __init__(
+        self,
+        message: Message,
+        event: Optional[ScheduledEvent],
+        network: Optional["Network"] = None,
+    ) -> None:
         self.message = message
         self._event = event
+        self._network = network
 
     def retract(self) -> None:
-        self.message.dead = True
+        message = self.message
+        message.dead = True
+        if message.holds:
+            # A dead message resolves no tag again, wherever its copies
+            # are: all of them let go at once.
+            message.holds = 0
+            self._network.pins.unpin(message.tags)
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -292,11 +310,12 @@ class Network:
         self._mailboxes: dict[str, Mailbox] = {}
         self.messages_sent = 0
         self.tag_count_total = 0
-        #: Tagged messages scheduled but not yet delivered, by msg_id —
-        #: their tag keys must stay resolvable (fossil collection pins
-        #: them).  Untagged messages never enter; retracted ones are
-        #: swept lazily by :meth:`pinned_tag_keys`.
-        self._inflight_tagged: dict[int, Message] = {}
+        #: Where the tag keys of outstanding messages are pinned: an object
+        #: with ``pin(keys)`` / ``unpin(keys)`` (the HOPE runtime installs
+        #: its machine, which must not retire an AID a delivery will still
+        #: look up by key).  None: nobody retires anything, nothing is
+        #: accounted.  See :meth:`hold`.
+        self.pins: Any = None
         #: Optional arrival interceptor: called with each live message the
         #: instant it reaches the destination mailbox, before ``put``.
         #: Return False to suppress delivery (the reliable-delivery layer
@@ -413,14 +432,14 @@ class Network:
                         batch[4]._event = None
                     entries.append((box, message))
                     if message.tags:
-                        self._inflight_tagged[message.msg_id] = message
+                        self.hold(message)
                     self.messages_sent += 1
                     self.tag_count_total += len(message.tags)
-                    return Delivery(message, None)
+                    return Delivery(message, None, self)
         event = self._schedule_delivery(box, message, delay)
         self.messages_sent += 1
         self.tag_count_total += len(message.tags)
-        delivery = Delivery(message, event)
+        delivery = Delivery(message, event, self)
         if event is not None and self._can_batch:
             self._open_batch = [event, None, box, message, delivery]
         return delivery
@@ -429,18 +448,11 @@ class Network:
         """Deliver a coalesced batch, in original (seq) schedule order.
 
         Per message this is exactly what the dedicated delivery callbacks
-        (``box.put`` / :meth:`_put` / :meth:`_deliver_tagged`) would have
-        done at the same instant."""
-        inflight = self._inflight_tagged
+        (``box.put`` / :meth:`_put`) would have done at the same instant."""
         self._sweep_live = entries
         try:
             for box, message in entries:
-                if message.tags:
-                    inflight.pop(message.msg_id, None)
-                hook = self.deliver_hook
-                if hook is not None and not message.dead and not hook(message):
-                    continue
-                box.put(message)
+                self._put(box, message)
         finally:
             self._sweep_live = None
 
@@ -458,21 +470,53 @@ class Network:
         if label is None:
             label = self._labels[key] = f"deliver:{message.src}->{message.dst}"
         if message.tags:
-            self._inflight_tagged[message.msg_id] = message
-            return self.sim.schedule(delay, self._deliver_tagged, box, message, label=label)
+            self.hold(message)
         if self.deliver_hook is not None:
             return self.sim.schedule(delay, self._put, box, message, label=label)
         return self.sim.schedule(delay, box.put, message, label=label)
 
-    def _deliver_tagged(self, box: Mailbox, message: Message) -> None:
-        self._inflight_tagged.pop(message.msg_id, None)
-        self._put(box, message)
-
     def _put(self, box: Mailbox, message: Message) -> None:
         hook = self.deliver_hook
         if hook is not None and not message.dead and not hook(message):
+            if message.holds:
+                self.release(message)       # the hook consumed this copy
             return
         box.put(message)
+
+    # ------------------------------------------------------------------
+    # tag pins
+    # ------------------------------------------------------------------
+    def hold(self, message: Message) -> None:
+        """One more copy of tagged ``message`` is outstanding.
+
+        A copy is outstanding from the moment it is scheduled until it is
+        consumed for good: on the wire, queued in a mailbox, or kept by a
+        receiver that may yet un-receive it (a rollback requeues it).
+        While any copy is, a delivery may still resolve the tags by key,
+        so the message holds one pin on each; whoever consumes a copy
+        calls :meth:`release`, and retraction (:meth:`Delivery.retract`)
+        lets go of all of them at once.  Without ``pins`` nothing is held.
+        """
+        pins = self.pins
+        if pins is not None:
+            if not message.holds:
+                pins.pin(message.tags)
+            message.holds += 1
+
+    def release(self, message: Message) -> None:
+        """A held copy of ``message`` has been consumed for good."""
+        message.holds -= 1
+        if not message.holds:
+            self.pins.unpin(message.tags)
+
+    def purge(self, name: str) -> int:
+        """Discard what is queued at endpoint ``name`` (:meth:`Mailbox.purge`),
+        releasing the copies that go with it."""
+        box = self.mailbox(name)
+        for message in box._queue:
+            if message.holds:
+                self.release(message)
+        return box.purge()
 
     def control_fate(self, src: str, dst: str) -> tuple[bool, float]:
         """Fate of a control datagram (ack/heartbeat) on the ``src -> dst``
@@ -492,25 +536,6 @@ class Network:
         """Fill transport-specific gauges on the
         :class:`repro.obs.SpeculationMetrics` instrument set during a
         metrics snapshot.  The reliable base network has none."""
-
-    def pinned_tag_keys(self) -> set:
-        """Union of AID tag keys the network still needs resolvable:
-        tagged messages in flight plus those queued in mailboxes (either
-        may still reach :meth:`repro.core.machine.Machine.resolve_tag_keys`
-        at a future delivery)."""
-        dead = [
-            mid for mid, message in self._inflight_tagged.items() if message.dead
-        ]
-        for mid in dead:
-            del self._inflight_tagged[mid]
-        pinned: set = set()
-        for message in self._inflight_tagged.values():
-            pinned.update(message.tags)
-        for box in self._mailboxes.values():
-            for message in box._queue:
-                if message.tags and not message.dead:
-                    pinned.update(message.tags)
-        return pinned
 
     def endpoints(self) -> list[str]:
         return sorted(self._mailboxes)

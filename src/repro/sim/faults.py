@@ -347,9 +347,9 @@ class FaultyNetwork(Network):
     :class:`~repro.sim.channel.Delivery` whose event is None — retracting
     one is a no-op beyond marking the envelope dead.
 
-    Tagged-message pinning: a duplicated tagged message registers a copy
-    count so its AID tag keys stay pinned (fossil collection) until the
-    *last* copy leaves the wire.
+    Tagged-message pinning: every scheduled copy of a tagged message is
+    held (:meth:`~repro.sim.channel.Network.hold`), so a duplicated one
+    keeps its AID tag keys pinned until the *last* copy is consumed.
     """
 
     def __init__(
@@ -368,8 +368,6 @@ class FaultyNetwork(Network):
             )
         self.stream = stream
         self.fault_stats = FaultStats()
-        #: In-flight copy count per tagged msg_id (only when > 1 copy).
-        self._tagged_copies: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # the seam
@@ -411,21 +409,8 @@ class FaultyNetwork(Network):
     ) -> ScheduledEvent:
         label = f"deliver:{message.src}->{message.dst}"
         if message.tags:
-            self._inflight_tagged[message.msg_id] = message
-            self._tagged_copies[message.msg_id] = (
-                self._tagged_copies.get(message.msg_id, 0) + 1
-            )
-            return self.sim.schedule(delay, self._deliver_tagged, box, message, label=label)
+            self.hold(message)
         return self.sim.schedule(delay, self._put, box, message, label=label)
-
-    def _deliver_tagged(self, box: Mailbox, message: Message) -> None:
-        remaining = self._tagged_copies.get(message.msg_id, 1) - 1
-        if remaining <= 0:
-            self._tagged_copies.pop(message.msg_id, None)
-            self._inflight_tagged.pop(message.msg_id, None)
-        else:
-            self._tagged_copies[message.msg_id] = remaining
-        self._put(box, message)
 
     # ------------------------------------------------------------------
     # stats (polymorphic Network hooks)

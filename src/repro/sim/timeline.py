@@ -60,16 +60,19 @@ class ProcessTimeline:
         guess, and the frontier is at or before every such guess.
         Returns the number of spans dropped.
         """
+        # Spans are appended in time order (see reclassify_since), so the
+        # ones to fold are a prefix: stop at the first that is not.
+        spans = self.spans
+        base = self._base
         dropped = 0
-        kept: list[Span] = []
-        for span in self.spans:
-            if span.end is not None and span.end <= cutoff:
-                self._base[span.kind] = self._base.get(span.kind, 0.0) + span.duration
-                dropped += 1
-            else:
-                kept.append(span)
+        for span in spans:
+            end = span.end
+            if end is None or end > cutoff:
+                break
+            base[span.kind] = base.get(span.kind, 0.0) + (end - span.start)
+            dropped += 1
         if dropped:
-            self.spans = kept
+            del spans[:dropped]
         return dropped
 
     def mark(self, kind: str, now: float) -> None:

@@ -57,8 +57,7 @@ def _config(pattern: str, n_warts: int) -> CallStreamConfig:
 def _run_without_frontier(config: CallStreamConfig, seed: int):
     """``run_optimistic`` with collection switched off: the same program,
     every commit point a no-op, every restart a replay from process start."""
-    system = cs._build_system(config, seed, None)
-    system.fossil_collect = False
+    system = cs._build_system(config, seed, None, fossil_collect=False)
     cs._spawn_optimistic(system, config)
     return cs._collect(system, system.run())
 

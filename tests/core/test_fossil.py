@@ -112,10 +112,45 @@ class TestCollect:
     def test_pinned_keys_block_retirement(self):
         machine, aids = self._resolved_run()
         pinned = aids[0]
-        stats = machine.fossil_collect(pinned_keys=frozenset({pinned.key}))
+        machine.pin([pinned.key])
+        stats = machine.fossil_collect()
         assert stats.aids_retired == len(aids) - 1
         assert machine.aid(pinned.key) is pinned
         machine.check_invariants()
+
+    def test_release_of_the_last_pin_is_what_retires(self):
+        """A pinned AID is not looked at again until its pin count drops
+        to zero; the pass after that retires it."""
+        machine, aids = self._resolved_run()
+        key = aids[0].key
+        machine.pin([key])
+        machine.pin([key])
+        machine.fossil_collect()
+        machine.unpin([key])
+        examined = machine.stats["fossil_aids_examined"]
+        assert not machine.fossil_collect().aids_retired
+        assert machine.stats["fossil_aids_examined"] == examined
+        machine.unpin([key])
+        assert machine.fossil_collect().aids_retired == 1
+        assert machine.stats["fossil_aids_examined"] == examined + 1
+        assert not machine.pins
+
+    def test_lookup_of_a_retired_key_says_so(self):
+        """A key this machine minted and a pass retired is told apart from
+        one that never existed (serial past the mint counter, or before a
+        shard's serial range, or not a key at all)."""
+        machine, aids = self._resolved_run()
+        machine.fossil_collect()
+        with pytest.raises(UnknownAidError, match="retired by collection.*hold the `AidHandle`"):
+            machine.aid(aids[3].key)
+        for never in ("a9#9", "nonsense", "a#"):
+            with pytest.raises(UnknownAidError, match="unknown assumption identifier"):
+                machine.aid(never)
+        shard = Machine(strict=False)
+        shard.offset_serials(1000)
+        shard.aid_init("x")
+        with pytest.raises(UnknownAidError, match="unknown assumption identifier"):
+            shard.aid("y#7")                      # another shard's range
 
     def test_retired_aid_still_usable_by_object(self):
         """By-object use survives retirement (Theorem 6.1: the answer is
@@ -172,7 +207,8 @@ class TestCollect:
         orphan = machine.aid_init("orphan")
         machine.guess("p", orphan)
         machine.deny("q", root)
-        machine.fossil_collect(pinned_keys=frozenset({orphan.key}))
+        machine.pin([orphan.key])
+        machine.fossil_collect()
         assert machine.aid(orphan.key) is orphan
 
     def test_collect_is_idempotent_when_nothing_new(self):

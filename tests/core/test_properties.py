@@ -7,8 +7,6 @@ symmetry, the Theorem 5.1 subset chain, IS/I consistency — hold, and that
 the headline theorems are respected at quiescence.
 """
 
-import copy
-
 from hypothesis import example, given, settings, strategies as st
 
 import pytest
@@ -216,11 +214,14 @@ def test_append_refuses_to_create_disorder():
 # ----------------------------------------------------------------------
 # fossil passes over the changed-record set: same answer as a full sweep
 # ----------------------------------------------------------------------
-def _full_sweep(machine, pinned_keys=frozenset()):
+def _full_sweep(machine):
     """The pre-incremental ``fossil.collect``: visit every record and every
-    AID in the table.  Kept here as the reference the incremental pass is
-    compared against; ignores ``Machine.changed`` and the candidate queues."""
+    AID in the table, and decide by reachability.  Kept here as the
+    reference the incremental pass is compared against; ignores
+    ``Machine.changed``, the candidate queues and the per-AID bookkeeping
+    (``parked_denies``), and reads the pins as a plain set of keys."""
     out = FossilStats()
+    pinned_keys = set(machine.pins)
     referenced, live_depsets = set(), []
     for record in machine.processes.values():
         hist, ivs = record.fossilize_before(record.frontier_index())
@@ -240,7 +241,13 @@ def _full_sweep(machine, pinned_keys=frozenset()):
         del machine.aids[aid.key]
         machine.stats["aids_retired_" + aid.status.value] += 1
     out.aids_retired = len(retired)
-    out.depsets_dropped = machine.depsets.compact(live_depsets)
+    # the interned table: the IDO sets of the retained intervals and ∅,
+    # which is what must be left once the memos let go of the rest
+    before = len(machine.depsets)
+    machine.depsets.clear_memos()
+    live = {ds.members for ds in live_depsets} | {frozenset()}
+    assert set(machine.depsets._table) == live
+    out.depsets_dropped = before - len(live)
     if retired:
         gone, gone_keys = set(retired), {a.key for a in retired}
         for cache, dead in (
@@ -276,7 +283,8 @@ def _tables(machine):
         "resolve_key_cache": sorted(tuple(sorted(k)) for k in machine._resolve_key_cache),
         "stats": {
             k: v for k, v in machine.stats.items()
-            if k.startswith(("fossil_", "aids_retired_")) and k != "fossil_records_visited"
+            if k.startswith(("fossil_", "aids_retired_"))
+            and k not in ("fossil_records_visited", "fossil_aids_examined")   # cost, not effect
         },
     }
 
@@ -290,7 +298,8 @@ FOSSIL_ACTIONS = st.lists(
         ),
         st.tuples(st.just("aid_init"), st.integers(0, len(PROCS) - 1), st.just(0)),
         st.tuples(st.just("resolve_key"), st.just(0), st.integers(0, 40)),
-        # a pass, pinning the AIDs whose pool index has a bit set in the mask
+        # a pass, before which the pins are moved to the AIDs whose pool
+        # index has a bit set in the mask (pins taken and released)
         st.tuples(st.just("collect"), st.just(0), st.integers(0, 255)),
     ),
     min_size=1,
@@ -309,44 +318,54 @@ FOSSIL_ACTIONS = st.lists(
 @example([("guess", 2, 0), ("collect", 0, 0), ("guess", 0, 1),
           ("affirm", 0, 0), ("deny", 1, 1), ("collect", 0, 0)])
 def test_incremental_fossil_pass_reclaims_what_a_full_sweep_does(actions):
-    """Over random primitive / rollback / orphaning schedules with passes
-    (and pins) at random points, every incremental pass leaves the tables
-    and reports the FossilStats a full sweep of the same machine would —
+    """Two machines in lockstep over random primitive / rollback /
+    orphaning schedules with passes at random points (and pins taken and
+    released between them): one runs the incremental pass, the other a
+    full sweep.  After every pass the tables and the FossilStats agree —
     orphaned-AID retirement, DepSet compaction and the resolve-cache purge
-    included — although it only visits the records queued as changed."""
-    machine = _machine()
-    aids = [machine.aid_init(f"a{i}") for i in range(3)]
+    included — although the incremental pass only visits the records
+    queued as changed and examines only the AIDs whose state changed or
+    whose last pin went."""
+    machine, reference = _machine(), _machine()
+    pools = [[m.aid_init(f"a{i}") for i in range(3)] for m in (machine, reference)]
     passes = 0
-    for op, pidx, n in actions:
-        aid = aids[n % len(aids)]
-        if op == "aid_init":
-            # minted by a process, possibly inside an interval that later
-            # rolls back (an orphan once nothing references or pins it)
-            aids.append(machine.aid_init(f"a{len(aids)}"))
-        elif op == "resolve_key":
-            if aid.key in machine.aids:
-                machine.resolve_tag_keys(frozenset([aid.key]))
-        elif op == "collect":
-            pinned = frozenset(a.key for i, a in enumerate(aids) if n >> (i % 8) & 1)
-            reference = copy.deepcopy(machine)
-            want = _full_sweep(reference, pinned)
-            got = machine.fossil_collect(pinned)
+    for op, pidx, n in [*actions, ("collect", 0, 0)]:    # close with nothing pinned
+        for m, aids in zip((machine, reference), pools):
+            aid = aids[n % len(aids)]
+            if op == "aid_init":
+                # minted by a process, possibly inside an interval that later
+                # rolls back (an orphan once nothing references or pins it)
+                aids.append(m.aid_init(f"a{len(aids)}"))
+            elif op == "resolve_key":
+                if aid.key in m.aids:
+                    m.resolve_tag_keys(frozenset([aid.key]))
+            elif op == "collect":
+                _move_pins(m, aids, n)
+            else:
+                _apply(m, aids, op, PROCS[pidx], aid)
+        if op == "collect":
+            want = _full_sweep(reference)
+            got = machine.fossil_collect()
             for field in FossilStats.__slots__:
                 assert getattr(got, field) == getattr(want, field), field
             assert _tables(machine) == _tables(reference)
             machine.check_invariants()
             passes += 1
             assert machine.stats["fossil_collections"] == passes
-        else:
-            _apply(machine, aids, op, PROCS[pidx], aid)
-    # and a closing pass with nothing pinned agrees too
-    reference = copy.deepcopy(machine)
-    _full_sweep(reference)
-    machine.fossil_collect()
-    assert _tables(machine) == _tables(reference)
+    assert not machine._retire_deferred
 
 
-def test_a_pass_visits_only_changed_records_and_those_still_speculating():
+def _move_pins(machine, aids, mask):
+    """Pin exactly the AIDs whose pool index has a bit set in ``mask``,
+    through the counting interface: release what was pinned and is not
+    wanted, pin what is wanted and was not."""
+    wanted = {a.key for i, a in enumerate(aids) if mask >> (i % 8) & 1}
+    held = set(machine.pins)
+    machine.unpin(sorted(held - wanted))
+    machine.pin(sorted(wanted - held))
+
+
+def test_a_pass_visits_only_changed_records():
     machine = Machine(strict=False)
     for i in range(50):
         machine.create_process(f"idle{i}")
@@ -358,13 +377,48 @@ def test_a_pass_visits_only_changed_records_and_those_still_speculating():
     machine.guess("p", x)
     machine.fossil_collect()
     machine.fossil_collect()
-    # p changed, then is revisited only because it still speculates
-    assert machine.stats["fossil_records_visited"] == 52 + 1 + 1
+    # p changed; that it still speculates is no reason to look again
+    assert machine.stats["fossil_records_visited"] == 52 + 1 + 0
     machine.affirm("q", x)
     machine.fossil_collect()
     machine.fossil_collect()
-    assert machine.stats["fossil_records_visited"] == 54 + 2 + 0
+    assert machine.stats["fossil_records_visited"] == 53 + 2 + 0
     assert x.key not in machine.aids
+
+
+def test_take_queued_serves_the_reclaimable_first_and_the_rest_in_turn():
+    machine = Machine(strict=False)
+    names = [f"p{i}" for i in range(10)]
+    for name in names:
+        machine.create_process(name)             # queued: they changed ("init")
+    x, y = machine.aid_init("x"), machine.aid_init("y")
+    machine.guess("p7", x)
+    machine.guess("p8", y)
+    machine.affirm("p9", x)                      # p7's interval finalizes
+    machine.deny("p9", y)                        # p8's rolls back
+
+    def taken(limit):
+        return [r.name for r in machine.take_queued(limit)]
+
+    # those with a dead interval always, then ``limit`` of the others,
+    # first come first served
+    assert taken(2) == ["p7", "p8", "p0", "p1"]
+    assert taken(1) == ["p2"]
+    assert taken(0) == []
+    machine.step("p0", "again")                  # re-queued, behind the others
+    machine.step("p7", "again")                  # keeps the place it never used
+    assert taken(None) == ["p3", "p4", "p5", "p6", "p7", "p9", "p0"]
+    assert machine.changed == [] and machine.reclaimable == []
+    # however often a record is visited out of turn, it is queued once
+    z = [machine.aid_init(f"z{i}") for i in range(50)]
+    for aid in z:
+        machine.guess("p1", aid)
+        machine.affirm("p2", aid)
+        assert taken(0) == ["p1"]                # p2 merely changed: it waits
+        assert [r.name for r in machine.changed] == ["p1", "p2"]
+    assert taken(None) == ["p2"]                 # p1's place had gone stale
+    machine.fossil_collect()
+    machine.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +468,8 @@ def test_machine_without_history_is_the_same_machine(actions):
                 if aid.key in machine.aids:
                     machine.resolve_tag_keys(frozenset([aid.key]))
             elif op == "collect":
-                pinned = frozenset(a.key for i, a in enumerate(aids) if n >> (i % 8) & 1)
-                got = machine.fossil_collect(pinned)
+                _move_pins(machine, aids, n)
+                got = machine.fossil_collect()
                 passes.append([getattr(got, f) for f in FossilStats.__slots__])
             else:
                 _apply(machine, aids, op, PROCS[pidx], aid)

@@ -1,6 +1,7 @@
 """CLI tests: check and run mini-HOPE programs from files."""
 
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -235,9 +236,37 @@ def test_run_profile_prints_hotspots():
     assert "cumulative" in out
     # the runtime's own hot path shows up in the report
     assert "engine.py" in out
-    # ... and, after it, the cost a profile cannot place: the collector's
-    assert out.rstrip().splitlines()[-1].startswith("collector: gen0 ")
-    assert "gen2 " in out.rstrip().splitlines()[-1]
+    # ... and, after it, the costs a profile cannot place: the collector's,
+    # then the fossil passes' (too short a run for one, so all zeros)
+    collector, fossil = out.rstrip().splitlines()[-2:]
+    assert collector.startswith("collector: gen0 ")
+    assert "gen2 " in collector
+    assert fossil == "fossil: 0 passes, 0 records visited, 0 AIDs examined, 0.000 s"
+
+
+def test_run_profile_times_the_fossil_passes():
+    """A low --fossil-interval makes the Figure 2 run collect; the fossil
+    line then reports what the passes looked at and how long they took."""
+    code, out = run_cli(
+        ["run", FIGURE2, *FIG2_SPAWNS, "--latency", "10",
+         "--fossil-interval", "1", "--profile"]
+    )
+    assert code == 0
+    line = out.rstrip().splitlines()[-1]
+    match = re.fullmatch(
+        r"fossil: (\d+) passes, (\d+) records visited, (\d+) AIDs examined, "
+        r"(\d+\.\d{3}) s", line
+    )
+    assert match, line
+    passes, visited, examined = map(int, match.groups()[:3])
+    assert passes >= 1 and visited >= passes and examined >= 1
+
+
+def test_run_no_longer_takes_fossil_collect_flag():
+    """Collection is the default; the flag that used to switch it on
+    would now only be able to switch it off, so it is gone."""
+    with pytest.raises(SystemExit):
+        run_cli(["run", FIGURE2, *FIG2_SPAWNS, "--fossil-collect"])
 
 
 def test_run_profile_out_writes_pstats(tmp_path):

@@ -158,6 +158,25 @@ def test_rejects_unsupported_options():
     with pytest.raises(HopeError, match="unknown parallel_opts"):
         HopeSystem(backend="parallel", latency=ConstantLatency(1.0),
                    parallel_opts={"typo": 1})
+    # fossil_collect is on by default, so it cannot be a refusal: the
+    # backend takes it either way (and builds shards that never collect).
+    for flag in (True, False):
+        HopeSystem(backend="parallel", latency=ConstantLatency(1.0),
+                   fossil_collect=flag)
+
+
+def test_shards_never_collect():
+    """A shard cannot see the pins another shard holds on its AIDs, so no
+    shard runs a fossil pass, whatever the coordinator was built with."""
+    def build(system):
+        build_chaos_mesh(system, workers=3, rounds=40)
+
+    assert run_system(build, 3).stats()["fossil_collections"] >= 1
+    par = run_system(build, 3, "parallel", 1)          # one shard: all 160 finalizes
+    assert par.fossil_collect                          # the default
+    stats = par.stats()
+    assert stats["finalizes"] >= 64
+    assert stats["fossil_collections"] == 0
 
 
 def test_placement_override_keeps_fingerprint():

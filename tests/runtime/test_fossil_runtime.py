@@ -342,31 +342,138 @@ class TestCommittedOutputsPinNothing:
 
 class TestPassCost:
     @staticmethod
-    def _visits_per_pass(idle):
+    def _visits_per_pass(idle, interval=8, rounds=80):
         """One active worker/judge pair among ``idle`` processes that
-        spawn, block on a receive, and never hear anything."""
+        spawn, block on a receive, and never hear anything.  Returns the
+        system and the number of records each pass visited."""
         def sleeper(p):
             yield p.recv()
 
-        system = HopeSystem(
-            seed=0, latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=8
-        )
+        system = HopeSystem(seed=0, latency=ConstantLatency(1.0), fossil_interval=interval)
         for i in range(idle):
             system.spawn(f"idle{i}", sleeper)
-        system.spawn("judge", judge, 80, 0.0)
-        system.spawn("worker", worker, 80)
-        system.run(until=30.0)
-        early = system.stats()
-        assert early["fossil_collections"] >= 1          # the all-new pass is behind us
+        system.spawn("judge", judge, rounds, 0.0)
+        system.spawn("worker", worker, rounds)
+        visits = []
+        run_pass = system._run_fossil_collection
+        stats = system.machine.stats
+
+        def counted():
+            before = stats["fossil_records_visited"]
+            run_pass()
+            visits.append(stats["fossil_records_visited"] - before)
+
+        system._run_fossil_collection = counted
         system.run()
-        late = system.stats()
-        passes = late["fossil_collections"] - early["fossil_collections"]
-        assert passes >= 5
-        visited = late["fossil_records_visited"] - early["fossil_records_visited"]
-        assert early["fossil_records_visited"] >= idle   # the first pass saw everyone once
-        return visited, passes
+        assert stats["finalizes"] == rounds
+        return system, visits
 
     def test_idle_processes_are_not_visited(self):
-        visited, passes = self._visits_per_pass(2000)
-        assert visited <= 2 * passes                     # the pair, nobody else
-        assert self._visits_per_pass(4000) == (visited, passes)
+        """The pair is visited at every pass — it is what there is to
+        reclaim from — while the 2 000 records that were queued at spawn
+        and never did anything again take turns, a pass's allowance at a
+        time, once each; how many of them wait makes no difference."""
+        system, visits = self._visits_per_pass(2000)
+        allowance = HopeSystem._PASS_ALLOWANCE
+        assert len(visits) == 80 // 8
+        assert visits == [allowance] * len(visits)          # the pair + 62 idle ones
+        stats = system.stats()
+        assert stats["fossil_intervals_dropped"] >= 80 - 8  # the pair never waited
+        assert stats["fossil_log_dropped"] > 0
+        assert self._visits_per_pass(4000)[1] == visits
+        # ... and once everyone has had a turn, it is the pair alone
+        system, visits = self._visits_per_pass(100, rounds=120)
+        assert visits[:3] == [allowance, 100 + 2 - allowance + 2, 2]
+        assert set(visits[2:]) == {2} and sum(visits) == 100 + 2 * len(visits)
+
+    def test_the_queue_advances_however_many_records_are_reclaimable(self):
+        """Every pass here finds more reclaimable records than its
+        allowance, and a definite process — it never finalizes or commits,
+        so it is only ever *changed* — waits behind 150 idle ones.  It is
+        reached all the same, ``_PASS_TURNS`` records a pass, and then
+        again: its output watermark keeps moving."""
+        pairs, idle, rounds = HopeSystem._PASS_ALLOWANCE + 6, 150, 40
+
+        def sleeper(p):
+            yield p.recv()
+
+        def guesser(p, peer):
+            for i in range(rounds):
+                a = yield p.aid_init(f"r{i}")
+                yield p.send(peer, a)
+                yield p.guess(a)
+                yield p.compute(1.0)
+
+        def affirmer(p):
+            for _ in range(rounds):
+                yield p.affirm((yield p.recv()).payload)
+
+        def ticker(p):
+            for i in range(4 * rounds):
+                yield p.compute(1.0)
+                yield p.emit(i)
+
+        system = HopeSystem(seed=0, latency=ConstantLatency(1.0))
+        for i in range(idle):
+            system.spawn(f"idle{i}", sleeper)
+        system.spawn("ticker", ticker)
+        for i in range(pairs):
+            system.spawn(f"a{i}", affirmer)
+            system.spawn(f"g{i}", guesser, f"a{i}")
+        run_pass = system._run_fossil_collection
+        reclaimable, watermark = [], []
+
+        def observed():
+            reclaimable.append(len(system.machine.reclaimable))
+            run_pass()
+            watermark.append(system.procs["ticker"].committed_count)
+
+        system._run_fossil_collection = observed
+        system.run()
+        assert len(reclaimable) >= rounds
+        assert min(reclaimable) >= HopeSystem._PASS_ALLOWANCE
+        turns = HopeSystem._PASS_TURNS
+        first = (idle + 1) // turns                 # the pass that reaches it
+        assert watermark[first - 1] == 0 < watermark[first]
+        assert len(set(watermark[first:])) >= 5     # and its turn comes round again
+
+    def test_small_systems_are_settled_whole_at_every_pass(self):
+        """Up to the allowance, a pass visits everything that changed:
+        the rule before there was one (and what the durable bytes-on-disk
+        golden depends on)."""
+        for idle in (0, 14):                   # 2 and 16 records
+            _, visits = self._visits_per_pass(idle)
+            assert visits == [idle + 2] + [2] * (80 // 8 - 1)
+
+
+# ------------------------------------------------- the default, and its twin
+class TestCollectionIsTheDefault:
+    def test_a_plain_system_collects(self):
+        system = HopeSystem(seed=3, latency=ConstantLatency(1.0))
+        assert system.fossil_collect and system.fossil_interval == 64
+        system.spawn("judge", judge, 80, 0.0)
+        system.spawn("worker", worker, 80)
+        system.run()
+        stats = system.stats()
+        assert stats["fossil_collections"] >= 1
+        assert stats["fossil_aids_retired"] > 0 and stats["fossil_log_dropped"] > 0
+        assert stats["fossil_aids_examined"] >= stats["fossil_aids_retired"]
+
+    def test_a_retired_handle_key_is_named_in_the_error(self):
+        """What a user who kept ``aid.key`` instead of the handle now sees."""
+        from repro.core import UnknownAidError
+
+        system = HopeSystem(seed=3, latency=ConstantLatency(1.0), fossil_interval=4)
+        system.spawn("judge", judge, 40, 0.0)
+        system.spawn("worker", worker, 40)
+        system.run()
+        assert "r0#1" not in system.machine.aids
+        with pytest.raises(UnknownAidError, match="retired by collection"):
+            system.aid("r0#1")
+
+    def test_durable_run_refuses_the_uncollected_twin(self, tmp_path):
+        from repro.core import HopeError
+
+        with pytest.raises(HopeError, match="durable runs require fossil collection"):
+            HopeSystem(durable_dir=str(tmp_path), fossil_collect=False)
+        assert HopeSystem(durable_dir=str(tmp_path / "ok")).fossil_collect

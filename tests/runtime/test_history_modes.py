@@ -24,7 +24,7 @@ from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
 MODES = {
-    "plain": {},
+    "plain": {"fossil_collect": False},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
 }
 

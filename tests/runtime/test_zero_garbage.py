@@ -54,7 +54,9 @@ def _run(build, seed=0, **options):
 
 
 @pytest.mark.parametrize(
-    "options", [{}, {"fossil_collect": True, "fossil_interval": 4}], ids=["plain", "fossil"]
+    "options",
+    [{"fossil_collect": False}, {"fossil_collect": True, "fossil_interval": 4}],
+    ids=["plain", "fossil"],
 )
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("build", [build_chaos_mesh, build_chaos_ring])

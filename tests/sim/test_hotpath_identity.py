@@ -23,7 +23,7 @@ from repro.sim import ConstantLatency, Tracer
 KERNELS = ("heap", "wheel", "window")
 
 ENGINE_MODES = {
-    "plain": {},
+    "plain": {"fossil_collect": False},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
 }
 

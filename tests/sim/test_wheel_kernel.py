@@ -94,7 +94,7 @@ def _system_fingerprint(kernel: str, build, seed: int, **system_kw) -> str:
 
 
 _ENGINE_MODES = {
-    "plain": {},
+    "plain": {"fossil_collect": False},
     "fossil": {"fossil_collect": True, "fossil_interval": 4},
     "shuffled": {"shuffle_ties": True},
 }
