@@ -18,16 +18,7 @@
   cross-transaction speculation.
 """
 
-from . import (
-    call_streaming,
-    coedit,
-    commit,
-    numerics,
-    recovery,
-    replication,
-    tms,
-    virtual_time,
-)
+from importlib import import_module
 
 __all__ = [
     "call_streaming",
@@ -39,3 +30,11 @@ __all__ = [
     "coedit",
     "commit",
 ]
+
+
+def __getattr__(name: str):
+    """Import an application on first use (PEP 562): a run loads only the
+    apps it runs — ``numerics`` alone pulls in ``numpy``."""
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,8 @@ from .interval import Interval, IntervalState
 
 _SPECULATIVE = IntervalState.SPECULATIVE
 _ROLLED_BACK = IntervalState.ROLLED_BACK
+#: S.IS = ∅ before the first guess: one shared, immutable empty set.
+NO_INTERVALS: frozenset = frozenset()
 
 if TYPE_CHECKING:  # pragma: no cover
     from .aid import AssumptionId
@@ -97,8 +99,10 @@ class ProcessRecord:
         self.intervals: list[Interval] = []
         #: S.I — the current interval; None encodes the paper's I = ∅.
         self.current: Optional[Interval] = None
-        #: S.IS — speculative intervals leading to the current state.
-        self.speculative: set[Interval] = set()
+        #: S.IS — speculative intervals leading to the current state.  The
+        #: shared empty set until the first guess (a process that never
+        #: speculates owns none); the machine swaps in a real one to add.
+        self.speculative: "set[Interval] | frozenset" = NO_INTERVALS
         #: S.G — result of the most recent guess (None before any guess).
         self.g: Optional[bool] = None
         self._next_index = 0

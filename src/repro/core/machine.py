@@ -65,7 +65,7 @@ from .events import (
     MachineEvent,
     RollbackEvent,
 )
-from .history import ProcessRecord
+from .history import NO_INTERVALS, ProcessRecord
 from .interval import Interval, IntervalState
 
 
@@ -374,7 +374,10 @@ class Machine:
             aid.dom.add(interval)
         record.intervals.append(interval)
         record.current = interval                       # Eq 5: S.I ← A
-        record.speculative.add(interval)                # Eq 5: S.IS ∪ {A}
+        if record.speculative is NO_INTERVALS:          # Eq 5: S.IS ∪ {A}
+            record.speculative = {interval}
+        else:
+            record.speculative.add(interval)
         record.g = True                                 # Eq 5: S.G ← True
         if record.keeps_history:
             record.append(                              # Eq 6: HP ← HP · S

@@ -87,6 +87,8 @@ class HopeProcess:
     the effect log.
     """
 
+    __slots__ = ("name",)
+
     def __init__(self, name: str) -> None:
         self.name = name
 

@@ -85,6 +85,7 @@ _new_received = partial(tuple.__new__, ReceivedMessage)
 from .replay import (
     Checkpoint,
     EffectLog,
+    Exited,
     RebasePoint,
     _make_entry,
 )
@@ -183,12 +184,14 @@ class ProcessRuntime:
         point*: the body is called with ``resume=<fresh deep copy>`` and
         must reconstruct itself from that state (the commit_point
         contract).  Each incarnation gets its own copy — a restarted body
-        mutates the state it is handed.
+        mutates the state it is handed.  From a terminal point (the body
+        had returned, see :class:`Exited`) there is nothing to run.
         """
         if self.rebase is not None:
-            return self.fn(
-                self.facade, *self.args, resume=copy.deepcopy(self.rebase.state)
-            )
+            state = self.rebase.state
+            if type(state) is Exited:
+                return state.body()
+            return self.fn(self.facade, *self.args, resume=copy.deepcopy(state))
         return self.fn(self.facade, *self.args)
 
     def __repr__(self) -> str:
@@ -283,16 +286,19 @@ class HopeSystem:
         finalized intervals never roll back) — on by default.  Bounds
         long-run memory to O(active speculation window): machine history
         prefixes, retired AIDs, unreachable interned DepSets, effect-log
-        prefixes behind a ``commit_point``, and closed timeline spans are
-        all dropped.  Semantics-neutral — traces are identical with it on
-        or off; see docs/PERFORMANCE.md §4 and §13.  ``False`` keeps
+        prefixes behind a ``commit_point`` (exit is the last one: a body
+        that returned and committed keeps no log and no task), and closed
+        timeline spans are all dropped.  Semantics-neutral — traces are
+        identical with it on or off; see docs/PERFORMANCE.md §4, §13 and
+        §14.  ``False`` keeps
         everything and exists as the reference twin for differential
         tests (and for the parallel backend's shards); a durable run
         refuses it.
     fossil_interval:
         Collect after every N machine finalizes (default 64).  A pass
         visits the processes it can reclaim something from — an interval
-        finalized or rolled back, a commit point was declared — and lets
+        finalized or rolled back, a commit point was declared, the body
+        returned — and lets
         the ones that merely ran ride along a few at a time, so its cost
         follows what the N finalizes left behind, not the number of
         processes (a durable run visits all that changed: the pass it
@@ -469,6 +475,9 @@ class HopeSystem:
         #: delivery boundary.
         self._fossil_pending = False
         self._finalizes_since_collect = 0
+        #: Processes whose exit a pass promoted to their last commit point
+        #: (see _run_fossil_collection).
+        self.processes_retired = 0
         #: Machine finalizes + discarded intervals at the last pass: what
         #: has been added since is what the next pass can reclaim.
         self._dead_at_collect = 0
@@ -697,6 +706,14 @@ class HopeSystem:
         finally:
             system._defer_start = False
         recorder.restore(image)
+        # A pin lasts as long as the handle object it was counted on, and
+        # those died with the killed run: restore rebuilt the handles as
+        # new values and re-pinned only the ones in ``aid_init`` entries —
+        # which a creator that has retired (or promoted a commit point) no
+        # longer has, while a recv entry, a rebase state or a re-injected
+        # payload may still name its AID.  Whatever the image can name
+        # stays resolvable by key for the rest of this run.
+        system.machine.pin(recorder.image_aid_keys())
         return system
 
     def _durable_sync(self) -> None:
@@ -816,6 +833,7 @@ class HopeSystem:
             "fossil_log_dropped": sum(
                 p.log.fossil_dropped_total for p in self.procs.values()
             ),
+            "processes_retired": self.processes_retired,
             "heap_compactions": self.sim.heap_compactions,
             "wasted_time": self.timeline.aggregate(Span.WASTED),
             "busy_time": self.timeline.aggregate(Span.BUSY),
@@ -1007,9 +1025,11 @@ class HopeSystem:
             # leaves behind.
             best: Optional[RebasePoint] = None
             if proc.rebase_candidates:
+                # (>=: an exit recorded at the position of the body's last
+                # commit point is the newer of the two, and wins)
                 for cand in proc.rebase_candidates:
                     if cand.log_index <= target and (
-                        best is None or cand.log_index > best.log_index
+                        best is None or cand.log_index >= best.log_index
                     ):
                         best = cand
                 if best is not None and best.log_index <= proc.log.base:
@@ -1022,6 +1042,11 @@ class HopeSystem:
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
                 ]
                 proc.log.drop_prefix(best.log_index)
+                if type(best.state) is Exited:
+                    # The log went whole, and the handles it pinned with
+                    # it; nothing will look at the finished task again.
+                    proc.task = None
+                    self.processes_retired += 1
             proc.track.compact_before(frontier_time)
         fossil_stats = machine.fossil_collect(batch)
         if self._durable is not None:
@@ -1107,15 +1132,20 @@ class HopeSystem:
         task.start(delay=delay)
 
     def _kill_incarnation(self, proc: ProcessRuntime, reason: str) -> None:
-        """End ``proc``'s current incarnation (rollback or crash) and take
-        its recv bridge apart.  The bridge points at itself twice (its
-        pre-bound ``on_kill`` and its waiter); cut here, it and the killed
-        task are freed by reference counting on the spot instead of
-        waiting, as cyclic garbage, for a full collection."""
+        """End ``proc``'s current incarnation (rollback or crash)."""
         proc.incarnation += 1
         task = proc.task
         if task is not None and task.alive:
             task.kill(reason)
+        self._drop_bridge(proc)
+
+    @staticmethod
+    def _drop_bridge(proc: ProcessRuntime) -> None:
+        """Take the recv bridge of an incarnation that has ended (killed,
+        or returned) apart.  The bridge points at itself twice (its
+        pre-bound ``on_kill`` and its waiter); cut here, it and the dead
+        task are freed by reference counting as soon as their owner lets
+        go instead of waiting, as cyclic garbage, for a full collection."""
         bridge = proc.bridge
         if bridge is not None:
             proc.bridge = None
@@ -1128,6 +1158,21 @@ class HopeSystem:
         if task.done:
             proc.done = True
             proc.result = task.result
+            self._drop_bridge(proc)
+            if self.fossil_collect and proc.log.entries:
+                # Exit is the last commit point (see Exited): once the
+                # frontier reaches the end of the log, a pass promotes it
+                # like any other and the log goes whole.  A rollback of
+                # this incarnation discards the candidate with the rest
+                # of the suffix.
+                proc.rebase_candidates.append(
+                    RebasePoint(len(proc.log), Exited(task.result), self.sim._now)
+                )
+                if not proc.mproc.speculative:
+                    # Nothing can undo this exit, so the next pass can
+                    # promote it.  (A speculative exit is queued by the
+                    # finalize or rollback that settles it.)
+                    proc.mproc.mark_reclaimable()
             self.tracer.record(self.sim.now, "exit", proc.name)
 
     # ------------------------------------------------------------------

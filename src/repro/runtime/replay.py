@@ -20,13 +20,16 @@ at a fossil pass the newest :class:`RebasePoint` behind the commit
 frontier becomes the log's base, the prefix is dropped,
 and a restart calls ``body(resume=state)`` and replays only the entries
 since — O(speculative window), not O(full history).  That is the one
-rollback path; see docs/PERFORMANCE.md §3.
+rollback path; see docs/PERFORMANCE.md §3.  A body that returns has
+declared its last commit point (:class:`Exited`): once everything it did
+is committed its whole log is prefix, so a run keeps the logs of the
+processes still running, not of every process it ever ran (§14).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any, Generator, NamedTuple
 
 from ..core.errors import HopeError
 
@@ -101,6 +104,23 @@ class RebasePoint:
 
     def __repr__(self) -> str:
         return f"RebasePoint(log_index={self.log_index}, t={self.time:.4f})"
+
+
+class Exited(NamedTuple):
+    """The state of a *terminal* :class:`RebasePoint`: the body returned
+    ``result``.  Exit is the last commit point — a terminated process is a
+    value, with no context left to restore — so the engine records one at
+    the end of the log when a body returns, and once the commit frontier
+    reaches it the whole log is prefix.  An incarnation started from this
+    point replays nothing and returns the result (only a durable resume
+    ever starts one)."""
+
+    result: Any
+
+    def body(self) -> Generator:
+        """The whole remaining program of an exited process."""
+        return self.result
+        yield  # unreachable: makes this a generator function
 
 
 class EffectLog:

@@ -127,22 +127,32 @@ class _Waiter:
         self.box._remove_waiter(self)
 
 
+#: What a :class:`Mailbox` holds in place of a container it has not needed.
+_UNUSED = ()
+
+
 class Mailbox:
     """FIFO of messages for one process, with blocking receivers.
 
     Receivers may pass a ``predicate`` to receive selectively (used by RPC
     reply matching); unmatched messages stay queued in order.
+
+    A mailbox owns no container until it needs one: ``_queue`` is the
+    shared empty tuple until the first message has to wait (most arrive
+    at a blocked receiver and never do), ``_waiters`` until the first
+    receiver blocks (a wait list is 0-1 long nearly always: a plain list).
+    Every read works on the tuple; the sites that add an element swap in
+    the real container first, and it stays.
     """
 
-    __slots__ = ("sim", "owner", "_queue", "_waiters", "delivered_count", "_timeout_label")
+    __slots__ = ("sim", "owner", "_queue", "_waiters", "delivered_count")
 
     def __init__(self, sim: Simulator, owner: str) -> None:
         self.sim = sim
         self.owner = owner
-        self._queue: deque[Message] = deque()
-        self._waiters: deque[_Waiter] = deque()
+        self._queue: Any = _UNUSED      # a deque[Message] once one has queued
+        self._waiters: Any = _UNUSED    # a list[_Waiter] once a receiver blocked
         self.delivered_count = 0
-        self._timeout_label = "recv-timeout:" + owner
 
     # ------------------------------------------------------------------
     # producer side
@@ -157,7 +167,7 @@ class Mailbox:
         if waiters and waiters[0].predicate is None:
             # Common case — an unconditional receiver at the head: no
             # snapshot of the wait list, no predicate calls.
-            waiter = waiters.popleft()
+            waiter = waiters.pop(0)
             if waiter.timer is not None:
                 waiter.timer.cancel()
             waiter.task.clear_cleanups()
@@ -171,6 +181,8 @@ class Mailbox:
                 waiter.task.clear_cleanups()
                 waiter.task.resume(message)
                 return
+        if self._queue is _UNUSED:
+            self._queue = deque()
         self._queue.append(message)
 
     def requeue_front(self, messages: Iterable[Message]) -> None:
@@ -179,6 +191,8 @@ class Mailbox:
         Used when a rollback un-receives messages whose senders survived:
         they must be redelivered in the original order.
         """
+        if self._queue is _UNUSED:
+            self._queue = deque()
         for message in reversed(list(messages)):
             if not message.dead:
                 self._queue.appendleft(message)
@@ -207,9 +221,13 @@ class Mailbox:
         waiter = _Waiter(task, None, predicate, self)
         if timeout is not None:
             waiter.timer = self.sim.schedule(
-                timeout, self._timeout_waiter, waiter, label=self._timeout_label
+                timeout, self._timeout_waiter, waiter,
+                label="recv-timeout:" + self.owner,
             )
-        self._waiters.append(waiter)
+        if self._waiters is _UNUSED:
+            self._waiters = [waiter]
+        else:
+            self._waiters.append(waiter)
         task.add_cleanup(waiter)
 
     def register_waiter(self, waiter: _Waiter) -> None:
@@ -229,7 +247,10 @@ class Mailbox:
                     del self._queue[idx]
                     waiter.task.resume(message)
                     return
-        self._waiters.append(waiter)
+        if self._waiters is _UNUSED:
+            self._waiters = [waiter]
+        else:
+            self._waiters.append(waiter)
         waiter.task.add_cleanup(waiter)
 
     def _timeout_waiter(self, waiter: _Waiter) -> None:
@@ -277,7 +298,7 @@ class Mailbox:
         """Discard all queued messages (crash semantics: a dead node's
         buffered input is lost).  Returns how many were dropped."""
         dropped = len(self._queue)
-        self._queue.clear()
+        self._queue = _UNUSED
         return dropped
 
     def __len__(self) -> int:

@@ -176,7 +176,7 @@ class Task:
     __slots__ = (
         "sim", "name", "fn", "args", "env", "handler", "on_exit", "result",
         "error", "_gen", "_state", "_pending", "_cleanups", "_has_inline",
-        "_inline_value", "_resume_label", "_throw_label",
+        "_inline_value",
     )
 
     _FRESH = "fresh"
@@ -211,10 +211,6 @@ class Task:
         self._cleanups: list[Callable[[], None]] = []
         self._has_inline = False
         self._inline_value: Any = None
-        #: Debug labels for the per-resume events, formatted once — an
-        #: f-string per resume/throw was measurable on the resume path.
-        self._resume_label = "resume:" + name
-        self._throw_label = "throw:" + name
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -251,12 +247,12 @@ class Task:
         handlers never re-enter the generator from within its own yield.
         """
         self._expect_waiting("resume")
-        self._pending = self.sim.call_soon(self._step, value, False, label=self._resume_label)
+        self._pending = self.sim.call_soon(self._step, value, False, label="resume:" + self.name)
 
     def throw(self, exc: BaseException) -> None:
         """Resume the generator by raising ``exc`` at its yield point."""
         self._expect_waiting("throw")
-        self._pending = self.sim.call_soon(self._step, exc, True, label=self._throw_label)
+        self._pending = self.sim.call_soon(self._step, exc, True, label="throw:" + self.name)
 
     def resume_inline(self, value: Any = None) -> None:
         """Resume immediately, from within this task's own pending callback.

@@ -13,7 +13,8 @@ something a resumed run needs, so each is pinned here:
 * a committed send's tags are all affirmed when it flushes (why no tag is
   persisted);
 * bytes per committed op and envelope size do not grow with run length;
-* a body with no commit point keeps its whole committed log;
+* a body with no commit point keeps its whole committed log until it
+  exits, and then none of it;
 * a version-1 directory is refused by name.
 """
 
@@ -23,6 +24,9 @@ import os
 import shutil
 
 import pytest
+
+from repro.durable.codec import decode_value
+from repro.runtime.replay import Exited
 
 from repro.bench.workloads import (
     build_chaos_mesh,
@@ -71,8 +75,20 @@ def _build_steady(system, rounds=12):
         system.spawn(name, _steady_worker, "judge", rounds)
 
 
+def _build_staggered(system):
+    """Members that exit at different times: the token ring (its nodes
+    leave one by one during the last lap, no commit point anywhere) beside
+    commit-point counters of 3, 6 and 10 rounds."""
+    build_chaos_ring(system, nodes=4, laps=3)
+    rounds = {"c0": 3, "c1": 6, "c2": 10}
+    system.spawn("judge", _steady_judge, sum(rounds.values()))
+    for name, count in rounds.items():
+        system.spawn(name, _steady_worker, "judge", count)
+
+
 BUILDS = {
     "steady": _build_steady,
+    "staggered": _build_staggered,
     "mesh": lambda system: build_chaos_mesh(system, workers=3, rounds=5),
     "ring": lambda system: build_chaos_ring(system, nodes=4, laps=4),
     "counter": lambda system: build_durable_counter(system, workers=2, rounds=12),
@@ -228,6 +244,120 @@ def test_committed_sends_are_tagged_with_affirmed_aids_only(tmp_path, workload):
     assert tagged or workload in ("counter", "steady")
 
 
+# ------------------------------------------ exit is the last commit point
+def test_an_exited_member_leaves_the_image_and_every_later_envelope(tmp_path):
+    """Once a pass has promoted a member's exit, its frame carried a
+    terminal rebase point and no entry, the image holds its result in
+    place of its log, and no envelope sealed from then on contains one
+    entry of it.  (Every boundary of this run is also killed and resumed:
+    ``staggered`` is one of ``BUILDS``.)"""
+    seed, build = 2, BUILDS["staggered"]
+    system = _system(tmp_path, seed, build)
+    recorder = system._durable
+    end_pass = recorder.end_pass
+    retired_by_pass = []
+
+    def checked_end_pass(*args, **kwargs):
+        end_pass(*args, **kwargs)
+        recorder.check_image()
+        retired = {name for name, proc in system.procs.items() if proc.task is None}
+        for name in retired:
+            proc, img = system.procs[name], recorder.procs[name]
+            assert proc.done and proc.log.entries == [] == img.entries, name
+            assert img.base == len(proc.log) > 0, name
+            assert decode_value(img.rebase[0]) == Exited(proc.result), name
+        gens = recorder.store.envelope_gens()
+        if gens and not recorder.passes_since_snapshot:     # one was just sealed
+            doc, _seal = recorder.store.load_envelope(max(gens))
+            for name in retired:
+                pdoc = doc["procs"][name]
+                assert pdoc["entries"] == [] and pdoc["base"] > 0, name
+            retired_by_pass.append((max(gens), len(retired)))
+
+    recorder.end_pass = checked_end_pass
+    system.run()
+    twin = _twin(seed, build)
+    assert _committed(system) == _committed(twin)
+    # they left one by one, over many envelopes, and all but the last to
+    # exit (no pass follows) were gone by the end
+    counts = [count for _gen, count in retired_by_pass]
+    assert counts == sorted(counts) and len(set(counts)) >= 4
+    assert counts[-1] >= len(system.procs) - 2
+    assert system.stats()["processes_retired"] == counts[-1]
+    for name in system.procs:
+        assert system.result_of(name) == twin.result_of(name), name
+
+
+def _minted_elsewhere(mode):
+    """A creator that hands its AID out and is gone from the image — it
+    exits, or declares a commit point and idles — long before the others
+    use the handle: ``late`` guesses at t≈60, ``verifier`` affirms at t≈90."""
+    def creator(p, resume=None):
+        if resume is None:
+            x = yield p.aid_init("x")
+            yield p.send("late", x)
+            yield p.send("verifier", x)
+            yield p.emit("made")
+            if mode == "commit":
+                yield p.commit_point("sent")
+        if mode == "commit":
+            yield p.recv()
+        return "made"
+
+    def late(p):
+        x = (yield p.recv()).payload
+        yield p.compute(60.0)
+        ok = yield p.guess(x)
+        yield p.emit(("late", ok))
+        return ok
+
+    def verifier(p):
+        x = (yield p.recv()).payload
+        yield p.compute(90.0)
+        yield p.affirm(x)
+        yield p.emit("judged")
+
+    def build(system):
+        system.spawn("creator", creator)
+        system.spawn("late", late)
+        system.spawn("verifier", verifier)
+        system.spawn("tally", _steady_judge, 60)            # keeps passes coming
+        system.spawn("w0", _steady_worker, "tally", 60)
+
+    return build
+
+
+@pytest.mark.parametrize("mode", ["exit", "commit"])
+def test_a_handle_outlives_its_creators_log_across_a_resume(tmp_path, mode):
+    """A pin lasts as long as the handle *object* it was counted on, and a
+    resumed run rebuilds handles as new values: ``HopeSystem.resume`` pins
+    every AID the image can name, or the first pass after it would retire
+    ``x`` — its creator's ``aid_init`` entry, the one pin restore counts,
+    left the image with the creator's log — under the two processes that
+    still hold its handle.  (``commit``: raised ``UnknownAidError`` at the
+    parent from each of the six kills before t=60; ``exit``: would now.)"""
+    seed, build = 1, _minted_elsewhere(mode)
+    twin = _twin(seed, build)
+    want = _committed(twin)
+    assert want["late"] == ["('late', True)"]
+    events = twin.stats()["sim_events"]
+    for tenth in range(1, 10):
+        run_dir = tmp_path / str(tenth)
+        system = _system(run_dir, seed, build)
+        with pytest.raises(EventLimitExceeded):
+            system.run(max_events=events * tenth // 10)
+        creator = system._durable.procs["creator"]
+        assert creator.entries == [] and creator.base > 0       # gone by the first kill
+        # ... while a recv entry of ``late`` and of ``verifier`` names x
+        assert "x#1" in system._durable.image_aid_keys()
+        del system
+        resumed = _resume(run_dir, seed, build)
+        assert "x#1" in resumed.machine.pins, tenth
+        resumed.run()
+        assert _committed(resumed) == want, tenth
+        resumed.machine.check_invariants()
+
+
 # --------------------------------------------------- flat in run length
 def _long_run(tmp_path, rounds):
     system = _system(tmp_path, 1, lambda system: _build_steady(system, rounds),
@@ -278,25 +408,39 @@ def test_bytes_per_op_and_envelope_size_do_not_grow_with_the_run(tmp_path):
     assert long_held < long["ledger_rows"]
 
 
-# ---------------------------------- no commit point: the whole log survives
+# ------------------- no commit point: the whole log survives, until exit
 def test_a_body_without_commit_points_keeps_its_whole_committed_log(tmp_path):
     """Entries are elided only behind a promoted rebase point; the ring
-    never yields ``commit_point``, so replay needs every committed entry."""
+    never yields ``commit_point``, so while a member runs, replay needs
+    every committed entry.  Exit is the last commit point: a member that
+    had returned and committed leaves no entry, only its result."""
     seed, build = 5, BUILDS["ring"]
     twin = _twin(seed, build)
     system = _system(tmp_path, seed, build)
     with pytest.raises(EventLimitExceeded):
         system.run(max_events=int(twin.stats()["sim_events"] * 0.85))
     images = system._durable.procs
-    assert all(img.base == 0 and img.rebase is None for img in images.values())
+    exited = {name for name, proc in system.procs.items() if proc.task is None}
+    assert exited and len(exited) < len(images)
+    for name in exited:
+        img = images[name]
+        assert img.entries == [] and img.rebase is not None, name
+        assert img.base == len(system.procs[name].log) > 0, name
     sealed = {name: len(img.entries) for name, img in images.items()}
+    assert all(
+        images[name].base == 0 and images[name].rebase is None
+        for name in sealed.keys() - exited
+    )
     assert sum(sealed.values()) >= 40
     del system
     resumed = _resume(tmp_path, seed, build)
     for name, count in sealed.items():
         log = resumed.procs[name].log
-        assert (log.base, len(log.entries)) == (0, count), name
+        assert (log.base, len(log.entries)) == (images[name].base, count), name
     resumed.run()
+    for name in exited:
+        assert resumed.procs[name].log.replayed_entries_total == 0, name
+        assert resumed.result_of(name) == twin.result_of(name), name
     assert _committed(resumed) == _committed(twin)
 
 

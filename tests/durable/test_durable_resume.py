@@ -423,8 +423,22 @@ class TestBytesOnDisk:
     #: and envelope seals move.  Pass count, frame count, frame order and
     #: every other frame are unchanged (compared frame by frame against
     #: the parent when this was recorded).
-    SHAPE = (9, 336, 23697)
-    GOLDEN = "b2f220bc98efcb46e10c3cd6115f640011e59d8faf1e3142f427f5c88dc987e1"
+    #:
+    #: Re-recorded once when exit became the last commit point (was
+    #: (9, 336, 23697), b2f220bc…): ``peer`` and ``sender`` return and
+    #: commit before the first pass, so their two frames in it carry a
+    #: terminal rebase (``"b":9`` + ``"rb"``, the pickled ``Exited``
+    #: result) instead of nine entries each — 18 records fewer — the same
+    #: pass gains one registry-drop frame for ``x#3``/``y#4`` (the dropped
+    #: logs were what pinned them for the whole run), its batch marker
+    #: moves with them, and the three envelopes lose the two logs (894
+    #: bytes each) and so change their seals.  Pass count, the other 27 of
+    #: the WALs' 30 lines, their order and the second marker of that WAL
+    #: are unchanged (compared line by line against the parent); WALs 1
+    #: and 2 and the ledger are the parent's byte for byte.  Anything that
+    #: changes *when* a process retires moves these bytes again.
+    SHAPE = (9, 318, 22880)
+    GOLDEN = "8221536dcff8c836ee10324c2723c265236a06597fe3f20d9cb45fc3e1dd4920"
 
     def test_wal_and_envelopes_are_byte_identical_to_the_parent(self, tmp_path):
         shape, digest = _golden_run(str(tmp_path))

@@ -241,7 +241,10 @@ def test_run_profile_prints_hotspots():
     collector, fossil = out.rstrip().splitlines()[-2:]
     assert collector.startswith("collector: gen0 ")
     assert "gen2 " in collector
-    assert fossil == "fossil: 0 passes, 0 records visited, 0 AIDs examined, 0.000 s"
+    assert fossil == (
+        "fossil: 0 passes, 0 records visited, 0 AIDs examined, 0.000 s, "
+        "0 processes retired"
+    )
 
 
 def test_run_profile_times_the_fossil_passes():
@@ -255,11 +258,28 @@ def test_run_profile_times_the_fossil_passes():
     line = out.rstrip().splitlines()[-1]
     match = re.fullmatch(
         r"fossil: (\d+) passes, (\d+) records visited, (\d+) AIDs examined, "
-        r"(\d+\.\d{3}) s", line
+        r"(\d+\.\d{3}) s, (\d+) processes retired", line
     )
     assert match, line
     passes, visited, examined = map(int, match.groups()[:3])
     assert passes >= 1 and visited >= passes and examined >= 1
+
+
+def test_run_profile_counts_the_processes_a_pass_retired():
+    """The OCC example's clients return while the primary still serves:
+    a pass promotes the exit of one to its last commit point, and the
+    fossil line says so."""
+    code, out = run_cli(
+        ["run", str(EXAMPLES / "occ.hope"), "--spawn", "primary=Primary:[4]",
+         "--spawn", "alice=Client:[2]", "--spawn", "bob=Client:[2]",
+         "--latency", "5", "--fossil-interval", "1", "--profile"]
+    )
+    assert code == 0
+    line = out.rstrip().splitlines()[-1]
+    assert re.fullmatch(
+        r"fossil: 3 passes, \d+ records visited, \d+ AIDs examined, "
+        r"\d+\.\d{3} s, 1 processes retired", line
+    ), line
 
 
 def test_run_no_longer_takes_fossil_collect_flag():

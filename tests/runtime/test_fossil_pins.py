@@ -100,6 +100,8 @@ class PinAudit:
         self.system = system
         self.passes = 0
         self.retired = 0
+        #: The most AIDs any pass left waiting on a pin.
+        self.backlog = 0
         self.in_hand_passes = 0
         self._in_hand = None
         collect = system.machine.fossil_collect
@@ -118,6 +120,7 @@ class PinAudit:
             assert all(count > 0 for count in machine.pins.values())
             self.passes += 1
             self.retired += stats.aids_retired
+            self.backlog = max(self.backlog, len(machine._retire_deferred))
             self.in_hand_passes += in_hand is not None and bool(in_hand.tags)
             return stats
 
@@ -171,9 +174,13 @@ def test_chaos_workloads(build, seed, faulty):
     system.run(max_events=400_000)
     audit.finish()
     stats = system.stats()
-    # (no commit points in these bodies: their logs pin every handle, so
-    # all AIDs end up waiting on a pin — the backlog no pass may rescan)
-    assert audit.passes >= 50 and len(system.machine._retire_deferred) > 5
+    # (no commit points in these bodies: while one runs its log pins every
+    # handle it minted, so its AIDs wait on a pin — the backlog no pass may
+    # rescan.  Judged at the pass boundaries: a body that has exited and
+    # committed gives its log up, and the backlog drains with it — the
+    # ring's nodes leave one by one during the last lap, so 5 of its 8
+    # AIDs is the most that ever wait together.)
+    assert audit.passes >= 50 and audit.backlog >= 5
     assert stats["rollbacks"] > 0 and stats["tags_attached"] > 0
     if faulty:
         assert stats["reliable"]["acked"] > 0

@@ -7,6 +7,9 @@ collection.  The runtime now unlinks an incarnation where it kills it, so
 everything it drops is freed by reference counting — which is what lets
 ``Simulator.run`` hold full collections off without growing the heap.
 
+A process that returns is let go the same way: its bridge where it
+exits, its finished task and its log when a pass retires it.
+
 Each case runs with the collector disabled and the system kept alive,
 then collects once: whatever the collector finds unreachable was cyclic
 garbage the run made.
@@ -132,6 +135,49 @@ def test_deny_cascade_tree_leaves_no_cycles():
         assert system.committed_outputs(f"r{depth - 1}") == [
             (f"r{depth - 1}", ("work", False))
         ]
+        return system
+
+    assert not _cyclic_garbage(run)
+
+
+def test_retired_processes_leave_no_cycles():
+    """Short-lived children spawned in waves, each judged once (every
+    third denied) and gone: a pass promotes each exit to the process's
+    last commit point, and what that lets go of — the log, the finished
+    task, the handles — is freed by reference counting alone."""
+    waves, width = 6, 6
+
+    def child(p, judge, index):
+        x = yield p.aid_init("child")
+        yield p.send(judge, (x, index))
+        ok = yield p.guess(x)
+        yield p.compute(1.0 if ok else 2.0)
+        yield p.emit((p.name, ok))
+        return ok
+
+    def judge(p):
+        for _ in range(width):
+            x, index = (yield p.recv()).payload
+            yield p.compute(0.5)
+            if index % 3:
+                yield p.affirm(x)
+            else:
+                yield p.deny(x)
+
+    def driver(p):
+        for wave in range(waves):
+            yield p.spawn(f"j{wave}", judge)
+            for i in range(width):
+                yield p.spawn(f"c{wave}.{i}", child, f"j{wave}", i)
+            yield p.compute(10.0)
+
+    def run():
+        system = HopeSystem(latency=ConstantLatency(1.0), fossil_interval=2)
+        system.spawn("driver", driver)
+        system.run()
+        stats = system.stats()
+        assert stats["rollbacks"] == 2 * waves
+        assert stats["processes_retired"] >= (waves - 1) * (width + 1)
         return system
 
     assert not _cyclic_garbage(run)
