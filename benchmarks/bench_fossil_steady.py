@@ -165,7 +165,7 @@ def run_horizon(
                     for r in proc.outputs
                     if r.interval is not None
                 }),
-                "log_entries": len(worker.log.entries),
+                "log_entries": worker.log.retained,
                 "depset_table": len(machine.depsets),
             }
         )

@@ -37,6 +37,11 @@ class AidStatus(enum.Enum):
 
 _aid_serial = itertools.count(1)
 
+#: The DOM of every *settled* AID (resolved, no speculative affirmer, no
+#: parked deny), installed by the fossil pass that finds it so: nothing can
+#: depend on it again (Lemma 5.1, Eq 7-9 / 15), and a frozenset fails an ``add``.
+SETTLED_DOM: frozenset = frozenset()
+
 
 class AssumptionId:
     """One optimistic assumption, with its DOM dependency set.

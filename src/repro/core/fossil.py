@@ -21,7 +21,9 @@ This module reclaims, per collection pass:
   Resolved ones are committed by Theorem 6.1; *pending* ones are
   orphans minted inside rolled-back intervals that nothing can ever
   resolve.  A retired AID leaves ``Machine.aids``; by-object use
-  (``guess`` on a held reference) still works, by-key lookup raises;
+  (``guess`` on a held reference) still works, by-key lookup raises.
+  A *resolved* one a pin keeps is **settled**: its DOM set is traded
+  for the shared empty :data:`~repro.core.aid.SETTLED_DOM`;
 * **interned DepSets** — the table holds its sets weakly, so one dies
   with the last interval that carries it; a pass drops what else kept
   them, the ``id()``-keyed operation memos (see
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .aid import AidStatus
+from .aid import SETTLED_DOM, AidStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .machine import Machine
@@ -125,6 +127,8 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
     for aid in candidates:
         if aid.dom or aid.parked_denies or aid.speculative_affirmer is not None:
             continue
+        if aid.status is not AidStatus.PENDING:     # a pending one may yet be guessed
+            aid.dom = SETTLED_DOM                   # settled, pinned or not
         key = aid.key
         if aids.get(key) is not aid:        # already retired
             continue

@@ -192,9 +192,8 @@ class DurableRecorder:
             registry = self.registry
             aids = self.system.machine.aids
             sends = resolutions = 0
-            log = proc.log
             pos = cursor
-            for kind, result in log.entries[cursor - log.base:target - log.base]:
+            for kind, result in proc.log.pairs(cursor, target):
                 if kind in _EFFECTFUL:
                     if kind == "send":
                         at, msg_id, dst, payload = img.send_extras[sends]
@@ -457,7 +456,7 @@ class DurableRecorder:
         # repro.durable, not the other way around at module load.
         from ..core.aid import AidStatus
         from ..runtime.engine import OutputRecord
-        from ..runtime.replay import RebasePoint, _make_entry
+        from ..runtime.replay import RebasePoint
         from ..sim.channel import Message, Network
 
         system = self.system
@@ -489,12 +488,8 @@ class DurableRecorder:
                     # Re-pin the handle: the log entry holds the strong
                     # reference, the pin lasts as long as it does.
                     system._pin_handle(result)
-                entries.append(_make_entry((kind, result)))
-            log = proc.log
-            log.base = img.base
-            log.entries = entries
-            log.cursor = img.base + len(entries)
-            log.pending = 0
+                entries.append((kind, result))
+            proc.log.load(img.base, entries)
             if img.rebase is not None and img.base > 0:
                 proc.rebase = RebasePoint(
                     img.base, decode_value(img.rebase[0]), img.rebase[1]

@@ -80,14 +80,13 @@ from .messages import ReceivedMessage
 
 _DEFINITE = IntervalState.DEFINITE
 
-#: C-level ReceivedMessage constructor (see replay._make_entry).
+#: C-level ReceivedMessage constructor (no generated ``__new__`` frame).
 _new_received = partial(tuple.__new__, ReceivedMessage)
 from .replay import (
     Checkpoint,
     EffectLog,
     Exited,
     RebasePoint,
-    _make_entry,
 )
 from .resilience import (
     DETECTOR_PID,
@@ -1068,7 +1067,7 @@ class HopeSystem:
         guess's checkpoint (everything up to now with no live speculation),
         the log position held behind an in-flight replay cursor."""
         log = proc.log
-        frontier_log = log.base + len(log.entries)
+        frontier_log = len(log)
         frontier_time = self.sim._now
         for iv in proc.mproc.speculative:
             cp = iv.ps
@@ -1159,7 +1158,7 @@ class HopeSystem:
             proc.done = True
             proc.result = task.result
             self._drop_bridge(proc)
-            if self.fossil_collect and proc.log.entries:
+            if self.fossil_collect and proc.log.retained:
                 # Exit is the last commit point (see Exited): once the
                 # frontier reaches the end of the log, a pass promotes it
                 # like any other and the log goes whole.  A rollback of
@@ -1334,10 +1333,11 @@ class HopeSystem:
             msg_id = delivery.message.msg_id
         if current is not None:
             current.meta.setdefault("sent", []).append(delivery)
-        # log.append inlined (hot path: one entry per send): the live-side
-        # invariant is cursor == base + len(entries), so += 1 suffices.
+        # log.append inlined (hot path: one entry per send), both columns:
+        # the live-side invariant is cursor == base + retained.
         log = proc.log
-        log.entries.append(_make_entry(("send", msg_id)))
+        log.kinds.append("send")
+        log.results.append(msg_id)
         log.cursor += 1
         if self._durable is not None:
             self._durable.note_send(
@@ -1584,7 +1584,8 @@ class HopeSystem:
             self.network.release(message)   # a definite receive is for good
         # log.append inlined, as in _do_send (one entry per delivery).
         log = proc.log
-        log.entries.append(_make_entry(("recv", received)))
+        log.kinds.append("recv")
+        log.results.append(received)
         log.cursor += 1
         if self._tracing:
             self.tracer.record(

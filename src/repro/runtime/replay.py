@@ -28,8 +28,7 @@ processes still running, not of every process it ever ran (§14).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Generator, NamedTuple
+from typing import Any, Generator, Iterable, Iterator, NamedTuple
 
 from ..core.errors import HopeError
 
@@ -44,25 +43,11 @@ class ReplayDivergenceError(HopeError):
 
 
 class LogEntry(NamedTuple):
-    """One performed effect and its result.
-
-    A ``NamedTuple`` rather than a slotted class: one entry is appended
-    per effect on the hot path, and tuple allocation is markedly cheaper
-    than instance creation + two attribute stores.
-    """
+    """One performed effect and its result, as :meth:`EffectLog.entry_at`
+    builds it on demand; the log itself stores no instances of it."""
 
     kind: str
     result: Any
-
-    def __repr__(self) -> str:
-        return f"LogEntry({self.kind}, {self.result!r})"
-
-
-#: C-level LogEntry constructor: ``tuple.__new__`` pre-bound to the class
-#: via partial, skipping both the generated namedtuple ``__new__`` frame
-#: and the ``_make`` classmethod wrapper frame — two entries are appended
-#: per message round-trip and the extra frames were measurable.
-_make_entry = partial(tuple.__new__, LogEntry)
 
 
 class Checkpoint:
@@ -90,7 +75,7 @@ class RebasePoint:
 
     Captured by a :class:`~repro.runtime.effects.CommitPointEffect`
     (``log_index`` is the log length *after* the commit entry, so a
-    resumed incarnation's first yield lines up with ``entries[log_index]``).
+    resumed incarnation's first yield lines up with ``entry_at(log_index)``).
     Once the commit frontier passes ``log_index``, fossil collection
     promotes the point to be the log's base and drops the prefix.
     """
@@ -131,17 +116,24 @@ class EffectLog:
     :meth:`feed` until the cursor reaches the end, at which point the
     process is live again.
 
+    An entry is a slot in each of two parallel columns, ``kinds`` (the
+    strings the effect classes share) and ``results`` — a running body
+    keeps its log, so an entry costs two list slots and no object
+    (docs/PERFORMANCE.md §15).  Only this class and the two inlined
+    appends in ``runtime.engine`` know the layout: never append to one.
+
     All indices (``cursor``, checkpoint/truncation/replay positions) are
     **absolute** journal positions, stable across fossil collection.
     ``base`` counts entries dropped from the front by :meth:`drop_prefix`
-    — physically, ``entries`` holds positions ``[base, base+len(entries))``.
+    — physically, the columns hold positions ``[base, base + retained)``.
     A fresh incarnation replays from ``base`` (the engine rebuilds the
     pre-base state from the promoted :class:`RebasePoint`), so dropping
     the prefix is only sound once a rebase point at ``base`` exists.
     """
 
     __slots__ = (
-        "entries",
+        "kinds",
+        "results",
         "base",
         "cursor",
         "pending",
@@ -151,12 +143,13 @@ class EffectLog:
     )
 
     def __init__(self) -> None:
-        self.entries: list[LogEntry] = []
-        #: Absolute position of ``entries[0]`` (entries dropped in front).
+        self.kinds: list[str] = []
+        self.results: list[Any] = []
+        #: Absolute position of slot 0 (entries dropped in front).
         self.base = 0
         self.cursor = 0
         #: Entries still to be re-fed before the process is live again —
-        #: always ``base + len(entries) - cursor``, maintained explicitly
+        #: always ``base + retained - cursor``, maintained explicitly
         #: because the engine consults it once per live effect (the replay
         #: fast-forward guard) and the three-load arithmetic was
         #: measurable there.
@@ -170,19 +163,45 @@ class EffectLog:
     # live side
     # ------------------------------------------------------------------
     def append(self, kind: str, result: Any) -> None:
-        self.entries.append(_make_entry((kind, result)))
+        self.kinds.append(kind)
+        self.results.append(result)
         # Live appends keep the cursor at the tail (the live-side
-        # invariant ``cursor == base + len(entries)``, so += 1 suffices);
+        # invariant ``cursor == base + retained``, so += 1 suffices);
         # only begin_replay rewinds it.
         self.cursor += 1
 
     def __len__(self) -> int:
         """Absolute journal length (including the dropped prefix)."""
-        return self.base + len(self.entries)
+        return self.base + len(self.kinds)
+
+    @property
+    def retained(self) -> int:
+        """Entries physically held: positions ``[base, len(self))``."""
+        return len(self.kinds)
+
+    def _slot(self, index: int) -> int:
+        """Column offset of position ``index``: never negative (the log's end)."""
+        if index < self.base:
+            raise HopeError(f"log entry {index} is behind the fossil base {self.base}")
+        return index - self.base
 
     def entry_at(self, index: int) -> LogEntry:
-        """The entry at absolute position ``index``."""
-        return self.entries[index - self.base]
+        """The entry at absolute position ``index`` (``IndexError`` past the end)."""
+        at = self._slot(index)
+        return LogEntry(self.kinds[at], self.results[at])
+
+    def pairs(self, start: int, stop: int) -> Iterator[tuple]:
+        """``(kind, result)`` of the entries at positions ``[start, stop)``."""
+        lo, hi = self._slot(start), self._slot(stop)
+        return zip(self.kinds[lo:hi], self.results[lo:hi])
+
+    def load(self, base: int, pairs: Iterable[tuple]) -> None:
+        """Replace the log by ``pairs`` from position ``base`` on, live at the tail."""
+        self.truncate(0)
+        for kind, result in pairs:
+            self.append(kind, result)
+        self.base = base
+        self.cursor += base
 
     # ------------------------------------------------------------------
     # replay side
@@ -199,34 +218,35 @@ class EffectLog:
         the promoted rebase state instead of re-feeding it.
         """
         self.cursor = self.base
-        self.pending = len(self.entries)
-        if self.entries:
+        self.pending = len(self.kinds)
+        if self.pending:
             self.replay_count += 1
 
     def feed(self, kind: str) -> Any:
         """Return the logged result for the next effect, checking its kind."""
-        entry = self.entries[self.cursor - self.base]
-        if entry.kind != kind:
+        at = self.cursor - self.base
+        logged = self.kinds[at]
+        if logged != kind:
             if self.cursor == self.base > 0:
                 # The very first effect of an incarnation resumed from a
                 # rebase point: what a misplaced commit point looks like.
                 raise ReplayDivergenceError(
                     f"replay divergence at entry {self.cursor}, the first "
                     f"after a promoted commit point: the resumed body "
-                    f"yielded {kind!r} but the log recorded {entry.kind!r} — "
+                    f"yielded {kind!r} but the log recorded {logged!r} — "
                     "the resumed body's first effect must be the one "
                     "following the commit entry, i.e. the state passed to "
                     "commit_point must be the state *after* the commit point"
                 )
             raise ReplayDivergenceError(
                 f"replay divergence at entry {self.cursor}: process yielded "
-                f"{kind!r} but the log recorded {entry.kind!r} — the process "
+                f"{kind!r} but the log recorded {logged!r} — the process "
                 "body is not deterministic in its effect results"
             )
         self.cursor += 1
         self.pending -= 1
         self.replayed_entries_total += 1
-        return entry.result
+        return self.results[at]
 
     def truncate(self, index: int) -> int:
         """Drop entries from absolute position ``index`` on.
@@ -239,26 +259,26 @@ class EffectLog:
         crossed the commit frontier, contradicting Theorem 6.1.
         """
         if index == 0:
-            dropped = self.base + len(self.entries)
-            self.entries.clear()
-            self.base = 0
-            self.cursor = 0
-            self.pending = 0
+            dropped = self.base + len(self.kinds)
+            self.kinds.clear()
+            self.results.clear()
+            self.base = self.cursor = self.pending = 0
             return dropped
         if index < self.base:
             raise HopeError(
                 f"log truncation at {index} crosses the fossil base "
                 f"{self.base} — rollback behind the commit frontier"
             )
-        dropped = self.base + len(self.entries) - index
+        dropped = self.base + len(self.kinds) - index
         if dropped < 0:
             raise HopeError(
                 f"log truncation index {index} beyond log length {len(self)}"
             )
-        del self.entries[index - self.base :]
+        del self.kinds[index - self.base :]
+        del self.results[index - self.base :]
         if self.cursor > index:
             self.cursor = index
-        self.pending = self.base + len(self.entries) - self.cursor
+        self.pending = index - self.cursor
         return dropped
 
     def drop_prefix(self, index: int) -> int:
@@ -275,7 +295,8 @@ class EffectLog:
                 f"drop_prefix({index}) past the replay cursor {self.cursor}"
             )
         dropped = index - self.base
-        del self.entries[:dropped]
+        del self.kinds[:dropped]
+        del self.results[:dropped]
         self.base = index
         self.fossil_dropped_total += dropped
         return dropped

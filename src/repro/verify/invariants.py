@@ -9,12 +9,17 @@ these checks relate the machine to the runtime's observables:
   a rollback's discard set;
 * **waste accounting** — wasted time implies at least one rollback;
 * **quiescent resolution** — at quiescence, a pending AID may not retain
-  dependents (someone would wait forever on it).
+  dependents (someone would wait forever on it);
+* **unsheared effect logs** — both columns of a log have one length, and
+  ``pending`` is what the cursor leaves to re-feed;
+* **settled DOMs** — only a resolved AID with no speculative affirmer and
+  no parked deny shares ``SETTLED_DOM`` (the machine checks it is empty).
 """
 
 from __future__ import annotations
 
 from ..core import FinalizeEvent, MachineInvariantError, RollbackEvent
+from ..core.aid import SETTLED_DOM
 from ..runtime import HopeSystem
 
 
@@ -139,6 +144,15 @@ def check_quiescent(system: HopeSystem, allow_pending_orphans: bool = True) -> N
             )
         if not allow_pending_orphans and aid.pending and aid.speculative_affirmer is None:
             raise InvariantViolation(f"pending orphan AID {aid.key}")
+        if aid.dom is SETTLED_DOM and (
+            aid.pending or aid.speculative_affirmer is not None or aid.parked_denies
+        ):
+            raise InvariantViolation(f"AID {aid.key} shares SETTLED_DOM but is not settled")
+    for name, proc in system.procs.items():
+        log = proc.log
+        if not len(log.kinds) == len(log.results) == log.cursor + log.pending - log.base:
+            raise InvariantViolation(f"effect log of {name!r} sheared: {len(log.kinds)} kinds, "
+                                     f"{len(log.results)} results, pending {log.pending} in {log!r}")
 
 
 def attach_monitors(system: HopeSystem) -> tuple[LedgerMonitor, DefiniteSafetyMonitor]:

@@ -1,5 +1,7 @@
 """Unit tests for the effect log and replay machinery."""
 
+import random
+
 import pytest
 
 from repro.runtime import (
@@ -88,6 +90,105 @@ def test_log_entry_repr():
     assert "recv" in repr(entry)
 
 
+def test_entry_at_is_bounded_on_both_sides():
+    log = EffectLog()
+    for i in range(5):
+        log.append("now", i)
+    log.drop_prefix(3)
+    assert log.retained == 2 and len(log) == 5
+    assert log.entry_at(3) == LogEntry("now", 3) == ("now", 3)
+    assert log.entry_at(4).result == 4
+    # index - base < 0 used to be a negative list index: the *last* entries
+    for behind in (2, 0):
+        with pytest.raises(HopeError, match=f"log entry {behind} is behind the fossil base 3"):
+            log.entry_at(behind)
+    with pytest.raises(IndexError):
+        log.entry_at(5)
+    with pytest.raises(HopeError, match="behind the fossil base"):
+        list(log.pairs(2, 4))
+    assert list(log.pairs(3, 5)) == [("now", 3), ("now", 4)]
+    assert list(log.pairs(4, 4)) == []
+
+
+def test_load_replaces_the_log_live_at_the_tail():
+    log = EffectLog()
+    log.append("now", 0)
+    log.begin_replay()
+    log.load(7, iter([("recv", "m"), ("send", 2)]))
+    assert (log.base, log.retained, len(log), log.cursor, log.pending) == (7, 2, 9, 9, 0)
+    assert log.entry_at(8) == ("send", 2) and log.kinds == ["recv", "send"]
+    log.load(0, [])
+    assert (log.base, log.retained, log.cursor, log.pending) == (0, 0, 0, 0)
+
+
+_KINDS = ("send", "recv", "now", "guess", "commit")
+
+
+def _assert_in_step(log, model, base, cursor):
+    """The columns against a list of pairs, and the cursor arithmetic."""
+    assert len(log.kinds) == len(log.results) == log.retained == len(model)
+    assert (log.base, log.cursor, len(log)) == (base, cursor, base + len(model))
+    assert log.pending == log.base + log.retained - log.cursor
+    assert log.replaying == (cursor < base + len(model))
+    assert list(log.pairs(base, len(log))) == model
+    if model:
+        assert log.entry_at(len(log) - 1) == model[-1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_op_sequences_keep_columns_and_cursor_in_step(seed):
+    """append / feed / truncate / drop_prefix / begin_replay in any order
+    the engine could issue them (it appends only when live), checked after
+    every step against a plain list of ``(kind, result)`` pairs."""
+    rng = random.Random(seed)
+    log, model, base, cursor = EffectLog(), [], 0, 0
+    fed = fossil = 0
+    for step in range(400):
+        end = base + len(model)
+        op = rng.choice(("work",) * 6 + ("truncate", "drop", "replay"))
+        if op == "work" and cursor == end:
+            pair = (rng.choice(_KINDS), (step, rng.random()))
+            log.append(*pair)
+            model.append(pair)
+            cursor += 1
+        elif op == "work":
+            kind, result = model[cursor - base]
+            assert log.feed(kind) is result
+            cursor += 1
+            fed += 1
+        elif op == "truncate":
+            index = rng.randint(base, end)
+            assert log.truncate(index) == end - index
+            if index == 0:                      # the crash-style full reset
+                base = 0
+            del model[index - base:]
+            cursor = min(cursor, index)
+        elif op == "drop":
+            index = rng.randint(base, end)
+            if index > cursor:                  # an in-flight replay needs them
+                with pytest.raises(HopeError, match="past the replay cursor"):
+                    log.drop_prefix(index)
+            else:
+                assert log.drop_prefix(index) == index - base
+                del model[:index - base]
+                fossil += index - base
+                base = index
+        else:
+            replays = log.replay_count
+            log.begin_replay()
+            cursor = base
+            assert log.replay_count == replays + bool(model)
+        _assert_in_step(log, model, base, cursor)
+    while log.replaying:                        # ... and feed to exhaustion
+        kind, result = model[cursor - base]
+        assert log.feed(kind) is result
+        cursor += 1
+        fed += 1
+    _assert_in_step(log, model, base, cursor)
+    assert log.replayed_entries_total == fed > 0
+    assert log.fossil_dropped_total == fossil
+
+
 # ----------------------------------------------------------------------
 # the one rollback path, end to end: restart + replay from the log base
 # ----------------------------------------------------------------------
@@ -163,12 +264,25 @@ def test_divergence_right_after_a_rebase_blames_the_commit_point():
         log.append(kind, None)
     log.drop_prefix(2)
     log.begin_replay()
-    with pytest.raises(ReplayDivergenceError, match="state \\*after\\* the commit point"):
+    with pytest.raises(ReplayDivergenceError) as blamed:
         log.feed("commit")
+    assert str(blamed.value) == (
+        "replay divergence at entry 2, the first after a promoted commit "
+        "point: the resumed body yielded 'commit' but the log recorded 'recv' "
+        "— the resumed body's first effect must be the one following the "
+        "commit entry, i.e. the state passed to commit_point must be the "
+        "state *after* the commit point"
+    )
     # ... but a later mismatch is still a determinism complaint
     log.feed("recv")
     log.append("send", 1)
     log.begin_replay()
     log.feed("recv")
-    with pytest.raises(ReplayDivergenceError, match="not deterministic"):
+    with pytest.raises(ReplayDivergenceError) as diverged:
         log.feed("recv")
+    assert str(diverged.value) == (
+        "replay divergence at entry 3: process yielded 'recv' but the log "
+        "recorded 'send' — the process body is not deterministic in its "
+        "effect results"
+    )
+    assert (log.cursor, log.pending) == (3, 1)      # a refused feed moves nothing

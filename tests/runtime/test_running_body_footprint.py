@@ -1,0 +1,119 @@
+"""What a *running* body costs per round: columns, not records.
+
+A body without ``commit_point`` keeps its whole effect log until it
+exits (exit is the commit point PR 22 added), and every AID it minted
+stays in ``machine.aids`` while a handle in that log pins it — so for a
+process that is still running the only lever is what a log entry and a
+settled AID cost.  Pinned here, on a ``pingpong``-shaped pair:
+
+* the bytes a round leaves behind, as a budget;
+* no ``LogEntry`` object exists after a run (an entry is a slot in each
+  of two columns), and every settled AID shares one empty DOM;
+* the columns replay: a deny at the very end restarts the guesser, which
+  re-feeds the whole log and commits what its uncollected twin commits.
+"""
+
+import gc
+import tracemalloc
+
+from repro.core.aid import SETTLED_DOM
+from repro.runtime import HopeSystem
+from repro.runtime.replay import LogEntry
+from repro.sim import ConstantLatency
+
+_N = 400
+_PER_ROUND = 5 + 3          # ping: aid_init guess send recv emit; pong: recv affirm send
+
+
+def _ping(p, peer, rounds):
+    acc = 0
+    for i in range(rounds):
+        x = yield p.aid_init("round")
+        yield p.guess(x)
+        yield p.send(peer, (x, i))
+        acc = (acc * 31 + (yield p.recv()).payload) % 1_000_003
+        yield p.emit((i, acc))
+    last = yield p.aid_init("last")
+    yield p.send(peer, (last, None))
+    if (yield p.guess(last)):
+        yield p.emit("optimistic")
+    else:
+        yield p.emit("pessimistic")
+    yield p.recv()                  # both stay running: nothing retires
+
+
+def _pong(p, peer, rounds):
+    for _ in range(rounds):
+        x, payload = (yield p.recv()).payload
+        yield p.affirm(x)
+        yield p.send(peer, 2 * payload + 1)
+    last, _ = (yield p.recv()).payload
+    yield p.compute(1.0)
+    yield p.deny(last)
+    yield p.recv()
+
+
+def _run(rounds, **options):
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), **options)
+    system.spawn("pong", _pong, "ping", rounds)
+    system.spawn("ping", _ping, "pong", rounds)
+    system.run()
+    return system
+
+
+def _traced(rounds):
+    """Bytes a run of ``rounds`` leaves allocated, the cyclic collector
+    off from before the run to after the reading."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start(1)
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system = _run(rounds)
+        return tracemalloc.get_traced_memory()[0] - before, system
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+#: Traced bytes one more round leaves behind, measured + 10 %.  (At the
+#: parent 1 801: eight 64-byte ``LogEntry`` tuples less eight column
+#: slots, and a 216-byte empty DOM set, more; here 1 139.)
+_ROUND_BYTES = 1253
+
+
+def test_a_round_of_a_running_body_costs_columns_not_records():
+    _run(20)                                # imports, caches, interned strings
+    small, _s = _traced(_N)
+    large, system = _traced(4 * _N)
+    assert (large - small) / (3 * _N) <= _ROUND_BYTES
+
+    # Still running, nothing retired, the whole log kept ...
+    assert system.stats()["processes_retired"] == 0
+    logs = [proc.log for proc in system.procs.values()]
+    assert all(log.base == 0 and len(log.kinds) == len(log.results) for log in logs)
+    assert sum(log.retained for log in logs) == _PER_ROUND * 4 * _N + 4 + 3
+    # ... in no per-entry object,
+    assert not any(type(o) is LogEntry for o in gc.get_objects())
+    assert type(system.procs["ping"].log.entry_at(0)) is LogEntry
+    # ... and every AID a pass found resolved (all but the tail since the
+    # last pass, plus the denied one) owns no DOM of its own.
+    aids = system.machine.aids
+    assert len(aids) == 4 * _N + 1 and not any(aid.pending for aid in aids.values())
+    settled = [aid for aid in aids.values() if aid.dom is SETTLED_DOM]
+    assert len(settled) >= 4 * _N - system.fossil_interval
+    assert all(not aid.dom and type(aid.dom) is set
+               for aid in aids.values() if aid.dom is not SETTLED_DOM)
+    system.machine.check_invariants()
+
+    # The deny restarted ping, which re-fed every entry before the last
+    # guess from the columns and committed its twin's ledger.
+    twin = _run(4 * _N, fossil_collect=False)
+    ping = system.procs["ping"]
+    assert ping.restarts == twin.procs["ping"].restarts == 1
+    assert ping.log.replayed_entries_total == 5 * 4 * _N + 2
+    assert not any(aid.dom is SETTLED_DOM for aid in twin.machine.aids.values())
+    for name in system.procs:
+        assert system.committed_outputs(name) == twin.committed_outputs(name)
+    assert system.committed_outputs("ping")[-1] == "pessimistic"
+    assert len(system.committed_outputs("ping")) == 4 * _N + 1

@@ -8,9 +8,17 @@ output records examined; doubling the workload must roughly double it,
 not quadruple it.
 """
 
+import pytest
+
+from repro.core.aid import SETTLED_DOM
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
-from repro.verify import LedgerMonitor, attach_monitors, check_quiescent
+from repro.verify import (
+    InvariantViolation,
+    LedgerMonitor,
+    attach_monitors,
+    check_quiescent,
+)
 
 
 def guess_pipeline(system: HopeSystem, cycles: int) -> None:
@@ -87,3 +95,33 @@ def test_monitor_tracks_rollback_withdrawals():
     ledger.assert_monotone()
     assert system.stats()["rollbacks"] >= 1
     assert system.committed_outputs("worker") == ["pessimistic"]
+
+
+def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
+    """The log's two columns are appended inline in two engine sites, and
+    settled AIDs share one DOM object: the post-run check notices a column
+    that fell behind, a cursor that lost count, and an AID that shares the
+    settled DOM without being settled."""
+    system = HopeSystem(seed=7, latency=ConstantLatency(0.5), fossil_interval=2)
+    guess_pipeline(system, 6)
+    system.run(max_events=100_000)
+    check_quiescent(system)
+    log = system.procs["worker"].log
+    settled = [aid for aid in system.machine.aids.values() if aid.dom is SETTLED_DOM]
+    assert settled and log.retained == len(log) > 0
+
+    log.kinds.append("send")                        # one column only
+    with pytest.raises(InvariantViolation, match="effect log of 'worker' sheared"):
+        check_quiescent(system)
+    log.kinds.pop()
+    log.pending += 1                                # a miscounted replay
+    with pytest.raises(InvariantViolation, match="sheared.*pending 1"):
+        check_quiescent(system)
+    log.pending -= 1
+    settled[0].parked_denies = 1                    # about to change status
+    with pytest.raises(InvariantViolation, match="shares SETTLED_DOM but is not settled"):
+        check_quiescent(system)
+    settled[0].parked_denies = 0
+    check_quiescent(system)
+    with pytest.raises(AttributeError):             # Lemma 5.1: nothing joins it
+        settled[0].dom.add(object())
