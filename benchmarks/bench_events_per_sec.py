@@ -1,27 +1,22 @@
-"""Experiment EVSEC: event-kernel throughput — heap vs wheel vs bare.
+"""Experiment EVSEC: event-kernel throughput — the simulator vs bare.
 
-Headline metric for the timer-wheel kernel: events per second.  Two
-layers are measured:
+Headline metric for the event queue: events per second.  Two layers are
+measured:
 
-* *raw kernel* — three scheduling shapes on the bare ``Simulator``,
-  run under both ``kernel="heap"`` and ``kernel="wheel"``:
+* *raw kernel* — three scheduling shapes on the bare ``Simulator``:
 
-  - ``chain``    each event schedules its successor (deep, sparse queue;
-                 exercises the wheel's sparse fast path),
+  - ``chain``    each event schedules its successor (deep, sparse queue),
   - ``fanout``   all events scheduled up front across mixed timescales
-                 (wide queue; exercises bucketing and cascades),
-  - ``cancel``   schedule/cancel churn (exercises O(1) unlink vs the
-                 heap's lazy-delete + compaction sweeps);
+                 (wide queue),
+  - ``cancel``   schedule/cancel churn (lazy delete + compaction);
 
 * *end to end* — the TRACK ping-pong, bare simulator vs the full HOPE
-  runtime on each kernel.  ``hope_wall / bare_wall`` is the overhead
-  ratio this PR drives from ~1.8 to ≤1.4; batched effect dispatch also
-  roughly halves the *number* of events HOPE schedules per message.
+  runtime.  ``hope_wall / bare_wall`` is the overhead ratio; batched
+  effect dispatch also roughly halves the *number* of events HOPE
+  schedules per message.
 
 Wall times are min-of-``REPEATS`` with the contenders interleaved per
-rep, so a machine-speed swing hits all of them alike.  Event counts are
-asserted identical between kernels — throughput must never be bought
-with a different execution order.
+rep, so a machine-speed swing hits all of them alike.
 """
 
 import importlib.util
@@ -35,15 +30,10 @@ from repro.bench import emit, emit_json, format_table, sweep
 N_EVENTS = 20_000
 N_MESSAGES = 200
 REPEATS = 5
-#: Re-measure a shape whose speedup floor failed up to this many times and
-#: judge the best attempt (machine-noise tolerance; see test body).
-BAR_ATTEMPTS = 3
-
-#: Pre-wheel baselines, measured at the parent commit (binary-heap
-#: kernel, per-message resume events): the TRACK n=200 overhead ratio,
-#: and the number of simulator events HOPE scheduled for the n=200
-#: ping-pong.  Recorded as the "before" of this PR's before/after.
-PRE_WHEEL_RATIO = 1.785
+#: Baselines from before batched effect dispatch (per-message resume
+#: events): the TRACK n=200 overhead ratio, and the number of simulator
+#: events HOPE scheduled for the n=200 ping-pong.
+PRE_BATCHING_RATIO = 1.785
 PRE_BATCHING_HOPE_EVENTS = 802
 
 
@@ -81,30 +71,22 @@ SHAPES = {"chain": _chain, "fanout": _fanout, "cancel": _cancel}
 
 
 def run_point(shape: str, n: int = N_EVENTS, repeats: int = REPEATS) -> dict:
-    """Time one scheduling shape under both kernels, interleaved per rep.
+    """Time one scheduling shape, min of ``repeats``.
 
     The clock covers scheduling *and* draining — schedule/cancel cost is
-    precisely what the wheel changes, so it must be inside the window.
+    part of what an event costs, so it must be inside the window.
     """
     build = SHAPES[shape]
-    walls: dict = {"heap": [], "wheel": []}
-    events: dict = {}
+    walls = []
     for _ in range(repeats):
-        for kernel in ("heap", "wheel"):
-            sim = Simulator(kernel=kernel)
-            start = time.perf_counter()
-            build(sim, n)
-            sim.run()
-            walls[kernel].append(time.perf_counter() - start)
-            events[kernel] = sim.events_processed
-    assert events["heap"] == events["wheel"], shape
-    heap_eps = events["heap"] / min(walls["heap"])
-    wheel_eps = events["wheel"] / min(walls["wheel"])
+        sim = Simulator()
+        start = time.perf_counter()
+        build(sim, n)
+        sim.run()
+        walls.append(time.perf_counter() - start)
     return {
-        "events": events["wheel"],
-        "heap_kev_s": heap_eps / 1000,
-        "wheel_kev_s": wheel_eps / 1000,
-        "speedup": wheel_eps / heap_eps,
+        "events": sim.events_processed,
+        "kev_s": sim.events_processed / min(walls) / 1000,
     }
 
 
@@ -119,52 +101,48 @@ def _load_track():
 
 
 def end_to_end(n: int = N_MESSAGES, repeats: int = REPEATS) -> dict:
-    """Bare simulator vs HOPE-on-heap vs HOPE-on-wheel, same ping-pong."""
+    """Bare simulator vs HOPE, same ping-pong."""
     track = _load_track()
-    bares, heaps, wheels = [], [], []
+    bares, hopes = [], []
     for _ in range(repeats):
         bares.append(track._bare_pingpong(n))
-        heaps.append(track._hope_pingpong(n, speculative=False, kernel="heap"))
-        wheels.append(track._hope_pingpong(n, speculative=False, kernel="wheel"))
+        hopes.append(track._hope_pingpong(n, speculative=False))
     bare_wall = min(r["wall_s"] for r in bares)
-    heap_wall = min(r["wall_s"] for r in heaps)
-    wheel_wall = min(r["wall_s"] for r in wheels)
+    hope_wall = min(r["wall_s"] for r in hopes)
     return {
         "bare_events": bares[0]["events"],
-        "hope_events": wheels[0]["events"],
+        "hope_events": hopes[0]["events"],
         "bare_kev_s": bares[0]["events"] / bare_wall / 1000,
-        "hope_heap_kev_s": heaps[0]["events"] / heap_wall / 1000,
-        "hope_wheel_kev_s": wheels[0]["events"] / wheel_wall / 1000,
-        "overhead_ratio": wheel_wall / bare_wall,
-        "pre_wheel_ratio": PRE_WHEEL_RATIO,
-        "improvement": PRE_WHEEL_RATIO / (wheel_wall / bare_wall),
+        "hope_kev_s": hopes[0]["events"] / hope_wall / 1000,
+        "overhead_ratio": hope_wall / bare_wall,
+        "pre_batching_ratio": PRE_BATCHING_RATIO,
+        "improvement": PRE_BATCHING_RATIO / (hope_wall / bare_wall),
     }
 
 
 def test_events_per_sec(benchmark):
     kernel_result = sweep("shape", sorted(SHAPES), run_point)
-    kernel_metrics = ["events", "heap_kev_s", "wheel_kev_s", "speedup"]
+    kernel_metrics = ["events", "kev_s"]
     e2e = end_to_end()
     e2e_metrics = [
         "bare_events",
         "hope_events",
         "bare_kev_s",
-        "hope_heap_kev_s",
-        "hope_wheel_kev_s",
+        "hope_kev_s",
         "overhead_ratio",
-        "pre_wheel_ratio",
+        "pre_batching_ratio",
         "improvement",
     ]
     emit(
         "events_per_sec",
         format_table(
-            "EVSEC — kernel throughput (kilo-events/sec), heap vs wheel",
+            "EVSEC — kernel throughput (kilo-events/sec)",
             kernel_result.headers(kernel_metrics),
             kernel_result.rows(kernel_metrics),
         )
         + "\n\n"
         + format_table(
-            "EVSEC — end-to-end ping-pong, bare vs HOPE (heap/wheel)",
+            "EVSEC — end-to-end ping-pong, bare vs HOPE",
             ["n_messages"] + e2e_metrics,
             [[N_MESSAGES] + [e2e[k] for k in e2e_metrics]],
         ),
@@ -174,7 +152,7 @@ def test_events_per_sec(benchmark):
         "events_per_sec",
         {
             "metric": "events/sec (wall includes scheduling), min of %d "
-            "interleaved reps" % REPEATS,
+            "reps" % REPEATS,
             "n_events": N_EVENTS,
             "kernel_shapes": [
                 dict(zip(["shape"] + kernel_metrics, row))
@@ -182,34 +160,14 @@ def test_events_per_sec(benchmark):
             ],
             "end_to_end": dict(e2e, n_messages=N_MESSAGES),
             "before": {
-                "overhead_ratio": PRE_WHEEL_RATIO,
+                "overhead_ratio": PRE_BATCHING_RATIO,
                 "hope_events_per_pingpong": PRE_BATCHING_HOPE_EVENTS,
             },
         },
     )
-    # determinism: both kernels processed identical event counts (asserted
-    # per-point inside run_point), and batched dispatch really did shrink
-    # HOPE's event budget — at most half of what per-message resume events
+    # batched dispatch really did shrink HOPE's event budget — at most half of what per-message resume events
     # used to cost (802 for n=200), and no more than the bare simulator's.
     assert e2e["hope_events"] <= PRE_BATCHING_HOPE_EVENTS // 2 + 2
     assert e2e["hope_events"] <= e2e["bare_events"]
-    # the wheel holds parity-or-better where bucketing matters (bulk
-    # fan-out, cancel churn), and the sparse-mode fast path keeps the pure
-    # chain at heap parity: below _WheelQueue.SPARSE_MAX pending events the
-    # wheel *is* a plain heap (class-swapped sparse mode — no tick math,
-    # no masks, no size counter), so a sequential chain pays only one
-    # len() compare per push over the heap kernel.  Judged best of
-    # BAR_ATTEMPTS — run-to-run machine noise exceeds the margin under
-    # test, so a single unlucky interleaving must not fail the floor
-    # (same policy as smoke_overhead.py's budget checks).
-    bars = {"fanout": 0.9, "cancel": 0.9, "chain": 0.95}
-    speedups = dict(zip(kernel_result.values, kernel_result.column("speedup")))
-    for shape, floor in bars.items():
-        best = speedups[shape]
-        for _ in range(BAR_ATTEMPTS - 1):
-            if best >= floor:
-                break
-            best = max(best, run_point(shape)["speedup"])
-        assert best >= floor, (shape, best, speedups)
     assert e2e["overhead_ratio"] <= 1.75, e2e
     benchmark(lambda: run_point("fanout", n=5_000, repeats=1))

@@ -1,16 +1,9 @@
 """Experiment HOTPATH2: hot-path throughput round 2 — per-lever before/after.
 
-Round 1 (timer wheel + batched dispatch) left the TRACK overhead ratio
-at ~1.3.  This round closes the remaining gap with four levers, each
-measured here against its recorded "before":
+Round 1 (batched dispatch) left the TRACK overhead ratio at ~1.3.  This
+round closes the remaining gap with its levers, each measured here
+against its recorded "before":
 
-* **L1 chain parity** — the wheel's sparse fast path plus the
-  precomputed ``ScheduledEvent.key`` close its old ~1.3× sequential-
-  chain loss to C ``heapq`` (parity floor ≥0.95, maintained from the
-  previous round); ``kernel="window"`` — ``bisect.insort`` into a
-  sorted list behind the same seam — is measured alongside with a
-  looser complexity-tripwire floor (C ``heapq`` concedes nothing on a
-  size-1 queue).
 * **L2 same-tick coalescing** — ``Network.send`` appends same-tick
   deliveries to one scheduled event instead of scheduling one event per
   message.  Measured as simulator events per message on a fan-out
@@ -23,7 +16,7 @@ measured here against its recorded "before":
   as the TRACK ``hope_wall / bare_wall`` ratio.
 
 Byte-identity gates every lever: the matrix below runs full HOPE systems
-across kernels × engine modes (plus a faulted chaos case) and asserts
+in both engine modes (plus a faulted chaos case, twice) and asserts
 equal trace fingerprints — throughput must never be bought with a
 different execution order.
 
@@ -34,15 +27,13 @@ regression slows all of them.
 
 import importlib.util
 import os
-import time
 
 from repro.bench import emit, emit_json, format_table
 from repro.bench.workloads import build_chaos_mesh, build_chaos_ring
 from repro.chaos import WORKLOADS, run_case, standard_plans
 from repro.runtime import HopeSystem
-from repro.sim import ConstantLatency, Simulator, Tracer
+from repro.sim import ConstantLatency, Tracer
 
-KERNELS = ("heap", "wheel", "window")
 REPEATS = 5
 ATTEMPTS = 6
 
@@ -51,21 +42,10 @@ ATTEMPTS = 6
 RATIO_TRAJECTORY = {
     "seed": 2.89,
     "interning+trampoline": 1.8,
-    "wheel+batched-dispatch": 1.30,
+    "batched-dispatch": 1.30,
 }
 #: Round 2 acceptance bar.
 MAX_RATIO = 1.15
-#: Parity floor for the default (wheel) kernel on the sequential chain —
-#: the pre-existing gate this round must maintain; the sparse fast path
-#: plus the precomputed ``ScheduledEvent.key`` hold it at ~1.0.
-MIN_CHAIN_PARITY = 0.95
-#: Tripwire floor for the window kernel on the same chain.  C ``heapq``
-#: on a size-1 queue does no comparisons and no allocation, so the
-#: window's per-push tuple build keeps it at ~0.85-1.05 there (its
-#: compactions are cheaper, its wide-backlog inserts worse — see
-#: docs/PERFORMANCE.md §8).  0.80 catches a complexity regression
-#: (an accidental O(n) scan halves it immediately), not the C gap.
-WINDOW_CHAIN_FLOOR = 0.80
 #: Before coalescing, every message scheduled its own delivery event.
 PRE_COALESCE_EVENTS_PER_MESSAGE = 1.0
 
@@ -81,7 +61,7 @@ def _load_track():
 
 
 # ----------------------------------------------------------------------
-# byte-identity matrix: kernels x engine modes x one faulted chaos case
+# byte-identity matrix: engine modes x workloads, plus one faulted case
 # ----------------------------------------------------------------------
 _ENGINE_MODES = {
     "plain": {"fossil_collect": False},
@@ -89,13 +69,12 @@ _ENGINE_MODES = {
 }
 
 
-def _fingerprint(kernel: str, build, seed: int, **system_kw) -> str:
+def _fingerprint(build, seed: int, **system_kw) -> str:
     tracer = Tracer()
     system = HopeSystem(
         seed=seed,
         latency=ConstantLatency(1.0),
         trace=tracer,
-        kernel=kernel,
         **system_kw,
     )
     build(system)
@@ -104,71 +83,36 @@ def _fingerprint(kernel: str, build, seed: int, **system_kw) -> str:
 
 
 def identity_matrix() -> dict:
-    """Every (workload, mode) cell must fingerprint identically under
-    all three kernels; one faulted chaos case widens the net past the
-    fault-free path.  Returns the cell census for BENCH_5.json."""
+    """Every workload must fingerprint identically in both engine modes
+    (collection draws no randomness and schedules nothing); one faulted
+    chaos case, run twice, widens the net past the fault-free path.
+    Returns the cell census for BENCH_5.json."""
     cells = 0
     for build in (build_chaos_mesh, build_chaos_ring):
-        for mode, kw in sorted(_ENGINE_MODES.items()):
-            prints = {k: _fingerprint(k, build, seed=3, **kw) for k in KERNELS}
-            assert len(set(prints.values())) == 1, (build.__name__, mode, prints)
-            cells += 1
+        prints = {
+            mode: _fingerprint(build, seed=3, **kw)
+            for mode, kw in sorted(_ENGINE_MODES.items())
+        }
+        assert len(set(prints.values())) == 1, (build.__name__, prints)
+        cells += 1
     # one standard fault plan (drops + dups + reorder + jitter) on a
     # chaos workload — the storm plan exercises every fault path at once
     wl_name = sorted(WORKLOADS)[0]
     wl = WORKLOADS[wl_name]
     plan_name = "storm"
     plan = standard_plans(wl_name)[plan_name]
-    results = {
-        k: run_case(wl, 2, plan, plan_name=plan_name, kernel=k) for k in KERNELS
-    }
-    for kernel, result in results.items():
-        assert result.ok, (kernel, plan_name, result.failure)
-    prints = {k: r.fingerprint for k, r in results.items()}
-    assert len(set(prints.values())) == 1, (wl_name, plan_name, prints)
+    results = [run_case(wl, 2, plan, plan_name=plan_name) for _ in range(2)]
+    for result in results:
+        assert result.ok, (plan_name, result.failure)
+    prints = [r.fingerprint for r in results]
+    assert len(set(prints)) == 1, (wl_name, plan_name, prints)
     cells += 1
     return {
-        "kernels": list(KERNELS),
         "modes": sorted(_ENGINE_MODES),
         "workloads": ["chaos_mesh", "chaos_ring"],
         "fault_case": f"{wl_name}/{plan_name}",
         "cells": cells,
         "all_identical": True,
-    }
-
-
-# ----------------------------------------------------------------------
-# L1: sequential-chain kernel parity (heap oracle vs wheel vs window)
-# ----------------------------------------------------------------------
-def _chain_wall(kernel: str, n: int) -> float:
-    sim = Simulator(kernel=kernel)
-    remaining = [n]
-
-    def step() -> None:
-        remaining[0] -= 1
-        if remaining[0]:
-            sim.schedule(0.37, step)
-
-    sim.schedule(0.0, step)
-    start = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - start
-    assert sim.events_processed == n
-    return wall
-
-
-def chain_parity(n: int = 20_000, repeats: int = REPEATS) -> dict:
-    """Chain events/sec per kernel, parity = heap_wall / kernel_wall
-    (>1 means faster than the heap).  Interleaved per rep."""
-    walls: dict = {k: [] for k in KERNELS}
-    for _ in range(repeats):
-        for kernel in KERNELS:
-            walls[kernel].append(_chain_wall(kernel, n))
-    mins = {k: min(w) for k, w in walls.items()}
-    return {
-        "events": n,
-        **{f"{k}_kev_s": n / mins[k] / 1000 for k in KERNELS},
-        **{f"{k}_parity": mins["heap"] / mins[k] for k in KERNELS},
     }
 
 
@@ -236,28 +180,6 @@ def track_ratio(attempts: int = ATTEMPTS, n: int = 200) -> dict:
 
 def test_hotpath_round2(benchmark):
     matrix = identity_matrix()
-
-    # Parity is judged per kernel, best-of-attempts: each kernel's best
-    # attempt must clear the floor (demanding one attempt where *both*
-    # clear it simultaneously doubles the noise exposure; a real
-    # regression still fails every attempt).
-    parity = None
-    best_parity = {k: 0.0 for k in KERNELS}
-    for _ in range(ATTEMPTS):
-        point = chain_parity()
-        if parity is None or min(
-            point["wheel_parity"], point["window_parity"]
-        ) > min(parity["wheel_parity"], parity["window_parity"]):
-            parity = point
-        for k in KERNELS:
-            best_parity[k] = max(best_parity[k], point[f"{k}_parity"])
-        if (
-            best_parity["wheel"] >= MIN_CHAIN_PARITY
-            and best_parity["window"] >= WINDOW_CHAIN_FLOOR
-        ):
-            break
-    parity = {**parity, "best_parity": best_parity}
-
     coalesce = fanout_coalescing()
     track = track_ratio()
 
@@ -267,15 +189,11 @@ def test_hotpath_round2(benchmark):
             "HOTPATH2 — round-2 levers, before/after",
             ["lever", "metric", "before", "after"],
             [
-                ["L1 window kernel", "chain parity vs heap",
-                 1.0, parity["best_parity"]["window"]],
-                ["L1 wheel (default)", "chain parity vs heap",
-                 1.0, parity["best_parity"]["wheel"]],
                 ["L2 coalescing", "sim events per message",
                  coalesce["before_events_per_message"],
                  coalesce["events_per_message"]],
                 ["L3+L4 frame cuts", "TRACK hope/bare ratio",
-                 RATIO_TRAJECTORY["wheel+batched-dispatch"],
+                 RATIO_TRAJECTORY["batched-dispatch"],
                  track["best_ratio"]],
             ],
         ),
@@ -285,24 +203,14 @@ def test_hotpath_round2(benchmark):
         "hotpath_round2",
         {
             "identity_matrix": matrix,
-            "chain_parity": parity,
             "coalescing": coalesce,
             "track": track,
-            "budgets": {
-                "max_overhead_ratio": MAX_RATIO,
-                "min_chain_parity": MIN_CHAIN_PARITY,
-                "window_chain_floor": WINDOW_CHAIN_FLOOR,
-            },
+            "budgets": {"max_overhead_ratio": MAX_RATIO},
         },
     )
 
     # the round-2 acceptance bar, judged best-of-attempts
     assert track["best_ratio"] <= MAX_RATIO, track
-    # the default kernel must stay within 5% of the heap on the chain
-    # (the pre-existing floor, maintained); the window gets the looser
-    # complexity tripwire — see WINDOW_CHAIN_FLOOR
-    assert parity["best_parity"]["wheel"] >= MIN_CHAIN_PARITY, parity
-    assert parity["best_parity"]["window"] >= WINDOW_CHAIN_FLOOR, parity
     # coalescing must actually batch: far fewer events than messages
     assert coalesce["events_per_message"] <= 0.5, coalesce
     benchmark(lambda: fanout_coalescing(width=8, rounds=5))

@@ -20,12 +20,7 @@ the workers time-slice one CPU and the window protocol is pure
 overhead, so the gate would measure the box, not the code.  The sweep
 still runs and records its numbers (plus the core count) on any box.
 
-Also records the wheel-kernel chain-shape parity (the sparse fast path:
-wheel must stay within 5% of the heap on chain workloads — the
-regression this PR's kernel satellite fixed).
-
-Writes ``BENCH_4.json`` sections ``parallel_scaling`` and
-``chain_parity``.
+Writes ``BENCH_4.json`` section ``parallel_scaling``.
 """
 
 import json
@@ -36,7 +31,6 @@ from repro import HopeSystem
 from repro.bench import emit, emit_json, format_table
 from repro.bench.workloads import build_fanout, build_replication
 from repro.chaos import committed_state
-from repro.sim import Simulator
 from repro.sim.latency import ConstantLatency
 
 PAIRS = 8
@@ -47,8 +41,6 @@ REPEATS = 3
 BAR_ATTEMPTS = 3
 WORKER_COUNTS = (1, 2, 4)
 SEED = 0
-CHAIN_EVENTS = 20_000
-CHAIN_REPEATS = 5
 
 
 def _fanout_build(system):
@@ -129,45 +121,13 @@ def run_scaling() -> dict:
     return results
 
 
-# ---------------------------------------------------------------------------
-# chain parity (the wheel sparse fast path, satellite of this PR)
-# ---------------------------------------------------------------------------
-def _chain(sim: Simulator, n: int) -> None:
-    remaining = [n]
-
-    def step() -> None:
-        remaining[0] -= 1
-        if remaining[0]:
-            sim.schedule(0.37, step)
-
-    sim.schedule(0.37, step)
-    sim.run()
-    assert sim.events_processed == n
-
-
-def run_chain_parity() -> dict:
-    walls = {"heap": float("inf"), "wheel": float("inf")}
-    for _ in range(CHAIN_REPEATS):
-        for kernel in walls:   # interleaved: noise hits both alike
-            sim = Simulator(kernel=kernel)
-            start = time.perf_counter()
-            _chain(sim, CHAIN_EVENTS)
-            walls[kernel] = min(walls[kernel], time.perf_counter() - start)
-    return {
-        "events": CHAIN_EVENTS,
-        "heap_events_per_sec": round(CHAIN_EVENTS / walls["heap"]),
-        "wheel_events_per_sec": round(CHAIN_EVENTS / walls["wheel"]),
-        "wheel_vs_heap": round(walls["heap"] / walls["wheel"], 3),
-    }
-
-
 def _budget() -> dict:
     path = os.path.join(os.path.dirname(__file__), "overhead_threshold.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _emit_all(results: dict, parity: dict) -> None:
+def _emit_all(results: dict) -> None:
     headers = ["workload", "config", "wall s", "events", "ev/s",
                "useful ev/s", "speedup vs 1w"]
     table_rows = []
@@ -184,20 +144,11 @@ def _emit_all(results: dict, parity: dict) -> None:
         headers, table_rows,
     ))
     emit_json("BENCH_4", "parallel_scaling", results)
-    emit_json("BENCH_4", "chain_parity", parity)
 
 
-def test_parallel_scaling_and_chain_parity():
+def test_parallel_scaling():
     budget = _budget()
     results = run_scaling()
-    parity = run_chain_parity()
-    for _ in range(BAR_ATTEMPTS - 1):
-        if parity["wheel_vs_heap"] >= 0.95:
-            break
-        again = run_chain_parity()
-        if again["wheel_vs_heap"] > parity["wheel_vs_heap"]:
-            parity = again
-    assert parity["wheel_vs_heap"] >= 0.95, parity
 
     min_cpus = budget.get("parallel_min_cpus", 4)
     floor = budget.get("min_parallel_speedup_4w", 2.0)
@@ -223,9 +174,9 @@ def test_parallel_scaling_and_chain_parity():
     # The oracle already ran inside run_scaling (fingerprint asserts).
     for rows in results["workloads"].values():
         del rows  # structure checked by the asserts above
-    _emit_all(results, parity)
+    _emit_all(results)
 
 
 if __name__ == "__main__":
-    test_parallel_scaling_and_chain_parity()
+    test_parallel_scaling()
     print("PARSCALE ok")

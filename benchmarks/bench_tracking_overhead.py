@@ -57,10 +57,8 @@ def _bare_pingpong(n: int) -> dict:
     return {"makespan": makespan, "wall_s": wall, "events": sim.events_processed}
 
 
-def _hope_pingpong(
-    n: int, speculative: bool, metrics=None, kernel: str = "wheel"
-) -> dict:
-    system = HopeSystem(latency=ConstantLatency(1.0), metrics=metrics, kernel=kernel)
+def _hope_pingpong(n: int, speculative: bool, metrics=None) -> dict:
+    system = HopeSystem(latency=ConstantLatency(1.0), metrics=metrics)
 
     def side(p, me, peer, starts):
         if starts and speculative:
@@ -158,10 +156,10 @@ def test_tracking_overhead(benchmark):
     # speculative runs really did tag traffic
     assert all(t > 0 for t in result.column("tags_spec"))
     # regression tripwire: interning/caching/trampoline work cut the n=200
-    # overhead ratio from ~2.9x to ~1.8x, the timer-wheel kernel + batched
-    # dispatch cut it to ~1.3x, and the round-2 hot-path sweep (hope-only
-    # frame cuts; docs/PERFORMANCE.md §8) to ~0.78-1.15.  This single-shot
-    # assert only guards against a return to pre-wheel ratios; the tight
+    # overhead ratio from ~2.9x to ~1.8x, batched dispatch cut it to ~1.3x,
+    # and the round-2 hot-path sweep (hope-only frame cuts;
+    # docs/PERFORMANCE.md §8) to ~0.78-1.15.  This single-shot assert
+    # only guards against a return to pre-batching ratios; the tight
     # ≤1.2 budget is enforced best-of-attempts by smoke_overhead.py (a
     # single noisy run on a busy CI box must not flake the whole bench job).
     assert points[-1]["overhead_ratio"] <= 1.75, points[-1]

@@ -201,16 +201,12 @@ def run_case(
     detector: Any = False,
     twin: Optional[dict[str, tuple]] = None,
     max_events: Optional[int] = None,
-    kernel: str = "wheel",
 ) -> CaseResult:
     """Run one chaos case with monitors attached; never raises.
 
     ``plan=None`` is the fault-free configuration (used for twins).
     ``twin`` is the fault-free committed state to compare against; pass
     None to skip the comparison (e.g. when producing the twin itself).
-    ``kernel`` selects the event-queue kernel ("wheel"/"heap"); traces
-    must be byte-identical either way, which the differential tests in
-    tests/sim/test_wheel_kernel.py and tests/chaos assert.
     """
     tracer = Tracer()
     system = HopeSystem(
@@ -222,7 +218,6 @@ def run_case(
         failure_detector=(
             DetectorConfig() if detector is True else detector
         ),
-        kernel=kernel,
     )
     attach_monitors(system)
     workload.build(system)
@@ -320,11 +315,10 @@ class KillResumeResult:
 
 
 def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
-                    kernel: str, durable_opts: dict) -> HopeSystem:
+                    durable_opts: dict) -> HopeSystem:
     system = HopeSystem(
         seed=seed,
         latency=ConstantLatency(1.0),
-        kernel=kernel,
         fossil_interval=_KILL_FOSSIL_INTERVAL,
         durable_dir=run_dir,
         durable_opts=dict(durable_opts),
@@ -334,9 +328,8 @@ def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
 
 
 def _run_child_until_kill(workload: ChaosWorkload, seed: int, run_dir: str,
-                          kill_events: int, kernel: str,
-                          durable_opts: dict) -> None:
-    system = _durable_system(workload, seed, run_dir, kernel, durable_opts)
+                          kill_events: int, durable_opts: dict) -> None:
+    system = _durable_system(workload, seed, run_dir, durable_opts)
     try:
         system.run(max_events=kill_events)
     except EventLimitExceeded:
@@ -352,7 +345,6 @@ def run_kill_resume_case(
     *,
     kill_events: Optional[int] = None,
     corrupt: Optional[str] = None,
-    kernel: str = "wheel",
     run_dir: Optional[str] = None,
     keep_dir: bool = False,
     in_process: bool = False,
@@ -408,7 +400,7 @@ def run_kill_resume_case(
             code = _KILLED_OK
             try:
                 _run_child_until_kill(
-                    workload, seed, run_dir, kill_events, kernel, durable_opts
+                    workload, seed, run_dir, kill_events, durable_opts
                 )
             except BaseException:
                 import traceback
@@ -431,7 +423,7 @@ def run_kill_resume_case(
     else:
         try:
             _run_child_until_kill(
-                workload, seed, run_dir, kill_events, kernel, durable_opts
+                workload, seed, run_dir, kill_events, durable_opts
             )
         except Exception as exc:  # abandoned, never synced — a soft crash
             failure = f"recording run raised: {exc!r}"
@@ -454,7 +446,7 @@ def run_kill_resume_case(
         try:
             resumed = HopeSystem.resume(
                 run_dir, workload.build, seed=seed,
-                latency=ConstantLatency(1.0), kernel=kernel,
+                latency=ConstantLatency(1.0),
                 fossil_interval=_KILL_FOSSIL_INTERVAL,
                 durable_opts=dict(durable_opts),
             )
@@ -505,7 +497,6 @@ def run_kill_resume_matrix(
     fracs: Iterable[float] = KILL_FRACS,
     *,
     corruption_cases: bool = True,
-    kernel: str = "wheel",
     in_process: bool = False,
 ) -> dict:
     """Sweep workloads × seeds × seeded crash points (plus one envelope-,
@@ -519,14 +510,14 @@ def run_kill_resume_matrix(
         for seed in seeds:
             for frac in fracs:
                 results.append(run_kill_resume_case(
-                    wname, seed, frac, kernel=kernel, in_process=in_process,
+                    wname, seed, frac, in_process=in_process,
                 ))
         if corruption_cases:
             # Late kill points so there is sealed state to damage.
             for mode in _CORRUPTIONS:
                 results.append(run_kill_resume_case(
                     wname, seeds[0], max(fracs), corrupt=mode,
-                    kernel=kernel, in_process=in_process,
+                    in_process=in_process,
                 ))
     failures = [r for r in results if not r.ok]
     return {

@@ -238,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dependency-tracking control plane",
     )
     run.add_argument(
-        "--kernel",
-        choices=["wheel", "heap", "window"],
-        default="wheel",
-        help="event-queue kernel: hierarchical timer wheel (default), the "
-        "binary-heap oracle, or the bisect-based sorted window — "
-        "identical traces every way (see docs/PERFORMANCE.md §6 and §8)",
-    )
-    run.add_argument(
         "--fossil-interval",
         type=int,
         default=64,
@@ -317,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--seed", type=int, default=0,
         help="root random seed (must match the recorded run)",
-    )
-    resume.add_argument(
-        "--kernel",
-        choices=["wheel", "heap", "window"],
-        default="wheel",
-        help="event-queue kernel",
     )
     resume.add_argument(
         "--fossil-interval", type=int, default=64, metavar="N",
@@ -422,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency", type=float, default=0.5, help="network latency for dpor/full"
     )
     verify.add_argument(
-        "--kernel",
-        choices=["wheel", "heap", "window"],
-        default="wheel",
-        help="event-queue kernel to explore under",
-    )
-    verify.add_argument(
         "--aid-mode",
         choices=["registry", "aid_task"],
         default="registry",
@@ -512,7 +492,6 @@ def cmd_run(args, out) -> int:
         latency=ConstantLatency(args.latency),
         trace=tracer,
         aid_mode=args.aid_mode,
-        kernel=args.kernel,
         fossil_interval=args.fossil_interval,
         metrics=registry,
         faults=faults,
@@ -630,7 +609,6 @@ def cmd_resume(args, out) -> int:
             seed=args.seed,
             latency=ConstantLatency(args.latency),
             trace=tracer,
-            kernel=args.kernel,
             fossil_interval=args.fossil_interval,
         )
     except DurableError as exc:
@@ -778,7 +756,6 @@ def cmd_verify(args, out) -> int:
             seed=args.seed,
             latency=args.latency,
             aid_mode=args.aid_mode,
-            kernel=args.kernel,
             prune=args.mode != "full",
             max_schedules=args.max_schedules,
             max_events=args.max_events,

@@ -107,7 +107,7 @@ class ShardSpec(NamedTuple):
     specs: tuple         # ((name, fn, args), ...) for this shard only
     placement: dict      # process name -> worker index (all processes)
     lookahead: float
-    config: dict         # engine kwargs subset (seed, kernel, ...)
+    config: dict         # engine kwargs subset (seed, latency, ...)
     crash_at: Optional[float]
     max_events: Optional[int]
 

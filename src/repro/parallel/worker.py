@@ -49,7 +49,6 @@ def _build_system(spec: ShardSpec):
         rollback_overhead=config["rollback_overhead"],
         strict_aids=config["strict_aids"],
         speculation=config["speculation"],
-        kernel=config["kernel"],
         metrics=MetricsRegistry() if config["metered"] else None,
         transport=transport_factory,
         # A shard never collects, whatever the coordinator was asked for:

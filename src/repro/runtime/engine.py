@@ -338,10 +338,6 @@ class HopeSystem:
         falsely suspected process is unsuspected on its next heartbeat
         and its later ``affirm`` of a detector-denied AID is reconciled
         to a no-op.
-    kernel:
-        Event-queue kernel for the simulator: ``"wheel"`` (default, the
-        hierarchical timer wheel) or ``"heap"`` (the binary-heap oracle).
-        Traces are byte-identical either way; see docs/PERFORMANCE.md §6.
     backend:
         Execution backend: ``"sim"`` (default — the deterministic
         single-process simulator, exactly the pre-backend code path) or
@@ -388,7 +384,6 @@ class HopeSystem:
         faults: Optional[FaultPlan] = None,
         reliable: Any = False,
         failure_detector: Any = False,
-        kernel: str = "wheel",
         backend: str = "sim",
         workers: Optional[int] = None,
         transport: Optional[Callable[..., Network]] = None,
@@ -407,18 +402,17 @@ class HopeSystem:
             # Externally directed scheduling: at every pop the controller
             # picks which same-time event fires (the DPOR explorer in
             # repro.verify drives this seam; see ScheduleController).
-            self.sim = Simulator(kernel=kernel, controller=controller)
+            self.sim = Simulator(controller=controller)
         elif shuffle_ties:
             # Permute the order of same-virtual-time events (seeded):
             # genuinely concurrent events may fire in any order, and the
             # model checker sweeps seeds to explore those interleavings.
             tie_stream = self.streams["schedule-ties"]
             self.sim = Simulator(
-                tie_breaker=lambda: tie_stream.randint(0, 1 << 30),
-                kernel=kernel,
+                tie_breaker=lambda: tie_stream.randint(0, 1 << 30)
             )
         else:
-            self.sim = Simulator(kernel=kernel)
+            self.sim = Simulator()
         latency_model = latency if latency is not None else ConstantLatency(0.0)
         if transport is not None:
             if faults is not None:
@@ -564,7 +558,6 @@ class HopeSystem:
                     "rollback_overhead": rollback_overhead,
                     "strict_aids": strict_aids,
                     "speculation": speculation,
-                    "kernel": kernel,
                     "metered": self._metered,
                     # options rejected by the parallel backend (validated
                     # there so the error names every offender at once)
@@ -674,7 +667,7 @@ class HopeSystem:
         committed prefix — replay invokes no handlers, so committed
         effects happen exactly once across incarnations — and execution
         continues live from the frontier.  Construction kwargs
-        (``seed``, ``latency``, ``kernel``, ``fossil_interval``, ...)
+        (``seed``, ``latency``, ``fossil_interval``, ...)
         must match the original run; the seed is verified against the
         envelope.  Recovery picks the newest envelope whose CRC, seal,
         and generation chain verify, checks the output ledger against

@@ -163,7 +163,7 @@ class DporExplorer:
     ----------
     scenario:
         The workload plus reference oracle (:mod:`repro.verify.programs`).
-    seed, latency, aid_mode, control_latency, kernel:
+    seed, latency, aid_mode, control_latency:
         Forwarded to every :class:`HopeSystem` replay — held fixed so the
         controller's choices are the *only* source of divergence.
     prune:
@@ -202,7 +202,6 @@ class DporExplorer:
         latency: float = 0.5,
         aid_mode: str = "registry",
         control_latency: float = 0.5,
-        kernel: str = "wheel",
         prune: bool = True,
         sleep_sets: bool = True,
         max_schedules: int = 2000,
@@ -219,7 +218,6 @@ class DporExplorer:
         self.latency = latency
         self.aid_mode = aid_mode
         self.control_latency = control_latency
-        self.kernel = kernel
         self.prune = prune
         self.sleep_sets = sleep_sets and prune
         self.max_schedules = max_schedules
@@ -268,7 +266,6 @@ class DporExplorer:
             trace=tracer,
             aid_mode=self.aid_mode,
             control_latency=self.control_latency,
-            kernel=self.kernel,
             reliable=self.reliable,
             transport=transport,
             controller=controller,
@@ -368,7 +365,6 @@ class DporExplorer:
             latency=ConstantLatency(self.latency),
             aid_mode=self.aid_mode,
             control_latency=self.control_latency,
-            kernel=self.kernel,
             speculation=False,
         )
         self.scenario.build(system)
@@ -534,7 +530,6 @@ class DporExplorer:
             "latency": self.latency,
             "aid_mode": self.aid_mode,
             "control_latency": self.control_latency,
-            "kernel": self.kernel,
             "max_events": self.max_events,
             "reliable": bool(self.reliable),
             "fault_plan": (
@@ -567,7 +562,6 @@ def run_dpor_reproducer(path: str) -> DporRun:
         latency=payload["latency"],
         aid_mode=payload["aid_mode"],
         control_latency=payload["control_latency"],
-        kernel=payload["kernel"],
         max_events=payload["max_events"],
         fault_plan=(
             FaultPlan.from_dict(payload["fault_plan"])

@@ -148,18 +148,3 @@ def test_enabling_faults_perturbs_no_other_stream():
         return tracer.fingerprint()
 
     assert run(None) == run(FaultPlan())
-
-
-# ---------------------------------------------------------------- kernels
-def test_chaos_case_identical_under_heap_and_wheel_kernels():
-    """Spot check of the kernel differential on a chaotic case: the storm
-    plan (drops + dups + reorder + jitter) must produce byte-identical
-    fingerprints and committed state whichever event-queue kernel runs it
-    (the full matrix lives in tests/sim/test_wheel_kernel.py)."""
-    workload = WORKLOADS["mesh"]
-    plan = standard_plans("mesh")["storm"]
-    heap = run_case(workload, 3, plan, detector=True, kernel="heap")
-    wheel = run_case(workload, 3, plan, detector=True, kernel="wheel")
-    assert heap.ok and wheel.ok
-    assert heap.fingerprint == wheel.fingerprint
-    assert heap.committed == wheel.committed

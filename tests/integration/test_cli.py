@@ -193,30 +193,6 @@ def test_run_aid_task_mode():
     assert "'Summary ...', 11" in out
 
 
-@pytest.mark.parametrize("kernel", ["heap", "wheel", "window"])
-def test_run_kernel_flag_identical_output(kernel):
-    """--kernel heap, wheel, and window produce the same run, down to the
-    printed trace (the differential-oracle property, end to end)."""
-    code, out = run_cli(
-        [
-            "run",
-            FIGURE2,
-            "--spawn", "server=Server:[60]",
-            "--spawn", "worrywart=WorryWart:[60]",
-            "--spawn", "worker=Worker:[10]",
-            "--trace",
-            "--kernel", kernel,
-        ]
-    )
-    assert code == 0
-    assert "'Summary ...', 11" in out
-    outputs = getattr(test_run_kernel_flag_identical_output, "_outputs", {})
-    outputs[kernel] = out
-    test_run_kernel_flag_identical_output._outputs = outputs
-    if len(outputs) == 3:
-        assert outputs["heap"] == outputs["wheel"] == outputs["window"]
-
-
 def test_run_profile_prints_hotspots():
     """--profile wraps the run in cProfile and appends the cumulative
     top-25 report without disturbing the normal output."""

@@ -18,8 +18,6 @@ about to resolve.  The counted hold lasts until the delivery has decided
 the message's fate, so the reference adds that one message's tags.
 """
 
-import functools
-
 import pytest
 
 import repro.apps.call_streaming as cs
@@ -38,9 +36,8 @@ from repro.sim.channel import Message
 # the reference
 # ----------------------------------------------------------------------
 def _in_flight(system):
-    """Messages a pending simulator event will still deliver (heap
-    kernel: the queue is a plain list), plus the rest of a coalesced
-    sweep that is being delivered right now."""
+    """Messages a pending simulator event will still deliver, plus the
+    rest of a coalesced sweep that is being delivered right now."""
     for event in system.sim._heap:
         if event.cancelled:
             continue
@@ -156,7 +153,7 @@ class PinAudit:
 
 def _system(seed=0, **options) -> HopeSystem:
     options.setdefault("latency", ConstantLatency(1.0))
-    return HopeSystem(seed=seed, kernel="heap", fossil_interval=1, **options)
+    return HopeSystem(seed=seed, fossil_interval=1, **options)
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +202,7 @@ def test_commit_point_counters(seed, faulty):
 @pytest.mark.parametrize("build", [build_chaos_mesh, build_chaos_ring])
 def test_chaos_workloads_at_their_own_cadence(build):
     """No forced passes: the ones the cadence rule schedules."""
-    system = HopeSystem(seed=3, latency=ConstantLatency(1.0), kernel="heap",
-                        fossil_interval=2)
+    system = HopeSystem(seed=3, latency=ConstantLatency(1.0), fossil_interval=2)
     audit = PinAudit(system, force=False)
     build(system)
     system.run(max_events=400_000)
@@ -218,14 +214,12 @@ def test_chaos_workloads_at_their_own_cadence(build):
 # Call Streaming with page breaks: denied PartPage assumptions, restarts
 # from rebase points, tagged messages from the Worker to everyone
 # ----------------------------------------------------------------------
-def test_call_streaming_page_breaks(monkeypatch):
+def test_call_streaming_page_breaks():
     n = 24
     config = cs.CallStreamConfig(
         page_size=1000, latency=10.0, n_warts=3,
         report_lines=tuple(1001 if i % 6 == 5 else 3 for i in range(n)),
     )
-    # the reference scan reads the heap kernel's queue
-    monkeypatch.setattr(cs, "HopeSystem", functools.partial(HopeSystem, kernel="heap"))
     system = cs._build_system(config, 3, None)
     system.fossil_interval = 1
     audit = PinAudit(system)

@@ -1,9 +1,7 @@
 """Tests for the event-loop kernel.
 
-Generic behaviour is parametrized over all three event-queue kernels
-(the binary heap, the hierarchical timer wheel, and the sorted window)
-— they must be observationally identical.  Kernel-internal tests (heap
-compaction, wheel buckets) pin their kernel explicitly.
+The event order as a whole is checked against a sorted-list reference
+in ``test_kernel_reference.py``; these are the named edge cases.
 """
 
 import gc
@@ -18,9 +16,10 @@ from repro.sim import (
 )
 
 
-@pytest.fixture(params=["heap", "wheel", "window"])
+@pytest.fixture(params=["heap"])
 def sim(request):
-    return Simulator(kernel=request.param)
+    """The one event queue, a binary heap; the id keeps the test names."""
+    return Simulator()
 
 
 def test_events_fire_in_time_order(sim):
@@ -46,9 +45,27 @@ def test_negative_delay_rejected(sim):
         sim.schedule(-0.1, lambda: None)
 
 
-def test_unknown_kernel_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(kernel="splay")
+def test_nan_delay_rejected(sim):
+    """``nan < 0`` is False, so a sign test alone lets NaN in — and a NaN
+    key compares False both ways, silently breaking the heap order."""
+    with pytest.raises(ScheduleInPastError, match="negative or NaN"):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_run_until_before_now_is_refused(sim):
+    """The clock never moves backwards: an ``until`` behind ``now`` would
+    let the next zero-delay event land before events that already fired."""
+    fired = []
+    sim.schedule(5.0, fired.append, "f")
+    sim.run(until=10.0)
+    sim.schedule(5.0, fired.append, "g")
+    with pytest.raises(SimulationError, match=r"until=3\.0.*10\.0"):
+        sim.run(until=3.0)
+    assert sim.now == 10.0
+    assert sim.run(until=10.0) == 10.0          # until == now stays legal
+    sim.run()
+    assert fired == ["f", "g"] and sim.now == 15.0
 
 
 def test_cancelled_event_does_not_fire(sim):
@@ -226,8 +243,7 @@ def test_cancel_then_peek_keeps_counter_exact(sim):
 
 def test_schedule_after_until_break_preserves_order(sim):
     """Events scheduled between runs (after an until-break advanced the
-    clock, which may have advanced the wheel cursor past `now`) still fire
-    before previously queued later events."""
+    clock) still fire before previously queued later events."""
     fired = []
     sim.schedule(10.0, fired.append, "late")
     sim.run(until=2.0)
@@ -239,8 +255,7 @@ def test_schedule_after_until_break_preserves_order(sim):
 
 
 def test_interleaved_timescales_fire_in_order(sim):
-    """Mixed near/far/fractional delays — exercises every wheel level and
-    the overflow list; both kernels must agree with a sorted oracle."""
+    """Mixed near/far/fractional delays agree with a sorted oracle."""
     fired = []
     delays = [
         0.03, 0.9, 1.0, 1.0625, 7.5, 63.9, 64.0, 100.0,
@@ -255,13 +270,12 @@ def test_interleaved_timescales_fire_in_order(sim):
 
 
 # ----------------------------------------------------------------------
-# queue compaction (cancel-heavy workloads) — behaviour common to both
-# kernels; physical-size assertions pin the heap kernel.
+# heap compaction (cancel-heavy workloads)
 # ----------------------------------------------------------------------
 def test_heap_compaction_evicts_cancelled_majority():
     """When cancelled events outnumber live ones, the heap is rebuilt so
     push/pop stay O(log live) instead of O(log total)."""
-    sim = Simulator(kernel="heap")
+    sim = Simulator()
     events = [sim.schedule(float(i), lambda: None) for i in range(200)]
     keep = events[::4]
     for e in events:
@@ -301,7 +315,7 @@ def test_small_heaps_are_never_compacted(sim):
 def test_compaction_counter_in_steady_cancel_churn():
     """Repeated schedule/cancel churn stays bounded: the heap never grows
     past ~2x the live population."""
-    sim = Simulator(kernel="heap")
+    sim = Simulator()
     live = []
     for round_ in range(50):
         for _ in range(10):
@@ -312,89 +326,19 @@ def test_compaction_counter_in_steady_cancel_churn():
     assert sim.heap_compactions >= 1
 
 
-# ----------------------------------------------------------------------
-# timer-wheel internals
-# ----------------------------------------------------------------------
-def test_wheel_cancel_all_in_bucket():
-    """Cancelling every event in a far bucket: the bucket is skipped
-    without firing anything and the counters stay exact."""
-    sim = Simulator(kernel="wheel")
-    fired = []
-    # one near event, a cluster sharing a single far bucket, one farther
-    sim.schedule(1.0, fired.append, "near")
-    cluster = [sim.schedule(500.0, fired.append, f"mid{i}") for i in range(8)]
-    sim.schedule(900.0, fired.append, "far")
-    for e in cluster:
+def test_firing_live_events_past_buried_dead_ones_compacts(sim):
+    """No cancel tips the balance here: 100 dead entries sit behind 100
+    live ones (a dead minority), then a run fires 90 of the live ones.
+    The check at the end of the run restores the bound."""
+    early = [sim.schedule(float(i), lambda: None) for i in range(100)]
+    late = [sim.schedule(1000.0 + i, lambda: None) for i in range(100)]
+    for e in late:
         e.cancel()
-    assert sim.pending_events == 2
-    sim.run()
-    assert fired == ["near", "far"]
-    assert sim.pending_events == 0
-    assert sim.peek_time() is None
-
-
-def test_wheel_cancel_storm_triggers_sweep():
-    """Mass-cancelling far-future events triggers the wheel sweep so dead
-    entries don't accumulate (the analogue of heap compaction)."""
-    sim = Simulator(kernel="wheel")
-    events = [sim.schedule(float(i) * 3.7, lambda: None) for i in range(400)]
-    for e in events[::2]:
-        e.cancel()
-    for e in events[1::2]:
-        e.cancel()
-    assert sim.heap_compactions >= 1
-    # same bound as the heap kernel: dead entries never dominate above
-    # the sweep floor
-    assert len(sim._queue) <= max(2 * sim.pending_events, 64)
-    assert sim.pending_events == 0
-
-
-def test_wheel_sweep_preserves_order_and_counters():
-    sim = Simulator(kernel="wheel")
-    fired = []
-    events = [sim.schedule(float(i % 97) * 1.3, fired.append, i) for i in range(500)]
-    for i, e in enumerate(events):
-        if i % 4 != 1:
-            e.cancel()
-    assert sim.heap_compactions >= 1
-    assert sim.pending_events == sum(1 for i in range(500) if i % 4 == 1)
-    expected = sorted(
-        (i for i in range(500) if i % 4 == 1),
-        key=lambda i: (float(i % 97) * 1.3, i),
-    )
-    sim.run()
-    assert fired == expected
-
-
-def test_wheel_overflow_rebase():
-    """Events beyond the wheel horizon live in the overflow list and are
-    re-bucketed (in order) once the near levels drain."""
-    sim = Simulator(kernel="wheel")
-    fired = []
-    horizon = 0.0625 * (64 ** 4)  # resolution * 64^4 ticks
-    sim.schedule(1.0, fired.append, "now")
-    sim.schedule(horizon * 2.0, fired.append, "beyond2")
-    sim.schedule(horizon * 1.5, fired.append, "beyond1")
-    cancelled = sim.schedule(horizon * 1.75, fired.append, "dead")
-    cancelled.cancel()
-    sim.run()
-    assert fired == ["now", "beyond1", "beyond2"]
-    assert sim.pending_events == 0
-
-
-def test_wheel_resolution_only_affects_performance():
-    """Any positive resolution yields the same firing order."""
-    orders = []
-    for resolution in (0.0625, 1.0, 17.3, 1e-4):
-        sim = Simulator(kernel="wheel", wheel_resolution=resolution)
-        fired = []
-        for i, d in enumerate([5.0, 0.1, 0.1, 3.3, 64.2, 0.0]):
-            sim.schedule(d, fired.append, i)
-        sim.run()
-        orders.append(fired)
-    assert all(o == orders[0] for o in orders)
-    with pytest.raises(SimulationError):
-        Simulator(kernel="wheel", wheel_resolution=0.0)
+    assert sim.heap_compactions == 0 and len(sim._heap) == 200
+    sim.run(until=89.0)
+    assert sim.pending_events == 10
+    assert sim.heap_compactions == 1 and len(sim._heap) == 10
+    assert early[-1].time == sim.peek_time() + 9
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,147 @@
+"""Differential property: the Simulator's heap against the sorted-list
+reference in ``reference_queue.py``.
+
+Both run the same random program — schedules (same-time ties, zero
+delays scheduled from inside callbacks), cancels (including after the
+event fired, and storms large enough to cross the compaction floor),
+``run(until=...)``, ``step()`` — plainly, under a seeded tie-break
+stream, or under a recording schedule controller.  After every
+operation they must agree on the firing order, the clock,
+``pending_events`` and ``peek_time()``, and the heap must respect the
+compaction bound.
+"""
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.sim import Simulator
+
+from .reference_queue import ReferenceQueue
+
+#: Labels a program may mint in total (callbacks stop spawning children
+#: past it, so every ``run()`` terminates).
+LABELS = 400
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5, 10.0])
+
+ACTIONS = st.lists(
+    st.one_of(
+        st.just(("none", 0)),
+        st.tuples(st.just("child"), DELAYS),
+        st.tuples(st.just("cancel"), st.integers(0, LABELS)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), DELAYS),
+        st.tuples(
+            st.just("burst"), st.integers(20, 150), st.integers(1, 9),
+            st.sampled_from([0.0, 20.0]),
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, LABELS)),
+        st.tuples(st.just("storm"), st.integers(1, 5), st.integers(0, 3)),
+        st.tuples(st.just("run"), st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, 7.0]))),
+        st.just(("step",)),
+    ),
+    max_size=30,
+)
+
+
+class Recorder:
+    """A schedule controller that logs every batch and picks by a script."""
+
+    def __init__(self, picks):
+        self.picks, self.log = picks, []
+
+    def choose(self, time, events):
+        self.log.append((time, [e.args[0] for e in events]))
+        return self.picks[len(self.log) % len(self.picks)] % len(events)
+
+
+class Runner:
+    """Applies one program to one queue, naming events by label."""
+
+    def __init__(self, queue, actions):
+        self.queue, self.actions = queue, actions
+        self.handles, self.fired = [], []
+
+    def schedule(self, delay):
+        self.handles.append(self.queue.schedule(delay, self.fire, len(self.handles)))
+
+    def cancel(self, index):
+        if self.handles:
+            self.handles[index % len(self.handles)].cancel()
+
+    def fire(self, label):
+        self.fired.append((self.queue.now, label))
+        kind, arg = self.actions[label % len(self.actions)]
+        if kind == "child" and len(self.handles) < LABELS:
+            self.schedule(arg)
+        elif kind == "cancel":
+            self.cancel(arg)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "schedule":
+            self.schedule(op[1])
+        elif kind == "burst":
+            for i in range(min(op[1], LABELS - len(self.handles))):
+                self.schedule(op[3] + i % op[2])
+        elif kind == "cancel":
+            self.cancel(op[1])
+        elif kind == "storm":      # the newest (4 - op[2]) quarters
+            for label in range(len(self.handles) * op[2] // 4, len(self.handles)):
+                if label % (op[1] + 1):
+                    self.handles[label].cancel()
+        elif kind == "run":
+            until = None if op[1] is None else self.queue.now + op[1]
+            return self.queue.run(until=until)
+        else:
+            return self.queue.step()
+
+
+#: Two bursts of 150 (times 0-4, then 20-24), the newest half mostly
+#: cancelled: a dead minority, buried behind the live first burst.
+BURIED = [("burst", 150, 5, 0.0), ("burst", 150, 5, 20.0), ("storm", 5, 2)]
+
+
+def _case(ops, mode="plain", picks=(0,)):
+    return example(mode=mode, seed=0, picks=list(picks), actions=[("none", 0)], ops=ops)
+
+
+@settings(max_examples=300, deadline=None)
+@_case([("burst", 150, 5, 0.0), ("storm", 5, 0), ("run", None)])   # cancel storm
+@_case(BURIED + [("run", 7.0), ("run", None)])       # firing tips the balance
+@_case(BURIED + [("step",)] * 150)                   # ... one step at a time
+@_case([("burst", 30, 1, 0.0), ("run", None)], "controller", (3, 1))
+@given(
+    mode=st.sampled_from(["plain", "tie_breaker", "controller"]),
+    seed=st.integers(0, 2**16),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    actions=ACTIONS,
+    ops=OPS,
+)
+def test_heap_matches_the_sorted_list_reference(mode, seed, picks, actions, ops):
+    def build(cls):
+        if mode == "tie_breaker":
+            rng = random.Random(seed)
+            return cls(tie_breaker=lambda: rng.randint(0, 3)), None
+        if mode == "controller":
+            recorder = Recorder(picks)
+            return cls(controller=recorder), recorder
+        return cls(), None
+
+    sim, sim_log = build(Simulator)
+    ref, ref_log = build(ReferenceQueue)
+    under_test, oracle = Runner(sim, actions), Runner(ref, actions)
+    for op in ops:
+        assert under_test.apply(op) == oracle.apply(op), op
+        assert under_test.fired == oracle.fired, op
+        assert sim.now == ref.now
+        assert sim.pending_events == ref.pending_events
+        assert len(sim._heap) <= 2 * sim.pending_events + 64
+        assert sim.peek_time() == ref.peek_time()
+        if sim_log is not None:
+            assert sim_log.log == ref_log.log

@@ -104,18 +104,6 @@ def test_replaying_choices_reproduces_byte_identical_fingerprints():
         assert replay.choices == run.choices
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap", "window"])
-def test_kernels_explore_identical_trees(kernel):
-    baseline = explorer(two_aid_scenario(**TWO_AID), prune=False).explore()
-    report = explorer(
-        two_aid_scenario(**TWO_AID), prune=False, kernel=kernel
-    ).explore()
-    assert [r.choices for r in report.runs] == [r.choices for r in baseline.runs]
-    assert [r.fingerprint for r in report.runs] == [
-        r.fingerprint for r in baseline.runs
-    ]
-
-
 def test_out_of_range_prescription_is_replay_divergence():
     ex = explorer(two_aid_scenario(**TWO_AID))
     with pytest.raises(ReplayDivergence):
@@ -174,6 +162,23 @@ def test_injected_bug_found_shrunk_and_reproduced(tmp_path):
     # the reproducer's scenario spec round-trips
     rebuilt = scenario_from_spec(payload["scenario"])
     assert rebuilt.name == payload["scenario_name"]
+    assert "kernel" not in payload
+
+
+def test_reproducer_naming_an_event_queue_kernel_still_replays(tmp_path):
+    """Reproducers written while ``DporExplorer`` took a ``kernel`` carry
+    ``"kernel": "wheel"`` (or "heap" / "window").  Every kernel produced
+    the same event order, so the field is ignored and the file replays."""
+    report = explorer(
+        two_aid_scenario(**TWO_AID), inject_bug=True, repro_dir=str(tmp_path)
+    ).explore()
+    path = tmp_path / "old-format.json"
+    payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
+    payload["kernel"] = "wheel"
+    path.write_text(json.dumps(payload))
+    replay = run_dpor_reproducer(str(path))
+    assert replay.violations == report.failures[0].violations
+    assert replay.fingerprint == payload["fingerprint"]
 
 
 def test_without_injected_bug_no_reproducer_written(tmp_path):
