@@ -158,7 +158,8 @@ def run_horizon(
                     len(r.history) for r in machine.processes.values()
                 ),
                 "aid_table": len(machine.aids),
-                "handle_table": len(system._handles),
+                "held_aids": sum(aid.handles is not None
+                                 for aid in machine.aids.values()),
                 "output_intervals": len({
                     id(r.interval)
                     for proc in system.procs.values()
@@ -204,7 +205,7 @@ def test_fossil_steady_emitting_tables_stay_flat():
     uncollected = run_horizon(False, events_total=2 * SEGMENT, emitting=True)
     segs = collected["segments"]
     assert len(segs) >= 3
-    for metric in ("aid_table", "handle_table", "output_intervals", "history_rows",
+    for metric in ("aid_table", "held_aids", "output_intervals", "history_rows",
                    "log_entries"):
         series = [s[metric] for s in segs]
         # bounded by the speculation window (same slack as the caps in

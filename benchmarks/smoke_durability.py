@@ -17,9 +17,11 @@ Three budgets from ``overhead_threshold.json``:
   a child process is killed mid-run by ``os._exit`` (real process death
   when the platform has ``fork``; in-process abandonment otherwise) and
   the resumed run's committed state must equal the uninterrupted twin's
-  byte for byte — plus one envelope- and one WAL-corruption case that
-  must be *detected* (counted rejections/discards) and survived, and one
-  ledger-corruption case that must be *refused* by name.
+  byte for byte — plus, per workload, one resume of a resume (killed at
+  the first fraction, resumed, killed again at the second, resumed), one
+  envelope- and one WAL-corruption case that must be *detected* (counted
+  rejections/discards) and survived, and one ledger-corruption case that
+  must be *refused* by name.
 
 Fully deterministic except for wall clocks; the equality checks are a
 real regression whenever they fail, never flake.
@@ -157,7 +159,8 @@ def _check_kill_resume(budget: dict) -> int:
     fracs = budget["durable_kill_fracs"]
     in_process = not hasattr(os, "fork")
     report = run_kill_resume_matrix(
-        seeds=budget["chaos_seeds"][:1], fracs=fracs, in_process=in_process,
+        seeds=budget["chaos_seeds"][:1], fracs=fracs, resume_chains=True,
+        in_process=in_process,
     )
     print(format_kill_report(report))
     mode = "in-process" if in_process else "fork + os._exit"

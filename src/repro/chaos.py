@@ -287,10 +287,12 @@ class KillResumeResult:
     compare committed state against the uninterrupted twin."""
 
     __slots__ = ("workload", "seed", "kill_events", "frac", "corrupt",
-                 "corrupted_path", "failure", "durable_stats", "run_dir")
+                 "corrupted_path", "failure", "durable_stats", "run_dir",
+                 "then_frac")
 
     def __init__(self, workload, seed, kill_events, frac, corrupt,
-                 corrupted_path, failure, durable_stats, run_dir) -> None:
+                 corrupted_path, failure, durable_stats, run_dir,
+                 then_frac=None) -> None:
         self.workload = workload
         self.seed = seed
         self.kill_events = kill_events
@@ -300,6 +302,8 @@ class KillResumeResult:
         self.failure = failure
         self.durable_stats = durable_stats
         self.run_dir = run_dir
+        #: A resume of a resume: the first resumed run was killed again here.
+        self.then_frac = then_frac
 
     @property
     def ok(self) -> bool:
@@ -327,15 +331,60 @@ def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
     return system
 
 
-def _run_child_until_kill(workload: ChaosWorkload, seed: int, run_dir: str,
-                          kill_events: int, durable_opts: dict) -> None:
-    system = _durable_system(workload, seed, run_dir, durable_opts)
+def _resume_system(workload: ChaosWorkload, seed: int, run_dir: str,
+                   durable_opts: dict) -> HopeSystem:
+    return HopeSystem.resume(
+        run_dir, workload.build, seed=seed,
+        latency=ConstantLatency(1.0),
+        fossil_interval=_KILL_FOSSIL_INTERVAL,
+        durable_opts=dict(durable_opts),
+    )
+
+
+def _run_child_until_kill(system: HopeSystem, kill_events: int) -> None:
     try:
         system.run(max_events=kill_events)
     except EventLimitExceeded:
         # This *is* the crash point: die without any orderly shutdown —
         # no durable sync, no flush beyond the last sealed batch.
         pass
+
+
+def _crash(leg: Callable[[], None], err_path: str, in_process: bool) -> Optional[str]:
+    """Run ``leg`` — a recording run that stops at its kill point — in a
+    child process killed by ``os._exit`` (real process death, no cleanup)
+    or, with ``in_process`` or without ``fork``, abandoned in this one.
+    Returns the failure, or None when the kill landed as planned."""
+    if not hasattr(os, "fork") or in_process:
+        try:
+            leg()
+        except Exception as exc:  # abandoned, never synced — a soft crash
+            return f"recording run raised: {exc!r}"
+        return None
+    pid = os.fork()
+    if pid == 0:
+        code = _KILLED_OK
+        try:
+            leg()
+        except BaseException:
+            import traceback
+
+            with open(err_path, "w", encoding="utf-8") as fh:
+                traceback.print_exc(file=fh)
+            code = _CHILD_ERROR
+        finally:
+            # A host crash, not an exit: skip atexit/stdio/GC entirely.
+            os._exit(code)
+    _, wstatus = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(wstatus)
+    if code == _KILLED_OK:
+        return None
+    detail = ""
+    if os.path.exists(err_path):
+        with open(err_path, encoding="utf-8") as fh:
+            tail = fh.read().strip().splitlines()
+        detail = tail[-1] if tail else ""
+    return f"child exited {code} before the kill point: {detail}"
 
 
 def run_kill_resume_case(
@@ -348,6 +397,7 @@ def run_kill_resume_case(
     run_dir: Optional[str] = None,
     keep_dir: bool = False,
     in_process: bool = False,
+    then_frac: Optional[float] = None,
 ) -> KillResumeResult:
     """One host-crash chaos case.
 
@@ -355,6 +405,9 @@ def run_kill_resume_case(
     no cleanup) once ``kill_events`` simulator events have fired, then
     resumes from the run directory and requires the committed-state
     fingerprint to match an uninterrupted fault-free twin byte for byte.
+    With ``then_frac`` the first resumed run is killed the same way, once
+    ``then_frac - kill_frac`` of the twin's events more have fired, and
+    the resume of that resume is what must match.
     ``corrupt`` ("envelope" | "wal") additionally flips bytes in the
     newest envelope / WAL tail before resuming and requires recovery to
     *detect* the damage (counted rejections/discards) and still
@@ -392,41 +445,22 @@ def run_kill_resume_case(
             prefix=f"hope-durable-{workload.name}-s{seed}-"
         )
     err_path = os.path.join(run_dir, "child-error.txt")
-    failure: Optional[str] = None
-    use_fork = hasattr(os, "fork") and not in_process
-    if use_fork:
-        pid = os.fork()
-        if pid == 0:
-            code = _KILLED_OK
-            try:
-                _run_child_until_kill(
-                    workload, seed, run_dir, kill_events, durable_opts
-                )
-            except BaseException:
-                import traceback
-
-                with open(err_path, "w", encoding="utf-8") as fh:
-                    traceback.print_exc(file=fh)
-                code = _CHILD_ERROR
-            finally:
-                # A host crash, not an exit: skip atexit/stdio/GC entirely.
-                os._exit(code)
-        _, wstatus = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(wstatus)
-        if code != _KILLED_OK:
-            detail = ""
-            if os.path.exists(err_path):
-                with open(err_path, encoding="utf-8") as fh:
-                    tail = fh.read().strip().splitlines()
-                detail = tail[-1] if tail else ""
-            failure = f"child exited {code} before the kill point: {detail}"
-    else:
-        try:
-            _run_child_until_kill(
-                workload, seed, run_dir, kill_events, durable_opts
-            )
-        except Exception as exc:  # abandoned, never synced — a soft crash
-            failure = f"recording run raised: {exc!r}"
+    failure = _crash(
+        lambda: _run_child_until_kill(
+            _durable_system(workload, seed, run_dir, durable_opts), kill_events
+        ),
+        err_path, in_process,
+    )
+    if failure is None and then_frac is not None:
+        # A resume of a resume: the first resumed run dies too, once the
+        # events between the two fractions have fired.
+        failure = _crash(
+            lambda: _run_child_until_kill(
+                _resume_system(workload, seed, run_dir, durable_opts),
+                max(2, int(total_events * (then_frac - kill_frac))),
+            ),
+            err_path, in_process,
+        )
     corrupted_path = None
     if failure is None and corrupt is not None:
         if corrupt not in _CORRUPTIONS:
@@ -444,12 +478,7 @@ def run_kill_resume_case(
     durable_stats: dict = {}
     if failure is None:
         try:
-            resumed = HopeSystem.resume(
-                run_dir, workload.build, seed=seed,
-                latency=ConstantLatency(1.0),
-                fossil_interval=_KILL_FOSSIL_INTERVAL,
-                durable_opts=dict(durable_opts),
-            )
+            resumed = _resume_system(workload, seed, run_dir, durable_opts)
             resumed.run(max_events=workload.max_events)
             durable_stats = resumed.stats()["durable"]
             stuck = sorted(
@@ -487,7 +516,7 @@ def run_kill_resume_case(
         run_dir = None
     return KillResumeResult(
         workload.name, seed, kill_events, kill_frac, corrupt,
-        corrupted_path, failure, durable_stats, run_dir,
+        corrupted_path, failure, durable_stats, run_dir, then_frac,
     )
 
 
@@ -497,11 +526,13 @@ def run_kill_resume_matrix(
     fracs: Iterable[float] = KILL_FRACS,
     *,
     corruption_cases: bool = True,
+    resume_chains: bool = False,
     in_process: bool = False,
 ) -> dict:
     """Sweep workloads × seeds × seeded crash points (plus one envelope-,
-    one WAL- and one ledger-corruption case per workload); returns a
-    report dict."""
+    one WAL- and one ledger-corruption case per workload, and with
+    ``resume_chains`` one resume of a resume: killed at the first two
+    fractions in turn); returns a report dict."""
     names = list(workloads) if workloads is not None else list(KILL_RESUME_WORKLOADS)
     seeds = list(seeds)
     fracs = list(fracs)
@@ -519,6 +550,11 @@ def run_kill_resume_matrix(
                     wname, seeds[0], max(fracs), corrupt=mode,
                     in_process=in_process,
                 ))
+        if resume_chains and len(fracs) >= 2:
+            results.append(run_kill_resume_case(
+                wname, seeds[0], fracs[0], then_frac=fracs[1],
+                in_process=in_process,
+            ))
     failures = [r for r in results if not r.ok]
     return {
         "cases": results,
@@ -535,7 +571,12 @@ def format_kill_report(report: dict) -> str:
     ]
     for result in report["cases"]:
         ds = result.durable_stats or {}
-        mode = f"corrupt={result.corrupt}" if result.corrupt else f"frac={result.frac:g}"
+        if result.corrupt:
+            mode = f"corrupt={result.corrupt}"
+        elif result.then_frac is not None:
+            mode = f"frac={result.frac:g}+{result.then_frac:g}"
+        else:
+            mode = f"frac={result.frac:g}"
         lines.append(
             f"  {result.workload:<7} seed={result.seed} kill@{result.kill_events:<6} "
             f"{mode:<16} {'ok' if result.ok else 'FAIL':<4} "

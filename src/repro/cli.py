@@ -75,7 +75,8 @@ class _PassClock:
             f"fossil: {stats['fossil_collections']} passes, "
             f"{stats['fossil_records_visited']} records visited, "
             f"{stats['fossil_aids_examined']} AIDs examined, {self.seconds:.3f} s, "
-            f"{stats['processes_retired']} processes retired"
+            f"{stats['processes_retired']} processes retired, "
+            f"{stats['fossil_aids_retired']} AIDs retired"
         )
 
 
@@ -251,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under cProfile and print the top 25 functions by "
         "cumulative time after the run, then the garbage collector's "
         "collections and seconds per generation and the fossil passes' "
-        "count, visits, seconds and processes retired (docs/PERFORMANCE.md "
-        "§8, §11, §13, §14)",
+        "count, visits, seconds, processes retired and AIDs retired "
+        "(docs/PERFORMANCE.md §8, §11, §13, §14, §17)",
     )
     run.add_argument(
         "--profile-out",

@@ -52,7 +52,7 @@ class AssumptionId:
 
     __slots__ = (
         "name", "serial", "key", "dom", "status", "resolved_by",
-        "speculative_affirmer", "parked_denies",
+        "speculative_affirmer", "parked_denies", "handles",
     )
 
     def __init__(self, name: str, serial: Optional[int] = None) -> None:
@@ -77,6 +77,13 @@ class AssumptionId:
         #: their IHD (Eq 16).  Such an AID is about to change status at a
         #: finalize, so fossil collection must not retire it yet.
         self.parked_denies = 0
+        #: One weak reference per live handle object that names this AID
+        #: (:meth:`Machine.hold`), or None.  They keep a *pending* AID
+        #: from retiring — it may yet be guessed and become a message tag,
+        #: which resolves by key.  The pass that finds the AID settled
+        #: drops them: a settled AID is reached through its handles by
+        #: object, and retires whatever handles are alive.
+        self.handles: Optional[list] = None
 
     @property
     def pending(self) -> bool:

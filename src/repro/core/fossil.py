@@ -15,15 +15,20 @@ This module reclaims, per collection pass:
   process's own frontier (rollback is per-process, so the per-process
   frontier suffices for history);
 * **unreachable AIDs** — identifiers no live interval depends on, has
-  speculatively affirmed or has parked a deny of, and that nothing
-  outside the machine has *pinned* (:meth:`Machine.pin`: the runtime pins
-  the tags of messages not yet consumed plus user-reachable handles).
-  Resolved ones are committed by Theorem 6.1; *pending* ones are
-  orphans minted inside rolled-back intervals that nothing can ever
-  resolve.  A retired AID leaves ``Machine.aids``; by-object use
-  (``guess`` on a held reference) still works, by-key lookup raises.
-  A *resolved* one a pin keeps is **settled**: its DOM set is traded
-  for the shared empty :data:`~repro.core.aid.SETTLED_DOM`;
+  speculatively affirmed or has parked a deny of, and that nothing can
+  still name *by key*: no *pin* (:meth:`Machine.pin`: the runtime pins
+  the tags of messages not yet consumed) and, for a pending one, no
+  *held* handle (:meth:`Machine.hold`).  A resolved one is **settled**
+  (committed by Theorem 6.1): its DOM set is traded for the shared empty
+  :data:`~repro.core.aid.SETTLED_DOM`, its holds are dropped, and it
+  retires under live handles — §5 makes the verdict final, and a bound
+  handle reaches the AID by object, so a late ``guess`` / ``affirm`` /
+  ``deny`` / ``free_of`` through it still finds the verdict.  Only a
+  pending AID must stay resolvable by key while a handle lives: a guess
+  may yet make it a message tag, and tags resolve by key.  *Pending*
+  ones that retire are orphans minted inside rolled-back intervals that
+  nothing can ever resolve.  A retired AID leaves ``Machine.aids``;
+  by-object use still works, by-key lookup raises;
 * **interned DepSets** — the table holds its sets weakly, so one dies
   with the last interval that carries it; a pass drops what else kept
   them, the ``id()``-keyed operation memos (see
@@ -116,9 +121,10 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
     # interval's IDO shows up as a non-empty X.DOM (Lemma 5.1), which
     # only empties through a resolution or a rollback; a speculative
     # affirm or a parked deny ends when its interval finalizes or rolls
-    # back; a pin ends in Machine.unpin.  The queue is swapped out first
-    # so that an unpin arriving mid-pass (a handle dying as the pass
-    # drops what held it) lands in the next one.
+    # back; a pin ends in Machine.unpin, a pending AID's hold with its
+    # last handle.  The queue is swapped out first so that a release
+    # arriving mid-pass (a handle dying as the pass drops what held it)
+    # lands in the next one.
     candidates, machine._retire_candidates = machine._retire_candidates, []
     aids = machine.aids
     pins = machine.pins
@@ -127,16 +133,24 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
     for aid in candidates:
         if aid.dom or aid.parked_denies or aid.speculative_affirmer is not None:
             continue
-        if aid.status is not AidStatus.PENDING:     # a pending one may yet be guessed
-            aid.dom = SETTLED_DOM                   # settled, pinned or not
         key = aid.key
+        if aid.status is not AidStatus.PENDING:
+            # Settled: nothing can change it or depend on it again, and
+            # its handles read it by object — only a tag pin keeps it.
+            aid.dom = SETTLED_DOM
+            aid.handles = None
+            kept = key in pins
+        else:
+            # A pending one may yet be guessed through a live handle.
+            kept = key in pins or aid.handles is not None
         if aids.get(key) is not aid:        # already retired
             continue
-        if key in pins:
+        if kept:
             deferred[key] = aid
         else:
             retired[key] = aid
             del aids[key]
+            deferred.pop(key, None)
     for aid in retired.values():
         if aid.status is AidStatus.AFFIRMED:
             machine.stats["aids_retired_affirmed"] += 1

@@ -44,6 +44,7 @@ Semantic decisions beyond the paper's letter (see DESIGN.md §3):
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
+from weakref import KeyedRef
 
 from .aid import AidStatus, AssumptionId
 from .depset import DepSet, DepSetInterner
@@ -151,8 +152,9 @@ class Machine:
         #: (:meth:`ProcessRecord.mark_changed`; see :meth:`take_queued`);
         #: the AIDs that may have become retirable — created, definitively
         #: resolved, orphaned by a rollback, or released by whatever kept
-        #: them; and, by key, the ones a pass found retirable but pinned,
-        #: which wait here until :meth:`unpin` drops their last pin.
+        #: them; and, by key, the ones a pass found retirable but pinned or
+        #: (pending) held, which wait here until :meth:`unpin` drops their
+        #: last pin or their last held handle dies.
         self.reclaimable: list[ProcessRecord] = []
         self.changed: list[ProcessRecord] = []
         self._retire_candidates: list[AssumptionId] = []
@@ -160,6 +162,8 @@ class Machine:
         #: AID key -> number of things outside the machine that may still
         #: look the key up (:meth:`pin`).
         self.pins: dict[str, int] = {}
+        #: Pre-bound: every handle's weak reference shares this callback.
+        self._on_handle_death = self._handle_died
 
     # ------------------------------------------------------------------
     # registration
@@ -197,18 +201,41 @@ class Machine:
             if serial.isdigit() and self._serial_base < int(serial) <= self._aid_serials:
                 raise UnknownAidError(
                     f"assumption identifier {key!r} was retired by collection — "
-                    "its last handle, tag and interval are gone; hold the "
-                    "`AidHandle`, not `aid.key`"
+                    "it settled, or its last handle, tag and interval are "
+                    "gone; hold the `AidHandle`, not `aid.key`"
                 )
             raise UnknownAidError(f"unknown assumption identifier {key!r}")
         return aid
 
+    def hold(self, aid: AssumptionId, handle: object) -> None:
+        """Keep *pending* ``aid`` from retiring while the object ``handle``
+        lives: a later ``guess`` through it may make the AID a message
+        tag, and tags resolve by key.  Holds count per object (two copies
+        of one handle are two holds), die with the object, and all go
+        when a pass finds the AID settled — a resolved AID is read
+        through its handles by object, so none of them keeps it."""
+        ref = KeyedRef(handle, self._on_handle_death, aid)
+        if aid.handles is None:
+            aid.handles = [ref]
+        else:
+            aid.handles.append(ref)
+
+    def _handle_died(self, ref: KeyedRef) -> None:
+        aid = ref.key
+        refs = aid.handles
+        refs.remove(ref)
+        if not refs:
+            aid.handles = None
+            deferred = self._retire_deferred.pop(aid.key, None)
+            if deferred is not None:
+                self._retire_candidates.append(deferred)
+
     def pin(self, keys: Iterable[str]) -> None:
         """Keep the AIDs named by ``keys`` resolvable by :meth:`aid` even
         once the machine itself is done with them.  An embedding runtime
-        pins what can still name an AID by key — a user-held handle, the
-        tags of a message not yet consumed — and calls :meth:`unpin` when
-        that holder is gone.  Pins count: each call needs its own unpin."""
+        pins the tags of a message not yet consumed — what can still name
+        an AID by key — and calls :meth:`unpin` when that holder is gone.
+        Pins count: each call needs its own unpin."""
         pins = self.pins
         for key in keys:
             pins[key] = pins.get(key, 0) + 1

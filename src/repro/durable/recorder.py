@@ -12,9 +12,12 @@ resumed run can still reach.  The recoverable image is:
   payload, to re-inject what the crash ate).  A committed send carries no
   tags: its interval finalized, so every assumption it was tagged with is
   definitely affirmed and resolves to nothing at delivery;
-* the status of every assumption the machine has not retired — definite
-  statuses are stable (an AFFIRMED/DENIED assumption never reverts), so
-  they are plain values; a row leaves with its AID;
+* the status of every assumption the machine has not retired, or that
+  the image still names — definite statuses are stable (an
+  AFFIRMED/DENIED assumption never reverts), so they are plain values.  A
+  settled AID retires under live handles (they read it by object), so
+  its row outlives it until an envelope's walk finds the image no longer
+  names its key; a resume binds every handle it decodes to its row's AID;
 * machine serial counters, the network message counter, and the clock.
 
 Committed emitted outputs are the run's *product*, not recovery state:
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..runtime.api import AidHandle, _set_aid
 from ..runtime.messages import ReceivedMessage
 from .codec import DurableError, decode_value, encode_value
 from .store import DurableStore
@@ -72,7 +76,7 @@ class _ProcImage:
         # Hot-path side buffers, consumed in log order at flush time and
         # truncated on rollback exactly like the effect log itself.
         self.send_extras: List[tuple] = []  # (pos, msg_id, dst, payload)
-        self.res_extras: List[tuple] = []   # (pos, aid_key)
+        self.res_extras: List[tuple] = []   # (pos, AssumptionId)
 
     def doc(self) -> Dict[str, Any]:
         return {"base": self.base, "entries": self.entries, "rebase": self.rebase}
@@ -149,8 +153,8 @@ class DurableRecorder:
                   payload: Any) -> None:
         self._img(name).send_extras.append((pos, msg_id, dst, payload))
 
-    def note_resolution(self, name: str, pos: int, aid_key: str) -> None:
-        self._img(name).res_extras.append((pos, aid_key))
+    def note_resolution(self, name: str, pos: int, aid) -> None:
+        self._img(name).res_extras.append((pos, aid))
 
     def on_rollback(self, name: str, index: int) -> None:
         """The effect log was truncated to ``index``; drop the speculative
@@ -177,20 +181,24 @@ class DurableRecorder:
         name = proc.name
         img = self._img(name)
         frame: Dict[str, Any] = {}
+        registry = self.registry
+        aids = self.system.machine.aids
+        statuses: Dict[str, str] = {}
+        #: Handles this frame adds to the image (kept recv payloads, newly
+        #: open sends, the rebase state), for the verdict rule below.
+        named: list = []
         base = img.base
         if rebase is not None:
             base = rebase.log_index
             frame["b"] = base
             frame["rb"] = [encode_value(rebase.state), rebase.time]
+            _collect_handles(rebase.state, named)
         cursor = img.base + len(img.entries)
         if target > cursor:
             kept: List[list] = []
             opened: Dict[str, Optional[list]] = {}
             closed: List[str] = []
-            statuses: Dict[str, str] = {}
             open_sends = self.open_sends
-            registry = self.registry
-            aids = self.system.machine.aids
             sends = resolutions = 0
             pos = cursor
             for kind, result in proc.log.pairs(cursor, target):
@@ -208,6 +216,7 @@ class DurableRecorder:
                             closed.append(mid)
                         else:
                             opened[mid] = [name, dst, encode_value(payload)]
+                            _collect_handles(payload, named)
                     elif kind == "recv":
                         if isinstance(result, ReceivedMessage):
                             mid = str(result.msg_id)
@@ -217,20 +226,29 @@ class DurableRecorder:
                                 closed.append(mid)
                             else:
                                 opened[mid] = None
+                            if pos >= base:
+                                _collect_handles(result.payload, named)
                     elif kind == "aid_init":
+                        # A live AID's row starts pending (its resolution
+                        # entry brings the verdict).  Kept or not, the
+                        # entry is where the row comes from: a recv entry
+                        # elsewhere in the image may name the key.
                         key = result.key
-                        if key in aids and key not in registry:
-                            statuses.setdefault(key, "pending")
+                        if key not in registry:
+                            if key in aids:
+                                statuses.setdefault(key, "pending")
+                            else:
+                                named.append(result)
                     else:
-                        key = img.res_extras[resolutions][1]
+                        aid = img.res_extras[resolutions][1]
                         resolutions += 1
-                        aid = aids.get(key)
-                        if kind != "free_of" and aid is not None:
+                        key = aid.key
+                        if kind != "free_of" and (key in aids or key in registry):
                             # A committed resolution implies the AID is
                             # definite (a speculative affirm inside a still-
                             # open interval blocks the frontier), and definite
-                            # statuses never revert: the machine's live answer
-                            # is final, the entry's own direction the fallback.
+                            # statuses never revert: the machine's answer is
+                            # final, the entry's own direction the fallback.
                             if aid.affirmed or (kind == "affirm" and not aid.denied):
                                 status = "affirmed"
                             else:
@@ -249,8 +267,17 @@ class DurableRecorder:
                 frame["so"] = opened
             if closed:
                 frame["sc"] = closed
-            if statuses:
-                frame["rg"] = statuses
+        # A key the image names needs a row.  A live one gets it from its
+        # creator's aid_init entry; one that settled and retired before
+        # this flush — its row, if it had one, dropped by an envelope while
+        # nothing in the image named it — gets its verdict from the bound
+        # handle.
+        for handle in named:
+            key = handle.key
+            if key not in registry and key not in aids and handle.aid is not None:
+                statuses.setdefault(key, handle.aid.status.value)
+        if statuses:
+            frame["rg"] = statuses
         if proc.committed_count > img.flushed:
             frame["o"] = _rows(proc.outputs[img.flushed:proc.committed_count])
         if frame:
@@ -262,22 +289,33 @@ class DurableRecorder:
             )
 
     def end_pass(self, now: float, force_snapshot: bool = False) -> None:
-        """Close the fossil pass: drop the rows of the AIDs the machine
-        has retired, seal the WAL batch (durability point) and
-        periodically consolidate into a fresh envelope."""
-        aids = self.system.machine.aids
-        gone = sorted(key for key in self.registry if key not in aids)
-        if gone:
-            self._append({"t": "r", "k": gone})
+        """Close the fossil pass: seal the WAL batch (durability point)
+        and periodically consolidate into a fresh envelope — dropping,
+        first, the rows of retired AIDs the image no longer names."""
+        self.passes_since_snapshot += 1
+        due = self.passes_since_snapshot >= self.snapshot_every or force_snapshot
+        if due and self._dirty_since_snapshot:
+            self._drop_unnamed_rows()
         if self._dirty_since_marker:
             self.batch_index += 1
             self.stats["wal_bytes"] += self.store.write_marker(self.batch_index)
             self.stats["wal_batches"] += 1
             self._dirty_since_marker = False
-        self.passes_since_snapshot += 1
-        due = self.passes_since_snapshot >= self.snapshot_every
-        if (due or force_snapshot) and self._dirty_since_snapshot:
+        if due and self._dirty_since_snapshot:
             self.write_snapshot(now)
+
+    def _drop_unnamed_rows(self) -> None:
+        """A row outlives its AID while the image names the key: a resumed
+        run binds the handles it decodes to the rows' AIDs.  Once per
+        envelope, the rows of retired keys are checked against one walk of
+        the image, and the ones it no longer names leave in a frame."""
+        aids = self.system.machine.aids
+        retired = [key for key in self.registry if key not in aids]
+        if retired:
+            named = self.image_aid_keys()
+            gone = sorted(key for key in retired if key not in named)
+            if gone:
+                self._append({"t": "r", "k": gone})
 
     def _append(self, rec: Dict[str, Any]) -> None:
         self._apply(rec)
@@ -479,27 +517,6 @@ class DurableRecorder:
             machine._interval_serials, int(loaded["interval_serials"])
         )
 
-        for name, img in self.procs.items():
-            proc = system.procs[name]
-            entries = []
-            for kind, enc in img.entries:
-                result = decode_value(enc)
-                if kind == "aid_init":
-                    # Re-pin the handle: the log entry holds the strong
-                    # reference, the pin lasts as long as it does.
-                    system._pin_handle(result)
-                entries.append((kind, result))
-            proc.log.load(img.base, entries)
-            if img.rebase is not None and img.base > 0:
-                proc.rebase = RebasePoint(
-                    img.base, decode_value(img.rebase[0]), img.rebase[1]
-                )
-            proc.outputs = [
-                OutputRecord(decode_value(v), int(i), None, tm)
-                for v, i, tm in loaded["outputs"].get(name, ())
-            ]
-            proc.committed_count = len(proc.outputs)
-
         for key, status in self.registry.items():
             aid = machine.adopt_aid(key)
             # The envelope's counter predates the AIDs its WAL suffix
@@ -511,6 +528,35 @@ class DurableRecorder:
             elif status == "denied" and not aid.denied:
                 aid.status = AidStatus.DENIED
                 aid.resolved_by = aid.resolved_by or "durable-resume"
+
+        def bound(value):
+            """``value`` with every handle in it bound to its adopted AID,
+            and held while that AID is pending — per decoded object: two
+            copies of one handle are two holds."""
+            handles: list = []
+            _collect_handles(value, handles)
+            for handle in handles:
+                if handle.aid is None:              # (met once per object)
+                    aid = machine.aids[handle.key]  # check_image: it has a row
+                    _set_aid(handle, aid)
+                    if aid.pending:
+                        machine.hold(aid, handle)
+            return value
+
+        for name, img in self.procs.items():
+            proc = system.procs[name]
+            proc.log.load(img.base, [
+                (kind, bound(decode_value(enc))) for kind, enc in img.entries
+            ])
+            if img.rebase is not None and img.base > 0:
+                proc.rebase = RebasePoint(
+                    img.base, bound(decode_value(img.rebase[0])), img.rebase[1]
+                )
+            proc.outputs = [
+                OutputRecord(decode_value(v), int(i), None, tm)
+                for v, i, tm in loaded["outputs"].get(name, ())
+            ]
+            proc.committed_count = len(proc.outputs)
 
         network = system.network
         in_flight = sorted(
@@ -526,7 +572,7 @@ class DurableRecorder:
         # on purpose — a FaultyNetwork must not re-judge a committed send.
         for mid, (src, dst, payload) in in_flight:
             message = Message(
-                src, dst, decode_value(payload), frozenset(), system.sim.now, mid,
+                src, dst, bound(decode_value(payload)), frozenset(), system.sim.now, mid,
             )
             delay = network.latency.sample(src, dst)
             Network._schedule_delivery(network, network.mailbox(dst), message, delay)
@@ -547,21 +593,23 @@ class DurableRecorder:
     def image_aid_keys(self) -> set:
         """Every AID key the persisted image can reach: handles inside
         retained entry results, open-send payloads and rebase states."""
-        keys: set = set()
+        handles: list = []
         for img in self.procs.values():
             for _kind, enc in img.entries:
-                _collect_handle_keys(decode_value(enc), keys)
+                if type(enc) is dict:               # pickled: may hold one
+                    _collect_handles(decode_value(enc), handles)
             if img.rebase is not None:
-                _collect_handle_keys(decode_value(img.rebase[0]), keys)
+                _collect_handles(decode_value(img.rebase[0]), handles)
         for rec in self.open_sends.values():
             if rec is not None:
-                _collect_handle_keys(decode_value(rec[2]), keys)
-        return keys
+                _collect_handles(decode_value(rec[2]), handles)
+        return {handle.key for handle in handles}
 
     def check_image(self) -> None:
-        """The registry forgets an AID when the machine retires it; that is
-        only sound if nothing a resumed run would replay or re-inject can
-        still name the AID.  Raises :class:`DurableError` otherwise."""
+        """The registry forgets a retired AID once the image no longer
+        names it; that is only sound if nothing a resumed run would replay
+        or re-inject can still name the AID.  Raises :class:`DurableError`
+        otherwise."""
         missing = sorted(self.image_aid_keys() - self.registry.keys())
         if missing:
             raise DurableError(
@@ -606,17 +654,36 @@ def _rows(records) -> List[list]:
     return [[encode_value(r.value), r.log_index, r.time] for r in records]
 
 
-def _collect_handle_keys(value: Any, keys: set) -> None:
-    from ..runtime.api import AidHandle
+_SCALARS = (type(None), bool, int, float, str, bytes)
 
+
+def _collect_handles(value: Any, out: list, seen: Optional[set] = None) -> None:
+    """Append every :class:`AidHandle` reachable from ``value`` through
+    containers, instance dicts and ``__slots__`` — the state pickling
+    writes — to ``out``."""
+    if type(value) in _SCALARS:
+        return
     if isinstance(value, AidHandle):
-        keys.add(value.key)
-    elif isinstance(value, dict):
+        out.append(value)
+        return
+    if seen is None:
+        seen = set()
+    elif id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, dict):
         for key, item in value.items():
-            _collect_handle_keys(key, keys)
-            _collect_handle_keys(item, keys)
+            _collect_handles(key, out, seen)
+            _collect_handles(item, out, seen)
     elif isinstance(value, (tuple, list, set, frozenset)):
         for item in value:
-            _collect_handle_keys(item, keys)
-    elif hasattr(value, "__dict__"):
-        _collect_handle_keys(vars(value), keys)
+            _collect_handles(item, out, seen)
+    elif not isinstance(value, type):
+        state = getattr(value, "__dict__", None)
+        if state is not None:
+            _collect_handles(state, out, seen)
+        for cls in type(value).__mro__:
+            slots = cls.__dict__.get("__slots__", ())
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                if slot not in ("__dict__", "__weakref__"):
+                    _collect_handles(getattr(value, slot, None), out, seen)

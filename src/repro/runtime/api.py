@@ -20,7 +20,6 @@ False when the assumption is denied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from .effects import (
@@ -41,24 +40,58 @@ from .effects import (
 from .messages import ReceivedMessage, RpcReply, RpcRequest
 
 
-@dataclass(frozen=True)
 class AidHandle:
     """A user-space reference to an assumption identifier.
 
     Handles are plain immutable values: they can be stored, compared, and
     sent inside message payloads to other processes (which is how Figure 2
     hands ``PartPage`` and ``Order`` to the WorryWart).
+
+    A handle the engine made (``aid_init``, or a durable resume decoding
+    one) is *bound*: ``aid`` is the :class:`~repro.core.aid.AssumptionId`
+    itself, and ``guess`` / ``affirm`` / ``deny`` / ``free_of`` through it
+    reach the machine by object — also after a fossil pass has retired a
+    settled AID from the key table.  ``aid`` is not part of the value:
+    equality, hash, ``repr`` and pickling see ``key`` and ``name`` only,
+    so an unpickled copy is unbound and is looked up by key.
     """
 
-    key: str
-    name: str
+    __slots__ = ("key", "name", "aid", "__weakref__")
+
+    def __init__(self, key: str, name: str, aid: Any = None) -> None:
+        _set_key(self, key)
+        _set_name(self, name)
+        _set_aid(self, aid)
+
+    def __setattr__(self, attr: str, value: Any) -> None:
+        raise AttributeError(f"AidHandle is immutable (cannot set {attr!r})")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"AidHandle is immutable (cannot delete {attr!r})")
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not AidHandle:
+            return NotImplemented
+        return self.key == other.key and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.name))
+
+    # Pickled as the two-field value it always was (the bytes of a durable
+    # image do not change), and restored unbound.
+    def __getstate__(self) -> dict:
+        return {"key": self.key, "name": self.name}
+
+    def __setstate__(self, state: dict) -> None:
+        AidHandle.__init__(self, state["key"], state["name"])
 
     # Handles are immutable values, so copying them as identity is
-    # semantically free — and load-bearing for fossil collection: the
-    # engine pins an AID against retirement while *this object* is
-    # reachable (weak-value handle table), and commit-point states are
-    # deep-copied.  A copy that produced a fresh object would silently
-    # drop the pin when the original died.
+    # semantically free — and load-bearing for fossil collection: while
+    # its AID is pending, the engine keeps it from retiring for as long as
+    # *this object* is reachable (a weak reference on the AID), and
+    # commit-point states are deep-copied.  A copy that produced a fresh
+    # object would drop that hold when the original died.  (A settled AID
+    # needs no hold: the bound handle reaches it by object.)
     def __copy__(self) -> "AidHandle":
         return self
 
@@ -69,6 +102,12 @@ class AidHandle:
         return f"AID<{self.key}>"
 
 
+_set_key = AidHandle.key.__set__
+_set_name = AidHandle.name.__set__
+#: Binds a handle to its AID (``aid_init`` and a durable resume only).
+_set_aid = AidHandle.aid.__set__
+
+
 AidRef = Union[AidHandle, str]
 
 
@@ -77,6 +116,13 @@ def aid_key(ref: AidRef) -> str:
     if isinstance(ref, AidHandle):
         return ref.key
     return ref
+
+
+def _key_and_aid(ref: AidRef) -> tuple:
+    """``(key, bound AID or None)``: what a resolution effect carries."""
+    if isinstance(ref, AidHandle):
+        return ref.key, ref.aid
+    return ref, None
 
 
 class HopeProcess:
@@ -102,19 +148,19 @@ class HopeProcess:
     def guess(self, aid: AidRef) -> GuessEffect:
         """Make the optimistic assumption ``aid``; resumes with True, or
         False when re-executed after the assumption is denied."""
-        return GuessEffect(aid_key(aid))
+        return GuessEffect(*_key_and_aid(aid))
 
     def affirm(self, aid: AidRef) -> AffirmEffect:
         """Assert the assumption identified by ``aid`` is true."""
-        return AffirmEffect(aid_key(aid))
+        return AffirmEffect(*_key_and_aid(aid))
 
     def deny(self, aid: AidRef) -> DenyEffect:
         """Assert the assumption identified by ``aid`` is false."""
-        return DenyEffect(aid_key(aid))
+        return DenyEffect(*_key_and_aid(aid))
 
     def free_of(self, aid: AidRef) -> FreeOfEffect:
         """Assert this computation is (and will stay) causally free of ``aid``."""
-        return FreeOfEffect(aid_key(aid))
+        return FreeOfEffect(*_key_and_aid(aid))
 
     # ------------------------------------------------------------------
     # communication

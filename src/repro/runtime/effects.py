@@ -38,56 +38,51 @@ class AidInitEffect(HopeEffect):
         return f"AidInit({self.name!r})"
 
 
-class GuessEffect(HopeEffect):
+class _AidEffect(HopeEffect):
+    """An effect on one assumption: its key, and the AID itself when the
+    program named it through a bound handle (looked up by key otherwise)."""
+
+    __slots__ = ("aid_key", "aid")
+    label = ""
+
+    def __init__(self, aid_key: str, aid: Any = None) -> None:
+        self.aid_key = aid_key
+        self.aid = aid
+
+    def __repr__(self) -> str:
+        return f"{self.label}({self.aid_key})"
+
+
+class GuessEffect(_AidEffect):
     """guess(x): speculatively returns True; False after a denial."""
 
-    __slots__ = ("aid_key",)
+    __slots__ = ()
     kind = "guess"
-
-    def __init__(self, aid_key: str) -> None:
-        self.aid_key = aid_key
-
-    def __repr__(self) -> str:
-        return f"Guess({self.aid_key})"
+    label = "Guess"
 
 
-class AffirmEffect(HopeEffect):
+class AffirmEffect(_AidEffect):
     """affirm(x): assert the assumption is true."""
 
-    __slots__ = ("aid_key",)
+    __slots__ = ()
     kind = "affirm"
-
-    def __init__(self, aid_key: str) -> None:
-        self.aid_key = aid_key
-
-    def __repr__(self) -> str:
-        return f"Affirm({self.aid_key})"
+    label = "Affirm"
 
 
-class DenyEffect(HopeEffect):
+class DenyEffect(_AidEffect):
     """deny(x): assert the assumption is false."""
 
-    __slots__ = ("aid_key",)
+    __slots__ = ()
     kind = "deny"
-
-    def __init__(self, aid_key: str) -> None:
-        self.aid_key = aid_key
-
-    def __repr__(self) -> str:
-        return f"Deny({self.aid_key})"
+    label = "Deny"
 
 
-class FreeOfEffect(HopeEffect):
+class FreeOfEffect(_AidEffect):
     """free_of(x): assert causal independence from x (§3, §5.4)."""
 
-    __slots__ = ("aid_key",)
+    __slots__ = ()
     kind = "free_of"
-
-    def __init__(self, aid_key: str) -> None:
-        self.aid_key = aid_key
-
-    def __repr__(self) -> str:
-        return f"FreeOf({self.aid_key})"
+    label = "FreeOf"
 
 
 class SendEffect(HopeEffect):

@@ -25,7 +25,6 @@ Responsibilities mirror §7 of the paper:
 from __future__ import annotations
 
 import copy
-import weakref
 from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
@@ -481,14 +480,6 @@ class HopeSystem:
         self._defer_delivery = False
         self._aid_waiters: dict[str, list] = {}
         self.procs: dict[str, ProcessRuntime] = {}
-        #: User-space AID handles by key, held weakly: a handle that user
-        #: code (or a log entry, message payload, or rebase state) still
-        #: references pins its AID against retirement; when the last
-        #: reference dies the pin is released on the spot (no pass ever
-        #: reads this table).
-        self._handles: dict[str, weakref.KeyedRef] = {}
-        #: Pre-bound: every handle's weak reference shares this callback.
-        self._on_handle_death = self._handle_died
         from .aid_task import AidTaskControlPlane, RegistryControlPlane
 
         if aid_mode == "registry":
@@ -698,14 +689,6 @@ class HopeSystem:
         finally:
             system._defer_start = False
         recorder.restore(image)
-        # A pin lasts as long as the handle object it was counted on, and
-        # those died with the killed run: restore rebuilt the handles as
-        # new values and re-pinned only the ones in ``aid_init`` entries —
-        # which a creator that has retired (or promoted a commit point) no
-        # longer has, while a recv entry, a rebase state or a re-injected
-        # payload may still name its AID.  Whatever the image can name
-        # stays resolvable by key for the rest of this run.
-        system.machine.pin(recorder.image_aid_keys())
         return system
 
     def _durable_sync(self) -> None:
@@ -718,7 +701,11 @@ class HopeSystem:
         self._durable.end_pass(self.sim.now, force_snapshot=True)
 
     def aid(self, ref: AidRef) -> AssumptionId:
-        """Resolve a handle/key to the underlying machine AID."""
+        """Resolve a handle/key to the underlying machine AID.  A bound
+        handle answers by object, also once its settled AID has retired;
+        a raw key (or an unbound copy) is looked up in the live table."""
+        if isinstance(ref, AidHandle) and ref.aid is not None:
+            return ref.aid
         return self.machine.aid(aid_key(ref))
 
     def aid_status(self, ref: AidRef) -> AidStatus:
@@ -1035,7 +1022,7 @@ class HopeSystem:
                 ]
                 proc.log.drop_prefix(best.log_index)
                 if type(best.state) is Exited:
-                    # The log went whole, and the handles it pinned with
+                    # The log went whole, and the handles it held with
                     # it; nothing will look at the finished task again.
                     proc.task = None
                     self.processes_retired += 1
@@ -1085,19 +1072,6 @@ class HopeSystem:
             mark += 1
         proc.committed_count = mark
         return target, frontier_time
-
-    def _pin_handle(self, handle: AidHandle) -> None:
-        """Pin ``handle``'s AID for as long as the handle object lives: a
-        late ``guess`` or resolution looks the AID up by the handle's key."""
-        key = handle.key
-        self._handles[key] = weakref.KeyedRef(handle, self._on_handle_death, key)
-        self.machine.pin((key,))
-
-    def _handle_died(self, ref: weakref.KeyedRef) -> None:
-        key = ref.key
-        if self._handles.get(key) is ref:
-            del self._handles[key]
-            self.machine.unpin((key,))
 
     def _release_received(self, messages) -> None:
         """The interval that kept ``messages`` can no longer un-receive them
@@ -1219,8 +1193,8 @@ class HopeSystem:
     # ---- live handlers -------------------------------------------------
     def _do_aid_init(self, proc, task, effect: AidInitEffect) -> None:
         aid = self.machine.aid_init(effect.name)
-        handle = AidHandle(aid.key, effect.name)
-        self._pin_handle(handle)
+        handle = AidHandle(aid.key, effect.name, aid)
+        self.machine.hold(aid, handle)
         if self._aid_owner is not None:
             self._aid_owner[aid.key] = proc.name
         if self.remote is not None:
@@ -1233,7 +1207,7 @@ class HopeSystem:
         task.resume_now(handle)
 
     def _do_guess(self, proc, task, effect: GuessEffect) -> None:
-        aid = self._lookup_aid(effect.aid_key)
+        aid = self._lookup_aid(effect)
         if not self.speculation and aid.pending:
             # Pessimistic mode: wait for the resolution instead of
             # speculating.  The process stays definite throughout.
@@ -1289,7 +1263,7 @@ class HopeSystem:
                     )
                 task.resume_now(None)
                 return
-        aid = self._lookup_aid(effect.aid_key)
+        aid = self._lookup_aid(effect)
         before = proc.incarnation
         if isinstance(effect, AffirmEffect):
             self.control.issue("affirm", proc.name, aid)
@@ -1308,7 +1282,7 @@ class HopeSystem:
             return
         proc.log.append(effect.kind, None)
         if self._durable is not None:
-            self._durable.note_resolution(proc.name, proc.log.cursor - 1, aid.key)
+            self._durable.note_resolution(proc.name, proc.log.cursor - 1, aid)
         task.resume_now(None)
 
     def _do_send(self, proc, task, effect: SendEffect) -> None:
@@ -1470,18 +1444,24 @@ class HopeSystem:
         proc.log.append("spawn", effect.name)
         task.resume_now(effect.name)
 
-    def _lookup_aid(self, key: str) -> AssumptionId:
-        """Resolve an AID key for a primitive.
+    def _lookup_aid(self, effect) -> AssumptionId:
+        """The AID a guess / affirm / deny / free_of names.
 
-        Standalone systems hit the machine directly (unknown keys raise,
-        as ever).  A parallel worker falls back to the remote bridge: a
-        key minted on another shard — whose handle arrived inside a
-        message payload — is adopted as a pending mirror, to be resolved
+        Through a bound handle, the object itself: a settled AID retires
+        from the key table under live handles, and its verdict is all a
+        late primitive reads.  A raw key or an unbound copy is looked up:
+        standalone systems hit the machine directly (unknown keys raise,
+        as ever); a parallel worker falls back to the remote bridge — a
+        key minted on another shard, whose handle arrived inside a
+        message payload, is adopted as a pending mirror, to be resolved
         by relayed definite affirms/denies from its owner.
         """
+        aid = effect.aid
+        if aid is not None:
+            return aid
         if self.remote is not None:
-            return self.remote.lookup_aid(key)
-        return self.machine.aid(key)
+            return self.remote.lookup_aid(effect.aid_key)
+        return self.machine.aid(effect.aid_key)
 
     _LIVE_HANDLERS = {
         AidInitEffect: _do_aid_init,

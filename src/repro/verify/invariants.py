@@ -13,7 +13,8 @@ these checks relate the machine to the runtime's observables:
 * **unsheared effect logs** — both columns of a log have one length, and
   ``pending`` is what the cursor leaves to re-feed;
 * **settled DOMs** — only a resolved AID with no speculative affirmer and
-  no parked deny shares ``SETTLED_DOM`` (the machine checks it is empty).
+  no parked deny shares ``SETTLED_DOM`` (the machine checks it is empty),
+  and no handle holds one any more.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def check_quiescent(system: HopeSystem, allow_pending_orphans: bool = True) -> N
             aid.pending or aid.speculative_affirmer is not None or aid.parked_denies
         ):
             raise InvariantViolation(f"AID {aid.key} shares SETTLED_DOM but is not settled")
+        if aid.dom is SETTLED_DOM and aid.handles is not None:
+            raise InvariantViolation(f"settled AID {aid.key} is still held by its handles")
     for name, proc in system.procs.items():
         log = proc.log
         if not len(log.kinds) == len(log.results) == log.cursor + log.pending - log.base:

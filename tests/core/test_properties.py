@@ -214,12 +214,14 @@ def test_append_refuses_to_create_disorder():
 # ----------------------------------------------------------------------
 # fossil passes over the changed-record set: same answer as a full sweep
 # ----------------------------------------------------------------------
-def _full_sweep(machine):
+def _full_sweep(machine, held=frozenset()):
     """The pre-incremental ``fossil.collect``: visit every record and every
     AID in the table, and decide by reachability.  Kept here as the
     reference the incremental pass is compared against; ignores
     ``Machine.changed``, the candidate queues and the per-AID bookkeeping
-    (``parked_denies``), and reads the pins as a plain set of keys."""
+    (``parked_denies``, ``handles``), reads the pins as a plain set of
+    keys, and keeps a pending AID whose key is in ``held`` (a live handle
+    object names it)."""
     out = FossilStats()
     pinned_keys = set(machine.pins)
     referenced, live_depsets = set(), []
@@ -235,7 +237,8 @@ def _full_sweep(machine):
             live_depsets.append(iv.ido)
     retired = [
         aid for key, aid in machine.aids.items()
-        if not (aid.dom or aid in referenced or key in pinned_keys)
+        if not (aid.dom or aid in referenced or key in pinned_keys
+                or (aid.pending and key in held))
     ]
     for aid in retired:
         del machine.aids[aid.key]
@@ -301,6 +304,9 @@ FOSSIL_ACTIONS = st.lists(
         # a pass, before which the pins are moved to the AIDs whose pool
         # index has a bit set in the mask (pins taken and released)
         st.tuples(st.just("collect"), st.just(0), st.integers(0, 255)),
+        # handle objects: two made for each masked AID not held, one let
+        # go for each held AID not masked
+        st.tuples(st.just("hold"), st.just(0), st.integers(0, 255)),
     ),
     min_size=1,
     max_size=80,
@@ -320,17 +326,20 @@ FOSSIL_ACTIONS = st.lists(
 def test_incremental_fossil_pass_reclaims_what_a_full_sweep_does(actions):
     """Two machines in lockstep over random primitive / rollback /
     orphaning schedules with passes at random points (and pins taken and
-    released between them): one runs the incremental pass, the other a
-    full sweep.  After every pass the tables and the FossilStats agree —
-    orphaned-AID retirement, DepSet compaction and the resolve-cache purge
-    included — although the incremental pass only visits the records
-    queued as changed and examines only the AIDs whose state changed or
-    whose last pin went."""
+    released, handle objects made and dropped, between them): one runs
+    the incremental pass, the other a full sweep.  After every pass the
+    tables and the FossilStats agree — orphaned-AID retirement, DepSet
+    compaction and the resolve-cache purge included — although the
+    incremental pass only visits the records queued as changed and
+    examines only the AIDs whose state changed or whose last pin or held
+    handle went."""
     machine, reference = _machine(), _machine()
     pools = [[m.aid_init(f"a{i}") for i in range(3)] for m in (machine, reference)]
+    handles = [{}, {}]                      # per machine: key -> live handle objects
     passes = 0
-    for op, pidx, n in [*actions, ("collect", 0, 0)]:    # close with nothing pinned
-        for m, aids in zip((machine, reference), pools):
+    # close with nothing pinned and every handle gone
+    for op, pidx, n in [*actions, ("hold", 0, -1), ("collect", 0, 0)]:
+        for m, aids, held in zip((machine, reference), pools, handles):
             aid = aids[n % len(aids)]
             if op == "aid_init":
                 # minted by a process, possibly inside an interval that later
@@ -341,10 +350,12 @@ def test_incremental_fossil_pass_reclaims_what_a_full_sweep_does(actions):
                     m.resolve_tag_keys(frozenset([aid.key]))
             elif op == "collect":
                 _move_pins(m, aids, n)
+            elif op == "hold":
+                _move_handles(m, aids, n, held)
             else:
                 _apply(m, aids, op, PROCS[pidx], aid)
         if op == "collect":
-            want = _full_sweep(reference)
+            want = _full_sweep(reference, {key for key, objs in handles[1].items() if objs})
             got = machine.fossil_collect()
             for field in FossilStats.__slots__:
                 assert getattr(got, field) == getattr(want, field), field
@@ -363,6 +374,30 @@ def _move_pins(machine, aids, mask):
     held = set(machine.pins)
     machine.unpin(sorted(held - wanted))
     machine.pin(sorted(wanted - held))
+
+
+class _Handle:
+    """A stand-in for an ``AidHandle`` object: all a hold needs is a
+    weak reference to it."""
+
+
+def _move_handles(machine, aids, mask, held):
+    """Give each pending AID whose pool index has a bit set in ``mask``
+    and no live handle two handle objects (``Machine.hold`` counts each,
+    as it does the decoded copies of one handle), and drop one object of
+    each other AID that has some — the machine hears of it only through
+    the weak reference's callback.  A negative ``mask`` drops them all."""
+    for i, aid in enumerate(aids):
+        objs = held.setdefault(aid.key, [])
+        if mask < 0:
+            objs.clear()
+        elif mask >> (i % 8) & 1:
+            if not objs and aid.pending:
+                objs.extend((_Handle(), _Handle()))
+                for obj in objs:
+                    machine.hold(aid, obj)
+        elif objs:
+            objs.pop()
 
 
 def test_a_pass_visits_only_changed_records():

@@ -148,11 +148,15 @@ def test_every_pass_boundary_recovers_the_image_it_sealed(tmp_path, workload, se
     def checked_end_pass(*args, **kwargs):
         end_pass(*args, **kwargs)
         # Reachability: whatever a resume would replay or re-inject can
-        # only name AIDs the registry still has, and the registry only
-        # AIDs the machine still has.
+        # only name AIDs the registry still has, and once an envelope has
+        # been sealed the registry only AIDs the machine still has or
+        # keys the image names (a settled AID retires under live handles;
+        # its row waits for the next envelope's walk).
         recorder.check_image()
-        assert recorder.image_aid_keys() <= recorder.registry.keys()
-        assert recorder.registry.keys() <= system.machine.aids.keys()
+        named = recorder.image_aid_keys()
+        assert named <= recorder.registry.keys()
+        if not recorder.passes_since_snapshot:
+            assert recorder.registry.keys() - system.machine.aids.keys() <= named
         copy_dir = tmp_path / f"pass-{len(boundaries)}"
         shutil.copytree(tmp_path / "run", copy_dir)
         boundaries.append((copy_dir, _image(recorder)))
@@ -288,15 +292,25 @@ def test_an_exited_member_leaves_the_image_and_every_later_envelope(tmp_path):
         assert system.result_of(name) == twin.result_of(name), name
 
 
-def _minted_elsewhere(mode):
+class _Boxed:
+    """A handle inside a slotted object: no ``__dict__`` to walk."""
+
+    __slots__ = ("handle",)
+
+    def __init__(self, handle):
+        self.handle = handle
+
+
+def _minted_elsewhere(mode, boxed=False):
     """A creator that hands its AID out and is gone from the image — it
     exits, or declares a commit point and idles — long before the others
-    use the handle: ``late`` guesses at t≈60, ``verifier`` affirms at t≈90."""
+    use the handle: ``late`` guesses at t≈60, ``verifier`` affirms at t≈90.
+    ``boxed`` sends the handle inside a :class:`_Boxed`."""
     def creator(p, resume=None):
         if resume is None:
             x = yield p.aid_init("x")
-            yield p.send("late", x)
-            yield p.send("verifier", x)
+            yield p.send("late", _Boxed(x) if boxed else x)
+            yield p.send("verifier", _Boxed(x) if boxed else x)
             yield p.emit("made")
             if mode == "commit":
                 yield p.commit_point("sent")
@@ -304,15 +318,18 @@ def _minted_elsewhere(mode):
             yield p.recv()
         return "made"
 
+    def unbox(payload):
+        return payload.handle if boxed else payload
+
     def late(p):
-        x = (yield p.recv()).payload
+        x = unbox((yield p.recv()).payload)
         yield p.compute(60.0)
         ok = yield p.guess(x)
         yield p.emit(("late", ok))
         return ok
 
     def verifier(p):
-        x = (yield p.recv()).payload
+        x = unbox((yield p.recv()).payload)
         yield p.compute(90.0)
         yield p.affirm(x)
         yield p.emit("judged")
@@ -329,13 +346,13 @@ def _minted_elsewhere(mode):
 
 @pytest.mark.parametrize("mode", ["exit", "commit"])
 def test_a_handle_outlives_its_creators_log_across_a_resume(tmp_path, mode):
-    """A pin lasts as long as the handle *object* it was counted on, and a
-    resumed run rebuilds handles as new values: ``HopeSystem.resume`` pins
-    every AID the image can name, or the first pass after it would retire
-    ``x`` — its creator's ``aid_init`` entry, the one pin restore counts,
-    left the image with the creator's log — under the two processes that
-    still hold its handle.  (``commit``: raised ``UnknownAidError`` at the
-    parent from each of the six kills before t=60; ``exit``: would now.)"""
+    """A resumed run rebuilds handles as new values: ``restore`` binds
+    every handle it decodes — here the ones in the recv entries of
+    ``late`` and ``verifier`` — to its adopted AID, and each one holds a
+    pending ``x`` for as long as it lives.  Nothing pins the image's keys
+    wholesale any more.  (``commit``: raised ``UnknownAidError`` from each
+    of the six kills before t=60 when only ``aid_init`` entries were
+    re-pinned — the creator's had left the image with its log.)"""
     seed, build = 1, _minted_elsewhere(mode)
     twin = _twin(seed, build)
     want = _committed(twin)
@@ -352,10 +369,177 @@ def test_a_handle_outlives_its_creators_log_across_a_resume(tmp_path, mode):
         assert "x#1" in system._durable.image_aid_keys()
         del system
         resumed = _resume(run_dir, seed, build)
-        assert "x#1" in resumed.machine.pins, tenth
+        x = resumed.machine.aids["x#1"]
+        assert not resumed.machine.pins, tenth
+        assert x.affirmed or len(x.handles) == 2, tenth      # one per decoded copy
         resumed.run()
         assert _committed(resumed) == want, tenth
         resumed.machine.check_invariants()
+
+
+def test_a_handle_inside_a_slotted_payload_is_named_and_bound(tmp_path):
+    """The image walk follows ``__slots__`` as pickling does: a handle
+    inside a slotted payload is one the image names (``check_image``),
+    and one ``restore`` binds.  (When the walk read ``__dict__`` only, the
+    resumed run retired ``x`` as an orphan and ``late``'s guess raised
+    ``UnknownAidError``.)"""
+    seed, build = 1, _minted_elsewhere("commit", boxed=True)
+    twin = _twin(seed, build)
+    want = _committed(twin)
+    events = twin.stats()["sim_events"]
+    for tenth in (2, 4, 6):
+        run_dir = tmp_path / str(tenth)
+        system = _system(run_dir, seed, build)
+        with pytest.raises(EventLimitExceeded):
+            system.run(max_events=events * tenth // 10)
+        assert "x#1" in system._durable.image_aid_keys()
+        del system
+        resumed = _resume(run_dir, seed, build)
+        late_entry = resumed.procs["late"].log.entry_at(0).result
+        assert late_entry.payload.handle.aid is resumed.machine.aids["x#1"]
+        resumed.run()
+        assert _committed(resumed) == want, tenth
+
+
+def test_a_retired_key_the_image_names_again_gets_its_verdict_row(tmp_path):
+    """A settled AID retires under the handle its creator's body keeps;
+    once nothing in the image names the key (the commit point dropped the
+    ``aid_init`` entry) an envelope's walk drops its row.  The body then
+    sends the handle: the frame that opens the send names the key again,
+    and writes its row — the verdict, from the bound handle — so that
+    every sealed pass boundary satisfies ``check_image``.  (The body keeps
+    ``x`` in a local across its commit point; nothing here restarts it.)"""
+    def creator(p, resume=None):
+        x = yield p.aid_init("x")
+        yield p.affirm(x)
+        yield p.commit_point("made")
+        yield p.compute(40.0)                   # passes and envelopes go by
+        yield p.send("late", x)
+
+    def late(p):
+        yield p.emit(("late", (yield p.guess((yield p.recv()).payload))))
+
+    def build(system):
+        system.spawn("creator", creator)
+        system.spawn("late", late)
+        system.spawn("tally", _steady_judge, 60)
+        system.spawn("w0", _steady_worker, "tally", 60)
+
+    system = _system(tmp_path, 1, build)
+    recorder = system._durable
+    end_pass = recorder.end_pass
+    rows = []
+
+    def checked_end_pass(*args, **kwargs):
+        end_pass(*args, **kwargs)
+        recorder.check_image()
+        rows.append(recorder.registry.get("x#1"))
+
+    recorder.end_pass = checked_end_pass
+    system.run()
+    assert _committed(system) == _committed(_twin(1, build))
+    assert system.committed_outputs("late") == [("late", True)]
+    # the row: written, dropped while nothing named the key, written again
+    # (and dropped for good once ``late`` has exited)
+    dropped = rows.index(None, rows.index("affirmed"))
+    assert "affirmed" in rows[dropped:], rows
+
+
+def _two_copies(p_a_exit=30.0, p_b_guess=60.0):
+    """``a`` and ``b`` each receive the creator's handle — in a resumed
+    run, two decoded copies of it.  ``a`` exits soon after, so its copy
+    goes with its log; ``b`` guesses much later and sends a message tagged
+    with the AID, which ``sink`` resolves by key; ``judge`` affirms it
+    from ``b``'s tagged copy."""
+    def creator(p):
+        x = yield p.aid_init("x")
+        yield p.send("a", x)
+        yield p.send("b", x)
+
+    def a(p):
+        (yield p.recv())
+        yield p.compute(p_a_exit)
+
+    def b(p):
+        x = (yield p.recv()).payload
+        yield p.compute(p_b_guess)
+        yield p.guess(x)
+        yield p.send("sink", "tagged")
+        yield p.send("judge", x)
+
+    def sink(p):
+        yield p.emit((yield p.recv()).payload)
+
+    def judge(p):
+        yield p.affirm((yield p.recv()).payload)
+        yield p.emit("judged")
+
+    def build(system):
+        for name, body in (("creator", creator), ("a", a), ("b", b),
+                           ("sink", sink), ("judge", judge)):
+            system.spawn(name, body)
+        system.spawn("tally", _steady_judge, 60)            # keeps passes coming
+        system.spawn("w0", _steady_worker, "tally", 60)
+
+    return build
+
+
+def test_decoded_copies_of_a_pending_handle_hold_it_one_each(tmp_path):
+    """A hold is counted per handle *object*: the first decoded copy dies
+    with ``a``'s log, and the second — alone now — keeps the pending AID
+    resolvable by key for the tagged send ``b`` makes after the resume."""
+    seed, build = 1, _two_copies()
+    twin = _twin(seed, build)
+    want = _committed(twin)
+    assert want["sink"] == ["'tagged'"]
+    events = twin.stats()["sim_events"]
+    both_held = first_died = 0
+    for tenth in range(1, 10):
+        run_dir = tmp_path / str(tenth)
+        system = _system(run_dir, seed, build)
+        with pytest.raises(EventLimitExceeded):
+            system.run(max_events=events * tenth // 10)
+        del system
+        resumed = _resume(run_dir, seed, build)
+        x = resumed.machine.aids.get("x#1")
+        two = x is not None and x.pending and len(x.handles or ()) == 2
+        resumed.run()                # the sink resolves x#1 by key
+        assert _committed(resumed) == want, tenth
+        both_held += two
+        first_died += two and resumed.procs["a"].task is None   # a's log went
+    assert both_held >= 2 and first_died >= 1
+
+
+@pytest.mark.parametrize("workload", ["mesh", "staggered"])
+def test_a_resume_of_a_resume_holds_no_more_than_the_first(tmp_path, workload):
+    """Kill → resume → kill → resume: after its first pass the second
+    resumed run keeps no more AIDs, and pins no more, than the first — a
+    resume no longer leaves a pin per image key behind it for the rest of
+    the run.  (With that pin both workloads grew: 6 → 9 and 5 → 6 AIDs,
+    every one of them pinned.)"""
+    seed, build = 2, BUILDS[workload]
+    twin = _twin(seed, build)
+    want = _committed(twin)
+    events = twin.stats()["sim_events"]
+    run_dir = tmp_path / "run"
+    system = _system(run_dir, seed, build)
+    with pytest.raises(EventLimitExceeded):
+        system.run(max_events=events * 3 // 10)
+    del system
+    sizes = []
+    for leg in (1, 2):
+        resumed = _resume(run_dir, seed, build)
+        resumed._run_fossil_collection()        # what the image adopted settles
+        sizes.append((len(resumed.machine.aids), len(resumed.machine.pins)))
+        if leg == 1:
+            with pytest.raises(EventLimitExceeded):
+                resumed.run(max_events=events * 3 // 10)
+            del resumed
+    resumed.run()
+    assert _committed(resumed) == want
+    (aids_1, pins_1), (aids_2, pins_2) = sizes
+    assert aids_2 <= aids_1 and pins_2 <= pins_1 == 0, sizes
+    resumed.machine.check_invariants()
 
 
 # --------------------------------------------------- flat in run length
@@ -367,7 +551,8 @@ def _long_run(tmp_path, rounds):
 
     def checked_snapshot(now):
         write_snapshot(now)
-        assert recorder.registry.keys() <= system.machine.aids.keys()
+        assert (recorder.registry.keys() - system.machine.aids.keys()
+                <= recorder.image_aid_keys())
 
     recorder.write_snapshot = checked_snapshot
     system.run()

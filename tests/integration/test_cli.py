@@ -219,7 +219,7 @@ def test_run_profile_prints_hotspots():
     assert "gen2 " in collector
     assert fossil == (
         "fossil: 0 passes, 0 records visited, 0 AIDs examined, 0.000 s, "
-        "0 processes retired"
+        "0 processes retired, 0 AIDs retired"
     )
 
 
@@ -234,11 +234,12 @@ def test_run_profile_times_the_fossil_passes():
     line = out.rstrip().splitlines()[-1]
     match = re.fullmatch(
         r"fossil: (\d+) passes, (\d+) records visited, (\d+) AIDs examined, "
-        r"(\d+\.\d{3}) s, (\d+) processes retired", line
+        r"(\d+\.\d{3}) s, (\d+) processes retired, (\d+) AIDs retired", line
     )
     assert match, line
     passes, visited, examined = map(int, match.groups()[:3])
     assert passes >= 1 and visited >= passes and examined >= 1
+    assert int(match.group(6)) <= examined
 
 
 def test_run_profile_counts_the_processes_a_pass_retired():
@@ -254,7 +255,7 @@ def test_run_profile_counts_the_processes_a_pass_retired():
     line = out.rstrip().splitlines()[-1]
     assert re.fullmatch(
         r"fossil: 3 passes, \d+ records visited, \d+ AIDs examined, "
-        r"\d+\.\d{3} s, 1 processes retired", line
+        r"\d+\.\d{3} s, 1 processes retired, \d+ AIDs retired", line
     ), line
 
 

@@ -1,0 +1,149 @@
+"""A resolved AID lives in its handles.
+
+``AidHandle`` carries its ``AssumptionId``.  The handle holds the AID
+against retirement only while it is pending — a guess through it may yet
+make the AID a message tag, and tags resolve by key — so a settled AID
+retires from ``machine.aids`` whatever handles are alive, and every
+primitive through a handle reaches it by object.  Pinned here:
+
+* the handle is the same value it was: equality, hash, ``repr`` and the
+  pickled bytes ignore the AID, an unpickled copy is unbound;
+* a settled AID retires under a live handle, and ``guess`` / ``affirm``
+  / ``deny`` / ``free_of`` / ``aid()`` / ``aid_status()`` through it
+  still answer — emitting the trace the uncollected twin emits;
+* holds count per handle object and die with it; a pass drops them all
+  when it settles the AID.
+"""
+
+import copy
+import gc
+import pickle
+
+import pytest
+
+from repro.core import Machine, UnknownAidError
+from repro.runtime import AidHandle, HopeSystem
+from repro.sim import ConstantLatency, Tracer
+
+#: ``pickle.dumps(AidHandle("x#1", "x"), protocol=4)`` when the handle was
+#: a frozen two-field dataclass: the bytes of every durable image.
+_DATACLASS_BYTES = (
+    b"\x80\x04\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.runtime.api\x94"
+    b"\x8c\tAidHandle\x94\x93\x94)\x81\x94}\x94(\x8c\x03key\x94\x8c\x03x#1\x94"
+    b"\x8c\x04name\x94\x8c\x01x\x94ub."
+)
+
+
+class TestTheValue:
+    def test_the_aid_is_not_part_of_the_value(self):
+        machine = Machine()
+        aid = machine.aid_init("x")
+        bound, unbound = AidHandle(aid.key, "x", aid), AidHandle(aid.key, "x")
+        assert bound == unbound and hash(bound) == hash(unbound)
+        assert repr(bound) == "AID<x#1>"
+        assert bound != AidHandle(aid.key, "y") and bound != aid.key
+
+    def test_pickled_bytes_are_the_two_field_value(self):
+        aid = Machine().aid_init("x")
+        blob = pickle.dumps(AidHandle("x#1", "x", aid), protocol=4)
+        assert blob == _DATACLASS_BYTES
+        copy_ = pickle.loads(blob)
+        assert copy_ == AidHandle("x#1", "x") and copy_.aid is None
+
+    def test_immutable_and_copied_as_identity(self):
+        handle = AidHandle("x#1", "x")
+        with pytest.raises(AttributeError):
+            handle.key = "y#2"
+        with pytest.raises(AttributeError):
+            del handle.name
+        assert copy.copy(handle) is handle and copy.deepcopy([handle])[0] is handle
+
+
+class TestHolds:
+    def test_a_hold_counts_per_object_and_dies_with_it(self):
+        machine = Machine()
+        aid = machine.aid_init("x")
+        first, second = AidHandle(aid.key, "x", aid), AidHandle(aid.key, "x", aid)
+        machine.hold(aid, first)
+        machine.hold(aid, second)
+        machine.fossil_collect()
+        assert machine._retire_deferred == {aid.key: aid}    # held, not retired
+        del first
+        gc.collect()
+        assert len(aid.handles) == 1
+        machine.fossil_collect()
+        assert aid.key in machine.aids                       # the copy still holds
+        del second
+        gc.collect()
+        assert aid.handles is None and not machine._retire_deferred
+        machine.fossil_collect()                             # the release queued it
+        assert aid.key not in machine.aids
+        assert machine.stats["aids_retired_pending"] == 1
+
+    def test_settling_drops_the_holds(self):
+        machine = Machine()
+        machine.create_process("p")
+        aid = machine.aid_init("x")
+        handle = AidHandle(aid.key, "x", aid)
+        machine.hold(aid, handle)
+        machine.affirm("p", aid)
+        machine.fossil_collect()
+        assert aid.key not in machine.aids and aid.handles is None
+        assert handle.aid is aid and aid.affirmed
+
+
+# ----------------------------------------------------------------------
+# through the engine
+# ----------------------------------------------------------------------
+def _maker(p, got, ok):
+    x = yield p.aid_init("x")
+    got.append(x)
+    yield p.send("judge", x)
+    yield p.compute(10.0)                    # passes settle x meanwhile
+    first = yield p.guess(x)                 # a late guess: the verdict
+    yield (p.affirm(x) if ok else p.deny(x))     # duplicate resolution: no-op
+    yield p.free_of(x)                       # resolved: trivially decided
+    yield p.emit(("late", first))
+
+
+def _judge(p, ok):
+    x = (yield p.recv()).payload
+    yield (p.affirm(x) if ok else p.deny(x))
+    for i in range(6):                       # finalizes keep passes coming
+        y = yield p.aid_init(f"churn{i}")
+        yield p.guess(y)
+        yield p.affirm(y)
+
+
+def _run(fossil, ok=True):
+    got = []
+    tracer = Tracer()
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
+                        strict_aids=False, fossil_collect=fossil, fossil_interval=1)
+    system.spawn("judge", _judge, ok)
+    system.spawn("maker", _maker, got, ok)
+    system.run()
+    return system, tracer, got[0]
+
+
+@pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
+def test_a_settled_aid_retires_under_a_live_handle(ok):
+    system, tracer, handle = _run(fossil=True, ok=ok)
+    twin, twin_tracer, _ = _run(fossil=False, ok=ok)
+    # The handle lives (the test and maker's log hold it), the AID left
+    # the table before the late guess, and every primitive read it by
+    # object: the same trace, byte for byte, as the twin that retires
+    # nothing.
+    assert handle.key not in system.machine.aids and handle.aid.handles is None
+    assert handle.key in twin.machine.aids
+    assert tracer.fingerprint() == twin_tracer.fingerprint()
+    assert system.committed_outputs("maker") == [("late", ok)]
+    # ... and the public lookups answer through the handle; the raw key
+    # names a retired AID.
+    assert system.aid(handle) is handle.aid
+    assert system.aid_status(handle).value == ("affirmed" if ok else "denied")
+    with pytest.raises(UnknownAidError, match="retired by collection"):
+        system.aid(handle.key)
+    with pytest.raises(UnknownAidError, match="retired by collection"):
+        system.aid(AidHandle(handle.key, handle.name))       # an unbound copy
+    system.machine.check_invariants()

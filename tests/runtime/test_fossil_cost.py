@@ -3,9 +3,9 @@ commit frontier reachable.
 
 The program is the ``pingpong`` shape: ``ping`` mints an AID per round
 and never declares a commit point, so its effect log keeps every handle
-and every AID ends up affirmed, unreferenced — and pinned.  That backlog
-grows by one AID per round; a pass must not look at it, at the handle
-table behind it, at the mailboxes, or at records that did not change.
+and every AID ends up affirmed and unreferenced — settled, so it retires
+under the handle.  A pass must not look at the run behind it: not at the
+AIDs that wait on a pin, the mailboxes, or records that did not change.
 """
 
 import gc
@@ -75,12 +75,12 @@ class _NoScan(dict):
 
 def _run(rounds, **options):
     """Run the pair; returns the system and, per pass, the records it
-    visited plus the AIDs it examined.  The four tables a pass used to
-    walk are swapped for ones that refuse to be walked during a pass."""
+    visited plus the AIDs it examined.  The tables a pass used to walk
+    (the handle table is gone) are swapped for ones that refuse to be
+    walked during a pass."""
     system = HopeSystem(
         seed=1, latency=ConstantLatency(1.0), fossil_interval=FOSSIL_INTERVAL, **options
     )
-    system._handles = _NoScan()
     system.network._mailboxes = _NoScan(system.network._mailboxes)
     system.machine._retire_deferred = _NoScan()
     if system.reliable is not None:
@@ -124,10 +124,11 @@ def test_pass_cost_is_flat_in_run_length(options):
     # FOSSIL_INTERVAL finalizes, two finalizes per round
     assert len(costs) == 2 * N // FOSSIL_INTERVAL
     assert len(costs4) == 4 * len(costs)
-    # the backlog is real: every AID of the run waits on ping's log ...
-    assert len(long_.machine._retire_deferred) >= 4 * N - FOSSIL_INTERVAL
-    assert len(long_._handles) == 4 * N and long_.stats()["fossil_aids_retired"] == 0
-    # ... and no pass pays for it
+    # ping's log keeps every handle, and no AID waits on it: each one
+    # retires once affirmed and settled (the handles read it by object) ...
+    assert len(long_.machine._retire_deferred) <= 1
+    assert long_.stats()["fossil_aids_retired"] >= 4 * N - 1
+    # ... and no pass pays for the run behind it
     first, last = _quarters(costs4)
     assert last <= 1.1 * first, (first, last)
     assert _quarters(costs4)[1] <= 1.1 * _quarters(costs)[0]
@@ -228,9 +229,13 @@ def test_nothing_behind_the_frontier_is_reachable():
     assert census["Message"] <= FOSSIL_INTERVAL
     assert census["ScheduledEvent"] <= 2 * FOSSIL_INTERVAL
     assert long_.stats()["fossil_intervals_dropped"] >= 8 * N - FOSSIL_INTERVAL
-    # the AIDs themselves all survive (pinned) — and none of them leads
-    # back to an interval that has finalized
-    aids = list(long_.machine.aids.values())
+    # the AIDs themselves survive only in the handles of ping's log, not
+    # in the table — and none of them leads back to an interval that has
+    # finalized
+    assert not long_.machine.aids
+    log = long_.procs["ping"].log
+    aids = [log.entry_at(i).result.aid for i in range(log.base, len(log))
+            if log.entry_at(i).kind == "aid_init"]
     assert len(aids) == 4 * N and all(isinstance(a, AssumptionId) for a in aids)
     for aid in aids:
         assert aid.speculative_affirmer is None or aid.speculative_affirmer.speculative

@@ -203,23 +203,29 @@ class TestCommitPointSemantics:
 # ---------------------------------------------------------------- pinning
 class TestHandlePinning:
     def test_held_handle_blocks_retirement(self):
-        """A user-reachable AidHandle pins its AID: by-key lookup must
-        keep working while anything can still name the key."""
+        """A user-reachable AidHandle holds its *pending* AID: by-key
+        lookup must keep working while a guess through the handle can
+        still make the key a message tag.  Here the handle lives only in
+        the keeper's body (its ``aid_init`` entry is rebased away) across
+        the churn's passes; then the keeper guesses it and sends tagged,
+        and the judge resolves the tag by key.  Once affirmed and settled
+        the AID retires although the handle lives: the handle still
+        answers, by object."""
         held = []
+        pending_at_pass = []
 
-        def keeper(p):
+        def keeper(p, resume=None):
             a = yield p.aid_init("kept")
             held.append(a)
-            yield p.send("judge", a)
-            if (yield p.guess(a)):
-                yield p.compute(1.0)
             # churn enough finalizes to trigger collection
             for i in range(20):
                 b = yield p.aid_init(f"churn{i}")
                 yield p.send("judge", b)
                 if (yield p.guess(b)):
                     yield p.compute(0.1)
-                yield p.commit_point(i)
+                yield p.commit_point({"i": i, "a": a})
+            yield p.guess(a)
+            yield p.send("judge", a)             # tagged {a}
             return "ok"
 
         def affirm_all(p):
@@ -231,12 +237,27 @@ class TestHandlePinning:
         system = HopeSystem(
             latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=4
         )
+        run_pass = system._run_fossil_collection
+
+        def sampled_pass():
+            run_pass()
+            if held and held[0].aid.pending:
+                pending_at_pass.append(held[0].key in system.machine.aids)
+
+        system._run_fossil_collection = sampled_pass
         system.spawn("judge", affirm_all)
         system.spawn("keeper", keeper)
         system.run()
-        assert system.stats()["fossil_collections"] >= 1
-        # the held handle's AID survived every pass
-        assert system.machine.aid(held[0].key).affirmed
+        assert system.procs["keeper"].log.base > 0          # the entry went
+        # held and pending across the passes: never retired
+        assert len(pending_at_pass) >= 3 and all(pending_at_pass)
+        assert system.stats()["aids_retired_pending"] == 0
+        # settled: retired (by one more pass) under the live handle, which
+        # still answers
+        run_pass()
+        assert held[0].key not in system.machine.aids
+        assert system.aid(held[0]).affirmed
+        assert system.aid_status(held[0]).value == "affirmed"
         system.machine.check_invariants()
 
 
@@ -284,7 +305,7 @@ def _steady_peaks(rounds, counters=2):
     system.spawn("judge", _emitting_judge, counters * rounds)
     for w in range(counters):
         system.spawn(f"c{w}", _emitting_counter, "judge", rounds, refs)
-    peaks = {"aids": 0, "handles": 0, "intervals": 0}
+    peaks = {"aids": 0, "held": 0, "intervals": 0}
     run_pass = system._run_fossil_collection
 
     def sampled_pass():
@@ -294,8 +315,9 @@ def _steady_peaks(rounds, counters=2):
             for r in proc.outputs
             if r.interval is not None
         }
+        held = sum(aid.handles is not None for aid in system.machine.aids.values())
         peaks["aids"] = max(peaks["aids"], len(system.machine.aids))
-        peaks["handles"] = max(peaks["handles"], len(system._handles))
+        peaks["held"] = max(peaks["held"], held)
         peaks["intervals"] = max(peaks["intervals"], len(reachable))
         run_pass()
 

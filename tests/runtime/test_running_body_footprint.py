@@ -1,14 +1,15 @@
 """What a *running* body costs per round: columns, not records.
 
 A body without ``commit_point`` keeps its whole effect log until it
-exits (exit is the commit point PR 22 added), and every AID it minted
-stays in ``machine.aids`` while a handle in that log pins it — so for a
-process that is still running the only lever is what a log entry and a
-settled AID cost.  Pinned here, on a ``pingpong``-shaped pair:
+exits (exit is the commit point PR 22 added), and with it a handle per
+AID it minted — so for a process that is still running the only lever is
+what a log entry and a settled AID cost.  Pinned here, on a
+``pingpong``-shaped pair:
 
 * the bytes a round leaves behind, as a budget;
 * no ``LogEntry`` object exists after a run (an entry is a slot in each
-  of two columns), and every settled AID shares one empty DOM;
+  of two columns), every settled AID shares one empty DOM, and a settled
+  AID retires from ``machine.aids`` under the handle the log keeps;
 * the columns replay: a deny at the very end restarts the guesser, which
   re-feeds the whole log and commits what its uncollected twin commits.
 """
@@ -77,14 +78,16 @@ def _traced(rounds):
 
 
 #: Traced bytes one more round leaves behind, measured + 10 %.  (At the
-#: parent 1 801: eight 64-byte ``LogEntry`` tuples less eight column
-#: slots, and a 216-byte empty DOM set, more; here 1 139.)
-_ROUND_BYTES = 1253
+#: parent of the columns 1 801: eight 64-byte ``LogEntry`` tuples less
+#: eight column slots, and a 216-byte empty DOM set, more; with them
+#: 1 139; with a settled AID retired under its handle — no weak
+#: reference, no slot in four tables, a slotted handle — 905.)
+_ROUND_BYTES = 995
 
 
 def test_a_round_of_a_running_body_costs_columns_not_records():
     _run(20)                                # imports, caches, interned strings
-    small, _s = _traced(_N)
+    small, short = _traced(_N)
     large, system = _traced(4 * _N)
     assert (large - small) / (3 * _N) <= _ROUND_BYTES
 
@@ -96,14 +99,22 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
     # ... in no per-entry object,
     assert not any(type(o) is LogEntry for o in gc.get_objects())
     assert type(system.procs["ping"].log.entry_at(0)) is LogEntry
-    # ... and every AID a pass found resolved (all but the tail since the
-    # last pass, plus the denied one) owns no DOM of its own.
-    aids = system.machine.aids
-    assert len(aids) == 4 * _N + 1 and not any(aid.pending for aid in aids.values())
-    settled = [aid for aid in aids.values() if aid.dom is SETTLED_DOM]
+    # ... and no AID table that grows with it: an AID a pass has found
+    # resolved is settled — it owns no DOM of its own and has retired
+    # under the handle the log keeps; after one more pass the table is the
+    # same size at N rounds and at 4N.
+    ping = system.procs["ping"].log
+    aids = [ping.entry_at(i).result.aid for i in range(len(ping))
+            if ping.kinds[i] == "aid_init"]
+    assert len(aids) == 4 * _N + 1 and not any(aid.pending for aid in aids)
+    settled = [aid for aid in aids if aid.dom is SETTLED_DOM]
     assert len(settled) >= 4 * _N - system.fossil_interval
     assert all(not aid.dom and type(aid.dom) is set
-               for aid in aids.values() if aid.dom is not SETTLED_DOM)
+               for aid in aids if aid.dom is not SETTLED_DOM)
+    assert len(system.machine.aids) <= system.fossil_interval
+    for done in (short, system):
+        done._run_fossil_collection()
+    assert len(short.machine.aids) == len(system.machine.aids) <= 1
     system.machine.check_invariants()
 
     # The deny restarted ping, which re-fed every entry before the last

@@ -104,11 +104,14 @@ def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
     settled DOM without being settled."""
     system = HopeSystem(seed=7, latency=ConstantLatency(0.5), fossil_interval=2)
     guess_pipeline(system, 6)
+    # A settled AID retires under live handles; a tag pin (what a message
+    # not yet consumed holds) keeps this one in the table.
+    system.machine.pin(["x0#1"])
     system.run(max_events=100_000)
     check_quiescent(system)
     log = system.procs["worker"].log
     settled = [aid for aid in system.machine.aids.values() if aid.dom is SETTLED_DOM]
-    assert settled and log.retained == len(log) > 0
+    assert [aid.key for aid in settled] == ["x0#1"] and log.retained == len(log) > 0
 
     log.kinds.append("send")                        # one column only
     with pytest.raises(InvariantViolation, match="effect log of 'worker' sheared"):
@@ -122,6 +125,10 @@ def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
     with pytest.raises(InvariantViolation, match="shares SETTLED_DOM but is not settled"):
         check_quiescent(system)
     settled[0].parked_denies = 0
+    settled[0].handles = []                         # a hold that outlived settling
+    with pytest.raises(InvariantViolation, match="settled AID x0#1 is still held"):
+        check_quiescent(system)
+    settled[0].handles = None
     check_quiescent(system)
     with pytest.raises(AttributeError):             # Lemma 5.1: nothing joins it
         settled[0].dom.add(object())
