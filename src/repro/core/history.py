@@ -10,7 +10,8 @@ it grows and :meth:`ProcessRecord.truncate_from` checks the cut.
 The semantics only ever reads the *index clock* (where the next entry
 would go, where the retained history starts); the entries themselves are
 a ledger for people.  A record built with ``keeps_history=False`` runs
-the same clock and materialises no entry.
+the same clock and materialises no entry: its ``history`` is the shared
+empty tuple.
 """
 
 from __future__ import annotations
@@ -94,14 +95,15 @@ class ProcessRecord:
         self._reclaimable_sink = (
             reclaimable_sink if reclaimable_sink is not None else []
         )
-        self.history: list[HistoryEntry] = []
+        self.history: "list[HistoryEntry] | tuple" = [] if keeps_history else ()
         #: All intervals ever created, in creation order (including dead ones).
         self.intervals: list[Interval] = []
         #: S.I — the current interval; None encodes the paper's I = ∅.
         self.current: Optional[Interval] = None
         #: S.IS — speculative intervals leading to the current state.  The
-        #: shared empty set until the first guess (a process that never
-        #: speculates owns none); the machine swaps in a real one to add.
+        #: shared empty set until the first guess and again once a pass
+        #: finds it emptied (a definite process owns none); the machine
+        #: swaps in a real one to add.
         self.speculative: "set[Interval] | frozenset" = NO_INTERVALS
         #: S.G — result of the most recent guess (None before any guess).
         self.g: Optional[bool] = None
@@ -166,7 +168,7 @@ class ProcessRecord:
             self.reclaimable = True
             self._reclaimable_sink.append(self)
 
-    def truncate_from(self, start_index: int) -> list[HistoryEntry]:
+    def truncate_from(self, start_index: int) -> "list[HistoryEntry] | tuple":
         """Del(H, A): discard the history suffix from ``start_index`` on.
 
         Returns the removed entries, at a cost proportional to their
@@ -189,7 +191,8 @@ class ProcessRecord:
                 f"history of {self.name!r} is not strictly index-ordered; "
                 "a deletion would not be a contiguous suffix"
             )
-        del history[cut:]
+        if drop:
+            del history[cut:]
         self._next_index = start_index
         if start_index < self._floor_index:
             self._floor_index = start_index
@@ -198,7 +201,8 @@ class ProcessRecord:
     def fossilize_before(self, index: Optional[int] = None) -> tuple[int, int]:
         """Drop the committed prefix: history entries and dead intervals
         strictly below ``index`` (default: the commit frontier itself,
-        what a fossil pass does with every record it visits).
+        what a fossil pass does with every record it visits), and an
+        emptied S.IS set for the shared empty one.
 
         The inverse of :meth:`truncate_from` — a *prefix* drop, sound only
         when ``index`` is at or below the process's commit frontier
@@ -209,6 +213,8 @@ class ProcessRecord:
         entries are counted as indices passed (they are consecutive), so
         the count is the same whether or not the record keeps them.
         """
+        if not self.speculative:
+            self.speculative = NO_INTERVALS
         frontier = self.frontier_index()
         if index is None:
             index = frontier

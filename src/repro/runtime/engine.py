@@ -54,7 +54,7 @@ from ..sim import (
     Tracer,
 )
 from ..obs import MetricsRegistry, NullRegistry, SpanCollector, SpeculationMetrics
-from ..sim.channel import Message, _Waiter
+from ..sim.channel import Message
 from ..sim.process import Effect
 from .api import AidHandle, AidRef, HopeProcess, aid_key
 from .effects import (
@@ -172,28 +172,38 @@ class ProcessRuntime:
         #: The promoted rebase point — always at ``log.base`` (None means
         #: incarnations start from program entry; see commit_point).
         self.rebase: Optional[RebasePoint] = None
-        #: Candidate rebase points not yet behind the commit frontier.
-        self.rebase_candidates: list[RebasePoint] = []
+        #: Candidate rebase points not yet behind the commit frontier: the
+        #: shared empty tuple whenever there are none (see add_candidate).
+        self.rebase_candidates: "list[RebasePoint] | tuple" = ()
 
-    def body(self, env) -> Generator:
-        """Adapter: the sim Task calls ``fn(env)``; HOPE bodies take the facade.
-
-        A process with a promoted rebase point restarts *from the commit
-        point*: the body is called with ``resume=<fresh deep copy>`` and
-        must reconstruct itself from that state (the commit_point
-        contract).  Each incarnation gets its own copy — a restarted body
-        mutates the state it is handed.  From a terminal point (the body
-        had returned, see :class:`Exited`) there is nothing to run.
-        """
-        if self.rebase is not None:
-            state = self.rebase.state
-            if type(state) is Exited:
-                return state.body()
-            return self.fn(self.facade, *self.args, resume=copy.deepcopy(state))
-        return self.fn(self.facade, *self.args)
+    def add_candidate(self, point: RebasePoint) -> None:
+        if self.rebase_candidates:
+            self.rebase_candidates.append(point)
+        else:
+            self.rebase_candidates = [point]
 
     def __repr__(self) -> str:
         return f"<ProcessRuntime {self.name!r} inc={self.incarnation} restarts={self.restarts}>"
+
+
+def _process_body(task: Task) -> Generator:
+    """Adapter: the sim Task calls ``fn(task)``; HOPE bodies take the facade
+    of the process in ``task.context``.
+
+    A process with a promoted rebase point restarts *from the commit
+    point*: the body is called with ``resume=<fresh deep copy>`` and
+    must reconstruct itself from that state (the commit_point
+    contract).  Each incarnation gets its own copy — a restarted body
+    mutates the state it is handed.  From a terminal point (the body
+    had returned, see :class:`Exited`) there is nothing to run.
+    """
+    proc: ProcessRuntime = task.context
+    if proc.rebase is not None:
+        state = proc.rebase.state
+        if type(state) is Exited:
+            return state.body()
+        return proc.fn(proc.facade, *proc.args, resume=copy.deepcopy(state))
+    return proc.fn(proc.facade, *proc.args)
 
 
 class _RecvBridge:
@@ -203,52 +213,57 @@ class _RecvBridge:
     message through the engine first, so implicit guesses and dead-message
     filtering happen before the process sees anything (§7: tagged-message
     guesses precede delivery "into the user-accessible state").
+
+    One recv is outstanding at a time, so one bridge serves every recv of
+    an incarnation in three roles: it is the mailbox waiter of a
+    timer-less recv (``register_waiter``; a timed one gets its own
+    ``_Waiter``), the task the waiter resumes (:attr:`task`), and the real
+    task's kill cleanup (:meth:`__call__`).
     """
 
-    __slots__ = (
-        "engine", "proc", "effect", "incarnation", "sync", "on_kill",
-        "waiter", "_cleanup",
-    )
+    __slots__ = ("engine", "proc", "effect", "incarnation", "sync", "predicate", "_cleanup")
+
+    #: Waiter protocol: the bridge never owns a timeout timer.
+    timer = None
 
     def __init__(self, engine: "HopeSystem", proc: ProcessRuntime, effect: RecvEffect) -> None:
         self.engine = engine
         self.proc = proc
         self.effect = effect
         self.incarnation = proc.incarnation
-        #: Pre-bound cleanup callback: the bridge is registered as the
-        #: task's kill cleanup once per recv, and binding the method each
-        #: time was measurable on the recv hot path.
-        self.on_kill = self.cancel
         #: True only while the recv handler's registration call is on the
         #: stack — i.e. the task's dispatch trampoline is active, so a
         #: synchronous delivery (message already queued) may complete the
         #: effect via resume_now and drain the whole same-tick backlog in
         #: one flat dispatch loop.
         self.sync = False
-        #: Reusable mailbox waiter: one recv is outstanding at a time, so
-        #: timer-less recvs re-register this single object instead of
-        #: allocating a _Waiter per message (register_waiter fast path).
-        self.waiter = _Waiter(self, None, None, proc.mailbox)
-        #: The mailbox-unregistration cleanup for the recv in flight.  At
-        #: most one is ever registered (one outstanding recv), so a single
-        #: slot replaces the list append/clear churn of the Task protocol.
-        self._cleanup: Optional[Callable[[], None]] = None
+        self.predicate = None
+        #: The waiter of the recv in flight (the bridge itself, or a timed
+        #: ``_Waiter``): what a kill takes off the mailbox.
+        self._cleanup: Any = None
 
-    # Mailbox-facing protocol (duck-typed Task):
+    # Mailbox-facing protocol (duck-typed _Waiter and Task):
+    @property
+    def task(self) -> "_RecvBridge":
+        return self
+
     def resume(self, value: Any) -> None:
         self.engine._deliver(self.proc, self.effect, value, self)
 
-    def add_cleanup(self, fn: Callable[[], None]) -> None:
-        self._cleanup = fn
+    def add_cleanup(self, waiter: Any) -> None:
+        self._cleanup = waiter
 
     def clear_cleanups(self) -> None:
         self._cleanup = None
 
-    def cancel(self) -> None:
-        """Run the mailbox-removal cleanup (invoked when the real task dies)."""
-        fn, self._cleanup = self._cleanup, None
-        if fn is not None:
-            fn()
+    def __call__(self) -> None:
+        """The real task's kill cleanup: take the recv in flight off the
+        mailbox."""
+        waiter, self._cleanup = self._cleanup, None
+        if waiter is self:
+            self.proc.mailbox._remove_waiter(self)
+        elif waiter is not None:
+            waiter()
 
 
 #: Shared disabled registry: hands out no-op instruments, so one object
@@ -445,6 +460,8 @@ class HopeSystem:
         #: read once per effect / per definite send (see _handle_effect).
         self._handler_get = self._LIVE_HANDLERS.get
         self._empty_ido = self.machine.depsets.empty
+        #: (handler, on_exit) shared by every task (see _start_task).
+        self._task_hooks: Optional[tuple] = None
         self.timeline = Timeline()
         self.failures = FailureInjector(self.sim)
         self.failures.attach(
@@ -620,7 +637,7 @@ class HopeSystem:
         if name in self.procs:
             raise HopeError(f"process {name!r} already exists")
         proc = ProcessRuntime(name, fn, args)
-        proc.track = self.timeline.process(name)
+        proc.track = self.timeline.spawn(name)
         self.procs[name] = proc
         self.network.register(name)
         proc.mailbox = self.network.mailbox(name)
@@ -638,7 +655,10 @@ class HopeSystem:
 
     def _run_sim(self, until: Optional[float], max_events: Optional[int]) -> float:
         final = self.sim.run(until=until, max_events=max_events)
-        self.timeline.close_all(final)
+        if not self.sim.pending_events:
+            # Only at quiescence: a span open at an ``until`` goes on in
+            # the next run (stats() measures it to now meanwhile).
+            self.timeline.close_all(final)
         # Clean stop: flush the committed frontier and seal a consolidation
         # envelope.  A crash (exception, os._exit, EventLimitExceeded)
         # skips this on purpose — recovery then works from the last sealed
@@ -758,7 +778,7 @@ class HopeSystem:
         # program entry, so the log resets fully (base included) and every
         # captured commit-point state dies with the incarnation.
         proc.rebase = None
-        proc.rebase_candidates.clear()
+        proc.rebase_candidates = ()
         proc.log.truncate(0)
         # Outputs from forgotten intervals are permanently uncommitted
         # (their intervals are now rolled back); drop them from the buffer.
@@ -814,8 +834,8 @@ class HopeSystem:
             ),
             "processes_retired": self.processes_retired,
             "heap_compactions": self.sim.heap_compactions,
-            "wasted_time": self.timeline.aggregate(Span.WASTED),
-            "busy_time": self.timeline.aggregate(Span.BUSY),
+            "wasted_time": self.timeline.aggregate(Span.WASTED, self.sim.now),
+            "busy_time": self.timeline.aggregate(Span.BUSY, self.sim.now),
             # Transport-specific blocks (fault counters, parallel wire
             # stats, ...) are contributed polymorphically — the engine
             # never type-checks its network.
@@ -904,8 +924,9 @@ class HopeSystem:
         if self.backend.owns_metrics():
             return self.metrics
         spec = self.spec_metrics
-        spec.busy_time.set(self.timeline.aggregate(Span.BUSY))
-        spec.blocked_time.set(self.timeline.aggregate(Span.BLOCKED))
+        now = self.sim.now
+        spec.busy_time.set(self.timeline.aggregate(Span.BUSY, now))
+        spec.blocked_time.set(self.timeline.aggregate(Span.BLOCKED, now))
         machine_stats = self.machine.stats
         spec.resolve_cache_hits.set(machine_stats["resolve_cache_hits"])
         spec.resolve_cache_misses.set(machine_stats["resolve_cache_misses"])
@@ -1019,12 +1040,14 @@ class HopeSystem:
                 proc.rebase = best
                 proc.rebase_candidates = [
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
-                ]
+                ] or ()
                 proc.log.drop_prefix(best.log_index)
                 if type(best.state) is Exited:
                     # The log went whole, and the handles it held with
-                    # it; nothing will look at the finished task again.
+                    # it; nothing will look at the finished task again,
+                    # nor, likely, at its mailbox's containers.
                     proc.task = None
+                    proc.mailbox.release_empty()
                     self.processes_retired += 1
             proc.track.compact_before(frontier_time)
         fossil_stats = machine.fossil_collect(batch)
@@ -1086,13 +1109,14 @@ class HopeSystem:
     # ------------------------------------------------------------------
     def _start_task(self, proc: ProcessRuntime, delay: float) -> None:
         proc.log.begin_replay()
+        hooks = self._task_hooks
+        if hooks is None:
+            # Bound once for every task, at the first start (not in
+            # __init__: a test may wrap _handle_effect before spawning).
+            hooks = self._task_hooks = (self._handle_effect, self._on_task_exit)
         task = Task(
-            self.sim,
-            proc.name,
-            proc.body,
-            handler=self._handle_effect,
-            on_exit=self._on_task_exit,
-            context=proc,
+            self.sim, proc.name, _process_body,
+            handler=hooks[0], on_exit=hooks[1], context=proc,
         )
         proc.task = task
         task.start(delay=delay)
@@ -1108,17 +1132,17 @@ class HopeSystem:
     @staticmethod
     def _drop_bridge(proc: ProcessRuntime) -> None:
         """Take the recv bridge of an incarnation that has ended (killed,
-        or returned) apart.  The bridge points at itself twice (its
-        pre-bound ``on_kill`` and its waiter); cut here, it and the dead
-        task are freed by reference counting as soon as their owner lets
-        go instead of waiting, as cyclic garbage, for a full collection."""
+        or returned) apart.  A registered bridge points at itself (as its
+        own waiter); cut here, it and the dead task are freed by reference
+        counting as soon as their owner lets go instead of waiting, as
+        cyclic garbage, for a full collection."""
         bridge = proc.bridge
         if bridge is not None:
             proc.bridge = None
-            bridge.on_kill = bridge.waiter = None
+            bridge._cleanup = None
 
     def _on_task_exit(self, task: Task) -> None:
-        proc: ProcessRuntime = task.env.context
+        proc: ProcessRuntime = task.context
         if task is not proc.task:
             return  # an old incarnation being killed
         if task.done:
@@ -1131,7 +1155,7 @@ class HopeSystem:
                 # like any other and the log goes whole.  A rollback of
                 # this incarnation discards the candidate with the rest
                 # of the suffix.
-                proc.rebase_candidates.append(
+                proc.add_candidate(
                     RebasePoint(len(proc.log), Exited(task.result), self.sim._now)
                 )
                 if not proc.mproc.speculative:
@@ -1150,7 +1174,7 @@ class HopeSystem:
             # between primitives and the simulator between events, so
             # reclamation cannot observe a half-applied transition.
             self._run_fossil_collection()
-        proc: ProcessRuntime = task.env.context
+        proc: ProcessRuntime = task.context
         # The next fossil pass must look at this process, replay included
         # (it moves the cursor the frontier is held behind).
         mproc = proc.mproc
@@ -1325,7 +1349,7 @@ class HopeSystem:
             # bridge is reusable — only the effect (predicate/timeout)
             # changes between recvs.
             bridge.effect = effect
-        task._cleanups.append(bridge.on_kill)
+        task._cleanup = bridge
         track = proc.track
         open_span = track._open
         if open_span is None or open_span.kind != Span.BLOCKED:
@@ -1339,25 +1363,17 @@ class HopeSystem:
         # instead of once per message.
         bridge.sync = True
         try:
-            if effect.timeout is None:
-                # Timer-less recv (the hot path): re-register the bridge's
-                # reusable waiter instead of allocating one per message.
-                waiter = bridge.waiter
-                waiter.predicate = effect.predicate
-                proc.mailbox.register_waiter(waiter)
-            else:
-                proc.mailbox.register_receiver(
-                    bridge, effect.timeout, effect.predicate
-                )
+            self._register_bridge(bridge)
         finally:
             bridge.sync = False
 
     def _register_bridge(self, bridge: _RecvBridge) -> None:
         effect = bridge.effect
         if effect.timeout is None:
-            waiter = bridge.waiter
-            waiter.predicate = effect.predicate
-            bridge.proc.mailbox.register_waiter(waiter)
+            # Timer-less recv (the hot path): the bridge is its own
+            # waiter, re-registered instead of allocating one per message.
+            bridge.predicate = effect.predicate
+            bridge.proc.mailbox.register_waiter(bridge)
         else:
             bridge.proc.mailbox.register_receiver(
                 bridge, effect.timeout, effect.predicate
@@ -1416,9 +1432,7 @@ class HopeSystem:
             # body resumed from this state next yields the effect that
             # follows the commit_point, i.e. the entry at that position.
             state = copy.deepcopy(effect.state)
-            proc.rebase_candidates.append(
-                RebasePoint(len(proc.log), state, self.sim.now)
-            )
+            proc.add_candidate(RebasePoint(len(proc.log), state, self.sim.now))
             # a log prefix the next pass may be able to drop
             proc.mproc.mark_reclaimable()
             if len(proc.rebase_candidates) > self._MAX_REBASE_CANDIDATES:
@@ -1564,7 +1578,7 @@ class HopeSystem:
             self.tracer.record(
                 self.sim.now, "recv", proc.name, src=message.src, msg=message.msg_id
             )
-        task._cleanups.clear()
+        task._cleanup = None
         if bridge.sync:
             # Registration found the message already queued: the dispatch
             # trampoline is on the stack, so complete the recv flat.
@@ -1676,7 +1690,7 @@ class HopeSystem:
             # state reflects only the surviving prefix).
             proc.rebase_candidates = [
                 c for c in proc.rebase_candidates if c.log_index <= checkpoint.log_index
-            ]
+            ] or ()
         # Withdraw speculative outputs produced after the checkpoint
         # (the output-commit discipline: uncommitted outputs die with the
         # speculation that produced them).  Outputs are appended in log

@@ -21,7 +21,6 @@ from .process import (
     Halt,
     Recv,
     Task,
-    TaskEnv,
     TaskKilled,
     Timeout,
     UnknownEffectError,
@@ -64,7 +63,6 @@ __all__ = [
     "Fork",
     "Halt",
     "Task",
-    "TaskEnv",
     "TaskKilled",
     "TIMED_OUT",
     "UnknownEffectError",

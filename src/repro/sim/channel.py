@@ -142,7 +142,7 @@ class Mailbox:
     at a blocked receiver and never do), ``_waiters`` until the first
     receiver blocks (a wait list is 0-1 long nearly always: a plain list).
     Every read works on the tuple; the sites that add an element swap in
-    the real container first, and it stays.
+    the real container first, and it stays until :meth:`release_empty`.
     """
 
     __slots__ = ("sim", "owner", "_queue", "_waiters", "delivered_count")
@@ -294,6 +294,14 @@ class Mailbox:
         if any(m.dead for m in self._queue):
             self._queue = deque(m for m in self._queue if not m.dead)
 
+    def release_empty(self) -> None:
+        """Give back the containers that are empty (an owner that has
+        finished, say, will likely never need them again)."""
+        if not self._queue:
+            self._queue = _UNUSED
+        if not self._waiters:
+            self._waiters = _UNUSED
+
     def purge(self) -> int:
         """Discard all queued messages (crash semantics: a dead node's
         buffered input is lost).  Returns how many were dropped."""
@@ -343,9 +351,6 @@ class Network:
         #: uses this for receiver-side dedup and to model a crashed node
         #: dropping arrivals).  None keeps the exact pre-hook fast path.
         self.deliver_hook: Optional[Callable[[Message], bool]] = None
-        #: Cached per-link debug labels for delivery events (an f-string
-        #: per send was measurable on the send hot path).
-        self._labels: dict[tuple, str] = {}
         #: Same-tick delivery coalescing (see :meth:`send`): the most
         #: recently scheduled delivery as ``[event, entries, box, message,
         #: delivery]``; ``entries`` is None until a second delivery is
@@ -486,10 +491,8 @@ class Network:
         duplicate, reorder, and jitter; the base class delivers exactly
         once after ``delay``.
         """
-        key = (message.src, message.dst)
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = f"deliver:{message.src}->{message.dst}"
+        # Built per delivery: a cache per link outlived every link's use.
+        label = f"deliver:{message.src}->{message.dst}"
         if message.tags:
             self.hold(message)
         if self.deliver_hook is not None:

@@ -10,9 +10,9 @@ exactly how replay-based rollback is implemented in
 
 Example::
 
-    def ping(env: TaskEnv):
+    def ping(task: Task):
         yield Timeout(1.0)
-        print("at t=1", env.now)
+        print("at t=1", task.now)
 
     sim = Simulator()
     Task(sim, "ping", ping).start()
@@ -140,29 +140,6 @@ class UnknownEffectError(SimulationError):
     """The effect handler does not know how to perform a yielded effect."""
 
 
-class TaskEnv:
-    """The view of the world handed to a task function.
-
-    Carries the task's identity, the simulator clock, and an arbitrary
-    ``context`` slot that higher layers (the HOPE runtime, the baselines)
-    use to expose their own API to the process body.
-    """
-
-    __slots__ = ("task", "context")
-
-    def __init__(self, task: "Task", context: Any = None) -> None:
-        self.task = task
-        self.context = context
-
-    @property
-    def now(self) -> float:
-        return self.task.sim.now
-
-    @property
-    def name(self) -> str:
-        return self.task.name
-
-
 class Task:
     """A generator coroutine scheduled on a :class:`Simulator`.
 
@@ -171,12 +148,17 @@ class Task:
     exactly once.  When ``handler`` is None the default sim-level handler
     is used.  The HOPE runtime passes its own handler to interpose logging
     and tagging on every effect.
+
+    The task is also the view of the world its body gets: ``fn(task,
+    *args)`` reads ``task.now``, ``task.name`` and ``task.context``, an
+    arbitrary slot that higher layers (the HOPE runtime, the baselines)
+    use to reach their own per-process state.
     """
 
     __slots__ = (
-        "sim", "name", "fn", "args", "env", "handler", "on_exit", "result",
-        "error", "_gen", "_state", "_pending", "_cleanups", "_has_inline",
-        "_inline_value",
+        "sim", "name", "fn", "args", "context", "handler", "on_exit",
+        "result", "error", "_gen", "_state", "_pending", "_cleanup",
+        "_has_inline", "_inline_value",
     )
 
     _FRESH = "fresh"
@@ -200,7 +182,7 @@ class Task:
         self.name = name
         self.fn = fn
         self.args = args
-        self.env = TaskEnv(self, context)
+        self.context = context
         self.handler = handler or default_effect_handler
         self.on_exit = on_exit
         self.result: Any = None
@@ -208,7 +190,9 @@ class Task:
         self._gen: Optional[Generator] = None
         self._state = Task._FRESH
         self._pending: Optional[ScheduledEvent] = None
-        self._cleanups: list[Callable[[], None]] = []
+        #: What to run if the task dies while blocked: a task has at most
+        #: one blocking effect outstanding, so one slot serves.
+        self._cleanup: Optional[Callable[[], None]] = None
         self._has_inline = False
         self._inline_value: Any = None
 
@@ -219,10 +203,14 @@ class Task:
         """Schedule the first step of the task ``delay`` from now."""
         if self._state != Task._FRESH:
             raise SimulationError(f"task {self.name!r} already started")
-        self._gen = self.fn(self.env, *self.args)
+        self._gen = self.fn(self, *self.args)
         self._state = Task._WAITING
         self._pending = self.sim.schedule(delay, self._step, None, False, label=f"start:{self.name}")
         return self
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
 
     @property
     def state(self) -> str:
@@ -292,8 +280,8 @@ class Task:
         """Terminate the task: cancel pending resumes and close the generator.
 
         Used for crash injection and for discarding a rolled-back
-        incarnation of a HOPE process.  Registered cleanups run (e.g. the
-        task is removed from mailbox wait lists).
+        incarnation of a HOPE process.  The registered cleanup runs (e.g.
+        the task is removed from a mailbox wait list).
         """
         if not self.alive:
             return
@@ -316,11 +304,11 @@ class Task:
         self._exit()
 
     def add_cleanup(self, fn: Callable[[], None]) -> None:
-        """Register a callback to run when the task is killed while waiting."""
-        self._cleanups.append(fn)
+        """Register the callback to run when the task is killed while waiting."""
+        self._cleanup = fn
 
     def clear_cleanups(self) -> None:
-        self._cleanups.clear()
+        self._cleanup = None
 
     # ------------------------------------------------------------------
     # trampoline
@@ -370,7 +358,7 @@ class Task:
 
     def _drive(self, value: Any, is_throw: bool) -> Optional[Effect]:
         self._pending = None
-        if self._cleanups:
+        if self._cleanup is not None:
             self._run_cleanups()
         self._state = Task._RUNNING
         try:
@@ -399,19 +387,19 @@ class Task:
         """Last step of every terminal transition: tell ``on_exit``, then
         unlink.
 
-        A dead task keeps neither its generator nor the env's pointer back
-        to it, so there is no ``Task ↔ TaskEnv ↔ generator`` ring: the
+        A dead task keeps no generator (whose frame may hold the task, its
+        body's argument), so there is no ``Task ↔ generator`` ring: the
         incarnation is freed by reference counting as soon as its owner
         lets go (for a HOPE rollback, at the kill), not by the cycle
         collector some full pass later."""
         if self.on_exit is not None:
             self.on_exit(self)
         self._gen = None
-        self.env.task = None
 
     def _run_cleanups(self) -> None:
-        cleanups, self._cleanups = self._cleanups, []
-        for fn in cleanups:
+        fn = self._cleanup
+        if fn is not None:
+            self._cleanup = None
             fn()
 
     def _expect_waiting(self, op: str) -> None:

@@ -38,18 +38,22 @@ class Span:
         return f"<Span {self.kind} [{self.start:.4f}, {end})>"
 
 
+#: The slot of :class:`ProcessTimeline` a span kind's folded total lives in.
+_FOLDED = {Span.BUSY: "_busy", Span.BLOCKED: "_blocked", Span.WASTED: "_wasted"}
+
+
 class ProcessTimeline:
     """Spans for one process, built by ``mark_*`` calls as the run proceeds."""
 
-    __slots__ = ("name", "spans", "_open", "_base")
+    __slots__ = ("name", "spans", "_open", "_busy", "_blocked", "_wasted")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.spans: list[Span] = []
         self._open: Optional[Span] = None
         #: Durations folded out of :attr:`spans` by :meth:`compact_before`,
-        #: keyed by span kind.  ``total`` adds these back in.
-        self._base: dict[str, float] = {}
+        #: one slot per span kind (see _FOLDED).  ``total`` adds them back.
+        self._busy = self._blocked = self._wasted = 0.0
 
     def compact_before(self, cutoff: float) -> int:
         """Fold spans that end at or before ``cutoff`` into base totals.
@@ -63,13 +67,13 @@ class ProcessTimeline:
         # Spans are appended in time order (see reclassify_since), so the
         # ones to fold are a prefix: stop at the first that is not.
         spans = self.spans
-        base = self._base
         dropped = 0
         for span in spans:
             end = span.end
             if end is None or end > cutoff:
                 break
-            base[span.kind] = base.get(span.kind, 0.0) + (end - span.start)
+            slot = _FOLDED[span.kind]
+            setattr(self, slot, getattr(self, slot) + (end - span.start))
             dropped += 1
         if dropped:
             del spans[:dropped]
@@ -125,14 +129,16 @@ class ProcessTimeline:
     def base_totals(self) -> dict[str, float]:
         """Durations folded out of :attr:`spans` by :meth:`compact_before`.
 
-        Returns a copy, keyed by span kind.  Renderers use this to keep a
-        process visible after all of its spans were compacted away.
+        Returns a new dict of the non-zero ones, keyed by span kind.
+        Renderers use this to keep a process visible after all of its
+        spans were compacted away.
         """
-        return dict(self._base)
+        folded = {kind: getattr(self, slot) for kind, slot in _FOLDED.items()}
+        return {kind: total for kind, total in folded.items() if total}
 
     def total(self, kind: str, now: Optional[float] = None) -> float:
         """Total duration of spans of ``kind`` (open span measured to ``now``)."""
-        out = self._base.get(kind, 0.0)
+        out = getattr(self, _FOLDED[kind])
         for span in self.spans:
             if span.kind != kind:
                 continue
@@ -144,16 +150,28 @@ class ProcessTimeline:
 
 
 class Timeline:
-    """Timelines for all processes in a run, plus aggregate statistics."""
+    """Timelines for all processes in a run, plus aggregate statistics.
+
+    A track exists once :meth:`spawn` has created it; every read of an
+    unknown name raises instead of adding a phantom process.
+    """
 
     def __init__(self) -> None:
         self._processes: dict[str, ProcessTimeline] = {}
 
+    def spawn(self, name: str) -> ProcessTimeline:
+        """Create the track of a new process."""
+        if name in self._processes:
+            raise ValueError(f"timeline already has a process {name!r}")
+        tl = self._processes[name] = ProcessTimeline(name)
+        return tl
+
     def process(self, name: str) -> ProcessTimeline:
         tl = self._processes.get(name)
         if tl is None:
-            tl = ProcessTimeline(name)
-            self._processes[name] = tl
+            raise KeyError(
+                f"no process {name!r} on the timeline (known: {', '.join(self.names())})"
+            )
         return tl
 
     def close_all(self, now: float) -> None:
@@ -167,8 +185,9 @@ class Timeline:
     def totals(self, kind: str) -> dict[str, float]:
         return {name: tl.total(kind) for name, tl in self._processes.items()}
 
-    def aggregate(self, kind: str) -> float:
-        return sum(tl.total(kind) for tl in self._processes.values())
+    def aggregate(self, kind: str, now: Optional[float] = None) -> float:
+        """Sum of :meth:`ProcessTimeline.total` over every process."""
+        return sum(tl.total(kind, now) for tl in self._processes.values())
 
     def utilization(self, name: str, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` the process spent busy."""

@@ -517,4 +517,4 @@ def test_machine_without_history_is_the_same_machine(actions):
         assert [e.index for e in kept.history] == list(
             range(kept._floor_index, kept._next_index)
         )
-        assert clock_only.processes[name].history == []
+        assert clock_only.processes[name].history == ()

@@ -1,0 +1,202 @@
+"""One census helper for the footprint budgets: what a piece of work
+leaves allocated.
+
+:func:`measure` runs a callable with the cyclic collector off, from
+before the call to after the reading, and returns the bytes
+``tracemalloc`` traced and the ``sys.getallocatedblocks()`` still
+allocated while the result lives: what is gone was freed by reference
+counting.  The three shapes the budgets are set on live here too:
+
+* :func:`idle_process` — a process spawned and blocked in ``recv``;
+* :func:`running_round` — one more round of a ``pingpong``-shaped pair
+  whose bodies keep running (and so keep their logs);
+* :func:`retired_process` — a process of ``cascade``-shaped relay waves
+  once it has finished and been retired.
+
+The bytes differ between interpreters, so every budget is a table keyed
+by ``sys.version_info[:2]`` (:func:`budget`).  The file is also a script
+that needs neither pytest nor the test suite: run
+``PYTHONPATH=src python tests/footprint.py`` under each interpreter of the
+CI matrix to print the figures the tables are set from.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
+from typing import Any, Callable
+
+from repro.runtime import HopeSystem
+from repro.sim import ConstantLatency
+
+
+def measure(run: Callable[[], Any]) -> tuple:
+    """``(result, bytes, blocks)``: what ``run()`` left allocated."""
+    gc.collect()                    # earlier work's debris is not ours
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start(1)
+    try:
+        traced = tracemalloc.get_traced_memory()[0]
+        blocks = sys.getallocatedblocks()
+        result = run()
+        blocks = sys.getallocatedblocks() - blocks
+        traced = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    return result, traced, blocks
+
+
+def budget(table: dict) -> tuple:
+    """This interpreter's row of ``table`` (``{(major, minor): (bytes,
+    blocks)}``); a version not in it gets the loosest of each column."""
+    row = table.get(sys.version_info[:2])
+    return row if row is not None else tuple(map(max, zip(*table.values())))
+
+
+def _per_unit(small: tuple, large: tuple, units: int) -> tuple:
+    """Bytes and blocks per unit between two sizes of one shape: the
+    constant costs (imports, interned strings, tables) cancel."""
+    return (large[1] - small[1]) / units, (large[2] - small[2]) / units
+
+
+# ------------------------------------------------------------- idle process
+def _blocked(p):
+    return (yield p.recv()).payload
+
+
+def idle_system(count: int) -> HopeSystem:
+    system = HopeSystem(seed=1)
+    for i in range(count):
+        system.spawn(f"w{i}", _blocked)
+    system.run()
+    return system
+
+
+def idle_process(count: int = 2000) -> tuple:
+    """``(system, bytes, blocks)`` per process blocked in ``recv``."""
+    idle_system(10)                 # imports, caches, interned strings
+    system, traced, blocks = measure(lambda: idle_system(count))
+    return system, traced / count, blocks / count
+
+
+# ------------------------------------------------------------ running round
+ROUNDS = 400
+
+
+def _ping(p, peer, rounds):
+    acc = 0
+    for i in range(rounds):
+        x = yield p.aid_init("round")
+        yield p.guess(x)
+        yield p.send(peer, (x, i))
+        acc = (acc * 31 + (yield p.recv()).payload) % 1_000_003
+        yield p.emit((i, acc))
+    last = yield p.aid_init("last")
+    yield p.send(peer, (last, None))
+    if (yield p.guess(last)):
+        yield p.emit("optimistic")
+    else:
+        yield p.emit("pessimistic")
+    yield p.recv()                  # both stay running: nothing retires
+
+
+def _pong(p, peer, rounds):
+    for _ in range(rounds):
+        x, payload = (yield p.recv()).payload
+        yield p.affirm(x)
+        yield p.send(peer, 2 * payload + 1)
+    last, _ = (yield p.recv()).payload
+    yield p.compute(1.0)
+    yield p.deny(last)
+    yield p.recv()
+
+
+def running_pair(rounds: int, **options) -> HopeSystem:
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), **options)
+    system.spawn("pong", _pong, "ping", rounds)
+    system.spawn("ping", _ping, "pong", rounds)
+    system.run()
+    return system
+
+
+def running_round(rounds: int = ROUNDS) -> tuple:
+    """``(system at rounds, system at 4 x rounds, bytes, blocks)`` per round."""
+    running_pair(20)                # imports, caches, interned strings
+    small = measure(lambda: running_pair(rounds))
+    large = measure(lambda: running_pair(4 * rounds))
+    return (small[0], large[0], *_per_unit(small, large, 3 * rounds))
+
+
+# ---------------------------------------------------------- retired process
+DEPTH = 8
+_PREFIX = 10                        # definite p.now() effects, as in cascade
+_HOP = 3.0
+
+
+def _root(p, judge, first, start):
+    for _ in range(_PREFIX):
+        yield p.now()
+    yield p.compute(start)
+    x = yield p.aid_init("tree")
+    yield p.send(judge, x)
+    ok = yield p.guess(x)
+    yield p.send(first, 1)
+    yield p.compute(1.0)
+    yield p.emit(ok)
+
+
+def _relay(p, nxt):
+    for _ in range(_PREFIX):
+        yield p.now()
+    value = (yield p.recv()).payload
+    yield p.compute(_HOP)
+    if nxt is not None:
+        yield p.send(nxt, value + 1)
+    yield p.emit(value)
+
+
+def _judge(p, ok):
+    x = (yield p.recv()).payload
+    # the verdict lands with the chain about two thirds deep
+    yield p.compute(2 * DEPTH / 3 * (_HOP + 1.0))
+    if ok:
+        yield p.affirm(x)
+    else:
+        yield p.deny(x)
+    yield p.emit(ok)
+
+
+def relay_waves(trees: int) -> HopeSystem:
+    """``trees`` relay chains started 0.7 apart, every second one denied
+    (the shape of the ``cascade`` workload, smaller)."""
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0))
+    for t in range(trees):
+        relays = [f"t{t}.n{i}" for i in range(DEPTH)]
+        system.spawn(f"t{t}.root", _root, f"t{t}.judge", relays[0], 0.7 * t)
+        system.spawn(f"t{t}.judge", _judge, t % 2 == 1)
+        for i, name in enumerate(relays):
+            system.spawn(name, _relay, relays[i + 1] if i + 1 < DEPTH else None)
+    system.run()
+    return system
+
+
+def retired_process(trees: int = 60) -> tuple:
+    """``(system at 4 x trees, bytes, blocks)`` per finished process."""
+    relay_waves(4)                  # imports, caches, interned strings
+    small = measure(lambda: relay_waves(trees))
+    large = measure(lambda: relay_waves(4 * trees))
+    return (large[0], *_per_unit(small, large, 3 * trees * (DEPTH + 2)))
+
+
+if __name__ == "__main__":
+    version = "%d.%d" % sys.version_info[:2]
+    _, traced, blocks = idle_process()
+    print(f"{version} idle process:    {traced:7.1f} B {blocks:5.1f} blocks")
+    _, _, traced, blocks = running_round()
+    print(f"{version} running round:   {traced:7.1f} B {blocks:5.1f} blocks")
+    _, traced, blocks = retired_process()
+    print(f"{version} retired process: {traced:7.1f} B {blocks:5.1f} blocks")

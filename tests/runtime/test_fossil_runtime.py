@@ -147,7 +147,7 @@ class TestCommitPointSemantics:
         base, _, _ = _run(seed=1, fossil=False, rounds=10)
         proc = base.procs["worker"]
         assert proc.rebase is None
-        assert proc.rebase_candidates == []
+        assert not proc.rebase_candidates
         assert proc.log.base == 0
 
     def test_crash_clears_rebase_state(self):
@@ -156,7 +156,7 @@ class TestCommitPointSemantics:
         assert proc.rebase is not None
         coll.crash_process("worker")
         assert proc.rebase is None
-        assert proc.rebase_candidates == []
+        assert not proc.rebase_candidates
         assert proc.log.base == 0 and len(proc.log) == 0
 
     def test_rebase_state_is_isolated_per_restart(self):

@@ -56,7 +56,7 @@ def test_same_run_with_and_without_history(build, seed, mode):
         assert kept.outputs(name) == bare.outputs(name)
         on, off = kept.machine.process(name), bare.machine.process(name)
         assert (on._next_index, on._floor_index) == (off._next_index, off._floor_index)
-        assert off.history == []
+        assert off.history == ()           # the shared empty tuple
         assert [e.index for e in on.history] == list(
             range(on._floor_index, on._next_index)
         )
@@ -75,7 +75,7 @@ def test_history_follows_the_tracer():
 
     for quiet in (run(), run(trace=Tracer(categories=()))):
         assert not quiet.machine.history
-        assert all(r.history == [] for r in quiet.machine.processes.values())
+        assert all(r.history == () for r in quiet.machine.processes.values())
         assert "H[" not in format_machine(quiet.machine, include_history=True)
     traced = run(trace=Tracer())
     assert traced.machine.history

@@ -15,81 +15,34 @@ what a log entry and a settled AID cost.  Pinned here, on a
 """
 
 import gc
-import tracemalloc
 
 from repro.core.aid import SETTLED_DOM
-from repro.runtime import HopeSystem
 from repro.runtime.replay import LogEntry
-from repro.sim import ConstantLatency
 
-_N = 400
+from ..footprint import ROUNDS as _N
+from ..footprint import budget, running_pair, running_round
+
 _PER_ROUND = 5 + 3          # ping: aid_init guess send recv emit; pong: recv affirm send
 
-
-def _ping(p, peer, rounds):
-    acc = 0
-    for i in range(rounds):
-        x = yield p.aid_init("round")
-        yield p.guess(x)
-        yield p.send(peer, (x, i))
-        acc = (acc * 31 + (yield p.recv()).payload) % 1_000_003
-        yield p.emit((i, acc))
-    last = yield p.aid_init("last")
-    yield p.send(peer, (last, None))
-    if (yield p.guess(last)):
-        yield p.emit("optimistic")
-    else:
-        yield p.emit("pessimistic")
-    yield p.recv()                  # both stay running: nothing retires
-
-
-def _pong(p, peer, rounds):
-    for _ in range(rounds):
-        x, payload = (yield p.recv()).payload
-        yield p.affirm(x)
-        yield p.send(peer, 2 * payload + 1)
-    last, _ = (yield p.recv()).payload
-    yield p.compute(1.0)
-    yield p.deny(last)
-    yield p.recv()
-
-
-def _run(rounds, **options):
-    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), **options)
-    system.spawn("pong", _pong, "ping", rounds)
-    system.spawn("ping", _ping, "pong", rounds)
-    system.run()
-    return system
-
-
-def _traced(rounds):
-    """Bytes a run of ``rounds`` leaves allocated, the cyclic collector
-    off from before the run to after the reading."""
-    gc.collect()
-    gc.disable()
-    tracemalloc.start(1)
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        system = _run(rounds)
-        return tracemalloc.get_traced_memory()[0] - before, system
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-
-
-#: Traced bytes one more round leaves behind, measured + 10 %.  (At the
-#: parent of the columns 1 801: eight 64-byte ``LogEntry`` tuples less
-#: eight column slots, and a 216-byte empty DOM set, more; with them
-#: 1 139; with a settled AID retired under its handle — no weak
-#: reference, no slot in four tables, a slotted handle — 905.)
-_ROUND_BYTES = 995
+#: Bytes and blocks one more round leaves behind (tests/footprint.py),
+#: measured + 10 %.  (At the parent of the columns 1 801 bytes: eight
+#: 64-byte ``LogEntry`` tuples less eight column slots, and a 216-byte
+#: empty DOM set, more; with them 1 139; with a settled AID retired under
+#: its handle — no weak reference, no slot in four tables, a slotted
+#: handle — 905.)
+_ROUND = {
+    (3, 10): (982, 17.2),
+    (3, 11): (994, 17.2),
+    (3, 12): (994, 17.2),
+    (3, 13): (994, 17.2),
+}
 
 
 def test_a_round_of_a_running_body_costs_columns_not_records():
-    _run(20)                                # imports, caches, interned strings
-    small, short = _traced(_N)
-    large, system = _traced(4 * _N)
-    assert (large - small) / (3 * _N) <= _ROUND_BYTES
+    short, system, traced, blocks = running_round()
+    max_bytes, max_blocks = budget(_ROUND)
+    assert traced <= max_bytes
+    assert blocks <= max_blocks
 
     # Still running, nothing retired, the whole log kept ...
     assert system.stats()["processes_retired"] == 0
@@ -119,7 +72,7 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
 
     # The deny restarted ping, which re-fed every entry before the last
     # guess from the columns and committed its twin's ledger.
-    twin = _run(4 * _N, fossil_collect=False)
+    twin = running_pair(4 * _N, fossil_collect=False)
     ping = system.procs["ping"]
     assert ping.restarts == twin.procs["ping"].restarts == 1
     assert ping.log.replayed_entries_total == 5 * 4 * _N + 2

@@ -1,18 +1,20 @@
 """Tests for the ASCII timeline renderer."""
 
+import pytest
+
 from repro.sim import Span, Timeline
 from repro.sim.render import render_timeline, render_utilization
 
 
 def build_timeline():
     timeline = Timeline()
-    worker = timeline.process("worker")
+    worker = timeline.spawn("worker")
     worker.mark(Span.BUSY, 0.0)
     worker.mark(Span.BLOCKED, 4.0)
     worker.mark(Span.BUSY, 6.0)
     worker.close(10.0)
     worker.reclassify_since(6.0, Span.WASTED, 10.0)
-    verifier = timeline.process("verifier")
+    verifier = timeline.spawn("verifier")
     verifier.mark(Span.BLOCKED, 0.0)
     verifier.mark(Span.BUSY, 2.0)
     verifier.close(10.0)
@@ -50,7 +52,7 @@ def test_render_empty_timeline():
 
 def test_render_span_ending_exactly_at_horizon():
     timeline = Timeline()
-    p = timeline.process("p")
+    p = timeline.spawn("p")
     p.mark(Span.BUSY, 8.0)
     p.close(10.0)
     text = render_timeline(timeline, horizon=10.0, width=10, processes=["p"])
@@ -62,7 +64,7 @@ def test_render_zero_length_span_at_horizon_is_clamped():
     # start == horizon used to compute start_cell == width and silently
     # drop the span; it must land in the final cell instead.
     timeline = Timeline()
-    p = timeline.process("p")
+    p = timeline.spawn("p")
     p.spans.append(Span(Span.BUSY, 10.0, 10.0))
     text = render_timeline(timeline, horizon=10.0, width=10, processes=["p"])
     cells = text.splitlines()[0].split("|")[1]
@@ -95,6 +97,21 @@ def test_base_totals_accessor_returns_copy():
     assert worker.base_totals()[Span.BUSY] == 4.0
     # total() still reports the folded durations.
     assert worker.total(Span.BUSY) == 4.0
+
+
+def test_reads_of_an_unknown_process_raise_and_create_nothing():
+    timeline = build_timeline()
+    for read in (
+        lambda: timeline.utilization("typo", 10.0),
+        lambda: render_timeline(timeline, horizon=10.0, processes=["zz"]),
+        lambda: timeline.process("zz"),
+    ):
+        with pytest.raises(KeyError, match="known: verifier, worker"):
+            read()
+    assert timeline.names() == ["verifier", "worker"]
+    assert timeline.aggregate(Span.BUSY) == 4.0 + 8.0
+    with pytest.raises(ValueError, match="already"):
+        timeline.spawn("worker")
 
 
 def test_utilization_summary():

@@ -232,7 +232,7 @@ def test_unattached_injector_raises():
 # ---------------------------------------------------------------- timeline
 def test_timeline_accumulates_busy_and_blocked():
     timeline = Timeline()
-    tl = timeline.process("p")
+    tl = timeline.spawn("p")
     tl.mark(Span.BUSY, 0.0)
     tl.mark(Span.BLOCKED, 3.0)
     tl.mark(Span.BUSY, 5.0)
@@ -243,7 +243,7 @@ def test_timeline_accumulates_busy_and_blocked():
 
 
 def test_timeline_mark_same_kind_is_noop():
-    tl = Timeline().process("p")
+    tl = Timeline().spawn("p")
     tl.mark(Span.BUSY, 0.0)
     tl.mark(Span.BUSY, 2.0)
     tl.close(4.0)
@@ -252,7 +252,7 @@ def test_timeline_mark_same_kind_is_noop():
 
 
 def test_reclassify_since_marks_wasted_work():
-    tl = Timeline().process("p")
+    tl = Timeline().spawn("p")
     tl.mark(Span.BUSY, 0.0)
     tl.mark(Span.BLOCKED, 4.0)
     tl.mark(Span.BUSY, 6.0)
@@ -268,7 +268,7 @@ def test_reclassify_since_does_not_double_count_wasted():
     not count the already-wasted time again: the per-call returns have to
     sum to the timeline's WASTED aggregate (the wasted-time metric and
     the restart trace records rely on this)."""
-    tl = Timeline().process("p")
+    tl = Timeline().spawn("p")
     tl.mark(Span.BUSY, 0.0)
     first = tl.reclassify_since(4.0, Span.WASTED, 8.0)
     assert first == pytest.approx(4.0)
@@ -282,8 +282,8 @@ def test_reclassify_since_does_not_double_count_wasted():
 
 def test_timeline_aggregate():
     timeline = Timeline()
-    timeline.process("a").mark(Span.BUSY, 0.0)
-    timeline.process("b").mark(Span.BUSY, 1.0)
+    timeline.spawn("a").mark(Span.BUSY, 0.0)
+    timeline.spawn("b").mark(Span.BUSY, 1.0)
     timeline.close_all(5.0)
     assert timeline.aggregate(Span.BUSY) == pytest.approx(5.0 + 4.0)
     assert timeline.names() == ["a", "b"]
