@@ -60,19 +60,18 @@ _EFFECTFUL = frozenset({"send", "recv", "aid_init", "affirm", "deny", "free_of"}
 
 class _ProcImage:
     """One process's slice of the recoverable image (encoded form), plus
-    the recorder's cursors and hot-path side buffers for it."""
+    its output rows on their way to the ledger and the recorder's hot-path
+    side buffers for it."""
 
-    __slots__ = ("base", "entries", "rebase", "flushed", "ledgered",
-                 "send_extras", "res_extras")
+    __slots__ = ("base", "entries", "rebase", "outputs", "send_extras", "res_extras")
 
     def __init__(self) -> None:
         self.base = 0
         self.entries: List[list] = []     # [kind, encoded_result] from ``base`` on
         self.rebase: Optional[list] = None  # [encoded_state, time]
-        #: How far into ``proc.outputs`` frames have been written, and how
-        #: far of that has reached the ledger.
-        self.flushed = 0
-        self.ledgered = 0
+        #: Output rows the WAL sealed since the last envelope, verbatim:
+        #: the next envelope appends them to the ledger.
+        self.outputs: List[list] = []
         # Hot-path side buffers, consumed in log order at flush time and
         # truncated on rollback exactly like the effect log itself.
         self.send_extras: List[tuple] = []  # (pos, msg_id, dst, payload)
@@ -169,13 +168,13 @@ class DurableRecorder:
 
     # -- fossil-pass flushing ------------------------------------------------
 
-    def flush_proc(self, proc, target: int, rebase=None) -> None:
+    def flush_proc(self, proc, target: int, passed, rebase=None) -> None:
         """Persist what this pass changes in ``proc``'s image: ``rebase``,
         the rebase point the pass is about to promote (None: the base
         stays); the committed log entries below the absolute position
         ``target`` (the commit frontier for this pass) that survive the
-        promotion; and the outputs the commit watermark — already advanced
-        to ``target`` by the engine — has passed since the last flush.
+        promotion; and ``passed``, the output records the commit watermark
+        — already advanced to ``target`` by the engine — has just passed.
         Entries the promotion drops only leave their side effects: a send
         opened or closed, an assumption's status."""
         name = proc.name
@@ -278,8 +277,8 @@ class DurableRecorder:
                 statuses.setdefault(key, handle.aid.status.value)
         if statuses:
             frame["rg"] = statuses
-        if proc.committed_count > img.flushed:
-            frame["o"] = _rows(proc.outputs[img.flushed:proc.committed_count])
+        if passed:
+            frame["o"] = [[encode_value(r.value), r.log_index, r.time] for r in passed]
         if frame:
             frame["t"] = "f"
             frame["p"] = name
@@ -352,7 +351,7 @@ class DurableRecorder:
                     f"expected {expect} (store is inconsistent)"
                 )
             img.entries.extend(kept)
-        img.flushed += len(rec.get("o", ()))
+        img.outputs.extend(rec.get("o", ()))
         self.open_sends.update(rec.get("so", ()))
         for mid in rec.get("sc", ()):
             del self.open_sends[mid]
@@ -361,10 +360,9 @@ class DurableRecorder:
     def write_snapshot(self, now: float) -> None:
         store = self.store
         for name, img in self.procs.items():
-            if img.flushed > img.ledgered:
-                outputs = self.system.procs[name].outputs
-                store.append_ledger(name, _rows(outputs[img.ledgered:img.flushed]))
-                img.ledgered = img.flushed
+            if img.outputs:
+                store.append_ledger(name, img.outputs)
+                img.outputs = []
         machine = self.system.machine
         gen = self.generation + 1
         doc = {
@@ -407,7 +405,7 @@ class DurableRecorder:
         (counted).  The envelope's WAL suffix is then applied, generation
         by generation, stopping at the first torn tail (discarded frames
         counted).  Returns the envelope's document with what else
-        :meth:`restore` needs (the recovered clock, the committed
+        :meth:`restore` needs (the recovered clock, the ledger's
         ``outputs``, the chain position), or None when the directory
         holds no restorable state at all.
         """
@@ -459,9 +457,6 @@ class DurableRecorder:
         outputs: Dict[str, list] = {}
         for name, rows in lines:
             outputs.setdefault(name, []).extend(rows)
-        for name, rows in outputs.items():
-            img = self._img(name)
-            img.flushed = img.ledgered = len(rows)
         now = doc["time"]
         wal_gens = store.wal_gens()
         g = base_gen
@@ -473,7 +468,6 @@ class DurableRecorder:
                 self._apply(frame)
                 rows = frame.get("o")
                 if rows:
-                    outputs.setdefault(frame["p"], []).extend(rows)
                     now = max(now, rows[-1][2])
             if not clean:
                 break
@@ -493,7 +487,6 @@ class DurableRecorder:
         # Engine-module imports are deferred: repro.runtime imports
         # repro.durable, not the other way around at module load.
         from ..core.aid import AidStatus
-        from ..runtime.engine import OutputRecord
         from ..runtime.replay import RebasePoint
         from ..sim.channel import Message, Network
 
@@ -552,11 +545,8 @@ class DurableRecorder:
                 proc.rebase = RebasePoint(
                     img.base, bound(decode_value(img.rebase[0])), img.rebase[1]
                 )
-            proc.outputs = [
-                OutputRecord(decode_value(v), int(i), None, tm)
-                for v, i, tm in loaded["outputs"].get(name, ())
-            ]
-            proc.committed_count = len(proc.outputs)
+            rows = loaded["outputs"].get(name, []) + img.outputs
+            proc.committed = [decode_value(row[0]) for row in rows] or ()
 
         network = system.network
         in_flight = sorted(
@@ -647,11 +637,6 @@ class DurableRecorder:
         g("hope_durable_injected_messages_total",
           "Committed in-flight sends re-injected at resume").set(
               self.stats["injected_messages"])
-
-
-def _rows(records) -> List[list]:
-    """Committed output records as frame / ledger rows."""
-    return [[encode_value(r.value), r.log_index, r.time] for r in records]
 
 
 _SCALARS = (type(None), bool, int, float, str, bytes)

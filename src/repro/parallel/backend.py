@@ -381,11 +381,11 @@ class ParallelBackend(Backend):
                 proc.crashed = info["crashed"]
                 proc.result = info["result"]
                 proc.restarts = info["restarts"]
+                proc.committed = info["committed"] or ()
                 proc.outputs = [
-                    OutputRecord(value, i, None if committed else _SPECULATIVE,
-                                 time)
-                    for i, (value, committed, time) in enumerate(info["outputs"])
-                ]
+                    OutputRecord(value, i, _SPECULATIVE, time)
+                    for i, (value, time) in enumerate(info["outputs"])
+                ] or ()
             for key, status in final["aids"].items():
                 if (_STATUS_RANK[status]
                         > _STATUS_RANK.get(self._aid_statuses.get(key,

@@ -107,7 +107,8 @@ def _final_report(spec: ShardSpec, system, transport) -> dict:
             "crashed": proc.crashed,
             "result": proc.result,
             "restarts": proc.restarts,
-            "outputs": [(r.value, r.committed, r.time) for r in proc.outputs],
+            "committed": system.committed_outputs(name),
+            "outputs": [(r.value, r.time) for r in proc.outputs if not r.committed],
         }
     return {
         "index": spec.index,

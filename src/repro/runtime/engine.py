@@ -107,10 +107,10 @@ class SpeculativeSpawnError(HopeError):
 
 class OutputRecord:
     """One emitted output: the value, where in the log it happened, and the
-    speculative interval (if any) whose fate it shares.  Once the commit
-    watermark passes a record (:attr:`ProcessRuntime.committed_count`) its
-    ``interval`` is dropped: a committed output must not keep the interval,
-    and through it messages, payloads and AID handles, alive."""
+    speculative interval (if any) whose fate it shares.  A record lives
+    only above the commit watermark: the pass that carries the watermark
+    past it keeps its value (:attr:`ProcessRuntime.committed`) and drops
+    the record, and with it the interval, the log index and the time."""
 
     __slots__ = ("value", "log_index", "interval", "time")
 
@@ -137,7 +137,7 @@ class ProcessRuntime:
         "name", "fn", "args", "facade", "log", "task",
         "incarnation", "restarts", "done", "result", "crashed", "outputs",
         "track", "mailbox", "mproc", "bridge", "rebase", "rebase_candidates",
-        "committed_count",
+        "committed",
     )
 
     def __init__(self, name: str, fn: Callable[..., Generator], args: tuple) -> None:
@@ -152,12 +152,12 @@ class ProcessRuntime:
         self.done = False
         self.result: Any = None
         self.crashed = False
-        self.outputs: list[OutputRecord] = []
-        #: Commit watermark into ``outputs`` (appended in log order): the
-        #: records below it are behind the commit frontier for good
-        #: (Theorem 6.1) and hold no interval.  Advanced by fossil passes;
-        #: rollback, crash and the durable flush only look above it.
-        self.committed_count = 0
+        #: Output records above the commit watermark, in log order, and the
+        #: values behind it (Theorem 6.1: committed for good), in order.
+        #: Fossil passes move records' values across; rollback and crash
+        #: only cut ``outputs``.  Each is the shared empty tuple until used.
+        self.outputs: "list[OutputRecord] | tuple" = ()
+        self.committed: "list | tuple" = ()
         #: Cached timeline track and mailbox (assigned at spawn; hot-path
         #: marks and recv registrations skip the per-event name lookups).
         self.track = None
@@ -181,6 +181,13 @@ class ProcessRuntime:
             self.rebase_candidates.append(point)
         else:
             self.rebase_candidates = [point]
+
+    def commit(self, records) -> None:
+        """Append the values of ``records`` to :attr:`committed`."""
+        if self.committed:
+            self.committed.extend(record.value for record in records)
+        elif records:
+            self.committed = [record.value for record in records]
 
     def __repr__(self) -> str:
         return f"<ProcessRuntime {self.name!r} inc={self.incarnation} restarts={self.restarts}>"
@@ -716,8 +723,8 @@ class HopeSystem:
         (the same frontier computation as a fossil pass, minus the
         collection)."""
         for proc in self.procs.values():
-            target, _ = self._settle_frontier(proc)
-            self._durable.flush_proc(proc, target)
+            target, _, passed = self._settle_frontier(proc)
+            self._durable.flush_proc(proc, target, passed)
         self._durable.end_pass(self.sim.now, force_snapshot=True)
 
     def aid(self, ref: AidRef) -> AssumptionId:
@@ -785,12 +792,8 @@ class HopeSystem:
         # The survivors are committed and the log restarts at 0, so the
         # watermark moves past them: no later rollback may judge them by
         # their pre-crash log positions.
-        mark = proc.committed_count
-        survivors = [r for r in proc.outputs[mark:] if r.committed]
-        for record in survivors:
-            record.interval = None
-        proc.outputs[mark:] = survivors
-        proc.committed_count = len(proc.outputs)
+        proc.commit([r for r in proc.outputs if r.committed])
+        proc.outputs = ()
         self.tracer.record(self.sim.now, "crash", name)
 
     def restart_process(self, name: str) -> None:
@@ -1016,7 +1019,7 @@ class HopeSystem:
             proc = self.procs.get(record.name)
             if proc is None:
                 continue
-            target, frontier_time = self._settle_frontier(proc)
+            target, frontier_time, passed = self._settle_frontier(proc)
             # Effect-log prefix: promote the newest rebase candidate at or
             # behind the frontier (and behind any in-flight replay cursor)
             # and drop the entries it makes unreachable.  The durable flush
@@ -1035,7 +1038,7 @@ class HopeSystem:
                 if best is not None and best.log_index <= proc.log.base:
                     best = None
             if self._durable is not None:
-                self._durable.flush_proc(proc, target, best)
+                self._durable.flush_proc(proc, target, passed, best)
             if best is not None:
                 proc.rebase = best
                 proc.rebase_candidates = [
@@ -1068,7 +1071,8 @@ class HopeSystem:
         """Advance ``proc``'s commit watermark to its frontier.  Returns the
         frontier, ``(log position, virtual time)``: the oldest still-speculative
         guess's checkpoint (everything up to now with no live speculation),
-        the log position held behind an in-flight replay cursor."""
+        the log position held behind an in-flight replay cursor; and the
+        output records the watermark passed (their values are committed)."""
         log = proc.log
         frontier_log = len(log)
         frontier_time = self.sim._now
@@ -1081,7 +1085,7 @@ class HopeSystem:
                     frontier_time = cp.time
         target = min(frontier_log, log.cursor)
         outputs = proc.outputs
-        mark = proc.committed_count
+        mark = 0
         while mark < len(outputs) and outputs[mark].log_index < target:
             record = outputs[mark]
             interval = record.interval
@@ -1091,10 +1095,15 @@ class HopeSystem:
                     f"frontier (log {record.log_index} < {target}) but is not "
                     "committed — violates Theorem 6.1"
                 )
-            record.interval = None
             mark += 1
-        proc.committed_count = mark
-        return target, frontier_time
+        if not mark:
+            return target, frontier_time, ()
+        passed = outputs[:mark]
+        del outputs[:mark]
+        if not outputs:
+            proc.outputs = ()
+        proc.commit(passed)
+        return target, frontier_time, passed
 
     def _release_received(self, messages) -> None:
         """The interval that kept ``messages`` can no longer un-receive them
@@ -1408,7 +1417,10 @@ class HopeSystem:
     def _do_emit(self, proc, task, effect: EmitEffect) -> None:
         current = proc.mproc.current
         record = OutputRecord(effect.value, len(proc.log), current, self.sim.now)
-        proc.outputs.append(record)
+        if proc.outputs:
+            proc.outputs.append(record)
+        else:
+            proc.outputs = [record]
         proc.log.append("emit", None)
         if self._tracing:
             self.tracer.record(
@@ -1498,14 +1510,13 @@ class HopeSystem:
     # ------------------------------------------------------------------
     def outputs(self, name: str) -> list[Any]:
         """All currently standing outputs of ``name`` (speculative included)."""
-        return [record.value for record in self.procs[name].outputs]
+        proc = self.procs[name]
+        return [*proc.committed, *(record.value for record in proc.outputs)]
 
     def committed_outputs(self, name: str) -> list[Any]:
         """Outputs that no live speculation can withdraw anymore."""
         proc = self.procs[name]
-        mark = proc.committed_count
-        tail = [r.value for r in proc.outputs[mark:] if r.committed]
-        return [r.value for r in proc.outputs[:mark]] + tail
+        return [*proc.committed, *(r.value for r in proc.outputs if r.committed)]
 
     # ------------------------------------------------------------------
     # message delivery (via bridges)
@@ -1697,11 +1708,13 @@ class HopeSystem:
         # order, so they are a suffix — and one above the watermark (the
         # machine refuses to roll back a definite interval, Theorem 5.2).
         outputs = proc.outputs
-        mark = proc.committed_count
         cut = len(outputs)
-        while cut > mark and outputs[cut - 1].log_index >= checkpoint.log_index:
+        while cut and outputs[cut - 1].log_index >= checkpoint.log_index:
             cut -= 1
-        del outputs[cut:]
+        if not cut:
+            proc.outputs = ()
+        elif cut < len(outputs):
+            del outputs[cut:]
         wasted = proc.track.reclassify_since(
             checkpoint.time, Span.WASTED, self.sim.now
         )

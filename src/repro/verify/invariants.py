@@ -40,8 +40,8 @@ class LedgerMonitor:
     previously verified committed prefix (plus an O(1) boundary sentinel)
     instead of rebuilding every ledger — the naive sweep made monitored
     runs O(processes x history) *per machine event*.  ``scans`` counts
-    output records examined; regression tests assert it stays linear in
-    the event count.
+    committed values and output records examined; regression tests
+    assert it stays linear in the event count.
     """
 
     def __init__(self, system: HopeSystem) -> None:
@@ -68,36 +68,43 @@ class LedgerMonitor:
         if proc is None:
             return  # pseudo-pids (e.g. the failure detector) own no ledger
         snapshot = self._snapshots.setdefault(name, [])
-        outputs = proc.outputs
-        k = len(snapshot)
+        committed, outputs = proc.committed, proc.outputs
+        k, n = len(snapshot), len(committed)
         if full:
-            committed = [r.value for r in outputs if r.committed]
-            self.scans += len(outputs)
-            if committed[:k] != snapshot:
+            ledger = self.system.committed_outputs(name)
+            self.scans += n + len(outputs)
+            if ledger[:k] != snapshot:
                 raise InvariantViolation(
                     f"committed ledger of {name!r} shrank or mutated: "
-                    f"{snapshot!r} -> {committed!r}"
+                    f"{snapshot!r} -> {ledger!r}"
                 )
-            snapshot.extend(committed[k:])
+            snapshot.extend(ledger[k:])
             return
-        # Delta path: the boundary sentinel catches a vanished or mutated
-        # prefix tail in O(1); then absorb newly committed records.
+        # Delta path: the boundary sentinel — a value behind the watermark
+        # or a record above it — catches a vanished or mutated prefix tail
+        # in O(1); then absorb newly committed values and records.
         if k > 0:
             self.scans += 1
-            if (
-                len(outputs) < k
-                or not outputs[k - 1].committed
-                or outputs[k - 1].value != snapshot[-1]
-            ):
+            if k <= n:
+                intact = committed[k - 1] == snapshot[-1]
+            else:
+                j = k - 1 - n
+                intact = (j < len(outputs) and outputs[j].committed
+                          and outputs[j].value == snapshot[-1])
+            if not intact:
                 raise InvariantViolation(
                     f"committed ledger of {name!r} shrank or mutated: "
-                    f"{snapshot!r} -> "
-                    f"{[r.value for r in outputs if r.committed]!r}"
+                    f"{snapshot!r} -> {self.system.committed_outputs(name)!r}"
                 )
-        while k < len(outputs) and outputs[k].committed:
+        if k < n:
+            self.scans += n - k
+            snapshot.extend(committed[k:])
+            k = n
+        j = k - n
+        while j < len(outputs) and outputs[j].committed:
             self.scans += 1
-            snapshot.append(outputs[k].value)
-            k += 1
+            snapshot.append(outputs[j].value)
+            j += 1
 
     def sample(self) -> None:
         """Full sweep over every ledger (the post-run / on-demand check)."""

@@ -12,6 +12,7 @@ something a resumed run needs, so each is pinned here:
 * nothing the image can reach names an AID without a registry row;
 * a committed send's tags are all affirmed when it flushes (why no tag is
   persisted);
+* the ledger appends the output rows the WAL sealed, byte for byte;
 * bytes per committed op and envelope size do not grow with run length;
 * a body with no commit point keeps its whole committed log until it
   exits, and then none of it;
@@ -232,20 +233,70 @@ def test_committed_sends_are_tagged_with_affirmed_aids_only(tmp_path, workload):
     flush_proc = recorder.flush_proc
     tagged = []
 
-    def checked_flush(proc, target, rebase=None):
+    def checked_flush(proc, target, passed, rebase=None):
         for pos, msg_id, _dst, _payload in recorder._img(proc.name).send_extras:
             if pos < target and tags_of[msg_id]:
                 tagged.append(msg_id)
                 for key in tags_of[msg_id]:
                     aid = machine.aids.get(key)       # None: retired, so resolved
                     assert aid is None or aid.affirmed, (msg_id, key)
-        flush_proc(proc, target, rebase)
+        flush_proc(proc, target, passed, rebase)
 
     system.network.send = tagging_send
     recorder.flush_proc = checked_flush
     system.run()
     # (the two counters send before they guess: nothing of theirs is tagged)
     assert tagged or workload in ("counter", "steady")
+
+
+# -------------------------------- the ledger holds what the WAL sealed
+def _aliasing_emitter(p, judge, rounds):
+    box = [0]
+    for i in range(rounds):
+        a = yield p.aid_init("round")
+        yield p.send(judge, a)
+        yield p.guess(a)
+        box[0] = i
+        yield p.emit(box)               # the same list every round
+        yield p.compute(1.0)
+
+
+def _affirmer(p, rounds):
+    for _ in range(rounds):
+        yield p.affirm((yield p.recv()).payload)
+
+
+def test_the_ledger_appends_the_rows_the_wal_sealed(tmp_path):
+    """An emitted value is kept by reference, so a body that mutates it
+    after the emit changes what its record holds.  The ledger must not
+    care: it appends the rows the WAL sealed when the outputs committed,
+    byte for byte, not the values as they stand at envelope time (else a
+    kill between a flush and its envelope resumes to other values)."""
+    rounds = 16
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4,
+                        durable_dir=str(tmp_path), durable_opts={"snapshot_every": 2})
+    system.spawn("judge", _affirmer, rounds)
+    system.spawn("box", _aliasing_emitter, "judge", rounds)
+    store = system._durable.store
+    append_record = store.append_record
+    sealed = []
+
+    def recording(rec):
+        sealed.extend(json.dumps(row, sort_keys=True) for row in rec.get("o", ()))
+        return append_record(rec)
+
+    store.append_record = recording
+    system.run()
+    assert system._durable.stats["snapshots_written"] > 1
+    ledger = []
+    with open(tmp_path / "ledger.jsonl", "rb") as fh:
+        for line in fh:
+            body = json.loads(line.rpartition(b" ")[0])
+            assert body["p"] == "box"
+            ledger.extend(json.dumps(row, sort_keys=True) for row in body["r"])
+    assert ledger == sealed and len(ledger) == rounds
+    # (each frame encoded the list as it stood at its pass: not one value)
+    assert len({json.dumps(json.loads(row)[0]) for row in ledger}) > 1
 
 
 # ------------------------------------------ exit is the last commit point

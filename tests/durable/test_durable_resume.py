@@ -263,18 +263,17 @@ class TestWatermarkAcrossResume:
         with pytest.raises(EventLimitExceeded):
             system.run(max_events=90)
         assert system.stats()["fossil_collections"] >= 6
-        flushed = {name: p.committed_count for name, p in system.procs.items()}
+        flushed = {name: len(p.committed) for name, p in system.procs.items()}
         assert all(count >= 2 for count in flushed.values()), flushed
         del system          # abandoned mid-run: the in-process "crash"
 
         resumed = _resume(tmp_path, build=_build_long_counter, fossil_interval=2)
         restored = {}
         for name, proc in resumed.procs.items():
-            # the rebuilt ledger is committed for good: watermark at its end
-            assert 0 < len(proc.outputs) <= flushed[name]
-            assert proc.committed_count == len(proc.outputs)
-            assert all(r.interval is None for r in proc.outputs)
-            restored[name] = list(proc.outputs)
+            # the rebuilt ledger is committed for good: values, no records
+            assert 0 < len(proc.committed) <= flushed[name]
+            assert proc.outputs == ()
+            restored[name] = list(proc.committed)
 
         rollbacks = []
         apply_rollback = resumed._apply_rollback
@@ -284,8 +283,7 @@ class TestWatermarkAcrossResume:
             proc = resumed.procs[event.pid]
             kept = restored[event.pid]
             # only post-resume outputs may be withdrawn
-            assert proc.outputs[:len(kept)] == kept
-            assert proc.committed_count >= len(kept)
+            assert proc.committed[:len(kept)] == kept
             rollbacks.append(event.pid)
 
         resumed._apply_rollback = checked_rollback
@@ -297,9 +295,7 @@ class TestWatermarkAcrossResume:
         twin.run()
         assert _committed(resumed) == _committed(twin)
         for name, proc in resumed.procs.items():
-            assert [r.value for r in proc.outputs[:len(restored[name])]] == [
-                r.value for r in restored[name]
-            ]
+            assert proc.committed[:len(restored[name])] == restored[name]
 
 
 # --------------------------------------- a sealed pass is a consistent cut

@@ -5,19 +5,22 @@ leaves allocated.
 before the call to after the reading, and returns the bytes
 ``tracemalloc`` traced and the ``sys.getallocatedblocks()`` still
 allocated while the result lives: what is gone was freed by reference
-counting.  The three shapes the budgets are set on live here too:
+counting.  The four shapes the budgets are set on live here too:
 
 * :func:`idle_process` — a process spawned and blocked in ``recv``;
 * :func:`running_round` — one more round of a ``pingpong``-shaped pair
   whose bodies keep running (and so keep their logs);
 * :func:`retired_process` — a process of ``cascade``-shaped relay waves
-  once it has finished and been retired.
+  once it has finished and been retired;
+* :func:`committed_output` — one more ``p.emit`` once a pass has
+  committed it.
 
 The bytes differ between interpreters, so every budget is a table keyed
 by ``sys.version_info[:2]`` (:func:`budget`).  The file is also a script
-that needs neither pytest nor the test suite: run
-``PYTHONPATH=src python tests/footprint.py`` under each interpreter of the
-CI matrix to print the figures the tables are set from.
+that needs neither pytest nor the test suite:
+``PYTHONPATH=src python tests/footprint.py`` prints the figures the
+tables are set from, and every tier-1 leg of CI runs it before the suite,
+so each interpreter's figures are in its log.
 """
 
 from __future__ import annotations
@@ -192,6 +195,29 @@ def retired_process(trees: int = 60) -> tuple:
     return (large[0], *_per_unit(small, large, 3 * trees * (DEPTH + 2)))
 
 
+# --------------------------------------------------------- committed output
+def _emitter(p, count):
+    for _ in range(count):
+        yield p.compute(1.0)
+        yield p.emit("tick")        # one shared value: the figure is the rest
+
+
+def emitting_system(count: int) -> HopeSystem:
+    system = HopeSystem(seed=1)
+    system.spawn("emitter", _emitter, count)
+    system.run()
+    system._run_fossil_collection()     # nothing finalizes: no pass ran
+    return system
+
+
+def committed_output(count: int = 2000) -> tuple:
+    """``(system at 4 x count, bytes, blocks)`` per committed emit."""
+    emitting_system(10)             # imports, caches, interned strings
+    small = measure(lambda: emitting_system(count))
+    large = measure(lambda: emitting_system(4 * count))
+    return (large[0], *_per_unit(small, large, 3 * count))
+
+
 if __name__ == "__main__":
     version = "%d.%d" % sys.version_info[:2]
     _, traced, blocks = idle_process()
@@ -200,3 +226,5 @@ if __name__ == "__main__":
     print(f"{version} running round:   {traced:7.1f} B {blocks:5.1f} blocks")
     _, traced, blocks = retired_process()
     print(f"{version} retired process: {traced:7.1f} B {blocks:5.1f} blocks")
+    _, traced, blocks = committed_output()
+    print(f"{version} committed output: {traced:6.1f} B {blocks:5.1f} blocks")

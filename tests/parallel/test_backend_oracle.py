@@ -133,8 +133,7 @@ def test_worker_crash_mid_speculation_denies_dead_aids():
     assert any(par.aid_status(k) is AidStatus.DENIED for k in dead_keys)
     # Survivors keep only committed outputs — nothing speculative leaked.
     for name in ("validator", "w1"):
-        for record in par.procs[name].outputs:
-            assert record.committed
+        assert par.outputs(name) == par.committed_outputs(name)
 
 
 def test_rejects_unsupported_options():

@@ -335,11 +335,10 @@ class TestCommittedOutputsPinNothing:
         for table, size in at_400.items():
             assert 0 < at_100[table] and size <= 1.25 * at_100[table], (table, at_100, at_400)
         assert at_400["aids"] < 100
-        # committed records keep their value and stay committed, intervals gone
+        # committed outputs keep their value and nothing else: no record
         for proc in long_.procs.values():
-            assert proc.committed_count > 0
-            for record in proc.outputs[:proc.committed_count]:
-                assert record.committed and record.interval is None
+            assert len(proc.committed) > 0
+            assert all(record.committed for record in proc.outputs)
         assert len(long_.committed_outputs("judge")) == 800
         # every AID ever minted was retired, bar the live tail
         stats = long_.stats()
@@ -446,7 +445,7 @@ class TestPassCost:
         def observed():
             reclaimable.append(len(system.machine.reclaimable))
             run_pass()
-            watermark.append(system.procs["ticker"].committed_count)
+            watermark.append(len(system.procs["ticker"].committed))
 
         system._run_fossil_collection = observed
         system.run()
