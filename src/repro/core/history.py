@@ -96,8 +96,8 @@ class ProcessRecord:
             reclaimable_sink if reclaimable_sink is not None else []
         )
         self.history: "list[HistoryEntry] | tuple" = [] if keeps_history else ()
-        #: All intervals ever created, in creation order (including dead ones).
-        self.intervals: list[Interval] = []
+        #: Intervals not yet fossil (dead ones too); ``()`` while there are none.
+        self.intervals: "list[Interval] | tuple" = ()
         #: S.I — the current interval; None encodes the paper's I = ∅.
         self.current: Optional[Interval] = None
         #: S.IS — speculative intervals leading to the current state.  The
@@ -202,7 +202,7 @@ class ProcessRecord:
         """Drop the committed prefix: history entries and dead intervals
         strictly below ``index`` (default: the commit frontier itself,
         what a fossil pass does with every record it visits), and an
-        emptied S.IS set for the shared empty one.
+        emptied S.IS set or interval list for the shared empty one.
 
         The inverse of :meth:`truncate_from` — a *prefix* drop, sound only
         when ``index`` is at or below the process's commit frontier
@@ -249,7 +249,7 @@ class ProcessRecord:
                 keep.append(iv)
         dropped = len(intervals) - len(keep)
         if dropped:
-            self.intervals = keep
+            self.intervals = keep or ()
             for iv in keep:
                 parent = iv.parent
                 if parent is not None and parent.state is not _SPECULATIVE:

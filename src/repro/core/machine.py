@@ -369,6 +369,8 @@ class Machine:
         fresh = [a for a in aids if a.pending and a not in current_deps]
         if not fresh:
             return None
+        # A tag set iterates in address order; the partial IDOs interned may not.
+        fresh.sort(key=_aid_order)
         self.stats["implicit_guesses"] += len(fresh)
         return self._make_interval(record, fresh, head_aid=None, ps=ps)
 
@@ -399,7 +401,10 @@ class Machine:
         # inherited X must reach this interval through X.DOM).
         for aid in interval.ido:
             aid.dom.add(interval)
-        record.intervals.append(interval)
+        if record.intervals:
+            record.intervals.append(interval)
+        else:
+            record.intervals = [interval]
         record.current = interval                       # Eq 5: S.I ← A
         if record.speculative is NO_INTERVALS:          # Eq 5: S.IS ∪ {A}
             record.speculative = {interval}

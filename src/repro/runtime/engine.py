@@ -82,6 +82,7 @@ _DEFINITE = IntervalState.DEFINITE
 #: C-level ReceivedMessage constructor (no generated ``__new__`` frame).
 _new_received = partial(tuple.__new__, ReceivedMessage)
 from .replay import (
+    KIND_CODE,
     Checkpoint,
     EffectLog,
     Exited,
@@ -94,6 +95,8 @@ from .resilience import (
     ReliableConfig,
     ReliableTransport,
 )
+
+_SEND_CODE, _RECV_CODE = KIND_CODE["send"], KIND_CODE["recv"]
 
 
 class SpeculativeSpawnError(HopeError):
@@ -1336,7 +1339,7 @@ class HopeSystem:
         # log.append inlined (hot path: one entry per send), both columns:
         # the live-side invariant is cursor == base + retained.
         log = proc.log
-        log.kinds.append("send")
+        log.kinds.append(_SEND_CODE)
         log.results.append(msg_id)
         log.cursor += 1
         if self._durable is not None:
@@ -1360,8 +1363,7 @@ class HopeSystem:
             bridge.effect = effect
         task._cleanup = bridge
         track = proc.track
-        open_span = track._open
-        if open_span is None or open_span.kind != Span.BLOCKED:
+        if track.open_kind != Span.BLOCKED:
             # Inlined mark() early-return: in steady-state message loops
             # the track is already BLOCKED and the call was pure overhead.
             track.mark(Span.BLOCKED, self.sim._now)
@@ -1582,7 +1584,7 @@ class HopeSystem:
             self.network.release(message)   # a definite receive is for good
         # log.append inlined, as in _do_send (one entry per delivery).
         log = proc.log
-        log.kinds.append("recv")
+        log.kinds.append(_RECV_CODE)
         log.results.append(received)
         log.cursor += 1
         if self._tracing:

@@ -31,6 +31,12 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable, Iterator, NamedTuple
 
 from ..core.errors import HopeError
+from . import effects
+
+#: Code ``i`` of a log's ``kinds`` column names ``KINDS[i]``, a HOPE effect's ``kind``.
+KINDS: tuple = tuple(sorted({cls.kind for cls in vars(effects).values() if isinstance(cls, type)
+                             and "kind" in vars(cls) and cls is not effects.HopeEffect}))
+KIND_CODE: dict = {kind: code for code, kind in enumerate(KINDS)}
 
 
 class ReplayDivergenceError(HopeError):
@@ -116,11 +122,12 @@ class EffectLog:
     :meth:`feed` until the cursor reaches the end, at which point the
     process is live again.
 
-    An entry is a slot in each of two parallel columns, ``kinds`` (the
-    strings the effect classes share) and ``results`` — a running body
-    keeps its log, so an entry costs two list slots and no object
-    (docs/PERFORMANCE.md §15).  Only this class and the two inlined
-    appends in ``runtime.engine`` know the layout: never append to one.
+    An entry is a slot in each of two parallel columns, ``kinds`` (a
+    ``bytearray`` of codes, :data:`KIND_CODE`; reads name kinds) and
+    ``results`` — a running body keeps its log, so an entry costs a byte
+    and a slot (docs/PERFORMANCE.md §15, §20).  Only this class and the
+    two inlined appends in ``runtime.engine`` know the layout: never
+    append to one.
 
     All indices (``cursor``, checkpoint/truncation/replay positions) are
     **absolute** journal positions, stable across fossil collection.
@@ -143,7 +150,7 @@ class EffectLog:
     )
 
     def __init__(self) -> None:
-        self.kinds: list[str] = []
+        self.kinds = bytearray()
         self.results: list[Any] = []
         #: Absolute position of slot 0 (entries dropped in front).
         self.base = 0
@@ -163,7 +170,7 @@ class EffectLog:
     # live side
     # ------------------------------------------------------------------
     def append(self, kind: str, result: Any) -> None:
-        self.kinds.append(kind)
+        self.kinds.append(KIND_CODE[kind])
         self.results.append(result)
         # Live appends keep the cursor at the tail (the live-side
         # invariant ``cursor == base + retained``, so += 1 suffices);
@@ -188,12 +195,12 @@ class EffectLog:
     def entry_at(self, index: int) -> LogEntry:
         """The entry at absolute position ``index`` (``IndexError`` past the end)."""
         at = self._slot(index)
-        return LogEntry(self.kinds[at], self.results[at])
+        return LogEntry(KINDS[self.kinds[at]], self.results[at])
 
     def pairs(self, start: int, stop: int) -> Iterator[tuple]:
         """``(kind, result)`` of the entries at positions ``[start, stop)``."""
         lo, hi = self._slot(start), self._slot(stop)
-        return zip(self.kinds[lo:hi], self.results[lo:hi])
+        return zip(map(KINDS.__getitem__, self.kinds[lo:hi]), self.results[lo:hi])
 
     def load(self, base: int, pairs: Iterable[tuple]) -> None:
         """Replace the log by ``pairs`` from position ``base`` on, live at the tail."""
@@ -226,7 +233,8 @@ class EffectLog:
         """Return the logged result for the next effect, checking its kind."""
         at = self.cursor - self.base
         logged = self.kinds[at]
-        if logged != kind:
+        if logged != KIND_CODE[kind]:
+            logged = KINDS[logged]
             if self.cursor == self.base > 0:
                 # The very first effect of an incarnation resumed from a
                 # rebase point: what a misplaced commit point looks like.

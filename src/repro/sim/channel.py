@@ -365,8 +365,7 @@ class Network:
         self._sweep_live: Optional[list] = None
         self._can_batch = (
             type(self)._schedule_delivery is Network._schedule_delivery
-            and sim._tie_breaker is None
-            and sim._controller is None
+            and sim._batching
         )
 
     def register(self, name: str) -> Mailbox:
@@ -382,9 +381,6 @@ class Network:
         if box is None:
             raise UnknownEndpointError(f"no endpoint named {name!r}")
         return box
-
-    def has_endpoint(self, name: str) -> bool:
-        return name in self._mailboxes
 
     def send(
         self,
@@ -402,8 +398,8 @@ class Network:
 
         Same-tick coalescing: when this delivery would fire at exactly the
         same virtual time as the previously scheduled one *and* no other
-        event has been scheduled in between (``seq`` adjacency — so no
-        event can possibly order between the two), the message rides the
+        event has been scheduled in between (:meth:`Simulator.joins` — so
+        no event can possibly order between the two), the message rides the
         previous delivery's event as one sweep instead of paying its own
         scheduler round-trip.  Sequence numbers are allocated per
         ``schedule`` call, so adjacency makes the merged order provably
@@ -424,14 +420,8 @@ class Network:
         )
         batch = self._open_batch
         if batch is not None:
-            sim = self.sim
             levent = batch[0]
-            if (
-                sim._seq_next == levent.seq + 1
-                and levent.time == sim._now + delay
-                and delay >= 0.0
-                and not levent.cancelled
-            ):
+            if self.sim.joins(levent, delay):
                 entries = batch[1]
                 # The rider may only join a delivery that will still
                 # happen: either the event is pending (``sim`` is detached
@@ -454,7 +444,7 @@ class Network:
                         # which the sweep honours.
                         entries = batch[1] = [(batch[2], batch[3])]
                         levent.fn = self._sweep_deliveries
-                        levent.args = (entries,)
+                        levent.args = (entries, levent.key)
                         batch[4]._event = None
                     entries.append((box, message))
                     if message.tags:
@@ -470,15 +460,20 @@ class Network:
             self._open_batch = [event, None, box, message, delivery]
         return delivery
 
-    def _sweep_deliveries(self, entries: list) -> None:
+    def _sweep_deliveries(self, entries: list, key: tuple) -> None:
         """Deliver a coalesced batch, in original (seq) schedule order.
 
         Per message this is exactly what the dedicated delivery callbacks
-        (``box.put`` / :meth:`_put`) would have done at the same instant."""
+        (``box.put`` / :meth:`_put`) would have done at the same instant,
+        and one that raises leaves the rest queued at the sweep's ``key``."""
         self._sweep_live = entries
         try:
-            for box, message in entries:
+            for at, (box, message) in enumerate(entries, 1):
                 self._put(box, message)
+        except BaseException:
+            if at < len(entries):
+                self.sim.requeue(key, self._sweep_deliveries, entries[at:], key)
+            raise
         finally:
             self._sweep_live = None
 

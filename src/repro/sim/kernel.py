@@ -147,9 +147,8 @@ class Simulator:
         #: of a queue scan (benchmarks poll it per-iteration).
         self._live = 0
         #: Next sequence number, as a readable integer (not an opaque
-        #: counter object): the network's same-tick delivery coalescing
-        #: checks "has anything been scheduled since event X?" by
-        #: comparing this against ``X.seq + 1``.
+        #: counter object): :meth:`joins` checks "has anything been
+        #: scheduled since event X?" by comparing this against ``X.seq + 1``.
         self._seq_next = 0
         self._events_processed = 0
         self._running = False
@@ -168,6 +167,10 @@ class Simulator:
                 "decide same-time event order"
             )
         self._controller = controller
+        #: Batching (:meth:`joins`) is off when either orders same-time work.
+        self._batching = tie_breaker is None and controller is None
+        #: The newest start batch (:meth:`repro.sim.process.Task.start`).
+        self.start_batch: Optional[ScheduledEvent] = None
 
     def _compact_if_dead(self) -> None:
         """Evict cancelled events once they outnumber live ones.
@@ -242,6 +245,20 @@ class Simulator:
         heappush(self._heap, event)
         self._live += 1
         return event
+
+    def joins(self, event: ScheduledEvent, delay: float) -> bool:
+        """Whether work due ``delay`` from now may ride ``event`` (which the
+        caller knows will still run it): nothing scheduled since, not
+        cancelled, same time — so the firing order is the unbatched one."""
+        return (self._batching and self._seq_next == event.seq + 1
+                and event.time == self._now + delay and not event.cancelled)
+
+    def requeue(self, key: tuple, fn: Callable[..., None], *args: Any) -> None:
+        """Queue ``fn(*args)`` at ``key``, the ``(time, priority, seq)`` of a
+        batch raising mid-way: its rest fires where its own events would."""
+        time, priority, seq = key
+        heappush(self._heap, ScheduledEvent(time, seq, fn, args, "", priority, sim=self))
+        self._live += 1
 
     def schedule_at(
         self,

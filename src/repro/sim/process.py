@@ -200,12 +200,18 @@ class Task:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self, delay: float = 0.0) -> "Task":
-        """Schedule the first step of the task ``delay`` from now."""
+        """Schedule the first step ``delay`` from now, in a start batch."""
         if self._state != Task._FRESH:
             raise SimulationError(f"task {self.name!r} already started")
         self._gen = self.fn(self, *self.args)
         self._state = Task._WAITING
-        self._pending = self.sim.schedule(delay, self._step, None, False, label=f"start:{self.name}")
+        sim = self.sim
+        batch = sim.start_batch
+        if batch is not None and batch.sim is not None and sim.joins(batch, delay):
+            batch.args[0].append(self)
+        else:
+            batch = sim.start_batch = sim.schedule(delay, _start_batch, [self], label="start:" + self.name)
+        self._pending = batch
         return self
 
     @property
@@ -285,9 +291,15 @@ class Task:
         """
         if not self.alive:
             return
-        if self._pending is not None:
-            self._pending.cancel()
+        pending = self._pending
+        if pending is not None:
             self._pending = None
+            if pending.fn is not _start_batch:
+                pending.cancel()
+            elif pending.sim is not None:   # a firing batch skips the task
+                pending.args[0].remove(self)
+                if not pending.args[0]:
+                    pending.cancel()
         self._run_cleanups()
         self._state = Task._KILLED
         if self._gen is not None:
@@ -410,6 +422,21 @@ class Task:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Task {self.name!r} {self._state}>"
+
+
+def _start_batch(tasks: list) -> None:
+    """Step a start batch's tasks in start order, skipping the killed; if
+    one raises, the tasks after it stay queued at the batch's key."""
+    for at, task in enumerate(tasks):
+        try:
+            if task._pending is not None:
+                task._step(None, False)
+        except BaseException:
+            rest = [t for t in tasks[at + 1:] if t._pending is not None]
+            if rest:    # (a kill of one of them now skips it, as in a firing)
+                task.sim.requeue(rest[0]._pending.key, _start_batch, rest)
+            raise
+    tasks.clear()       # Simulator.start_batch may outlive the firing
 
 
 def default_effect_handler(task: Task, effect: Effect) -> None:

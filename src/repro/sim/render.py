@@ -41,8 +41,7 @@ def render_timeline(
         horizon = 0.0
         for name in names:
             for span in timeline.process(name).spans:
-                if span.end is not None:
-                    horizon = max(horizon, span.end)
+                horizon = max(horizon, span.end)
     if horizon <= 0:
         horizon = 1.0
     priority = {IDLE: 0, GLYPHS[Span.BLOCKED]: 1, GLYPHS[Span.BUSY]: 2, GLYPHS[Span.WASTED]: 3}
@@ -51,23 +50,25 @@ def render_timeline(
     for name in names:
         cells = [IDLE] * width
         tl = timeline.process(name)
-        for span in tl.spans:
-            end = span.end if span.end is not None else horizon
+        drawn = [(span.kind, span.start, span.end) for span in tl.spans]
+        if tl.open_kind is not None:        # the open span runs to the horizon
+            drawn.append((tl.open_kind, tl.open_start, horizon))
+        for kind, start, end in drawn:
             # A span starting exactly at the horizon would map to
             # start_cell == width and fall off the chart; clamp so
             # boundary spans occupy the final cell.
-            start_cell = min(int(span.start / horizon * width), width - 1)
+            start_cell = min(int(start / horizon * width), width - 1)
             end_cell = max(start_cell + 1, int(end / horizon * width))
-            glyph = GLYPHS.get(span.kind, "?")
+            glyph = GLYPHS.get(kind, "?")
             for cell in range(start_cell, min(end_cell, width)):
                 if priority[glyph] > priority[cells[cell]]:
                     cells[cell] = glyph
         row = f"{name.ljust(label_width)} |{''.join(cells)}|"
         base = tl.base_totals()
-        if base and not tl.spans:
+        if base and not drawn:
             # All of this process's spans were folded into base totals by
             # compact_before(); without the annotation the row reads as
-            # "did nothing", disagreeing with Timeline.names()/totals().
+            # "did nothing", disagreeing with Timeline.names()/aggregate().
             folded = " ".join(
                 f"{kind}={base[kind]:g}" for kind in sorted(base) if base[kind]
             )

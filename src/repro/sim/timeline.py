@@ -14,7 +14,7 @@ from typing import Optional
 
 
 class Span:
-    """A half-open span ``[start, end)`` of one kind of activity."""
+    """A closed, half-open span ``[start, end)`` of one kind of activity."""
 
     __slots__ = ("kind", "start", "end")
 
@@ -22,20 +22,13 @@ class Span:
     BLOCKED = "blocked"
     WASTED = "wasted"
 
-    def __init__(self, kind: str, start: float, end: Optional[float] = None) -> None:
+    def __init__(self, kind: str, start: float, end: float) -> None:
         self.kind = kind
         self.start = start
         self.end = end
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
-
     def __repr__(self) -> str:
-        end = f"{self.end:.4f}" if self.end is not None else "…"
-        return f"<Span {self.kind} [{self.start:.4f}, {end})>"
+        return f"<Span {self.kind} [{self.start:.4f}, {self.end:.4f})>"
 
 
 #: The slot of :class:`ProcessTimeline` a span kind's folded total lives in.
@@ -43,14 +36,17 @@ _FOLDED = {Span.BUSY: "_busy", Span.BLOCKED: "_blocked", Span.WASTED: "_wasted"}
 
 
 class ProcessTimeline:
-    """Spans for one process, built by ``mark_*`` calls as the run proceeds."""
+    """Spans for one process, built by ``mark_*`` calls as the run proceeds:
+    the closed ones in :attr:`spans` (``()`` until one closes), the open one in
+    :attr:`open_kind` (None if none) and :attr:`open_start`."""
 
-    __slots__ = ("name", "spans", "_open", "_busy", "_blocked", "_wasted")
+    __slots__ = ("name", "spans", "open_kind", "open_start", "_busy", "_blocked", "_wasted")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.spans: list[Span] = []
-        self._open: Optional[Span] = None
+        self.spans: "list[Span] | tuple" = ()
+        self.open_kind: Optional[str] = None
+        self.open_start = 0.0
         #: Durations folded out of :attr:`spans` by :meth:`compact_before`,
         #: one slot per span kind (see _FOLDED).  ``total`` adds them back.
         self._busy = self._blocked = self._wasted = 0.0
@@ -70,7 +66,7 @@ class ProcessTimeline:
         dropped = 0
         for span in spans:
             end = span.end
-            if end is None or end > cutoff:
+            if end > cutoff:
                 break
             slot = _FOLDED[span.kind]
             setattr(self, slot, getattr(self, slot) + (end - span.start))
@@ -81,17 +77,19 @@ class ProcessTimeline:
 
     def mark(self, kind: str, now: float) -> None:
         """Close the open span at ``now`` and open a new one of ``kind``."""
-        if self._open is not None:
-            if self._open.kind == kind:
-                return
-            self._open.end = now
-        self._open = Span(kind, now)
-        self.spans.append(self._open)
+        if self.open_kind != kind:
+            self.close(now)
+            self.open_kind = kind
+            self.open_start = now
 
     def close(self, now: float) -> None:
-        if self._open is not None:
-            self._open.end = now
-            self._open = None
+        if self.open_kind is not None:
+            span = Span(self.open_kind, self.open_start, now)
+            if self.spans:
+                self.spans.append(span)
+            else:
+                self.spans = [span]
+            self.open_kind = None
 
     def reclassify_since(self, start_time: float, kind: str, now: float) -> float:
         """Re-label all activity in ``[start_time, now)`` as ``kind``.
@@ -111,6 +109,8 @@ class ProcessTimeline:
         cut = len(spans)
         while cut and spans[cut - 1].end > start_time:
             cut -= 1
+        if cut == len(spans):
+            return 0.0
         tail = spans[cut:]
         del spans[cut:]
         wasted = 0.0
@@ -123,7 +123,6 @@ class ProcessTimeline:
             if span.kind != kind:
                 wasted += span.end - start
             spans.append(Span(kind, start, span.end))
-        self._open = None
         return wasted
 
     def base_totals(self) -> dict[str, float]:
@@ -140,12 +139,10 @@ class ProcessTimeline:
         """Total duration of spans of ``kind`` (open span measured to ``now``)."""
         out = getattr(self, _FOLDED[kind])
         for span in self.spans:
-            if span.kind != kind:
-                continue
-            if span.end is not None:
+            if span.kind == kind:
                 out += span.end - span.start
-            elif now is not None:
-                out += now - span.start
+        if now is not None and self.open_kind == kind:
+            out += now - self.open_start
         return out
 
 
@@ -181,9 +178,6 @@ class Timeline:
     def compact_before(self, cutoff: float) -> int:
         """Fold committed spans into base totals across all processes."""
         return sum(tl.compact_before(cutoff) for tl in self._processes.values())
-
-    def totals(self, kind: str) -> dict[str, float]:
-        return {name: tl.total(kind) for name, tl in self._processes.items()}
 
     def aggregate(self, kind: str, now: Optional[float] = None) -> float:
         """Sum of :meth:`ProcessTimeline.total` over every process."""

@@ -185,6 +185,18 @@ class TestMachineUsesInternedSets:
         machine = _machine()
         assert machine.dependencies_of("p0") is machine.depsets.empty
 
+    def test_implicit_guesses_fold_a_tag_set_in_serial_order(self):
+        """A tag set iterates in address order; the fold does not, so the
+        intermediate sets interned (what a fossil pass later counts as
+        dropped) are the same for every order the tags arrive in."""
+        for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+            machine = _machine()
+            aids = [machine.aid_init(f"t{i}") for i in range(3)]
+            machine.guess_many("p0", [aids[i] for i in order])
+            table = {frozenset(a.key for a in members) for members in machine.depsets._table}
+            assert table == {frozenset(), frozenset({"t0#1"}),
+                             frozenset({"t0#1", "t1#2"}), frozenset({"t0#1", "t1#2", "t2#3"})}
+
     def test_stats_expose_interner_counters(self):
         machine = _machine()
         x = machine.aid_init("x")

@@ -5,8 +5,9 @@ leaves allocated.
 before the call to after the reading, and returns the bytes
 ``tracemalloc`` traced and the ``sys.getallocatedblocks()`` still
 allocated while the result lives: what is gone was freed by reference
-counting.  The four shapes the budgets are set on live here too:
+counting.  The five shapes the budgets are set on live here too:
 
+* :func:`spawned_process` — a process spawned and not yet run;
 * :func:`idle_process` — a process spawned and blocked in ``recv``;
 * :func:`running_round` — one more round of a ``pingpong``-shaped pair
   whose bodies keep running (and so keep their logs);
@@ -66,15 +67,27 @@ def _per_unit(small: tuple, large: tuple, units: int) -> tuple:
     return (large[1] - small[1]) / units, (large[2] - small[2]) / units
 
 
-# ------------------------------------------------------------- idle process
+# ---------------------------------------------------- spawned / idle process
 def _blocked(p):
     return (yield p.recv()).payload
 
 
-def idle_system(count: int) -> HopeSystem:
+def spawned_system(count: int) -> HopeSystem:
     system = HopeSystem(seed=1)
     for i in range(count):
         system.spawn(f"w{i}", _blocked)
+    return system
+
+
+def spawned_process(count: int = 2000) -> tuple:
+    """``(system, bytes, blocks)`` per process spawned and not yet run."""
+    spawned_system(10)              # imports, caches, interned strings
+    system, traced, blocks = measure(lambda: spawned_system(count))
+    return system, traced / count, blocks / count
+
+
+def idle_system(count: int) -> HopeSystem:
+    system = spawned_system(count)
     system.run()
     return system
 
@@ -220,6 +233,8 @@ def committed_output(count: int = 2000) -> tuple:
 
 if __name__ == "__main__":
     version = "%d.%d" % sys.version_info[:2]
+    _, traced, blocks = spawned_process()
+    print(f"{version} spawned process: {traced:7.1f} B {blocks:5.1f} blocks")
     _, traced, blocks = idle_process()
     print(f"{version} idle process:    {traced:7.1f} B {blocks:5.1f} blocks")
     _, _, traced, blocks = running_round()

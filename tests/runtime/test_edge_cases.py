@@ -38,6 +38,53 @@ def test_two_rollbacks_of_same_process_in_one_cascade():
     assert system.procs["worker"].restarts == 2
 
 
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
+def test_a_body_that_raises_leaves_the_rest_of_its_batch_queued(batching):
+    """Starts due at one instant share one event, and so do deliveries at
+    one latency.  A body that raises inside either batch makes ``run()``
+    raise and leaves the work after it queued at the batch's key, so the
+    next ``run()`` goes on where separate events would have: ``b`` still
+    starts, and still receives the message sent after the one that
+    killed ``a``.  (A raising delivery used to lose the rest of its
+    sweep: ``b`` never received and nothing was pending.)"""
+    system = HopeSystem(latency=ConstantLatency(1.0))
+    if not batching:
+        system.sim._batching = False
+        system.network._can_batch = False
+
+    def early(p):                   # raises at its first step
+        raise _Boom("start")
+        yield
+
+    def sender(p):
+        yield p.send("a", 1)
+        yield p.send("b", 2)
+
+    def a(p):
+        yield p.recv()
+        raise _Boom("delivery")
+
+    def b(p):
+        yield p.emit((yield p.recv()).payload)
+
+    for name, body in (("early", early), ("sender", sender), ("a", a), ("b", b)):
+        system.spawn(name, body)
+    with pytest.raises(_Boom, match="start"):
+        system.run()
+    assert system.sim.pending_events == (1 if batching else 3)
+    with pytest.raises(_Boom, match="delivery"):
+        system.run()
+    assert system.sim.pending_events == 1
+    system.run()
+    assert system.committed_outputs("b") == [2]
+    assert system.sim.pending_events == 0
+    assert system.stats()["sim_events"] == (4 if batching else 6)
+
+
 def test_deny_while_victim_mid_compute():
     """The pending compute timer of the old incarnation must be cancelled."""
     system = HopeSystem()

@@ -40,6 +40,7 @@ from repro.chaos import standard_plans
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, FaultPlan, LinkFaults
 from repro.sim.channel import Message
+from repro.sim.process import _start_batch
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +50,7 @@ def _in_flight(system):
     """Messages a pending simulator event will still deliver, plus the
     rest of a coalesced sweep that is being delivered right now."""
     for event in system.sim._heap:
-        if event.cancelled:
+        if event.cancelled or event.fn is _start_batch:     # tasks, no message
             continue
         for arg in event.args:
             if isinstance(arg, Message):

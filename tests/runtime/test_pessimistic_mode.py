@@ -63,7 +63,7 @@ def test_pessimistic_mode_never_creates_intervals():
     system.spawn("verifier", verifier)
     system.run()
     for record in system.machine.processes.values():
-        assert record.intervals == []
+        assert not record.intervals
     assert system.network.tag_count_total == 0
 
 

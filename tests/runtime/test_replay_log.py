@@ -11,7 +11,8 @@ from repro.runtime import (
     LogEntry,
     ReplayDivergenceError,
 )
-from repro.runtime.replay import HopeError
+from repro.runtime import effects
+from repro.runtime.replay import KIND_CODE, KINDS, HopeError
 
 
 def test_append_advances_cursor_keeps_live():
@@ -24,12 +25,12 @@ def test_append_advances_cursor_keeps_live():
 
 def test_begin_replay_rewinds_and_feeds_in_order():
     log = EffectLog()
-    log.append("a", 1)
-    log.append("b", 2)
+    log.append("now", 1)
+    log.append("random", 2)
     log.begin_replay()
     assert log.replaying
-    assert log.feed("a") == 1
-    assert log.feed("b") == 2
+    assert log.feed("now") == 1
+    assert log.feed("random") == 2
     assert not log.replaying
     assert log.replay_count == 1
     assert log.replayed_entries_total == 2
@@ -46,7 +47,7 @@ def test_feed_checks_effect_kind():
 def test_truncate_drops_suffix_and_clamps_cursor():
     log = EffectLog()
     for i in range(5):
-        log.append("e", i)
+        log.append("emit", i)
     dropped = log.truncate(2)
     assert dropped == 3
     assert len(log) == 2
@@ -55,7 +56,7 @@ def test_truncate_drops_suffix_and_clamps_cursor():
 
 def test_truncate_beyond_length_raises():
     log = EffectLog()
-    log.append("e", 0)
+    log.append("emit", 0)
     with pytest.raises(HopeError):
         log.truncate(5)
 
@@ -63,10 +64,10 @@ def test_truncate_beyond_length_raises():
 def test_live_appends_during_partial_replay_not_allowed_by_shape():
     """After replay finishes, appends continue the same log."""
     log = EffectLog()
-    log.append("a", 1)
+    log.append("now", 1)
     log.begin_replay()
-    log.feed("a")
-    log.append("b", 2)
+    log.feed("now")
+    log.append("random", 2)
     assert len(log) == 2
     assert not log.replaying
 
@@ -116,9 +117,34 @@ def test_load_replaces_the_log_live_at_the_tail():
     log.begin_replay()
     log.load(7, iter([("recv", "m"), ("send", 2)]))
     assert (log.base, log.retained, len(log), log.cursor, log.pending) == (7, 2, 9, 9, 0)
-    assert log.entry_at(8) == ("send", 2) and log.kinds == ["recv", "send"]
+    assert log.entry_at(8) == ("send", 2)
+    assert log.kinds == bytes([KIND_CODE["recv"], KIND_CODE["send"]])
     log.load(0, [])
     assert (log.base, log.retained, log.cursor, log.pending) == (0, 0, 0, 0)
+
+
+def _effect_classes(cls=effects.HopeEffect):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _effect_classes(sub)
+
+
+def test_every_effect_kind_has_a_code_and_reads_back_by_name():
+    """The ``kinds`` column holds one byte per entry; what is read out of
+    the log (``entry_at``, ``pairs``, a divergence message) names kinds."""
+    kinds = {cls.kind for cls in _effect_classes()
+             if "kind" in vars(cls) and cls.__module__.startswith("repro.")}
+    assert kinds == set(KINDS) and len(KINDS) < 256
+    assert all(KINDS[KIND_CODE[kind]] == kind for kind in kinds)
+    log = EffectLog()
+    for i, kind in enumerate(KINDS):
+        log.append(kind, i)
+    assert type(log.kinds) is bytearray and len(log.kinds) == len(KINDS)
+    assert [log.entry_at(i) for i in range(len(log))] == list(zip(KINDS, range(len(KINDS))))
+    assert all(type(kind) is str for kind, _ in log.pairs(0, len(log)))
+    assert list(log.pairs(1, 3)) == [(KINDS[1], 1), (KINDS[2], 2)]
+    with pytest.raises(KeyError):
+        log.append("made-up", None)         # the table is closed
 
 
 _KINDS = ("send", "recv", "now", "guess", "commit")

@@ -31,12 +31,13 @@ _PER_ROUND = 5 + 3          # ping: aid_init guess send recv emit; pong: recv af
 #: its handle — no weak reference, no slot in four tables, a slotted
 #: handle — 905; with a committed emit kept as its value, not an
 #: ``OutputRecord`` with a boxed log index and a time float, 787 — 774
-#: on 3.10.)
+#: on 3.10; with a byte per entry in the kinds column, not a pointer,
+#: 726 — 714 on 3.10.)
 _ROUND = {
-    (3, 10): (852, 13.9),
-    (3, 11): (866, 13.9),
-    (3, 12): (866, 13.9),
-    (3, 13): (866, 13.9),
+    (3, 10): (786, 13.9),
+    (3, 11): (799, 13.9),
+    (3, 12): (799, 13.9),
+    (3, 13): (799, 13.9),
 }
 
 
@@ -59,8 +60,8 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
     # under the handle the log keeps; after one more pass the table is the
     # same size at N rounds and at 4N.
     ping = system.procs["ping"].log
-    aids = [ping.entry_at(i).result.aid for i in range(len(ping))
-            if ping.kinds[i] == "aid_init"]
+    aids = [result.aid for kind, result in ping.pairs(0, len(ping))
+            if kind == "aid_init"]
     assert len(aids) == 4 * _N + 1 and not any(aid.pending for aid in aids)
     settled = [aid for aid in aids if aid.dom is SETTLED_DOM]
     assert len(settled) >= 4 * _N - system.fossil_interval

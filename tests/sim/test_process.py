@@ -207,3 +207,30 @@ def test_task_exception_propagates_and_marks_failed():
         sim.run()
     assert task.failed
     assert isinstance(task.error, ValueError)
+
+
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "tie-breaker"])
+def test_same_instant_starts_share_one_event_in_start_order(batching):
+    """Starts due at one instant with nothing scheduled in between ride one
+    start batch, which steps them in start order — the order their own
+    events would have fired in; a task killed before the batch fires is
+    taken out of it, and a batch left empty is cancelled.  Under a
+    tie-breaker every start keeps its own event."""
+    sim = Simulator() if batching else Simulator(tie_breaker=lambda: 0)
+    ran = []
+
+    def body(env):
+        ran.append(env.name)
+        yield Timeout(1.0)
+
+    tasks = [Task(sim, f"t{i}", body).start() for i in range(4)]
+    late = Task(sim, "late", body).start(delay=1.0)  # another instant: own batch
+    assert sim.pending_events == (2 if batching else 5)
+    tasks[1].kill()
+    assert sim.pending_events == (2 if batching else 4)
+    sim.run(until=0.0)
+    assert ran == ["t0", "t2", "t3"] and sim.events_processed == (1 if batching else 3)
+    late.kill()                     # the last task of its batch
+    assert sim.pending_events == 3  # the three timeouts
+    sim.run()
+    assert ran == ["t0", "t2", "t3"] and late.state == "killed"

@@ -65,7 +65,8 @@ def test_render_zero_length_span_at_horizon_is_clamped():
     # drop the span; it must land in the final cell instead.
     timeline = Timeline()
     p = timeline.spawn("p")
-    p.spans.append(Span(Span.BUSY, 10.0, 10.0))
+    p.mark(Span.BUSY, 10.0)
+    p.close(10.0)
     text = render_timeline(timeline, horizon=10.0, width=10, processes=["p"])
     cells = text.splitlines()[0].split("|")[1]
     assert cells == "         #"

@@ -188,7 +188,7 @@ def test_reclassify_since_matches_the_full_rebuild(steps, rollbacks):
         got = tl.reclassify_since(start_time, Span.WASTED, now)
         assert got == expected
         assert [(s.kind, s.start, s.end) for s in tl.spans] == expected_spans
-        assert tl._open is None
+        assert tl.open_kind is None
         total_wasted += got
         # the process re-executes for a while before the next rollback
         tl.mark(Span.BUSY, now)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.aid import SETTLED_DOM
 from repro.runtime import HopeSystem
+from repro.runtime.replay import KIND_CODE
 from repro.sim import ConstantLatency
 from repro.verify import (
     InvariantViolation,
@@ -113,7 +114,7 @@ def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
     settled = [aid for aid in system.machine.aids.values() if aid.dom is SETTLED_DOM]
     assert [aid.key for aid in settled] == ["x0#1"] and log.retained == len(log) > 0
 
-    log.kinds.append("send")                        # one column only
+    log.kinds.append(KIND_CODE["send"])             # one column only
     with pytest.raises(InvariantViolation, match="effect log of 'worker' sheared"):
         check_quiescent(system)
     log.kinds.pop()
