@@ -31,6 +31,9 @@ class IntervalState(enum.Enum):
 
 _interval_serial = itertools.count(1)
 
+#: A.IHD of every interval that has parked no deny (shared, immutable).
+NO_DENIES: frozenset = frozenset()
+
 
 class Interval:
     """One rollback unit in a process history.
@@ -53,7 +56,8 @@ class Interval:
         "start_index",
         "state",
         "spec_affirms",
-        "meta",
+        "sent",
+        "received",
         "_label",
     )
 
@@ -75,16 +79,20 @@ class Interval:
         #: held reference is always a consistent snapshot.  The plain-set
         #: default only exists for intervals built outside a machine.
         self.ido = set()                        # A.IDO (Eq 3)
-        self.ihd: set["AssumptionId"] = set()   # A.IHD (Eq 16)
+        #: A.IHD (Eq 16): :data:`NO_DENIES` until a deny parks, then a set.
+        self.ihd: "set[AssumptionId] | frozenset" = NO_DENIES
         self.aid = aid
         self.parent = parent
         self.start_index = start_index
         self.state = IntervalState.SPECULATIVE
         #: AIDs this interval speculatively affirmed — used at rollback to
-        #: release them back to PENDING (footnote 2 handling).
-        self.spec_affirms: list["AssumptionId"] = []
-        #: Free slot for the embedding runtime (e.g. sent-message list).
-        self.meta: dict[str, Any] = {}
+        #: release them back to PENDING (footnote 2 handling).  The shared
+        #: ``()`` until the first, and again once a rollback releases them.
+        self.spec_affirms: "list[AssumptionId] | tuple" = ()
+        #: For the embedding runtime: the deliveries a rollback retracts
+        #: and the messages it un-receives, each ``()`` until first used.
+        self.sent: "list | tuple" = ()
+        self.received: "list | tuple" = ()
         self._label: Optional[str] = None
 
     @property

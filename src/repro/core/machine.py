@@ -477,7 +477,10 @@ class Machine:
     ) -> None:
         """Speculative affirm: Eq 10-14.  May later be undone by rollback."""
         aid.speculative_affirmer = current
-        current.spec_affirms.append(aid)
+        if current.spec_affirms:
+            current.spec_affirms.append(aid)
+        else:
+            current.spec_affirms = [aid]
         record.append("affirm", aid=aid.key, mode="speculative", via=via)
         dom_snapshot = sorted(aid.dom, key=_interval_order)
         # current.ido is an immutable interned DepSet, so it doubles as
@@ -538,7 +541,10 @@ class Machine:
     ) -> None:
         """Speculative deny: Eq 16.  Parked in A.IHD until finalize."""
         if aid not in current.ihd:
-            current.ihd.add(aid)
+            if current.ihd:
+                current.ihd.add(aid)
+            else:
+                current.ihd = {aid}
             aid.parked_denies += 1
         record.append("deny", aid=aid.key, mode="speculative", via=via)
         self._emit(DenyEvent(record.name, aid, definite=False))
@@ -733,7 +739,7 @@ class Machine:
             if affirmed.speculative_affirmer is dead:
                 affirmed.speculative_affirmer = None
         candidates.extend(dead.spec_affirms)
-        dead.spec_affirms.clear()
+        dead.spec_affirms = ()
         for parked in dead.ihd:             # parked denies die with the interval
             parked.parked_denies -= 1
         candidates.extend(dead.ihd)

@@ -200,20 +200,25 @@ def _process_body(task: Task) -> Generator:
     """Adapter: the sim Task calls ``fn(task)``; HOPE bodies take the facade
     of the process in ``task.context``.
 
-    A process with a promoted rebase point restarts *from the commit
-    point*: the body is called with ``resume=<fresh deep copy>`` and
-    must reconstruct itself from that state (the commit_point
-    contract).  Each incarnation gets its own copy — a restarted body
-    mutates the state it is handed.  From a terminal point (the body
-    had returned, see :class:`Exited`) there is nothing to run.
+    An incarnation starts from the newest commit point it has: the
+    newest rebase candidate (a rollback keeps only those at or before
+    its checkpoint), else the promoted rebase point, else program entry,
+    and replays only the log entries since.  From a commit point the
+    body is called with ``resume=<fresh deep copy>`` and must
+    reconstruct itself from that state (the commit_point contract).
+    Each incarnation gets its own copy — a restarted body mutates the
+    state it is handed.  From a terminal point (the body had returned,
+    see :class:`Exited`) there is nothing to run.
     """
     proc: ProcessRuntime = task.context
-    if proc.rebase is not None:
-        state = proc.rebase.state
-        if type(state) is Exited:
-            return state.body()
-        return proc.fn(proc.facade, *proc.args, resume=copy.deepcopy(state))
-    return proc.fn(proc.facade, *proc.args)
+    point = proc.rebase_candidates[-1] if proc.rebase_candidates else proc.rebase
+    if point is None:
+        proc.log.begin_replay()
+        return proc.fn(proc.facade, *proc.args)
+    proc.log.begin_replay(point.log_index)
+    if type(point.state) is Exited:
+        return point.state.body()
+    return proc.fn(proc.facade, *proc.args, resume=copy.deepcopy(point.state))
 
 
 class _RecvBridge:
@@ -780,7 +785,7 @@ class HopeSystem:
         # What the dead incarnation had received is not requeued, and what
         # was queued for it is lost: those copies are consumed.
         for interval in forgotten:
-            self._release_received(interval.meta.get("received", ()))
+            self._release_received(interval.received)
         self.network.purge(name)
         if self.reliable is not None:
             self.reliable.on_crash(name)
@@ -1120,7 +1125,6 @@ class HopeSystem:
     # task lifecycle
     # ------------------------------------------------------------------
     def _start_task(self, proc: ProcessRuntime, delay: float) -> None:
-        proc.log.begin_replay()
         hooks = self._task_hooks
         if hooks is None:
             # Bound once for every task, at the first start (not in
@@ -1335,7 +1339,10 @@ class HopeSystem:
             )
             msg_id = delivery.message.msg_id
         if current is not None:
-            current.meta.setdefault("sent", []).append(delivery)
+            if current.sent:
+                current.sent.append(delivery)
+            else:
+                current.sent = [delivery]
         # log.append inlined (hot path: one entry per send), both columns:
         # the live-side invariant is cursor == base + retained.
         log = proc.log
@@ -1579,7 +1586,10 @@ class HopeSystem:
         if current is not None:
             # A rollback of this interval un-receives the message, so the
             # interval takes over the copy (and its hold on the tags).
-            current.meta.setdefault("received", []).append(message)
+            if current.received:
+                current.received.append(message)
+            else:
+                current.received = [message]
         elif message.holds:
             self.network.release(message)   # a definite receive is for good
         # log.append inlined, as in _do_send (one entry per delivery).
@@ -1629,7 +1639,7 @@ class HopeSystem:
                     aid=interval.aid.key if interval.aid is not None else None,
                 )
             if self.fossil_collect:
-                received = event.interval.meta.get("received")
+                received = event.interval.received
                 if received:
                     self._release_received(received)
                 # Finalize is what advances the commit frontier (Eq 21), so
@@ -1677,9 +1687,9 @@ class HopeSystem:
         checkpoint: Checkpoint = event.resume_interval.ps
         redeliver: list[Message] = []
         for dead in event.discarded:
-            for delivery in dead.meta.get("sent", ()):
+            for delivery in dead.sent:
                 delivery.retract()
-            for message in dead.meta.get("received", ()):
+            for message in dead.received:
                 if not message.dead:
                     redeliver.append(message)
         self.tracer.record(
@@ -1735,11 +1745,11 @@ class HopeSystem:
             spec = self.spec_metrics
             spec.restarts.inc()
             spec.wasted_time.inc(wasted)
-            spec.replay_entries.inc(len(proc.log))
+            spec.replay_entries.inc(proc.log.pending)
         self.tracer.record(
             self.sim.now,
             "restart",
             proc.name,
-            replay=len(proc.log),
+            replay=proc.log.pending,
             wasted=round(wasted, 6),
         )

@@ -19,8 +19,9 @@ that declares commit points (``p.commit_point(state)``) bounds it instead:
 at a fossil pass the newest :class:`RebasePoint` behind the commit
 frontier becomes the log's base, the prefix is dropped,
 and a restart calls ``body(resume=state)`` and replays only the entries
-since — O(speculative window), not O(full history).  That is the one
-rollback path; see docs/PERFORMANCE.md §3.  A body that returns has
+since — O(speculative window), not O(full history); a restart before
+that pass starts from the newest commit point the rollback kept.  That
+is the one rollback path; see docs/PERFORMANCE.md §3.  A body that returns has
 declared its last commit point (:class:`Exited`): once everything it did
 is committed its whole log is prefix, so a run keeps the logs of the
 processes still running, not of every process it ever ran (§14).
@@ -28,7 +29,7 @@ processes still running, not of every process it ever ran (§14).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Iterator, NamedTuple
+from typing import Any, Generator, Iterable, Iterator, NamedTuple, Optional
 
 from ..core.errors import HopeError
 from . import effects
@@ -133,15 +134,17 @@ class EffectLog:
     **absolute** journal positions, stable across fossil collection.
     ``base`` counts entries dropped from the front by :meth:`drop_prefix`
     — physically, the columns hold positions ``[base, base + retained)``.
-    A fresh incarnation replays from ``base`` (the engine rebuilds the
-    pre-base state from the promoted :class:`RebasePoint`), so dropping
-    the prefix is only sound once a rebase point at ``base`` exists.
+    A fresh incarnation replays from its ``origin``: ``base`` (the engine
+    rebuilds the pre-base state from the promoted :class:`RebasePoint`)
+    or a newer commit point, so dropping the prefix is only sound once a
+    rebase point at ``base`` exists.
     """
 
     __slots__ = (
         "kinds",
         "results",
         "base",
+        "origin",
         "cursor",
         "pending",
         "replay_count",
@@ -154,6 +157,8 @@ class EffectLog:
         self.results: list[Any] = []
         #: Absolute position of slot 0 (entries dropped in front).
         self.base = 0
+        #: Absolute position the current incarnation started from.
+        self.origin = 0
         self.cursor = 0
         #: Entries still to be re-fed before the process is live again —
         #: always ``base + retained - cursor``, maintained explicitly
@@ -217,15 +222,19 @@ class EffectLog:
     def replaying(self) -> bool:
         return self.pending > 0
 
-    def begin_replay(self) -> None:
-        """Reset the cursor for a fresh incarnation.
+    def begin_replay(self, origin: Optional[int] = None) -> None:
+        """Reset the cursor for a fresh incarnation starting at ``origin``.
 
-        The incarnation starts at ``base``: positions below it were
-        fossil-collected, and the engine reconstructs that prefix from
-        the promoted rebase state instead of re-feeding it.
+        The default is ``base``: program entry, or the promoted rebase
+        point (positions below it were fossil-collected).  A newer commit
+        point the engine can rebuild the state from moves it forward, so
+        only the entries from ``origin`` on are re-fed.
         """
-        self.cursor = self.base
-        self.pending = len(self.kinds)
+        if origin is None:
+            origin = self.base
+        self._slot(origin)
+        self.cursor = self.origin = origin
+        self.pending = self.base + len(self.kinds) - origin
         if self.pending:
             self.replay_count += 1
 
@@ -235,7 +244,7 @@ class EffectLog:
         logged = self.kinds[at]
         if logged != KIND_CODE[kind]:
             logged = KINDS[logged]
-            if self.cursor == self.base > 0:
+            if self.cursor == self.origin > 0:
                 # The very first effect of an incarnation resumed from a
                 # rebase point: what a misplaced commit point looks like.
                 raise ReplayDivergenceError(

@@ -165,7 +165,10 @@ class ReliableTransport:
     message can be re-delivered to the restarted incarnation — reliable
     delivery here is at-least-once across crashes (exactly-once between
     them), matching Strom & Yemini's recovery model where the restarted
-    process re-consumes its input.
+    process re-consumes its input.  It holds an id only while a copy can
+    still arrive: until the send's record is closed (acked, exhausted,
+    retracted, or its sender crashed) and no live copy of it is in flight
+    (``Message.copies``; a closed record waits in :attr:`_draining`).
     """
 
     def __init__(self, engine: "HopeSystem", config: ReliableConfig) -> None:
@@ -173,6 +176,10 @@ class ReliableTransport:
         self.config = config
         self.stats = ReliableStats()
         self._pending: dict[int, _PendingSend] = {}
+        #: Closed records with a live copy still in flight, by msg_id.
+        self._draining: dict[int, _PendingSend] = {}
+        #: Per receiver, the ids whose copies it must still suppress (a
+        #: receiver with none has no entry).
         self._seen: dict[str, set[int]] = {}
         engine.network.deliver_hook = self._on_arrival
 
@@ -260,11 +267,36 @@ class ReliableTransport:
         if retract:
             for delivery in record.deliveries:
                 delivery.retract()
+        self._settle(record)
+
+    def _settle(self, record: _PendingSend) -> None:
+        """Forget ``record``'s id at its receiver once it is closed and no
+        live copy of it is in flight — no copy can arrive any more."""
+        for delivery in record.deliveries:
+            message = delivery.message
+            if message.copies and not message.dead:
+                self._draining[record.msg_id] = record
+                return
+        self._draining.pop(record.msg_id, None)
+        seen = self._seen.get(record.dst)
+        if seen is not None:
+            seen.discard(record.msg_id)
+            if not seen:
+                del self._seen[record.dst]
 
     # ------------------------------------------------------------------
     # receiver side (network deliver_hook)
     # ------------------------------------------------------------------
     def _on_arrival(self, message) -> bool:
+        fresh = self._admit(message)
+        # The copy has landed (the network counted it out before the
+        # hook): it may have been the last one a closed record waited for.
+        record = self._draining.get(message.msg_id)
+        if record is not None:
+            self._settle(record)
+        return fresh
+
+    def _admit(self, message) -> bool:
         proc = self.engine.procs.get(message.dst)
         if proc is not None and proc.crashed:
             # The node is down: arrivals are lost, no ack goes back — the

@@ -35,11 +35,13 @@ class Message:
     retracted by rollback; mailboxes silently drop dead messages.
     ``holds`` counts the copies of a tagged message that are still
     outstanding and so pin its tag keys (see :meth:`Network.hold`).
+    ``copies`` counts its copies in flight: scheduled for delivery and
+    not yet fired or cancelled (a fault-injected duplicate is a second).
     """
 
     __slots__ = (
         "msg_id", "src", "dst", "payload", "tags", "send_time", "deliver_time",
-        "dead", "holds",
+        "dead", "holds", "copies",
     )
 
     def __init__(
@@ -60,6 +62,7 @@ class Message:
         self.deliver_time: Optional[float] = None
         self.dead = False
         self.holds = 0
+        self.copies = 0
 
     def __repr__(self) -> str:
         flags = " dead" if self.dead else ""
@@ -96,9 +99,12 @@ class Delivery:
             # are: all of them let go at once.
             message.holds = 0
             self._network.pins.unpin(message.tags)
-        if self._event is not None:
-            self._event.cancel()
+        event = self._event
+        if event is not None:
             self._event = None
+            if event.sim is not None:       # still queued: a copy less in flight
+                message.copies -= 1
+            event.cancel()
 
     @property
     def delivered(self) -> bool:
@@ -349,7 +355,7 @@ class Network:
         #: instant it reaches the destination mailbox, before ``put``.
         #: Return False to suppress delivery (the reliable-delivery layer
         #: uses this for receiver-side dedup and to model a crashed node
-        #: dropping arrivals).  None keeps the exact pre-hook fast path.
+        #: dropping arrivals).  None delivers every live copy.
         self.deliver_hook: Optional[Callable[[Message], bool]] = None
         #: Same-tick delivery coalescing (see :meth:`send`): the most
         #: recently scheduled delivery as ``[event, entries, box, message,
@@ -447,6 +453,7 @@ class Network:
                         levent.args = (entries, levent.key)
                         batch[4]._event = None
                     entries.append((box, message))
+                    message.copies += 1
                     if message.tags:
                         self.hold(message)
                     self.messages_sent += 1
@@ -463,8 +470,8 @@ class Network:
     def _sweep_deliveries(self, entries: list, key: tuple) -> None:
         """Deliver a coalesced batch, in original (seq) schedule order.
 
-        Per message this is exactly what the dedicated delivery callbacks
-        (``box.put`` / :meth:`_put`) would have done at the same instant,
+        Per message this is exactly what the dedicated delivery callback
+        (:meth:`_put`) would have done at the same instant,
         and one that raises leaves the rest queued at the sweep's ``key``."""
         self._sweep_live = entries
         try:
@@ -490,11 +497,12 @@ class Network:
         label = f"deliver:{message.src}->{message.dst}"
         if message.tags:
             self.hold(message)
-        if self.deliver_hook is not None:
-            return self.sim.schedule(delay, self._put, box, message, label=label)
-        return self.sim.schedule(delay, box.put, message, label=label)
+        message.copies += 1
+        return self.sim.schedule(delay, self._put, box, message, label=label)
 
     def _put(self, box: Mailbox, message: Message) -> None:
+        """A copy of ``message`` arrives: past the hook, into ``box``."""
+        message.copies -= 1
         hook = self.deliver_hook
         if hook is not None and not message.dead and not hook(message):
             if message.holds:

@@ -399,18 +399,10 @@ class FaultyNetwork(Network):
             if faults.reorder > 0.0 and stream.bernoulli(faults.reorder):
                 copy_delay += stream.uniform(0.0, faults.reorder_window)
                 stats.reordered += 1
-            event = self._schedule_copy(box, message, copy_delay)
+            event = super()._schedule_delivery(box, message, copy_delay)
             if index == 0:
                 primary = event
         return primary
-
-    def _schedule_copy(
-        self, box: Mailbox, message: Message, delay: float
-    ) -> ScheduledEvent:
-        label = f"deliver:{message.src}->{message.dst}"
-        if message.tags:
-            self.hold(message)
-        return self.sim.schedule(delay, self._put, box, message, label=label)
 
     # ------------------------------------------------------------------
     # stats (polymorphic Network hooks)

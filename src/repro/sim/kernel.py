@@ -60,7 +60,9 @@ class ScheduledEvent:
     Events are cancellable: :meth:`cancel` marks the event dead and the
     kernel discards it when it reaches the heap head (or when the heap is
     compacted).  This is how timeouts that lost a race and messages that
-    were rolled back are retracted.
+    were rolled back are retracted.  A cancelled event lets go of its
+    work at once — ``fn`` and ``args`` become None and ``label`` empty —
+    so the dead entry costs only its key until it leaves the heap.
 
     ``priority`` breaks ties between events at the same virtual time:
     0 by default (scheduling order — FIFO), or a seeded random draw when
@@ -102,6 +104,8 @@ class ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = self.args = None
+        self.label = ""
         sim = self.sim
         if sim is not None:
             sim._live -= 1

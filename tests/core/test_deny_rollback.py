@@ -9,6 +9,7 @@ from repro.core import (
     ResolutionConflictError,
     RollbackEvent,
 )
+from repro.core.interval import NO_DENIES
 
 
 @pytest.fixture
@@ -129,6 +130,28 @@ def test_speculative_deny_parks_in_ihd(machine):
     assert x.status is AidStatus.PENDING
     assert x in machine.process("p").current.ihd
     assert machine.process("victim").rollback_count == 0
+    machine.check_invariants()
+
+
+def test_an_interval_owns_its_containers_only_while_it_uses_them(machine):
+    """IHD is the shared empty frozenset until a deny parks, and
+    ``spec_affirms`` the shared ``()`` until a speculative affirm and again
+    once a rollback has released what it affirmed."""
+    for name in ("p", "q", "victim"):
+        machine.create_process(name)
+    x, y, z, w = (machine.aid_init(key) for key in "xyzw")
+    machine.guess("victim", x)
+    machine.guess("p", y)
+    interval = machine.process("p").current
+    assert interval.ihd is NO_DENIES and interval.spec_affirms == ()
+    machine.deny("p", x)                        # parks (Eq 16)
+    machine.deny("p", w)
+    assert interval.ihd == {x, w} and NO_DENIES == frozenset()
+    machine.affirm("p", z)                      # speculative (Eq 10-14)
+    assert interval.spec_affirms == [z]
+    machine.deny("q", y)                        # rolls p's interval back
+    assert interval.rolled_back and interval.spec_affirms == ()
+    assert z.status is AidStatus.PENDING and x.parked_denies == 0
     machine.check_invariants()
 
 

@@ -5,7 +5,7 @@ leaves allocated.
 before the call to after the reading, and returns the bytes
 ``tracemalloc`` traced and the ``sys.getallocatedblocks()`` still
 allocated while the result lives: what is gone was freed by reference
-counting.  The five shapes the budgets are set on live here too:
+counting.  The seven shapes the budgets are set on live here too:
 
 * :func:`spawned_process` — a process spawned and not yet run;
 * :func:`idle_process` — a process spawned and blocked in ``recv``;
@@ -14,7 +14,11 @@ counting.  The five shapes the budgets are set on live here too:
 * :func:`retired_process` — a process of ``cascade``-shaped relay waves
   once it has finished and been retired;
 * :func:`committed_output` — one more ``p.emit`` once a pass has
-  committed it.
+  committed it;
+* :func:`acked_send` — one more reliable send once its ack has cancelled
+  its retry timer, the dead timer still queued;
+* :func:`open_interval` — one more process holding a live speculative
+  interval, over the same process blocked without one.
 
 The bytes differ between interpreters, so every budget is a table keyed
 by ``sys.version_info[:2]`` (:func:`budget`).  The file is also a script
@@ -31,7 +35,7 @@ import sys
 import tracemalloc
 from typing import Any, Callable
 
-from repro.runtime import HopeSystem
+from repro.runtime import HopeSystem, ReliableConfig
 from repro.sim import ConstantLatency
 
 
@@ -231,6 +235,69 @@ def committed_output(count: int = 2000) -> tuple:
     return (large[0], *_per_unit(small, large, 3 * count))
 
 
+# --------------------------------------------------------------- acked send
+def _sender(p, count):
+    for i in range(count):
+        yield p.send("sink", i)
+    yield p.recv()                  # both stay running: nothing retires
+
+
+def _sink(p, count):
+    for _ in range(count):
+        yield p.recv()
+    yield p.recv()
+
+
+def acked_system(count: int) -> HopeSystem:
+    """``count`` definite reliable sends at t=0, delivered at t=1 and acked
+    at t=2, run to t=4: every retry timer (due at t=8) is cancelled and
+    still queued.  As many live events due at t=6 stand for the work a
+    busy run has queued: the run stops at them, before it reaches the dead
+    timers, and no dead-majority compaction evicts those."""
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), reliable=ReliableConfig())
+    system.spawn("sink", _sink, count)
+    system.spawn("sender", _sender, count)
+    for _ in range(count):
+        system.sim.schedule(6.0, int)
+    system.run(until=4.0)
+    return system
+
+
+def acked_send(count: int = 500) -> tuple:
+    """``(system at 4 x count, bytes, blocks)`` per acknowledged send."""
+    acked_system(10)                # imports, caches, interned strings
+    small = measure(lambda: acked_system(count))
+    large = measure(lambda: acked_system(4 * count))
+    return (large[0], *_per_unit(small, large, 3 * count))
+
+
+# ------------------------------------------------------------ open interval
+def _speculating(p):
+    x = yield p.aid_init("open")    # nobody resolves it
+    yield p.guess(x)
+    return (yield p.recv()).payload
+
+
+def speculating_system(count: int) -> HopeSystem:
+    system = HopeSystem(seed=1)
+    for i in range(count):
+        system.spawn(f"w{i}", _speculating)
+    system.run()
+    return system
+
+
+def open_interval(count: int = 2000) -> tuple:
+    """``(system, bytes, blocks)`` per live speculative interval: a process
+    blocked in ``recv`` inside one, less one blocked outside any (so the
+    figure is the interval, its AID and handle, its IDO and two log
+    entries)."""
+    speculating_system(10)          # imports, caches, interned strings
+    idle_system(10)
+    system, traced, blocks = measure(lambda: speculating_system(count))
+    _, idle_traced, idle_blocks = measure(lambda: idle_system(count))
+    return system, (traced - idle_traced) / count, (blocks - idle_blocks) / count
+
+
 if __name__ == "__main__":
     version = "%d.%d" % sys.version_info[:2]
     _, traced, blocks = spawned_process()
@@ -243,3 +310,7 @@ if __name__ == "__main__":
     print(f"{version} retired process: {traced:7.1f} B {blocks:5.1f} blocks")
     _, traced, blocks = committed_output()
     print(f"{version} committed output: {traced:6.1f} B {blocks:5.1f} blocks")
+    _, traced, blocks = acked_send()
+    print(f"{version} acked send:      {traced:7.1f} B {blocks:5.1f} blocks")
+    _, traced, blocks = open_interval()
+    print(f"{version} open interval:   {traced:7.1f} B {blocks:5.1f} blocks")

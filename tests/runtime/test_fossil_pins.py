@@ -73,7 +73,7 @@ def scanned_pins(system, in_hand=None) -> set:
         messages.extend(box._queue)
     for record in system.machine.processes.values():
         for interval in record.speculative:
-            messages.extend(interval.meta.get("received", ()))
+            messages.extend(interval.received)
     if in_hand is not None:
         messages.append(in_hand)
     for message in messages:

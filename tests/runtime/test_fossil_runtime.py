@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.runtime import ReplayDivergenceError
 from repro.runtime.engine import HopeSystem
 from repro.sim import ConstantLatency, Tracer
@@ -86,15 +87,35 @@ _OUTCOME_KEYS = (
 )
 
 
+def _split_replay(tracer):
+    """The trace as tuples with each restart's ``replay`` count taken out,
+    and those counts: the one field that is a cost, not behaviour — a
+    collected run restarts from its newest commit point, an uncollected
+    one from program entry."""
+    records, replays = [], []
+    for rec in tracer.records:
+        detail = dict(rec.detail)
+        if rec.category == "restart":
+            replays.append(detail.pop("replay"))
+        records.append((rec.time, rec.category, rec.process, sorted(detail.items())))
+    return records, replays
+
+
 # ----------------------------------------------------------------- property
 class TestCollectedEqualsUncollected:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     def test_identical_traces_and_outcomes(self, seed):
         base, base_tr, t_base = _run(seed, fossil=False)
         coll, coll_tr, t_coll = _run(seed, fossil=True)
-        # byte-identical traces: collection draws no randomness and
-        # schedules nothing
-        assert base_tr.fingerprint() == coll_tr.fingerprint()
+        # identical traces but for what a restart replays: collection
+        # draws no randomness and schedules nothing
+        base_records, base_replays = _split_replay(base_tr)
+        coll_records, coll_replays = _split_replay(coll_tr)
+        assert base_records == coll_records
+        assert base_replays and all(
+            c <= b for c, b in zip(coll_replays, base_replays, strict=True)
+        )
+        assert sum(coll_replays) < sum(base_replays)
         assert t_base == t_coll
         assert base.result_of("worker") == coll.result_of("worker")
         assert base.result_of("judge") == coll.result_of("judge")
@@ -142,6 +163,33 @@ class TestCommitPointSemantics:
         # identical results from far fewer replayed effects
         assert coll.result_of("worker") == base.result_of("worker")
         assert s_coll["replayed_effects"] < s_base["replayed_effects"]
+
+    def test_a_restart_starts_from_the_newest_surviving_commit_point(self):
+        """A denial of round r's guess restarts the worker from the commit
+        point that closed round r - 1 — promoted or not — so it re-feeds
+        that round's ``aid_init`` and ``send`` and nothing older."""
+        coll, tracer, _ = _run(seed=2, fossil=True, rounds=60)
+        restarts = [r for r in tracer.by_category("restart") if r.process == "worker"]
+        assert restarts and all(r.detail["replay"] == 2 for r in restarts)
+        assert coll.procs["worker"].log.replay_count == len(restarts)
+
+    def test_replay_counters_count_what_a_restart_refeeds(self):
+        """``hope_replay_entries_total`` and the trace's ``restart replay=``
+        count the entries an incarnation re-feeds, as ``replayed_effects``
+        does — not the log's absolute length, dropped prefix included."""
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        system = HopeSystem(
+            seed=2, latency=ConstantLatency(1.0), trace=tracer, metrics=registry,
+            fossil_interval=8,
+        )
+        system.spawn("judge", judge, 60, 0.3)
+        system.spawn("worker", worker, 60)
+        system.run()
+        replayed = system.stats()["replayed_effects"]
+        assert replayed and system.stats()["fossil_log_dropped"]
+        assert registry.get("hope_replay_entries_total").value == replayed
+        assert sum(r.detail["replay"] for r in tracer.by_category("restart")) == replayed
 
     def test_commit_point_is_noop_without_fossil_collect(self):
         base, _, _ = _run(seed=1, fossil=False, rounds=10)

@@ -90,6 +90,25 @@ def test_retract_after_delivery_marks_dead_and_queue_drops_it():
     assert len(box) == 0
 
 
+def test_copies_count_what_is_in_flight():
+    """``Message.copies``: scheduled and not yet fired or cancelled —
+    a sweep rider counts, a retraction after delivery takes nothing."""
+    sim, net = make_net(ConstantLatency(1.0))
+    net.register("rx")
+    first = net.send("tx", "rx", "a")
+    rider = net.send("tx", "rx", "b")               # joins first's event
+    doomed = net.send("tx", "rx", "c", latency_override=3.0)
+    late = net.send("tx", "rx", "d", latency_override=2.0)
+    sent = (first, rider, doomed, late)
+    assert [d.message.copies for d in sent] == [1, 1, 1, 1]
+    doomed.retract()
+    assert doomed.message.copies == 0
+    sim.run()
+    for delivery in sent:
+        delivery.retract()
+    assert [d.message.copies for d in sent] == [0, 0, 0, 0]
+
+
 def test_dead_message_not_handed_to_waiter():
     sim, net = make_net(ConstantLatency(2.0))
     box = net.register("rx")

@@ -133,6 +133,17 @@ def test_duplicate_all_delivers_two_copies():
     assert net.fault_stats.duplicated == 1
 
 
+def test_a_duplicated_message_counts_both_copies_in_flight():
+    sim, net = make_faulty(FaultPlan(default=LinkFaults(duplicate=1.0)))
+    got = drain(sim, net, "rx")
+    delivery = net.send("tx", "rx", "pkt")
+    assert delivery.message.copies == 2
+    delivery.retract()                  # cancels the first; the second lands dead
+    assert delivery.message.copies == 1
+    sim.run()
+    assert delivery.message.copies == 0 and got == []
+
+
 def test_partition_drops_cross_traffic_until_heal():
     plan = FaultPlan(
         partitions=(Partition(("tx",), ("rx",), start=0.0, heal_at=10.0),)

@@ -5,6 +5,7 @@ in ``test_kernel_reference.py``; these are the named edge cases.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -74,6 +75,25 @@ def test_cancelled_event_does_not_fire(sim):
     event.cancel()
     sim.run()
     assert fired == []
+
+
+def test_a_cancelled_event_lets_go_of_its_work(sim):
+    """A cancelled event waits in the heap for its turn or a compaction,
+    holding its key only: what it would have run is freed at once."""
+
+    class Payload:
+        pass
+
+    payload = Payload()
+    gone = weakref.ref(payload)
+    blocker = sim.schedule(1.0, int)                # a live head: no pop
+    event = sim.schedule(2.0, print, payload, label="retry:a->b")
+    del payload
+    event.cancel()
+    assert gone() is None
+    assert event.fn is None and event.args is None and event.label == ""
+    assert event in sim._heap and event.key == (2.0, 0, 1)
+    assert not blocker.cancelled and sim.run() == 1.0
 
 
 def test_run_until_stops_before_later_events(sim):
