@@ -81,8 +81,8 @@ class AssumptionId:
         #: (:meth:`Machine.hold`), or None.  They keep a *pending* AID
         #: from retiring — it may yet be guessed and become a message tag,
         #: which resolves by key.  The pass that finds the AID settled
-        #: drops them: a settled AID is reached through its handles by
-        #: object, and retires whatever handles are alive.
+        #: points the live ones at its shared verdict (:data:`VERDICTS`)
+        #: and drops them: the AID retires whatever handles are alive.
         self.handles: Optional[list] = None
 
     @property
@@ -99,3 +99,16 @@ class AssumptionId:
 
     def __repr__(self) -> str:
         return f"<AID {self.key} {self.status.value} |DOM|={len(self.dom)}>"
+
+
+def settled(key: str, status: AidStatus) -> AssumptionId:
+    """A settled AID named ``key``: what a late primitive through a handle
+    holding a shared verdict hands the machine, so its rows name the key."""
+    name, serial = key.rsplit("#", 1)
+    aid = AssumptionId(name, int(serial))
+    aid.status, aid.dom = status, SETTLED_DOM
+    return aid
+
+
+#: The shared verdicts (serial 0) a settling pass points live handles at.
+VERDICTS = {s: settled(f"{s.value}#0", s) for s in (AidStatus.AFFIRMED, AidStatus.DENIED)}

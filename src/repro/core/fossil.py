@@ -20,15 +20,16 @@ This module reclaims, per collection pass:
   the tags of messages not yet consumed) and, for a pending one, no
   *held* handle (:meth:`Machine.hold`).  A resolved one is **settled**
   (committed by Theorem 6.1): its DOM set is traded for the shared empty
-  :data:`~repro.core.aid.SETTLED_DOM`, its holds are dropped, and it
-  retires under live handles — §5 makes the verdict final, and a bound
-  handle reaches the AID by object, so a late ``guess`` / ``affirm`` /
-  ``deny`` / ``free_of`` through it still finds the verdict.  Only a
-  pending AID must stay resolvable by key while a handle lives: a guess
-  may yet make it a message tag, and tags resolve by key.  *Pending*
-  ones that retire are orphans minted inside rolled-back intervals that
-  nothing can ever resolve.  A retired AID leaves ``Machine.aids``;
-  by-object use still works, by-key lookup raises;
+  :data:`~repro.core.aid.SETTLED_DOM`, its live handles are pointed at
+  the shared verdict of its status (:data:`~repro.core.aid.VERDICTS`),
+  its holds dropped, and it retires under them — §5 makes the verdict
+  final, and it is all a late ``guess`` / ``affirm`` / ``deny`` /
+  ``free_of`` through a handle reads.  Only a pending AID must stay
+  resolvable by key while a handle lives: a guess may yet make it a
+  message tag, and tags resolve by key.  *Pending* ones that retire are
+  orphans minted inside rolled-back intervals that nothing can ever
+  resolve.  A retired AID leaves ``Machine.aids``; by-handle use still
+  works, by-key lookup raises;
 * **interned DepSets** — the table holds its sets weakly, so one dies
   with the last interval that carries it; a pass drops what else kept
   them, the ``id()``-keyed operation memos (see
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .aid import SETTLED_DOM, AidStatus
+from .aid import SETTLED_DOM, VERDICTS, AidStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .machine import Machine
@@ -136,8 +137,13 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
         key = aid.key
         if aid.status is not AidStatus.PENDING:
             # Settled: nothing can change it or depend on it again, and
-            # its handles read it by object — only a tag pin keeps it.
+            # its handles get its verdict — only a tag pin keeps it.
             aid.dom = SETTLED_DOM
+            if aid.handles is not None and machine.on_settle is not None:
+                verdict = VERDICTS[aid.status]
+                for ref in aid.handles:
+                    if (handle := ref()) is not None:
+                        machine.on_settle(handle, verdict)
             aid.handles = None
             kept = key in pins
         else:

@@ -164,6 +164,9 @@ class Machine:
         self.pins: dict[str, int] = {}
         #: Pre-bound: every handle's weak reference shares this callback.
         self._on_handle_death = self._handle_died
+        #: ``on_settle(handle, verdict)`` points a live handle held on an AID
+        #: a pass settles at its shared verdict (None: handles stay as are).
+        self.on_settle: Optional[Callable[[object, AssumptionId], None]] = None
 
     # ------------------------------------------------------------------
     # registration
@@ -212,8 +215,8 @@ class Machine:
         lives: a later ``guess`` through it may make the AID a message
         tag, and tags resolve by key.  Holds count per object (two copies
         of one handle are two holds), die with the object, and all go
-        when a pass finds the AID settled — a resolved AID is read
-        through its handles by object, so none of them keeps it."""
+        when a pass finds the AID settled — the pass hands each live
+        handle to :attr:`on_settle`, so none of them keeps it."""
         ref = KeyedRef(handle, self._on_handle_death, aid)
         if aid.handles is None:
             aid.handles = [ref]
@@ -763,16 +766,17 @@ class Machine:
         same assumption).
         """
         if aid.status is not AidStatus.PENDING:
+            by = "" if aid.resolved_by is None else f" by {aid.resolved_by!r}"
             if self.strict:
                 raise ResolutionConflictError(
                     f"{via}({aid.key}) by {pid!r}: AID already "
-                    f"{aid.status.value} by {aid.resolved_by!r} (strict mode)"
+                    f"{aid.status.value}{by} (strict mode)"
                 )
             if aid.status is wanted:
                 return False
             raise ResolutionConflictError(
                 f"{via}({aid.key}) by {pid!r} conflicts with earlier "
-                f"{aid.status.value} by {aid.resolved_by!r}"
+                f"{aid.status.value}{by}"
             )
         affirmer = aid.speculative_affirmer
         if affirmer is not None and affirmer.speculative:

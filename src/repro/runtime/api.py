@@ -48,12 +48,13 @@ class AidHandle:
     hands ``PartPage`` and ``Order`` to the WorryWart).
 
     A handle the engine made (``aid_init``, or a durable resume decoding
-    one) is *bound*: ``aid`` is the :class:`~repro.core.aid.AssumptionId`
-    itself, and ``guess`` / ``affirm`` / ``deny`` / ``free_of`` through it
-    reach the machine by object — also after a fossil pass has retired a
-    settled AID from the key table.  ``aid`` is not part of the value:
-    equality, hash, ``repr`` and pickling see ``key`` and ``name`` only,
-    so an unpickled copy is unbound and is looked up by key.
+    one) is *bound*: ``aid`` is the :class:`~repro.core.aid.AssumptionId`,
+    and ``guess`` / ``affirm`` / ``deny`` / ``free_of`` through it reach
+    the machine by object; the pass that settles the AID points ``aid`` at
+    the shared verdict of its status (:data:`~repro.core.aid.VERDICTS`:
+    read its ``status``, not its ``key``).  ``aid`` is not part of the
+    value: equality, hash, ``repr`` and pickling see ``key`` and ``name``
+    only, so an unpickled copy is unbound and is looked up by key.
     """
 
     __slots__ = ("key", "name", "aid", "__weakref__")
@@ -91,7 +92,7 @@ class AidHandle:
     # *this object* is reachable (a weak reference on the AID), and
     # commit-point states are deep-copied.  A copy that produced a fresh
     # object would drop that hold when the original died.  (A settled AID
-    # needs no hold: the bound handle reaches it by object.)
+    # needs no hold: the bound handle holds its verdict.)
     def __copy__(self) -> "AidHandle":
         return self
 
@@ -104,7 +105,7 @@ class AidHandle:
 
 _set_key = AidHandle.key.__set__
 _set_name = AidHandle.name.__set__
-#: Binds a handle to its AID (``aid_init`` and a durable resume only).
+#: Binds a handle to its AID, or to its verdict once settled (``Machine.on_settle``).
 _set_aid = AidHandle.aid.__set__
 
 

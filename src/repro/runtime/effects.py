@@ -39,8 +39,8 @@ class AidInitEffect(HopeEffect):
 
 
 class _AidEffect(HopeEffect):
-    """An effect on one assumption: its key, and the AID itself when the
-    program named it through a bound handle (looked up by key otherwise)."""
+    """An effect on one assumption: its key, and the AID (or its verdict)
+    when the program named it through a bound handle (else by key)."""
 
     __slots__ = ("aid_key", "aid")
     label = ""

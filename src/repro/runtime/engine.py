@@ -38,6 +38,7 @@ from ..core import (
     MachineEvent,
     RollbackEvent,
 )
+from ..core.aid import settled
 from ..sim import (
     TIMED_OUT,
     ConstantLatency,
@@ -56,7 +57,7 @@ from ..sim import (
 from ..obs import MetricsRegistry, NullRegistry, SpanCollector, SpeculationMetrics
 from ..sim.channel import Message
 from ..sim.process import Effect
-from .api import AidHandle, AidRef, HopeProcess, aid_key
+from .api import AidHandle, AidRef, HopeProcess, _set_aid, aid_key
 from .effects import (
     AffirmEffect,
     AidInitEffect,
@@ -471,6 +472,7 @@ class HopeSystem:
         # only (nothing in the engine reads the entries back).
         self.machine = Machine(strict=strict_aids, history=self._tracing)
         self.machine.subscribe(self._on_machine_event)
+        self.machine.on_settle = _set_aid
         #: Pre-bound effect-dispatch lookup and interned-empty DepSet —
         #: read once per effect / per definite send (see _handle_effect).
         self._handler_get = self._LIVE_HANDLERS.get
@@ -737,8 +739,8 @@ class HopeSystem:
 
     def aid(self, ref: AidRef) -> AssumptionId:
         """Resolve a handle/key to the underlying machine AID.  A bound
-        handle answers by object, also once its settled AID has retired;
-        a raw key (or an unbound copy) is looked up in the live table."""
+        handle answers by object — with the shared verdict once a pass has
+        settled it; a raw key (or an unbound copy) is looked up by key."""
         if isinstance(ref, AidHandle) and ref.aid is not None:
             return ref.aid
         return self.machine.aid(aid_key(ref))
@@ -1267,7 +1269,7 @@ class HopeSystem:
         proc.log.append("guess", value)
         if self._tracing:
             self.tracer.record(
-                self.sim.now, "guess", proc.name, aid=aid.key, value=value
+                self.sim.now, "guess", proc.name, aid=effect.aid_key, value=value
             )
         task.resume_now(value)
 
@@ -1312,9 +1314,8 @@ class HopeSystem:
         else:
             self.control.issue("free_of", proc.name, aid)
         if self._tracing:
-            self.tracer.record(
-                self.sim.now, effect.kind, proc.name, aid=aid.key, status=aid.status.value
-            )
+            self.tracer.record(self.sim.now, effect.kind, proc.name,
+                               aid=effect.aid_key, status=aid.status.value)
         if proc.incarnation != before:
             # The primitive rolled back its own executor (e.g. a free_of
             # violation).  A restart is already scheduled; the statement's
@@ -1482,18 +1483,18 @@ class HopeSystem:
     def _lookup_aid(self, effect) -> AssumptionId:
         """The AID a guess / affirm / deny / free_of names.
 
-        Through a bound handle, the object itself: a settled AID retires
-        from the key table under live handles, and its verdict is all a
-        late primitive reads.  A raw key or an unbound copy is looked up:
-        standalone systems hit the machine directly (unknown keys raise,
-        as ever); a parallel worker falls back to the remote bridge — a
-        key minted on another shard, whose handle arrived inside a
-        message payload, is adopted as a pending mirror, to be resolved
-        by relayed definite affirms/denies from its owner.
+        Through a bound handle, its AID — or, once a pass has pointed it
+        at a shared verdict (serial 0), a settled AID under its key.  A raw
+        key or an unbound copy is looked up: standalone systems hit the
+        machine directly (unknown keys raise, as ever); a parallel worker
+        falls back to the remote bridge — a key minted on another shard,
+        whose handle arrived inside a message payload, is adopted as a
+        pending mirror, to be resolved by relayed definite affirms/denies
+        from its owner.
         """
         aid = effect.aid
         if aid is not None:
-            return aid
+            return aid if aid.serial else settled(effect.aid_key, aid.status)
         if self.remote is not None:
             return self.remote.lookup_aid(effect.aid_key)
         return self.machine.aid(effect.aid_key)

@@ -27,6 +27,7 @@ from repro.chaos import (
     run_kill_resume_case,
     run_kill_resume_matrix,
 )
+from repro.core.aid import VERDICTS, AidStatus
 from repro.durable import DurableError
 from repro.core.errors import HopeError
 from repro.runtime import HopeSystem
@@ -409,6 +410,10 @@ def _golden_run(run_dir):
     system.spawn("sender", _two_tag_sender, "peer")
     system.run()
     assert system.stats()["tags_attached"] >= 6
+    return _dir_digest(run_dir, system)
+
+
+def _dir_digest(run_dir, system):
     digest = hashlib.sha256()
     names = sorted(os.listdir(run_dir))
     for name in names:
@@ -502,6 +507,57 @@ class TestBytesOnDisk:
         for doc in docs:
             want = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
             assert _json_bytes(doc) == want
+
+
+# ------------------------------ a late resolution through a settled handle
+def _late_maker(p, ok, held):
+    x = yield p.aid_init("x")
+    yield p.send("judge", x)
+    yield p.compute(10.0)                    # passes settle x meanwhile
+    held.append(x.aid)
+    first = yield p.guess(x)
+    yield (p.affirm(x) if ok else p.deny(x))     # lenient: a no-op
+    yield p.free_of(x)
+    yield p.emit(("late", first))
+    yield p.compute(5.0)
+    yield p.emit(("kept", x))
+
+
+def _late_judge(p, ok):
+    x = (yield p.recv()).payload
+    yield (p.affirm(x) if ok else p.deny(x))
+    for i in range(6):                       # finalizes keep passes coming
+        y = yield p.aid_init(f"churn{i}")
+        yield p.guess(y)
+        yield p.affirm(y)
+
+
+class TestLateResolution:
+    """A resolution through a handle that holds only its shared verdict
+    writes what it wrote through the handle's own ``AssumptionId``: the
+    engine hands the recorder a settled AID under the handle's key."""
+
+    #: ``_dir_digest`` at the commit before handles were pointed at shared
+    #: verdicts (key pinned; hash-seed independent, like the golden above).
+    GOLDEN = {
+        True: ((6, 28), "dfffb2dc7f5457696261e486836786d086e94b0e5e6528b3b7776dab465d9a07"),
+        False: ((6, 28), "f9497dfe2797c706398008be4fc633d8a4dc3c25482f243c1f0e15772840a1b6"),
+    }
+
+    @pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
+    def test_frames_are_those_written_through_the_aid(self, tmp_path, ok):
+        with open(os.path.join(tmp_path, "key.bin"), "wb") as fh:
+            fh.write(bytes(range(32)))
+        held = []
+        system = HopeSystem(seed=1, latency=ConstantLatency(1.0), strict_aids=False,
+                            fossil_interval=1, durable_dir=str(tmp_path),
+                            durable_opts={"snapshot_every": 2})
+        system.spawn("judge", _late_judge, ok)
+        system.spawn("maker", _late_maker, ok, held)
+        system.run()
+        assert held == [VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]]
+        (files, records, _), digest = _dir_digest(str(tmp_path), system)
+        assert ((files, records), digest) == self.GOLDEN[ok]
 
 
 # -------------------------------------------------------------- guardrails

@@ -20,12 +20,13 @@ counting.  The seven shapes the budgets are set on live here too:
 * :func:`open_interval` — one more process holding a live speculative
   interval, over the same process blocked without one.
 
-The bytes differ between interpreters, so every budget is a table keyed
-by ``sys.version_info[:2]`` (:func:`budget`).  The file is also a script
-that needs neither pytest nor the test suite:
-``PYTHONPATH=src python tests/footprint.py`` prints the figures the
-tables are set from, and every tier-1 leg of CI runs it before the suite,
-so each interpreter's figures are in its log.
+The bytes differ between interpreters, so the budgets are one table,
+:data:`BUDGETS`, keyed by shape and ``sys.version_info[:2]``
+(:func:`budget`).  The file is also a script that needs neither pytest
+nor the test suite: ``PYTHONPATH=src python tests/footprint.py`` prints
+the figures the budgets are set from, and ``--markdown`` prints the
+budget table as PERFORMANCE.md carries it (a tier-1 test keeps the two
+equal), then this interpreter's figures beside its budgets.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import sys
 import tracemalloc
 from typing import Any, Callable
 
+from repro.core import AssumptionId
 from repro.runtime import HopeSystem, ReliableConfig
 from repro.sim import ConstantLatency
 
@@ -58,11 +60,70 @@ def measure(run: Callable[[], Any]) -> tuple:
     return result, traced, blocks
 
 
-def budget(table: dict) -> tuple:
-    """This interpreter's row of ``table`` (``{(major, minor): (bytes,
-    blocks)}``); a version not in it gets the loosest of each column."""
+#: ``(bytes, blocks)`` each shape may leave per unit, by interpreter: the
+#: figures this script prints, measured + 10 %, so that a budget fails at
+#: the commit before the change that set it.  Each figure's history is in
+#: PERFORMANCE.md, beside the section of the change that moved it.
+BUDGETS = {
+    # a slot in the start batch, the task, runtime, record, track, log
+    # and mailbox of a process not yet run (PERFORMANCE §20)
+    "spawned process": {
+        (3, 10): (1814, 14.2), (3, 11): (1421, 13.1),
+        (3, 12): (1403, 13.1), (3, 13): (1403, 13.1),
+    },
+    # the same, blocked in ``recv`` (§18, §20)
+    "idle process": {
+        (3, 10): (2102, 20.8), (3, 11): (1711, 19.7),
+        (3, 12): (1693, 19.7), (3, 13): (1693, 19.7),
+    },
+    # eight log entries, a committed emit and a handle whose settled
+    # AID is the shared verdict (§15, §17, §22)
+    "running round": {
+        (3, 10): (646, 11.7), (3, 11): (655, 11.7),
+        (3, 12): (655, 11.7), (3, 13): (655, 11.7),
+    },
+    # what a retired process keeps: its records and totals (§14, §20)
+    "retired process": {
+        (3, 10): (1573, 25.1), (3, 11): (1530, 25.1),
+        (3, 12): (1520, 25.1), (3, 13): (1520, 25.1),
+    },
+    # one slot of ``committed`` (§19)
+    "committed output": {
+        (3, 10): (9.4, 0.1), (3, 11): (9.4, 0.1),
+        (3, 12): (9.4, 0.1), (3, 13): (9.4, 0.1),
+    },
+    # the dead timer's heap entry and key, two log entries (§21)
+    "acked send": {
+        (3, 10): (861, 14.6), (3, 11): (876, 14.6),
+        (3, 12): (876, 14.6), (3, 13): (876, 14.6),
+    },
+    # the interval, its pending AID, handle and IDO, two log entries (§21)
+    "open interval": {
+        (3, 10): (1934, 23.9), (3, 11): (1947, 23.9),
+        (3, 12): (1956, 23.9), (3, 13): (1956, 23.9),
+    },
+}
+
+
+def budget(shape: str) -> tuple:
+    """This interpreter's row of ``BUDGETS[shape]``; a version not in it
+    gets the loosest of each column."""
+    table = BUDGETS[shape]
     row = table.get(sys.version_info[:2])
     return row if row is not None else tuple(map(max, zip(*table.values())))
+
+
+def budget_markdown() -> str:
+    """:data:`BUDGETS` as the Markdown table PERFORMANCE.md carries."""
+    versions = sorted({version for table in BUDGETS.values() for version in table})
+    lines = [
+        "| shape | " + " | ".join("%d.%d" % v for v in versions) + " |",
+        "|---|" + "---|" * len(versions),
+    ]
+    for shape, table in BUDGETS.items():
+        cells = (f"{table[v][0]:g} B, {table[v][1]:g} blocks" for v in versions)
+        lines.append(f"| {shape} | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
 
 
 def _per_unit(small: tuple, large: tuple, units: int) -> tuple:
@@ -298,19 +359,44 @@ def open_interval(count: int = 2000) -> tuple:
     return system, (traced - idle_traced) / count, (blocks - idle_blocks) / count
 
 
+def live_aids() -> int:
+    """How many ``AssumptionId`` objects are alive."""
+    gc.collect()
+    return sum(type(o) is AssumptionId for o in gc.get_objects())
+
+
+def outliving_aids(build: Callable[[], HopeSystem]) -> tuple:
+    """``(system, count)``: the ``AssumptionId`` objects alive once
+    ``build()`` has run its system to quiescence, less the ones still in
+    its ``machine.aids`` — retired AIDs that something still keeps."""
+    before = live_aids()
+    system = build()
+    return system, live_aids() - before - len(system.machine.aids)
+
+
+#: Every shape's census, in the order the script prints them.
+CENSUS = {
+    "spawned process": spawned_process,
+    "idle process": idle_process,
+    "running round": running_round,
+    "retired process": retired_process,
+    "committed output": committed_output,
+    "acked send": acked_send,
+    "open interval": open_interval,
+}
+
+
 if __name__ == "__main__":
+    markdown = sys.argv[1:] == ["--markdown"]
     version = "%d.%d" % sys.version_info[:2]
-    _, traced, blocks = spawned_process()
-    print(f"{version} spawned process: {traced:7.1f} B {blocks:5.1f} blocks")
-    _, traced, blocks = idle_process()
-    print(f"{version} idle process:    {traced:7.1f} B {blocks:5.1f} blocks")
-    _, _, traced, blocks = running_round()
-    print(f"{version} running round:   {traced:7.1f} B {blocks:5.1f} blocks")
-    _, traced, blocks = retired_process()
-    print(f"{version} retired process: {traced:7.1f} B {blocks:5.1f} blocks")
-    _, traced, blocks = committed_output()
-    print(f"{version} committed output: {traced:6.1f} B {blocks:5.1f} blocks")
-    _, traced, blocks = acked_send()
-    print(f"{version} acked send:      {traced:7.1f} B {blocks:5.1f} blocks")
-    _, traced, blocks = open_interval()
-    print(f"{version} open interval:   {traced:7.1f} B {blocks:5.1f} blocks")
+    if markdown:
+        print(budget_markdown())
+        print(f"\n| shape ({version}) | measured | budget |\n|---|---|---|")
+    for shape, census in CENSUS.items():
+        traced, blocks = census()[-2:]
+        if markdown:
+            max_bytes, max_blocks = budget(shape)
+            print(f"| {shape} | {traced:.1f} B, {blocks:.1f} blocks "
+                  f"| {max_bytes:g} B, {max_blocks:g} blocks |")
+        else:
+            print(f"{version} {shape + ':':17} {traced:7.1f} B {blocks:5.1f} blocks")

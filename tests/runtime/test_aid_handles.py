@@ -11,8 +11,13 @@ primitive through a handle reaches it by object.  Pinned here:
 * a settled AID retires under a live handle, and ``guess`` / ``affirm``
   / ``deny`` / ``free_of`` / ``aid()`` / ``aid_status()`` through it
   still answer — emitting the trace the uncollected twin emits;
-* holds count per handle object and die with it; a pass drops them all
-  when it settles the AID.
+* holds count per handle object and die with it; the pass that settles
+  the AID points every live handle at the shared verdict of its status
+  and drops them all;
+* a late primitive through a handle that holds only the verdict behaves
+  as it did through the AID: same value, same trace, the handle's key in
+  every trace record, event and error text — which no longer names the
+  resolver.
 """
 
 import copy
@@ -21,7 +26,8 @@ import pickle
 
 import pytest
 
-from repro.core import Machine, UnknownAidError
+from repro.core import GuessSkippedEvent, Machine, ResolutionConflictError, UnknownAidError
+from repro.core.aid import VERDICTS, AidStatus
 from repro.runtime import AidHandle, HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
@@ -135,6 +141,7 @@ def test_a_settled_aid_retires_under_a_live_handle(ok):
     # object: the same trace, byte for byte, as the twin that retires
     # nothing.
     assert handle.key not in system.machine.aids and handle.aid.handles is None
+    assert handle.aid is VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]
     assert handle.key in twin.machine.aids
     assert tracer.fingerprint() == twin_tracer.fingerprint()
     assert system.committed_outputs("maker") == [("late", ok)]
@@ -147,3 +154,73 @@ def test_a_settled_aid_retires_under_a_live_handle(ok):
     with pytest.raises(UnknownAidError, match="retired by collection"):
         system.aid(AidHandle(handle.key, handle.name))       # an unbound copy
     system.machine.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# a late primitive through a handle that holds only the verdict
+# ----------------------------------------------------------------------
+_LATE = {
+    "guess": lambda p, x: p.guess(x),
+    "affirm": lambda p, x: p.affirm(x),
+    "deny": lambda p, x: p.deny(x),
+    "free_of": lambda p, x: p.free_of(x),
+}
+
+
+def _late_maker(p, seen, late):
+    x = yield p.aid_init("x")
+    yield p.send("judge", x)
+    yield p.compute(10.0)                    # passes settle x meanwhile
+    seen.append((x, x.aid))                  # what the handle holds now
+    seen.append((yield _LATE[late](p, x)))
+    yield p.emit("late")
+
+
+def _late_run(fossil, ok, late, strict):
+    seen, events = [], []
+    tracer = Tracer()
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
+                        strict_aids=strict, fossil_collect=fossil, fossil_interval=1)
+    system.machine.subscribe(events.append)
+    system.spawn("judge", _judge, ok)
+    system.spawn("maker", _late_maker, seen, late)
+    try:
+        system.run()
+        error = None
+    except ResolutionConflictError as exc:
+        error = str(exc)
+    return system, tracer, seen, events, error
+
+
+@pytest.mark.parametrize("late", sorted(_LATE))
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
+def test_a_late_primitive_through_a_verdict_is_unchanged(ok, strict, late):
+    system, tracer, seen, events, error = _late_run(True, ok, late, strict)
+    twin, twin_tracer, twin_seen, _, twin_error = _late_run(False, ok, late, strict)
+    (handle, held), *rest = seen
+    verdict = VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]
+    # The pass had pointed the handle at the shared verdict before the
+    # primitive ran; the uncollected twin's handle still held its AID.
+    assert held is verdict and twin_seen[0][1].key == handle.key
+    # The same value, the same trace byte for byte, the key in every
+    # record and event that names an AID ...
+    assert rest == twin_seen[1:]
+    assert tracer.fingerprint() == twin_tracer.fingerprint()
+    late_records = [r for r in tracer.records
+                    if r.process == "maker" and r.category == late]
+    assert late_records or error
+    assert all(r.detail["aid"] == handle.key for r in late_records)
+    skips = [e for e in events if type(e) is GuessSkippedEvent]
+    assert all(e.aid.key == handle.key for e in skips)
+    assert bool(skips) == (late == "guess")
+    # ... and the same error text, less the resolver's name: a verdict is
+    # shared, so it does not know who resolved this AID.
+    assert (error is None) == (twin_error is None)
+    if error is not None:
+        assert handle.key in error
+        assert error == twin_error.replace(" by 'judge'", "")
+    # The public lookups answer with the verdict.
+    assert system.aid(handle) is verdict
+    assert system.aid_status(handle) is verdict.status
+    assert twin.aid_status(handle) is verdict.status

@@ -243,23 +243,11 @@ def test_crash_keeps_committed_outputs_out_of_later_rollbacks():
 # ----------------------------------------------------------------------
 # what a committed emit costs
 # ----------------------------------------------------------------------
-#: Bytes and blocks per ``p.emit`` a pass has committed (tests/footprint.py),
-#: measured + 10 %, 8.5 B on 3.10–3.13: one slot of ``committed`` (the
-#: value is shared here).  At the parent 124.5 B and 3 blocks on 3.11: a
-#: 64-byte ``OutputRecord``, its boxed log index and its time float.
-_COMMITTED_EMIT = {
-    (3, 10): (9.4, 0.1),
-    (3, 11): (9.4, 0.1),
-    (3, 12): (9.4, 0.1),
-    (3, 13): (9.4, 0.1),
-}
-
-
 def test_a_committed_emit_costs_a_list_slot():
     system, traced, blocks = committed_output()
     proc = system.procs["emitter"]
     assert proc.task is None                    # retired: its log went too
     assert proc.outputs == () and len(proc.committed) == 4 * 2000
-    max_bytes, max_blocks = budget(_COMMITTED_EMIT)
+    max_bytes, max_blocks = budget("committed output")
     assert traced <= max_bytes
     assert blocks <= max_blocks

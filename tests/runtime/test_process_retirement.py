@@ -301,69 +301,21 @@ def test_a_body_that_did_nothing_has_nothing_to_retire():
 
 
 # --------------------------------------------------- spawned footprint
-#: Per process spawned and not yet run (tests/footprint.py), measured +
-#: 10 %: (bytes, blocks).  Before same-instant starts shared one event,
-#: 1 794 B and 20.8 blocks on 3.11 (2 148 B on 3.10, 1 770 B on 3.12 and
-#: 3.13): each start was its own ``ScheduledEvent`` with a key tuple, a
-#: bound ``_step``, an args tuple and a label.  Now 1 291 B (1 648 B on
-#: 3.10, 1 275 B on 3.12 and 3.13): a slot in the start batch.
-_SPAWNED = {
-    (3, 10): (1814, 14.2),
-    (3, 11): (1421, 13.1),
-    (3, 12): (1403, 13.1),
-    (3, 13): (1403, 13.1),
-}
-
-
 def test_spawned_process_footprint_budget():
     system, traced, blocks = spawned_process()
-    max_bytes, max_blocks = budget(_SPAWNED)
+    max_bytes, max_blocks = budget("spawned process")
     assert traced <= max_bytes
     assert blocks <= max_blocks
     assert system.sim.pending_events == 1       # one start batch for all
 
 
 # --------------------------------------------------------- idle footprint
-#: Per process blocked in ``recv`` (tests/footprint.py), measured + 10 %:
-#: (bytes, blocks).  At the parent of this table 2 451 B and 33.9 blocks
-#: on 3.11 — three bound methods, a ``TaskEnv``, a cleanup list, the
-#: bridge's own waiter and ``on_kill``, an empty dict of folded totals;
-#: 2 810 B on 3.10.  Then 1 827 B, with an empty output list; 1 771 B
-#: since the output lists are the shared empty tuple until first use
-#: (2 129 B on 3.10, 1 755 B on 3.12 and 3.13); 1 555 B since the open
-#: span is two slots of the track, the interval list is shared until the
-#: first guess and the log's kinds are bytes (1 911 B on 3.10, 1 539 B on
-#: 3.12 and 3.13).
-_IDLE = {
-    (3, 10): (2102, 20.8),
-    (3, 11): (1711, 19.7),
-    (3, 12): (1693, 19.7),
-    (3, 13): (1693, 19.7),
-}
-
-
 def test_idle_process_footprint_budget():
     system, traced, blocks = idle_process()
     assert all(proc.task.alive for proc in system.procs.values())
-    max_bytes, max_blocks = budget(_IDLE)
+    max_bytes, max_blocks = budget("idle process")
     assert traced <= max_bytes
     assert blocks <= max_blocks
-
-
-#: Per finished process of relay waves, measured + 10 %: (bytes, blocks).
-#: At the parent 2 234 B and 32.7 blocks on 3.11 (2 318 B on 3.10): a
-#: retired process kept a label per link it sent on, a folded-totals dict,
-#: an S.IS set table, an empty history and candidate list, and the wait
-#: list of its mailbox.  Then 1 607 B, with its emit kept as an output
-#: record; 1 543 B with it kept as a value (1 582 B on 3.10, 1 534 B on
-#: 3.12 and 3.13); 1 390 B with no start event, span list, interval list
-#: or kind strings of its own (1 430 B on 3.10, 1 382 B on 3.12 and 3.13).
-_RETIRED = {
-    (3, 10): (1573, 25.1),
-    (3, 11): (1530, 25.1),
-    (3, 12): (1520, 25.1),
-    (3, 13): (1520, 25.1),
-}
 
 
 def test_retired_process_footprint_budget():
@@ -371,7 +323,7 @@ def test_retired_process_footprint_budget():
     stats = system.stats()
     assert stats["rollbacks"] > 0
     assert stats["processes_retired"] >= 0.95 * len(system.procs)
-    max_bytes, max_blocks = budget(_RETIRED)
+    max_bytes, max_blocks = budget("retired process")
     assert traced <= max_bytes
     assert blocks <= max_blocks
     # What it keeps is shared: no container of its own is left empty.

@@ -479,27 +479,12 @@ def test_forgetting_changes_no_dedup_decision(seed, crash):
 
 
 # ---------------------------------------------------------------- acked send
-#: Bytes and blocks per acknowledged send whose retry timer is cancelled
-#: and still queued (tests/footprint.py), measured + 10 %: 796 B and 13.3
-#: blocks on 3.11 (783 B on 3.10, 796 B on 3.12 and 3.13) — the dead
-#: timer's event and key, the two log entries, a live event of ballast,
-#: and the tuples the interpreter keeps for reuse.  At the parent 2 003 B
-#: and 29 blocks on 3.11: the dead timer still held its ``_PendingSend``,
-#: ``Delivery`` list, ``Message`` and label, and the receiver the id.
-_ACKED_SEND = {
-    (3, 10): (861, 14.6),
-    (3, 11): (876, 14.6),
-    (3, 12): (876, 14.6),
-    (3, 13): (876, 14.6),
-}
-
-
 def test_an_acked_send_keeps_nothing_but_its_dead_timer_key():
     system, traced, blocks = acked_send()
     timers = [event for event in system.sim._heap if event.cancelled]
     assert len(timers) == 4 * 500 and system.sim.heap_compactions == 0
     assert all(event.fn is None and event.args is None for event in timers)
     assert not system.reliable._seen and not system.reliable._pending
-    max_bytes, max_blocks = budget(_ACKED_SEND)
+    max_bytes, max_blocks = budget("acked send")
     assert traced <= max_bytes
     assert blocks <= max_blocks

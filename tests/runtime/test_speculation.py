@@ -359,20 +359,6 @@ def test_nested_guesses_roll_back_independently():
 
 
 # ---------------------------------------------------------------- footprint
-#: Bytes and blocks per live speculative interval (tests/footprint.py: a
-#: process blocked inside one, less one blocked outside any), measured +
-#: 10 %: 1 770 B and 21.7 blocks on 3.11 (1 758 B on 3.10, 1 778 B on 3.12
-#: and 3.13) — the interval, its AID, handle and IDO, two log entries.  At
-#: the parent 2 098 B and 24.7 blocks on 3.11: an empty IHD set, an empty
-#: ``spec_affirms`` list and a one-key ``meta`` dict besides.
-_OPEN_INTERVAL = {
-    (3, 10): (1934, 23.9),
-    (3, 11): (1947, 23.9),
-    (3, 12): (1956, 23.9),
-    (3, 13): (1956, 23.9),
-}
-
-
 def test_an_open_interval_owns_only_the_containers_it_uses():
     system, traced, blocks = open_interval()
     live = [iv for record in system.machine.processes.values() for iv in record.speculative]
@@ -381,6 +367,6 @@ def test_an_open_interval_owns_only_the_containers_it_uses():
         assert interval.ihd is NO_DENIES
         assert interval.spec_affirms == () and interval.sent == ()
         assert interval.received == ()
-    max_bytes, max_blocks = budget(_OPEN_INTERVAL)
+    max_bytes, max_blocks = budget("open interval")
     assert traced <= max_bytes
     assert blocks <= max_blocks
