@@ -12,23 +12,16 @@ from repro.bench import emit, format_table
 from repro.verify import explore
 
 
-def run_campaign(n_runs: int, root_seed: int, aid_mode: str, shuffle: bool = False):
-    report = explore(
-        n_runs=n_runs, root_seed=root_seed, aid_mode=aid_mode,
-        shuffle_ties=shuffle,
-    )
+def run_campaign(n_runs: int, root_seed: int, shuffle: bool = False):
+    report = explore(n_runs=n_runs, root_seed=root_seed, shuffle_ties=shuffle)
     rollbacks = sum(run.rollbacks for run in report.runs)
     return report, rollbacks
 
 
 def test_model_check_campaign(benchmark):
     rows = []
-    for label, aid_mode, shuffle in (
-        ("registry", "registry", False),
-        ("aid_task", "aid_task", False),
-        ("registry+shuffle", "registry", True),
-    ):
-        report, rollbacks = run_campaign(80, 23, aid_mode, shuffle)
+    for label, shuffle in (("registry", False), ("registry+shuffle", True)):
+        report, rollbacks = run_campaign(80, 23, shuffle)
         assert report.ok, report.summary()
         rows.append(
             [label, len(report.runs), len(report.failures), rollbacks]

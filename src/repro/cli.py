@@ -233,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="print the event trace at the end"
     )
     run.add_argument(
-        "--aid-mode",
-        choices=["registry", "aid_task"],
-        default="registry",
-        help="dependency-tracking control plane",
-    )
-    run.add_argument(
         "--fossil-interval",
         type=int,
         default=64,
@@ -409,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency", type=float, default=0.5, help="network latency for dpor/full"
     )
     verify.add_argument(
-        "--aid-mode",
-        choices=["registry", "aid_task"],
-        default="registry",
-        help="dependency-tracking control plane",
-    )
-    verify.add_argument(
         "--max-schedules",
         type=int,
         default=2000,
@@ -492,7 +480,6 @@ def cmd_run(args, out) -> int:
         seed=args.seed,
         latency=ConstantLatency(args.latency),
         trace=tracer,
-        aid_mode=args.aid_mode,
         fossil_interval=args.fossil_interval,
         metrics=registry,
         faults=faults,
@@ -733,8 +720,7 @@ def cmd_verify(args, out) -> int:
             n_runs=args.runs,
             root_seed=args.seed,
             check_determinism=True,
-            aid_mode=args.aid_mode,
-            shuffle_ties=True,
+                shuffle_ties=True,
         )
         print(report.summary(), file=out)
         return 0 if report.ok else 1
@@ -756,8 +742,7 @@ def cmd_verify(args, out) -> int:
             scenario,
             seed=args.seed,
             latency=args.latency,
-            aid_mode=args.aid_mode,
-            prune=args.mode != "full",
+                prune=args.mode != "full",
             max_schedules=args.max_schedules,
             max_events=args.max_events,
             allow_pending_orphans=not args.strict_orphans,

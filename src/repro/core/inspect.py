@@ -2,22 +2,29 @@
 
 The IDO/DOM bookkeeping is a bipartite graph between intervals and
 assumption identifiers; seeing it is the fastest way to debug an
-optimistic program.  :func:`dependency_graph` materializes it as a
-:mod:`networkx` DiGraph (intervals → the AIDs they depend on; AIDs → the
+optimistic program.  :func:`dependency_graph` materializes it as plain
+node and edge dicts (intervals → the AIDs they depend on; AIDs → the
 interval that speculatively affirmed them), :func:`format_machine` prints
 the whole machine state, and :func:`to_dot` renders Graphviz source.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import NamedTuple
 
 from .aid import AssumptionId
 from .interval import Interval
 from .machine import Machine
 
 
-def dependency_graph(machine: Machine, include_dead: bool = False) -> "nx.DiGraph":
+class DependencyGraph(NamedTuple):
+    """node → attributes, and (src, dst) → attributes grouped by src."""
+
+    nodes: dict[str, dict]
+    edges: dict[tuple[str, str], dict]
+
+
+def dependency_graph(machine: Machine, include_dead: bool = False) -> DependencyGraph:
     """The live dependency graph.
 
     Nodes: ``aid:<key>`` (kind="aid", status=...) and ``interval:<label>``
@@ -27,30 +34,34 @@ def dependency_graph(machine: Machine, include_dead: bool = False) -> "nx.DiGrap
     * aid → interval, relation="affirmed_by" (speculative affirmer);
     * interval → aid, relation="parked_deny" (X ∈ A.IHD).
     """
-    graph = nx.DiGraph()
+    nodes: dict[str, dict] = {}
+    succ: dict[str, dict[str, dict]] = {}
+
+    def add_edge(src: str, dst: str, relation: str) -> None:
+        nodes.setdefault(src, {})
+        nodes.setdefault(dst, {})
+        succ.setdefault(src, {})[dst] = {"relation": relation}
+
     for aid in machine.aids.values():
-        graph.add_node(f"aid:{aid.key}", kind="aid", status=aid.status.value)
+        nodes[f"aid:{aid.key}"] = {"kind": "aid", "status": aid.status.value}
     for record in machine.processes.values():
         for interval in record.intervals:
             if not include_dead and not interval.speculative:
                 continue
             node = f"interval:{interval.label}"
-            graph.add_node(
-                node, kind="interval", state=interval.state.value, pid=interval.pid
-            )
+            nodes[node] = {
+                "kind": "interval", "state": interval.state.value, "pid": interval.pid
+            }
             for aid in interval.ido:
-                graph.add_edge(node, f"aid:{aid.key}", relation="depends_on")
+                add_edge(node, f"aid:{aid.key}", "depends_on")
             for aid in interval.ihd:
-                graph.add_edge(node, f"aid:{aid.key}", relation="parked_deny")
+                add_edge(node, f"aid:{aid.key}", "parked_deny")
     for aid in machine.aids.values():
         affirmer = aid.speculative_affirmer
         if affirmer is not None and (include_dead or affirmer.speculative):
-            graph.add_edge(
-                f"aid:{aid.key}",
-                f"interval:{affirmer.label}",
-                relation="affirmed_by",
-            )
-    return graph
+            add_edge(f"aid:{aid.key}", f"interval:{affirmer.label}", "affirmed_by")
+    edges = {(src, dst): d for src in nodes for dst, d in succ.get(src, {}).items()}
+    return DependencyGraph(nodes, edges)
 
 
 def transitive_dependencies(machine: Machine, pid: str) -> frozenset[str]:
@@ -64,11 +75,19 @@ def transitive_dependencies(machine: Machine, pid: str) -> frozenset[str]:
         return frozenset()
     graph = dependency_graph(machine)
     start = f"interval:{record.current.label}"
-    if start not in graph:
+    if start not in graph.nodes:
         return frozenset()
-    reachable = nx.descendants(graph, start)
+    succ: dict[str, list[str]] = {}
+    for src, dst in graph.edges:
+        succ.setdefault(src, []).append(dst)
+    reached, frontier = {start}, [start]
+    while frontier:
+        for dst in succ.get(frontier.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
     return frozenset(
-        node.split(":", 1)[1] for node in reachable if node.startswith("aid:")
+        node.split(":", 1)[1] for node in reached if node.startswith("aid:")
     )
 
 
@@ -124,7 +143,7 @@ def to_dot(machine: Machine) -> str:
     """Graphviz source for the live dependency graph."""
     graph = dependency_graph(machine)
     lines = ["digraph hope {", "  rankdir=LR;"]
-    for node, data in graph.nodes(data=True):
+    for node, data in graph.nodes.items():
         label = node.split(":", 1)[1]
         if data["kind"] == "aid":
             shape = "ellipse"
@@ -138,7 +157,7 @@ def to_dot(machine: Machine) -> str:
             f'  "{node}" [label="{label}", shape={shape}, color={color}];'
         )
     styles = {"depends_on": "solid", "affirmed_by": "dashed", "parked_deny": "dotted"}
-    for src, dst, data in graph.edges(data=True):
+    for (src, dst), data in graph.edges.items():
         style = styles[data["relation"]]
         lines.append(f'  "{src}" -> "{dst}" [style={style}];')
     lines.append("}")

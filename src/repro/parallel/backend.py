@@ -112,11 +112,6 @@ class ParallelBackend(Backend):
             raise HopeError(
                 "parallel backend does not support: " + "; ".join(offenders)
             )
-        if config["aid_mode"] != "registry":
-            raise HopeError(
-                "parallel backend requires aid_mode='registry' — the "
-                "aid_task control plane owns a single-simulator task"
-            )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise HopeError(f"workers must be a positive int, got {self.workers!r}")
         latency = config["latency"]

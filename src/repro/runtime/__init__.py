@@ -8,8 +8,10 @@ Public surface:
 * :func:`call` — the synchronous-RPC sub-generator used by the examples;
 * :data:`TIMED_OUT` — the sentinel ``p.recv(timeout=...)`` returns when no
   message arrives in time (compare with ``is``);
-* :mod:`repro.runtime.resilience` — reliable delivery + failure detector;
-* :mod:`repro.runtime.aid_task` — the distributed AID-task protocol mode.
+* :mod:`repro.runtime.resilience` — reliable delivery + failure detector.
+
+Every primitive takes effect at once; §7's AID tasks, whose resolutions
+land one message hop later, are a timing model in the AIDMODE experiment.
 """
 
 from ..sim import TIMED_OUT

@@ -17,9 +17,9 @@ Responsibilities mirror §7 of the paper:
   (task restart + log replay), messages sent from discarded intervals are
   retracted, and messages consumed by discarded intervals are redelivered;
 * dependency tracking never blocks a user process — all bookkeeping here
-  is synchronous metadata on an otherwise asynchronous message flow (the
-  distributed AID-task mode in :mod:`repro.runtime.aid_task` relaxes even
-  that, at the cost of latency in rollback propagation).
+  is synchronous metadata on an otherwise asynchronous message flow, and
+  every primitive takes effect at once (the AIDMODE experiment models
+  §7's AID tasks, whose resolutions land one message hop later).
 """
 
 from __future__ import annotations
@@ -404,8 +404,6 @@ class HopeSystem:
         rollback_overhead: float = 0.0,
         trace: Optional[Tracer] = None,
         strict_aids: bool = False,
-        aid_mode: str = "registry",
-        control_latency: float = 1.0,
         speculation: bool = True,
         shuffle_ties: bool = False,
         fossil_collect: bool = True,
@@ -514,14 +512,6 @@ class HopeSystem:
         self._defer_delivery = False
         self._aid_waiters: dict[str, list] = {}
         self.procs: dict[str, ProcessRuntime] = {}
-        from .aid_task import AidTaskControlPlane, RegistryControlPlane
-
-        if aid_mode == "registry":
-            self.control = RegistryControlPlane(self)
-        elif aid_mode == "aid_task":
-            self.control = AidTaskControlPlane(self, control_latency)
-        else:
-            raise HopeError(f"unknown aid_mode {aid_mode!r}")
         # Observability: with a real registry, subscribe the metrics and
         # span collectors as extra machine listeners; with the default
         # NullRegistry subscribe nothing at all, so the disabled path is
@@ -587,7 +577,6 @@ class HopeSystem:
                     # options rejected by the parallel backend (validated
                     # there so the error names every offender at once)
                     "trace": trace,
-                    "aid_mode": aid_mode,
                     "shuffle_ties": shuffle_ties,
                     "controller": controller,
                     "faults": faults,
@@ -623,8 +612,6 @@ class HopeSystem:
                     "durable runs do not compose with a custom transport or "
                     "schedule controller"
                 )
-            if aid_mode != "registry":
-                raise HopeError("durable runs require aid_mode='registry'")
             if not fossil_collect:
                 raise HopeError(
                     "durable runs require fossil collection (fossil_collect="
@@ -835,8 +822,6 @@ class HopeSystem:
             "aids_pending": statuses["pending"] + machine["aids_retired_pending"],
             "aids_affirmed": statuses["affirmed"] + machine["aids_retired_affirmed"],
             "aids_denied": statuses["denied"] + machine["aids_retired_denied"],
-            "aid_mode": self.control.name,
-            "control_messages": self.control.control_messages,
             "messages_sent": self.network.messages_sent,
             "tags_attached": self.network.tag_count_total,
             "sim_events": self.sim.events_processed,
@@ -1264,8 +1249,6 @@ class HopeSystem:
             return
         checkpoint = Checkpoint(len(proc.log), self.sim.now)
         value = self.machine.guess(proc.name, aid, ps=checkpoint)
-        if value and aid.pending:     # a real speculative interval opened
-            self.control.note_guess(proc.name, 1)
         proc.log.append("guess", value)
         if self._tracing:
             self.tracer.record(
@@ -1308,11 +1291,11 @@ class HopeSystem:
         aid = self._lookup_aid(effect)
         before = proc.incarnation
         if isinstance(effect, AffirmEffect):
-            self.control.issue("affirm", proc.name, aid)
+            self.machine.affirm(proc.name, aid)
         elif isinstance(effect, DenyEffect):
-            self.control.issue("deny", proc.name, aid)
+            self.machine.deny(proc.name, aid)
         else:
-            self.control.issue("free_of", proc.name, aid)
+            self.machine.free_of(proc.name, aid)
         if self._tracing:
             self.tracer.record(self.sim.now, effect.kind, proc.name,
                                aid=effect.aid_key, status=aid.status.value)
@@ -1571,15 +1554,13 @@ class HopeSystem:
             if deps:
                 checkpoint = Checkpoint(len(proc.log), self.sim.now)
                 interval = self.machine.guess_many(proc.name, deps, ps=checkpoint)
-                if interval is not None:
-                    self.control.note_guess(proc.name, len(deps))
-                    if self._tracing:
-                        self.tracer.record(
-                            self.sim.now,
-                            "implicit_guess",
-                            proc.name,
-                            aids=tuple(sorted(a.key for a in deps)),
-                        )
+                if interval is not None and self._tracing:
+                    self.tracer.record(
+                        self.sim.now,
+                        "implicit_guess",
+                        proc.name,
+                        aids=tuple(sorted(a.key for a in deps)),
+                    )
         # tuple.__new__ pre-bound to the class — skips the generated
         # namedtuple __new__ frame (one allocation per delivered message).
         received = _new_received((message.payload, message.src, message.msg_id))
@@ -1740,8 +1721,7 @@ class HopeSystem:
             finally:
                 self._defer_delivery = prev
         proc.restarts += 1
-        delay = self.rollback_overhead + self.control.notify_delay()
-        self._start_task(proc, delay)
+        self._start_task(proc, self.rollback_overhead)
         if self._metered:
             spec = self.spec_metrics
             spec.restarts.inc()

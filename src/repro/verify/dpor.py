@@ -163,7 +163,7 @@ class DporExplorer:
     ----------
     scenario:
         The workload plus reference oracle (:mod:`repro.verify.programs`).
-    seed, latency, aid_mode, control_latency:
+    seed, latency:
         Forwarded to every :class:`HopeSystem` replay — held fixed so the
         controller's choices are the *only* source of divergence.
     prune:
@@ -200,8 +200,6 @@ class DporExplorer:
         scenario: Scenario,
         seed: int = 0,
         latency: float = 0.5,
-        aid_mode: str = "registry",
-        control_latency: float = 0.5,
         prune: bool = True,
         sleep_sets: bool = True,
         max_schedules: int = 2000,
@@ -216,8 +214,6 @@ class DporExplorer:
         self.scenario = scenario
         self.seed = seed
         self.latency = latency
-        self.aid_mode = aid_mode
-        self.control_latency = control_latency
         self.prune = prune
         self.sleep_sets = sleep_sets and prune
         self.max_schedules = max_schedules
@@ -264,8 +260,6 @@ class DporExplorer:
             seed=self.seed,
             latency=ConstantLatency(self.latency),
             trace=tracer,
-            aid_mode=self.aid_mode,
-            control_latency=self.control_latency,
             reliable=self.reliable,
             transport=transport,
             controller=controller,
@@ -363,8 +357,6 @@ class DporExplorer:
         system = HopeSystem(
             seed=self.seed,
             latency=ConstantLatency(self.latency),
-            aid_mode=self.aid_mode,
-            control_latency=self.control_latency,
             speculation=False,
         )
         self.scenario.build(system)
@@ -528,8 +520,6 @@ class DporExplorer:
             "scenario_name": self.scenario.name,
             "seed": self.seed,
             "latency": self.latency,
-            "aid_mode": self.aid_mode,
-            "control_latency": self.control_latency,
             "max_events": self.max_events,
             "reliable": bool(self.reliable),
             "fault_plan": (
@@ -556,12 +546,16 @@ def run_dpor_reproducer(path: str) -> DporRun:
         payload = json.load(fh)
     if payload.get("kind") != "dpor":
         raise ValueError(f"{path} is not a DPOR reproducer (kind={payload.get('kind')!r})")
+    # Files written while the engine had an AID-task mode carry this key.
+    if payload.get("aid_mode", "registry") != "registry":
+        raise ValueError(
+            f"{path}: aid_mode={payload['aid_mode']!r} is not a runtime mode; the "
+            "AID-task timing model is the AIDMODE experiment (bench_aid_modes.py)"
+        )
     explorer = DporExplorer(
         scenario_from_spec(payload["scenario"]),
         seed=payload["seed"],
         latency=payload["latency"],
-        aid_mode=payload["aid_mode"],
-        control_latency=payload["control_latency"],
         max_events=payload["max_events"],
         fault_plan=(
             FaultPlan.from_dict(payload["fault_plan"])

@@ -77,8 +77,6 @@ def run_scenario(
     seed: int,
     latency: float,
     check_determinism: bool = False,
-    aid_mode: str = "registry",
-    control_latency: float = 0.5,
     shuffle_ties: bool = False,
 ) -> RunOutcome:
     """Execute one scenario under one schedule and check everything.
@@ -95,8 +93,6 @@ def run_scenario(
             seed=seed,
             latency=ConstantLatency(latency),
             trace=tracer,
-            aid_mode=aid_mode,
-            control_latency=control_latency,
             speculation=speculation,
             shuffle_ties=shuffle_ties,
         )
@@ -149,7 +145,6 @@ def explore(
     n_runs: int = 50,
     root_seed: int = 0,
     check_determinism: bool = False,
-    aid_mode: str = "registry",
     shuffle_ties: bool = False,
 ) -> ExplorationReport:
     """Run ``n_runs`` random scenarios under random schedules."""
@@ -169,7 +164,6 @@ def explore(
             seed=picker.randint(0, 2**31 - 1),
             latency=latency,
             check_determinism=check_determinism,
-            aid_mode=aid_mode,
             shuffle_ties=shuffle_ties,
         )
         report.runs.append(outcome)

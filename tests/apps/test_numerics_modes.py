@@ -1,7 +1,5 @@
 """The Jacobi app across execution modes: same fixed point everywhere."""
 
-import pytest
-
 from repro.apps.numerics import make_problem, solver, validator
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
@@ -26,10 +24,3 @@ def test_blocking_mode_same_solution_slower():
     assert block_system.stats()["rollbacks"] == 0
     assert spec_time < block_time             # optimism hides validation
 
-
-def test_aid_task_mode_same_solution():
-    problem = make_problem(n=5, seed=4, dominance=2.0)
-    registry, _ = run_mode(problem)
-    distributed, _ = run_mode(problem, aid_mode="aid_task", control_latency=1.0)
-    assert registry.result_of("solver")["x"] == distributed.result_of("solver")["x"]
-    assert distributed.stats()["control_messages"] > 0

@@ -572,11 +572,6 @@ class TestGuardrails:
             HopeSystem(seed=1, latency=ConstantLatency(1.0),
                        failure_detector=True, durable_dir=str(tmp_path))
 
-    def test_registry_mode_only(self, tmp_path):
-        with pytest.raises(HopeError, match="registry"):
-            HopeSystem(seed=1, latency=ConstantLatency(1.0),
-                       aid_mode="aid_task", durable_dir=str(tmp_path))
-
     def test_crash_process_refused(self, tmp_path):
         system = HopeSystem(**_durable_kwargs(tmp_path))
         build_durable_counter(system)

@@ -178,21 +178,6 @@ def test_run_without_metrics_flag_prints_none():
     assert "speculation metrics" not in out
 
 
-def test_run_aid_task_mode():
-    code, out = run_cli(
-        [
-            "run",
-            FIGURE2,
-            "--spawn", "server=Server:[60]",
-            "--spawn", "worrywart=WorryWart:[60]",
-            "--spawn", "worker=Worker:[10]",
-            "--aid-mode", "aid_task",
-        ]
-    )
-    assert code == 0
-    assert "'Summary ...', 11" in out
-
-
 def test_run_profile_prints_hotspots():
     """--profile wraps the run in cProfile and appends the cumulative
     top-25 report without disturbing the normal output."""

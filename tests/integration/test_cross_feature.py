@@ -1,6 +1,4 @@
-"""Cross-feature integration: applications × control planes × failures."""
-
-import pytest
+"""Cross-feature integration: applications × failures."""
 
 from repro.apps.recovery import (
     RecoveryConfig,
@@ -19,34 +17,26 @@ from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
 
 
-def _recovery_system(config, aid_mode, control_latency=1.0):
-    system = HopeSystem(
-        latency=ConstantLatency(config.latency),
-        aid_mode=aid_mode,
-        control_latency=control_latency,
-    )
+def _recovery_system(config, seed=0):
+    system = HopeSystem(seed=seed, latency=ConstantLatency(config.latency))
     system.spawn("disk", disk, config.log_write_latency)
     system.spawn("sender", sender, config)
     system.spawn("receiver", receiver, config)
     return system
 
 
-@pytest.mark.parametrize("aid_mode", ["registry", "aid_task"])
-def test_recovery_with_sender_crash_under_both_control_planes(aid_mode):
+def test_recovery_with_sender_crash():
     config = RecoveryConfig(items=tuple(range(10)), log_write_latency=9.0)
-    system = _recovery_system(config, aid_mode)
+    system = _recovery_system(config)
     system.failures.crash_at("sender", 7.0)
     system.sim.schedule_at(10.0, system.restart_process, "sender")
     system.run(max_events=5_000_000)
     assert system.committed_outputs("disk") == reference_ledger(config)
 
 
-@pytest.mark.parametrize("aid_mode", ["registry", "aid_task"])
-def test_replication_contention_under_both_control_planes(aid_mode):
+def test_replication_contention():
     workload = ReplicationWorkload(n_clients=3, ops_per_client=3, keys=("hot",))
-    system = HopeSystem(
-        latency=ConstantLatency(5.0), aid_mode=aid_mode, control_latency=0.5
-    )
+    system = HopeSystem(latency=ConstantLatency(5.0))
     system.spawn("primary", primary)
     for c in range(workload.n_clients):
         system.spawn(f"client-{c}", optimistic_client, workload, c)
@@ -80,7 +70,7 @@ def test_recovery_determinism_across_seeds_with_crashes():
     config = RecoveryConfig(items=tuple(range(8)), log_write_latency=7.0)
     ledgers = []
     for seed in (0, 1, 2):
-        system = _recovery_system(config, "registry")
+        system = _recovery_system(config, seed)
         system.failures.crash_at("sender", 6.0)
         system.sim.schedule_at(9.0, system.restart_process, "sender")
         system.run(max_events=5_000_000)
@@ -92,7 +82,7 @@ def test_machine_invariants_hold_after_every_app():
     """Belt and braces: the machine algebra must be intact at quiescence
     of each application run."""
     config = RecoveryConfig(items=tuple(range(6)))
-    system = _recovery_system(config, "registry")
+    system = _recovery_system(config)
     system.run(max_events=5_000_000)
     system.machine.check_invariants()
 

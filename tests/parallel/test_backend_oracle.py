@@ -149,9 +149,6 @@ def test_rejects_unsupported_options():
 
         HopeSystem(backend="parallel",
                    latency=UniformLatency(0.5, 1.5, RandomStream(0, "lat")))
-    with pytest.raises(HopeError, match="aid_mode"):
-        HopeSystem(backend="parallel", latency=ConstantLatency(1.0),
-                   aid_mode="aid_task")
     with pytest.raises(HopeError, match="workers"):
         HopeSystem(backend="sim", workers=4)
     with pytest.raises(HopeError, match="unknown parallel_opts"):

@@ -1,9 +1,39 @@
-"""Tests for the distributed AID-task control plane (§7)."""
+"""The AIDMODE experiment's AID-task timing model (§7).
+
+The runtime applies every primitive at once.  §7's prototype ran AIDs as
+PVM tasks instead; ``benchmarks/bench_aid_modes.py`` models that by
+wrapping one system's machine (:class:`AidTaskTiming`).  These tests pin
+the experiment's table cell by cell and the model's behaviour on small
+programs: a resolution lands one control hop after it is issued, the
+caller never blocks, and a victim keeps computing until the NOTIFY.
+"""
 
 import pytest
 
-from repro.core import AidStatus, HopeError
+from benchmarks.bench_aid_modes import CONTROL_LATENCIES, AidTaskTiming, run_latency
+from repro.core import RollbackEvent
 from repro.runtime import HopeSystem
+
+#: benchmarks/results/aid_modes.txt:
+#: (ctl latency, mode, makespan, control_msgs, wasted, rollbacks)
+AIDMODE_ROWS = [
+    (0.0, "registry", 174.5, 0, 207.0, 10),
+    (0.5, "aid_task", 166.0, 186, 170.0, 18),
+    (2.0, "aid_task", 179.5, 186, 194.0, 18),
+    (5.0, "aid_task", 206.5, 206, 242.0, 18),
+    (10.0, "aid_task", 251.5, 206, 322.0, 18),
+]
+
+
+@pytest.mark.parametrize("row", AIDMODE_ROWS, ids=lambda row: f"ctl={row[0]}")
+def test_aidmode_rows(row):
+    """Every cell of the table; ``run_latency`` asserts the committed
+    output equals the pipeline's closed form in every row."""
+    assert CONTROL_LATENCIES == [r[0] for r in AIDMODE_ROWS]
+    latency, *expected = row
+    got = run_latency(latency)
+    assert [got["mode"], got["makespan"], got["control_msgs"],
+            got["wasted"], got["rollbacks"]] == expected
 
 
 def _basic_program(decision):
@@ -28,51 +58,49 @@ def _basic_program(decision):
     return worker, verifier
 
 
-def run_mode(decision, aid_mode, control_latency=3.0):
-    system = HopeSystem(aid_mode=aid_mode, control_latency=control_latency)
+def run_mode(decision, control_latency=None):
+    """One run on the registry (``None``) or the timing model."""
+    system = HopeSystem()
+    timing = None
+    if control_latency is not None:
+        timing = AidTaskTiming(system, control_latency)
+    rollbacks = []
+
+    def on_event(event):
+        if isinstance(event, RollbackEvent):
+            rollbacks.append(system.sim.now)
+
+    system.machine.subscribe(on_event)
     worker, verifier = _basic_program(decision)
     system.spawn("worker", worker)
     system.spawn("verifier", verifier)
     makespan = system.run()
-    return system, makespan
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(HopeError):
-        HopeSystem(aid_mode="quantum")
-
-
-def test_negative_control_latency_rejected():
-    with pytest.raises(ValueError):
-        HopeSystem(aid_mode="aid_task", control_latency=-1.0)
+    return system, makespan, timing, rollbacks
 
 
 @pytest.mark.parametrize("decision", ["affirm", "deny"])
 def test_modes_agree_on_committed_outputs(decision):
-    reg_sys, _ = run_mode(decision, "registry")
-    task_sys, _ = run_mode(decision, "aid_task")
+    reg_sys, *_ = run_mode(decision)
+    task_sys, *_ = run_mode(decision, 3.0)
     assert reg_sys.committed_outputs("worker") == task_sys.committed_outputs("worker")
+    assert task_sys.aid_status("x#1") is reg_sys.aid_status("x#1")
 
 
 def test_task_mode_delays_resolution():
-    reg_sys, reg_time = run_mode("deny", "registry")
-    task_sys, task_time = run_mode("deny", "aid_task", control_latency=4.0)
-    # deny issued at t=2; applied at t=6; NOTIFY costs 4 more before restart
-    assert task_time > reg_time
-    x_reg = [a for a in reg_sys.machine.aids.values()][0]
-    x_task = [a for a in task_sys.machine.aids.values()][0]
-    assert x_reg.status is AidStatus.DENIED
-    assert x_task.status is AidStatus.DENIED
+    """The deny issued at t=2 lands one hop (4) later, and the victim
+    restarts one NOTIFY hop after that."""
+    _, reg_time, _, reg_rollbacks = run_mode("deny")
+    task_sys, task_time, _, task_rollbacks = run_mode("deny", 4.0)
+    assert (reg_rollbacks, reg_time) == ([2.0], 2.0)
+    assert (task_rollbacks, task_time) == ([6.0], 10.0)
+    assert task_sys.committed_outputs("worker") == ["pessimistic", "after"]
 
 
 def test_task_mode_counts_control_traffic():
-    system, _ = run_mode("affirm", "aid_task")
-    stats = system.stats()
-    assert stats["aid_mode"] == "aid_task"
-    # one DEPEND (guess) + one AFFIRM control message at minimum
-    assert stats["control_messages"] >= 2
-    registry, _ = run_mode("affirm", "registry")
-    assert registry.stats()["control_messages"] == 0
+    _, makespan, timing, _ = run_mode("affirm", 4.0)
+    assert (makespan, timing.messages) == (6.0, 2)     # DEPEND + AFFIRM
+    _, _, timing, _ = run_mode("deny", 4.0)
+    assert timing.messages == 3                        # DEPEND + DENY + NOTIFY
 
 
 def test_caller_never_blocks_on_resolution():
@@ -88,16 +116,18 @@ def test_caller_never_blocks_on_resolution():
         times.append((t0, t1))
         yield p.compute(1.0)
 
-    system = HopeSystem(aid_mode="aid_task", control_latency=50.0)
+    system = HopeSystem()
+    timing = AidTaskTiming(system, 50.0)
     system.spawn("worker", worker)
-    system.run()
-    [(t0, t1)] = times
-    assert t0 == t1                        # the affirm did not wait
+    assert system.run() == 50.0            # the affirm lands at t=50
+    assert times == [(0.0, 0.0)]           # the affirm did not wait
+    assert timing.messages == 2
 
 
 def test_victim_keeps_speculating_until_notified():
     """With a slow control plane the victim piles up wasted work that the
-    registry plane would have cut short."""
+    registry would have cut short: it computes until the deny reaches the
+    AID task, and restarts a NOTIFY hop later."""
     def worker(p):
         x = yield p.aid_init("x")
         yield p.send("verifier", x)
@@ -110,42 +140,15 @@ def test_victim_keeps_speculating_until_notified():
         yield p.compute(2.0)
         yield p.deny(msg.payload)
 
-    def run(mode, latency):
-        system = HopeSystem(aid_mode=mode, control_latency=latency)
+    def run(latency):
+        system = HopeSystem()
+        if latency:
+            AidTaskTiming(system, latency)
         system.spawn("worker", worker)
         system.spawn("verifier", verifier)
-        system.run()
-        return system.stats()["wasted_time"]
+        makespan = system.run()
+        return makespan, system.stats()["wasted_time"]
 
-    assert run("aid_task", 10.0) > run("registry", 0.0)
-
-
-def test_call_streaming_equivalent_under_task_mode():
-    """The Figure 2 pipeline must commit the same ledger on both planes."""
-    from repro.apps.call_streaming import (
-        CallStreamConfig,
-        expected_output,
-        print_server,
-        oneway_gateway,
-        worrywart,
-        optimistic_worker,
-        _build_system,
-    )
-    import repro.apps.call_streaming as cs
-
-    config = CallStreamConfig(report_lines=(30, 70, 20), page_size=60)
-    outputs = {}
-    for mode in ("registry", "aid_task"):
-        system = HopeSystem(
-            latency=_build_system(config, 0, None).network.latency,
-            aid_mode=mode,
-            control_latency=0.5,
-        )
-        system.spawn("server", print_server, config.page_size, config.server_service_time)
-        system.spawn("server_oneway", oneway_gateway)
-        system.spawn("worrywart-0", worrywart, config, config.n_reports)
-        system.spawn("worker", optimistic_worker, config)
-        system.run(max_events=2_000_000)
-        outputs[mode] = system.committed_outputs("server")
-    assert outputs["registry"] == outputs["aid_task"]
-    assert outputs["registry"] == expected_output(config)
+    assert run(0.0) == (2.0, 2.0)
+    assert run(4.0) == (10.0, 6.0)
+    assert run(10.0) == (22.0, 12.0)

@@ -163,6 +163,7 @@ def test_injected_bug_found_shrunk_and_reproduced(tmp_path):
     rebuilt = scenario_from_spec(payload["scenario"])
     assert rebuilt.name == payload["scenario_name"]
     assert "kernel" not in payload
+    assert "aid_mode" not in payload and "control_latency" not in payload
 
 
 def test_reproducer_naming_an_event_queue_kernel_still_replays(tmp_path):
@@ -179,6 +180,27 @@ def test_reproducer_naming_an_event_queue_kernel_still_replays(tmp_path):
     replay = run_dpor_reproducer(str(path))
     assert replay.violations == report.failures[0].violations
     assert replay.fingerprint == payload["fingerprint"]
+
+
+def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
+    """Reproducers written while the engine had an AID-task mode carry
+    ``aid_mode`` and ``control_latency``.  A registry-mode file replays
+    (the runtime's only mode); an ``aid_task`` one is refused by name."""
+    report = explorer(
+        two_aid_scenario(**TWO_AID), inject_bug=True, repro_dir=str(tmp_path)
+    ).explore()
+    payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
+    path = tmp_path / "old-format.json"
+    for legacy in ({}, {"aid_mode": "registry", "control_latency": 0.5}):
+        path.write_text(json.dumps({**payload, **legacy}))
+        replay = run_dpor_reproducer(str(path))
+        assert replay.violations == report.failures[0].violations
+        assert replay.fingerprint == payload["fingerprint"]
+    path.write_text(
+        json.dumps({**payload, "aid_mode": "aid_task", "control_latency": 0.5})
+    )
+    with pytest.raises(ValueError, match="aid_mode='aid_task'.*AIDMODE"):
+        run_dpor_reproducer(str(path))
 
 
 def test_without_injected_bug_no_reproducer_written(tmp_path):

@@ -53,11 +53,6 @@ def test_exploration_campaign_registry_mode():
     assert sum(run.rollbacks for run in report.runs) > 5
 
 
-def test_exploration_campaign_aid_task_mode():
-    report = explore(n_runs=40, root_seed=11, aid_mode="aid_task")
-    assert report.ok, report.summary()
-
-
 def test_oracle_catches_a_wrong_reference():
     """Sanity: the harness is able to fail (a deliberately wrong oracle)."""
     scenario = chain_scenario(depth=1, decide=True, verify_delay=1.0)

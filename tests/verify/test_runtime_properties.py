@@ -1,7 +1,7 @@
 """Hypothesis over the full runtime: random decisions, delays, latencies.
 
 The strongest end-to-end property in the suite: for randomized verdicts,
-verdict timings, network latencies, and control planes, the committed
+verdict timings and network latencies, the committed
 outputs must equal the decision-derived reference and every invariant
 must hold.  This complements the seeded explorer with adversarial,
 shrinkable inputs.
@@ -13,7 +13,6 @@ from repro.verify import chain_scenario, run_scenario, two_aid_scenario
 
 _delay = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 _latency = st.floats(min_value=0.0, max_value=6.0, allow_nan=False)
-_mode = st.sampled_from(["registry", "aid_task"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -22,11 +21,10 @@ _mode = st.sampled_from(["registry", "aid_task"])
     decide=st.booleans(),
     verify_delay=_delay,
     latency=_latency,
-    mode=_mode,
 )
-def test_chain_conforms_for_all_parameters(depth, decide, verify_delay, latency, mode):
+def test_chain_conforms_for_all_parameters(depth, decide, verify_delay, latency):
     scenario = chain_scenario(depth=depth, decide=decide, verify_delay=verify_delay)
-    outcome = run_scenario(scenario, seed=0, latency=latency, aid_mode=mode)
+    outcome = run_scenario(scenario, seed=0, latency=latency)
     assert outcome.ok, outcome.violations
 
 
@@ -37,11 +35,8 @@ def test_chain_conforms_for_all_parameters(depth, decide, verify_delay, latency,
     dx=_delay,
     dy=_delay,
     latency=_latency,
-    mode=_mode,
 )
-def test_two_aids_conform_for_all_verdict_timings(
-    decide_x, decide_y, dx, dy, latency, mode
-):
+def test_two_aids_conform_for_all_verdict_timings(decide_x, decide_y, dx, dy, latency):
     scenario = two_aid_scenario(decide_x, decide_y, dx, dy)
-    outcome = run_scenario(scenario, seed=0, latency=latency, aid_mode=mode)
+    outcome = run_scenario(scenario, seed=0, latency=latency)
     assert outcome.ok, outcome.violations
