@@ -138,9 +138,10 @@ def _check_recovery_wall(budget: dict) -> int:
         if not stats["resumed"]:
             print("FAIL: nothing was recovered — the kill left no durable state")
             return 1
-        want = {n: sorted(map(repr, twin.committed_outputs(n))) for n in twin.procs}
+        want = {n: sorted(map(repr, twin.committed_outputs(n)))
+                for n in twin.process_names()}
         got = {n: sorted(map(repr, resumed.committed_outputs(n)))
-               for n in resumed.procs}
+               for n in resumed.process_names()}
         if got != want:
             print("FAIL: recovered committed state diverged from the twin")
             return 1

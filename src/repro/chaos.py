@@ -141,7 +141,7 @@ def committed_state(system: HopeSystem) -> dict[str, tuple]:
     """
     return {
         name: tuple(sorted(repr(value) for value in system.committed_outputs(name)))
-        for name in system.procs
+        for name in system.process_names()
     }
 
 

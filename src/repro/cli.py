@@ -457,6 +457,19 @@ def cmd_check(path: str, out) -> int:
     return 1
 
 
+def _print_outcomes(system, specs, out) -> None:
+    """Each spawned instance's status and result, then its committed
+    outputs (a retired instance's come from the ledger)."""
+    for spec in specs:
+        name = spec.instance
+        proc = system.procs.get(name)
+        done = proc is None or proc.done
+        result = system.result_of(name) if proc is None else proc.result
+        print(f"[{name}] {'done' if done else 'blocked'}, result={result!r}", file=out)
+        for value in system.committed_outputs(name):
+            print(f"[{name}] output: {value!r}", file=out)
+
+
 def cmd_run(args, out) -> int:
     with open(args.path, encoding="utf-8") as fh:
         source = fh.read()
@@ -508,13 +521,7 @@ def cmd_run(args, out) -> int:
             gc.callbacks.remove(collector)
     stats = system.stats()
     print(f"finished at t={final:g}", file=out)
-    for spec in args.spawn:
-        proc = system.procs[spec.instance]
-        outputs = system.committed_outputs(spec.instance)
-        status = "done" if proc.done else "blocked"
-        print(f"[{spec.instance}] {status}, result={proc.result!r}", file=out)
-        for value in outputs:
-            print(f"[{spec.instance}] output: {value!r}", file=out)
+    _print_outcomes(system, args.spawn, out)
     print(
         f"stats: rollbacks={stats['rollbacks']} messages={stats['messages_sent']} "
         f"wasted={stats['wasted_time']:g} guesses={stats['guesses']}",
@@ -618,12 +625,7 @@ def cmd_resume(args, out) -> int:
         print("no recoverable state found — starting fresh", file=out)
     final = system.run(until=args.until, max_events=args.max_events)
     print(f"finished at t={final:g}", file=out)
-    for spec in args.spawn:
-        proc = system.procs[spec.instance]
-        status = "done" if proc.done else "blocked"
-        print(f"[{spec.instance}] {status}, result={proc.result!r}", file=out)
-        for value in system.committed_outputs(spec.instance):
-            print(f"[{spec.instance}] output: {value!r}", file=out)
+    _print_outcomes(system, args.spawn, out)
     if tracer is not None:
         print("\ntrace:", file=out)
         print(tracer.format(), file=out)

@@ -102,6 +102,9 @@ class Machine:
         self.strict = strict
         self.history = history
         self.processes: dict[str, ProcessRecord] = {}
+        #: Records ever created: the next one's ``order`` (spawn index).
+        self._created = 0
+        self._dropped = 0       # records dropped since the table was rebuilt
         self.aids: dict[str, AssumptionId] = {}
         # Per-machine serial counters keep runs with equal seeds fully
         # reproducible (global counters would leak across Machine
@@ -176,12 +179,22 @@ class Machine:
         record = self.processes.get(name)
         if record is None:
             record = ProcessRecord(
-                name, len(self.processes), self.changed, self.history,
+                name, self._created, self.changed, self.history,
                 self.reclaimable,
             )
+            self._created += 1
             self.processes[name] = record
             record.append("init")
         return record
+
+    def drop_process(self, name: str) -> None:
+        """Forget the record of ``name``, whose process will never run
+        again.  A dict keeps the slots of deleted keys: the table is
+        rebuilt once more of them are dead than live."""
+        del self.processes[name]
+        self._dropped += 1
+        if self._dropped > len(self.processes):
+            self._dropped, self.processes = 0, dict(self.processes)
 
     def process(self, name: str) -> ProcessRecord:
         record = self.processes.get(name)

@@ -141,6 +141,7 @@ class ParallelBackend(Backend):
         # Facade record in the coordinator: results/outputs are filled in
         # from the worker's final report after run().
         proc = ProcessRuntime(name, fn, args)
+        proc.track = self.engine.timeline.spawn(name)
         self.engine.procs[name] = proc
         self.specs.append((name, fn, args))
         return proc

@@ -25,6 +25,7 @@ Responsibilities mirror §7 of the paper:
 from __future__ import annotations
 
 import copy
+from array import array
 from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
@@ -195,6 +196,41 @@ class ProcessRuntime:
 
     def __repr__(self) -> str:
         return f"<ProcessRuntime {self.name!r} inc={self.incarnation} restarts={self.restarts}>"
+
+
+class Outcomes:
+    """The ledger of retired processes, in columns; a row is the retired
+    track's timeline row.  Per row: the result, the committed values (a
+    slice of ``values``) and the body and arguments a crash restarts it
+    from; per run: the counters :meth:`HopeSystem.stats` sums."""
+
+    __slots__ = ("results", "values", "ends", "bodies", "restarts", "replayed", "log_dropped")
+
+    def __init__(self) -> None:
+        self.results, self.values, self.bodies, self.ends = [], [], [], array("q")
+        self.restarts = self.replayed = self.log_dropped = 0
+
+    def add(self, proc: ProcessRuntime) -> None:
+        self.results.append(proc.result)
+        self.values += proc.committed
+        self.ends.append(len(self.values))
+        self.bodies += (proc.fn, proc.args)
+        self.restarts += proc.restarts
+        self.replayed += proc.log.replayed_entries_total
+        self.log_dropped += proc.log.fossil_dropped_total
+
+    def committed(self, row: int) -> list:
+        return self.values[self.ends[row - 1] if row else 0 : self.ends[row]]
+
+
+class _LiveProcs(dict):
+    """``HopeSystem.procs``: the live processes by name."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str):
+        raise KeyError(f"no live process {name!r} (read a retired one through result_of, "
+                       "is_done, outputs and committed_outputs)")
 
 
 def _process_body(task: Task) -> Generator:
@@ -499,9 +535,6 @@ class HopeSystem:
         #: delivery boundary.
         self._fossil_pending = False
         self._finalizes_since_collect = 0
-        #: Processes whose exit a pass promoted to their last commit point
-        #: (see _run_fossil_collection).
-        self.processes_retired = 0
         #: Machine finalizes + discarded intervals at the last pass: what
         #: has been added since is what the next pass can reclaim.
         self._dead_at_collect = 0
@@ -511,7 +544,10 @@ class HopeSystem:
         #: user code inline (which could re-enter the machine).
         self._defer_delivery = False
         self._aid_waiters: dict[str, list] = {}
-        self.procs: dict[str, ProcessRuntime] = {}
+        #: Live processes; a retired one's outcome is in :attr:`outcomes`.
+        self.procs: dict[str, ProcessRuntime] = _LiveProcs()
+        self.outcomes = Outcomes()
+        self._dropped = 0               # retirements since procs was rebuilt
         # Observability: with a real registry, subscribe the metrics and
         # span collectors as extra machine listeners; with the default
         # NullRegistry subscribe nothing at all, so the disabled path is
@@ -627,6 +663,7 @@ class HopeSystem:
             # Only a collecting run retires AIDs, so only it accounts for
             # the tags of outstanding messages (Network.hold).
             self.network.pins = self.machine
+        self.network.known = self.timeline
 
     # ------------------------------------------------------------------
     # public API
@@ -638,13 +675,12 @@ class HopeSystem:
     def _spawn_sim(self, name: str, fn: Callable[..., Generator], *args: Any) -> ProcessRuntime:
         """Spawn on the local simulator (the SimBackend path; also used by
         each parallel worker for its own shard)."""
-        if name in self.procs:
+        if name in self.timeline:
             raise HopeError(f"process {name!r} already exists")
         proc = ProcessRuntime(name, fn, args)
         proc.track = self.timeline.spawn(name)
         self.procs[name] = proc
-        self.network.register(name)
-        proc.mailbox = self.network.mailbox(name)
+        proc.mailbox = self.network.register(name)
         proc.mproc = self.machine.create_process(name)
         if self.detector is not None:
             self.detector.on_spawn(name)
@@ -738,14 +774,21 @@ class HopeSystem:
             return status
         return self.aid(ref).status
 
+    def process_names(self) -> list[str]:
+        """Every process ever spawned, live or retired, in spawn order."""
+        return list(self.timeline)
+
     def result_of(self, name: str) -> Any:
-        proc = self.procs[name]
+        proc = self.procs.get(name)
+        if proc is None:        # retired: read its ledger row
+            return self.outcomes.results[self.timeline.row(name)]
         if not proc.done:
             raise HopeError(f"process {name!r} has not finished (state: {proc.task.state if proc.task else '?'})")
         return proc.result
 
     def is_done(self, name: str) -> bool:
-        return self.procs[name].done
+        proc = self.procs.get(name)
+        return proc.done if proc is not None else self.timeline.row(name) is not None
 
     def crash_process(self, name: str) -> None:
         """Crash a process: kill its task and drop its volatile effect log.
@@ -762,7 +805,7 @@ class HopeSystem:
                 "committed prefix (use the kill/resume chaos mode for "
                 "host-crash semantics instead; see docs/DURABILITY.md)"
             )
-        proc = self.procs[name]
+        proc = self.procs.get(name) or self._revive(name)
         self._kill_incarnation(proc, "crash")
         proc.crashed = True
         forgotten = self.machine.forget_process(name)
@@ -793,10 +836,21 @@ class HopeSystem:
         proc.outputs = ()
         self.tracer.record(self.sim.now, "crash", name)
 
+    def _revive(self, name: str) -> ProcessRuntime:
+        """A crash reaches a retired process: rebuild it, finished, from its
+        ledger row (which stays behind, unread)."""
+        row, out = self.timeline.row(name), self.outcomes
+        proc = self.procs[name] = ProcessRuntime(name, *out.bodies[2 * row : 2 * row + 2])
+        proc.done, proc.result, proc.committed = True, out.results[row], out.committed(row) or ()
+        proc.track = self.timeline.revive(name)
+        proc.mailbox = self.network.register(name)
+        proc.mproc = self.machine.create_process(name)
+        return proc
+
     def restart_process(self, name: str) -> None:
         """Restart a crashed process from scratch (volatile state lost)."""
-        proc = self.procs[name]
-        if not proc.crashed:
+        proc = self.procs.get(name) if name in self.timeline else self.procs[name]
+        if proc is None or not proc.crashed:
             raise HopeError(f"process {name!r} is not crashed")
         proc.crashed = False
         proc.done = False
@@ -814,6 +868,7 @@ class HopeSystem:
         statuses = {"pending": 0, "affirmed": 0, "denied": 0}
         for aid in self.machine.aids.values():
             statuses[aid.status.value] += 1
+        out, procs = self.outcomes, self.procs.values()     # (int sums)
         return {
             **machine,
             # Retired AIDs left the table but still count toward the run's
@@ -825,12 +880,10 @@ class HopeSystem:
             "messages_sent": self.network.messages_sent,
             "tags_attached": self.network.tag_count_total,
             "sim_events": self.sim.events_processed,
-            "restarts": sum(p.restarts for p in self.procs.values()),
-            "replayed_effects": sum(p.log.replayed_entries_total for p in self.procs.values()),
-            "fossil_log_dropped": sum(
-                p.log.fossil_dropped_total for p in self.procs.values()
-            ),
-            "processes_retired": self.processes_retired,
+            "restarts": out.restarts + sum(p.restarts for p in procs),
+            "replayed_effects": out.replayed + sum(p.log.replayed_entries_total for p in procs),
+            "fossil_log_dropped": out.log_dropped + sum(p.log.fossil_dropped_total for p in procs),
+            "processes_retired": len(out.results),
             "heap_compactions": self.sim.heap_compactions,
             "wasted_time": self.timeline.aggregate(Span.WASTED, self.sim.now),
             "busy_time": self.timeline.aggregate(Span.BUSY, self.sim.now),
@@ -1040,13 +1093,11 @@ class HopeSystem:
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
                 ] or ()
                 proc.log.drop_prefix(best.log_index)
-                if type(best.state) is Exited:
-                    # The log went whole, and the handles it held with
-                    # it; nothing will look at the finished task again,
-                    # nor, likely, at its mailbox's containers.
-                    proc.task = None
-                    proc.mailbox.release_empty()
-                    self.processes_retired += 1
+            rebase = proc.rebase
+            if rebase is not None and type(rebase.state) is Exited and proc.done:
+                # (promoted now, or restored by a durable resume)
+                self._retire(proc)
+                continue
             proc.track.compact_before(frontier_time)
         fossil_stats = machine.fossil_collect(batch)
         if self._durable is not None:
@@ -1061,6 +1112,20 @@ class HopeSystem:
             spec.fossil_intervals_dropped.inc(fossil_stats.intervals_dropped)
             spec.fossil_aids_retired.inc(fossil_stats.aids_retired)
             spec.fossil_depsets_dropped.inc(fossil_stats.depsets_dropped)
+
+    def _retire(self, proc: ProcessRuntime) -> None:
+        """Exit promoted, the log gone whole: only the outcome can be
+        observed now.  It moves into the ledger, and the runtime, machine
+        record, track and mailbox go (mail to the name is consumed)."""
+        name, proc.task = proc.name, None       # (the task's context: a cycle)
+        self.timeline.retire(name)
+        self.outcomes.add(proc)
+        del self.procs[name]
+        self._dropped += 1
+        if self._dropped > len(self.procs):     # more slots dead than live
+            self._dropped, self.procs = 0, _LiveProcs(self.procs)
+        self.machine.drop_process(name)
+        self.network.close(name)
 
     def _settle_frontier(self, proc: ProcessRuntime) -> tuple:
         """Advance ``proc``'s commit watermark to its frontier.  Returns the
@@ -1503,12 +1568,16 @@ class HopeSystem:
     # ------------------------------------------------------------------
     def outputs(self, name: str) -> list[Any]:
         """All currently standing outputs of ``name`` (speculative included)."""
-        proc = self.procs[name]
+        proc = self.procs.get(name)
+        if proc is None:
+            return self.outcomes.committed(self.timeline.row(name))
         return [*proc.committed, *(record.value for record in proc.outputs)]
 
     def committed_outputs(self, name: str) -> list[Any]:
         """Outputs that no live speculation can withdraw anymore."""
-        proc = self.procs[name]
+        proc = self.procs.get(name)
+        if proc is None:
+            return self.outcomes.committed(self.timeline.row(name))
         return [*proc.committed, *(r.value for r in proc.outputs if r.committed)]
 
     # ------------------------------------------------------------------

@@ -453,8 +453,10 @@ class HeartbeatDetector:
         now = engine.sim.now
         network = engine.network
         hb_lost = getattr(network, "heartbeat_lost", None)
-        for name, proc in engine.procs.items():
-            if proc.crashed:
+        names = engine.process_names()      # a retired process heartbeats too
+        for name in names:
+            proc = engine.procs.get(name)
+            if proc is not None and proc.crashed:
                 continue
             # Heartbeats are node-level liveness: a blocked process still
             # heartbeats; only a crashed one goes silent.
@@ -467,7 +469,7 @@ class HeartbeatDetector:
                 self.config.latency, self._on_heartbeat, name,
                 label=f"heartbeat:{name}",
             )
-        for name in engine.procs:
+        for name in names:
             if name in self.suspected:
                 continue
             seen = self.last_seen.get(name, now)
@@ -484,7 +486,7 @@ class HeartbeatDetector:
             self.suspected.discard(name)
             self.stats.unsuspects += 1
             proc = self.engine.procs.get(name)
-            if name in self._was_alive and proc is not None and not proc.crashed:
+            if name in self._was_alive and (proc is None or not proc.crashed):
                 self.stats.false_suspicions += 1
             self._was_alive.discard(name)
             if self.engine._tracing:
@@ -494,7 +496,7 @@ class HeartbeatDetector:
         self.suspected.add(name)
         self.stats.suspects += 1
         proc = self.engine.procs.get(name)
-        if proc is not None and not proc.crashed:
+        if proc is None or not proc.crashed:
             self._was_alive.add(name)
         if self.engine._tracing:
             self.engine.tracer.record(now, "suspect", name)

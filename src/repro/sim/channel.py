@@ -148,17 +148,16 @@ class Mailbox:
     at a blocked receiver and never do), ``_waiters`` until the first
     receiver blocks (a wait list is 0-1 long nearly always: a plain list).
     Every read works on the tuple; the sites that add an element swap in
-    the real container first, and it stays until :meth:`release_empty`.
+    the real container first, and it stays (a purge drops the queue).
     """
 
-    __slots__ = ("sim", "owner", "_queue", "_waiters", "delivered_count")
+    __slots__ = ("sim", "owner", "_queue", "_waiters")
 
     def __init__(self, sim: Simulator, owner: str) -> None:
         self.sim = sim
         self.owner = owner
         self._queue: Any = _UNUSED      # a deque[Message] once one has queued
         self._waiters: Any = _UNUSED    # a list[_Waiter] once a receiver blocked
-        self.delivered_count = 0
 
     # ------------------------------------------------------------------
     # producer side
@@ -168,7 +167,6 @@ class Mailbox:
         if message.dead:
             return
         message.deliver_time = self.sim.now
-        self.delivered_count += 1
         waiters = self._waiters
         if waiters and waiters[0].predicate is None:
             # Common case — an unconditional receiver at the head: no
@@ -300,14 +298,6 @@ class Mailbox:
         if any(m.dead for m in self._queue):
             self._queue = deque(m for m in self._queue if not m.dead)
 
-    def release_empty(self) -> None:
-        """Give back the containers that are empty (an owner that has
-        finished, say, will likely never need them again)."""
-        if not self._queue:
-            self._queue = _UNUSED
-        if not self._waiters:
-            self._waiters = _UNUSED
-
     def purge(self) -> int:
         """Discard all queued messages (crash semantics: a dead node's
         buffered input is lost).  Returns how many were dropped."""
@@ -328,6 +318,18 @@ class Mailbox:
         return f"<Mailbox {self.owner!r} queued={len(self._queue)} waiters={len(self._waiters)}>"
 
 
+class _Closed(Mailbox):
+    """A closed endpoint (:meth:`Network.close`): mail to it is accepted,
+    and :meth:`put` consumes each copy on arrival (the network lets go of
+    its hold).  A closed mailbox turns into one in place, for the copies
+    already on their way; one per network stands for every closed name."""
+
+    __slots__ = ()
+
+    def put(self, message: Message) -> bool:
+        return True
+
+
 class UnknownEndpointError(SimulationError):
     """A message was addressed to a process the network has never seen."""
 
@@ -343,6 +345,11 @@ class Network:
         self.sim = sim
         self.latency = latency if latency is not None else ConstantLatency(0.0)
         self._mailboxes: dict[str, Mailbox] = {}
+        #: Every name that was ever an endpoint (any container; the HOPE
+        #: runtime passes its timeline), so that a closed one still is.
+        self.known: Any = ()
+        self._closed = _Closed(sim, "")
+        self._dropped = 0       # names closed since _mailboxes was rebuilt
         self.messages_sent = 0
         self.tag_count_total = 0
         #: Where the tag keys of outstanding messages are pinned: an object
@@ -382,10 +389,25 @@ class Network:
             self._mailboxes[name] = box
         return box
 
+    def close(self, name: str) -> None:
+        """Endpoint ``name`` will never receive again (its process has
+        retired): release what is queued there and consume every copy that
+        arrives from now on.  :meth:`register` opens it anew, and the
+        copies still on their way then land in the new mailbox."""
+        self.purge(name)
+        box = self._mailboxes.pop(name)
+        box._waiters = _UNUSED
+        box.__class__ = _Closed
+        self._dropped += 1
+        if self._dropped > len(self._mailboxes):    # (as Machine.drop_process)
+            self._dropped, self._mailboxes = 0, dict(self._mailboxes)
+
     def mailbox(self, name: str) -> Mailbox:
         box = self._mailboxes.get(name)
         if box is None:
-            raise UnknownEndpointError(f"no endpoint named {name!r}")
+            if name not in self.known:
+                raise UnknownEndpointError(f"no endpoint named {name!r}")
+            box = self._closed
         return box
 
     def send(
@@ -508,7 +530,10 @@ class Network:
             if message.holds:
                 self.release(message)       # the hook consumed this copy
             return
-        box.put(message)
+        if type(box) is _Closed:    # unless register has reopened the name
+            box = self._mailboxes.get(message.dst, box)
+        if box.put(message) and message.holds:
+            self.release(message)           # a closed endpoint consumed it
 
     # ------------------------------------------------------------------
     # tag pins
@@ -563,9 +588,6 @@ class Network:
         """Fill transport-specific gauges on the
         :class:`repro.obs.SpeculationMetrics` instrument set during a
         metrics snapshot.  The reliable base network has none."""
-
-    def endpoints(self) -> list[str]:
-        return sorted(self._mailboxes)
 
     def __repr__(self) -> str:
         return f"<Network endpoints={len(self._mailboxes)} sent={self.messages_sent}>"

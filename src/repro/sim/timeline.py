@@ -10,6 +10,7 @@ completion times.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 
@@ -33,6 +34,8 @@ class Span:
 
 #: The slot of :class:`ProcessTimeline` a span kind's folded total lives in.
 _FOLDED = {Span.BUSY: "_busy", Span.BLOCKED: "_blocked", Span.WASTED: "_wasted"}
+#: A retired track's open-span kinds: kind ``i > 0`` folds into column ``i - 1``.
+_OPEN = (None, Span.BUSY, Span.BLOCKED, Span.WASTED)
 
 
 class ProcessTimeline:
@@ -149,12 +152,18 @@ class ProcessTimeline:
 class Timeline:
     """Timelines for all processes in a run, plus aggregate statistics.
 
-    A track exists once :meth:`spawn` has created it; every read of an
-    unknown name raises instead of adding a phantom process.
+    Every process ever spawned has an entry, in spawn order: its track,
+    or once :meth:`retire` has folded that, its row number.  A track
+    exists once :meth:`spawn` has created it; every read of an unknown
+    name raises instead of adding a phantom process.
     """
 
     def __init__(self) -> None:
-        self._processes: dict[str, ProcessTimeline] = {}
+        self._processes: dict[str, "ProcessTimeline | int"] = {}
+        #: Per row: busy, blocked and wasted totals, and the open span's
+        #: start; and the open span's kind, as an index into _OPEN.
+        self._rows = array("d")
+        self._open = bytearray()
 
     def spawn(self, name: str) -> ProcessTimeline:
         """Create the track of a new process."""
@@ -163,25 +172,75 @@ class Timeline:
         tl = self._processes[name] = ProcessTimeline(name)
         return tl
 
+    def __contains__(self, name: str) -> bool:
+        return name in self._processes
+
+    def __iter__(self):
+        """Every process ever spawned, in spawn order."""
+        return iter(self._processes)
+
+    def retire(self, name: str) -> None:
+        """Fold the track of a process that will never run again into a
+        row: its closed spans in order, as the track's totals would fold
+        them; its open span stays open until :meth:`close_all`."""
+        tl = self._processes[name]
+        tl.compact_before(float("inf"))
+        self._processes[name] = len(self._open)
+        self._rows.extend((tl._busy, tl._blocked, tl._wasted, tl.open_start))
+        self._open.append(_OPEN.index(tl.open_kind))
+
+    def row(self, name: str) -> Optional[int]:
+        """The row of retired ``name`` (None while it is live)."""
+        tl = self._processes[name]
+        return tl if type(tl) is int else None
+
+    def revive(self, name: str) -> ProcessTimeline:
+        """Make the track of retired ``name`` live again."""
+        tl = self._processes[name] = self.process(name)
+        return tl
+
     def process(self, name: str) -> ProcessTimeline:
+        """The track of ``name``: a retired one's is rebuilt from its row."""
         tl = self._processes.get(name)
         if tl is None:
             raise KeyError(
                 f"no process {name!r} on the timeline (known: {', '.join(self.names())})"
             )
+        if type(tl) is int:
+            row, tl = tl, ProcessTimeline(name)
+            tl._busy, tl._blocked, tl._wasted, tl.open_start = self._rows[4 * row : 4 * row + 4]
+            tl.open_kind = _OPEN[self._open[row]]
         return tl
 
     def close_all(self, now: float) -> None:
+        rows, kinds = self._rows, self._open
         for tl in self._processes.values():
-            tl.close(now)
+            if type(tl) is not int:
+                tl.close(now)
+            elif kinds[tl]:
+                rows[4 * tl + kinds[tl] - 1] += now - rows[4 * tl + 3]
+                kinds[tl] = 0
 
     def compact_before(self, cutoff: float) -> int:
         """Fold committed spans into base totals across all processes."""
-        return sum(tl.compact_before(cutoff) for tl in self._processes.values())
+        return sum(tl.compact_before(cutoff) for tl in self._processes.values()
+                   if type(tl) is not int)
 
     def aggregate(self, kind: str, now: Optional[float] = None) -> float:
-        """Sum of :meth:`ProcessTimeline.total` over every process."""
-        return sum(tl.total(kind, now) for tl in self._processes.values())
+        """Sum of :meth:`ProcessTimeline.total` over every process, in
+        spawn order; a retired row adds as its track did, its folded total
+        and then its open span."""
+        rows, kinds, code = self._rows, self._open, _OPEN.index(kind)
+
+        def total(tl: "ProcessTimeline | int") -> float:
+            if type(tl) is not int:
+                return tl.total(kind, now)
+            out = rows[4 * tl + code - 1]
+            if now is not None and kinds[tl] == code:
+                out += now - rows[4 * tl + 3]
+            return out
+
+        return sum(map(total, self._processes.values()))
 
     def utilization(self, name: str, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` the process spent busy."""

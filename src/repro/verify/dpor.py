@@ -311,7 +311,7 @@ class DporExplorer:
         run.committed = tuple(
             sorted(
                 (name, tuple(repr(v) for v in system.committed_outputs(name)))
-                for name in system.procs
+                for name in system.process_names()
             )
         )
         return controller, run

@@ -65,10 +65,13 @@ class LedgerMonitor:
 
     def _check(self, name: str, full: bool) -> None:
         proc = self.system.procs.get(name)
-        if proc is None:
+        if proc is not None:
+            committed, outputs = proc.committed, proc.outputs
+        elif full and name in self.system.timeline:
+            committed, outputs = self.system.committed_outputs(name), ()   # retired
+        else:
             return  # pseudo-pids (e.g. the failure detector) own no ledger
         snapshot = self._snapshots.setdefault(name, [])
-        committed, outputs = proc.committed, proc.outputs
         k, n = len(snapshot), len(committed)
         if full:
             ledger = self.system.committed_outputs(name)
@@ -108,7 +111,7 @@ class LedgerMonitor:
 
     def sample(self) -> None:
         """Full sweep over every ledger (the post-run / on-demand check)."""
-        for name in self.system.procs:
+        for name in self.system.process_names():
             self._check(name, full=True)
 
     def assert_monotone(self) -> None:

@@ -109,10 +109,24 @@ def _resume(run_dir, seed, build, **opts):
                              durable_opts=opts or {"snapshot_every": 2}, **BASE)
 
 
+def _logged_at_retirement(system):
+    """name -> how long its effect log was when a pass retired it (the
+    process and its log are gone after)."""
+    logged = {}
+    retire = system._retire
+
+    def recording(proc):
+        logged[proc.name] = len(proc.log)
+        retire(proc)
+
+    system._retire = recording
+    return logged
+
+
 def _committed(system):
     return {
         name: sorted(repr(v) for v in system.committed_outputs(name))
-        for name in system.procs
+        for name in system.process_names()
     }
 
 
@@ -311,16 +325,18 @@ def test_an_exited_member_leaves_the_image_and_every_later_envelope(tmp_path):
     recorder = system._durable
     end_pass = recorder.end_pass
     retired_by_pass = []
+    logged = _logged_at_retirement(system)
 
     def checked_end_pass(*args, **kwargs):
         end_pass(*args, **kwargs)
         recorder.check_image()
-        retired = {name for name, proc in system.procs.items() if proc.task is None}
+        retired = set(system.process_names()) - system.procs.keys()
+        assert retired == logged.keys()
         for name in retired:
-            proc, img = system.procs[name], recorder.procs[name]
-            assert proc.done and proc.log.retained == 0 and img.entries == [], name
-            assert img.base == len(proc.log) > 0, name
-            assert decode_value(img.rebase[0]) == Exited(proc.result), name
+            img = recorder.procs[name]
+            assert system.is_done(name) and img.entries == [], name
+            assert img.base == logged[name] > 0, name
+            assert decode_value(img.rebase[0]) == Exited(system.result_of(name)), name
         gens = recorder.store.envelope_gens()
         if gens and not recorder.passes_since_snapshot:     # one was just sealed
             doc, _seal = recorder.store.load_envelope(max(gens))
@@ -337,9 +353,9 @@ def test_an_exited_member_leaves_the_image_and_every_later_envelope(tmp_path):
     # exit (no pass follows) were gone by the end
     counts = [count for _gen, count in retired_by_pass]
     assert counts == sorted(counts) and len(set(counts)) >= 4
-    assert counts[-1] >= len(system.procs) - 2
+    assert counts[-1] >= len(system.process_names()) - 2
     assert system.stats()["processes_retired"] == counts[-1]
-    for name in system.procs:
+    for name in system.process_names():
         assert system.result_of(name) == twin.result_of(name), name
 
 
@@ -557,7 +573,7 @@ def test_decoded_copies_of_a_pending_handle_hold_it_one_each(tmp_path):
         resumed.run()                # the sink resolves x#1 by key
         assert _committed(resumed) == want, tenth
         both_held += two
-        first_died += two and resumed.procs["a"].task is None   # a's log went
+        first_died += two and "a" not in resumed.procs      # a's log went
     assert both_held >= 2 and first_died >= 1
 
 
@@ -668,15 +684,16 @@ def test_a_body_without_commit_points_keeps_its_whole_committed_log(tmp_path):
     seed, build = 5, BUILDS["ring"]
     twin = _twin(seed, build)
     system = _system(tmp_path, seed, build)
+    logged = _logged_at_retirement(system)
     with pytest.raises(EventLimitExceeded):
         system.run(max_events=int(twin.stats()["sim_events"] * 0.85))
     images = system._durable.procs
-    exited = {name for name, proc in system.procs.items() if proc.task is None}
+    exited = set(system.process_names()) - system.procs.keys()
     assert exited and len(exited) < len(images)
     for name in exited:
         img = images[name]
         assert img.entries == [] and img.rebase is not None, name
-        assert img.base == len(system.procs[name].log) > 0, name
+        assert img.base == logged[name] > 0, name
     sealed = {name: len(img.entries) for name, img in images.items()}
     assert all(
         images[name].base == 0 and images[name].rebase is None
@@ -688,9 +705,11 @@ def test_a_body_without_commit_points_keeps_its_whole_committed_log(tmp_path):
     for name, count in sealed.items():
         log = resumed.procs[name].log
         assert (log.base, log.retained) == (images[name].base, count), name
+    members = {name: resumed.procs[name] for name in exited}
     resumed.run()
     for name in exited:
-        assert resumed.procs[name].log.replayed_entries_total == 0, name
+        assert members[name].log.replayed_entries_total == 0, name
+        assert name not in resumed.procs, name      # retired again
         assert resumed.result_of(name) == twin.result_of(name), name
     assert _committed(resumed) == _committed(twin)
 

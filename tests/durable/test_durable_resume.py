@@ -57,7 +57,7 @@ def _resume(run_dir, build=build_durable_counter, **extra):
 def _committed(system):
     return {
         name: tuple(sorted(repr(v) for v in system.committed_outputs(name)))
-        for name in system.procs
+        for name in system.process_names()
     }
 
 

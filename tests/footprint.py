@@ -27,18 +27,24 @@ nor the test suite: ``PYTHONPATH=src python tests/footprint.py`` prints
 the figures the budgets are set from, and ``--markdown`` prints the
 budget table as PERFORMANCE.md carries it (a tier-1 test keeps the two
 equal), then this interpreter's figures beside its budgets.
+
+:func:`residue` is the finish line the budgets work towards: what a run
+holds at quiescence besides its results, which must not grow with the
+size of the run; ``--residue`` prints it at N and 4N for each body in
+:data:`RESIDUE`.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
 from typing import Any, Callable
 
 from repro.core import AssumptionId
 from repro.runtime import HopeSystem, ReliableConfig
-from repro.sim import ConstantLatency
+from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency
 
 
 def measure(run: Callable[[], Any]) -> tuple:
@@ -82,10 +88,11 @@ BUDGETS = {
         (3, 10): (646, 11.7), (3, 11): (655, 11.7),
         (3, 12): (655, 11.7), (3, 13): (655, 11.7),
     },
-    # what a retired process keeps: its records and totals (§14, §20)
+    # what a retired process keeps: its ledger row and directory slot,
+    # its name and arguments (§14, §20, §24)
     "retired process": {
-        (3, 10): (1573, 25.1), (3, 11): (1530, 25.1),
-        (3, 12): (1520, 25.1), (3, 13): (1520, 25.1),
+        (3, 10): (325, 4.1), (3, 11): (307, 4.0),
+        (3, 12): (298, 4.0), (3, 13): (298, 4.0),
     },
     # one slot of ``committed`` (§19)
     "committed output": {
@@ -374,6 +381,179 @@ def outliving_aids(build: Callable[[], HopeSystem]) -> tuple:
     return system, live_aids() - before - len(system.machine.aids)
 
 
+# ----------------------------------------------------------------- residue
+# The bodies of the benchmark's ``stream``, ``steady`` and ``lossy``
+# workloads (``cascade``'s are :func:`relay_waves`'), restated so that
+# these fixtures do not depend on the benchmark's internals; the inputs
+# are the benchmark's draws at seed 7.
+_MOD = 1_000_003
+
+
+def _draws(name: str) -> random.Random:
+    return random.Random(f"{name}/7")
+
+
+def _one_in(rng: random.Random, n: int, every: int) -> frozenset:
+    """One index below ``n`` drawn from each full block of ``every``."""
+    return frozenset(block + rng.randrange(every) for block in range(0, n - every + 1, every))
+
+
+def _stream(n: int) -> HopeSystem:
+    """Figure 2 with ``n`` reports, one in ten overflowing its page."""
+    from repro.apps import call_streaming as cs
+
+    rng = _draws("stream")
+    fails = _one_in(rng, n, 10)
+    config = cs.CallStreamConfig(
+        page_size=1000, latency=10.0, n_warts=8,
+        report_lines=tuple(1001 if i in fails else rng.randint(1, 5) for i in range(n)),
+    )
+    links = LinkLatency(default=ConstantLatency(config.latency))
+    for w in range(config.n_warts):         # WorryWarts near the worker,
+        links.set_link("worker", f"worrywart-{w}", ConstantLatency(config.wart_latency))
+        links.set_link(f"worrywart-{w}", "worker", ConstantLatency(config.wart_latency))
+    for ends in (("server_oneway", "server"), ("server", "server_oneway")):
+        links.set_link(*ends, ConstantLatency(0.0))     # the gateway beside the server
+    system = HopeSystem(seed=7, latency=links)
+    system.spawn("server", cs.print_server, config.page_size, config.server_service_time)
+    system.spawn("server_oneway", cs.oneway_gateway)
+    for w in range(config.n_warts):
+        expected = len(range(w, config.n_reports, config.n_warts))
+        system.spawn(f"worrywart-{w}", cs.worrywart, config, expected)
+    system.spawn("worker", cs.optimistic_worker, config)
+    return system
+
+
+def _cascade(trees: int) -> HopeSystem:
+    """:func:`relay_waves`' trees run one after another (so that the run's
+    peak concurrency, and the tables it sizes, are the same at every
+    size)."""
+    system = HopeSystem(seed=7, latency=ConstantLatency(1.0))
+    for t in range(trees):
+        relays = [f"t{t}.n{i}" for i in range(DEPTH)]
+        system.spawn(f"t{t}.root", _root, f"t{t}.judge", relays[0], 100.0 * t)
+        system.spawn(f"t{t}.judge", _judge, t % 2 == 1)
+        for i, name in enumerate(relays):
+            system.spawn(name, _relay, relays[i + 1] if i + 1 < DEPTH else None)
+    return system
+
+
+def _counter(p, judge, rounds, bumps, resume=None):
+    state = resume if resume is not None else {"round": 0, "acc": 0}
+    while state["round"] < rounds:
+        i = state["round"]
+        a = yield p.aid_init("round")
+        yield p.send(judge, (a, p.name, i))
+        ok = yield p.guess(a)
+        yield p.compute(1.0 if ok else 2.0)
+        state["acc"] = (state["acc"] * 31 + bumps[i] + (0 if ok else 1)) % _MOD
+        yield p.emit(((p.name, i), state["acc"]))
+        state["round"] += 1
+        yield p.commit_point(dict(state))
+
+
+def _counter_judge(p, total, denied, resume=None):
+    state = resume if resume is not None else {"seen": 0}
+    while state["seen"] < total:
+        a, name, i = (yield p.recv()).payload
+        yield p.compute(0.3)
+        ok = i not in denied[name]
+        yield (p.affirm(a) if ok else p.deny(a))
+        state["seen"] += 1
+        yield p.emit(((name, i), "checked", ok))
+        yield p.commit_point(dict(state))
+
+
+def _steady(rounds: int) -> HopeSystem:
+    """Four counters of ``rounds`` rounds, one in four denied."""
+    rng, names = _draws("steady"), [f"c{w}" for w in range(4)]
+    bumps = {name: tuple(rng.randrange(_MOD) for _ in range(rounds)) for name in names}
+    denied = {name: _one_in(rng, rounds, 4) for name in names}
+    system = HopeSystem(seed=7, latency=ConstantLatency(1.0))
+    system.spawn("judge", _counter_judge, 4 * rounds, denied)
+    for name in names:
+        system.spawn(name, _counter, "judge", rounds, bumps[name])
+    return system
+
+
+def _lossy_worker(p, validator, bumps):
+    acc = 0
+    for i, bump in enumerate(bumps):
+        x = yield p.aid_init("round")
+        ok = yield p.guess(x)                  # guess before send: tagged
+        yield p.send(validator, (x, i))
+        yield p.compute(1.0)
+        acc = (acc * 31 + bump + (0 if ok else 1)) % _MOD
+        yield p.emit(((p.name, i), acc))
+
+
+def _lossy_validator(p, worker, rounds, denied):
+    for _ in range(rounds):
+        x, i = (yield p.recv()).payload
+        ok = i not in denied
+        yield (p.affirm(x) if ok else p.deny(x))
+        yield p.emit(((worker, i), "checked", ok))
+
+
+def _lossy(rounds: int) -> HopeSystem:
+    """Eight pairs of ``rounds`` rounds over a lossy, reordering,
+    duplicating network with reliable delivery; one in eight denied (the
+    loss pattern and the denials are drawn from the network seed)."""
+    rng, network = _draws("lossy"), random.Random("lossy/1995")
+    bumps = [tuple(rng.randrange(_MOD) for _ in range(rounds)) for _ in range(8)]
+    denied = [_one_in(network, rounds, 8) for _ in range(8)]
+    faults = FaultPlan(default=LinkFaults(drop=0.05, duplicate=0.05, reorder=0.1,
+                                          reorder_window=4, jitter=1))
+    system = HopeSystem(seed=1995, latency=ConstantLatency(1.0), faults=faults,
+                        reliable=ReliableConfig())
+    for k in range(8):
+        system.spawn(f"v{k}", _lossy_validator, f"w{k}", rounds, denied[k])
+        system.spawn(f"w{k}", _lossy_worker, f"v{k}", bumps[k])
+    return system
+
+
+#: Residue bodies at size ``n``: reports, relay trees, counter rounds and
+#: lossy rounds.  Only ``cascade`` grows the process count.
+RESIDUE = {
+    "cascade": (20, _cascade),
+    "stream": (25, _stream),
+    "steady": (50, _steady),
+    "lossy": (10, _lossy),
+}
+
+
+def residue(build: Callable[[], HopeSystem]) -> int:
+    """Bytes a run of ``build()`` holds at quiescence besides its results:
+    what dropping the system frees, less what the ledger, the timeline's
+    totals and the committed values of the processes still live keep.
+    Two passes settle the tail a run ends with (passes follow finalizes,
+    so the processes that exit after the last one are still live)."""
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        system = build()
+        system.run()
+        system._run_fossil_collection()
+        system._run_fossil_collection()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        # (kept alive past the ``del``: they are not the residue)
+        results = (system.outcomes, system.timeline,
+                   [proc.committed for proc in system.procs.values()])
+        del system
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def residues(name: str) -> tuple:
+    """``(bytes at N, bytes at 4 N)`` of :data:`RESIDUE`'s ``name``."""
+    n, build = RESIDUE[name]
+    residue(lambda: build(max(1, n // 4)))     # imports, caches, interned strings
+    return residue(lambda: build(n)), residue(lambda: build(4 * n))
+
+
 #: Every shape's census, in the order the script prints them.
 CENSUS = {
     "spawned process": spawned_process,
@@ -389,6 +569,12 @@ CENSUS = {
 if __name__ == "__main__":
     markdown = sys.argv[1:] == ["--markdown"]
     version = "%d.%d" % sys.version_info[:2]
+    if sys.argv[1:] == ["--residue"]:
+        for name in RESIDUE:
+            small, large = residues(name)
+            print(f"{version} residue {name + ':':9} {small / 1024:7.1f} KiB at N, "
+                  f"{large / 1024:7.1f} KiB at 4N ({large / small:.2f}x)")
+        sys.exit()
     if markdown:
         print(budget_markdown())
         print(f"\n| shape ({version}) | measured | budget |\n|---|---|---|")

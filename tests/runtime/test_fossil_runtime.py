@@ -384,9 +384,9 @@ class TestCommittedOutputsPinNothing:
             assert 0 < at_100[table] and size <= 1.25 * at_100[table], (table, at_100, at_400)
         assert at_400["aids"] < 100
         # committed outputs keep their value and nothing else: no record
-        for proc in long_.procs.values():
-            assert len(proc.committed) > 0
-            assert all(record.committed for record in proc.outputs)
+        for name in long_.process_names():
+            assert long_.committed_outputs(name)
+            assert long_.outputs(name) == long_.committed_outputs(name)
         assert len(long_.committed_outputs("judge")) == 800
         # every AID ever minted was retired, bar the live tail
         stats = long_.stats()

@@ -177,7 +177,7 @@ def _run_scripted(ops, fossil, fossil_interval, pass_every, crash_at):
     steps = 0
     while system.sim.step():
         steps += 1
-        if steps == crash_at and not system.procs["worker"].done:
+        if steps == crash_at and not system.is_done("worker"):
             system.crash_process("worker")
             system.restart_process("worker")
         if fossil and pass_every and steps % pass_every == 0:
@@ -245,9 +245,9 @@ def test_crash_keeps_committed_outputs_out_of_later_rollbacks():
 # ----------------------------------------------------------------------
 def test_a_committed_emit_costs_a_list_slot():
     system, traced, blocks = committed_output()
-    proc = system.procs["emitter"]
-    assert proc.task is None                    # retired: its log went too
-    assert proc.outputs == () and len(proc.committed) == 4 * 2000
+    assert "emitter" not in system.procs        # retired: its log went too
+    committed = system.committed_outputs("emitter")
+    assert system.outputs("emitter") == committed and len(committed) == 4 * 2000
     max_bytes, max_blocks = budget("committed output")
     assert traced <= max_bytes
     assert blocks <= max_blocks

@@ -18,8 +18,11 @@ here:
   budget per process spawned and not yet run;
 * an idle process costs a record: a budget per process blocked in
   ``recv``, and a never-messaged mailbox owns no container;
-* a retired process keeps totals, not containers: a budget per finished
-  process of relay waves.
+* a retired process is a ledger row: a budget per finished process of
+  relay waves, no runtime, record, track or mailbox of its own, and mail
+  to it — queued or still in flight — pins nothing;
+* a finished run holds its results and nothing else: the residue of
+  ``footprint.RESIDUE``'s bodies is flat from N to 4N.
 """
 
 import gc
@@ -28,20 +31,21 @@ from collections import Counter
 
 import pytest
 
-from repro.core.history import NO_INTERVALS
 from repro.runtime import HopeSystem
-from repro.runtime.engine import _RecvBridge
+from repro.runtime.engine import ProcessRuntime, _RecvBridge
 from repro.runtime.replay import Exited
-from repro.sim import ConstantLatency, Tracer
+from repro.sim import ConstantLatency, LinkLatency, Tracer
 from repro.sim.channel import _UNUSED, Mailbox, Message
 from repro.sim.kernel import Simulator
 from repro.sim.process import Task
 
 from ..footprint import (
     DEPTH,
+    RESIDUE,
     budget,
     idle_process,
     idle_system,
+    residues,
     retired_process,
     spawned_process,
 )
@@ -91,7 +95,7 @@ def _churn(waves, **options):
     return system
 
 
-_WATCHED = (Task, types.GeneratorType, _RecvBridge)
+_WATCHED = (Task, types.GeneratorType, _RecvBridge, ProcessRuntime)
 
 
 def _census() -> Counter:
@@ -121,15 +125,18 @@ def _left_behind(waves, **options):
 def test_memory_is_flat_in_processes_spawned():
     small, s_small = _left_behind(6)
     large, s_large = _left_behind(24)
-    assert len(s_large.procs) == 1 + 24 * (_WIDTH + 1) > 3.9 * len(s_small.procs)
+    spawned = len(s_large.process_names())
+    assert spawned == 1 + 24 * (_WIDTH + 1) > 3.9 * len(s_small.process_names())
     # Four times the processes, the same residue: the driver, which exits
     # after the last pass, and its log since its last promoted commit
     # point.  (At the parent: 683 entries, 55 tasks, 6 bridges at 6 waves;
-    # 2 699, 217 and 24 at 24.)
+    # 2 699, 217 and 24 at 24.)  A retired process keeps no runtime.
     assert large == small
-    assert large == {"LogEntry": 11, "Task": 1, "generator": 0, "_RecvBridge": 0}
+    assert large == {"LogEntry": 11, "Task": 1, "generator": 0, "_RecvBridge": 0,
+                     "ProcessRuntime": 1}
+    assert list(s_large.procs) == ["driver"]
     stats = s_large.stats()
-    assert stats["processes_retired"] == len(s_large.procs) - 1
+    assert stats["processes_retired"] == spawned - 1
     assert stats["fossil_log_dropped"] >= 24 * _WIDTH * (_K + 5)
     # ... and the run is the run it was: the ledger and results of the
     # uncollected twin, which keeps an entry per effect ever performed
@@ -137,8 +144,8 @@ def test_memory_is_flat_in_processes_spawned():
     twin_left, twin = _left_behind(24, fossil_collect=False)
     assert twin.stats()["processes_retired"] == 0
     assert twin_left["LogEntry"] > 24 * _WIDTH * (_K + 5)
-    assert twin_left["Task"] == len(twin.procs)
-    for name in twin.procs:
+    assert twin_left["Task"] == len(twin.procs) == spawned
+    for name in twin.process_names():
         assert s_large.committed_outputs(name) == twin.committed_outputs(name)
         assert s_large.result_of(name) == twin.result_of(name)
 
@@ -190,7 +197,7 @@ def _edge_system(verdict, *, fossil_collect=True, trace=None, wait=20.0):
 
 
 def _ledger(system):
-    return {name: system.committed_outputs(name) for name in system.procs}
+    return {name: system.committed_outputs(name) for name in system.process_names()}
 
 
 @pytest.mark.parametrize("verdict", [True, False])
@@ -211,9 +218,10 @@ def test_a_speculative_exit_waits_for_its_verdict(verdict):
     twin.run()
     assert _ledger(system) == _ledger(twin)
     assert system.result_of("guesser") == twin.result_of("guesser") == ("done", verdict)
-    assert system.procs["guesser"].restarts == (0 if verdict else 1)
+    assert guesser.restarts == (0 if verdict else 1)
     assert system.stats()["rollbacks"] == twin.stats()["rollbacks"]
     # settled and committed, it went at the next pass
+    assert "guesser" not in system.procs
     assert guesser.task is None and guesser.log.retained == 0
     assert type(guesser.rebase.state) is Exited
 
@@ -225,9 +233,10 @@ def _reads(system, name):
 
 def test_a_retired_process_reads_as_it_did_and_is_promoted_once():
     system = _edge_system(True, wait=2.0)
+    guesser, judge = system.procs["guesser"], system.procs["judge"]
     system.run(until=12.0)
-    guesser = system.procs["guesser"]
-    assert guesser.task is None and guesser.log.retained == 0       # retired
+    assert "guesser" not in system.procs                            # retired
+    assert guesser.task is None and guesser.log.retained == 0
     assert len(guesser.log) == guesser.log.base == 7
     assert guesser.rebase_candidates == ()         # the shared empty tuple
     assert system.stats()["processes_retired"] == 2                 # the judge too
@@ -243,7 +252,8 @@ def test_a_retired_process_reads_as_it_did_and_is_promoted_once():
     assert _reads(system, "guesser") == (("done", True), True, emitted, emitted)
     # (ping and pong return after the last pass)
     assert stats["processes_retired"] == 2
-    assert stats["fossil_log_dropped"] == 7 + len(system.procs["judge"].log)
+    assert "judge" not in system.procs
+    assert stats["fossil_log_dropped"] == 7 + len(judge.log)
 
 
 def _reporter(p, count):
@@ -255,22 +265,23 @@ def _reporter(p, count):
 def _crash_run(fossil_collect):
     tracer = Tracer()
     system = _edge_system(True, fossil_collect=fossil_collect, trace=tracer)
-    system.spawn("reporter", _reporter, 3)
+    first = system.spawn("reporter", _reporter, 3)
     system.run(until=12.0)
-    retired = system.procs["reporter"].task is None
+    retired = "reporter" not in system.procs
     system.crash_process("reporter")
     system.run(until=14.0)
     system.restart_process("reporter")
+    second = system.procs["reporter"]
     system.run()
-    return system, tracer, retired
+    return system, tracer, retired, (first, second)
 
 
 def test_crash_and_restart_of_a_retired_process_start_from_entry():
     """``crash_process`` clears the terminal point as it clears any rebase:
     the restarted process runs its program again from the top — the same
     trace, event for event, as on the run that never retired anything."""
-    system, tracer, retired = _crash_run(True)
-    twin, twin_tracer, twin_retired = _crash_run(False)
+    system, tracer, retired, (first, second) = _crash_run(True)
+    twin, twin_tracer, twin_retired, _ = _crash_run(False)
     assert retired and not twin_retired
     assert tracer.fingerprint() == twin_tracer.fingerprint()
     assert _ledger(system) == _ledger(twin)
@@ -282,9 +293,56 @@ def test_crash_and_restart_of_a_retired_process_start_from_entry():
     assert all(proc.task is not None and proc.rebase is None
                for proc in twin.procs.values())
     # once before the crash, and again once the second exit had committed
-    reporter = system.procs["reporter"]
-    assert reporter.task is None and reporter.log.fossil_dropped_total == 12
-    assert len(reporter.log) == reporter.log.base == 6
+    # (the crash rebuilt the retired process from its ledger row)
+    assert "reporter" not in system.procs and second is not first
+    assert first.log.fossil_dropped_total == second.log.fossil_dropped_total == 6
+    assert second.task is None and len(second.log) == second.log.base == 6
+
+
+def _listener(p):
+    if (yield p.now()) < 1.0:
+        return "early"
+    return (yield p.recv()).payload
+
+
+def _mailer(p, at):
+    yield p.compute(at)
+    yield p.send("listener", ("mail", at))
+    return "mailed"
+
+
+def _late_mail_run(fossil_collect, sent_at, reliable):
+    tracer = Tracer()
+    slow = LinkLatency({("mailer", "listener"): ConstantLatency(20.0)}, ConstantLatency(1.0))
+    system = HopeSystem(seed=2, latency=slow, fossil_interval=2, reliable=reliable,
+                        fossil_collect=fossil_collect, trace=tracer)
+    system.spawn("listener", _listener)
+    system.spawn("mailer", _mailer, sent_at)
+    system.spawn("ping", _pair, "pong", 30, True)
+    system.spawn("pong", _pair, "ping", 30, False)
+    system.run(until=12.0)
+    retired = "listener" not in system.procs
+    system.crash_process("listener")
+    system.restart_process("listener")
+    system.run()
+    return system, tracer, retired
+
+
+@pytest.mark.parametrize("reliable", [False, True], ids=["plain", "reliable"])
+@pytest.mark.parametrize("sent_at", [0.0, 8.0], ids=["in-flight", "sent-while-retired"])
+def test_mail_to_a_retired_process_reaches_its_restart(sent_at, reliable):
+    """``listener`` exits at t=0 and retires; mail to it sent at t=0 (on
+    its way as it retires) or t=8 (to the retired name) lands at t=20 or
+    t=28, after a crash and restart at t=12 whose incarnation receives.
+    The copy reaches the restarted process exactly as on the uncollected
+    twin, whose mailbox never closed."""
+    system, tracer, retired = _late_mail_run(True, sent_at, reliable)
+    twin, twin_tracer, twin_retired = _late_mail_run(False, sent_at, reliable)
+    assert retired and not twin_retired
+    assert system.result_of("listener") == twin.result_of("listener") == ("mail", sent_at)
+    assert tracer.fingerprint() == twin_tracer.fingerprint()
+    assert _ledger(system) == _ledger(twin)
+    assert system.stats().get("reliable") == twin.stats().get("reliable")
 
 
 def test_a_body_that_did_nothing_has_nothing_to_retire():
@@ -322,17 +380,22 @@ def test_retired_process_footprint_budget():
     system, traced, blocks = retired_process()
     stats = system.stats()
     assert stats["rollbacks"] > 0
-    assert stats["processes_retired"] >= 0.95 * len(system.procs)
+    names = system.process_names()
+    assert stats["processes_retired"] >= 0.95 * len(names)
     max_bytes, max_blocks = budget("retired process")
     assert traced <= max_bytes
     assert blocks <= max_blocks
-    # What it keeps is shared: no container of its own is left empty.
-    for proc in system.procs.values():
-        if proc.task is None:
-            assert proc.rebase_candidates == () and proc.mproc.history == ()
-            assert proc.mproc.speculative is NO_INTERVALS
-            assert proc.mailbox._waiters is _UNUSED and proc.mailbox._queue is _UNUSED
-    assert len(system.procs) == 4 * 60 * (DEPTH + 2)
+    # What it keeps is its ledger row: no runtime, record, track or
+    # mailbox of its own (one closed endpoint stands for every name).
+    retired = [name for name in names if name not in system.procs]
+    assert len(retired) == stats["processes_retired"]
+    closed = system.network.mailbox(retired[0])
+    for name in retired:
+        assert name not in system.machine.processes
+        assert system.timeline.row(name) is not None
+        assert system.network.mailbox(name) is closed
+    assert closed._waiters is _UNUSED and closed._queue is _UNUSED
+    assert len(names) == 4 * 60 * (DEPTH + 2)
 
 
 def test_a_never_messaged_mailbox_owns_no_container():
@@ -354,3 +417,75 @@ def test_a_never_messaged_mailbox_owns_no_container():
     system = idle_system(1)
     idle = system.procs["w0"].mailbox
     assert idle._queue is _UNUSED and len(idle._waiters) == 1
+
+
+# ------------------------------------------------ mail at a retired process
+def _quitter(p):
+    yield p.compute(0.5)
+    return "gone"
+
+
+def _speaker(p):
+    late = (yield p.recv()).payload
+    if (yield p.guess(late)):
+        yield p.send("quitter", "hello")        # tagged: late is pending
+    return "spoke"
+
+
+def _cycling_judge(p, passes_from):
+    late = yield p.aid_init("late")
+    yield p.send("speaker", late)
+    yield p.compute(passes_from)
+    for round_ in range(300):
+        if round_ == 150:
+            yield p.compute(10.0)
+            yield p.affirm(late)
+        x = yield p.aid_init("cycle")
+        yield p.guess(x)
+        yield p.affirm(x)
+    return "judged"
+
+
+@pytest.mark.parametrize("passes_from", [3.0, 1.5], ids=["queued", "in-flight"])
+def test_mail_at_a_retired_process_pins_nothing(passes_from):
+    """``speaker``'s message tagged with ``late`` lands at t=2 at
+    ``quitter``, which exited at t=0.5 and never receives: queued there
+    before the passes (from t=3) retire it, or still in flight when they
+    do (from t=1.5).  Either way the copy is consumed — at retirement, or
+    on arrival — and lets go of its pin, so ``late#1`` retires once
+    affirmed.  (While a retired process kept its mailbox, the copy queued
+    there kept ``late#1`` in ``machine.aids`` for good.)"""
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4)
+    system.spawn("quitter", _quitter)
+    system.spawn("speaker", _speaker)
+    system.spawn("judge", _cycling_judge, passes_from)
+    system.run()
+    assert "late#1" not in system.machine.aids and not system.machine.pins
+    assert "quitter" not in system.procs and system.result_of("quitter") == "gone"
+    assert system.result_of("speaker") == "spoke"
+    assert system.stats()["aids_affirmed"] == 301
+
+
+def test_procs_holds_live_processes_only():
+    system = _edge_system(True, wait=2.0)
+    system.run()
+    names = system.process_names()
+    assert names == ["judge", "guesser", "ping", "pong"]       # spawn order
+    assert set(system.procs) == {"ping", "pong"}               # (exit after the last pass)
+    with pytest.raises(KeyError, match="no live process 'guesser'.*result_of"):
+        system.procs["guesser"]
+    assert system.is_done("guesser") and system.result_of("guesser") == ("done", True)
+    with pytest.raises(KeyError):
+        system.result_of("nobody")
+
+
+def test_a_finished_run_holds_its_results_and_nothing_else():
+    """The residue property: the bodies of ``stream``, ``steady``,
+    ``lossy`` and ``cascade`` at N and 4N (``footprint.RESIDUE``) hold,
+    at quiescence and besides their results, as much at 4N as at N.
+    ``cascade`` grows the processes fourfold (3.91x while a retired
+    process kept its roles, 1 398 B each); the others grow the work per
+    process."""
+    for name in RESIDUE:
+        small, large = residues(name)
+        assert large <= 1.1 * small, (name, small, large)

@@ -1,5 +1,8 @@
 """Tests for reliable delivery and the heartbeat failure detector."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import (
@@ -470,7 +473,7 @@ def test_forgetting_changes_no_dedup_decision(seed, crash):
         if reference:
             system.reliable.__class__ = _RememberingTransport
         system.run(max_events=500_000)
-        outputs = {name: system.committed_outputs(name) for name in system.procs}
+        outputs = {name: system.committed_outputs(name) for name in system.process_names()}
         return tracer.fingerprint(), system.stats()["reliable"], outputs, system.reliable._seen
 
     forgetting, reference = run(False), run(True)
@@ -488,3 +491,103 @@ def test_an_acked_send_keeps_nothing_but_its_dead_timer_key():
     max_bytes, max_blocks = budget("acked send")
     assert traced <= max_bytes
     assert blocks <= max_blocks
+
+
+# ------------------------------------------------------- retired endpoints
+def _arrivals_at_retired(system):
+    """Count the copies that land at a name after a pass retired it."""
+    retired, landed = set(), []
+    retire, put = system._retire, system.network._put
+
+    def recording_retire(proc):
+        retired.add(proc.name)
+        retire(proc)
+
+    def recording_put(box, message):
+        landed.append(message.dst in retired)
+        put(box, message)
+
+    system._retire, system.network._put = recording_retire, recording_put
+    return landed
+
+
+def _lossy_quick():
+    """The benchmark's ``lossy --quick`` workload, through its public
+    surface (``WORKLOADS``); ``benchmarks/e2e`` is a directory of scripts,
+    so its module is loaded from its file."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS["lossy"](7, quick=True)
+
+
+def test_a_retired_endpoint_under_reliable_delivery():
+    """The ``lossy --quick`` body: retries, duplicates and acks keep
+    arriving for validators and workers a pass has retired.  Each copy is
+    accepted, acked or suppressed as before, and consumed; the ledger is
+    the oracle's, and the trace, the transport counters and the event
+    count are those recorded before retirement dropped the runtime."""
+    workload = _lossy_quick()
+    tracer = Tracer()
+    system = HopeSystem(**workload.options(), trace=tracer)
+    landed = _arrivals_at_retired(system)
+    workload.build(system)
+    system.run()
+    assert sum(landed) > 0
+    stats = system.stats()
+    ledger = {}
+    for name in workload.emitters():
+        for record in system.committed_outputs(name):
+            ledger.setdefault(record[0], []).append(record)
+    assert workload.failed_ops(ledger) == 0
+    assert stats["processes_retired"] == 38 and not system.machine.pins
+    assert stats["sim_events"] == 2528
+    assert stats["reliable"] == {
+        "sent": 837, "retries": 72, "acked": 667, "acks_sent": 790,
+        "dup_suppressed": 65, "dropped_at_crashed": 0, "exhausted": 0,
+    }
+    assert tracer.fingerprint() == (
+        "fa7aa4d154a6b3d3fa7a628c1413383923df56d68d708b0b37038a862e84302f"
+    )
+
+
+def test_the_detector_heartbeats_a_retired_process():
+    """A retired process is a live node to the failure detector: it
+    heartbeats as it did while its runtime existed, so the chaos ``ring``
+    under heavy drop suspects what it suspected, and the trace and
+    ``DetectorStats`` are those recorded before retirement dropped the
+    runtime."""
+    from repro.chaos import WORKLOADS, standard_plans
+
+    tracer = Tracer()
+    system = HopeSystem(
+        seed=3, latency=ConstantLatency(1.0), trace=tracer,
+        faults=standard_plans("ring")["drop-heavy"], reliable=ReliableConfig(),
+        failure_detector=DetectorConfig(), fossil_interval=4,
+    )
+    retired_at = {}
+    retire = system._retire
+
+    def recording_retire(proc):
+        retired_at[proc.name] = system.sim.now
+        retire(proc)
+
+    system._retire = recording_retire
+    beats, on_heartbeat = [], system.detector._on_heartbeat
+
+    def recording_heartbeat(name):
+        beats.append(name in retired_at and system.sim.now > retired_at[name])
+        on_heartbeat(name)
+
+    system.detector._on_heartbeat = recording_heartbeat
+    WORKLOADS["ring"].build(system)
+    system.run(max_events=200_000)
+    assert retired_at and sum(beats) > 0       # heartbeats of retired names
+    assert system.stats()["detector"] == {
+        "heartbeats_sent": 22, "heartbeats_lost": 8, "suspects": 1, "unsuspects": 0,
+        "false_suspicions": 0, "detector_denies": 0, "reconciled_affirms": 0,
+    }
+    assert tracer.fingerprint() == (
+        "95946c72cf5aed771e2232bbea579a62093ff584eaf1a203c91e6e45174d4d13"
+    )

@@ -69,7 +69,7 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
     assert ping.restarts == twin.procs["ping"].restarts == 1
     assert ping.log.replayed_entries_total == 5 * 4 * _N + 2
     assert not any(aid.dom is SETTLED_DOM for aid in twin.machine.aids.values())
-    for name in system.procs:
+    for name in system.process_names():
         assert system.committed_outputs(name) == twin.committed_outputs(name)
     assert system.committed_outputs("ping")[-1] == "pessimistic"
     assert len(system.committed_outputs("ping")) == 4 * _N + 1
