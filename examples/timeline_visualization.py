@@ -32,7 +32,10 @@ def verifier(p, decision):
 
 
 def show(title, decision, speculation=True):
-    system = HopeSystem(latency=ConstantLatency(1.0), speculation=speculation)
+    # fossil_collect=False keeps the finished processes' tracks: a run
+    # that collects retires both at quiescence, keeping only their totals.
+    system = HopeSystem(latency=ConstantLatency(1.0), speculation=speculation,
+                        fossil_collect=False)
     system.spawn("worker", worker)
     system.spawn("verifier", verifier, decision)
     horizon = system.run()

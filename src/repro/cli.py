@@ -63,10 +63,10 @@ class _PassClock:
         self._run_pass = system._run_fossil_collection
         system._run_fossil_collection = self
 
-    def __call__(self) -> None:
+    def __call__(self, whole: bool = False) -> None:
         began = time.perf_counter()
         try:
-            self._run_pass()
+            self._run_pass(whole)
         finally:
             self.seconds += time.perf_counter() - began
 

@@ -165,6 +165,7 @@ class DepSetInterner:
         #: a WeakValueDictionary: one is a microsecond per set slower, on
         #: the path every guess takes.)
         self._table: dict[frozenset, _TableRef] = {}
+        self._high = 0                  # the table's largest size a pass saw
         self._on_death = self._forget
         #: (id(base), id(aid)) -> base ∪ {aid}
         self._add_memo: dict[tuple[int, int], DepSet] = {}
@@ -214,14 +215,19 @@ class DepSetInterner:
         Fossil collection calls this once per pass, which bounds the memos
         by the work between two passes.  A dropped set may be re-derived
         later; it re-interns as a fresh canonical object, and since the
-        old one is gone by then the two can never meet.
+        old one is gone by then the two can never meet.  A table left
+        mostly empty is rebuilt: a dict keeps the capacity of its largest
+        size.
         """
         before = len(self._table)
         self._add_memo.clear()
         self._discard_memo.clear()
         self._union_memo.clear()
         self._memo_operands.clear()
-        return before - len(self._table)
+        left, self._high = len(self._table), max(self._high, before)
+        if 4 * left < self._high:
+            self._table, self._high = dict(self._table), left
+        return before - left
 
     # ------------------------------------------------------------------
     # memoized operations (the machine's hot rewrites)

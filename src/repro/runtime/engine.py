@@ -353,9 +353,10 @@ class HopeSystem:
         prefixes, retired AIDs, unreachable interned DepSets, effect-log
         prefixes behind a ``commit_point`` (exit is the last one: a body
         that returned and committed keeps no log and no task), and closed
-        timeline spans are all dropped.  Semantics-neutral — traces are
-        identical with it on or off; see docs/PERFORMANCE.md §4, §13 and
-        §14.  ``False`` keeps
+        timeline spans are all dropped; a run that reaches quiescence ends
+        with a pass over every record.  Semantics-neutral — traces are
+        identical with it on or off; see docs/PERFORMANCE.md §4, §13, §14
+        and §25.  ``False`` keeps
         everything and exists as the reference twin for differential
         tests (and for the parallel backend's shards); a durable run
         refuses it.
@@ -696,6 +697,8 @@ class HopeSystem:
     def _run_sim(self, until: Optional[float], max_events: Optional[int]) -> float:
         final = self.sim.run(until=until, max_events=max_events)
         if not self.sim.pending_events:
+            if self.fossil_collect and self._durable is None:
+                self._run_fossil_collection(whole=True)     # the pass it owes
             # Only at quiescence: a span open at an ``until`` goes on in
             # the next run (stats() measures it to now meanwhile).
             self.timeline.close_all(final)
@@ -1025,8 +1028,9 @@ class HopeSystem:
     _PASS_ALLOWANCE = 64
     _PASS_TURNS = 16
 
-    def _run_fossil_collection(self) -> None:
-        """One deferred collection pass (see the ``fossil_collect`` doc).
+    def _run_fossil_collection(self, whole: bool = False) -> None:
+        """One deferred collection pass (see the ``fossil_collect`` doc);
+        ``whole`` visits every queued record.
 
         Runs only at effect-dispatch and delivery boundaries: the machine
         is between primitives and the simulator between callbacks, so no
@@ -1054,7 +1058,7 @@ class HopeSystem:
             self._PASS_TURNS,
         )
         self._dead_at_collect = dead
-        if self._durable is not None:
+        if whole or self._durable is not None:
             # The sealed batch is a consistent cut only if it holds every
             # change made so far: a definite sender is merely changed, and
             # a receiver's committed recv sealed without the send it

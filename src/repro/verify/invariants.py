@@ -147,14 +147,15 @@ def check_quiescent(system: HopeSystem, allow_pending_orphans: bool = True) -> N
         raise InvariantViolation(
             f"wasted time {stats['wasted_time']} with zero rollbacks"
         )
+    if not allow_pending_orphans and stats["aids_pending"]:
+        # (counted, not scanned: a pass retires an orphan with its last holder)
+        raise InvariantViolation(f"{stats['aids_pending']} pending orphan AID(s)")
     for aid in system.machine.aids.values():
         if aid.pending and aid.dom:
             raise InvariantViolation(
                 f"quiescent with pending AID {aid.key} that still has "
                 f"{len(aid.dom)} dependent interval(s) — they wait forever"
             )
-        if not allow_pending_orphans and aid.pending and aid.speculative_affirmer is None:
-            raise InvariantViolation(f"pending orphan AID {aid.key}")
         if aid.dom is SETTLED_DOM and (
             aid.pending or aid.speculative_affirmer is not None or aid.parked_denies
         ):

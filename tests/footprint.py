@@ -290,8 +290,7 @@ def _emitter(p, count):
 def emitting_system(count: int) -> HopeSystem:
     system = HopeSystem(seed=1)
     system.spawn("emitter", _emitter, count)
-    system.run()
-    system._run_fossil_collection()     # nothing finalizes: no pass ran
+    system.run()                    # nothing finalizes: only the pass at quiescence
     return system
 
 
@@ -389,8 +388,8 @@ def outliving_aids(build: Callable[[], HopeSystem]) -> tuple:
 _MOD = 1_000_003
 
 
-def _draws(name: str) -> random.Random:
-    return random.Random(f"{name}/7")
+def _draws(name: str, seed: int = 7) -> random.Random:
+    return random.Random(f"{name}/{seed}")
 
 
 def _one_in(rng: random.Random, n: int, every: int) -> frozenset:
@@ -464,9 +463,9 @@ def _counter_judge(p, total, denied, resume=None):
         yield p.commit_point(dict(state))
 
 
-def _steady(rounds: int) -> HopeSystem:
+def _steady(rounds: int, seed: int = 7) -> HopeSystem:
     """Four counters of ``rounds`` rounds, one in four denied."""
-    rng, names = _draws("steady"), [f"c{w}" for w in range(4)]
+    rng, names = _draws("steady", seed), [f"c{w}" for w in range(4)]
     bumps = {name: tuple(rng.randrange(_MOD) for _ in range(rounds)) for name in names}
     denied = {name: _one_in(rng, rounds, 4) for name in names}
     system = HopeSystem(seed=7, latency=ConstantLatency(1.0))
@@ -512,29 +511,55 @@ def _lossy(rounds: int) -> HopeSystem:
     return system
 
 
-#: Residue bodies at size ``n``: reports, relay trees, counter rounds and
-#: lossy rounds.  Only ``cascade`` grows the process count.
+def _exiting_ping(p, peer, payloads):
+    acc = 0
+    for i, payload in enumerate(payloads):
+        x = yield p.aid_init("round")
+        yield p.guess(x)
+        yield p.send(peer, (x, payload))
+        acc = (acc * 31 + (yield p.recv()).payload) % _MOD
+        yield p.emit((i, acc))
+
+
+def _exiting_pong(p, peer, rounds):
+    for _ in range(rounds):
+        x, payload = (yield p.recv()).payload
+        yield p.affirm(x)
+        yield p.send(peer, 2 * payload + 1)
+
+
+def _pingpong(rounds: int) -> HopeSystem:
+    """``pingpong``: a pair of ``rounds`` rounds with no commit points,
+    each keeping its whole log until it exits."""
+    payloads = tuple(_draws("pingpong").randrange(_MOD) for _ in range(rounds))
+    system = HopeSystem(seed=7, latency=ConstantLatency(1.0))
+    system.spawn("pong", _exiting_pong, "ping", rounds)
+    system.spawn("ping", _exiting_ping, "pong", payloads)
+    return system
+
+
+#: Residue bodies at size ``n``: reports, relay trees, counter rounds
+#: (``steady/2``: drawn at seed 2), lossy rounds and pingpong rounds.
+#: Only ``cascade`` grows the process count.
 RESIDUE = {
     "cascade": (20, _cascade),
     "stream": (25, _stream),
     "steady": (50, _steady),
+    "steady/2": (50, lambda rounds: _steady(rounds, seed=2)),
     "lossy": (10, _lossy),
+    "pingpong": (200, _pingpong),
 }
 
 
 def residue(build: Callable[[], HopeSystem]) -> int:
     """Bytes a run of ``build()`` holds at quiescence besides its results:
     what dropping the system frees, less what the ledger, the timeline's
-    totals and the committed values of the processes still live keep.
-    Two passes settle the tail a run ends with (passes follow finalizes,
-    so the processes that exit after the last one are still live)."""
+    totals and the committed values of the processes still live keep."""
     gc.collect()
     tracemalloc.start(1)
     try:
         system = build()
         system.run()
-        system._run_fossil_collection()
-        system._run_fossil_collection()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         # (kept alive past the ``del``: they are not the residue)
@@ -545,6 +570,10 @@ def residue(build: Callable[[], HopeSystem]) -> int:
         return held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+#: How much more a residue body may hold at 4N than at N.
+RESIDUE_GROWTH = 1.1
 
 
 def residues(name: str) -> tuple:
@@ -570,11 +599,14 @@ if __name__ == "__main__":
     markdown = sys.argv[1:] == ["--markdown"]
     version = "%d.%d" % sys.version_info[:2]
     if sys.argv[1:] == ["--residue"]:
+        grown = []
         for name in RESIDUE:
             small, large = residues(name)
-            print(f"{version} residue {name + ':':9} {small / 1024:7.1f} KiB at N, "
+            print(f"{version} residue {name + ':':10} {small / 1024:7.1f} KiB at N, "
                   f"{large / 1024:7.1f} KiB at 4N ({large / small:.2f}x)")
-        sys.exit()
+            if large > RESIDUE_GROWTH * small:
+                grown.append(name)
+        sys.exit(f"residue above {RESIDUE_GROWTH}x at 4N: {', '.join(grown)}" if grown else None)
     if markdown:
         print(budget_markdown())
         print(f"\n| shape ({version}) | measured | budget |\n|---|---|---|")

@@ -175,9 +175,8 @@ class PinAudit:
         system._handle_effect = audited_handle
 
     def finish(self) -> None:
-        """One last pass at quiescence, then the end state: every count
-        positive, every hold accounted for."""
-        self.system._run_fossil_collection()
+        """The end state, once the pass a run owes at quiescence has run:
+        every count positive, every hold accounted for."""
         self.system.machine.check_invariants()
 
 

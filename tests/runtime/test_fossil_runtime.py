@@ -61,7 +61,9 @@ def judge(p, rounds, deny_rate, resume=None):
     return "judged"
 
 
-def _run(seed, fossil, rounds=40, deny_rate=0.3):
+def _run(seed, fossil, rounds=40, deny_rate=0.3, until=None):
+    """The pair at ``seed``, run to quiescence — or to ``until``, with both
+    still live (the pass a run owes at quiescence retires them)."""
     tracer = Tracer()
     system = HopeSystem(
         seed=seed,
@@ -72,7 +74,7 @@ def _run(seed, fossil, rounds=40, deny_rate=0.3):
     )
     system.spawn("judge", judge, rounds, deny_rate)
     system.spawn("worker", worker, rounds)
-    final = system.run()
+    final = system.run(until=until)
     system.machine.check_invariants()
     return system, tracer, final
 
@@ -128,13 +130,14 @@ class TestCollectedEqualsUncollected:
         assert s_coll["fossil_collections"] >= 1
 
     def test_collected_run_actually_reclaims(self):
-        base, _, _ = _run(seed=3, fossil=False)
-        coll, _, _ = _run(seed=3, fossil=True)
+        base, _, _ = _run(seed=3, fossil=False, until=40.0)
+        coll, _, _ = _run(seed=3, fossil=True, until=40.0)
         s = coll.stats()
         assert s["fossil_history_dropped"] > 0
         assert s["fossil_aids_retired"] > 0
         assert s["fossil_log_dropped"] > 0
         # bounded tables: strictly smaller than the uncollected run's
+        # (mid-run: a collected run that ends holds none)
         assert len(coll.machine.process("worker").history) < len(
             base.machine.process("worker").history
         )
@@ -144,11 +147,14 @@ class TestCollectedEqualsUncollected:
 
     def test_finalized_intervals_stay_definite(self):
         """Theorem 6.1 end-to-end: after a collected run completes, no
-        retained interval is speculative and the worker is definite."""
+        interval is speculative and every output is committed — so each
+        exit is definite, and the pass the run owes retired both."""
         coll, _, _ = _run(seed=5, fossil=True)
-        assert coll.machine.is_definite("worker")
-        for record in coll.machine.processes.values():
-            assert not record.speculative
+        assert not coll.machine.processes and not coll.procs
+        assert coll.stats()["processes_retired"] == 2
+        for name in coll.process_names():
+            assert coll.is_done(name)
+            assert coll.outputs(name) == coll.committed_outputs(name)
 
 
 # ------------------------------------------------------------- commit_point
@@ -168,10 +174,12 @@ class TestCommitPointSemantics:
         """A denial of round r's guess restarts the worker from the commit
         point that closed round r - 1 — promoted or not — so it re-feeds
         that round's ``aid_init`` and ``send`` and nothing older."""
-        coll, tracer, _ = _run(seed=2, fossil=True, rounds=60)
+        coll, tracer, _ = _run(seed=2, fossil=True, rounds=60, until=0.0)
+        proc = coll.procs["worker"]             # (kept: it retires at quiescence)
+        coll.run()
         restarts = [r for r in tracer.by_category("restart") if r.process == "worker"]
         assert restarts and all(r.detail["replay"] == 2 for r in restarts)
-        assert coll.procs["worker"].log.replay_count == len(restarts)
+        assert proc.log.replay_count == len(restarts)
 
     def test_replay_counters_count_what_a_restart_refeeds(self):
         """``hope_replay_entries_total`` and the trace's ``restart replay=``
@@ -199,7 +207,7 @@ class TestCommitPointSemantics:
         assert proc.log.base == 0
 
     def test_crash_clears_rebase_state(self):
-        coll, _, _ = _run(seed=1, fossil=True, rounds=40)
+        coll, _, _ = _run(seed=1, fossil=True, rounds=40, until=40.0)
         proc = coll.procs["worker"]
         assert proc.rebase is not None
         coll.crash_process("worker")
@@ -210,15 +218,18 @@ class TestCommitPointSemantics:
     def test_rebase_state_is_isolated_per_restart(self):
         """Restarts get a deep copy: mutations by one incarnation must
         not leak into the parked rebase snapshot."""
-        coll, _, _ = _run(seed=4, fossil=True, rounds=60)
+        coll, _, _ = _run(seed=4, fossil=True, rounds=60, until=60.0)
         proc = coll.procs["worker"]
-        assert proc.rebase is not None
-        snapshot_round = proc.rebase.state["round"]
-        # the finished incarnation ran past the snapshot without
-        # mutating it
-        assert proc.done
+        snapshot = proc.rebase
+        assert snapshot is not None
+        snapshot_round = snapshot.state["round"]
+        restarts = proc.restarts
+        coll.run()
+        # the incarnations after it ran past the snapshot, and on to the
+        # end, without mutating it
+        assert proc.restarts > restarts and proc.done
         assert proc.result == coll.result_of("worker")
-        assert proc.rebase.state["round"] == snapshot_round < 60
+        assert snapshot.state["round"] == snapshot_round < 60
 
     def test_misplaced_commit_point_is_named_as_such(self):
         """commit_point at the *top* of the loop captures the state before
@@ -287,22 +298,21 @@ class TestHandlePinning:
         )
         run_pass = system._run_fossil_collection
 
-        def sampled_pass():
-            run_pass()
+        def sampled_pass(whole=False):
+            run_pass(whole)
             if held and held[0].aid.pending:
                 pending_at_pass.append(held[0].key in system.machine.aids)
 
         system._run_fossil_collection = sampled_pass
         system.spawn("judge", affirm_all)
-        system.spawn("keeper", keeper)
+        proc = system.spawn("keeper", keeper)   # (kept: it retires at quiescence)
         system.run()
-        assert system.procs["keeper"].log.base > 0          # the entry went
+        assert proc.log.base > 0                            # the entry went
         # held and pending across the passes: never retired
         assert len(pending_at_pass) >= 3 and all(pending_at_pass)
         assert system.stats()["aids_retired_pending"] == 0
-        # settled: retired (by one more pass) under the live handle, which
-        # still answers
-        run_pass()
+        # settled: retired (by the pass the run owes at quiescence) under
+        # the live handle, which still answers
         assert held[0].key not in system.machine.aids
         assert system.aid(held[0]).affirmed
         assert system.aid_status(held[0]).value == "affirmed"
@@ -356,7 +366,7 @@ def _steady_peaks(rounds, counters=2):
     peaks = {"aids": 0, "held": 0, "intervals": 0}
     run_pass = system._run_fossil_collection
 
-    def sampled_pass():
+    def sampled_pass(whole=False):
         reachable = {
             id(r.interval)
             for proc in system.procs.values()
@@ -367,7 +377,7 @@ def _steady_peaks(rounds, counters=2):
         peaks["aids"] = max(peaks["aids"], len(system.machine.aids))
         peaks["held"] = max(peaks["held"], held)
         peaks["intervals"] = max(peaks["intervals"], len(reachable))
-        run_pass()
+        run_pass(whole)
 
     system._run_fossil_collection = sampled_pass
     system.run()
@@ -412,7 +422,9 @@ class TestPassCost:
     def _visits_per_pass(idle, interval=8, rounds=80):
         """One active worker/judge pair among ``idle`` processes that
         spawn, block on a receive, and never hear anything.  Returns the
-        system and the number of records each pass visited."""
+        system and the number of records each pass visited (the last:
+        the pass the run owes at quiescence, which visits every record
+        still queued)."""
         def sleeper(p):
             yield p.recv()
 
@@ -425,9 +437,9 @@ class TestPassCost:
         run_pass = system._run_fossil_collection
         stats = system.machine.stats
 
-        def counted():
+        def counted(whole=False):
             before = stats["fossil_records_visited"]
-            run_pass()
+            run_pass(whole)
             visits.append(stats["fossil_records_visited"] - before)
 
         system._run_fossil_collection = counted
@@ -442,16 +454,20 @@ class TestPassCost:
         time, once each; how many of them wait makes no difference."""
         system, visits = self._visits_per_pass(2000)
         allowance = HopeSystem._PASS_ALLOWANCE
-        assert len(visits) == 80 // 8
-        assert visits == [allowance] * len(visits)          # the pair + 62 idle ones
+        assert len(visits) == 80 // 8 + 1
+        assert visits[:-1] == [allowance] * (len(visits) - 1)   # the pair + 62 idle ones
+        # at quiescence, the idle ones still waiting and the worker (which
+        # ran on after the last finalize): each idle one is visited once
+        assert sum(visits) == 2000 + 2 * (len(visits) - 1) + 1
         stats = system.stats()
         assert stats["fossil_intervals_dropped"] >= 80 - 8  # the pair never waited
         assert stats["fossil_log_dropped"] > 0
-        assert self._visits_per_pass(4000)[1] == visits
+        assert self._visits_per_pass(4000)[1][:-1] == visits[:-1]
         # ... and once everyone has had a turn, it is the pair alone
         system, visits = self._visits_per_pass(100, rounds=120)
         assert visits[:3] == [allowance, 100 + 2 - allowance + 2, 2]
-        assert set(visits[2:]) == {2} and sum(visits) == 100 + 2 * len(visits)
+        assert set(visits[2:-1]) == {2} and visits[-1] == 1       # (the worker)
+        assert sum(visits) == 100 + 2 * (len(visits) - 1) + 1
 
     def test_the_queue_advances_however_many_records_are_reclaimable(self):
         """Every pass here finds more reclaimable records than its
@@ -483,17 +499,17 @@ class TestPassCost:
         system = HopeSystem(seed=0, latency=ConstantLatency(1.0))
         for i in range(idle):
             system.spawn(f"idle{i}", sleeper)
-        system.spawn("ticker", ticker)
+        ticker_proc = system.spawn("ticker", ticker)    # (kept: it retires at quiescence)
         for i in range(pairs):
             system.spawn(f"a{i}", affirmer)
             system.spawn(f"g{i}", guesser, f"a{i}")
         run_pass = system._run_fossil_collection
         reclaimable, watermark = [], []
 
-        def observed():
+        def observed(whole=False):
             reclaimable.append(len(system.machine.reclaimable))
-            run_pass()
-            watermark.append(len(system.procs["ticker"].committed))
+            run_pass(whole)
+            watermark.append(len(ticker_proc.committed))
 
         system._run_fossil_collection = observed
         system.run()
@@ -510,7 +526,7 @@ class TestPassCost:
         golden depends on)."""
         for idle in (0, 14):                   # 2 and 16 records
             _, visits = self._visits_per_pass(idle)
-            assert visits == [idle + 2] + [2] * (80 // 8 - 1)
+            assert visits == [idle + 2] + [2] * (80 // 8 - 1) + [1]
 
 
 # ------------------------------------------------- the default, and its twin

@@ -69,11 +69,14 @@ def test_same_run_with_and_without_history(build, seed, mode):
 
 def test_history_follows_the_tracer():
     """The default wiring: no tracer (or a disabled one) → clock only;
-    an enabled tracer → the full history, which ``format_machine`` lists."""
+    an enabled tracer → the full history, which ``format_machine`` lists.
+    Read at t=3, before quiescence: the pass a run owes there retires
+    every record."""
     def run(**options):
         system = HopeSystem(latency=ConstantLatency(1.0), **options)
         build_chaos_mesh(system)
-        system.run()
+        system.run(until=3.0)
+        assert len(system.machine.processes) == 4
         return system
 
     for quiet in (run(), run(trace=Tracer(categories=()))):

@@ -38,10 +38,12 @@ from repro.sim import ConstantLatency, LinkLatency, Tracer
 from repro.sim.channel import _UNUSED, Mailbox, Message
 from repro.sim.kernel import Simulator
 from repro.sim.process import Task
+from repro.verify import standard_scenarios
 
 from ..footprint import (
     DEPTH,
     RESIDUE,
+    RESIDUE_GROWTH,
     budget,
     idle_process,
     idle_system,
@@ -127,16 +129,18 @@ def test_memory_is_flat_in_processes_spawned():
     large, s_large = _left_behind(24)
     spawned = len(s_large.process_names())
     assert spawned == 1 + 24 * (_WIDTH + 1) > 3.9 * len(s_small.process_names())
-    # Four times the processes, the same residue: the driver, which exits
-    # after the last pass, and its log since its last promoted commit
-    # point.  (At the parent: 683 entries, 55 tasks, 6 bridges at 6 waves;
-    # 2 699, 217 and 24 at 24.)  A retired process keeps no runtime.
+    # Four times the processes, the same residue: none.  A retired process
+    # keeps no runtime, and the pass a run owes at quiescence also retires
+    # the process that spawns the waves, which exits after the last pass a
+    # finalize starts.  (Before retirement: 683 entries, 55 tasks, 6
+    # bridges at 6 waves; 2 699, 217 and 24 at 24.  Before that pass: its
+    # runtime, task and 11 entries.)
     assert large == small
-    assert large == {"LogEntry": 11, "Task": 1, "generator": 0, "_RecvBridge": 0,
-                     "ProcessRuntime": 1}
-    assert list(s_large.procs) == ["driver"]
+    assert large == {"LogEntry": 0, "Task": 0, "generator": 0, "_RecvBridge": 0,
+                     "ProcessRuntime": 0}
+    assert not s_large.procs
     stats = s_large.stats()
-    assert stats["processes_retired"] == spawned - 1
+    assert stats["processes_retired"] == spawned
     assert stats["fossil_log_dropped"] >= 24 * _WIDTH * (_K + 5)
     # ... and the run is the run it was: the ledger and results of the
     # uncollected twin, which keeps an entry per effect ever performed
@@ -233,7 +237,7 @@ def _reads(system, name):
 
 def test_a_retired_process_reads_as_it_did_and_is_promoted_once():
     system = _edge_system(True, wait=2.0)
-    guesser, judge = system.procs["guesser"], system.procs["judge"]
+    judge, guesser, ping, pong = system.procs.values()
     system.run(until=12.0)
     assert "guesser" not in system.procs                            # retired
     assert guesser.task is None and guesser.log.retained == 0
@@ -250,10 +254,10 @@ def test_a_retired_process_reads_as_it_did_and_is_promoted_once():
     assert stats["fossil_collections"] >= passes + 8
     assert guesser.rebase is rebase and guesser.log.fossil_dropped_total == 7
     assert _reads(system, "guesser") == (("done", True), True, emitted, emitted)
-    # (ping and pong return after the last pass)
-    assert stats["processes_retired"] == 2
-    assert "judge" not in system.procs
-    assert stats["fossil_log_dropped"] == 7 + len(judge.log)
+    # (ping and pong return after the last pass a finalize starts: the one
+    # the run owes at quiescence retires them)
+    assert stats["processes_retired"] == 4 and not system.procs
+    assert stats["fossil_log_dropped"] == 7 + sum(len(p.log) for p in (judge, ping, pong))
 
 
 def _reporter(p, count):
@@ -468,24 +472,68 @@ def test_mail_at_a_retired_process_pins_nothing(passes_from):
 
 def test_procs_holds_live_processes_only():
     system = _edge_system(True, wait=2.0)
-    system.run()
+    system.run(until=12.0)
     names = system.process_names()
     assert names == ["judge", "guesser", "ping", "pong"]       # spawn order
-    assert set(system.procs) == {"ping", "pong"}               # (exit after the last pass)
+    assert set(system.procs) == {"ping", "pong"}               # (still running)
     with pytest.raises(KeyError, match="no live process 'guesser'.*result_of"):
         system.procs["guesser"]
     assert system.is_done("guesser") and system.result_of("guesser") == ("done", True)
     with pytest.raises(KeyError):
         system.result_of("nobody")
+    system.run()
+    assert not system.procs and system.process_names() == names
 
 
 def test_a_finished_run_holds_its_results_and_nothing_else():
-    """The residue property: the bodies of ``stream``, ``steady``,
-    ``lossy`` and ``cascade`` at N and 4N (``footprint.RESIDUE``) hold,
-    at quiescence and besides their results, as much at 4N as at N.
+    """The residue property: the bodies of ``stream``, ``steady`` (at two
+    draws), ``lossy``, ``pingpong`` and ``cascade`` at N and 4N
+    (``footprint.RESIDUE``) hold, at quiescence and besides their
+    results, as much at 4N as at N — with no pass run by hand.
     ``cascade`` grows the processes fourfold (3.91x while a retired
     process kept its roles, 1 398 B each); the others grow the work per
-    process."""
+    process (``pingpong`` read 3.15x while its finished pair kept their
+    logs, ``steady/2`` 1.35x while the DepSet table kept the capacity of
+    its largest size)."""
     for name in RESIDUE:
         small, large = residues(name)
-        assert large <= 1.1 * small, (name, small, large)
+        assert large <= RESIDUE_GROWTH * small, (name, small, large)
+
+
+def _leaves(stats, prefix=""):
+    """``stats()`` flattened to ``{path: value}``."""
+    leaves = {}
+    for key, value in stats.items():
+        if isinstance(value, dict):
+            leaves.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def _scenario_system(scenario):
+    system = HopeSystem(seed=0, latency=ConstantLatency(1.0))
+    scenario.build(system)
+    return system
+
+
+_SETTLED = [
+    *((name, lambda n=n, build=build: build(n)) for name, (n, build) in RESIDUE.items()),
+    *((s.name, lambda s=s: _scenario_system(s)) for s in standard_scenarios()),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _SETTLED], ids=[n for n, _ in _SETTLED])
+def test_a_run_that_reaches_quiescence_ends_settled(build):
+    """The pass a run owes at quiescence leaves nothing for another: one
+    more changes no ``stats()`` leaf but its own count, nothing is queued,
+    and every process still live is one whose exit is not definite."""
+    system = build()
+    system.run()
+    before = _leaves(system.stats())
+    system._run_fossil_collection()
+    after = _leaves(system.stats())
+    assert {k for k in after if after[k] != before[k]} == {"fossil_collections"}
+    assert not system.machine.changed and not system.machine.reclaimable
+    assert not [name for name, proc in system.procs.items()
+                if proc.done and not proc.mproc.speculative]

@@ -242,13 +242,12 @@ def test_restart_replays_the_logged_prefix():
 
     system = HopeSystem()
     system.spawn("judge", judge)
-    system.spawn("worker", worker)
+    proc = system.spawn("worker", worker)       # (kept: it retires at quiescence)
     system.run()
     stats = system.stats()
     assert stats["rollbacks"] == 1
     assert stats["replayed_effects"] == prefix + 2    # computes, aid_init, send
-    proc = system.procs["worker"]
-    assert proc.result == "denied" and system.outputs("worker") == []
+    assert system.result_of("worker") == "denied" and system.outputs("worker") == []
     assert len(proc.log) > prefix and not proc.log.replaying
     system.machine.check_invariants()
 

@@ -22,8 +22,9 @@ from repro.verify import (
 )
 
 
-def guess_pipeline(system: HopeSystem, cycles: int) -> None:
-    """A worker emitting one speculative output per affirm cycle."""
+def guess_pipeline(system: HopeSystem, cycles: int, stay: bool = False) -> None:
+    """A worker emitting one speculative output per affirm cycle (then,
+    with ``stay``, blocked in ``recv``: live, its log kept)."""
 
     def worker(p):
         for i in range(cycles):
@@ -32,6 +33,8 @@ def guess_pipeline(system: HopeSystem, cycles: int) -> None:
             yield p.guess(x)
             yield p.emit(i)
             yield p.compute(1.0)
+        if stay:
+            yield p.recv()
 
     def judge(p):
         for _ in range(cycles):
@@ -104,7 +107,7 @@ def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
     that fell behind, a cursor that lost count, and an AID that shares the
     settled DOM without being settled."""
     system = HopeSystem(seed=7, latency=ConstantLatency(0.5), fossil_interval=2)
-    guess_pipeline(system, 6)
+    guess_pipeline(system, 6, stay=True)
     # A settled AID retires under live handles; a tag pin (what a message
     # not yet consumed holds) keeps this one in the table.
     system.machine.pin(["x0#1"])
