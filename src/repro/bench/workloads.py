@@ -242,62 +242,6 @@ def build_durable_counter(system, workers: int = 2, rounds: int = 4) -> None:
         system.spawn(f"c{w}", counter_worker, "judge", rounds)
 
 
-def build_fanout(system, pairs: int = 4, rounds: int = 3) -> None:
-    """Fan-out: ``pairs`` independent worker/validator couples.
-
-    The parallel backend's best case — no cross-pair traffic, so shards
-    proceed almost independently (the scaling benchmark co-locates each
-    pair with a placement override; the oracle tests leave the default
-    round-robin, which splits every pair across shards and stresses the
-    cross-worker tag/resolve path instead)."""
-    for i in range(pairs):
-        system.spawn(f"fv{i}", chaos_validator, rounds)
-        system.spawn(f"fw{i}", chaos_worker, f"fv{i}", rounds)
-
-
-def repl_primary(p, replicas, updates: int):
-    """Optimistic replication primary: guess each update applies
-    everywhere, broadcast it tagged, emit a branch-symmetric record."""
-    for i in range(updates):
-        x = yield p.aid_init(f"u{i}")
-        yield p.guess(x)
-        for name in replicas:
-            yield p.send(name, ("apply", x, i))
-        yield p.compute(1.0)
-        yield p.emit(("primary", i))
-    return updates
-
-
-def repl_replica(p, resolver: bool, updates: int):
-    """Applies updates; the designated resolver replica also decides each
-    update's fate by the deterministic chaos predicate.  A denied update
-    is retransmitted by the primary's pessimistic re-execution (untagged,
-    and the repeated deny is a no-op), so each update commits exactly
-    once — the same convergence shape as :func:`chaos_validator`."""
-    applied = 0
-    for _ in range(updates):
-        msg = yield p.recv()
-        _kind, x, i = msg.payload
-        if resolver:
-            if chaos_deny_predicate(p.name, i):
-                yield p.deny(x)
-            else:
-                yield p.affirm(x)
-        applied += 1
-        yield p.emit((p.name, "applied", i))
-    return applied
-
-
-def build_replication(system, replicas: int = 3, updates: int = 4) -> None:
-    """Replication: one primary broadcasting speculative updates to
-    ``replicas`` replicas — every message crosses shard boundaries under
-    round-robin placement, the parallel backend's worst case."""
-    names = [f"rep{r}" for r in range(replicas)]
-    system.spawn("primary", repl_primary, tuple(names), updates)
-    for r, name in enumerate(names):
-        system.spawn(name, repl_replica, r == 0, updates)
-
-
 def counting_ring_handler(state, vt, payload):
     """The Time Warp ring workload handler (pure & deterministic)."""
     state["count"] += 1

@@ -209,21 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--latency", type=float, default=1.0, help="network latency")
     run.add_argument("--seed", type=int, default=0, help="root random seed")
     run.add_argument(
-        "--backend",
-        choices=["sim", "parallel"],
-        default="sim",
-        help="execution backend: the deterministic simulator (default) or "
-        "real multiprocessing workers sharding the processes "
-        "(see docs/PERFORMANCE.md §7; requires --latency > 0)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for --backend parallel (default: 2)",
-    )
-    run.add_argument(
         "--until", type=float, default=None, help="stop at this virtual time"
     )
     run.add_argument(
@@ -498,8 +483,6 @@ def cmd_run(args, out) -> int:
         faults=faults,
         reliable=args.reliable,
         failure_detector=args.failure_detector,
-        backend=args.backend,
-        workers=args.workers,
         durable_dir=args.durable_dir,
     )
     for spec in args.spawn:

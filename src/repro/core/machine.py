@@ -50,7 +50,6 @@ from .aid import AidStatus, AssumptionId
 from .depset import DepSet, DepSetInterner
 from .errors import (
     FinalizePreconditionError,
-    HopeError,
     IntervalStateError,
     MachineInvariantError,
     ResolutionConflictError,
@@ -111,9 +110,6 @@ class Machine:
         # instances and change AID/interval labels between runs).
         self._aid_serials = 0
         self._interval_serials = 0
-        #: Where this machine's serials start (:meth:`offset_serials`): a
-        #: key numbered in ``(_serial_base, _aid_serials]`` was minted here.
-        self._serial_base = 0
         self._listeners: list[Callable[[MachineEvent], None]] = []
         self.stats = {
             "guesses": 0,
@@ -214,7 +210,7 @@ class Machine:
         aid = self.aids.get(key)
         if aid is None:
             serial = key.rpartition("#")[2]
-            if serial.isdigit() and self._serial_base < int(serial) <= self._aid_serials:
+            if serial.isdigit() and 0 < int(serial) <= self._aid_serials:
                 raise UnknownAidError(
                     f"assumption identifier {key!r} was retired by collection — "
                     "it settled, or its last handle, tag and interval are "
@@ -271,27 +267,15 @@ class Machine:
                 if aid is not None:
                     self._retire_candidates.append(aid)
 
-    def offset_serials(self, base: int) -> None:
-        """Start the AID/interval serial counters at ``base``.
-
-        Sharded deployments (the parallel backend) give each shard's
-        machine a disjoint serial range so AID keys like ``"h4#2"`` are
-        globally unique — two shards must never mint the same key for
-        different assumptions.  Call before the first ``aid_init``.
-        """
-        if self._aid_serials or self._interval_serials:
-            raise HopeError("offset_serials must be called before any aid_init/guess")
-        self._aid_serials = self._serial_base = base
-        self._interval_serials = base
-
     def adopt_aid(self, key: str) -> AssumptionId:
-        """Fetch ``key``, creating a *mirror* of a remote AID if unknown.
+        """Fetch ``key``, recreating the AID if this machine has none.
 
-        A mirror starts pending and is resolved by relayed definite
-        affirms/denies from the shard that owns it; its serial is parsed
-        back out of the key so ``repr`` and ordering match the owner's.
-        Local keys return the existing object — adopting is idempotent
-        and never shadows a locally minted AID.
+        Durable resume calls it for every key the recovered image names:
+        a recreated AID starts pending (the caller applies the recorded
+        verdict), and its serial is parsed back out of the key so
+        ``repr`` and ordering match the original's.  A known key returns
+        the existing object — adopting is idempotent and never shadows a
+        minted AID.
         """
         aid = self.aids.get(key)
         if aid is None:

@@ -199,52 +199,6 @@ class MetricsRegistry:
         return out
 
 
-def dump_registry(registry: MetricsRegistry) -> list:
-    """Serialize a registry to plain tuples (pickle-friendly, no object
-    graph).  The parallel backend ships each worker's registry through a
-    pipe this way and folds them with :func:`merge_registry_dump`."""
-    dump: list = []
-    for metric in registry:
-        if metric.kind == "histogram":
-            dump.append(("histogram", metric.name, metric.help, metric.bounds,
-                         tuple(metric.counts), metric.sum, metric.count))
-        else:
-            dump.append((metric.kind, metric.name, metric.help, metric.value))
-    return dump
-
-
-def merge_registry_dump(registry: MetricsRegistry, dump: list) -> None:
-    """Fold a :func:`dump_registry` dump into ``registry`` (get-or-create
-    by name, so instrument registration order still follows first sight).
-
-    Counters and gauges add — for per-worker shards every standard gauge
-    (busy time, message counts, cache hits) is a disjoint-partition total,
-    so summation is the meaningful whole-system aggregate.  Histograms
-    add bucketwise; conflicting bounds raise, since silently re-bucketing
-    would corrupt quantiles.
-    """
-    for entry in dump:
-        kind = entry[0]
-        if kind == "histogram":
-            _kind, name, help_, bounds, counts, sum_, count = entry
-            hist = registry.histogram(name, bounds, help=help_)
-            if hist.bounds != tuple(bounds):
-                raise ValueError(
-                    f"histogram {name!r} bucket bounds differ across shards: "
-                    f"{hist.bounds} vs {tuple(bounds)}"
-                )
-            for i, c in enumerate(counts):
-                hist.counts[i] += c
-            hist.sum += sum_
-            hist.count += count
-        elif kind == "counter":
-            _kind, name, help_, value = entry
-            registry.counter(name, help=help_).value += value
-        else:
-            _kind, name, help_, value = entry
-            registry.gauge(name, help=help_).value += value
-
-
 class _NullCounter(Counter):
     __slots__ = ()
 

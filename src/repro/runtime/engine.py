@@ -358,8 +358,7 @@ class HopeSystem:
         identical with it on or off; see docs/PERFORMANCE.md §4, §13, §14
         and §25.  ``False`` keeps
         everything and exists as the reference twin for differential
-        tests (and for the parallel backend's shards); a durable run
-        refuses it.
+        tests; a durable run refuses it.
     fossil_interval:
         Collect after every N machine finalizes (default 64).  A pass
         visits the processes it can reclaim something from — an interval
@@ -405,26 +404,13 @@ class HopeSystem:
         falsely suspected process is unsuspected on its next heartbeat
         and its later ``affirm`` of a detector-denied AID is reconciled
         to a no-op.
-    backend:
-        Execution backend: ``"sim"`` (default — the deterministic
-        single-process simulator, exactly the pre-backend code path) or
-        ``"parallel"`` (real OS workers via :mod:`repro.parallel`, each
-        hosting a shard of the processes; requires a positive
-        :class:`~repro.sim.ConstantLatency` and supports a restricted
-        option set — see docs/API.md and docs/LIMITATIONS.md).
-    workers:
-        Worker count for ``backend="parallel"`` (default 2).  Must be
-        left None for the sim backend.
     transport:
         Optional transport factory ``f(sim, latency_model, streams) ->
         Network`` replacing the default :class:`~repro.sim.Network`.
         Mutually exclusive with ``faults`` (which implies the
-        ``FaultyNetwork`` transport).  This is the seam the parallel
-        backend's per-worker ``ShardTransport`` plugs into.
-    parallel_opts:
-        Extra options for the parallel backend (placement overrides,
-        lookahead, crash injection for tests); see
-        :class:`repro.parallel.ParallelBackend`.
+        ``FaultyNetwork`` transport).  This is the seam the DPOR
+        explorer (:mod:`repro.verify.dpor`) plugs its recording network
+        into.
     controller:
         Optional schedule controller: an object with
         ``choose(time, events) -> int`` consulted at every simulator pop
@@ -449,10 +435,7 @@ class HopeSystem:
         faults: Optional[FaultPlan] = None,
         reliable: Any = False,
         failure_detector: Any = False,
-        backend: str = "sim",
-        workers: Optional[int] = None,
         transport: Optional[Callable[..., Network]] = None,
-        parallel_opts: Optional[dict] = None,
         controller: Optional[Any] = None,
         durable_dir: Optional[str] = None,
         durable_opts: Optional[dict] = None,
@@ -584,49 +567,6 @@ class HopeSystem:
         self.detector: Optional[HeartbeatDetector] = (
             HeartbeatDetector(self, failure_detector) if failure_detector else None
         )
-        #: Remote-shard bridge, set only on a worker engine inside the
-        #: parallel backend: observes aid_init (ownership reporting) and
-        #: resolves unknown AID keys by adopting mirrors of remote AIDs.
-        #: None on every standalone system — all remote branches skip.
-        self.remote = None
-        from .backend import SimBackend
-
-        if backend == "sim":
-            if workers is not None:
-                raise HopeError(
-                    "workers is a parallel-backend option; the sim backend "
-                    "runs everything on one simulator"
-                )
-            self.backend: Any = SimBackend(self)
-        elif backend == "parallel":
-            from ..parallel import ParallelBackend
-
-            self.backend = ParallelBackend(
-                self,
-                workers=2 if workers is None else workers,
-                config={
-                    "seed": seed,
-                    "latency": latency,
-                    "rollback_overhead": rollback_overhead,
-                    "strict_aids": strict_aids,
-                    "speculation": speculation,
-                    "metered": self._metered,
-                    # options rejected by the parallel backend (validated
-                    # there so the error names every offender at once)
-                    "trace": trace,
-                    "shuffle_ties": shuffle_ties,
-                    "controller": controller,
-                    "faults": faults,
-                    "reliable": reliable,
-                    "failure_detector": failure_detector,
-                    "transport": transport,
-                },
-                opts=parallel_opts,
-            )
-        else:
-            raise HopeError(
-                f"unknown backend {backend!r} (choose 'sim' or 'parallel')"
-            )
         #: Resume support: True while HopeSystem.resume() rebuilds the
         #: process tree — spawns register everything but leave the initial
         #: tasks unscheduled so restored logs replay instead.
@@ -636,8 +576,6 @@ class HopeSystem:
         #: byte-identical to pre-durable builds.
         self._durable = None
         if durable_dir is not None:
-            if backend != "sim":
-                raise HopeError("durable runs require the sim backend")
             if self.reliable is not None or self.detector is not None:
                 raise HopeError(
                     "durable runs do not compose with reliable delivery or "
@@ -671,11 +609,6 @@ class HopeSystem:
     # ------------------------------------------------------------------
     def spawn(self, name: str, fn: Callable[..., Generator], *args: Any) -> ProcessRuntime:
         """Create and start a HOPE process running ``fn(p, *args)``."""
-        return self.backend.spawn(name, fn, *args)
-
-    def _spawn_sim(self, name: str, fn: Callable[..., Generator], *args: Any) -> ProcessRuntime:
-        """Spawn on the local simulator (the SimBackend path; also used by
-        each parallel worker for its own shard)."""
         if name in self.timeline:
             raise HopeError(f"process {name!r} already exists")
         proc = ProcessRuntime(name, fn, args)
@@ -692,9 +625,6 @@ class HopeSystem:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the system to quiescence; returns the final virtual time."""
-        return self.backend.run(until, max_events)
-
-    def _run_sim(self, until: Optional[float], max_events: Optional[int]) -> float:
         final = self.sim.run(until=until, max_events=max_events)
         if not self.sim.pending_events:
             if self.fossil_collect and self._durable is None:
@@ -772,9 +702,6 @@ class HopeSystem:
         return self.machine.aid(aid_key(ref))
 
     def aid_status(self, ref: AidRef) -> AidStatus:
-        status = self.backend.aid_status(aid_key(ref))
-        if status is not None:
-            return status
         return self.aid(ref).status
 
     def process_names(self) -> list[str]:
@@ -864,9 +791,6 @@ class HopeSystem:
 
     def stats(self) -> dict:
         """Aggregate runtime statistics for benchmarks and tests."""
-        override = self.backend.stats()
-        if override is not None:
-            return override
         machine = dict(self.machine.stats)
         statuses = {"pending": 0, "affirmed": 0, "denied": 0}
         for aid in self.machine.aids.values():
@@ -890,9 +814,9 @@ class HopeSystem:
             "heap_compactions": self.sim.heap_compactions,
             "wasted_time": self.timeline.aggregate(Span.WASTED, self.sim.now),
             "busy_time": self.timeline.aggregate(Span.BUSY, self.sim.now),
-            # Transport-specific blocks (fault counters, parallel wire
-            # stats, ...) are contributed polymorphically — the engine
-            # never type-checks its network.
+            # Transport-specific blocks (fault counters, ...) are
+            # contributed polymorphically — the engine never type-checks
+            # its network.
             **self.network.stats_entries(),
             **(
                 {"reliable": self.reliable.stats.as_dict()}
@@ -975,8 +899,6 @@ class HopeSystem:
             raise HopeError(
                 "metrics are disabled — construct HopeSystem(metrics=MetricsRegistry())"
             )
-        if self.backend.owns_metrics():
-            return self.metrics
         spec = self.spec_metrics
         now = self.sim.now
         spec.busy_time.set(self.timeline.aggregate(Span.BUSY, now))
@@ -1293,10 +1215,6 @@ class HopeSystem:
         self.machine.hold(aid, handle)
         if self._aid_owner is not None:
             self._aid_owner[aid.key] = proc.name
-        if self.remote is not None:
-            # Shard-local AID: the coordinator learns ownership so a dead
-            # worker's unresolved assumptions can be detector-denied.
-            self.remote.note_aid_init(aid.key, proc.name)
         proc.log.append("aid_init", handle)
         if self._tracing:
             self.tracer.record(self.sim.now, "aid_init", proc.name, aid=aid.key)
@@ -1537,18 +1455,12 @@ class HopeSystem:
 
         Through a bound handle, its AID — or, once a pass has pointed it
         at a shared verdict (serial 0), a settled AID under its key.  A raw
-        key or an unbound copy is looked up: standalone systems hit the
-        machine directly (unknown keys raise, as ever); a parallel worker
-        falls back to the remote bridge — a key minted on another shard,
-        whose handle arrived inside a message payload, is adopted as a
-        pending mirror, to be resolved by relayed definite affirms/denies
-        from its owner.
+        key or an unbound copy is looked up in the machine (an unknown key
+        raises).
         """
         aid = effect.aid
         if aid is not None:
             return aid if aid.serial else settled(effect.aid_key, aid.status)
-        if self.remote is not None:
-            return self.remote.lookup_aid(effect.aid_key)
         return self.machine.aid(effect.aid_key)
 
     _LIVE_HANDLERS = {

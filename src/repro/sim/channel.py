@@ -580,8 +580,7 @@ class Network:
         """Named stats blocks this transport contributes to
         :meth:`repro.runtime.engine.HopeSystem.stats` — polymorphic, so
         the engine never type-checks its network.
-        :class:`~repro.sim.faults.FaultyNetwork` adds ``{"faults": ...}``;
-        the parallel shard transport adds its wire counters."""
+        :class:`~repro.sim.faults.FaultyNetwork` adds ``{"faults": ...}``."""
         return {}
 
     def observe_gauges(self, spec) -> None:
