@@ -139,20 +139,22 @@ class ProcessRuntime:
     """Per-process runtime state: body, effect log, current task incarnation."""
 
     __slots__ = (
-        "name", "fn", "args", "facade", "log", "task",
-        "incarnation", "restarts", "done", "result", "crashed", "outputs",
-        "track", "mailbox", "mproc", "bridge", "rebase", "rebase_candidates",
+        "system", "name", "fn", "args", "facade", "log", "task",
+        "restarts", "done", "result", "crashed", "outputs",
+        "track", "mailbox", "mproc", "recv", "rebase", "rebase_candidates",
         "committed",
     )
 
-    def __init__(self, name: str, fn: Callable[..., Generator], args: tuple) -> None:
+    def __init__(
+        self, system: "HopeSystem", name: str, fn: Callable[..., Generator], args: tuple
+    ) -> None:
+        self.system = system
         self.name = name
         self.fn = fn
         self.args = args
         self.facade = HopeProcess(name)
         self.log = EffectLog()
         self.task: Optional[Task] = None
-        self.incarnation = 0
         self.restarts = 0
         self.done = False
         self.result: Any = None
@@ -170,10 +172,10 @@ class ProcessRuntime:
         #: Cached machine ProcessRecord (assigned at spawn — the machine
         #: never replaces a record, so send/recv/emit skip the dict hop).
         self.mproc = None
-        #: Reusable recv bridge for the current incarnation (one recv is
-        #: outstanding at a time, so one bridge serves them all; dropped
-        #: with the incarnation, see ``HopeSystem._kill_incarnation``).
-        self.bridge: Optional["_RecvBridge"] = None
+        #: The recv in flight, or the last one (one is outstanding at a
+        #: time; dropped with the incarnation): what the task, its own
+        #: mailbox waiter, matches and re-registers with.
+        self.recv: Optional[RecvEffect] = None
         #: The promoted rebase point — always at ``log.base`` (None means
         #: incarnations start from program entry; see commit_point).
         self.rebase: Optional[RebasePoint] = None
@@ -195,7 +197,7 @@ class ProcessRuntime:
             self.committed = [record.value for record in records]
 
     def __repr__(self) -> str:
-        return f"<ProcessRuntime {self.name!r} inc={self.incarnation} restarts={self.restarts}>"
+        return f"<ProcessRuntime {self.name!r} restarts={self.restarts}>"
 
 
 class Outcomes:
@@ -258,64 +260,30 @@ def _process_body(task: Task) -> Generator:
     return proc.fn(proc.facade, *proc.args, resume=copy.deepcopy(point.state))
 
 
-class _RecvBridge:
-    """Stands in the mailbox wait queue on behalf of a HOPE task.
+class _Incarnation(Task):
+    """A HOPE process's task, and its own mailbox waiter.
 
-    The mailbox thinks it is resuming a task; the bridge routes the
-    message through the engine first, so implicit guesses and dead-message
-    filtering happen before the process sees anything (§7: tagged-message
-    guesses precede delivery "into the user-accessible state").
-
-    One recv is outstanding at a time, so one bridge serves every recv of
-    an incarnation in three roles: it is the mailbox waiter of a
-    timer-less recv (``register_waiter``; a timed one gets its own
-    ``_Waiter``), the task the waiter resumes (:attr:`task`), and the real
-    task's kill cleanup (:meth:`__call__`).
+    The mailbox thinks it serves a waiter; the incarnation routes the
+    message through the engine first (:meth:`HopeSystem._deliver`), so
+    implicit guesses and dead-message filtering happen before the process
+    sees anything (§7: tagged-message guesses precede delivery "into the
+    user-accessible state").  It matches with the recv in flight
+    (``context.recv``), a timed recv's timer is its pending event, and it
+    is its own kill cleanup (:meth:`__call__`).
     """
 
-    __slots__ = ("engine", "proc", "effect", "incarnation", "sync", "predicate", "_cleanup")
+    __slots__ = ()
 
-    #: Waiter protocol: the bridge never owns a timeout timer.
-    timer = None
-
-    def __init__(self, engine: "HopeSystem", proc: ProcessRuntime, effect: RecvEffect) -> None:
-        self.engine = engine
-        self.proc = proc
-        self.effect = effect
-        self.incarnation = proc.incarnation
-        #: True only while the recv handler's registration call is on the
-        #: stack — i.e. the task's dispatch trampoline is active, so a
-        #: synchronous delivery (message already queued) may complete the
-        #: effect via resume_now and drain the whole same-tick backlog in
-        #: one flat dispatch loop.
-        self.sync = False
-        self.predicate = None
-        #: The waiter of the recv in flight (the bridge itself, or a timed
-        #: ``_Waiter``): what a kill takes off the mailbox.
-        self._cleanup: Any = None
-
-    # Mailbox-facing protocol (duck-typed _Waiter and Task):
     @property
-    def task(self) -> "_RecvBridge":
-        return self
+    def predicate(self) -> Optional[Callable[[Any], bool]]:
+        return self.context.recv.predicate
 
-    def resume(self, value: Any) -> None:
-        self.engine._deliver(self.proc, self.effect, value, self)
-
-    def add_cleanup(self, waiter: Any) -> None:
-        self._cleanup = waiter
-
-    def clear_cleanups(self) -> None:
-        self._cleanup = None
+    def deliver(self, value: Any) -> None:
+        proc = self.context
+        proc.system._deliver(proc, value, self)
 
     def __call__(self) -> None:
-        """The real task's kill cleanup: take the recv in flight off the
-        mailbox."""
-        waiter, self._cleanup = self._cleanup, None
-        if waiter is self:
-            self.proc.mailbox._remove_waiter(self)
-        elif waiter is not None:
-            waiter()
+        self.context.mailbox._remove_waiter(self)
 
 
 #: Shared disabled registry: hands out no-op instruments, so one object
@@ -527,6 +495,11 @@ class HopeSystem:
         #: deliveries fall back to scheduled resumes instead of stepping
         #: user code inline (which could re-enter the machine).
         self._defer_delivery = False
+        #: The task whose recv registration is on the stack (its dispatch
+        #: trampoline is active): a message it finds already queued
+        #: completes the recv via resume_now, so a process draining a
+        #: same-tick backlog stays in one flat dispatch loop.
+        self._syncing: Optional[Task] = None
         self._aid_waiters: dict[str, list] = {}
         #: Live processes; a retired one's outcome is in :attr:`outcomes`.
         self.procs: dict[str, ProcessRuntime] = _LiveProcs()
@@ -611,7 +584,7 @@ class HopeSystem:
         """Create and start a HOPE process running ``fn(p, *args)``."""
         if name in self.timeline:
             raise HopeError(f"process {name!r} already exists")
-        proc = ProcessRuntime(name, fn, args)
+        proc = ProcessRuntime(self, name, fn, args)
         proc.track = self.timeline.spawn(name)
         self.procs[name] = proc
         proc.mailbox = self.network.register(name)
@@ -770,7 +743,7 @@ class HopeSystem:
         """A crash reaches a retired process: rebuild it, finished, from its
         ledger row (which stays behind, unread)."""
         row, out = self.timeline.row(name), self.outcomes
-        proc = self.procs[name] = ProcessRuntime(name, *out.bodies[2 * row : 2 * row + 2])
+        proc = self.procs[name] = ProcessRuntime(self, name, *out.bodies[2 * row : 2 * row + 2])
         proc.done, proc.result, proc.committed = True, out.results[row], out.committed(row) or ()
         proc.track = self.timeline.revive(name)
         proc.mailbox = self.network.register(name)
@@ -1108,7 +1081,7 @@ class HopeSystem:
             # Bound once for every task, at the first start (not in
             # __init__: a test may wrap _handle_effect before spawning).
             hooks = self._task_hooks = (self._handle_effect, self._on_task_exit)
-        task = Task(
+        task = _Incarnation(
             self.sim, proc.name, _process_body,
             handler=hooks[0], on_exit=hooks[1], context=proc,
         )
@@ -1117,23 +1090,10 @@ class HopeSystem:
 
     def _kill_incarnation(self, proc: ProcessRuntime, reason: str) -> None:
         """End ``proc``'s current incarnation (rollback or crash)."""
-        proc.incarnation += 1
         task = proc.task
         if task is not None and task.alive:
-            task.kill(reason)
-        self._drop_bridge(proc)
-
-    @staticmethod
-    def _drop_bridge(proc: ProcessRuntime) -> None:
-        """Take the recv bridge of an incarnation that has ended (killed,
-        or returned) apart.  A registered bridge points at itself (as its
-        own waiter); cut here, it and the dead task are freed by reference
-        counting as soon as their owner lets go instead of waiting, as
-        cyclic garbage, for a full collection."""
-        bridge = proc.bridge
-        if bridge is not None:
-            proc.bridge = None
-            bridge._cleanup = None
+            task.kill(reason)       # its cleanup takes it off the mailbox
+        proc.recv = None
 
     def _on_task_exit(self, task: Task) -> None:
         proc: ProcessRuntime = task.context
@@ -1142,7 +1102,7 @@ class HopeSystem:
         if task.done:
             proc.done = True
             proc.result = task.result
-            self._drop_bridge(proc)
+            proc.recv = None
             if self.fossil_collect and proc.log.retained:
                 # Exit is the last commit point (see Exited): once the
                 # frontier reaches the end of the log, a pass promotes it
@@ -1227,7 +1187,7 @@ class HopeSystem:
             # speculating.  The process stays definite throughout.
             proc.track.mark(Span.BLOCKED, self.sim.now)
             self._aid_waiters.setdefault(aid.key, []).append(
-                (proc, task, proc.incarnation)
+                (proc, task)
             )
             if self._tracing:
                 self.tracer.record(
@@ -1276,7 +1236,6 @@ class HopeSystem:
                 task.resume_now(None)
                 return
         aid = self._lookup_aid(effect)
-        before = proc.incarnation
         if isinstance(effect, AffirmEffect):
             self.machine.affirm(proc.name, aid)
         elif isinstance(effect, DenyEffect):
@@ -1286,7 +1245,7 @@ class HopeSystem:
         if self._tracing:
             self.tracer.record(self.sim.now, effect.kind, proc.name,
                                aid=effect.aid_key, status=aid.status.value)
-        if proc.incarnation != before:
+        if proc.task is not task:
             # The primitive rolled back its own executor (e.g. a free_of
             # violation).  A restart is already scheduled; the statement's
             # log entry died in the truncation, so neither log nor resume.
@@ -1331,15 +1290,7 @@ class HopeSystem:
         task.resume_now(msg_id)
 
     def _do_recv(self, proc, task, effect: RecvEffect) -> None:
-        bridge = proc.bridge
-        if bridge is None:      # first recv of this incarnation
-            proc.bridge = bridge = _RecvBridge(self, proc, effect)
-        else:
-            # One recv is outstanding at a time, so the incarnation's
-            # bridge is reusable — only the effect (predicate/timeout)
-            # changes between recvs.
-            bridge.effect = effect
-        task._cleanup = bridge
+        proc.recv = effect
         track = proc.track
         if track.open_kind != Span.BLOCKED:
             # Inlined mark() early-return: in steady-state message loops
@@ -1350,23 +1301,11 @@ class HopeSystem:
         # process draining a same-tick backlog re-enters the trampoline,
         # DepSet propagation, and obs hooks once per (process, tick)
         # instead of once per message.
-        bridge.sync = True
+        syncing, self._syncing = self._syncing, task
         try:
-            self._register_bridge(bridge)
+            proc.mailbox.register_waiter(task, task, effect.timeout)
         finally:
-            bridge.sync = False
-
-    def _register_bridge(self, bridge: _RecvBridge) -> None:
-        effect = bridge.effect
-        if effect.timeout is None:
-            # Timer-less recv (the hot path): the bridge is its own
-            # waiter, re-registered instead of allocating one per message.
-            bridge.predicate = effect.predicate
-            bridge.proc.mailbox.register_waiter(bridge)
-        else:
-            bridge.proc.mailbox.register_receiver(
-                bridge, effect.timeout, effect.predicate
-            )
+            self._syncing = syncing
 
     def _do_compute(self, proc, task, effect: ComputeEffect) -> None:
         proc.track.mark(Span.BUSY, self.sim.now)
@@ -1497,23 +1436,20 @@ class HopeSystem:
         return [*proc.committed, *(r.value for r in proc.outputs if r.committed)]
 
     # ------------------------------------------------------------------
-    # message delivery (via bridges)
+    # message delivery (each incarnation is its own mailbox waiter)
     # ------------------------------------------------------------------
-    def _deliver(
-        self,
-        proc: ProcessRuntime,
-        effect: RecvEffect,
-        value: Any,
-        bridge: _RecvBridge,
-    ) -> None:
+    def _deliver(self, proc: ProcessRuntime, value: Any, task: _Incarnation) -> None:
+        timer = task._pending
+        if timer is not None:       # a timed recv served before its timeout
+            task._pending = None
+            timer.cancel()
         if self._fossil_pending:
             self._run_fossil_collection()
-        if proc.incarnation != bridge.incarnation:
+        if proc.task is not task:
             return  # stale delivery aimed at a rolled-back incarnation
         mproc = proc.mproc
         if not mproc.changed:
             mproc.mark_changed()
-        task = proc.task
         if value is TIMED_OUT:
             proc.log.append("recv", TIMED_OUT)
             if self._tracing:
@@ -1523,7 +1459,7 @@ class HopeSystem:
             return
         message: Message = value
         if message.dead:
-            self._register_bridge(bridge)
+            proc.mailbox.register_waiter(task, task, proc.recv.timeout)
             return
         if message.tags:
             live, deps = self._resolve_message_tags(message)
@@ -1534,7 +1470,7 @@ class HopeSystem:
                     )
                 if message.holds:
                     self.network.release(message)
-                self._register_bridge(bridge)
+                proc.mailbox.register_waiter(task, task, proc.recv.timeout)
                 return
             if deps:
                 checkpoint = Checkpoint(len(proc.log), self.sim.now)
@@ -1569,7 +1505,7 @@ class HopeSystem:
                 self.sim.now, "recv", proc.name, src=message.src, msg=message.msg_id
             )
         task._cleanup = None
-        if bridge.sync:
+        if self._syncing is task:
             # Registration found the message already queued: the dispatch
             # trampoline is on the stack, so complete the recv flat.
             task.resume_now(received)
@@ -1634,8 +1570,8 @@ class HopeSystem:
             if aid is None or aid.pending:
                 continue
             waiters = self._aid_waiters.pop(key)
-            for proc, task, incarnation in waiters:
-                if proc.incarnation != incarnation or not task.alive:
+            for proc, task in waiters:
+                if not task.alive:      # killed by a rollback or a crash
                     continue
                 value = self.machine.guess(proc.name, aid)  # guess_skip path
                 proc.log.append("guess", value)
@@ -1668,7 +1604,7 @@ class HopeSystem:
             cause=event.cause.key if event.cause is not None else None,
         )
         # Kill the current incarnation first so redelivered messages do not
-        # reach its (now invalid) receive bridge.
+        # reach it (the killed task is off the mailbox).
         self._kill_incarnation(proc, "rollback")
         proc.done = False
         proc.log.truncate(checkpoint.log_index)

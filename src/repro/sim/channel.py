@@ -115,19 +115,31 @@ class Delivery:
 
 
 class _Waiter:
-    """A task blocked on a mailbox, with an optional timeout timer.
+    """A sim task blocked on a mailbox (the default handler's ``Recv``).
 
-    The waiter is its own unregistration callback (``__call__``), so
-    registering the task-kill cleanup needs no per-recv lambda.
+    What a mailbox asks of any waiter: its ``predicate`` (None takes any
+    message), :meth:`deliver` once the mailbox has taken it off, with the
+    message or :data:`TIMED_OUT`, and to be its task's kill cleanup
+    (``__call__``: off the mailbox again).  The HOPE runtime's task is
+    its own waiter.  A recv's timeout is its task's pending event, so a
+    kill cancels it with the rest.
     """
 
-    __slots__ = ("task", "timer", "predicate", "box")
+    __slots__ = ("task", "predicate", "box")
 
-    def __init__(self, task: Task, timer: Optional[ScheduledEvent], predicate, box) -> None:
+    def __init__(self, task: Task, predicate, box) -> None:
         self.task = task
-        self.timer = timer
         self.predicate = predicate
         self.box = box
+
+    def deliver(self, value: Any) -> None:
+        task = self.task
+        timer = task._pending
+        if timer is not None:           # served before its timeout
+            task._pending = None
+            timer.cancel()
+        task.clear_cleanups()
+        task.resume(value)
 
     def __call__(self) -> None:
         self.box._remove_waiter(self)
@@ -145,10 +157,11 @@ class Mailbox:
 
     A mailbox owns no container until it needs one: ``_queue`` is the
     shared empty tuple until the first message has to wait (most arrive
-    at a blocked receiver and never do), ``_waiters`` until the first
-    receiver blocks (a wait list is 0-1 long nearly always: a plain list).
+    at a blocked receiver and never do), and ``_waiters`` holds a lone
+    waiter itself — a list only while two or more receivers block at once
+    (competing consumers), and the lone waiter again when one is left.
     Every read works on the tuple; the sites that add an element swap in
-    the real container first, and it stays (a purge drops the queue).
+    the real container first, and the queue stays (a purge drops it).
     """
 
     __slots__ = ("sim", "owner", "_queue", "_waiters")
@@ -157,7 +170,7 @@ class Mailbox:
         self.sim = sim
         self.owner = owner
         self._queue: Any = _UNUSED      # a deque[Message] once one has queued
-        self._waiters: Any = _UNUSED    # a list[_Waiter] once a receiver blocked
+        self._waiters: Any = _UNUSED    # a waiter, or a list of two or more
 
     # ------------------------------------------------------------------
     # producer side
@@ -168,23 +181,21 @@ class Mailbox:
             return
         message.deliver_time = self.sim.now
         waiters = self._waiters
-        if waiters and waiters[0].predicate is None:
-            # Common case — an unconditional receiver at the head: no
-            # snapshot of the wait list, no predicate calls.
-            waiter = waiters.pop(0)
-            if waiter.timer is not None:
-                waiter.timer.cancel()
-            waiter.task.clear_cleanups()
-            waiter.task.resume(message)
-            return
-        for waiter in list(waiters):
-            if waiter.predicate is None or waiter.predicate(message):
-                waiters.remove(waiter)
-                if waiter.timer is not None:
-                    waiter.timer.cancel()
-                waiter.task.clear_cleanups()
-                waiter.task.resume(message)
-                return
+        if type(waiters) is not list:
+            if waiters:
+                # Common case — one blocked receiver: no list to walk.
+                predicate = waiters.predicate
+                if predicate is None or predicate(message):
+                    self._waiters = _UNUSED
+                    waiters.deliver(message)
+                    return
+        else:
+            for waiter in waiters:
+                predicate = waiter.predicate
+                if predicate is None or predicate(message):
+                    self._remove_waiter(waiter)
+                    waiter.deliver(message)
+                    return
         if self._queue is _UNUSED:
             self._queue = deque()
         self._queue.append(message)
@@ -211,83 +222,72 @@ class Mailbox:
         timeout: Optional[float] = None,
         predicate: Optional[Callable[[Message], bool]] = None,
     ) -> None:
-        """Attach a blocked receiver; resumes with a Message or TIMED_OUT."""
+        """Attach a blocked sim task; resumes with a Message or TIMED_OUT."""
+        self.register_waiter(_Waiter(task, predicate, self), task, timeout)
+
+    def register_waiter(self, waiter: Any, task: Task, timeout: Optional[float] = None) -> None:
+        """Block ``task`` on this mailbox through ``waiter`` (see
+        :class:`_Waiter` for what a waiter is): served at once if a
+        matching message is queued, else enqueued, with a timeout timer
+        as the task's pending event when ``timeout`` is set.  Only legal
+        while the waiter is not already enqueued (one recv at a time)."""
         if self._queue:
             # dead-sweep and scan only when something is actually queued —
             # the hot path (ping-pong style alternation) always finds the
             # queue empty here.
             self._drop_dead()
+            predicate = waiter.predicate
             for idx, message in enumerate(self._queue):
                 if predicate is None or predicate(message):
                     del self._queue[idx]
-                    task.resume(message)
+                    waiter.deliver(message)
                     return
-        waiter = _Waiter(task, None, predicate, self)
         if timeout is not None:
-            waiter.timer = self.sim.schedule(
-                timeout, self._timeout_waiter, waiter,
+            task._pending = self.sim.schedule(
+                timeout, self._timeout_waiter, waiter, task,
                 label="recv-timeout:" + self.owner,
             )
-        if self._waiters is _UNUSED:
-            self._waiters = [waiter]
+        waiters = self._waiters
+        if not waiters:
+            self._waiters = waiter
+        elif type(waiters) is list:
+            waiters.append(waiter)
         else:
-            self._waiters.append(waiter)
+            self._waiters = [waiters, waiter]
         task.add_cleanup(waiter)
 
-    def register_waiter(self, waiter: _Waiter) -> None:
-        """:meth:`register_receiver` for a caller-owned, timer-less waiter.
+    def _timeout_waiter(self, waiter: Any, task: Task) -> None:
+        task._pending = None            # this event: nothing to cancel
+        self._remove_waiter(waiter)
+        waiter.deliver(TIMED_OUT)
 
-        A receiver that blocks on the same mailbox over and over (the HOPE
-        recv bridge) keeps one ``_Waiter`` and re-registers it instead of
-        allocating a fresh one per recv; the caller must have set
-        ``predicate`` and left ``timer`` None.  Only legal while the
-        waiter is not already enqueued (one outstanding recv at a time).
-        """
-        predicate = waiter.predicate
-        if self._queue:
-            self._drop_dead()
-            for idx, message in enumerate(self._queue):
-                if predicate is None or predicate(message):
-                    del self._queue[idx]
-                    waiter.task.resume(message)
-                    return
-        if self._waiters is _UNUSED:
-            self._waiters = [waiter]
-        else:
-            self._waiters.append(waiter)
-        waiter.task.add_cleanup(waiter)
-
-    def _timeout_waiter(self, waiter: _Waiter) -> None:
-        if waiter in self._waiters:
-            self._waiters.remove(waiter)
-            waiter.task.clear_cleanups()
-            waiter.task.resume(TIMED_OUT)
-
-    def _remove_waiter(self, waiter: _Waiter) -> None:
-        if waiter in self._waiters:
-            self._waiters.remove(waiter)
-        if waiter.timer is not None:
-            waiter.timer.cancel()
+    def _remove_waiter(self, waiter: Any) -> None:
+        waiters = self._waiters
+        if waiters is waiter:
+            self._waiters = _UNUSED
+        elif type(waiters) is list and waiter in waiters:
+            waiters.remove(waiter)
+            if len(waiters) == 1:
+                self._waiters = waiters[0]
 
     def _wake_matching(self) -> None:
         """After a requeue, hand queued messages to any compatible waiters."""
         progress = True
         while progress and self._queue and self._waiters:
             progress = False
-            for waiter in list(self._waiters):
+            waiters = self._waiters
+            for waiter in waiters if type(waiters) is list else (waiters,):
                 delivered = None
+                predicate = waiter.predicate
                 for idx, message in enumerate(self._queue):
-                    if waiter.predicate is None or waiter.predicate(message):
+                    if predicate is None or predicate(message):
                         delivered = idx
                         break
                 if delivered is not None:
                     message = self._queue[delivered]
                     del self._queue[delivered]
-                    self._waiters.remove(waiter)
-                    if waiter.timer is not None:
-                        waiter.timer.cancel()
-                    waiter.task.clear_cleanups()
-                    waiter.task.resume(message)
+                    self._remove_waiter(waiter)
+                    waiter.deliver(message)
                     progress = True
                     break
 
@@ -315,7 +315,9 @@ class Mailbox:
         return list(self._queue)
 
     def __repr__(self) -> str:
-        return f"<Mailbox {self.owner!r} queued={len(self._queue)} waiters={len(self._waiters)}>"
+        waiters = self._waiters
+        count = len(waiters) if type(waiters) is list else int(bool(waiters))
+        return f"<Mailbox {self.owner!r} queued={len(self._queue)} waiters={count}>"
 
 
 class _Closed(Mailbox):

@@ -140,6 +140,10 @@ class UnknownEffectError(SimulationError):
     """The effect handler does not know how to perform a yielded effect."""
 
 
+#: ``Task._inline`` while no synchronous result waits for the trampoline.
+_NO_INLINE = object()
+
+
 class Task:
     """A generator coroutine scheduled on a :class:`Simulator`.
 
@@ -152,13 +156,15 @@ class Task:
     The task is also the view of the world its body gets: ``fn(task,
     *args)`` reads ``task.now``, ``task.name`` and ``task.context``, an
     arbitrary slot that higher layers (the HOPE runtime, the baselines)
-    use to reach their own per-process state.
+    use to reach their own per-process state.  The body is called here,
+    so ``context`` must be passed, not set after: a generator function
+    runs nothing before its first step, and a task keeps no ``fn`` or
+    ``args`` to call it later.
     """
 
     __slots__ = (
-        "sim", "name", "fn", "args", "context", "handler", "on_exit",
-        "result", "error", "_gen", "_state", "_pending", "_cleanup",
-        "_has_inline", "_inline_value",
+        "sim", "name", "context", "handler", "on_exit",
+        "result", "error", "_gen", "_state", "_pending", "_cleanup", "_inline",
     )
 
     _FRESH = "fresh"
@@ -180,21 +186,20 @@ class Task:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.fn = fn
-        self.args = args
         self.context = context
         self.handler = handler or default_effect_handler
         self.on_exit = on_exit
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._gen: Optional[Generator] = None
         self._state = Task._FRESH
+        #: The event that will resume the task: its start batch, a timer
+        #: (a ``Timeout``, or the timeout of a ``Recv``), a scheduled resume.
         self._pending: Optional[ScheduledEvent] = None
         #: What to run if the task dies while blocked: a task has at most
         #: one blocking effect outstanding, so one slot serves.
         self._cleanup: Optional[Callable[[], None]] = None
-        self._has_inline = False
-        self._inline_value: Any = None
+        self._inline: Any = _NO_INLINE
+        self._gen: Optional[Generator] = fn(self, *args)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -203,7 +208,6 @@ class Task:
         """Schedule the first step ``delay`` from now, in a start batch."""
         if self._state != Task._FRESH:
             raise SimulationError(f"task {self.name!r} already started")
-        self._gen = self.fn(self, *self.args)
         self._state = Task._WAITING
         sim = self.sim
         batch = sim.start_batch
@@ -279,15 +283,14 @@ class Task:
         # checks to raise the standard error.
         if self._state != Task._WAITING or self._pending is not None:
             self._expect_waiting("resume_now")
-        self._has_inline = True
-        self._inline_value = value
+        self._inline = value
 
     def kill(self, reason: str = "") -> None:
         """Terminate the task: cancel pending resumes and close the generator.
 
         Used for crash injection and for discarding a rolled-back
         incarnation of a HOPE process.  The registered cleanup runs (e.g.
-        the task is removed from a mailbox wait list).
+        the task's waiter is taken off the mailbox it blocks on).
         """
         if not self.alive:
             return
@@ -342,10 +345,10 @@ class Task:
         handler = self.handler  # loop-invariant for the life of the task
         while True:
             handler(self, effect)
-            if not self._has_inline:
+            value = self._inline
+            if value is _NO_INLINE:
                 return
-            self._has_inline = False
-            value, self._inline_value = self._inline_value, None
+            self._inline = _NO_INLINE
             if self._state != Task._WAITING:
                 return  # killed/finished from within the handler
             effect = self._drive(value, False)

@@ -72,15 +72,16 @@ def measure(run: Callable[[], Any]) -> tuple:
 #: PERFORMANCE.md, beside the section of the change that moved it.
 BUDGETS = {
     # a slot in the start batch, the task, runtime, record, track, log
-    # and mailbox of a process not yet run (PERFORMANCE §20)
+    # and mailbox of a process not yet run (PERFORMANCE §20, §26)
     "spawned process": {
-        (3, 10): (1814, 14.2), (3, 11): (1421, 13.1),
-        (3, 12): (1403, 13.1), (3, 13): (1403, 13.1),
+        (3, 10): (1787, 14.2), (3, 11): (1398, 13.1),
+        (3, 12): (1380, 13.1), (3, 13): (1381, 13.1),
     },
-    # the same, blocked in ``recv`` (§18, §20)
+    # the same, blocked in ``recv``: its task is the mailbox's waiter
+    # (§18, §20, §26)
     "idle process": {
-        (3, 10): (2102, 20.8), (3, 11): (1711, 19.7),
-        (3, 12): (1693, 19.7), (3, 13): (1693, 19.7),
+        (3, 10): (1902, 17.5), (3, 11): (1512, 16.4),
+        (3, 12): (1495, 16.4), (3, 13): (1495, 16.4),
     },
     # eight log entries, a committed emit and a handle whose settled
     # AID is the shared verdict (§15, §17, §22)

@@ -150,7 +150,7 @@ class PinAudit:
             self.in_hand_passes += in_hand is not None and bool(in_hand.tags)
             return stats
 
-        def audited_deliver(proc, effect, value, bridge):
+        def audited_deliver(proc, value, task):
             if force:
                 system._fossil_pending = True
             # A pass at the top of _deliver runs with this message in hand.
@@ -158,7 +158,7 @@ class PinAudit:
                 value if system._fossil_pending and isinstance(value, Message) else None
             )
             try:
-                deliver(proc, effect, value, bridge)
+                deliver(proc, value, task)
             finally:
                 self._in_hand = None
 

@@ -32,12 +32,11 @@ from collections import Counter
 import pytest
 
 from repro.runtime import HopeSystem
-from repro.runtime.engine import ProcessRuntime, _RecvBridge
+from repro.runtime.engine import ProcessRuntime, _Incarnation
 from repro.runtime.replay import Exited
 from repro.sim import ConstantLatency, LinkLatency, Tracer
 from repro.sim.channel import _UNUSED, Mailbox, Message
 from repro.sim.kernel import Simulator
-from repro.sim.process import Task
 from repro.verify import standard_scenarios
 
 from ..footprint import (
@@ -97,7 +96,7 @@ def _churn(waves, **options):
     return system
 
 
-_WATCHED = (Task, types.GeneratorType, _RecvBridge, ProcessRuntime)
+_WATCHED = (_Incarnation, types.GeneratorType, ProcessRuntime)
 
 
 def _census() -> Counter:
@@ -136,8 +135,7 @@ def test_memory_is_flat_in_processes_spawned():
     # bridges at 6 waves; 2 699, 217 and 24 at 24.  Before that pass: its
     # runtime, task and 11 entries.)
     assert large == small
-    assert large == {"LogEntry": 0, "Task": 0, "generator": 0, "_RecvBridge": 0,
-                     "ProcessRuntime": 0}
+    assert large == {"LogEntry": 0, "_Incarnation": 0, "generator": 0, "ProcessRuntime": 0}
     assert not s_large.procs
     stats = s_large.stats()
     assert stats["processes_retired"] == spawned
@@ -148,7 +146,7 @@ def test_memory_is_flat_in_processes_spawned():
     twin_left, twin = _left_behind(24, fossil_collect=False)
     assert twin.stats()["processes_retired"] == 0
     assert twin_left["LogEntry"] > 24 * _WIDTH * (_K + 5)
-    assert twin_left["Task"] == len(twin.procs) == spawned
+    assert twin_left["_Incarnation"] == len(twin.procs) == spawned
     for name in twin.process_names():
         assert s_large.committed_outputs(name) == twin.committed_outputs(name)
         assert s_large.result_of(name) == twin.result_of(name)
@@ -417,10 +415,10 @@ def test_a_never_messaged_mailbox_owns_no_container():
     queue = box._queue
     assert [m.payload for m in queue] == ["m"] and box._waiters is _UNUSED
     assert box.purge() == 1 and box._queue is _UNUSED
-    # a blocked process owns a wait list and no queue
+    # a blocked process owns no container: its task is the lone waiter
     system = idle_system(1)
-    idle = system.procs["w0"].mailbox
-    assert idle._queue is _UNUSED and len(idle._waiters) == 1
+    proc = system.procs["w0"]
+    assert proc.mailbox._queue is _UNUSED and proc.mailbox._waiters is proc.task
 
 
 # ------------------------------------------------ mail at a retired process

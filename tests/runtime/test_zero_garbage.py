@@ -1,14 +1,16 @@
 """Zero-garbage oracle: a run leaves nothing for the cycle collector.
 
 A rolled-back or crashed incarnation used to die as a ring
-(``Task ↔ TaskEnv ↔ generator``, the recv bridge's pre-bound ``on_kill``
-and its waiter pointing back at the bridge), reclaimable only by a full
-collection.  The runtime now unlinks an incarnation where it kills it, so
-everything it drops is freed by reference counting — which is what lets
-``Simulator.run`` hold full collections off without growing the heap.
+(``Task ↔ TaskEnv ↔ generator``, a recv bridge and its waiter pointing
+back at it), reclaimable only by a full collection.  The runtime now
+unlinks an incarnation where it kills it — a task blocked in ``recv`` is
+its own mailbox waiter and kill cleanup, and the kill takes it off the
+mailbox and cancels its timer — so everything it drops is freed by
+reference counting, which is what lets ``Simulator.run`` hold full
+collections off without growing the heap.
 
-A process that returns is let go the same way: its bridge where it
-exits, its finished task and its log when a pass retires it.
+A process that returns is let go the same way: its finished task and its
+log when a pass retires it.
 
 Each case runs with the collector disabled and the system kept alive,
 then collects once: whatever the collector finds unreachable was cyclic
@@ -24,7 +26,8 @@ import repro.apps.call_streaming as cs
 from repro.bench.workloads import build_chaos_mesh, build_chaos_ring
 from repro.chaos import standard_plans
 from repro.runtime import HopeSystem
-from repro.sim import ConstantLatency
+from repro.sim import TIMED_OUT, ConstantLatency
+from repro.sim.channel import _UNUSED
 
 
 def _cyclic_garbage(run) -> Counter:
@@ -205,6 +208,69 @@ def test_crash_and_restart_leave_no_cycles():
         system.restart_process("worker")
         system.run(until=40.0)
         assert system.committed_outputs("worker") == [(True, i) for i in range(3)] * 2
+        return system
+
+    assert not _cyclic_garbage(run)
+
+
+def _blocked_guesser(p, judge, timeout):
+    x = yield p.aid_init("x")
+    yield p.send(judge, x)
+    yield p.guess(x)
+    while True:
+        msg = yield p.recv(timeout=timeout)
+        if msg is not TIMED_OUT:
+            yield p.emit(msg.payload)
+
+
+def _denier(p):
+    while True:
+        x = (yield p.recv()).payload
+        yield p.compute(5.0)
+        yield p.deny(x)
+
+
+def _late_sender(p):
+    yield p.compute(20.0)
+    yield p.send("rx", "next")
+
+
+@pytest.mark.parametrize("ending", ["deny", "crash"])
+@pytest.mark.parametrize("timeout", [None, 50.0], ids=["untimed", "timed"])
+def test_an_incarnation_killed_in_recv_leaves_no_waiter(timeout, ending):
+    """A process blocked in ``recv`` (its task is the mailbox's lone
+    waiter, and a timed recv's timer its pending event) is rolled back by
+    a deny or crashed: the dead task leaves the mailbox, its timer is
+    cancelled, nothing of it waits for the collector, and the next
+    incarnation receives the next message exactly once."""
+
+    def run():
+        system = HopeSystem(latency=ConstantLatency(1.0))
+        rx = system.spawn("rx", _blocked_guesser, "judge", timeout)
+        system.spawn("judge", _denier)
+        system.spawn("tx", _late_sender)
+        system.run(until=4.0)               # rx blocked, the deny not yet made
+        old, box = rx.task, rx.mailbox
+        timer = old._pending
+        assert box._waiters is old and (timer is None) == (timeout is None)
+        if ending == "deny":
+            system.run(until=8.0)
+            assert system.stats()["rollbacks"] == 1
+            assert rx.task is not old and box._waiters is rx.task
+        else:
+            system.crash_process("rx")
+            assert box._waiters is _UNUSED
+            system.restart_process("rx")
+        assert old.state == "killed" and old._pending is None and old._cleanup is None
+        assert timer is None or timer.cancelled
+        del old, timer
+        system.run(until=40.0)
+        assert system.committed_outputs("rx") == ["next"]
+        assert system.stats()["rollbacks"] >= 1
+        # Blocked again, alone; the served recv's timer went with it.
+        timers = [event for event in system.sim._heap
+                  if not event.cancelled and event.label.startswith("recv-timeout")]
+        assert box._waiters is rx.task and timers == ([rx.task._pending] if timeout else [])
         return system
 
     assert not _cyclic_garbage(run)

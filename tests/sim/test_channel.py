@@ -6,12 +6,14 @@ from repro.sim import (
     ConstantLatency,
     Network,
     Recv,
+    TIMED_OUT,
     SequenceLatency,
     Simulator,
     Task,
     Timeout,
     UnknownEndpointError,
 )
+from repro.sim.channel import _UNUSED
 
 
 def make_net(latency=None):
@@ -179,6 +181,54 @@ def test_requeue_front_wakes_waiting_receiver():
     box.requeue_front([message])
     sim.run()
     assert got == ["redelivered"]
+
+
+def test_waiter_slot_holds_a_lone_waiter_and_a_list_only_for_two():
+    """The wait slot goes lone -> list -> lone: a second blocked receiver
+    makes a list, and serving, removing (a kill) or timing out one of two
+    leaves the other waiter itself, in arrival order."""
+    sim, net = make_net()
+    box = net.register("rx")
+    got = []
+
+    def receiver(env, timeout):
+        msg = yield Recv(box, timeout=timeout)
+        got.append((env.name, env.now, msg if msg is TIMED_OUT else msg.payload))
+
+    def tasks():
+        waiters = box._waiters
+        return [w.task for w in waiters] if type(waiters) is list else waiters.task
+
+    a = Task(sim, "a", receiver, None).start()
+    sim.run()
+    assert type(box._waiters) is not list and tasks() is a
+    assert "waiters=1" in repr(box)
+
+    b = Task(sim, "b", receiver, 5.0).start()
+    sim.run(until=1.0)
+    assert tasks() == [a, b] and "waiters=2" in repr(box)
+    timer = b._pending                      # a timed recv's timer is its task's
+    sim.run(until=6.0)                      # timeout of one of two
+    assert got == [("b", 5.0, TIMED_OUT)] and tasks() is a and timer.sim is None
+
+    c = Task(sim, "c", receiver, 9.0).start()
+    sim.run(until=7.0)
+    assert tasks() == [a, c]
+    a.kill()                                # remove one of two
+    assert tasks() is c and "waiters=1" in repr(box)
+
+    d = Task(sim, "d", receiver, None).start()
+    sim.run(until=8.0)
+    assert tasks() == [c, d]
+    timer = c._pending
+    net.send("tx", "rx", "first")           # serve one of two: the first
+    sim.run(until=9.0)
+    assert got[-1] == ("c", 8.0, "first") and tasks() is d and timer.cancelled
+    net.send("tx", "rx", "second")
+    sim.run()
+    assert got[-1] == ("d", 9.0, "second")
+    assert box._waiters is _UNUSED and "waiters=0" in repr(box)
+    assert [name for name, _, _ in got] == ["b", "c", "d"]
 
 
 def test_unknown_endpoint_raises():
