@@ -75,14 +75,7 @@ from .effects import (
     SendEffect,
     SpawnEffect,
 )
-from functools import partial
-
-from .messages import ReceivedMessage
-
-_DEFINITE = IntervalState.DEFINITE
-
-#: C-level ReceivedMessage constructor (no generated ``__new__`` frame).
-_new_received = partial(tuple.__new__, ReceivedMessage)
+from .messages import new_received as _new_received
 from .replay import (
     KIND_CODE,
     Checkpoint,
@@ -98,6 +91,7 @@ from .resilience import (
     ReliableTransport,
 )
 
+_DEFINITE = IntervalState.DEFINITE
 _SEND_CODE, _RECV_CODE = KIND_CODE["send"], KIND_CODE["recv"]
 
 
@@ -204,7 +198,8 @@ class Outcomes:
     """The ledger of retired processes, in columns; a row is the retired
     track's timeline row.  Per row: the result, the committed values (a
     slice of ``values``) and the body and arguments a crash restarts it
-    from; per run: the counters :meth:`HopeSystem.stats` sums."""
+    from; per run: the counters :meth:`HopeSystem.stats` sums (``log_dropped``
+    counts the entries every pass dropped, live processes' included)."""
 
     __slots__ = ("results", "values", "ends", "bodies", "restarts", "replayed", "log_dropped")
 
@@ -219,7 +214,6 @@ class Outcomes:
         self.bodies += (proc.fn, proc.args)
         self.restarts += proc.restarts
         self.replayed += proc.log.replayed_entries_total
-        self.log_dropped += proc.log.fossil_dropped_total
 
     def committed(self, row: int) -> list:
         return self.values[self.ends[row - 1] if row else 0 : self.ends[row]]
@@ -782,7 +776,7 @@ class HopeSystem:
             "sim_events": self.sim.events_processed,
             "restarts": out.restarts + sum(p.restarts for p in procs),
             "replayed_effects": out.replayed + sum(p.log.replayed_entries_total for p in procs),
-            "fossil_log_dropped": out.log_dropped + sum(p.log.fossil_dropped_total for p in procs),
+            "fossil_log_dropped": out.log_dropped,
             "processes_retired": len(out.results),
             "heap_compactions": self.sim.heap_compactions,
             "wasted_time": self.timeline.aggregate(Span.WASTED, self.sim.now),
@@ -991,7 +985,7 @@ class HopeSystem:
                 proc.rebase_candidates = [
                     c for c in proc.rebase_candidates if c.log_index > best.log_index
                 ] or ()
-                proc.log.drop_prefix(best.log_index)
+                self.outcomes.log_dropped += proc.log.drop_prefix(best.log_index)
             rebase = proc.rebase
             if rebase is not None and type(rebase.state) is Exited and proc.done:
                 # (promoted now, or restored by a durable resume)
@@ -1495,10 +1489,13 @@ class HopeSystem:
                 current.received = [message]
         elif message.holds:
             self.network.release(message)   # a definite receive is for good
-        # log.append inlined, as in _do_send (one entry per delivery).
+        # log.append inlined, as in _do_send (one entry per delivery):
+        # the payload, and the envelope as a row of ``log.envelopes``.
         log = proc.log
         log.kinds.append(_RECV_CODE)
-        log.results.append(received)
+        log.results.append(message.payload)
+        log.envelopes = log.envelopes or []
+        log.envelopes += (message.src, message.msg_id)
         log.cursor += 1
         if self._tracing:
             self.tracer.record(

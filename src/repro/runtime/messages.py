@@ -1,7 +1,8 @@
 """Message payload conventions: received envelopes and RPC helpers.
 
-HOPE payloads should be treated as immutable by user code — a rollback
-replays the logged :class:`ReceivedMessage` object, so mutating a payload
+HOPE payloads should be treated as immutable by user code — the effect
+log keeps a received payload, and a rollback replays a
+:class:`ReceivedMessage` around that same object, so mutating a payload
 would desynchronize the replayed incarnation from the original.  The
 provided types are immutable tuples to make the right thing the easy
 thing (``NamedTuple`` rather than a frozen dataclass: one of these is
@@ -11,6 +12,7 @@ cheaper than a frozen dataclass ``__init__`` + ``__setattr__`` guard).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, NamedTuple
 
 
@@ -23,6 +25,10 @@ class ReceivedMessage(NamedTuple):
 
     def __repr__(self) -> str:
         return f"ReceivedMessage({self.payload!r} from {self.src!r})"
+
+
+#: A ReceivedMessage from one tuple, built in C (no generated ``__new__`` frame).
+new_received = partial(tuple.__new__, ReceivedMessage)
 
 
 class RpcRequest(NamedTuple):

@@ -33,11 +33,13 @@ from typing import Any, Generator, Iterable, Iterator, NamedTuple, Optional
 
 from ..core.errors import HopeError
 from . import effects
+from .messages import ReceivedMessage, new_received
 
 #: Code ``i`` of a log's ``kinds`` column names ``KINDS[i]``, a HOPE effect's ``kind``.
 KINDS: tuple = tuple(sorted({cls.kind for cls in vars(effects).values() if isinstance(cls, type)
                              and "kind" in vars(cls) and cls is not effects.HopeEffect}))
 KIND_CODE: dict = {kind: code for code, kind in enumerate(KINDS)}
+RECV_CODE: int = KIND_CODE["recv"]
 
 
 class ReplayDivergenceError(HopeError):
@@ -123,38 +125,32 @@ class EffectLog:
     :meth:`feed` until the cursor reaches the end, at which point the
     process is live again.
 
-    An entry is a slot in each of two parallel columns, ``kinds`` (a
-    ``bytearray`` of codes, :data:`KIND_CODE`; reads name kinds) and
-    ``results`` — a running body keeps its log, so an entry costs a byte
-    and a slot (docs/PERFORMANCE.md §15, §20).  Only this class and the
-    two inlined appends in ``runtime.engine`` know the layout: never
-    append to one.
+    An entry is a code byte in ``kinds`` (:data:`KIND_CODE`; reads name
+    kinds) and a slot in ``results``: 9 bytes, as a running body keeps its
+    log.  A receive's slot holds the payload (or ``TIMED_OUT``), and its
+    ``src`` and ``msg_id`` are a row of two slots in ``envelopes``
+    (``None, None`` for a timeout) that reads rebuild the
+    :class:`ReceivedMessage` from (docs/PERFORMANCE.md §15, §27).  Only
+    this class and the two inlined appends in ``runtime.engine`` know
+    the layout: never append to one list alone.
 
     All indices (``cursor``, checkpoint/truncation/replay positions) are
     **absolute** journal positions, stable across fossil collection.
     ``base`` counts entries dropped from the front by :meth:`drop_prefix`
-    — physically, the columns hold positions ``[base, base + retained)``.
+    — physically, the lists hold positions ``[base, base + retained)``.
     A fresh incarnation replays from its ``origin``: ``base`` (the engine
     rebuilds the pre-base state from the promoted :class:`RebasePoint`)
     or a newer commit point, so dropping the prefix is only sound once a
     rebase point at ``base`` exists.
     """
 
-    __slots__ = (
-        "kinds",
-        "results",
-        "base",
-        "origin",
-        "cursor",
-        "pending",
-        "replay_count",
-        "replayed_entries_total",
-        "fossil_dropped_total",
-    )
+    __slots__ = ("kinds", "results", "envelopes", "base", "origin", "cursor", "pending",
+                 "envelope_at", "replayed_entries_total")
 
     def __init__(self) -> None:
         self.kinds = bytearray()
         self.results: list[Any] = []
+        self.envelopes: Any = ()     # (the first receive makes it a list)
         #: Absolute position of slot 0 (entries dropped in front).
         self.base = 0
         #: Absolute position the current incarnation started from.
@@ -166,16 +162,20 @@ class EffectLog:
         #: fast-forward guard) and the three-load arithmetic was
         #: measurable there.
         self.pending = 0
-        self.replay_count = 0
+        #: The row in ``envelopes`` of the next receive a replay feeds.
+        self.envelope_at = 0
         self.replayed_entries_total = 0
-        #: Entries dropped from the front by fossil collection.
-        self.fossil_dropped_total = 0
 
     # ------------------------------------------------------------------
     # live side
     # ------------------------------------------------------------------
     def append(self, kind: str, result: Any) -> None:
-        self.kinds.append(KIND_CODE[kind])
+        code = KIND_CODE[kind]
+        if code == RECV_CODE:
+            result, *row = result if type(result) is ReceivedMessage else (result, None, None)
+            self.envelopes = self.envelopes or []
+            self.envelopes += row
+        self.kinds.append(code)
         self.results.append(result)
         # Live appends keep the cursor at the tail (the live-side
         # invariant ``cursor == base + retained``, so += 1 suffices);
@@ -192,20 +192,22 @@ class EffectLog:
         return len(self.kinds)
 
     def _slot(self, index: int) -> int:
-        """Column offset of position ``index``: never negative (the log's end)."""
+        """List offset of position ``index``: never negative (the log's end)."""
         if index < self.base:
             raise HopeError(f"log entry {index} is behind the fossil base {self.base}")
         return index - self.base
 
     def entry_at(self, index: int) -> LogEntry:
         """The entry at absolute position ``index`` (``IndexError`` past the end)."""
-        at = self._slot(index)
-        return LogEntry(KINDS[self.kinds[at]], self.results[at])
+        self.kinds[self._slot(index)]              # (the bounds check)
+        return LogEntry(*next(self.pairs(index, index + 1)))
 
     def pairs(self, start: int, stop: int) -> Iterator[tuple]:
         """``(kind, result)`` of the entries at positions ``[start, stop)``."""
         lo, hi = self._slot(start), self._slot(stop)
-        return zip(map(KINDS.__getitem__, self.kinds[lo:hi]), self.results[lo:hi])
+        kinds, row = self.kinds[lo:hi], 2 * self.kinds.count(RECV_CODE, 0, lo)
+        envelopes = self.envelopes[row : row + 2 * kinds.count(RECV_CODE)]
+        return _pairs(kinds, self.results[lo:hi], envelopes)
 
     def load(self, base: int, pairs: Iterable[tuple]) -> None:
         """Replace the log by ``pairs`` from position ``base`` on, live at the tail."""
@@ -235,8 +237,7 @@ class EffectLog:
         self._slot(origin)
         self.cursor = self.origin = origin
         self.pending = self.base + len(self.kinds) - origin
-        if self.pending:
-            self.replay_count += 1
+        self.envelope_at = 2 * self.kinds.count(RECV_CODE, 0, origin - self.base)
 
     def feed(self, kind: str) -> Any:
         """Return the logged result for the next effect, checking its kind."""
@@ -263,6 +264,10 @@ class EffectLog:
         self.cursor += 1
         self.pending -= 1
         self.replayed_entries_total += 1
+        if logged == RECV_CODE:
+            row = self.envelope_at
+            self.envelope_at = row + 2
+            return _received(self.results[at], self.envelopes, row)
         return self.results[at]
 
     def truncate(self, index: int) -> int:
@@ -279,7 +284,8 @@ class EffectLog:
             dropped = self.base + len(self.kinds)
             self.kinds.clear()
             self.results.clear()
-            self.base = self.cursor = self.pending = 0
+            self.envelopes = ()
+            self.base = self.cursor = self.pending = self.envelope_at = 0
             return dropped
         if index < self.base:
             raise HopeError(
@@ -291,8 +297,12 @@ class EffectLog:
             raise HopeError(
                 f"log truncation index {index} beyond log length {len(self)}"
             )
-        del self.kinds[index - self.base :]
-        del self.results[index - self.base :]
+        at = index - self.base
+        cut = 2 * self.kinds.count(RECV_CODE, at)
+        if cut:
+            del self.envelopes[-cut:]
+        del self.kinds[at:]
+        del self.results[at:]
         if self.cursor > index:
             self.cursor = index
         self.pending = index - self.cursor
@@ -312,14 +322,33 @@ class EffectLog:
                 f"drop_prefix({index}) past the replay cursor {self.cursor}"
             )
         dropped = index - self.base
+        cut = 2 * self.kinds.count(RECV_CODE, 0, dropped)
+        if cut:
+            del self.envelopes[:cut]
+            if self.pending:
+                self.envelope_at -= cut
         del self.kinds[:dropped]
         del self.results[:dropped]
         self.base = index
-        self.fossil_dropped_total += dropped
         return dropped
 
     def __repr__(self) -> str:
         return (
             f"<EffectLog {self.cursor}/{len(self)} base={self.base} "
-            f"replays={self.replay_count}>"
+            f"replayed={self.replayed_entries_total}>"
         )
+
+
+def _received(payload: Any, envelopes: list, row: int) -> Any:
+    """A receive's logged result, from its payload slot and envelope row."""
+    src = envelopes[row]
+    return payload if src is None else new_received((payload, src, envelopes[row + 1]))
+
+
+def _pairs(kinds: bytearray, results: list, envelopes: list) -> Iterator[tuple]:
+    row = 0
+    for code, result in zip(kinds, results):
+        if code == RECV_CODE:
+            result = _received(result, envelopes, row)
+            row += 2
+        yield KINDS[code], result

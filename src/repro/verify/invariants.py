@@ -10,8 +10,9 @@ these checks relate the machine to the runtime's observables:
 * **waste accounting** — wasted time implies at least one rollback;
 * **quiescent resolution** — at quiescence, a pending AID may not retain
   dependents (someone would wait forever on it);
-* **unsheared effect logs** — both columns of a log have one length, and
-  ``pending`` is what the cursor leaves to re-feed;
+* **unsheared effect logs** — ``kinds`` and ``results`` have one length,
+  ``envelopes`` holds a row per receive, ``pending`` is what the cursor
+  leaves to re-feed, and a replay reads the row of the receive it is at;
 * **settled DOMs** — only a resolved AID with no speculative affirmer and
   no parked deny shares ``SETTLED_DOM`` (the machine checks it is empty),
   and no handle holds one any more.
@@ -22,6 +23,7 @@ from __future__ import annotations
 from ..core import FinalizeEvent, MachineInvariantError, RollbackEvent
 from ..core.aid import SETTLED_DOM
 from ..runtime import HopeSystem
+from ..runtime.replay import RECV_CODE
 
 
 class InvariantViolation(AssertionError):
@@ -164,9 +166,15 @@ def check_quiescent(system: HopeSystem, allow_pending_orphans: bool = True) -> N
             raise InvariantViolation(f"settled AID {aid.key} is still held by its handles")
     for name, proc in system.procs.items():
         log = proc.log
-        if not len(log.kinds) == len(log.results) == log.cursor + log.pending - log.base:
+        recvs = log.kinds.count(RECV_CODE)
+        fed = log.kinds.count(RECV_CODE, 0, log.cursor - log.base)     # (before the cursor)
+        if not (len(log.kinds) == len(log.results) == log.cursor + log.pending - log.base
+                and len(log.envelopes) == 2 * recvs
+                and (log.envelope_at == 2 * fed or not log.pending)):
             raise InvariantViolation(f"effect log of {name!r} sheared: {len(log.kinds)} kinds, "
-                                     f"{len(log.results)} results, pending {log.pending} in {log!r}")
+                                     f"{len(log.results)} results, {len(log.envelopes)} envelope "
+                                     f"slots for {recvs} receives, pending {log.pending} at "
+                                     f"envelope slot {log.envelope_at} in {log!r}")
 
 
 def attach_monitors(system: HopeSystem) -> tuple[LedgerMonitor, DefiniteSafetyMonitor]:

@@ -175,11 +175,13 @@ class TestCommitPointSemantics:
         point that closed round r - 1 — promoted or not — so it re-feeds
         that round's ``aid_init`` and ``send`` and nothing older."""
         coll, tracer, _ = _run(seed=2, fossil=True, rounds=60, until=0.0)
-        proc = coll.procs["worker"]             # (kept: it retires at quiescence)
+        before = coll.stats()
         coll.run()
+        after = coll.stats()
         restarts = [r for r in tracer.by_category("restart") if r.process == "worker"]
         assert restarts and all(r.detail["replay"] == 2 for r in restarts)
-        assert proc.log.replay_count == len(restarts)
+        assert after["restarts"] - before["restarts"] == len(restarts)
+        assert after["replayed_effects"] - before["replayed_effects"] == 2 * len(restarts)
 
     def test_replay_counters_count_what_a_restart_refeeds(self):
         """``hope_replay_entries_total`` and the trace's ``restart replay=``

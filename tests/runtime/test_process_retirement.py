@@ -246,11 +246,15 @@ def test_a_retired_process_reads_as_it_did_and_is_promoted_once():
     assert _reads(system, "guesser") == (("done", True), True, emitted, emitted)
     # The passes still to come leave it alone: the candidate was
     # consumed, and a log at its base has no prefix.
-    rebase, passes = guesser.rebase, system.stats()["fossil_collections"]
+    stats = system.stats()
+    rebase, passes = guesser.rebase, stats["fossil_collections"]
+    dropped = stats["fossil_log_dropped"]
+    assert dropped == 7 + len(judge.log)            # the guesser's log and the judge's
     system.run()
     stats = system.stats()
     assert stats["fossil_collections"] >= passes + 8
-    assert guesser.rebase is rebase and guesser.log.fossil_dropped_total == 7
+    assert guesser.rebase is rebase
+    assert stats["fossil_log_dropped"] - dropped == len(ping.log) + len(pong.log)
     assert _reads(system, "guesser") == (("done", True), True, emitted, emitted)
     # (ping and pong return after the last pass a finalize starts: the one
     # the run owes at quiescence retires them)
@@ -272,17 +276,18 @@ def _crash_run(fossil_collect):
     retired = "reporter" not in system.procs
     system.crash_process("reporter")
     system.run(until=14.0)
+    dropped = system.stats()["fossil_log_dropped"]
     system.restart_process("reporter")
     second = system.procs["reporter"]
     system.run()
-    return system, tracer, retired, (first, second)
+    return system, tracer, retired, (first, second, dropped)
 
 
 def test_crash_and_restart_of_a_retired_process_start_from_entry():
     """``crash_process`` clears the terminal point as it clears any rebase:
     the restarted process runs its program again from the top — the same
     trace, event for event, as on the run that never retired anything."""
-    system, tracer, retired, (first, second) = _crash_run(True)
+    system, tracer, retired, (first, second, dropped) = _crash_run(True)
     twin, twin_tracer, twin_retired, _ = _crash_run(False)
     assert retired and not twin_retired
     assert tracer.fingerprint() == twin_tracer.fingerprint()
@@ -297,7 +302,11 @@ def test_crash_and_restart_of_a_retired_process_start_from_entry():
     # once before the crash, and again once the second exit had committed
     # (the crash rebuilt the retired process from its ledger row)
     assert "reporter" not in system.procs and second is not first
-    assert first.log.fossil_dropped_total == second.log.fossil_dropped_total == 6
+    # each life dropped its 6 entries: the first by the crash, and the
+    # second among every log the uncollected twin keeps to the end
+    assert dropped == len(first.log) == 6
+    assert system.stats()["fossil_log_dropped"] - dropped == sum(
+        len(proc.log) for proc in twin.procs.values())
     assert second.task is None and len(second.log) == second.log.base == 6
 
 

@@ -11,8 +11,9 @@ from repro.runtime import (
     LogEntry,
     ReplayDivergenceError,
 )
-from repro.runtime import effects
+from repro.runtime import ReceivedMessage, effects
 from repro.runtime.replay import KIND_CODE, KINDS, HopeError
+from repro.sim.process import TIMED_OUT
 
 
 def test_append_advances_cursor_keeps_live():
@@ -32,8 +33,7 @@ def test_begin_replay_rewinds_and_feeds_in_order():
     assert log.feed("now") == 1
     assert log.feed("random") == 2
     assert not log.replaying
-    assert log.replay_count == 1
-    assert log.replayed_entries_total == 2
+    assert (log.origin, log.replayed_entries_total) == (0, 2)
 
 
 def test_feed_checks_effect_kind():
@@ -75,7 +75,7 @@ def test_live_appends_during_partial_replay_not_allowed_by_shape():
 def test_begin_replay_on_empty_log_counts_nothing():
     log = EffectLog()
     log.begin_replay()
-    assert log.replay_count == 0
+    assert (log.pending, log.replayed_entries_total) == (0, 0)
     assert not log.replaying
 
 
@@ -150,36 +150,59 @@ def test_every_effect_kind_has_a_code_and_reads_back_by_name():
 _KINDS = ("send", "recv", "now", "guess", "commit")
 
 
-def _assert_in_step(log, model, base, cursor):
-    """The columns against a list of pairs, and the cursor arithmetic."""
+def _logged(kind, step, rng):
+    """A result as the engine logs it: a receive's is a
+    ``ReceivedMessage`` or ``TIMED_OUT``."""
+    if kind != "recv":
+        return (step, rng.random())
+    if rng.random() < 0.2:
+        return TIMED_OUT
+    return ReceivedMessage((step, rng.random()), f"p{rng.randrange(3)}", step)
+
+
+def _same(read, logged):
+    """Equal, and around the very payload object that was logged."""
+    if type(logged) is ReceivedMessage:
+        return type(read) is ReceivedMessage and read == logged and read.payload is logged.payload
+    return read is logged
+
+
+def _assert_in_step(log, model, base, cursor, rng):
+    """The lists against a list of pairs, and the cursor arithmetic."""
     assert len(log.kinds) == len(log.results) == log.retained == len(model)
+    assert len(log.envelopes) == 2 * sum(kind == "recv" for kind, _ in model)
     assert (log.base, log.cursor, len(log)) == (base, cursor, base + len(model))
     assert log.pending == log.base + log.retained - log.cursor
     assert log.replaying == (cursor < base + len(model))
-    assert list(log.pairs(base, len(log))) == model
+    pairs = list(log.pairs(base, len(log)))
+    assert pairs == model and all(map(_same, (r for _, r in pairs), (r for _, r in model)))
     if model:
-        assert log.entry_at(len(log) - 1) == model[-1]
+        at = rng.randrange(len(model))
+        entry = log.entry_at(base + at)
+        assert entry == model[at] and _same(entry.result, model[at][1])
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_op_sequences_keep_columns_and_cursor_in_step(seed):
-    """append / feed / truncate / drop_prefix / begin_replay in any order
-    the engine could issue them (it appends only when live), checked after
-    every step against a plain list of ``(kind, result)`` pairs."""
+    """append / feed / truncate / drop_prefix / load / begin_replay in any
+    order the engine could issue them (it appends only when live), checked
+    after every step against a plain list of ``(kind, result)`` pairs: a
+    receive reads back as the ``ReceivedMessage`` it was logged as, around
+    the same payload object, or as ``TIMED_OUT``."""
     rng = random.Random(seed)
-    log, model, base, cursor = EffectLog(), [], 0, 0
-    fed = fossil = 0
+    log, model, base, cursor, fed = EffectLog(), [], 0, 0, 0
     for step in range(400):
         end = base + len(model)
-        op = rng.choice(("work",) * 6 + ("truncate", "drop", "replay"))
+        op = rng.choice(("work",) * 6 + ("truncate", "drop", "replay", "load"))
         if op == "work" and cursor == end:
-            pair = (rng.choice(_KINDS), (step, rng.random()))
+            kind = rng.choice(_KINDS)
+            pair = (kind, _logged(kind, step, rng))
             log.append(*pair)
             model.append(pair)
             cursor += 1
         elif op == "work":
             kind, result = model[cursor - base]
-            assert log.feed(kind) is result
+            assert _same(log.feed(kind), result)
             cursor += 1
             fed += 1
         elif op == "truncate":
@@ -197,22 +220,22 @@ def test_random_op_sequences_keep_columns_and_cursor_in_step(seed):
             else:
                 assert log.drop_prefix(index) == index - base
                 del model[:index - base]
-                fossil += index - base
                 base = index
-        else:
-            replays = log.replay_count
-            log.begin_replay()
-            cursor = base
-            assert log.replay_count == replays + bool(model)
-        _assert_in_step(log, model, base, cursor)
+        elif op == "load":                      # a durable restore
+            base = rng.choice((0, base, base + 3))
+            log.load(base, list(model))
+            cursor = base + len(model)
+        else:                                   # from entry, or a commit point
+            cursor = rng.choice((base, rng.randint(base, end)))
+            log.begin_replay(cursor)
+        _assert_in_step(log, model, base, cursor, rng)
     while log.replaying:                        # ... and feed to exhaustion
         kind, result = model[cursor - base]
-        assert log.feed(kind) is result
+        assert _same(log.feed(kind), result)
         cursor += 1
         fed += 1
-    _assert_in_step(log, model, base, cursor)
+    _assert_in_step(log, model, base, cursor, rng)
     assert log.replayed_entries_total == fed > 0
-    assert log.fossil_dropped_total == fossil
 
 
 # ----------------------------------------------------------------------

@@ -8,17 +8,19 @@ what a log entry and a settled AID cost.  Pinned here, on a
 
 * the bytes a round leaves behind, as a budget (``tests/footprint.py``:
   ``BUDGETS["running round"]``);
-* no ``LogEntry`` object exists after a run (an entry is a slot in each
-  of two columns), and every handle in the log reads one of the two
+* no ``LogEntry`` or ``ReceivedMessage`` object exists after a run (an
+  entry is a code byte and a slot, a receive's slot its payload and its
+  envelope a row of two slots), and every handle in the log reads one of the two
   shared verdicts: a settled AID has retired from ``machine.aids`` and
   no ``AssumptionId`` outlives it, at N rounds or at 4N;
-* the columns replay: a deny at the very end restarts the guesser, which
+* the lists replay: a deny at the very end restarts the guesser, which
   re-feeds the whole log and commits what its uncollected twin commits.
 """
 
 import gc
 
 from repro.core.aid import SETTLED_DOM, VERDICTS, AidStatus
+from repro.runtime import ReceivedMessage
 from repro.runtime.replay import LogEntry
 
 from ..footprint import ROUNDS as _N
@@ -37,9 +39,11 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
     assert system.stats()["processes_retired"] == 0
     logs = [proc.log for proc in system.procs.values()]
     assert all(log.base == 0 and len(log.kinds) == len(log.results) for log in logs)
+    assert sum(len(log.envelopes) for log in logs) == 2 * (2 * 4 * _N + 1)    # a row a receive
     assert sum(log.retained for log in logs) == _PER_ROUND * 4 * _N + 4 + 3
-    # ... in no per-entry object,
-    assert not any(type(o) is LogEntry for o in gc.get_objects())
+    # ... in no per-entry object: a receive keeps its payload, not the
+    # envelope the body was handed,
+    assert not any(type(o) in (LogEntry, ReceivedMessage) for o in gc.get_objects())
     assert type(system.procs["ping"].log.entry_at(0)) is LogEntry
     # ... and no AID that outlives its settling: the pass that found an
     # AID resolved pointed the handle the log keeps at the shared verdict

@@ -102,10 +102,11 @@ def test_monitor_tracks_rollback_withdrawals():
 
 
 def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
-    """The log's two columns are appended inline in two engine sites, and
-    settled AIDs share one DOM object: the post-run check notices a column
-    that fell behind, a cursor that lost count, and an AID that shares the
-    settled DOM without being settled."""
+    """The log's lists are appended inline in two engine sites, and
+    settled AIDs share one DOM object: the post-run check notices a list
+    that fell behind, a cursor that lost count, a receive without its
+    envelope row, a replay reading the wrong row, and an AID that shares
+    the settled DOM without being settled."""
     system = HopeSystem(seed=7, latency=ConstantLatency(0.5), fossil_interval=2)
     guess_pipeline(system, 6, stay=True)
     # A settled AID retires under live handles; a tag pin (what a message
@@ -125,6 +126,22 @@ def test_check_quiescent_sees_a_sheared_log_and_an_unsettled_shared_dom():
     with pytest.raises(InvariantViolation, match="sheared.*pending 1"):
         check_quiescent(system)
     log.pending -= 1
+    log.kinds.append(KIND_CODE["recv"])             # a receive without its envelope row
+    log.results.append("late")
+    log.cursor += 1
+    with pytest.raises(InvariantViolation, match="sheared.*0 envelope slots for 1 receives"):
+        check_quiescent(system)
+    log.envelopes = ["judge", 99]
+    check_quiescent(system)
+    log.begin_replay()                              # a replay that lost its row
+    check_quiescent(system)
+    log.envelope_at += 2
+    with pytest.raises(InvariantViolation, match="sheared.*at envelope slot 2"):
+        check_quiescent(system)
+    log.truncate(len(log) - 1)                      # back to the run's log, live
+    log.cursor, log.pending = len(log), 0
+    assert log.envelopes == []
+    check_quiescent(system)
     settled[0].parked_denies = 1                    # about to change status
     with pytest.raises(InvariantViolation, match="shares SETTLED_DOM but is not settled"):
         check_quiescent(system)
