@@ -16,9 +16,11 @@ from repro.apps.call_streaming import (
     print_server,
     worrywart,
 )
-from repro.bench import emit, format_table, sweep
+from repro.bench import format_table, sweep
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, LinkLatency
+
+from . import check_table
 
 CONTROL_LATENCIES = [0.0, 0.5, 2.0, 5.0, 10.0]
 
@@ -122,10 +124,10 @@ def run_latency(control_latency: float) -> dict:
     }
 
 
-def test_aid_modes(benchmark):
+def test_aid_modes():
     result = sweep("ctl latency", CONTROL_LATENCIES, run_latency)
     metrics = ["mode", "makespan", "control_msgs", "wasted", "rollbacks"]
-    emit(
+    check_table(
         "aid_modes",
         format_table(
             "AIDMODE — registry vs distributed AID-task control plane "
@@ -140,4 +142,3 @@ def test_aid_modes(benchmark):
     # slower control plane ⇒ no faster recovery (weakly monotone makespan)
     spans = result.column("makespan")
     assert spans[1] <= spans[-1]
-    benchmark(lambda: _run(2.0))

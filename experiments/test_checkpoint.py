@@ -5,8 +5,8 @@ not particularly efficient."  Ours substitutes deterministic replay
 (DESIGN.md §2): restoring a checkpoint replays the effect log prefix.
 Two measurements:
 
-* replay cost vs pre-guess history length — wall-clock of a rollback
-  whose checkpoint sits behind N logged effects;
+* replay cost vs pre-guess history length — the effects a rollback
+  re-feeds when its checkpoint sits behind N logged effects;
 * the Time Warp twin: state-saving interval vs rollback cost (save every
   event = cheap rollback, sparse saves = coast-forward re-execution).
 
@@ -16,11 +16,11 @@ of replaying from process start.  ``p.commit_point`` under
 docs/PERFORMANCE.md §3.
 """
 
-import time
-
 from repro.baselines.timewarp import LogicalProcess, TWMessage
-from repro.bench import emit, format_table, sweep
+from repro.bench import format_table, sweep
 from repro.runtime import HopeSystem
+
+from . import check_table
 
 PREFIX_LENGTHS = [10, 50, 200, 800]
 SAVE_INTERVALS = [1, 2, 4, 8, 16]
@@ -44,14 +44,11 @@ def _rollback_run(prefix: int) -> dict:
 
     system.spawn("worker", worker)
     system.spawn("judge", judge)
-    start = time.perf_counter()
     system.run(max_events=5_000_000)
-    wall = time.perf_counter() - start
     stats = system.stats()
     assert stats["rollbacks"] == 1
     return {
         "replayed_effects": stats["replayed_effects"],
-        "wall_ms": 1000 * wall,
         "sim_events": stats["sim_events"],
     }
 
@@ -67,25 +64,22 @@ def _tw_save_interval_run(save_interval: int) -> dict:
     for i in range(200):
         lp.insert(TWMessage("env", "sink", 0.0, 10.0 + i, i))
         lp.process_next()
-    start = time.perf_counter()
     # straggler ~45 events from the end, deliberately misaligned with the
     # save grid: sparse saves must coast-forward further back than dense
     lp.insert(TWMessage("env", "sink", 0.0, 10.0 + 154.3, -1))
     while lp.has_work:
         lp.process_next()
-    wall = time.perf_counter() - start
     return {
         "events_redone": lp.events_rolled_back,
         "saves_retained": len(lp.saves),
-        "wall_ms": 1000 * wall,
         "memory_proxy": lp.memory_footprint(),
     }
 
 
-def test_replay_checkpoint_cost(benchmark):
+def test_replay_checkpoint_cost():
     result = sweep("log prefix", PREFIX_LENGTHS, _rollback_run)
-    metrics = ["replayed_effects", "wall_ms", "sim_events"]
-    emit(
+    metrics = ["replayed_effects", "sim_events"]
+    check_table(
         "checkpoint_replay",
         format_table(
             "CKPT — replay-based checkpoint restore vs history length",
@@ -97,13 +91,12 @@ def test_replay_checkpoint_cost(benchmark):
     # replay work is exactly the pre-guess prefix (+aid_init/send/guess)
     assert all(r >= n for r, n in zip(replayed, PREFIX_LENGTHS))
     assert replayed == sorted(replayed)
-    benchmark(lambda: _rollback_run(200))
 
 
-def test_timewarp_save_interval_ablation(benchmark):
+def test_timewarp_save_interval_ablation():
     result = sweep("save interval", SAVE_INTERVALS, _tw_save_interval_run)
-    metrics = ["events_redone", "saves_retained", "wall_ms", "memory_proxy"]
-    emit(
+    metrics = ["events_redone", "saves_retained", "memory_proxy"]
+    check_table(
         "checkpoint_tw_ablation",
         format_table(
             "CKPT — Time Warp state-saving interval ablation (200 events)",
@@ -117,4 +110,3 @@ def test_timewarp_save_interval_ablation(benchmark):
     redone = result.column("events_redone")
     assert redone == sorted(redone)
     assert redone[-1] > redone[0]
-    benchmark(lambda: _tw_save_interval_run(4))

@@ -9,7 +9,9 @@ reports the best observed gain.
 """
 
 from repro.apps.call_streaming import run_optimistic, run_pessimistic
-from repro.bench import emit, format_table, speedup, streaming_config, sweep
+from repro.bench import format_table, speedup, streaming_config, sweep
+
+from . import check_table
 
 RATIOS = [1.0, 2.0, 5.0, 10.0, 25.0, 50.0]       # latency / local compute
 
@@ -49,12 +51,10 @@ def build_table():
     )
 
 
-def test_claim_80pct(benchmark):
+def test_claim_80pct():
     result, table = build_table()
-    emit("claim_80pct", table)
+    check_table("claim_80pct", table)
     gains = result.column("gain_pct")
     # monotone in the latency ratio, and "up to 80%" is actually reached
     assert gains == sorted(gains)
     assert max(gains) >= 80.0
-    config = streaming_config(n_reports=20, latency=50.0)
-    benchmark(lambda: run_optimistic(config))

@@ -14,7 +14,6 @@ rollback-cascade-depth histogram, and the wasted-work ratio.
 
 from repro.apps.call_streaming import expected_output, run_optimistic, run_pessimistic
 from repro.bench import (
-    emit,
     format_table,
     probabilistic_config,
     speedup,
@@ -24,6 +23,8 @@ from repro.bench import (
 from repro.obs import Histogram, MetricsRegistry
 from repro.obs.metrics import CASCADE_DEPTH_BUCKETS, COMMIT_LATENCY_BUCKETS
 from repro.sim import Tracer
+
+from . import check_table
 
 LATENCIES = [1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
 
@@ -151,17 +152,14 @@ def metrics_section() -> str:
 
 
 def test_fig12_metrics_match_trace():
-    emit("fig12_metrics", metrics_section())
+    check_table("fig12_metrics", metrics_section())
 
 
-def test_fig12_call_streaming(benchmark):
+def test_fig12_call_streaming():
     result, table = build_table()
-    emit("fig12_call_streaming", table)
+    check_table("fig12_call_streaming", table)
     # shape assertions: optimism wins at every latency, and the win grows
     gains = result.column("speedup_pct")
     assert all(g > 0 for g in gains)
     assert gains[-1] > gains[0]
     assert gains[-1] > 50.0
-    # wall-clock of one representative optimistic run
-    config = streaming_config(n_reports=10, latency=25.0)
-    benchmark(lambda: run_optimistic(config))

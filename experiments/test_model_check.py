@@ -1,15 +1,16 @@
 """Experiment THM: the paper's theorems, checked over randomized runs.
 
 The §5–6 proofs are verified three ways in this repo: unit tests on the
-abstract machine, hypothesis property tests, and this bench — a
+abstract machine, hypothesis property tests, and this experiment — a
 model-checking campaign over randomized schedules that must find zero
-violations while exercising a healthy number of rollbacks.  The bench
-keeps the campaign honest (it reports how much behaviour was covered)
-and tracks the harness's own throughput.
+violations while exercising a healthy number of rollbacks.  The table
+keeps the campaign honest: it reports how much behaviour was covered.
 """
 
-from repro.bench import emit, format_table
+from repro.bench import format_table
 from repro.verify import explore
+
+from . import check_table
 
 
 def run_campaign(n_runs: int, root_seed: int, shuffle: bool = False):
@@ -18,7 +19,7 @@ def run_campaign(n_runs: int, root_seed: int, shuffle: bool = False):
     return report, rollbacks
 
 
-def test_model_check_campaign(benchmark):
+def test_model_check_campaign():
     rows = []
     for label, shuffle in (("registry", False), ("registry+shuffle", True)):
         report, rollbacks = run_campaign(80, 23, shuffle)
@@ -26,7 +27,7 @@ def test_model_check_campaign(benchmark):
         rows.append(
             [label, len(report.runs), len(report.failures), rollbacks]
         )
-    emit(
+    check_table(
         "model_check",
         format_table(
             "THM — randomized model-checking campaign (80 runs per mode)",
@@ -34,4 +35,3 @@ def test_model_check_campaign(benchmark):
             rows,
         ),
     )
-    benchmark(lambda: explore(n_runs=10, root_seed=99))

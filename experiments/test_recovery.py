@@ -20,9 +20,11 @@ from repro.apps.recovery import (
     run_recovery,
     sender,
 )
-from repro.bench import emit, format_table, sweep
+from repro.bench import format_table, sweep
 from repro.runtime import HopeSystem, call
 from repro.sim import ConstantLatency
+
+from . import check_table
 
 WRITE_LATENCIES = [1.0, 4.0, 8.0, 16.0]
 FLUSH_SIZES = [1, 2, 4, 8]
@@ -83,10 +85,10 @@ def run_flush_size(flush_every: int) -> dict:
     }
 
 
-def test_recovery_logging_overhead(benchmark):
+def test_recovery_logging_overhead():
     result = sweep("write latency", WRITE_LATENCIES, run_write_latency)
     metrics = ["optimistic", "synchronous", "gain_pct"]
-    emit(
+    check_table(
         "recovery_overhead",
         format_table(
             "RECOVERY — optimistic vs synchronous logging (10 items, no crash)",
@@ -100,14 +102,12 @@ def test_recovery_logging_overhead(benchmark):
     assert sync[-1] > sync[0] * 1.5
     assert opt[-1] < sync[-1]
     assert max(opt) - min(opt) < max(sync) - min(sync)
-    config = RecoveryConfig(items=tuple(range(10)), log_write_latency=8.0)
-    benchmark(lambda: run_recovery(config))
 
 
-def test_recovery_flush_window(benchmark):
+def test_recovery_flush_window():
     result = sweep("flush_every", FLUSH_SIZES, run_flush_size)
     metrics = ["clean_makespan", "crash_makespan", "crash_penalty", "rollbacks"]
-    emit(
+    check_table(
         "recovery_flush_window",
         format_table(
             "RECOVERY — volatile buffer size vs crash penalty "
@@ -118,5 +118,3 @@ def test_recovery_flush_window(benchmark):
     )
     # exactly-once held everywhere (asserted inside run_flush_size)
     assert all(r >= 0 for r in result.column("rollbacks"))
-    config = RecoveryConfig(items=tuple(range(12)), log_write_latency=6.0)
-    benchmark(lambda: run_recovery(config, crash_sender_at=[11.0], restart_after=2.0))

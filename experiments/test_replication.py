@@ -12,8 +12,10 @@ from repro.apps.replication import (
     run_optimistic_replication,
     run_pessimistic_replication,
 )
-from repro.bench import emit, format_table, sweep
+from repro.bench import format_table, sweep
 from repro.sim import ConstantLatency
+
+from . import check_table
 
 #: label -> (n_clients, keys, assignment)
 CONTENTION_LEVELS = {
@@ -48,10 +50,10 @@ def run_level(label: str) -> dict:
     }
 
 
-def test_replication_contention(benchmark):
+def test_replication_contention():
     result = sweep("contention", list(CONTENTION_LEVELS), run_level)
     metrics = ["optimistic", "pessimistic", "denials", "rollbacks", "speedup_pct"]
-    emit(
+    check_table(
         "replication",
         format_table(
             f"REPLICATION — OCC vs read-before-write "
@@ -66,7 +68,3 @@ def test_replication_contention(benchmark):
     assert any(d > 0 for d in denials[1:])  # sharing creates real contention
     assert speedups[0] > 40.0               # uncontended OCC wins big
     assert all(s > 0 for s in speedups)     # OCC never loses outright here
-    workload = ReplicationWorkload(n_clients=4, ops_per_client=5, keys=("hot",))
-    benchmark(
-        lambda: run_optimistic_replication(workload, latency=ConstantLatency(LATENCY))
-    )

@@ -7,8 +7,10 @@ cost against the depth of a speculative relay chain and against the
 fan-out of a speculative broadcast.
 """
 
+from repro.bench import format_table, sweep
 from repro.runtime import HopeSystem
-from repro.bench import emit, emit_json, format_table, sweep
+
+from . import check_table
 
 DEPTHS = [1, 2, 4, 8, 16, 32]
 FANOUTS = [1, 2, 4, 8, 16, 32]
@@ -102,26 +104,16 @@ def fanout_metrics(fanout: int) -> dict:
     }
 
 
-def test_rollback_cascade_depth(benchmark):
+def test_rollback_cascade_depth():
     result = sweep("chain depth", DEPTHS, chain_metrics)
     metrics = ["rollbacks", "replayed_effects", "wasted_time", "sim_events"]
-    emit(
+    check_table(
         "rollback_cascade_depth",
         format_table(
             "CASCADE — transitive rollback vs speculation chain depth",
             result.headers(metrics),
             result.rows(metrics),
         ),
-    )
-    emit_json(
-        "BENCH_1",
-        "rollback_cascade",
-        {
-            "prefix_effects_per_process": PREFIX,
-            "points": [
-                dict(zip(["depth"] + metrics, row)) for row in result.rows(metrics)
-            ],
-        },
     )
     rollbacks = result.column("rollbacks")
     # every relay that received the speculative message must roll back
@@ -132,13 +124,12 @@ def test_rollback_cascade_depth(benchmark):
     # every cascade member re-feeds its own pre-speculation prefix once
     replayed = result.column("replayed_effects")
     assert all(r >= PREFIX * (d + 1) for r, d in zip(replayed, DEPTHS))
-    benchmark(lambda: _run_chain(16))
 
 
-def test_rollback_cascade_fanout(benchmark):
+def test_rollback_cascade_fanout():
     result = sweep("fan-out", FANOUTS, fanout_metrics)
     metrics = ["rollbacks", "replayed_effects", "wasted_time", "sim_events"]
-    emit(
+    check_table(
         "rollback_cascade_fanout",
         format_table(
             "CASCADE — transitive rollback vs speculative fan-out",
@@ -150,4 +141,3 @@ def test_rollback_cascade_fanout(benchmark):
     assert rollbacks == [f + 1 for f in FANOUTS]
     wasted = result.column("wasted_time")
     assert wasted == sorted(wasted)
-    benchmark(lambda: _run_fanout(16))

@@ -22,9 +22,11 @@ from repro.apps.call_streaming import (
     run_pessimistic,
     worrywart,
 )
-from repro.bench import emit, format_table, streaming_config, sweep
+from repro.bench import format_table, streaming_config, sweep
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, LinkLatency
+
+from . import check_table
 
 LATENCIES = [2.0, 10.0, 25.0, 50.0]
 
@@ -66,7 +68,7 @@ def run_latency(latency: float) -> dict:
     }
 
 
-def test_speculation_toggle(benchmark):
+def test_speculation_toggle():
     result = sweep("latency", LATENCIES, run_latency)
     metrics = [
         "figure1",
@@ -75,7 +77,7 @@ def test_speculation_toggle(benchmark):
         "restructure_gain_pct",
         "optimism_gain_pct",
     ]
-    emit(
+    check_table(
         "speculation_toggle",
         format_table(
             "ABLATION — restructuring vs optimism (10 reports, identical ledger)",
@@ -89,5 +91,3 @@ def test_speculation_toggle(benchmark):
         assert hope < blocking <= figure1 * 1.01
     # optimism itself contributes substantially, beyond restructuring
     assert min(result.column("optimism_gain_pct")) > 20.0
-    config = streaming_config(n_reports=10, latency=25.0)
-    benchmark(lambda: _figure2_system(config, True).run(max_events=2_000_000))

@@ -10,7 +10,9 @@ hide — and shows HOPE's additional win is the *remote* latency.
 
 from repro.apps.call_streaming import run_optimistic, run_pessimistic
 from repro.baselines.static_scope import run_static_scope
-from repro.bench import emit, format_table, streaming_config, sweep
+from repro.bench import format_table, streaming_config, sweep
+
+from . import check_table
 
 PREPS = [1.0, 5.0, 15.0, 30.0, 60.0]
 LATENCY = 30.0
@@ -33,7 +35,7 @@ def run_prep(prep: float) -> dict:
     }
 
 
-def test_static_scope(benchmark):
+def test_static_scope():
     result = sweep("summary_prep", PREPS, run_prep)
     metrics = [
         "pessimistic",
@@ -42,7 +44,7 @@ def test_static_scope(benchmark):
         "static_gain_pct",
         "hope_gain_pct",
     ]
-    emit(
+    check_table(
         "static_scope",
         format_table(
             f"STATIC — statically-scoped vs HOPE optimism (latency {LATENCY})",
@@ -56,5 +58,3 @@ def test_static_scope(benchmark):
     assert all(h > s for h, s in zip(hope_gain, static_gain))
     # static scoping's gain grows with local prep (the only thing it hides)
     assert static_gain[-1] > static_gain[0]
-    config = streaming_config(n_reports=8, latency=LATENCY, summary_prep=15.0)
-    benchmark(lambda: run_static_scope(config))

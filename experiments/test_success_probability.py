@@ -9,12 +9,13 @@ the curves cross — the crossover probability is the actionable number.
 
 from repro.apps.call_streaming import run_optimistic, run_pessimistic
 from repro.bench import (
-    emit,
     find_crossover,
     format_table,
     probabilistic_config,
     sweep,
 )
+
+from . import check_table
 
 PROBS = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0]
 ROLLBACK_OVERHEAD = 30.0          # makes failed speculation genuinely costly
@@ -51,12 +52,12 @@ def build_table():
     return result, table
 
 
-def test_success_probability_sweep(benchmark):
+def test_success_probability_sweep():
     result, table = build_table()
     cross = find_crossover(
         result.values, result.column("optimistic"), result.column("pessimistic")
     )
-    emit(
+    check_table(
         "success_probability",
         table + f"\n\ncrossover at P(success) ≈ {cross:.2f}"
         if cross is not None
@@ -73,5 +74,3 @@ def test_success_probability_sweep(benchmark):
     assert opt[0] > pess[0]
     # more successes ⇒ fewer rollbacks (weakly monotone)
     assert all(a >= b for a, b in zip(rolls, rolls[1:]))
-    config = probabilistic_config(12, 0.5, seed=7, latency=10.0)
-    benchmark(lambda: run_optimistic(config))

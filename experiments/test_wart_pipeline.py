@@ -9,7 +9,9 @@ correctness holds in all of them.
 """
 
 from repro.apps.call_streaming import run_optimistic, run_pessimistic
-from repro.bench import emit, format_table, streaming_config, sweep
+from repro.bench import format_table, streaming_config, sweep
+
+from . import check_table
 
 WARTS = [1, 2, 4, 8, 16, 20]
 N_REPORTS = 20
@@ -31,10 +33,10 @@ def run_warts(n_warts: int) -> dict:
     }
 
 
-def test_wart_pipeline_ablation(benchmark):
+def test_wart_pipeline_ablation():
     result = sweep("warts", WARTS, run_warts)
     metrics = ["makespan", "rollbacks", "wasted", "gain_pct"]
-    emit(
+    check_table(
         "wart_pipeline",
         format_table(
             f"ABLATION — WorryWart pool size ({N_REPORTS} reports, latency {LATENCY})",
@@ -50,4 +52,3 @@ def test_wart_pipeline_ablation(benchmark):
     # more verification parallelism never hurts
     assert result.column("makespan")[-1] <= result.column("makespan")[0]
     assert gains[-1] > gains[0]
-    benchmark(lambda: run_warts(4))

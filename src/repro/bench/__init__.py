@@ -1,13 +1,6 @@
 """Benchmark support: workload generators, sweeps, tables, statistics."""
 
-from .reporting import (
-    emit,
-    emit_json,
-    format_table,
-    machine_context,
-    repo_root,
-    results_dir,
-)
+from .reporting import format_table
 from .stats import find_crossover, mean, percentile, speedup
 from .sweeps import SweepResult, sweep
 from .workloads import (
@@ -22,11 +15,6 @@ __all__ = [
     "sweep",
     "SweepResult",
     "format_table",
-    "emit",
-    "emit_json",
-    "repo_root",
-    "results_dir",
-    "machine_context",
     "mean",
     "speedup",
     "percentile",

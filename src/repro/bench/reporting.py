@@ -1,34 +1,13 @@
-"""Plain-text tables and series for benchmark output.
+"""Plain-text tables for the experiments.
 
-Every experiment prints the rows it regenerates (the analogue of the
-paper's figures) and can persist them under ``benchmarks/results/`` so
-EXPERIMENTS.md can quote exact numbers.
+Every experiment renders the rows it regenerates (the analogue of the
+paper's figures) with :func:`format_table`; ``experiments/`` compares
+them with the committed tables EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-from typing import Any, Sequence
-
-
-def machine_context() -> dict:
-    """The machine a benchmark ran on, for the BENCH_*.json documents.
-
-    Wall-clock numbers are meaningless without the box they came from:
-    the committed JSON files quote milliseconds measured on *some*
-    machine, and a reader comparing against their own run needs to know
-    whether the gap is a regression or a different CPU.
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-    }
+from typing import Sequence
 
 
 def format_value(value) -> str:
@@ -57,55 +36,3 @@ def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) -
     for row in rendered:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def results_dir() -> str:
-    """The directory benchmark tables are persisted into."""
-    here = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__))))
-    path = os.path.join(here, "benchmarks", "results")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def emit(name: str, text: str, echo: bool = True) -> str:
-    """Print a table and persist it to ``benchmarks/results/<name>.txt``."""
-    if echo:
-        print()
-        print(text)
-    path = os.path.join(results_dir(), f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    return path
-
-
-def repo_root() -> str:
-    """The repository root (parent of ``benchmarks/``)."""
-    return os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__))))
-
-
-def emit_json(name: str, section: str, payload: Any) -> str:
-    """Merge ``payload`` under key ``section`` into ``<repo_root>/<name>.json``.
-
-    Machine-readable companion to :func:`emit`: several experiments can
-    contribute sections to one document (e.g. ``BENCH_1.json`` collects
-    the tracking-overhead and rollback-cascade sweeps) without clobbering
-    each other.  The file is rewritten atomically-enough for a bench run
-    (read-modify-write; a corrupt or missing file starts fresh).  Every
-    write refreshes the document's ``machine`` section with
-    :func:`machine_context`, so each BENCH_*.json records the box its
-    newest numbers were measured on.
-    """
-    path = os.path.join(repo_root(), f"{name}.json")
-    document: dict[str, Any] = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                document = json.load(fh)
-        except (OSError, ValueError):
-            document = {}
-    document[section] = payload
-    document["machine"] = machine_context()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -20,8 +20,8 @@ zeroing and halving fault probabilities — to a minimal still-failing
 reproducer and writes it to disk as JSON, runnable via
 ``python -m repro.cli chaos --repro <file>``.
 
-Used by ``repro.cli chaos``, ``benchmarks/smoke_chaos.py`` (the CI
-budget), and ``benchmarks/bench_chaos_resilience.py``.
+Used by ``repro.cli chaos`` and ``benchmarks/smoke_chaos.py`` (the CI
+budget).
 """
 
 from __future__ import annotations

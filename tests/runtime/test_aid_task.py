@@ -1,34 +1,45 @@
 """The AIDMODE experiment's AID-task timing model (§7).
 
 The runtime applies every primitive at once.  §7's prototype ran AIDs as
-PVM tasks instead; ``benchmarks/bench_aid_modes.py`` models that by
-wrapping one system's machine (:class:`AidTaskTiming`).  These tests pin
-the experiment's table cell by cell and the model's behaviour on small
-programs: a resolution lands one control hop after it is issued, the
-caller never blocks, and a victim keeps computing until the NOTIFY.
+PVM tasks instead; ``experiments/test_aid_modes.py`` models that by
+wrapping one system's machine (:class:`AidTaskTiming`), and compares its
+rendered table with ``experiments/results/aid_modes.txt``.  These tests
+check each row of that committed table against an unrounded run, and
+the model's behaviour on small programs: a resolution lands one control
+hop after it is issued, the caller never blocks, and a victim keeps
+computing until the NOTIFY.
 """
 
 import pytest
 
-from benchmarks.bench_aid_modes import CONTROL_LATENCIES, AidTaskTiming, run_latency
+from experiments import RESULTS
+from experiments.test_aid_modes import CONTROL_LATENCIES, AidTaskTiming, run_latency
 from repro.core import RollbackEvent
 from repro.runtime import HopeSystem
 
-#: benchmarks/results/aid_modes.txt:
-#: (ctl latency, mode, makespan, control_msgs, wasted, rollbacks)
-AIDMODE_ROWS = [
-    (0.0, "registry", 174.5, 0, 207.0, 10),
-    (0.5, "aid_task", 166.0, 186, 170.0, 18),
-    (2.0, "aid_task", 179.5, 186, 194.0, 18),
-    (5.0, "aid_task", 206.5, 206, 242.0, 18),
-    (10.0, "aid_task", 251.5, 206, 322.0, 18),
-]
+
+def _aidmode_rows():
+    """The committed AIDMODE rows as
+    (ctl latency, mode, makespan, control_msgs, wasted, rollbacks)."""
+    lines = (RESULTS / "aid_modes.txt").read_text(encoding="utf-8").splitlines()
+    body = lines[lines.index(next(l for l in lines if l.startswith("---"))) + 1:]
+    rows = []
+    for line in body:
+        ctl, mode, makespan, msgs, wasted, rollbacks = (
+            cell.strip() for cell in line.split("|"))
+        rows.append((float(ctl), mode, float(makespan), int(msgs),
+                     float(wasted), int(rollbacks)))
+    return rows
+
+
+AIDMODE_ROWS = _aidmode_rows()
 
 
 @pytest.mark.parametrize("row", AIDMODE_ROWS, ids=lambda row: f"ctl={row[0]}")
 def test_aidmode_rows(row):
-    """Every cell of the table; ``run_latency`` asserts the committed
-    output equals the pipeline's closed form in every row."""
+    """Every cell of the committed table equals an unrounded run;
+    ``run_latency`` asserts the committed output equals the pipeline's
+    closed form in every row."""
     assert CONTROL_LATENCIES == [r[0] for r in AIDMODE_ROWS]
     latency, *expected = row
     got = run_latency(latency)

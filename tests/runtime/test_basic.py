@@ -194,3 +194,31 @@ def test_tracer_integration():
     system.run()
     categories = {r.category for r in tracer.records}
     assert {"spawn", "aid_init", "guess", "affirm", "exit"} <= categories
+
+
+def test_same_tick_sends_share_one_delivery_event():
+    """Same-tick coalescing: a hub's broadcast to 16 peers, all sent in
+    one tick, rides one delivery event, so the whole 20-round exchange
+    schedules at most half an event per message (one each without it)."""
+    system = HopeSystem(latency=ConstantLatency(1.0))
+    peers = [f"w{i}" for i in range(16)]
+
+    def hub(p):
+        for r in range(20):
+            for peer in peers:
+                yield p.send(peer, r)
+            for _ in peers:
+                yield p.recv()
+
+    def leaf(p):
+        for _ in range(20):
+            msg = yield p.recv()
+            yield p.send("hub", msg.payload)
+
+    system.spawn("hub", hub)
+    for name in peers:
+        system.spawn(name, leaf)
+    system.run()
+    stats = system.stats()
+    assert stats["messages_sent"] == 2 * 16 * 20
+    assert stats["sim_events"] <= 0.5 * stats["messages_sent"]

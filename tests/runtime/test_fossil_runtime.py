@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro.bench.workloads import build_chaos_mesh, build_chaos_ring
 from repro.obs import MetricsRegistry
 from repro.runtime import ReplayDivergenceError
 from repro.runtime.engine import HopeSystem
@@ -128,6 +129,22 @@ class TestCollectedEqualsUncollected:
             assert s_base[key] == s_coll[key], key
         assert s_base["aids_denied"] > 0       # the schedule really denied
         assert s_coll["fossil_collections"] >= 1
+
+    @pytest.mark.parametrize("build", [build_chaos_mesh, build_chaos_ring])
+    def test_identical_fingerprints_on_chaos_workloads(self, build):
+        """Cross-process denies and cascades, collected every 4 commit
+        points or never: one trace fingerprint."""
+        runs = []
+        for options in ({"fossil_collect": False}, {"fossil_interval": 4}):
+            tracer = Tracer()
+            system = HopeSystem(seed=3, latency=ConstantLatency(1.0),
+                                trace=tracer, **options)
+            build(system)
+            system.run(max_events=200_000)
+            runs.append((tracer.fingerprint(), system.stats()))
+        (plain, plain_stats), (coll, coll_stats) = runs
+        assert plain_stats["rollbacks"] > 0 and coll_stats["fossil_collections"] > 0
+        assert plain == coll
 
     def test_collected_run_actually_reclaims(self):
         base, _, _ = _run(seed=3, fossil=False, until=40.0)
