@@ -705,7 +705,7 @@ def cmd_verify(args, out) -> int:
             n_runs=args.runs,
             root_seed=args.seed,
             check_determinism=True,
-                shuffle_ties=True,
+            shuffle_ties=True,
         )
         print(report.summary(), file=out)
         return 0 if report.ok else 1

@@ -301,9 +301,9 @@ class HopeSystem:
         calls its own mechanism "not particularly efficient").
     trace:
         Optional :class:`Tracer`; pass ``Tracer()`` to record everything.
-        A run given an enabled tracer also keeps the machine's process
-        histories (``Machine(history=True)``); without one the machine
-        keeps only the index clock and ``ProcessRecord.history`` is empty.
+        The machine keeps only the index clock either way
+        (``Machine(history=False)``): ``ProcessRecord.history`` is empty,
+        and the trace is the run's record.
     strict_aids:
         Forward the machine's strict resolution-conflict mode.  The
         runtime default is lenient because rollback legitimately
@@ -348,8 +348,9 @@ class HopeSystem:
         is a :class:`repro.sim.FaultyNetwork` applying the plan (drop /
         duplicate / reorder / jitter / timed partitions), with every
         probabilistic fate drawn from the dedicated seeded stream
-        ``streams["faults"]`` — faulty runs replay from their seed, and
-        enabling faults perturbs no other stream.  ``None`` (default)
+        ``streams["faults"]`` (through ``controller`` when one is given)
+        — faulty runs replay from their seed, and enabling faults
+        perturbs no other stream.  ``None`` (default)
         constructs the plain reliable :class:`repro.sim.Network`: the
         exact pre-fault-layer code path, byte-identical traces.
     reliable:
@@ -366,20 +367,15 @@ class HopeSystem:
         falsely suspected process is unsuspected on its next heartbeat
         and its later ``affirm`` of a detector-denied AID is reconciled
         to a no-op.
-    transport:
-        Optional transport factory ``f(sim, latency_model, streams) ->
-        Network`` replacing the default :class:`~repro.sim.Network`.
-        Mutually exclusive with ``faults`` (which implies the
-        ``FaultyNetwork`` transport).  This is the seam the DPOR
-        explorer (:mod:`repro.verify.dpor`) plugs its recording network
-        into.
     controller:
-        Optional schedule controller: an object with
-        ``choose(time, events) -> int`` consulted at every simulator pop
-        with the batch of live same-time events — externally directed
-        interleaving choice (the DPOR explorer in :mod:`repro.verify`).
-        Mutually exclusive with ``shuffle_ties``; disables same-tick
-        delivery coalescing so each delivery owns a choice point.
+        Optional :class:`repro.verify.ScheduleController`, the one seam
+        for every nondeterminism the verifiers explore:
+        ``choose(time, events) -> int`` is consulted at every simulator
+        pop with the batch of live same-time events (seeded shuffling,
+        the DPOR explorer), and with ``faults`` it is the fault layer's
+        fate source (:class:`repro.sim.faults.FateSource`).  Disables
+        same-tick delivery coalescing so each delivery owns a choice
+        point.
     """
 
     def __init__(
@@ -390,54 +386,24 @@ class HopeSystem:
         trace: Optional[Tracer] = None,
         strict_aids: bool = False,
         speculation: bool = True,
-        shuffle_ties: bool = False,
         fossil_collect: bool = True,
         fossil_interval: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
         reliable: Any = False,
         failure_detector: Any = False,
-        transport: Optional[Callable[..., Network]] = None,
         controller: Optional[Any] = None,
         durable_dir: Optional[str] = None,
         durable_opts: Optional[dict] = None,
     ) -> None:
         self.streams = RandomStreams(seed)
-        if controller is not None:
-            if shuffle_ties:
-                raise HopeError(
-                    "shuffle_ties and controller are mutually exclusive — "
-                    "both decide same-time event order"
-                )
-            # Externally directed scheduling: at every pop the controller
-            # picks which same-time event fires (the DPOR explorer in
-            # repro.verify drives this seam; see ScheduleController).
-            self.sim = Simulator(controller=controller)
-        elif shuffle_ties:
-            # Permute the order of same-virtual-time events (seeded):
-            # genuinely concurrent events may fire in any order, and the
-            # model checker sweeps seeds to explore those interleavings.
-            tie_stream = self.streams["schedule-ties"]
-            self.sim = Simulator(
-                tie_breaker=lambda: tie_stream.randint(0, 1 << 30)
-            )
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator(controller=controller)
         latency_model = latency if latency is not None else ConstantLatency(0.0)
-        if transport is not None:
-            if faults is not None:
-                raise HopeError(
-                    "transport and faults are mutually exclusive — a fault "
-                    "plan implies the FaultyNetwork transport"
-                )
-            self.network: Network = transport(
-                self.sim, latency_model, self.streams
-            )
-        elif faults is not None:
+        if faults is not None:
             # The faulty network draws every probabilistic fate from its
             # own named stream, so turning faults on perturbs none of the
-            # other streams (latency, workload, ties, ...).
-            self.network = FaultyNetwork(
+            # other streams (latency, workload, ...).
+            self.network: Network = FaultyNetwork(
                 self.sim, latency_model, plan=faults,
                 stream=self.streams["faults"],
             )
@@ -447,10 +413,9 @@ class HopeSystem:
         #: Hot-path guard: with a disabled tracer every per-effect record
         #: call is pure overhead, so the handlers skip them wholesale.
         self._tracing = not getattr(self.tracer, "_disabled", False)
-        # A traced run is one somebody means to read, so it keeps the
-        # Definition 4.1 history too; any other run keeps the index clock
-        # only (nothing in the engine reads the entries back).
-        self.machine = Machine(strict=strict_aids, history=self._tracing)
+        # The index clock only: nothing in the engine reads a Definition
+        # 4.1 history entry back (a bare Machine() keeps them).
+        self.machine = Machine(strict=strict_aids, history=False)
         self.machine.subscribe(self._on_machine_event)
         self.machine.on_settle = _set_aid
         #: Pre-bound effect-dispatch lookup and interned-empty DepSet —
@@ -549,10 +514,9 @@ class HopeSystem:
                     "the failure detector yet (their transport state is not "
                     "persisted); see docs/DURABILITY.md"
                 )
-            if transport is not None or controller is not None:
+            if controller is not None:
                 raise HopeError(
-                    "durable runs do not compose with a custom transport or "
-                    "schedule controller"
+                    "durable runs do not compose with a schedule controller"
                 )
             if not fossil_collect:
                 raise HopeError(

@@ -371,8 +371,8 @@ class Network:
         #: delivery]``; ``entries`` is None until a second delivery is
         #: merged into the event.  Only the exactly-once base transport
         #: coalesces — a subclassed ``_schedule_delivery`` (fault
-        #: injection) or a priority tie-break stream disables it, since
-        #: both hang per-event behaviour on each delivery owning an event.
+        #: injection) or a schedule controller disables it, since both
+        #: hang per-event behaviour on each delivery owning an event.
         self._open_batch: Optional[list] = None
         #: The entries list of the sweep currently being delivered (None
         #: outside :meth:`_sweep_deliveries`) — appends are only legal

@@ -15,11 +15,13 @@ apply a per-link :class:`FaultPlan`:
 * **partition** — a timed two-sided cut: messages crossing it between
   ``start`` and ``heal_at`` are dropped deterministically.
 
-All probabilistic choices are drawn from one seeded
-:class:`~repro.sim.random.RandomStream` (conventionally
-``streams["faults"]``), in send order, so a faulty run replays
-byte-identically from its seed.  Draws are guarded by ``param > 0`` —
-an all-zero plan consumes no randomness and perturbs nothing.
+Every fate — message drop, duplicate, reorder and jitter, ack and
+heartbeat loss — is asked of one :class:`FateSource`: the simulator's
+schedule controller when it has one, else :data:`SAMPLED`, which draws
+from one seeded :class:`~repro.sim.random.RandomStream` (conventionally
+``streams["faults"]``) in send order, so a faulty run replays
+byte-identically from its seed.  Fates are asked only when ``param >
+0`` — an all-zero plan consumes no randomness and perturbs nothing.
 
 Control datagrams (the reliable layer's acks, the failure detector's
 heartbeats) do not travel as :class:`~repro.sim.channel.Message`
@@ -339,6 +341,34 @@ class FaultStats:
         return f"<FaultStats {fields}>"
 
 
+class FateSource:
+    """Where a :class:`FaultyNetwork`'s fates come from: this base samples
+    the network's seeded stream.
+
+    ``kind`` is ``"drop"``, ``"duplicate"``, ``"reorder"``, ``"ack"`` or
+    ``"heartbeat"`` for :meth:`fate`, and ``"reorder"`` or ``"jitter"``
+    for :meth:`lateness`; ``src``/``dst`` name the link.  A schedule
+    controller (:class:`repro.verify.schedule.ScheduleController`) is a
+    source, and an exploring one overrides both methods.
+    """
+
+    def fate(
+        self, stream: RandomStream, kind: str, src: str, dst: str, p: float
+    ) -> bool:
+        """Whether a fate of probability ``p`` befalls this traffic."""
+        return stream.bernoulli(p)
+
+    def lateness(
+        self, stream: RandomStream, kind: str, src: str, dst: str, window: float
+    ) -> float:
+        """Extra delay, within ``window``, for a late copy."""
+        return stream.uniform(0.0, window)
+
+
+#: The source of a network whose simulator has no controller.
+SAMPLED = FateSource()
+
+
 class FaultyNetwork(Network):
     """A :class:`Network` that misbehaves according to a :class:`FaultPlan`.
 
@@ -367,6 +397,8 @@ class FaultyNetwork(Network):
                 "RandomStream (pass streams['faults'])"
             )
         self.stream = stream
+        controller = sim._controller
+        self.fates: FateSource = controller if controller is not None else SAMPLED
         self.fault_stats = FaultStats()
 
     # ------------------------------------------------------------------
@@ -377,27 +409,34 @@ class FaultyNetwork(Network):
     ) -> Optional[ScheduledEvent]:
         plan = self.plan
         stats = self.fault_stats
-        if plan.partitioned(message.src, message.dst, self.sim.now):
+        src, dst = message.src, message.dst
+        if plan.partitioned(src, dst, self.sim.now):
             stats.partition_dropped += 1
             return None
-        faults = plan.for_link(message.src, message.dst)
+        faults = plan.for_link(src, dst)
         if faults.is_null:
             return super()._schedule_delivery(box, message, delay)
-        stream = self.stream
-        if faults.drop > 0.0 and stream.bernoulli(faults.drop):
+        stream, fates = self.stream, self.fates
+        if faults.drop > 0.0 and fates.fate(stream, "drop", src, dst, faults.drop):
             stats.dropped += 1
             return None
         copies = 1
-        if faults.duplicate > 0.0 and stream.bernoulli(faults.duplicate):
+        if faults.duplicate > 0.0 and fates.fate(
+            stream, "duplicate", src, dst, faults.duplicate
+        ):
             copies = 2
             stats.duplicated += 1
         primary: Optional[ScheduledEvent] = None
         for index in range(copies):
             copy_delay = delay
             if faults.jitter > 0.0:
-                copy_delay += stream.uniform(0.0, faults.jitter)
-            if faults.reorder > 0.0 and stream.bernoulli(faults.reorder):
-                copy_delay += stream.uniform(0.0, faults.reorder_window)
+                copy_delay += fates.lateness(stream, "jitter", src, dst, faults.jitter)
+            if faults.reorder > 0.0 and fates.fate(
+                stream, "reorder", src, dst, faults.reorder
+            ):
+                copy_delay += fates.lateness(
+                    stream, "reorder", src, dst, faults.reorder_window
+                )
                 stats.reordered += 1
             event = super()._schedule_delivery(box, message, copy_delay)
             if index == 0:
@@ -427,16 +466,13 @@ class FaultyNetwork(Network):
             self.fault_stats.acks_dropped += 1
             return (True, 0.0)
         faults = self.plan.for_link(src, dst)
-        if (
-            faults.drop > 0.0
-            and self.stream is not None
-            and self.stream.bernoulli(faults.drop)
-        ):
+        fates = self.fates
+        if faults.drop > 0.0 and fates.fate(self.stream, "ack", src, dst, faults.drop):
             self.fault_stats.acks_dropped += 1
             return (True, 0.0)
         delay = self.latency.sample(src, dst)
-        if faults.jitter > 0.0 and self.stream is not None:
-            delay += self.stream.uniform(0.0, faults.jitter)
+        if faults.jitter > 0.0:
+            delay += fates.lateness(self.stream, "jitter", src, dst, faults.jitter)
         return (False, delay)
 
     def heartbeat_lost(self, src: str) -> bool:
@@ -450,10 +486,8 @@ class FaultyNetwork(Network):
             self.fault_stats.heartbeats_dropped += 1
             return True
         faults = self.plan.for_link(src, DETECTOR_ENDPOINT)
-        if (
-            faults.drop > 0.0
-            and self.stream is not None
-            and self.stream.bernoulli(faults.drop)
+        if faults.drop > 0.0 and self.fates.fate(
+            self.stream, "heartbeat", src, DETECTOR_ENDPOINT, faults.drop
         ):
             self.fault_stats.heartbeats_dropped += 1
             return True

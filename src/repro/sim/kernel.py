@@ -18,11 +18,11 @@ reaches the head, and the heap is rebuilt once dead entries outnumber
 live ones, so a cancel-heavy speculative workload (rollback retracting
 in-flight sends and timeouts) keeps push/pop at O(log live).
 
-Determinism: events fire in ``(time, priority, seq)`` order — a
-monotonically increasing sequence number breaks ties at the same
-timestamp, so a simulation with a fixed RNG seed is fully reproducible,
-and the virtual clock never moves backwards.  This is what makes the HOPE
-verification harness (``repro.verify``) able to replay schedules exactly.
+Determinism: events fire in ``(time, seq)`` order — a monotonically
+increasing sequence number breaks ties at the same timestamp, so a
+simulation with a fixed RNG seed is fully reproducible, and the virtual
+clock never moves backwards.  This is what makes the HOPE verification
+harness (``repro.verify``) able to replay schedules exactly.
 """
 
 from __future__ import annotations
@@ -64,14 +64,12 @@ class ScheduledEvent:
     work at once — ``fn`` and ``args`` become None and ``label`` empty —
     so the dead entry costs only its key until it leaves the heap.
 
-    ``priority`` breaks ties between events at the same virtual time:
-    0 by default (scheduling order — FIFO), or a seeded random draw when
-    the simulator was built with a tie-break stream, which is how the
-    model checker explores alternative interleavings of genuinely
-    concurrent events.
+    Events at the same virtual time fire in scheduling order (``seq``);
+    a schedule controller (see :class:`Simulator`) is the only way to
+    pick another order.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "label", "priority", "sim", "key")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "label", "sim", "key")
 
     def __init__(
         self,
@@ -80,7 +78,6 @@ class ScheduledEvent:
         fn: Callable[..., None],
         args: tuple,
         label: str = "",
-        priority: int = 0,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
@@ -89,15 +86,14 @@ class ScheduledEvent:
         self.args = args
         self.cancelled = False
         self.label = label
-        self.priority = priority
         #: Owning simulator, so cancellation can keep its live-event count
         #: exact without a queue scan (None for standalone events).
         self.sim = sim
-        #: Precomputed sort key.  time/priority/seq never change after
-        #: construction, and heap sift chains compare the same event many
-        #: times — building the two tuples inside ``__lt__`` per comparison
-        #: was measurable.
-        self.key = (time, priority, seq)
+        #: Precomputed sort key.  time/seq never change after construction,
+        #: and heap sift chains compare the same event many times —
+        #: building the two tuples inside ``__lt__`` per comparison was
+        #: measurable.
+        self.key = (time, seq)
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -133,11 +129,7 @@ class Simulator:
     :class:`repro.sim.channel.Network` messaging, which are built on it.
     """
 
-    def __init__(
-        self,
-        tie_breaker: Optional[Callable[[], int]] = None,
-        controller: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, controller: Optional[Any] = None) -> None:
         self._now: float = 0.0
         #: The event queue: a ``heapq`` heap of :class:`ScheduledEvent`,
         #: cancelled entries included until they reach the head or a
@@ -157,22 +149,16 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._stopped = False
-        #: optional per-event priority source; permutes same-time orderings
-        #: (used by the schedule-exploring model checker)
-        self._tie_breaker = tie_breaker
-        #: optional :class:`ScheduleController`: at every pop the batch of
-        #: live events sharing the earliest time is handed to
-        #: ``controller.choose(time, events)``, which returns the index of
-        #: the event to fire — the tie_breaker generalized from "seeded
-        #: permutation" to externally directed choice (DPOR exploration).
-        if controller is not None and tie_breaker is not None:
-            raise SimulationError(
-                "tie_breaker and controller are mutually exclusive — both "
-                "decide same-time event order"
-            )
+        #: optional :class:`~repro.verify.schedule.ScheduleController`: at
+        #: every pop the batch of live events sharing the earliest time is
+        #: handed to ``controller.choose(time, events)``, which returns the
+        #: index of the event to fire (seeded shuffling, DPOR exploration).
+        #: A :class:`~repro.sim.faults.FaultyNetwork` on this simulator
+        #: draws its fault fates through the same object.
         self._controller = controller
-        #: Batching (:meth:`joins`) is off when either orders same-time work.
-        self._batching = tie_breaker is None and controller is None
+        #: Batching (:meth:`joins`) is off when a controller orders
+        #: same-time work.
+        self._batching = controller is None
         #: The newest start batch (:meth:`repro.sim.process.Task.start`).
         self.start_batch: Optional[ScheduledEvent] = None
 
@@ -186,7 +172,7 @@ class Simulator:
         the end of every :meth:`run` / :meth:`step` (firing live events
         while dead ones stay buried tips the balance too), so between
         calls the heap holds at most ``2 * pending_events + COMPACT_MIN``
-        entries.  Rebuilding keeps (time, priority, seq) ordering intact,
+        entries.  Rebuilding keeps (time, seq) ordering intact,
         so determinism is unaffected.
         """
         heap = self._heap
@@ -240,12 +226,9 @@ class Simulator:
             raise ScheduleInPastError(
                 f"cannot schedule at a negative or NaN delay ({delay})"
             )
-        priority = self._tie_breaker() if self._tie_breaker is not None else 0
         seq = self._seq_next
         self._seq_next = seq + 1
-        event = ScheduledEvent(
-            self._now + delay, seq, fn, args, label, priority, sim=self
-        )
+        event = ScheduledEvent(self._now + delay, seq, fn, args, label, sim=self)
         heappush(self._heap, event)
         self._live += 1
         return event
@@ -258,10 +241,10 @@ class Simulator:
                 and event.time == self._now + delay and not event.cancelled)
 
     def requeue(self, key: tuple, fn: Callable[..., None], *args: Any) -> None:
-        """Queue ``fn(*args)`` at ``key``, the ``(time, priority, seq)`` of a
-        batch raising mid-way: its rest fires where its own events would."""
-        time, priority, seq = key
-        heappush(self._heap, ScheduledEvent(time, seq, fn, args, "", priority, sim=self))
+        """Queue ``fn(*args)`` at ``key``, the ``(time, seq)`` of a batch
+        raising mid-way: its rest fires where its own events would."""
+        time, seq = key
+        heappush(self._heap, ScheduledEvent(time, seq, fn, args, "", sim=self))
         self._live += 1
 
     def schedule_at(
@@ -352,7 +335,7 @@ class Simulator:
         """Pop the next event under the schedule controller.
 
         Collects every live event sharing the earliest virtual time (in
-        canonical ``(time, priority, seq)`` order), asks the controller
+        canonical ``(time, seq)`` order), asks the controller
         which one fires, and re-queues the rest.  The unchosen events go
         back *before* the chosen one executes, so a callback that cancels
         one of them finds it in the queue as usual.  The caller must have

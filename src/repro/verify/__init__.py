@@ -7,7 +7,8 @@ states: what an optimistic program commits equals what its pessimistic
 counterpart would print.  Two drivers share the scenario/oracle stack:
 
 * :mod:`repro.verify.explorer` — randomized schedule sampling (latency
-  draws plus seeded tie shuffles);
+  draws plus seeded tie shuffles through a
+  :class:`~repro.verify.schedule.RandomTies` controller);
 * :mod:`repro.verify.dpor` — exhaustive enumeration of inequivalent
   interleavings via dynamic partial-order reduction with sleep sets,
   driven through the simulator's controller seam
@@ -41,7 +42,7 @@ from .programs import (
     two_aid_scenario,
 )
 from .schedule import (
-    DirectedFaultyNetwork,
+    RandomTies,
     RecordingController,
     ReplayDivergence,
     ScheduleController,
@@ -73,8 +74,8 @@ __all__ = [
     "attach_monitors",
     "check_quiescent",
     "ScheduleController",
+    "RandomTies",
     "RecordingController",
     "StepRecord",
     "ReplayDivergence",
-    "DirectedFaultyNetwork",
 ]

@@ -4,8 +4,8 @@ The randomized explorer (:mod:`repro.verify.explorer`) samples schedules;
 this module *enumerates* them.  A DFS driver replays choice prefixes
 through fresh :class:`~repro.runtime.HopeSystem` instances (stateless
 model checking — no state snapshots, only re-execution), directing every
-same-virtual-time tie through the simulator's controller seam and every
-fault fate through :class:`~repro.verify.schedule.DirectedFaultyNetwork`.
+same-virtual-time tie and every fault fate through the simulator's
+controller seam (:class:`~repro.verify.schedule.RecordingController`).
 
 Reduction is the classic DPOR recipe (Flanagan & Godefroid) adapted to a
 discrete-event world:
@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 from ..runtime import HopeSystem
 from ..sim import ConstantLatency, Tracer
 from ..sim.faults import FaultPlan
+from ..sim.kernel import SimulationError
 from .invariants import InvariantViolation, attach_monitors, check_quiescent
 from .programs import (
     Scenario,
@@ -55,7 +56,7 @@ from .programs import (
     scenario_from_spec,
     two_aid_scenario,
 )
-from .schedule import RecordingController, DirectedFaultyNetwork, ReplayDivergence
+from .schedule import RecordingController, ReplayDivergence
 
 
 class _Node:
@@ -179,9 +180,10 @@ class DporExplorer:
     fault_plan:
         Optional chaos-harness plan whose drop/reorder fates become
         explored choice points (see
-        :class:`~repro.verify.schedule.DirectedFaultyNetwork`); a plan
+        :class:`~repro.verify.schedule.RecordingController`); a plan
         with drops requires ``reliable`` so the reference oracle still
-        applies (losses are masked by resend, not observable).
+        applies (losses are masked by resend, not observable), and one
+        with duplicates or jitter is refused.
     max_drops:
         Per-execution bound on explored message drops.
     allow_pending_orphans:
@@ -224,9 +226,14 @@ class DporExplorer:
         self.allow_pending_orphans = allow_pending_orphans
         self.inject_bug = inject_bug
         self.repro_dir = repro_dir
-        if fault_plan is not None and not reliable:
-            drops = [fault_plan.default, *fault_plan.links.values()]
-            if any(f.drop > 0.0 for f in drops):
+        if fault_plan is not None:
+            links = [fault_plan.default, *fault_plan.links.values()]
+            if any(f.duplicate > 0.0 or f.jitter > 0.0 for f in links):
+                raise SimulationError(
+                    "DPOR explores drop/reorder fates only; duplicate/jitter "
+                    "have no finite choice-point analog"
+                )
+            if not reliable and any(f.drop > 0.0 for f in links):
                 raise ValueError(
                     "exploring drop fates without reliable delivery makes "
                     "the reference oracle unsound — pass reliable=True"
@@ -247,21 +254,14 @@ class DporExplorer:
         """Replay one choice prefix to completion and check everything."""
         tracer = Tracer()
         controller = RecordingController(
-            prescribed, tracer, initial_sleep, self.known
+            prescribed, tracer, initial_sleep, self.known, self.max_drops
         )
-        transport = None
-        if self.fault_plan is not None:
-            plan, drops = self.fault_plan, self.max_drops
-
-            def transport(sim, latency_model, _streams):
-                return DirectedFaultyNetwork(sim, latency_model, plan, controller, drops)
-
         system = HopeSystem(
             seed=self.seed,
             latency=ConstantLatency(self.latency),
             trace=tracer,
             reliable=self.reliable,
-            transport=transport,
+            faults=self.fault_plan,
             controller=controller,
         )
         attach_monitors(system)
@@ -550,7 +550,8 @@ def run_dpor_reproducer(path: str) -> DporRun:
     if payload.get("aid_mode", "registry") != "registry":
         raise ValueError(
             f"{path}: aid_mode={payload['aid_mode']!r} is not a runtime mode; the "
-            "AID-task timing model is the AIDMODE experiment (bench_aid_modes.py)"
+            "AID-task timing model is the AIDMODE experiment "
+            "(experiments/test_aid_modes.py)"
         )
     explorer = DporExplorer(
         scenario_from_spec(payload["scenario"]),

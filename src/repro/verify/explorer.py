@@ -25,6 +25,7 @@ from ..runtime import HopeSystem
 from ..sim import ConstantLatency, RandomStreams, Tracer
 from .invariants import InvariantViolation, attach_monitors, check_quiescent
 from .programs import Scenario, random_scenario
+from .schedule import RandomTies
 
 
 @dataclass
@@ -82,7 +83,8 @@ def run_scenario(
     """Execute one scenario under one schedule and check everything.
 
     ``shuffle_ties`` additionally permutes same-virtual-time event
-    orderings (seeded) — interleaving-level exploration on top of the
+    orderings (a :class:`~repro.verify.schedule.RandomTies` controller
+    seeded with ``seed``) — interleaving-level exploration on top of the
     latency-level randomization.
     """
     outcome = RunOutcome(scenario=scenario.name, seed=seed, latency=latency)
@@ -94,7 +96,7 @@ def run_scenario(
             latency=ConstantLatency(latency),
             trace=tracer,
             speculation=speculation,
-            shuffle_ties=shuffle_ties,
+            controller=RandomTies(seed) if shuffle_ties else None,
         )
         attach_monitors(system)
         scenario.build(system)

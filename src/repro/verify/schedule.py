@@ -1,22 +1,24 @@
-"""Directed scheduling: the controller seam the DPOR explorer drives.
+"""Directed scheduling: the one seam for every nondeterminism a run has.
 
 The simulator's ``controller`` hook (see
-:class:`repro.sim.kernel.Simulator`) generalizes ``shuffle_ties`` from
-"seeded permutation" to *externally directed choice*: at every pop the
-batch of live events sharing the earliest virtual time is handed to the
-controller, which picks the one that fires.  This module provides
+:class:`repro.sim.kernel.Simulator`) is *externally directed choice*: at
+every pop the batch of live events sharing the earliest virtual time is
+handed to the controller, which picks the one that fires; and a
+:class:`~repro.sim.faults.FaultyNetwork` on that simulator asks the same
+controller every fault fate (:class:`~repro.sim.faults.FateSource`).
+This module provides
 
-* :class:`ScheduleController` — the protocol (a trivial leftmost-choice
-  base class);
+* :class:`ScheduleController` — the protocol (a leftmost-choice base
+  class that samples fault fates from the seeded stream, like a run
+  without a controller);
+* :class:`RandomTies` — seeded shuffling of same-time events;
 * :class:`RecordingController` — replays a prescribed choice prefix,
   falls back to canonical defaults beyond it, and records every step
   (batch composition, chosen index, and the *footprint* of resources the
   chosen event's execution touched, extracted from the trace stream) —
   everything the DFS driver in :mod:`repro.verify.dpor` needs to compute
-  happens-before backtracking points and sleep sets;
-* :class:`DirectedFaultyNetwork` — a transport that turns a chaos-harness
-  :class:`~repro.sim.faults.FaultPlan`'s probabilistic drop/reorder draws
-  into explicit binary choice points on the same controller, so fault
+  happens-before backtracking points and sleep sets.  It turns message
+  drop and reorder fates into explicit binary choice points, so fault
   fates are explored exhaustively instead of sampled.
 
 Event identity across executions: a batch member is keyed by
@@ -31,32 +33,42 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..sim import Tracer
-from ..sim.channel import Mailbox, Message, Network
-from ..sim.faults import FaultPlan, FaultStats
-from ..sim.kernel import ScheduledEvent, SimulationError, Simulator
-from ..sim.latency import LatencyModel
+from ..sim import RandomStream, Tracer
+from ..sim.faults import FateSource
+from ..sim.kernel import ScheduledEvent, SimulationError
 
 
-class ScheduleController:
+class ScheduleController(FateSource):
     """Protocol for the simulator's directed-choice seam.
 
     ``choose(time, events)`` is called at every pop with the canonical
-    ``(time, priority, seq)``-ordered batch of live events at the
-    earliest virtual time and returns the index of the event to fire.
-    Singleton batches are consulted too (the choice is forced, but
-    exploration drivers still need the step in their records).
+    ``(time, seq)``-ordered batch of live events at the earliest virtual
+    time and returns the index of the event to fire.  Singleton batches
+    are consulted too (the choice is forced, but exploration drivers
+    still need the step in their records).
 
-    ``choose_fate(kind, link, options)`` is the same seam for
-    non-scheduler choice points (fault fates); the base network never
-    calls it.
+    ``fate`` / ``lateness`` (inherited from
+    :class:`~repro.sim.faults.FateSource`) decide the fault layer's
+    fates; this base samples them from the seeded stream, exactly as a
+    run without a controller does.
     """
 
     def choose(self, time: float, events: Sequence[ScheduledEvent]) -> int:
         return 0
 
-    def choose_fate(self, kind: str, link: str, options: int = 2) -> int:
-        return 0
+
+class RandomTies(ScheduleController):
+    """Seeded shuffling: each same-time batch fires a uniformly drawn
+    member, drawn from the stream ``"schedule-ties"`` of ``seed`` (a
+    batch of one draws nothing).  Genuinely concurrent events may fire
+    in any order; the randomized explorer sweeps seeds over them."""
+
+    def __init__(self, seed: int) -> None:
+        self.stream = RandomStream(seed, "schedule-ties")
+
+    def choose(self, time: float, events: Sequence[ScheduledEvent]) -> int:
+        size = len(events)
+        return 0 if size == 1 else self.stream.randint(0, size - 1)
 
 
 class ReplayDivergence(SimulationError):
@@ -150,6 +162,17 @@ class RecordingController(ScheduleController):
         the independence oracle for sleep filtering.  A sleeping event
         with no known footprint is conservatively treated as dependent
         (woken immediately), costing pruning but never soundness.
+    max_drops:
+        Bound on the message drops one execution explores, so the
+        always-drop branch of a retrying (reliable) sender cannot produce
+        an infinite tree.
+
+    Fault fates: on a link with ``drop > 0`` every delivery asks "deliver
+    or drop?" (1 = drop, while fewer than ``max_drops`` dropped), and with
+    ``reorder > 0`` "on time or late?" (1 = a whole ``reorder_window``
+    late); probabilities are ignored.  Ack and heartbeat loss never
+    branch: retry timers already bound their effect, and branching on
+    every ack would square the tree for no new *message* order.
     """
 
     def __init__(
@@ -158,6 +181,7 @@ class RecordingController(ScheduleController):
         tracer: Optional[Tracer] = None,
         initial_sleep: frozenset = frozenset(),
         known_footprints: Optional[dict] = None,
+        max_drops: int = 1,
     ) -> None:
         self.prescribed = list(prescribed)
         self.tracer = tracer
@@ -167,6 +191,9 @@ class RecordingController(ScheduleController):
         self.sleep_blocked = False
         self._mark = 0
         self._open_tie: Optional[StepRecord] = None
+        self.max_drops = max_drops
+        self.drops = 0
+        self._fates: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # the seam
@@ -175,14 +202,10 @@ class RecordingController(ScheduleController):
         self._close_open_tie()
         step = len(self.records)
         keys = tuple(event_key(e) for e in events)
-        if step < len(self.prescribed):
-            chosen = self.prescribed[step]
-            if not 0 <= chosen < len(events):
-                raise ReplayDivergence(
-                    f"prescribed choice {chosen} at step {step} does not fit "
-                    f"the batch of {len(events)} events at t={time:.6g}"
-                )
-        else:
+        chosen = self._prescribed(
+            step, len(keys), f"the batch of {len(keys)} events at t={time:.6g}"
+        )
+        if chosen is None:
             chosen = self._default_choice(keys)
         record = StepRecord(step, "tie", time, keys, chosen)
         self.records.append(record)
@@ -191,32 +214,31 @@ class RecordingController(ScheduleController):
             self._mark = len(self.tracer.records)
         return chosen
 
-    def choose_fate(self, kind: str, link: str, options: int = 2) -> int:
+    def fate(self, stream, kind: str, src: str, dst: str, p: float) -> bool:
+        if kind not in ("drop", "reorder") or (
+            kind == "drop" and self.drops >= self.max_drops
+        ):
+            return False
         step = len(self.records)
         # Fate identity: the n-th fate decision of this kind on this link.
-        count = sum(
-            1
-            for r in self.records
-            if r.kind == "fate" and r.keys[0][0].startswith(f"{kind}:{link}#")
-        )
-        key_base = f"{kind}:{link}#{count}"
-        keys = tuple((f"{key_base}", option) for option in range(options))
-        if step < len(self.prescribed):
-            chosen = self.prescribed[step]
-            if not 0 <= chosen < options:
-                raise ReplayDivergence(
-                    f"prescribed fate {chosen} at step {step} does not fit "
-                    f"{options} options for {key_base}"
-                )
-        else:
-            chosen = 0
-        record = StepRecord(step, "fate", -1.0, keys, chosen)
+        link = f"{kind}:{src}->{dst}"
+        count = self._fates.get(link, 0)
+        self._fates[link] = count + 1
+        key = f"{link}#{count}"
+        chosen = self._prescribed(step, 2, f"the 2 fates of {key}") or 0
+        record = StepRecord(step, "fate", -1.0, ((key, 0), (key, 1)), chosen)
         # A fate decides one message's delivery: its footprint is the link
         # target (static — fate steps always branch fully in the driver).
-        target = label_target(f"fate:{link}")
-        record.footprint = frozenset((target,)) if target else frozenset()
+        record.footprint = frozenset((dst,))
         self.records.append(record)
-        return chosen
+        if chosen and kind == "drop":
+            self.drops += 1
+        return chosen == 1
+
+    def lateness(
+        self, stream, kind: str, src: str, dst: str, window: float
+    ) -> float:
+        return window
 
     def finish(self) -> None:
         """Close the final step's footprint after the run completes."""
@@ -225,6 +247,17 @@ class RecordingController(ScheduleController):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _prescribed(self, step: int, options: int, what: str) -> Optional[int]:
+        """The prescribed choice at ``step`` (None past the prefix)."""
+        if step >= len(self.prescribed):
+            return None
+        chosen = self.prescribed[step]
+        if not 0 <= chosen < options:
+            raise ReplayDivergence(
+                f"prescribed choice {chosen} at step {step} does not fit {what}"
+            )
+        return chosen
+
     def _default_choice(self, keys: tuple) -> int:
         if not self._sleep:
             return 0
@@ -273,84 +306,3 @@ class RecordingController(ScheduleController):
         ]
         for key in awake:
             self._sleep.discard(key)
-
-
-class DirectedFaultyNetwork(Network):
-    """A transport whose fault fates are controller choice points.
-
-    Takes the drop/reorder parameters of a chaos-harness
-    :class:`~repro.sim.faults.FaultPlan` as *possibility* markers: on a
-    link with ``drop > 0`` every delivery asks the controller
-    "deliver or drop?" (index 1 = drop), and with ``reorder > 0``
-    "on time or late?" (index 1 = adds the full ``reorder_window``).
-    Probabilities themselves are ignored — exploration enumerates fates,
-    it does not sample them.  ``max_drops`` bounds the number of dropped
-    messages per execution so the always-drop branch of a retrying
-    (reliable) sender cannot produce an infinite tree.
-
-    Duplication and jitter draw from continuous spaces that have no
-    finite choice-point analog; plans using them are rejected.  Timed
-    partitions are deterministic and applied as-is.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: Optional[LatencyModel],
-        plan: FaultPlan,
-        controller: ScheduleController,
-        max_drops: int = 1,
-    ) -> None:
-        super().__init__(sim, latency)
-        for faults in [plan.default, *plan.links.values()]:
-            if faults.duplicate > 0.0 or faults.jitter > 0.0:
-                raise SimulationError(
-                    "DirectedFaultyNetwork explores drop/reorder fates only; "
-                    "duplicate/jitter have no finite choice-point analog"
-                )
-        self.plan = plan
-        self.controller = controller
-        self.max_drops = max_drops
-        self.fault_stats = FaultStats()
-
-    def _schedule_delivery(
-        self, box: Mailbox, message: Message, delay: float
-    ) -> Optional[ScheduledEvent]:
-        plan = self.plan
-        stats = self.fault_stats
-        if plan.partitioned(message.src, message.dst, self.sim.now):
-            stats.partition_dropped += 1
-            return None
-        faults = plan.for_link(message.src, message.dst)
-        link = f"{message.src}->{message.dst}"
-        if faults.drop > 0.0 and stats.dropped < self.max_drops:
-            if self.controller.choose_fate("drop", link) == 1:
-                stats.dropped += 1
-                return None
-        if faults.reorder > 0.0:
-            if self.controller.choose_fate("reorder", link) == 1:
-                delay += faults.reorder_window
-                stats.reordered += 1
-        return super()._schedule_delivery(box, message, delay)
-
-    def stats_entries(self) -> dict:
-        return {"faults": self.fault_stats.as_dict()}
-
-    def observe_gauges(self, spec) -> None:
-        stats = self.fault_stats
-        spec.net_dropped.set(stats.dropped)
-        spec.net_reordered.set(stats.reordered)
-        spec.net_partition_dropped.set(stats.partition_dropped)
-
-    def control_fate(self, src: str, dst: str) -> tuple[bool, float]:
-        """Ack-style datagrams are never fate choice points: the reliable
-        layer's retry timers already bound their effect, and branching on
-        every ack would square the tree for no new interleavings of the
-        *message* order the explorer cares about."""
-        if self.plan.partitioned(src, dst, self.sim.now):
-            self.fault_stats.acks_dropped += 1
-            return (True, 0.0)
-        return (False, self.latency.sample(src, dst))
-
-    def heartbeat_lost(self, src: str) -> bool:
-        return self.plan.isolated(src, self.sim.now)

@@ -103,10 +103,10 @@ BUDGETS = {
         (3, 10): (8.8, 0.1), (3, 11): (8.8, 0.1),
         (3, 12): (8.8, 0.1), (3, 13): (8.8, 0.1),
     },
-    # the dead timer's heap entry and key, two log entries (§21, §27)
+    # the dead timer's heap entry and key, two log entries (§21, §27, §28)
     "acked send": {
-        (3, 10): (800, 13.6), (3, 11): (815, 13.6),
-        (3, 12): (815, 13.6), (3, 13): (815, 13.6),
+        (3, 10): (677, 12.1), (3, 11): (692, 12.1),
+        (3, 12): (692, 12.1), (3, 13): (692, 12.1),
     },
     # the interval, its pending AID, handle and IDO, two log entries (§21)
     "open interval": {

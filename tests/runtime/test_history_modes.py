@@ -1,15 +1,14 @@
-"""History on/off equivalence at the runtime.
+"""The shipped machine against the Definition 4.1 machine, at the runtime.
 
-``HopeSystem`` keeps the Definition 4.1 history only when it is given an
-enabled tracer (``Machine(history=self._tracing)``); every other run
-keeps just the index clock.  Nothing may depend on which: the same
-program must produce the same trace, the same committed outputs and the
-same counters — ``fossil_history_dropped`` included, because a pass
+``HopeSystem`` always builds ``Machine(history=False)``, traced or not:
+each record keeps just the index clock.  The Definition 4.1 machine
+(``history=True``, what ``Machine()`` builds) must run the same
+program identically: the same trace, the same committed outputs and
+the same counters — ``fossil_history_dropped`` included, because a pass
 counts indices, not entries.
 
-The two modes are compared under one tracer by flipping
-``machine.history`` before the first spawn (records read it when they
-are created), which is also how the default wiring is checked below.
+The oracle is run under one tracer by flipping ``machine.history``
+before the first spawn (records read it when they are created).
 """
 
 import pytest
@@ -67,23 +66,17 @@ def test_same_run_with_and_without_history(build, seed, mode):
         assert bare.stats()["fossil_history_dropped"] > 0
 
 
-def test_history_follows_the_tracer():
-    """The default wiring: no tracer (or a disabled one) → clock only;
-    an enabled tracer → the full history, which ``format_machine`` lists.
-    Read at t=3, before quiescence: the pass a run owes there retires
-    every record."""
-    def run(**options):
+def test_every_system_keeps_the_index_clock_only():
+    """The default wiring: no tracer, a disabled one or an enabled one —
+    the machine keeps the clock only, and ``format_machine`` lists no
+    history row.  Read at t=3, before quiescence: the pass a run owes
+    there retires every record."""
+    for options in ({}, {"trace": Tracer(categories=())}, {"trace": Tracer()}):
         system = HopeSystem(latency=ConstantLatency(1.0), **options)
         build_chaos_mesh(system)
         system.run(until=3.0)
         assert len(system.machine.processes) == 4
-        return system
-
-    for quiet in (run(), run(trace=Tracer(categories=()))):
-        assert not quiet.machine.history
-        assert all(r.history == () for r in quiet.machine.processes.values())
-        assert "H[" not in format_machine(quiet.machine, include_history=True)
-    traced = run(trace=Tracer())
-    assert traced.machine.history
-    assert all(r.history for r in traced.machine.processes.values())
-    assert "H[" in format_machine(traced.machine, include_history=True)
+        assert not system.machine.history
+        records = system.machine.processes.values()
+        assert all(r.history == () and r._next_index > 0 for r in records)
+        assert "H[" not in format_machine(system.machine, include_history=True)

@@ -1,6 +1,6 @@
 """The event order a :class:`repro.sim.Simulator` must produce, by definition.
 
-A plain list kept sorted by ``(time, priority, seq)``: cancel removes the
+A plain list kept sorted by ``(time, seq)``: cancel removes the
 event outright, a pop takes the head (or, under a schedule controller,
 the controller's pick among the events sharing the head's time).  No
 laziness, no compaction — nothing to get wrong, which is the point.
@@ -10,9 +10,9 @@ from bisect import insort
 
 
 class RefEvent:
-    def __init__(self, queue, time, priority, seq, fn, args):
+    def __init__(self, queue, time, seq, fn, args):
         self.queue, self.time, self.fn, self.args = queue, time, fn, args
-        self.key = (time, priority, seq)
+        self.key = (time, seq)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -23,17 +23,15 @@ class RefEvent:
 
 
 class ReferenceQueue:
-    def __init__(self, tie_breaker=None, controller=None):
+    def __init__(self, controller=None):
         self.now = 0.0
         self.events = []
         self.seq = 0
-        self.tie_breaker = tie_breaker
         self.controller = controller
 
     def schedule(self, delay, fn, *args):
         assert delay >= 0
-        priority = self.tie_breaker() if self.tie_breaker else 0
-        event = RefEvent(self, self.now + delay, priority, self.seq, fn, args)
+        event = RefEvent(self, self.now + delay, self.seq, fn, args)
         self.seq += 1
         insort(self.events, event)
         return event

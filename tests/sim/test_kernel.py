@@ -92,7 +92,7 @@ def test_a_cancelled_event_lets_go_of_its_work(sim):
     event.cancel()
     assert gone() is None
     assert event.fn is None and event.args is None and event.label == ""
-    assert event in sim._heap and event.key == (2.0, 0, 1)
+    assert event in sim._heap and event.key == (2.0, 1)
     assert not blocker.cancelled and sim.run() == 1.0
 
 

@@ -15,6 +15,7 @@ from repro.sim import (
     Timeout,
     UnknownEffectError,
 )
+from repro.verify import ScheduleController
 
 
 def test_timeout_advances_virtual_time():
@@ -215,8 +216,8 @@ def test_same_instant_starts_share_one_event_in_start_order(batching):
     start batch, which steps them in start order — the order their own
     events would have fired in; a task killed before the batch fires is
     taken out of it, and a batch left empty is cancelled.  Under a
-    tie-breaker every start keeps its own event."""
-    sim = Simulator() if batching else Simulator(tie_breaker=lambda: 0)
+    schedule controller every start keeps its own event."""
+    sim = Simulator() if batching else Simulator(controller=ScheduleController())
     ran = []
 
     def body(env):

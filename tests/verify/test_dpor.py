@@ -11,18 +11,21 @@ The hand-computed bounds below follow from the scenario structure at
   every tie batch: 3! starts x 2 deliveries x 2 resolutions = **24**.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.core import HopeError
+from repro.bench.workloads import build_chaos_mesh
 from repro.runtime import HopeSystem
-from repro.sim import FaultPlan, LinkFaults
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim import ConstantLatency, FaultPlan, LinkFaults, Tracer
+from repro.sim.kernel import SimulationError
 from repro.verify import (
     DporExplorer,
+    RecordingController,
     ReplayDivergence,
     ScheduleController,
+    chain_scenario,
     orphan_scenario,
     run_dpor_reproducer,
     scenario_from_spec,
@@ -113,14 +116,30 @@ def test_out_of_range_prescription_is_replay_divergence():
 # ---------------------------------------------------------------------------
 # the controller seam
 # ---------------------------------------------------------------------------
-def test_controller_and_shuffle_ties_mutually_exclusive():
-    with pytest.raises(HopeError):
-        HopeSystem(shuffle_ties=True, controller=ScheduleController())
+def test_a_controller_samples_fates_like_a_run_without_one():
+    """A controller is the fault layer's fate source, and the base class
+    samples ``streams["faults"]`` as a run without a controller does:
+    leftmost choice is the canonical order, so the run is the same one,
+    every kind of fate included."""
+    plan = FaultPlan(default=LinkFaults(
+        drop=0.3, duplicate=0.2, reorder=0.3, reorder_window=2.0, jitter=0.5
+    ))
 
+    def run(controller):
+        tracer = Tracer()
+        system = HopeSystem(
+            seed=3, latency=ConstantLatency(1.0), trace=tracer, faults=plan,
+            reliable=True, failure_detector=True, controller=controller,
+        )
+        build_chaos_mesh(system)
+        system.run(max_events=200_000)
+        return tracer.fingerprint(), system.stats()["faults"]
 
-def test_controller_and_tie_breaker_mutually_exclusive():
-    with pytest.raises(SimulationError):
-        Simulator(tie_breaker=lambda events: events, controller=ScheduleController())
+    plain, controlled = run(None), run(ScheduleController())
+    assert controlled == plain
+    assert all(plain[1][kind] > 0 for kind in (
+        "dropped", "duplicated", "reordered", "acks_dropped", "heartbeats_dropped"
+    ))
 
 
 def test_controller_bad_index_rejected():
@@ -199,7 +218,11 @@ def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
     path.write_text(
         json.dumps({**payload, "aid_mode": "aid_task", "control_latency": 0.5})
     )
-    with pytest.raises(ValueError, match="aid_mode='aid_task'.*AIDMODE"):
+    with pytest.raises(
+        ValueError,
+        match=(r"aid_mode='aid_task'.*AIDMODE experiment "
+               r"\(experiments/test_aid_modes\.py\)"),
+    ):
         run_dpor_reproducer(str(path))
 
 
@@ -243,8 +266,6 @@ def test_orphan_strict_quiescence_accepts_resolved_aid():
 # fault fates as choice points
 # ---------------------------------------------------------------------------
 def test_drop_fates_explored_under_reliable_delivery():
-    from repro.verify import chain_scenario
-
     plan = FaultPlan(default=LinkFaults(drop=0.5))
     report = explorer(
         chain_scenario(1, True, 0.75), fault_plan=plan, reliable=True
@@ -257,8 +278,6 @@ def test_drop_fates_explored_under_reliable_delivery():
 
 
 def test_reorder_fates_explored_without_reliability():
-    from repro.verify import chain_scenario
-
     plan = FaultPlan(default=LinkFaults(reorder=0.5, reorder_window=1.0))
     report = explorer(chain_scenario(1, True, 0.75), fault_plan=plan).explore()
     assert report.complete
@@ -272,10 +291,55 @@ def test_drop_fates_without_reliability_rejected():
         explorer(two_aid_scenario(**TWO_AID), fault_plan=plan)
 
 
-def test_duplicate_fates_rejected():
-    from repro.verify import DirectedFaultyNetwork, chain_scenario
+#: ``(scenario, faults, reliable, schedules, fp)``: each tree explored to
+#: completion at ``latency=0.5``; ``fp`` is the first 12 hex digits of the
+#: SHA-256 of its runs' trace fingerprints, concatenated in DFS order.
+#: Recorded while DPOR still explored fates through a verify-only network
+#: of its own; the shipped ``FaultyNetwork``, asking the
+#: ``RecordingController``, must enumerate the very same trees.
+FAULT_TREES = {
+    "chain-drop": (("chain", 1, True, 0.75), LinkFaults(drop=0.5), True,
+                   10, "5e120af0a528"),
+    "chain-reorder": (("chain", 1, True, 0.75),
+                      LinkFaults(reorder=0.5, reorder_window=1.0), False,
+                      4, "9bf81ecc8928"),
+    "two_aid-reorder": (("two_aid", True, True, 0.75, 0.75),
+                        LinkFaults(reorder=0.5, reorder_window=1.0), False,
+                        6, "419354830fe5"),
+    "two_aid-drop": (("two_aid", True, False, 0.75, 0.75),
+                     LinkFaults(drop=0.5), True, 22, "abb320412781"),
+}
 
-    plan = FaultPlan(default=LinkFaults(duplicate=0.5))
-    report_explorer = explorer(chain_scenario(1, True, 0.75), fault_plan=plan)
-    with pytest.raises(SimulationError, match="duplicate"):
-        report_explorer.execute()
+
+@pytest.mark.parametrize("case", sorted(FAULT_TREES))
+def test_fault_trees_are_the_recorded_ones(case):
+    (factory, *args), faults, reliable, schedules, fp = FAULT_TREES[case]
+    scenario = chain_scenario(*args) if factory == "chain" else two_aid_scenario(*args)
+    report = explorer(
+        scenario, fault_plan=FaultPlan(default=faults), reliable=reliable
+    ).explore()
+    assert report.complete and not report.failures, report.summary()
+    assert len(report.outcomes()) == 1
+    assert report.schedules == schedules
+    joined = "".join(run.fingerprint for run in report.runs)
+    assert hashlib.sha256(joined.encode()).hexdigest()[:12] == fp
+
+
+def test_ack_and_heartbeat_loss_never_branch():
+    """Retry timers already bound what a lost ack or heartbeat does, so
+    the explorer neither records a choice point nor draws for one."""
+    controller = RecordingController(max_drops=5)
+    for kind in ("ack", "heartbeat"):
+        assert controller.fate(None, kind, "a", "b", 1.0) is False
+    assert controller.records == []
+    assert controller.fate(None, "drop", "a", "b", 0.5) is False  # default: deliver
+    assert [r.keys for r in controller.records] == [(("drop:a->b#0", 0), ("drop:a->b#0", 1))]
+
+
+def test_duplicate_fates_rejected():
+    """Duplicate and jitter draw from spaces with no finite choice-point
+    analog: the explorer refuses a plan with either."""
+    for faults in (LinkFaults(duplicate=0.5), LinkFaults(jitter=0.5)):
+        plan = FaultPlan(default=faults)
+        with pytest.raises(SimulationError, match="duplicate/jitter"):
+            explorer(chain_scenario(1, True, 0.75), fault_plan=plan)

@@ -1,15 +1,24 @@
-"""Interleaving-level exploration: permuted same-time event orderings."""
+"""Interleaving-level exploration: permuted same-time event orderings.
+
+Seeded shuffling is a :class:`~repro.verify.RandomTies` schedule
+controller: each same-time batch fires a member drawn from the stream
+``"schedule-ties"``."""
 
 import pytest
 
 from repro.runtime import HopeSystem
-from repro.sim import Simulator, RandomStreams
-from repro.verify import chain_scenario, explore, free_of_scenario, run_scenario
+from repro.sim import Simulator
+from repro.verify import (
+    RandomTies,
+    chain_scenario,
+    explore,
+    free_of_scenario,
+    run_scenario,
+)
 
 
 def test_tie_breaker_permutes_same_time_events():
-    stream = RandomStreams(3)["ties"]
-    sim = Simulator(tie_breaker=lambda: stream.randint(0, 1 << 30))
+    sim = Simulator(controller=RandomTies(3))
     order = []
     for tag in range(6):
         sim.schedule(1.0, order.append, tag)
@@ -20,8 +29,7 @@ def test_tie_breaker_permutes_same_time_events():
 
 def test_tie_breaker_is_seeded_deterministic():
     def run(seed):
-        stream = RandomStreams(seed)["ties"]
-        sim = Simulator(tie_breaker=lambda: stream.randint(0, 1 << 30))
+        sim = Simulator(controller=RandomTies(seed))
         order = []
         for tag in range(8):
             sim.schedule(2.0, order.append, tag)
@@ -34,7 +42,7 @@ def test_tie_breaker_is_seeded_deterministic():
 
 def test_shuffled_system_equal_seed_reproduces():
     def run():
-        system = HopeSystem(seed=11, shuffle_ties=True)
+        system = HopeSystem(seed=11, controller=RandomTies(11))
         out = []
 
         def a(p):
