@@ -21,6 +21,8 @@ establishes the total order in the background.
 Convergence criterion (checked by the tests): every replica's final
 document equals the sequencer's committed order, and each editor's
 committed apply-ledger *is* that order.
+
+Run:  python examples/co_editing.py
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..runtime import HopeSystem
-from ..sim import TIMED_OUT, ConstantLatency, LatencyModel, Tracer
+from repro.runtime import HopeSystem
+from repro.sim import TIMED_OUT, ConstantLatency, LatencyModel, Tracer
 
 
 @dataclass(frozen=True)
@@ -172,3 +174,23 @@ def run_coedit(
         denials=stats["denies"],
         stats=stats,
     )
+
+
+def main() -> None:
+    result = run_coedit(CoEditWorkload(
+        scripts=(
+            EditScript(((1.0, "left"), (4.0, "left-2"))),
+            EditScript(((1.0, "right"), (4.0, "right-2"))),
+        ),
+        latency=3.0,
+    ))
+    print("two editors type at once; each predicts its edit lands first")
+    print(f"  sequenced order : {[entry[4] for entry in result.order]}")
+    for index, document in result.documents.items():
+        print(f"  editor-{index}        : {list(document)}")
+    print(f"  denials={result.denials} rollbacks={result.rollbacks} "
+          f"converged: {result.converged}")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,6 +24,8 @@ assumption-based search (a small CNF solver) from HOPE primitives:
 
 The search order is exactly True-first depth-first search, so the found
 model must equal :func:`reference_solution` — which the tests check.
+
+Run:  python examples/truth_maintenance.py
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Optional
 
-from ..runtime import HopeSystem
-from ..sim import ConstantLatency, LatencyModel, Tracer
+from repro.runtime import HopeSystem
+from repro.sim import ConstantLatency, LatencyModel, Tracer
 
 #: A literal is (var_name, polarity); a clause is a tuple of literals;
 #: a formula is a tuple of clauses.
@@ -185,3 +187,19 @@ def run_search(
         backtracks=stats["rollbacks"],
         stats=stats,
     )
+
+
+def main() -> None:
+    clauses = ((("a", False), ("b", False)), (("b", True), ("c", True)),
+               (("a", False), ("c", False)))
+    problem = SearchProblem(variables=("a", "b", "c"), clauses=clauses)
+    result = run_search(problem)
+    print("(¬a ∨ ¬b) ∧ (b ∨ c) ∧ (¬a ∨ ¬c), deciding a, b, c True-first")
+    print(f"  model      : {result.model}")
+    print(f"  denied assumptions: {result.stats['denies']}, "
+          f"rollbacks: {result.backtracks}")
+    print(f"  equals the true-first DFS: {result.model == reference_solution(problem)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -455,6 +455,29 @@ def _print_outcomes(system, specs, out) -> None:
             print(f"[{name}] output: {value!r}", file=out)
 
 
+def _spawn_error(compiled, args) -> Optional[str]:
+    """Why ``args.spawn`` cannot be spawned from ``compiled`` — an unknown
+    process, an instance named twice, a wrong argument count — or None.
+    Checked before any system is built, so a refused run makes nothing."""
+    params = {proc.name: proc.params for proc in compiled.program.processes}
+    seen = set()
+    for spec in args.spawn:
+        if spec.process not in params:
+            problem = f"no process {spec.process!r}"
+        elif spec.instance in seen:
+            problem = f"instance {spec.instance!r} is already spawned"
+        elif len(spec.args) != len(params[spec.process]):
+            problem = (f"process {spec.process!r} takes "
+                       f"{len(params[spec.process])} argument(s), got {len(spec.args)}")
+        else:
+            seen.add(spec.instance)
+            continue
+        defined = ", ".join(f"{name}({', '.join(p)})" for name, p in params.items())
+        return (f"--spawn {spec.instance}={spec.process}: {problem}; "
+                f"{args.path} defines {defined}")
+    return None
+
+
 def cmd_run(args, out) -> int:
     with open(args.path, encoding="utf-8") as fh:
         source = fh.read()
@@ -470,6 +493,10 @@ def cmd_run(args, out) -> int:
             "error: nothing to run — add --spawn instance=Process[:json_args]",
             file=out,
         )
+        return 1
+    problem = _spawn_error(compiled, args)
+    if problem is not None:
+        print(f"error: {problem}", file=out)
         return 1
     tracer = Tracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics_out else None
@@ -571,6 +598,10 @@ def cmd_resume(args, out) -> int:
             "the run's --spawn flags",
             file=out,
         )
+        return 1
+    problem = _spawn_error(compiled, args)
+    if problem is not None:
+        print(f"error: {problem}", file=out)
         return 1
 
     def build(system: HopeSystem) -> None:

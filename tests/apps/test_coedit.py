@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.apps.coedit import CoEditWorkload, EditScript, run_coedit
+from ..examples import load_example
+
+co_editing = load_example("co_editing")
+CoEditWorkload = co_editing.CoEditWorkload
+EditScript = co_editing.EditScript
+run_coedit = co_editing.run_coedit
 
 
 def script(*edits):

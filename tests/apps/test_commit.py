@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.apps.commit import (
-    CommitWorkload,
-    reference_balances,
-    run_optimistic_commit,
-)
 from repro.sim import ConstantLatency
+
+from ..examples import load_example
+
+commit = load_example("two_phase_commit")
+CommitWorkload = commit.CommitWorkload
+reference_balances = commit.reference_balances
+run_optimistic_commit = commit.run_optimistic_commit
 
 
 def workload(*vote_plans, **kwargs):

@@ -1,14 +1,11 @@
 """Optimistic numerical computation tests."""
 
-import numpy as np
-import pytest
+from ..examples import load_example
 
-from repro.apps.numerics import (
-    JacobiProblem,
-    make_problem,
-    run_optimistic_jacobi,
-    run_pessimistic_jacobi,
-)
+numerics = load_example("optimistic_numerics")
+make_problem = numerics.make_problem
+run_optimistic_jacobi = numerics.run_optimistic_jacobi
+run_pessimistic_jacobi = numerics.run_pessimistic_jacobi
 
 
 def test_problem_generator_is_deterministic():
@@ -66,13 +63,12 @@ def test_optimistic_faster_when_validation_is_remote():
 
 def test_block_ledger_committed_residuals_decrease_overall():
     from repro.runtime import HopeSystem
-    from repro.apps.numerics import solver, validator
     from repro.sim import ConstantLatency
 
     problem = make_problem(n=6, seed=1, dominance=3.0)
     system = HopeSystem(latency=ConstantLatency(2.0))
-    system.spawn("validator", validator, problem)
-    system.spawn("solver", solver, problem)
+    system.spawn("validator", numerics.validator, problem)
+    system.spawn("solver", numerics.solver, problem)
     system.run(max_events=5_000_000)
     residuals = [entry[3] for entry in system.committed_outputs("solver")]
     assert residuals, "no blocks committed"

@@ -1,8 +1,14 @@
 """The Jacobi app across execution modes: same fixed point everywhere."""
 
-from repro.apps.numerics import make_problem, solver, validator
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
+
+from ..examples import load_example
+
+numerics = load_example("optimistic_numerics")
+make_problem = numerics.make_problem
+solver = numerics.solver
+validator = numerics.validator
 
 
 def run_mode(problem, **kwargs):

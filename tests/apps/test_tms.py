@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.apps.tms import (
-    SearchProblem,
-    clause_status,
-    is_model,
-    reference_solution,
-    run_search,
-)
+from ..examples import load_example
+
+tms = load_example("truth_maintenance")
+SearchProblem = tms.SearchProblem
+clause_status = tms.clause_status
+is_model = tms.is_model
+reference_solution = tms.reference_solution
+run_search = tms.run_search
 
 
 def lit(var, polarity=True):

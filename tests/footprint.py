@@ -49,7 +49,14 @@ from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency
 
 
 def measure(run: Callable[[], Any]) -> tuple:
-    """``(result, bytes, blocks)``: what ``run()`` left allocated."""
+    """``(result, bytes, blocks)``: what ``run()`` left allocated.
+
+    ``tracemalloc`` counts CPython's per-size tuple free list as
+    allocated: a tuple freed into it stays traced, and one taken from it
+    is not a new allocation.  So a figure can move by tens of bytes when
+    an unrelated object's tuple size changes (a 2-tuple event key drained
+    the 2-tuple list that fired deliveries had filled: 80 of `acked
+    send`'s 112 B drop, PERFORMANCE.md "Census methodology")."""
     gc.collect()                    # earlier work's debris is not ours
     was_enabled = gc.isenabled()
     gc.disable()

@@ -385,6 +385,39 @@ def test_resume_empty_dir_starts_fresh(tmp_path):
     assert "result='report-complete'" in out
 
 
+def _refused_by_both_commands(tmp_path, spawns):
+    """``run`` and ``resume`` refuse ``spawns`` with one error line, and
+    neither makes its durable directory."""
+    durable = tmp_path / "durable"
+    outs = []
+    for command in ("run", "resume"):
+        code, out = run_cli([command, FIGURE2, *spawns, "--durable-dir", str(durable)])
+        assert code == 1
+        assert out.startswith("error: --spawn ")
+        assert "defines Worker(total), WorryWart(pagesize), Server(pagesize)" in out
+        outs.append(out)
+    assert not durable.exists()
+    assert outs[0] == outs[1]
+    return outs[0]
+
+
+def test_spawn_of_an_unknown_process_is_an_error(tmp_path):
+    out = _refused_by_both_commands(tmp_path, ["--spawn", "server=Nope:[60]"])
+    assert "server=Nope: no process 'Nope'" in out
+
+
+def test_spawn_of_a_repeated_instance_is_an_error(tmp_path):
+    out = _refused_by_both_commands(
+        tmp_path, ["--spawn", "a=Server:[60]", "--spawn", "a=Server:[60]"]
+    )
+    assert "a=Server: instance 'a' is already spawned" in out
+
+
+def test_spawn_with_the_wrong_arity_is_an_error(tmp_path):
+    out = _refused_by_both_commands(tmp_path, ["--spawn", "a=Server:[60,1,2]"])
+    assert "a=Server: process 'Server' takes 1 argument(s), got 3" in out
+
+
 def test_resume_requires_spawns(tmp_path):
     code, out = run_cli(
         ["resume", FIGURE2, "--durable-dir", str(tmp_path)]

@@ -12,9 +12,15 @@ from repro.apps.replication import (
     optimistic_client,
     primary,
 )
-from repro.apps.tms import SearchProblem, reference_solution, run_search
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
+
+from ..examples import load_example
+
+tms = load_example("truth_maintenance")
+SearchProblem = tms.SearchProblem
+reference_solution = tms.reference_solution
+run_search = tms.run_search
 
 
 def _recovery_system(config, seed=0):

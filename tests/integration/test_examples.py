@@ -2,13 +2,9 @@
 
 import io
 import runpy
-import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
-import pytest
-
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+from ..examples import EXAMPLES
 
 
 def run_example(name: str) -> str:
@@ -27,6 +23,10 @@ def test_examples_directory_complete():
         "optimistic_recovery.py",
         "timewarp_demo.py",
         "lang_demo.py",
+        "two_phase_commit.py",
+        "optimistic_numerics.py",
+        "co_editing.py",
+        "truth_maintenance.py",
     } <= present
 
 
@@ -77,3 +77,23 @@ def test_timeline_example():
     assert "rolled-back" in out
     assert "x" in out.split("assumption fails")[1].splitlines()[2]
     assert out.count("===") == 6
+
+
+def test_numerics_example():
+    out = run_example("optimistic_numerics.py")
+    assert "optimistic 48, pessimistic 329" in out
+    assert "rollbacks : 12, blocks: 13" in out
+    assert out.count("distance from Gaussian elimination") == 2
+
+
+def test_co_editing_example():
+    out = run_example("co_editing.py")
+    assert "sequenced order : ['left', 'right', 'left-2', 'right-2']" in out
+    assert out.count("['left', 'right', 'left-2', 'right-2']") == 3
+    assert "converged: True" in out
+
+
+def test_truth_maintenance_example():
+    out = run_example("truth_maintenance.py")
+    assert "model      : {'a': False, 'b': True, 'c': True}" in out
+    assert "equals the true-first DFS: True" in out
