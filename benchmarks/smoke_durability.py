@@ -47,8 +47,7 @@ def _run_counter(durable_dir, workers, rounds, opts=None):
     from repro.sim import ConstantLatency
 
     kwargs = dict(
-        seed=7, latency=ConstantLatency(1.0),
-        fossil_collect=True, fossil_interval=8,
+        seed=7, latency=ConstantLatency(1.0), fossil_interval=8,
     )
     if durable_dir is not None:
         kwargs.update(durable_dir=durable_dir, durable_opts=dict(opts or {}))
@@ -108,8 +107,7 @@ def _check_recovery_wall(budget: dict) -> int:
     tmp = tempfile.mkdtemp(prefix="durable-recovery-")
     try:
         kwargs = dict(
-            seed=7, latency=ConstantLatency(1.0),
-            fossil_collect=True, fossil_interval=8,
+            seed=7, latency=ConstantLatency(1.0), fossil_interval=8,
         )
         system = HopeSystem(
             durable_dir=tmp, durable_opts={"snapshot_every": 4}, **kwargs

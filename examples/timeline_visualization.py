@@ -32,13 +32,15 @@ def verifier(p, decision):
 
 
 def show(title, decision, speculation=True):
-    # fossil_collect=False keeps the finished processes' tracks: a run
-    # that collects retires both at quiescence, keeping only their totals.
-    system = HopeSystem(latency=ConstantLatency(1.0), speculation=speculation,
-                        fossil_collect=False)
+    system = HopeSystem(latency=ConstantLatency(1.0), speculation=speculation)
     system.spawn("worker", worker)
     system.spawn("verifier", verifier, decision)
-    horizon = system.run()
+    # The simulator's own run stops at quiescence, before the fossil pass
+    # that system.run() owes there: that pass retires both finished
+    # processes and keeps only their totals, so the tracks are read first
+    # (closed at the horizon, as system.run() closes them).
+    horizon = system.sim.run()
+    system.timeline.close_all(horizon)
     print(f"\n=== {title} (finished at t={horizon:g}) ===")
     print(render_timeline(system.timeline, horizon=horizon, width=60))
     print(render_utilization(system.timeline, horizon=horizon))

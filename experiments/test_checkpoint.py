@@ -11,9 +11,8 @@ Two measurements:
   event = cheap rollback, sparse saves = coast-forward re-execution).
 
 The HOPE body declares no commit point on purpose: this file IS the cost
-of replaying from process start.  ``p.commit_point`` under
-``fossil_collect`` removes the prefix-proportional term — see
-docs/PERFORMANCE.md §3.
+of replaying from process start.  ``p.commit_point`` removes the
+prefix-proportional term — see docs/PERFORMANCE.md §3.
 """
 
 from repro.baselines.timewarp import LogicalProcess, TWMessage

@@ -237,7 +237,6 @@ def _build_system(
     seed: int,
     trace: Optional[Tracer],
     metrics=None,
-    fossil_collect: bool = True,
 ) -> HopeSystem:
     links = LinkLatency(default=ConstantLatency(config.latency))
     for w in range(config.n_warts):
@@ -253,11 +252,6 @@ def _build_system(
         rollback_overhead=config.rollback_overhead,
         trace=trace,
         metrics=metrics,
-        # Every Figure 2 body declares a commit point per loop iteration:
-        # fossil passes promote rebase points as the WorryWarts affirm, so
-        # a restart replays the speculative window, not the run so far
-        # (False: the reference twin of the differential tests).
-        fossil_collect=fossil_collect,
     )
 
 

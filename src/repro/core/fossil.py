@@ -170,6 +170,15 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
             # ever resolve it, so it is garbage despite being PENDING.
             machine.stats["aids_retired_pending"] += 1
     out.aids_retired = len(retired)
+    # A dict keeps the capacity of its largest size: a table the pass
+    # leaves empty is rebuilt (a guesser far ahead of its judge had every
+    # AID of the run in all three at once).
+    if not aids:
+        machine.aids = {}
+    if not pins:
+        machine.pins = {}
+    if not deferred:
+        machine._retire_deferred = {}
 
     # 3. Drop the DepSet operation memos: what only they kept alive goes
     # with them, and no id() key outlives the AID it was taken from.

@@ -250,9 +250,7 @@ class HopeProcess:
         commit point goes at the end of the round it describes, not at
         the top of the loop (a body that yields it before the work fails
         its first rebased restart with a ``ReplayDivergenceError`` saying
-        so).  A no-op in a system built with ``fossil_collect=False``
-        (the effect is still logged, so traces match between modes).
-        Resumes with ``None``.
+        so).  Resumes with ``None``.
         """
         return CommitPointEffect(state)
 

@@ -309,20 +309,18 @@ class HopeSystem:
         runtime default is lenient because rollback legitimately
         re-executes resolution statements (see Figure 2's WorryWart).
     fossil_collect:
-        Reclaim committed state behind the commit frontier (Theorem 6.1:
-        finalized intervals never roll back) — on by default.  Bounds
-        long-run memory to O(active speculation window): machine history
-        prefixes, retired AIDs, unreachable interned DepSets, effect-log
-        prefixes behind a ``commit_point`` (exit is the last one: a body
-        that returned and committed keeps no log and no task), and closed
-        timeline spans are all dropped; a run that reaches quiescence ends
-        with a pass over every record.  Semantics-neutral — traces are
-        identical with it on or off; see docs/PERFORMANCE.md §4, §13, §14
-        and §25.  ``False`` keeps
-        everything and exists as the reference twin for differential
-        tests; a durable run refuses it.
+        Accepts only ``True``: collection is the only mode.  The system
+        reclaims committed state behind the commit frontier (Theorem 6.1:
+        finalized intervals never roll back), which bounds long-run memory
+        to O(active speculation window): machine history prefixes, retired
+        AIDs, unreachable interned DepSets, effect-log prefixes behind a
+        ``commit_point`` (exit is the last one: a body that returned and
+        committed keeps no log and no task), and closed timeline spans are
+        all dropped; a run that reaches quiescence ends with a pass over
+        every record.  See docs/PERFORMANCE.md §4, §13, §14 and §25.
     fossil_interval:
-        Collect after every N machine finalizes (default 64).  A pass
+        Collect after every N machine finalizes (default 64); the cadence
+        is unobservable in the trace but for what a restart replays.  A pass
         visits the processes it can reclaim something from — an interval
         finalized or rolled back, a commit point was declared, the body
         returned — and lets
@@ -436,7 +434,9 @@ class HopeSystem:
         #: are resolved only by the guessing process itself would
         #: deadlock in this mode; that is inherent, not a bug.
         self.speculation = speculation
-        self.fossil_collect = fossil_collect
+        if not fossil_collect:
+            raise HopeError("fossil collection cannot be switched off: "
+                            "collection is the only mode")
         if fossil_interval < 1:
             raise HopeError(f"fossil_interval must be >= 1, got {fossil_interval}")
         self.fossil_interval = fossil_interval
@@ -518,21 +518,14 @@ class HopeSystem:
                 raise HopeError(
                     "durable runs do not compose with a schedule controller"
                 )
-            if not fossil_collect:
-                raise HopeError(
-                    "durable runs require fossil collection (fossil_collect="
-                    "False was passed): the WAL is flushed from collection "
-                    "passes, so without them nothing would be persisted"
-                )
             from ..durable.recorder import DurableRecorder
 
             self._durable = DurableRecorder(
                 self, durable_dir, seed=seed, opts=durable_opts
             )
-        if fossil_collect:
-            # Only a collecting run retires AIDs, so only it accounts for
-            # the tags of outstanding messages (Network.hold).
-            self.network.pins = self.machine
+        # The machine retires AIDs, so it accounts for the tags of
+        # outstanding messages (Network.hold).
+        self.network.pins = self.machine
         self.network.known = self.timeline
 
     # ------------------------------------------------------------------
@@ -558,7 +551,8 @@ class HopeSystem:
         """Run the system to quiescence; returns the final virtual time."""
         final = self.sim.run(until=until, max_events=max_events)
         if not self.sim.pending_events:
-            if self.fossil_collect and self._durable is None:
+            self.network._open_batch = None     # fired or retracted: let go
+            if self._durable is None:
                 self._run_fossil_collection(whole=True)     # the pass it owes
             # Only at quiescence: a span open at an ``until`` goes on in
             # the next run (stats() measures it to now meanwhile).
@@ -730,8 +724,7 @@ class HopeSystem:
         return {
             **machine,
             # Retired AIDs left the table but still count toward the run's
-            # totals (orphaned pending ones included), so collected and
-            # uncollected runs agree.
+            # totals (orphaned pending ones included).
             "aids_pending": statuses["pending"] + machine["aids_retired_pending"],
             "aids_affirmed": statuses["affirmed"] + machine["aids_retired_affirmed"],
             "aids_denied": statuses["denied"] + machine["aids_retired_denied"],
@@ -882,15 +875,15 @@ class HopeSystem:
     _PASS_TURNS = 16
 
     def _run_fossil_collection(self, whole: bool = False) -> None:
-        """One deferred collection pass (see the ``fossil_collect`` doc);
-        ``whole`` visits every queued record.
+        """One deferred collection pass (see the ``fossil_collect`` and
+        ``fossil_interval`` docs); ``whole`` visits every queued record.
 
         Runs only at effect-dispatch and delivery boundaries: the machine
         is between primitives and the simulator between callbacks, so no
         half-applied transition can be observed.  Purely a memory
         operation — it schedules nothing, draws no randomness, and leaves
-        the trace untouched, which is what keeps collected and
-        uncollected runs byte-identical.
+        the trace untouched, which is what keeps the collection cadence
+        unobservable.
         """
         self._fossil_pending = False
         self._finalizes_since_collect = 0
@@ -1061,7 +1054,7 @@ class HopeSystem:
             proc.done = True
             proc.result = task.result
             proc.recv = None
-            if self.fossil_collect and proc.log.retained:
+            if proc.log.retained:
                 # Exit is the last commit point (see Exited): once the
                 # frontier reaches the end of the log, a pass promotes it
                 # like any other and the log goes whole.  A rollback of
@@ -1316,16 +1309,15 @@ class HopeSystem:
 
     def _do_commit_point(self, proc, task, effect: CommitPointEffect) -> None:
         proc.log.append("commit", None)
-        if self.fossil_collect:
-            # Candidate position = log length *after* the commit entry: a
-            # body resumed from this state next yields the effect that
-            # follows the commit_point, i.e. the entry at that position.
-            state = copy.deepcopy(effect.state)
-            proc.add_candidate(RebasePoint(len(proc.log), state, self.sim.now))
-            # a log prefix the next pass may be able to drop
-            proc.mproc.mark_reclaimable()
-            if len(proc.rebase_candidates) > self._MAX_REBASE_CANDIDATES:
-                del proc.rebase_candidates[1::2]
+        # Candidate position = log length *after* the commit entry: a
+        # body resumed from this state next yields the effect that
+        # follows the commit_point, i.e. the entry at that position.
+        state = copy.deepcopy(effect.state)
+        proc.add_candidate(RebasePoint(len(proc.log), state, self.sim.now))
+        # a log prefix the next pass may be able to drop
+        proc.mproc.mark_reclaimable()
+        if len(proc.rebase_candidates) > self._MAX_REBASE_CANDIDATES:
+            del proc.rebase_candidates[1::2]
         if self._tracing:
             self.tracer.record(self.sim.now, "commit_point", proc.name)
         task.resume_now(None)
@@ -1502,16 +1494,15 @@ class HopeSystem:
                     interval=interval.label,
                     aid=interval.aid.key if interval.aid is not None else None,
                 )
-            if self.fossil_collect:
-                received = event.interval.received
-                if received:
-                    self._release_received(received)
-                # Finalize is what advances the commit frontier (Eq 21), so
-                # it is the natural collection trigger — but the machine is
-                # mid-primitive here, so only raise the deferred flag.
-                self._finalizes_since_collect += 1
-                if self._finalizes_since_collect >= self.fossil_interval:
-                    self._fossil_pending = True
+            received = event.interval.received
+            if received:
+                self._release_received(received)
+            # Finalize is what advances the commit frontier (Eq 21), so
+            # it is the natural collection trigger — but the machine is
+            # mid-primitive here, so only raise the deferred flag.
+            self._finalizes_since_collect += 1
+            if self._finalizes_since_collect >= self.fossil_interval:
+                self._fossil_pending = True
         if self._aid_waiters:
             self._wake_aid_waiters()
 

@@ -193,11 +193,10 @@ class ReliableTransport:
         record = _PendingSend(delivery.message.msg_id, src, dst, payload, tags)
         record.deliveries.append(delivery)
         self._pending[record.msg_id] = record
-        pins = self.engine.network.pins
-        if tags and pins is not None:
+        if tags:
             # A retransmission re-resolves the tags at delivery, so they
             # stay pinned for as long as the send can still be retried.
-            pins.pin(tags)
+            self.engine.network.pins.pin(tags)
         record.timer = self.engine.sim.schedule(
             self.config.ack_timeout,
             self._on_timeout,
@@ -255,9 +254,8 @@ class ReliableTransport:
             if record.timer is not None:
                 record.timer.cancel()
                 record.timer = None
-            pins = self.engine.network.pins
-            if record.tags and pins is not None:
-                pins.unpin(record.tags)
+            if record.tags:
+                self.engine.network.pins.unpin(record.tags)
         # Retraction is NOT gated on `closed`: an ack only settles the
         # retry loop, it does not outlive a rollback.  A sender rolling
         # back past an already-acked (and possibly consumed) send must

@@ -355,10 +355,11 @@ class Network:
         self.messages_sent = 0
         self.tag_count_total = 0
         #: Where the tag keys of outstanding messages are pinned: an object
-        #: with ``pin(keys)`` / ``unpin(keys)`` (the HOPE runtime installs
-        #: its machine, which must not retire an AID a delivery will still
-        #: look up by key).  None: nobody retires anything, nothing is
-        #: accounted.  See :meth:`hold`.
+        #: with ``pin(keys)`` / ``unpin(keys)``.  Every HOPE runtime
+        #: installs its machine, which must not retire an AID a delivery
+        #: will still look up by key; None is a bare network (the Time
+        #: Warp baseline's, or the sim layer used alone), where nobody
+        #: retires anything and nothing is accounted.  See :meth:`hold`.
         self.pins: Any = None
         #: Optional arrival interceptor: called with each live message the
         #: instant it reaches the destination mailbox, before ``put``.
@@ -372,7 +373,10 @@ class Network:
         #: merged into the event.  Only the exactly-once base transport
         #: coalesces — a subclassed ``_schedule_delivery`` (fault
         #: injection) or a schedule controller disables it, since both
-        #: hang per-event behaviour on each delivery owning an event.
+        #: hang per-event behaviour on each delivery owning an event.  A
+        #: fired or retracted delivery can no longer be joined but keeps
+        #: its messages until the next send; ``HopeSystem.run`` drops it
+        #: at quiescence.
         self._open_batch: Optional[list] = None
         #: The entries list of the sweep currently being delivered (None
         #: outside :meth:`_sweep_deliveries`) — appends are only legal

@@ -94,7 +94,7 @@ BUILDS = {
     "ring": lambda system: build_chaos_ring(system, nodes=4, laps=4),
     "counter": lambda system: build_durable_counter(system, workers=2, rounds=12),
 }
-BASE = dict(latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=2)
+BASE = dict(latency=ConstantLatency(1.0), fossil_interval=2)
 
 
 def _system(run_dir, seed, build, **opts):

@@ -5,7 +5,7 @@ property — a crash is just more network/scheduling weather, and Theorem
 6.1 says the finalized prefix can never roll back, so it must survive).
 
 Also covers: recording passivity (durable tracing changes no trace
-byte), the commit_point × fossil_collect restart edges (base-aware
+byte), the commit_point restart edges under collection (base-aware
 snapshots, EffectLog ``base`` accounting across the roundtrip),
 corruption detection with one-generation fallback, and the constructor
 guardrails.
@@ -38,7 +38,6 @@ def _durable_kwargs(run_dir, **extra):
     kwargs = dict(
         seed=1,
         latency=ConstantLatency(1.0),
-        fossil_collect=True,
         fossil_interval=4,
         durable_dir=str(run_dir),
         durable_opts={"snapshot_every": 1},
@@ -70,7 +69,7 @@ class TestRecordingIsPassive:
             tracer = Tracer()
             kwargs = dict(
                 seed=3, latency=ConstantLatency(1.0), trace=tracer,
-                fossil_collect=True, fossil_interval=4,
+                fossil_interval=4,
             )
             if durable_dir is not None:
                 kwargs.update(
@@ -237,8 +236,7 @@ class TestFossilRestartEdges:
             # ... and once live, the absolute-index invariant is back.
             assert log.cursor == log.base + log.retained, name
         # Converged: same committed state as a never-interrupted run.
-        twin = HopeSystem(seed=1, latency=ConstantLatency(1.0),
-                          fossil_collect=True, fossil_interval=4)
+        twin = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4)
         build_durable_counter(twin)
         twin.run()
         assert _committed(resumed) == _committed(twin)
@@ -290,8 +288,7 @@ class TestWatermarkAcrossResume:
         resumed._apply_rollback = checked_rollback
         resumed.run()
         assert rollbacks, "the continued run never rolled back"
-        twin = HopeSystem(seed=1, latency=ConstantLatency(1.0),
-                          fossil_collect=True, fossil_interval=2)
+        twin = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=2)
         _build_long_counter(twin)
         twin.run()
         assert _committed(resumed) == _committed(twin)

@@ -47,6 +47,10 @@ from repro.core import AssumptionId
 from repro.runtime import HopeSystem, ReliableConfig
 from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency
 
+#: A ``fossil_interval`` no run here reaches: its only pass is the one a
+#: run owes at quiescence, so nothing is collected while it runs.
+NEVER = 10**9
+
 
 def measure(run: Callable[[], Any]) -> tuple:
     """``(result, bytes, blocks)``: what ``run()`` left allocated.
@@ -100,9 +104,9 @@ BUDGETS = {
         (3, 12): (569, 10.0), (3, 13): (569, 10.0),
     },
     # what a retired process keeps: its ledger row and directory slot,
-    # its name and arguments (§14, §20, §24)
+    # its name and arguments (§14, §20, §24, §29)
     "retired process": {
-        (3, 10): (294, 3.8), (3, 11): (280, 3.8),
+        (3, 10): (294, 3.8), (3, 11): (278, 3.8),
         (3, 12): (271, 3.8), (3, 13): (271, 3.8),
     },
     # one slot of ``committed`` (§19)
@@ -222,8 +226,8 @@ def _pong(p, peer, rounds):
     yield p.recv()
 
 
-def running_pair(rounds: int, **options) -> HopeSystem:
-    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), **options)
+def running_pair(rounds: int) -> HopeSystem:
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0))
     system.spawn("pong", _pong, "ping", rounds)
     system.spawn("ping", _ping, "pong", rounds)
     system.run()
@@ -557,9 +561,32 @@ def _pingpong(rounds: int) -> HopeSystem:
     return system
 
 
+def _ahead_guesser(p, judge, rounds):
+    for i in range(rounds):
+        x = yield p.aid_init("round")
+        yield p.send(judge, x)
+        yield p.emit((i, (yield p.guess(x))))
+
+
+def _ahead_judge(p, rounds):
+    for _ in range(rounds):
+        yield p.affirm((yield p.recv()).payload)
+
+
+def _ahead(rounds: int) -> HopeSystem:
+    """A guesser ``rounds`` rounds ahead of its judge: it never waits, so
+    every round's message rides one same-tick delivery sweep, and every
+    round's AID is live at once."""
+    system = HopeSystem(seed=7, latency=ConstantLatency(0.5))
+    system.spawn("judge", _ahead_judge, rounds)
+    system.spawn("guesser", _ahead_guesser, "judge", rounds)
+    return system
+
+
 #: Residue bodies at size ``n``: reports, relay trees, counter rounds
-#: (``steady/2``: drawn at seed 2), lossy rounds and pingpong rounds.
-#: Only ``cascade`` grows the process count.
+#: (``steady/2``: drawn at seed 2), lossy rounds, pingpong rounds and
+#: rounds a guesser runs ahead of its judge.  Only ``cascade`` grows the
+#: process count.
 RESIDUE = {
     "cascade": (20, _cascade),
     "stream": (25, _stream),
@@ -567,6 +594,7 @@ RESIDUE = {
     "steady/2": (50, lambda rounds: _steady(rounds, seed=2)),
     "lossy": (10, _lossy),
     "pingpong": (200, _pingpong),
+    "ahead": (25, _ahead),
 }
 
 

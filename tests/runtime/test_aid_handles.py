@@ -31,6 +31,8 @@ from repro.core.aid import VERDICTS, AidStatus
 from repro.runtime import AidHandle, HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
+from ..footprint import NEVER
+
 #: ``pickle.dumps(AidHandle("x#1", "x"), protocol=4)`` when the handle was
 #: a frozen two-field dataclass: the bytes of every durable image.
 _DATACLASS_BYTES = (
@@ -121,11 +123,11 @@ def _judge(p, ok):
         yield p.affirm(y)
 
 
-def _run(fossil, ok=True):
+def _run(interval, ok=True):
     got = []
     tracer = Tracer()
     system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
-                        strict_aids=False, fossil_collect=fossil, fossil_interval=1)
+                        strict_aids=False, fossil_interval=interval)
     system.spawn("judge", _judge, ok)
     system.spawn("maker", _maker, got, ok)
     system.run()
@@ -134,15 +136,15 @@ def _run(fossil, ok=True):
 
 @pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
 def test_a_settled_aid_retires_under_a_live_handle(ok):
-    system, tracer, handle = _run(fossil=True, ok=ok)
-    twin, twin_tracer, _ = _run(fossil=False, ok=ok)
+    system, tracer, handle = _run(1, ok=ok)
+    twin, twin_tracer, twin_handle = _run(NEVER, ok=ok)
     # The handle lives (the test and maker's log hold it), the AID left
     # the table before the late guess, and every primitive read it by
-    # object: the same trace, byte for byte, as the twin that retires
-    # nothing.
+    # object: the same trace, byte for byte, as the run that retires
+    # nothing before it ends.
     assert handle.key not in system.machine.aids and handle.aid.handles is None
     assert handle.aid is VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]
-    assert handle.key in twin.machine.aids
+    assert twin_handle.key == handle.key and twin.stats()["fossil_collections"] == 1
     assert tracer.fingerprint() == twin_tracer.fingerprint()
     assert system.committed_outputs("maker") == [("late", ok)]
     # ... and the public lookups answer through the handle; the raw key
@@ -176,11 +178,11 @@ def _late_maker(p, seen, late):
     yield p.emit("late")
 
 
-def _late_run(fossil, ok, late, strict):
+def _late_run(interval, ok, late, strict):
     seen, events = [], []
     tracer = Tracer()
     system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
-                        strict_aids=strict, fossil_collect=fossil, fossil_interval=1)
+                        strict_aids=strict, fossil_interval=interval)
     system.machine.subscribe(events.append)
     system.spawn("judge", _judge, ok)
     system.spawn("maker", _late_maker, seen, late)
@@ -196,13 +198,14 @@ def _late_run(fossil, ok, late, strict):
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
 def test_a_late_primitive_through_a_verdict_is_unchanged(ok, strict, late):
-    system, tracer, seen, events, error = _late_run(True, ok, late, strict)
-    twin, twin_tracer, twin_seen, _, twin_error = _late_run(False, ok, late, strict)
+    system, tracer, seen, events, error = _late_run(1, ok, late, strict)
+    twin, twin_tracer, twin_seen, _, twin_error = _late_run(NEVER, ok, late, strict)
     (handle, held), *rest = seen
     verdict = VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]
     # The pass had pointed the handle at the shared verdict before the
-    # primitive ran; the uncollected twin's handle still held its AID.
+    # primitive ran; where no pass had run, the handle still held its AID.
     assert held is verdict and twin_seen[0][1].key == handle.key
+    assert twin_seen[0][1] is not verdict
     # The same value, the same trace byte for byte, the key in every
     # record and event that names an AID ...
     assert rest == twin_seen[1:]

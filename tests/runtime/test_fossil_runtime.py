@@ -1,12 +1,15 @@
 """Fossil collection at the runtime level: a pure optimization.
 
-The property under test (ISSUE satellite): a fossil-collected run and an
-uncollected run of the *same* program, seed, and latency produce
-byte-identical traces and identical Theorem 5.2/6.1 outcomes — the same
-AIDs affirmed/denied, the same rollbacks, the same committed outputs —
-on randomized guess/affirm/deny schedules.  Collection may only change
-memory accounting (shorter histories, retired AIDs, dropped log
-prefixes), never behaviour.
+Collection is the only mode, and its cadence is unobservable: the *same*
+program, seed and latency collected after every finalize, after every
+64, or never before the pass a run owes at quiescence (an interval
+larger than the run's finalize count — the run that is uncollected until
+it ends) produce the same traces but for what a restart replays, and
+identical Theorem 5.2/6.1 outcomes — the same AIDs affirmed/denied, the
+same rollbacks, the same committed outputs — on randomized
+guess/affirm/deny schedules.  Collection may only change memory
+accounting (shorter histories, retired AIDs, dropped log prefixes) and
+how far back a restart starts, never behaviour.
 """
 
 import gc
@@ -19,6 +22,8 @@ from repro.obs import MetricsRegistry
 from repro.runtime import ReplayDivergenceError
 from repro.runtime.engine import HopeSystem
 from repro.sim import ConstantLatency, Tracer
+
+from ..footprint import NEVER
 
 
 # ---------------------------------------------------------------- workload
@@ -62,7 +67,11 @@ def judge(p, rounds, deny_rate, resume=None):
     return "judged"
 
 
-def _run(seed, fossil, rounds=40, deny_rate=0.3, until=None):
+#: The cadences the property compares: every finalize, the default, never.
+CADENCES = (1, 64, NEVER)
+
+
+def _run(seed, interval=8, rounds=40, deny_rate=0.3, until=None):
     """The pair at ``seed``, run to quiescence — or to ``until``, with both
     still live (the pass a run owes at quiescence retires them)."""
     tracer = Tracer()
@@ -70,8 +79,7 @@ def _run(seed, fossil, rounds=40, deny_rate=0.3, until=None):
         seed=seed,
         latency=ConstantLatency(1.0),
         trace=tracer,
-        fossil_collect=fossil,
-        fossil_interval=8,
+        fossil_interval=interval,
     )
     system.spawn("judge", judge, rounds, deny_rate)
     system.spawn("worker", worker, rounds)
@@ -93,8 +101,8 @@ _OUTCOME_KEYS = (
 def _split_replay(tracer):
     """The trace as tuples with each restart's ``replay`` count taken out,
     and those counts: the one field that is a cost, not behaviour — a
-    collected run restarts from its newest commit point, an uncollected
-    one from program entry."""
+    restart starts from the newest commit point it still has, and a run
+    that collects less often has thinned more of them."""
     records, replays = [], []
     for rec in tracer.records:
         detail = dict(rec.detail)
@@ -106,55 +114,61 @@ def _split_replay(tracer):
 
 # ----------------------------------------------------------------- property
 class TestCollectedEqualsUncollected:
+    """The collection cadence is unobservable; "uncollected" is the run at
+    :data:`NEVER`, which collects nothing until it ends."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     def test_identical_traces_and_outcomes(self, seed):
-        base, base_tr, t_base = _run(seed, fossil=False)
-        coll, coll_tr, t_coll = _run(seed, fossil=True)
+        # 120 rounds finalize 78-88 intervals: 64 collects once mid-run
+        runs = [_run(seed, interval, rounds=120) for interval in CADENCES]
+        (every, _, t_every), _, (never, _, _) = runs
+        passes = [system.stats()["fossil_collections"] for system, _, _ in runs]
+        assert passes[0] > passes[1] == 2 and passes[2] == 1
         # identical traces but for what a restart replays: collection
         # draws no randomness and schedules nothing
-        base_records, base_replays = _split_replay(base_tr)
-        coll_records, coll_replays = _split_replay(coll_tr)
-        assert base_records == coll_records
-        assert base_replays and all(
-            c <= b for c, b in zip(coll_replays, base_replays, strict=True)
-        )
-        assert sum(coll_replays) < sum(base_replays)
-        assert t_base == t_coll
-        assert base.result_of("worker") == coll.result_of("worker")
-        assert base.result_of("judge") == coll.result_of("judge")
-        assert base.committed_outputs("worker") == coll.committed_outputs("worker")
-        # Theorem 5.2/6.1 outcomes: same resolutions, same rollbacks
-        s_base, s_coll = base.stats(), coll.stats()
-        for key in _OUTCOME_KEYS:
-            assert s_base[key] == s_coll[key], key
-        assert s_base["aids_denied"] > 0       # the schedule really denied
-        assert s_coll["fossil_collections"] >= 1
+        split = [_split_replay(tracer) for _, tracer, _ in runs]
+        for (records, replays), (sparser_records, sparser) in zip(split, split[1:]):
+            assert records == sparser_records
+            assert replays and all(
+                r <= s for r, s in zip(replays, sparser, strict=True)
+            )
+        assert sum(split[0][1]) < sum(split[2][1])
+        for system, _, final in runs[1:]:
+            assert final == t_every
+            assert system.result_of("worker") == every.result_of("worker")
+            assert system.result_of("judge") == every.result_of("judge")
+            assert system.committed_outputs("worker") == every.committed_outputs("worker")
+            # Theorem 5.2/6.1 outcomes: same resolutions, same rollbacks
+            for key in _OUTCOME_KEYS:
+                assert system.stats()[key] == every.stats()[key], key
+        assert never.stats()["aids_denied"] > 0    # the schedule really denied
 
     @pytest.mark.parametrize("build", [build_chaos_mesh, build_chaos_ring])
     def test_identical_fingerprints_on_chaos_workloads(self, build):
-        """Cross-process denies and cascades, collected every 4 commit
-        points or never: one trace fingerprint."""
+        """Cross-process denies and cascades, collected after every
+        finalize, every 64 or never: one trace fingerprint."""
         runs = []
-        for options in ({"fossil_collect": False}, {"fossil_interval": 4}):
+        for interval in CADENCES:
             tracer = Tracer()
             system = HopeSystem(seed=3, latency=ConstantLatency(1.0),
-                                trace=tracer, **options)
+                                trace=tracer, fossil_interval=interval)
             build(system)
             system.run(max_events=200_000)
-            runs.append((tracer.fingerprint(), system.stats()))
-        (plain, plain_stats), (coll, coll_stats) = runs
-        assert plain_stats["rollbacks"] > 0 and coll_stats["fossil_collections"] > 0
-        assert plain == coll
+            stats = system.stats()
+            runs.append((tracer.fingerprint(), {k: stats[k] for k in _OUTCOME_KEYS}))
+            assert stats["rollbacks"] > 0
+        assert stats["fossil_collections"] == 1            # (at NEVER)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_collected_run_actually_reclaims(self):
-        base, _, _ = _run(seed=3, fossil=False, until=40.0)
-        coll, _, _ = _run(seed=3, fossil=True, until=40.0)
+        base, _, _ = _run(seed=3, interval=NEVER, until=40.0)
+        coll, _, _ = _run(seed=3, until=40.0)
         s = coll.stats()
         assert s["fossil_history_dropped"] > 0
         assert s["fossil_aids_retired"] > 0
         assert s["fossil_log_dropped"] > 0
         # bounded tables: strictly smaller than the uncollected run's
-        # (mid-run: a collected run that ends holds none).  The engine's
+        # (mid-run: a run that ends holds none).  The engine's
         # machine keeps no history entries, so the retained history is
         # the index window above the record's fossil floor.
         def retained(system):
@@ -170,7 +184,7 @@ class TestCollectedEqualsUncollected:
         """Theorem 6.1 end-to-end: after a collected run completes, no
         interval is speculative and every output is committed — so each
         exit is definite, and the pass the run owes retired both."""
-        coll, _, _ = _run(seed=5, fossil=True)
+        coll, _, _ = _run(seed=5)
         assert not coll.machine.processes and not coll.procs
         assert coll.stats()["processes_retired"] == 2
         for name in coll.process_names():
@@ -182,20 +196,24 @@ class TestCollectedEqualsUncollected:
 class TestCommitPointSemantics:
     def test_restart_resumes_from_rebase_state(self):
         """Once the frontier passes a commit point, a denial replays from
-        the rebase snapshot instead of program entry."""
-        coll, _, _ = _run(seed=2, fossil=True, rounds=60)
-        base, _, _ = _run(seed=2, fossil=False, rounds=60)
-        s_coll, s_base = coll.stats(), base.stats()
-        assert s_coll["rollbacks"] == s_base["rollbacks"] > 0
-        # identical results from far fewer replayed effects
-        assert coll.result_of("worker") == base.result_of("worker")
-        assert s_coll["replayed_effects"] < s_base["replayed_effects"]
+        the rebase snapshot instead of program entry: from entry, a
+        restart would re-feed every entry up to the absolute log position
+        its rollback returned to (the trace's ``to_log_index``)."""
+        coll, tracer, _ = _run(seed=2, rounds=60)
+        entry = [r.detail["to_log_index"] for r in tracer.by_category("rollback")]
+        replays = [r.detail["replay"] for r in tracer.by_category("restart")]
+        assert len(replays) == len(entry) == coll.stats()["rollbacks"] > 0
+        # the same result from far fewer replayed effects
+        never, _, _ = _run(seed=2, interval=NEVER, rounds=60)
+        assert coll.result_of("worker") == never.result_of("worker")
+        assert all(r <= e for r, e in zip(replays, entry))
+        assert coll.stats()["replayed_effects"] == sum(replays) < sum(entry) // 4
 
     def test_a_restart_starts_from_the_newest_surviving_commit_point(self):
         """A denial of round r's guess restarts the worker from the commit
         point that closed round r - 1 — promoted or not — so it re-feeds
         that round's ``aid_init`` and ``send`` and nothing older."""
-        coll, tracer, _ = _run(seed=2, fossil=True, rounds=60, until=0.0)
+        coll, tracer, _ = _run(seed=2, rounds=60, until=0.0)
         before = coll.stats()
         coll.run()
         after = coll.stats()
@@ -222,15 +240,8 @@ class TestCommitPointSemantics:
         assert registry.get("hope_replay_entries_total").value == replayed
         assert sum(r.detail["replay"] for r in tracer.by_category("restart")) == replayed
 
-    def test_commit_point_is_noop_without_fossil_collect(self):
-        base, _, _ = _run(seed=1, fossil=False, rounds=10)
-        proc = base.procs["worker"]
-        assert proc.rebase is None
-        assert not proc.rebase_candidates
-        assert proc.log.base == 0
-
     def test_crash_clears_rebase_state(self):
-        coll, _, _ = _run(seed=1, fossil=True, rounds=40, until=40.0)
+        coll, _, _ = _run(seed=1, rounds=40, until=40.0)
         proc = coll.procs["worker"]
         assert proc.rebase is not None
         coll.crash_process("worker")
@@ -241,7 +252,7 @@ class TestCommitPointSemantics:
     def test_rebase_state_is_isolated_per_restart(self):
         """Restarts get a deep copy: mutations by one incarnation must
         not leak into the parked rebase snapshot."""
-        coll, _, _ = _run(seed=4, fossil=True, rounds=60, until=60.0)
+        coll, _, _ = _run(seed=4, rounds=60, until=60.0)
         proc = coll.procs["worker"]
         snapshot = proc.rebase
         assert snapshot is not None
@@ -270,8 +281,7 @@ class TestCommitPointSemantics:
                 state["round"] += 1
 
         system = HopeSystem(
-            seed=0, latency=ConstantLatency(1.0),
-            fossil_collect=True, fossil_interval=8,
+            seed=0, latency=ConstantLatency(1.0), fossil_interval=8,
         )
         system.spawn("judge", judge, 40, 0.3)
         system.spawn("worker", misplaced, 40)
@@ -316,9 +326,7 @@ class TestHandlePinning:
                 yield p.affirm(msg.payload)
             return "done"
 
-        system = HopeSystem(
-            latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=4
-        )
+        system = HopeSystem(latency=ConstantLatency(1.0), fossil_interval=4)
         run_pass = system._run_fossil_collection
 
         def sampled_pass(whole=False):
@@ -380,7 +388,7 @@ def _steady_peaks(rounds, counters=2):
     their largest over the run — sampled as each fossil pass starts, i.e.
     at their high-water marks)."""
     system = HopeSystem(
-        seed=3, latency=ConstantLatency(1.0), fossil_collect=True, fossil_interval=16
+        seed=3, latency=ConstantLatency(1.0), fossil_interval=16
     )
     refs: dict = {}
     system.spawn("judge", _emitting_judge, counters * rounds)
@@ -552,11 +560,11 @@ class TestPassCost:
             assert visits == [idle + 2] + [2] * (80 // 8 - 1) + [1]
 
 
-# ------------------------------------------------- the default, and its twin
+# ----------------------------------------------------- the default, the only mode
 class TestCollectionIsTheDefault:
     def test_a_plain_system_collects(self):
         system = HopeSystem(seed=3, latency=ConstantLatency(1.0))
-        assert system.fossil_collect and system.fossil_interval == 64
+        assert system.fossil_interval == 64
         system.spawn("judge", judge, 80, 0.0)
         system.spawn("worker", worker, 80)
         system.run()
@@ -577,9 +585,11 @@ class TestCollectionIsTheDefault:
         with pytest.raises(UnknownAidError, match="retired by collection"):
             system.aid("r0#1")
 
-    def test_durable_run_refuses_the_uncollected_twin(self, tmp_path):
+    def test_no_system_runs_uncollected(self, tmp_path):
+        """``fossil_collect`` accepts only ``True``, durable or not."""
         from repro.core import HopeError
 
-        with pytest.raises(HopeError, match="durable runs require fossil collection"):
-            HopeSystem(durable_dir=str(tmp_path), fossil_collect=False)
-        assert HopeSystem(durable_dir=str(tmp_path / "ok")).fossil_collect
+        for options in ({}, {"durable_dir": str(tmp_path)}):
+            with pytest.raises(HopeError, match="collection is the only mode"):
+                HopeSystem(fossil_collect=False, **options)
+        assert HopeSystem(fossil_collect=True).fossil_interval == 64

@@ -22,9 +22,12 @@ from repro.core.inspect import format_machine
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
+#: ``plain``: a system built with no keyword (a pass every 64 finalizes);
+#: ``fossil``: one that collects after every 4.  Both collect: ``plain``
+#: names the build without a keyword, not an uncollected mode.
 MODES = {
-    "plain": {"fossil_collect": False},
-    "fossil": {"fossil_collect": True, "fossil_interval": 4},
+    "plain": {},
+    "fossil": {"fossil_interval": 4},
 }
 
 

@@ -6,7 +6,7 @@ from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency
 from repro.verify.invariants import LedgerMonitor
 
-from ..footprint import budget, committed_output
+from ..footprint import NEVER, budget, committed_output
 
 
 def _verify(decision):
@@ -141,15 +141,15 @@ _OPS = st.lists(
 )
 
 
-def _run_scripted(ops, fossil, fossil_interval, pass_every, crash_at):
+def _run_scripted(ops, fossil_interval, pass_every, crash_at):
     """Steps the pair event by event: an extra pass every ``pass_every``
-    steps, and at step ``crash_at`` (0: never; else if the worker is still
-    running) a crash and an immediate restart.  After every step, a process's
-    ``committed`` only ever grows; after every pass, no record in
-    ``outputs`` lies below the frontier (settling again passes none)."""
+    steps (0: none), and at step ``crash_at`` (0: never; else if the
+    worker is still running) a crash and an immediate restart.  After
+    every step, a process's ``committed`` only ever grows; after every
+    pass, no record in ``outputs`` lies below the frontier (settling
+    again passes none)."""
     system = HopeSystem(
-        seed=7, latency=ConstantLatency(1.0),
-        fossil_collect=fossil, fossil_interval=fossil_interval,
+        seed=7, latency=ConstantLatency(1.0), fossil_interval=fossil_interval,
     )
     system.spawn("judge", _scripted_judge)
     system.spawn("worker", _scripted, tuple(ops))
@@ -180,7 +180,7 @@ def _run_scripted(ops, fossil, fossil_interval, pass_every, crash_at):
         if steps == crash_at and not system.is_done("worker"):
             system.crash_process("worker")
             system.restart_process("worker")
-        if fossil and pass_every and steps % pass_every == 0:
+        if pass_every and steps % pass_every == 0:
             system._run_fossil_collection()     # between events: quiescent
         for name, proc in system.procs.items():
             committed = list(proc.committed)
@@ -198,8 +198,9 @@ def _run_scripted(ops, fossil, fossil_interval, pass_every, crash_at):
 def test_suffix_withdrawal_matches_the_filter_and_the_watermark_is_sound(
     ops, fossil_interval, pass_every, crash_at
 ):
-    collected = _run_scripted(ops, True, fossil_interval, pass_every, crash_at)
-    plain = _run_scripted(ops, False, fossil_interval, 0, crash_at)
+    collected = _run_scripted(ops, fossil_interval, pass_every, crash_at)
+    # Stepped, never run(): at NEVER no pass runs at all
+    plain = _run_scripted(ops, NEVER, 0, crash_at)
     if not crash_at:                                    # no pass, no watermark
         assert plain.procs["worker"].committed == ()
     for name in ("worker", "judge"):

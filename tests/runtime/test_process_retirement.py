@@ -12,8 +12,8 @@ here:
 * every edge keeps its semantics: an exit that is still speculative is
   undone by a deny exactly as before, ``crash_process`` clears the
   terminal point like any rebase, the inspection calls read what they
-  read, a retired process is never promoted twice, the uncollected twin
-  retires nothing;
+  read, a retired process is never promoted twice, and a crash or late
+  mail traces as on the run that collects only at quiescence;
 * a spawned process costs a slot in its start batch, not an event: a
   budget per process spawned and not yet run;
 * an idle process costs a record: a budget per process blocked in
@@ -41,6 +41,7 @@ from repro.verify import standard_scenarios
 
 from ..footprint import (
     DEPTH,
+    NEVER,
     RESIDUE,
     RESIDUE_GROWTH,
     budget,
@@ -88,9 +89,8 @@ def _driver(p, waves, resume=None):
     return waves
 
 
-def _churn(waves, **options):
-    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4,
-                        **options)
+def _churn(waves):
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4)
     system.spawn("driver", _driver, waves)
     system.run()
     return system
@@ -103,7 +103,7 @@ def _census() -> Counter:
     return Counter(type(o) for o in gc.get_objects() if type(o) in _WATCHED)
 
 
-def _left_behind(waves, **options):
+def _left_behind(waves):
     """Instances of the watched types a churn run leaves alive, counted
     with the collector off from before the run to after the count: what
     is gone was freed by reference counting.  Log entries are no objects
@@ -113,7 +113,7 @@ def _left_behind(waves, **options):
     gc.disable()
     try:
         before = _census()
-        system = _churn(waves, **options)
+        system = _churn(waves)
         after = _census()
     finally:
         if was_enabled:
@@ -140,16 +140,15 @@ def test_memory_is_flat_in_processes_spawned():
     stats = s_large.stats()
     assert stats["processes_retired"] == spawned
     assert stats["fossil_log_dropped"] >= 24 * _WIDTH * (_K + 5)
-    # ... and the run is the run it was: the ledger and results of the
-    # uncollected twin, which keeps an entry per effect ever performed
-    # and retires nothing.
-    twin_left, twin = _left_behind(24, fossil_collect=False)
-    assert twin.stats()["processes_retired"] == 0
-    assert twin_left["LogEntry"] > 24 * _WIDTH * (_K + 5)
-    assert twin_left["_Incarnation"] == len(twin.procs) == spawned
-    for name in twin.process_names():
-        assert s_large.committed_outputs(name) == twin.committed_outputs(name)
-        assert s_large.result_of(name) == twin.result_of(name)
+    # ... and the run is the run it was: the closed-form ledger, in which
+    # every child commits and returns its name and every judge its count.
+    expected = {"driver": (24, [])}
+    for wave in range(24):
+        expected[f"j{wave}"] = (_WIDTH, [])
+        for child in (f"c{wave}.{i}" for i in range(_WIDTH)):
+            expected[child] = (child, [child])
+    assert {name: (s_large.result_of(name), s_large.committed_outputs(name))
+            for name in s_large.process_names()} == expected
 
 
 # ------------------------------------------------------- semantics at edges
@@ -188,9 +187,9 @@ def _pair(p, peer, rounds, lead):
     return rounds
 
 
-def _edge_system(verdict, *, fossil_collect=True, trace=None, wait=20.0):
-    system = HopeSystem(seed=2, latency=ConstantLatency(1.0), fossil_interval=2,
-                        fossil_collect=fossil_collect, trace=trace)
+def _edge_system(verdict, *, interval=2, trace=None, wait=20.0):
+    system = HopeSystem(seed=2, latency=ConstantLatency(1.0), fossil_interval=interval,
+                        trace=trace)
     system.spawn("judge", _late_judge, wait, verdict)
     system.spawn("guesser", _guesser, "judge", 3)
     system.spawn("ping", _pair, "pong", 30, True)
@@ -216,12 +215,11 @@ def test_a_speculative_exit_waits_for_its_verdict(verdict):
     assert guesser.log.retained == len(guesser.log) == 7
     assert system.committed_outputs("guesser") == []
     system.run()
-    twin = _edge_system(verdict, fossil_collect=False)
-    twin.run()
-    assert _ledger(system) == _ledger(twin)
-    assert system.result_of("guesser") == twin.result_of("guesser") == ("done", verdict)
-    assert guesser.restarts == (0 if verdict else 1)
-    assert system.stats()["rollbacks"] == twin.stats()["rollbacks"]
+    # the closed-form ledger: only the guesser emits, once it is settled
+    emitted = [("guessed", verdict), ("tail", 0), ("tail", 1), ("tail", 2)]
+    assert _ledger(system) == {"judge": [], "guesser": emitted, "ping": [], "pong": []}
+    assert system.result_of("guesser") == ("done", verdict)
+    assert guesser.restarts == system.stats()["rollbacks"] == (0 if verdict else 1)
     # settled and committed, it went at the next pass
     assert "guesser" not in system.procs
     assert guesser.task is None and guesser.log.retained == 0
@@ -268,9 +266,10 @@ def _reporter(p, count):
     return count
 
 
-def _crash_run(fossil_collect):
+def _crash_run(interval):
     tracer = Tracer()
-    system = _edge_system(True, fossil_collect=fossil_collect, trace=tracer)
+    system = _edge_system(True, interval=interval, trace=tracer)
+    others = list(system.procs.values())
     first = system.spawn("reporter", _reporter, 3)
     system.run(until=12.0)
     retired = "reporter" not in system.procs
@@ -280,15 +279,16 @@ def _crash_run(fossil_collect):
     system.restart_process("reporter")
     second = system.procs["reporter"]
     system.run()
-    return system, tracer, retired, (first, second, dropped)
+    return system, tracer, retired, (first, second, dropped, others)
 
 
 def test_crash_and_restart_of_a_retired_process_start_from_entry():
     """``crash_process`` clears the terminal point as it clears any rebase:
     the restarted process runs its program again from the top — the same
-    trace, event for event, as on the run that never retired anything."""
-    system, tracer, retired, (first, second, dropped) = _crash_run(True)
-    twin, twin_tracer, twin_retired, _ = _crash_run(False)
+    trace, event for event, as on the run that retired nothing before the
+    crash (its only pass is the one it owes at quiescence)."""
+    system, tracer, retired, (first, second, dropped, others) = _crash_run(2)
+    twin, twin_tracer, twin_retired, _ = _crash_run(NEVER)
     assert retired and not twin_retired
     assert tracer.fingerprint() == twin_tracer.fingerprint()
     assert _ledger(system) == _ledger(twin)
@@ -296,17 +296,14 @@ def test_crash_and_restart_of_a_retired_process_start_from_entry():
         [("report", i, 0.0) for i in range(3)] + [("report", i, 14.0) for i in range(3)]
     )
     assert system.result_of("reporter") == twin.result_of("reporter") == 3
-    assert twin.stats()["processes_retired"] == 0
-    assert all(proc.task is not None and proc.rebase is None
-               for proc in twin.procs.values())
     # once before the crash, and again once the second exit had committed
     # (the crash rebuilt the retired process from its ledger row)
     assert "reporter" not in system.procs and second is not first
     # each life dropped its 6 entries: the first by the crash, and the
-    # second among every log the uncollected twin keeps to the end
+    # second among every log, each of which went whole
     assert dropped == len(first.log) == 6
     assert system.stats()["fossil_log_dropped"] - dropped == sum(
-        len(proc.log) for proc in twin.procs.values())
+        len(proc.log) for proc in (*others, second))
     assert second.task is None and len(second.log) == second.log.base == 6
 
 
@@ -322,11 +319,11 @@ def _mailer(p, at):
     return "mailed"
 
 
-def _late_mail_run(fossil_collect, sent_at, reliable):
+def _late_mail_run(interval, sent_at, reliable):
     tracer = Tracer()
     slow = LinkLatency({("mailer", "listener"): ConstantLatency(20.0)}, ConstantLatency(1.0))
-    system = HopeSystem(seed=2, latency=slow, fossil_interval=2, reliable=reliable,
-                        fossil_collect=fossil_collect, trace=tracer)
+    system = HopeSystem(seed=2, latency=slow, fossil_interval=interval, reliable=reliable,
+                        trace=tracer)
     system.spawn("listener", _listener)
     system.spawn("mailer", _mailer, sent_at)
     system.spawn("ping", _pair, "pong", 30, True)
@@ -345,10 +342,10 @@ def test_mail_to_a_retired_process_reaches_its_restart(sent_at, reliable):
     """``listener`` exits at t=0 and retires; mail to it sent at t=0 (on
     its way as it retires) or t=8 (to the retired name) lands at t=20 or
     t=28, after a crash and restart at t=12 whose incarnation receives.
-    The copy reaches the restarted process exactly as on the uncollected
-    twin, whose mailbox never closed."""
-    system, tracer, retired = _late_mail_run(True, sent_at, reliable)
-    twin, twin_tracer, twin_retired = _late_mail_run(False, sent_at, reliable)
+    The copy reaches the restarted process exactly as on the run that
+    collects only at quiescence, whose mailbox was open all the while."""
+    system, tracer, retired = _late_mail_run(2, sent_at, reliable)
+    twin, twin_tracer, twin_retired = _late_mail_run(NEVER, sent_at, reliable)
     assert retired and not twin_retired
     assert system.result_of("listener") == twin.result_of("listener") == ("mail", sent_at)
     assert tracer.fingerprint() == twin_tracer.fingerprint()
@@ -494,14 +491,16 @@ def test_procs_holds_live_processes_only():
 
 def test_a_finished_run_holds_its_results_and_nothing_else():
     """The residue property: the bodies of ``stream``, ``steady`` (at two
-    draws), ``lossy``, ``pingpong`` and ``cascade`` at N and 4N
-    (``footprint.RESIDUE``) hold, at quiescence and besides their
-    results, as much at 4N as at N — with no pass run by hand.
-    ``cascade`` grows the processes fourfold (3.91x while a retired
-    process kept its roles, 1 398 B each); the others grow the work per
-    process (``pingpong`` read 3.15x while its finished pair kept their
-    logs, ``steady/2`` 1.35x while the DepSet table kept the capacity of
-    its largest size)."""
+    draws), ``lossy``, ``pingpong`` and ``cascade``, and a guesser
+    ``ahead`` of its judge, at N and 4N (``footprint.RESIDUE``) hold, at
+    quiescence and besides their results, as much at 4N as at N — with
+    no pass run by hand.  ``cascade`` grows the processes fourfold
+    (3.91x while a retired process kept its roles, 1 398 B each); the
+    others grow the work per process (``pingpong`` read 3.15x while its
+    finished pair kept their logs, ``steady/2`` 1.35x while the DepSet
+    table kept the capacity of its largest size, ``ahead`` 9.08x while
+    the network kept its last delivery sweep and the AID and pin tables
+    the capacity of theirs)."""
     for name in RESIDUE:
         small, large = residues(name)
         assert large <= RESIDUE_GROWTH * small, (name, small, large)
@@ -534,7 +533,8 @@ _SETTLED = [
 def test_a_run_that_reaches_quiescence_ends_settled(build):
     """The pass a run owes at quiescence leaves nothing for another: one
     more changes no ``stats()`` leaf but its own count, nothing is queued,
-    and every process still live is one whose exit is not definite."""
+    every process still live is one whose exit is not definite, and the
+    network holds no delivery, fired or retracted."""
     system = build()
     system.run()
     before = _leaves(system.stats())
@@ -542,5 +542,6 @@ def test_a_run_that_reaches_quiescence_ends_settled(build):
     after = _leaves(system.stats())
     assert {k for k in after if after[k] != before[k]} == {"fossil_collections"}
     assert not system.machine.changed and not system.machine.reclaimable
+    assert system.network._open_batch is None
     assert not [name for name, proc in system.procs.items()
                 if proc.done and not proc.mproc.speculative]

@@ -14,7 +14,7 @@ what a log entry and a settled AID cost.  Pinned here, on a
   shared verdicts: a settled AID has retired from ``machine.aids`` and
   no ``AssumptionId`` outlives it, at N rounds or at 4N;
 * the lists replay: a deny at the very end restarts the guesser, which
-  re-feeds the whole log and commits what its uncollected twin commits.
+  re-feeds the whole log and commits the pair's closed-form ledger.
 """
 
 import gc
@@ -63,16 +63,17 @@ def test_a_round_of_a_running_body_costs_columns_not_records():
     system.machine.check_invariants()
 
     # The deny restarted ping, which re-fed every entry before the last
-    # guess from the columns and committed its twin's ledger.
-    twin = running_pair(4 * _N, fossil_collect=False)
+    # guess from the columns and committed the closed-form ledger: pong
+    # answers round i's payload i with 2i + 1, and ping folds the answers.
     ping = system.procs["ping"]
-    assert ping.restarts == twin.procs["ping"].restarts == 1
+    assert ping.restarts == 1 and system.procs["pong"].restarts == 0
     assert ping.log.replayed_entries_total == 5 * 4 * _N + 2
-    assert not any(aid.dom is SETTLED_DOM for aid in twin.machine.aids.values())
-    for name in system.process_names():
-        assert system.committed_outputs(name) == twin.committed_outputs(name)
-    assert system.committed_outputs("ping")[-1] == "pessimistic"
-    assert len(system.committed_outputs("ping")) == 4 * _N + 1
+    ledger, acc = [], 0
+    for i in range(4 * _N):
+        acc = (acc * 31 + 2 * i + 1) % 1_000_003
+        ledger.append((i, acc))
+    assert system.committed_outputs("ping") == [*ledger, "pessimistic"]
+    assert system.committed_outputs("pong") == []
 
 
 def test_no_assumption_id_outlives_its_settling():

@@ -59,9 +59,11 @@ def _run(build, seed=0, **options):
     return run
 
 
+#: ``plain`` is a default system (a pass every 64 finalizes), ``fossil``
+#: one that collects after every 4: every system collects.
 @pytest.mark.parametrize(
     "options",
-    [{"fossil_collect": False}, {"fossil_collect": True, "fossil_interval": 4}],
+    [{}, {"fossil_interval": 4}],
     ids=["plain", "fossil"],
 )
 @pytest.mark.parametrize("seed", [0, 3, 11])
