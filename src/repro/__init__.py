@@ -36,7 +36,7 @@ from .core import (
     Machine,
     ResolutionConflictError,
 )
-from .obs import MetricsRegistry, NullRegistry, SpanCollector
+from .obs import MetricsRegistry, NullRegistry
 from .runtime import HopeProcess, HopeSystem
 
 __version__ = "1.0.0"
@@ -51,7 +51,6 @@ __all__ = [
     "HopeError",
     "MetricsRegistry",
     "NullRegistry",
-    "SpanCollector",
     "ResolutionConflictError",
     "__version__",
 ]

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="write speculation metrics and interval spans at the end "
+        help="write the speculation metrics at the end "
         "('-' for stdout; see docs/PERFORMANCE.md §5)",
     )
     run.add_argument(

@@ -1,4 +1,4 @@
-"""Observability for speculation: metrics, interval spans, exporters.
+"""Observability for speculation: metrics and their exporters.
 
 The measurement substrate the perf work builds on: the quantities the
 paper's theorems argue about (wasted work, commit latency, cascade blast
@@ -22,7 +22,6 @@ from .metrics import (
     NullRegistry,
     SpeculationMetrics,
 )
-from .spans import IntervalSpan, SpanCollector
 
 __all__ = [
     "CASCADE_DEPTH_BUCKETS",
@@ -31,10 +30,8 @@ __all__ = [
     "FORMATS",
     "Gauge",
     "Histogram",
-    "IntervalSpan",
     "MetricsRegistry",
     "NullRegistry",
-    "SpanCollector",
     "SpeculationMetrics",
     "render",
     "summary",

@@ -1,8 +1,7 @@
 """Exporters: JSONL, Prometheus text format, and a human summary table.
 
-All three read the same inputs — a :class:`~repro.obs.metrics.MetricsRegistry`
-and optionally a :class:`~repro.obs.spans.SpanCollector` — and are pure
-functions of them, so exporting twice yields identical bytes (there is
+All three read a :class:`~repro.obs.metrics.MetricsRegistry` and are pure
+functions of it, so exporting twice yields identical bytes (there is
 no wall-clock anywhere in the pipeline; see the module docstring of
 :mod:`repro.obs.metrics`).
 """
@@ -13,15 +12,12 @@ import json
 from typing import Optional
 
 from .metrics import Histogram, MetricsRegistry, SpeculationMetrics
-from .spans import SpanCollector
 
 FORMATS = ("summary", "jsonl", "prom")
 
 
-def to_jsonl(
-    registry: MetricsRegistry, spans: Optional[SpanCollector] = None
-) -> str:
-    """One JSON object per line: every metric, then every span."""
+def to_jsonl(registry: MetricsRegistry) -> str:
+    """One JSON object per line, one per metric."""
     lines = []
     for metric in registry:
         if metric.kind == "histogram":
@@ -38,9 +34,6 @@ def to_jsonl(
         else:
             row = {"type": metric.kind, "name": metric.name, "value": metric.value}
         lines.append(json.dumps(row, sort_keys=True))
-    if spans is not None:
-        for span in spans.spans():
-            lines.append(json.dumps(span.as_dict(), sort_keys=True))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -52,7 +45,7 @@ def _prom_num(value: float) -> str:
 
 
 def to_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition format (spans have no equivalent)."""
+    """Prometheus text exposition format."""
     lines = []
     for metric in registry:
         if metric.help:
@@ -85,11 +78,9 @@ def _histogram_sketch(hist: Histogram, width: int = 20) -> list[str]:
 
 
 def summary(
-    registry: MetricsRegistry,
-    spans: Optional[SpanCollector] = None,
-    spec: Optional[SpeculationMetrics] = None,
+    registry: MetricsRegistry, spec: Optional[SpeculationMetrics] = None
 ) -> str:
-    """Human-readable rollup: raw instruments, derived ratios, span tree.
+    """Human-readable rollup: raw instruments and derived ratios.
 
     ``spec`` (when the registry was populated through
     :class:`SpeculationMetrics`) adds the derived lines the paper's
@@ -113,25 +104,17 @@ def summary(
         lines.append("-------")
         lines.append(f"wasted-work ratio       {spec.wasted_work_ratio():.4f}")
         lines.append(f"resolve-cache hit rate  {spec.resolve_cache_hit_rate():.4f}")
-    if spans is not None and len(spans):
-        lines.append("")
-        lines.append("interval spans")
-        lines.append("--------------")
-        lines.append(spans.format_tree())
     return "\n".join(lines) + "\n"
 
 
 def render(
-    fmt: str,
-    registry: MetricsRegistry,
-    spans: Optional[SpanCollector] = None,
-    spec: Optional[SpeculationMetrics] = None,
+    fmt: str, registry: MetricsRegistry, spec: Optional[SpeculationMetrics] = None
 ) -> str:
     """Dispatch on one of :data:`FORMATS` (the CLI's --metrics-format)."""
     if fmt == "jsonl":
-        return to_jsonl(registry, spans)
+        return to_jsonl(registry)
     if fmt == "prom":
         return to_prometheus(registry)
     if fmt == "summary":
-        return summary(registry, spans, spec)
+        return summary(registry, spec)
     raise ValueError(f"unknown metrics format {fmt!r} (expected one of {FORMATS})")

@@ -55,7 +55,7 @@ from ..sim import (
     Timeline,
     Tracer,
 )
-from ..obs import MetricsRegistry, NullRegistry, SpanCollector, SpeculationMetrics
+from ..obs import MetricsRegistry, NullRegistry, SpeculationMetrics
 from ..sim.channel import Message
 from ..sim.process import Effect
 from .api import AidHandle, AidRef, HopeProcess, _set_aid, aid_key
@@ -332,9 +332,8 @@ class HopeSystem:
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  When given, the
         engine feeds the standard speculation instrument set
-        (:class:`repro.obs.SpeculationMetrics`) and builds per-interval
-        lifecycle spans (:attr:`spans`) from machine events — guesses,
-        rollback cascades, commit latency, wasted vs. useful time,
+        (:class:`repro.obs.SpeculationMetrics`) from machine events —
+        guesses, rollback cascades, commit latency, wasted vs. useful time,
         fossil reclaim, cache hit rate.  Export with
         :mod:`repro.obs.export` after :meth:`metrics_snapshot`.  The
         default is a shared :class:`repro.obs.NullRegistry`: no listener
@@ -464,21 +463,19 @@ class HopeSystem:
         self.procs: dict[str, ProcessRuntime] = _LiveProcs()
         self.outcomes = Outcomes()
         self._dropped = 0               # retirements since procs was rebuilt
-        # Observability: with a real registry, subscribe the metrics and
-        # span collectors as extra machine listeners; with the default
-        # NullRegistry subscribe nothing at all, so the disabled path is
-        # exactly the pre-metrics hot path (the NullTracer pattern).
+        # Observability: with a real registry, subscribe the metrics as
+        # an extra machine listener; with the default NullRegistry
+        # subscribe nothing at all, so the disabled path is exactly the
+        # pre-metrics hot path (the NullTracer pattern).
         self.metrics = metrics if metrics is not None else _NULL_REGISTRY
         self._metered = self.metrics.enabled
         if self._metered:
             self.spec_metrics: Optional[SpeculationMetrics] = SpeculationMetrics(
                 self.metrics
             )
-            self.spans: Optional[SpanCollector] = SpanCollector()
             self.machine.subscribe(self._observe_machine_event)
         else:
             self.spec_metrics = None
-            self.spans = None
         # Resilience layers (opt-in; both None keeps the engine's hot
         # path and trace stream exactly as before).
         if reliable is True:
@@ -552,6 +549,9 @@ class HopeSystem:
         final = self.sim.run(until=until, max_events=max_events)
         if not self.sim.pending_events:
             self.network._open_batch = None     # fired or retracted: let go
+            # An emptied dict keeps its largest capacity: rebuild it.
+            if self._metered and not self.spec_metrics._open_guesses:
+                self.spec_metrics._open_guesses = {}
             if self._durable is None:
                 self._run_fossil_collection(whole=True)     # the pass it owes
             # Only at quiescence: a span open at an ``until`` goes on in
@@ -666,9 +666,8 @@ class HopeSystem:
         forgotten = self.machine.forget_process(name)
         if self._metered:
             # A crash discards speculation without a RollbackEvent; keep
-            # the open-guess table and span tree honest about it.
+            # the open-guess table honest about it.
             self.spec_metrics.forget_intervals(forgotten)
-            self.spans.discard(forgotten, self.sim.now)
         # What the dead incarnation had received is not requeued, and what
         # was queued for it is lost: those copies are consumed.
         for interval in forgotten:
@@ -856,15 +855,7 @@ class HopeSystem:
         from ..obs.export import render
 
         self.metrics_snapshot()
-        return render(fmt, self.metrics, spans=self.spans, spec=self.spec_metrics)
-
-    def dependency_dot(self) -> str:
-        """Graphviz source of the live dependency graph — delegates to
-        :func:`repro.core.inspect.to_dot`, the same bipartite view the
-        span tree's IDO links project onto."""
-        from ..core.inspect import to_dot
-
-        return to_dot(self.machine)
+        return render(fmt, self.metrics, spec=self.spec_metrics)
 
     # ------------------------------------------------------------------
     # fossil collection (commit frontier)
@@ -1508,12 +1499,10 @@ class HopeSystem:
 
     def _observe_machine_event(self, event: MachineEvent) -> None:
         """Second machine listener, subscribed only when metered: folds
-        every event into the instrument set and the span collector.
-        Purely reads — it must never schedule, trace, or mutate machine
-        state, so metered and unmetered runs stay byte-identical."""
-        now = self.sim.now
-        self.spec_metrics.observe_event(event, now)
-        self.spans.observe(event, now)
+        every event into the instrument set.  Purely reads — it must
+        never schedule, trace, or mutate machine state, so metered and
+        unmetered runs stay byte-identical."""
+        self.spec_metrics.observe_event(event, self.sim.now)
 
     def _wake_aid_waiters(self) -> None:
         """Resume pessimistic-mode guessers whose AIDs have resolved."""

@@ -41,9 +41,10 @@ import math
 import random
 import sys
 import tracemalloc
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.core import AssumptionId
+from repro.obs import MetricsRegistry
 from repro.runtime import HopeSystem, ReliableConfig
 from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency
 
@@ -573,11 +574,11 @@ def _ahead_judge(p, rounds):
         yield p.affirm((yield p.recv()).payload)
 
 
-def _ahead(rounds: int) -> HopeSystem:
+def _ahead(rounds: int, metrics: Optional[MetricsRegistry] = None) -> HopeSystem:
     """A guesser ``rounds`` rounds ahead of its judge: it never waits, so
     every round's message rides one same-tick delivery sweep, and every
     round's AID is live at once."""
-    system = HopeSystem(seed=7, latency=ConstantLatency(0.5))
+    system = HopeSystem(seed=7, latency=ConstantLatency(0.5), metrics=metrics)
     system.spawn("judge", _ahead_judge, rounds)
     system.spawn("guesser", _ahead_guesser, "judge", rounds)
     return system
@@ -585,7 +586,8 @@ def _ahead(rounds: int) -> HopeSystem:
 
 #: Residue bodies at size ``n``: reports, relay trees, counter rounds
 #: (``steady/2``: drawn at seed 2), lossy rounds, pingpong rounds and
-#: rounds a guesser runs ahead of its judge.  Only ``cascade`` grows the
+#: rounds a guesser runs ahead of its judge (``ahead/metered``: with a
+#: metrics registry).  Only ``cascade`` grows the
 #: process count.
 RESIDUE = {
     "cascade": (20, _cascade),
@@ -595,6 +597,7 @@ RESIDUE = {
     "lossy": (10, _lossy),
     "pingpong": (200, _pingpong),
     "ahead": (25, _ahead),
+    "ahead/metered": (25, lambda rounds: _ahead(rounds, metrics=MetricsRegistry())),
 }
 
 
@@ -649,7 +652,7 @@ if __name__ == "__main__":
         grown = []
         for name in RESIDUE:
             small, large = residues(name)
-            print(f"{version} residue {name + ':':10} {small / 1024:7.1f} KiB at N, "
+            print(f"{version} residue {name + ':':15} {small / 1024:7.1f} KiB at N, "
                   f"{large / 1024:7.1f} KiB at 4N ({large / small:.2f}x)")
             if large > RESIDUE_GROWTH * small:
                 grown.append(name)

@@ -7,7 +7,6 @@ import pytest
 from repro.core import Machine
 from repro.obs import (
     MetricsRegistry,
-    SpanCollector,
     SpeculationMetrics,
     render,
     summary,
@@ -18,14 +17,12 @@ from repro.obs import (
 
 @pytest.fixture
 def populated():
-    """A registry + span collector fed by one guess/affirm round."""
+    """A registry fed by one guess/affirm round."""
     registry = MetricsRegistry()
     spec = SpeculationMetrics(registry)
-    spans = SpanCollector()
     machine = Machine(strict=True)
     clock = {"now": 0.0}
     machine.subscribe(lambda event: spec.observe_event(event, clock["now"]))
-    machine.subscribe(lambda event: spans.observe(event, clock["now"]))
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")
@@ -33,17 +30,15 @@ def populated():
     machine.guess("p", x)
     clock["now"] = 4.0
     machine.affirm("q", x)
-    return registry, spans, spec
+    return registry, spec
 
 
 def test_jsonl_rows_parse_and_cover_everything(populated):
-    registry, spans, _ = populated
-    lines = to_jsonl(registry, spans).splitlines()
+    registry, _ = populated
+    lines = to_jsonl(registry).splitlines()
     rows = [json.loads(line) for line in lines]
     metric_rows = [r for r in rows if r["type"] in ("counter", "gauge", "histogram")]
-    span_rows = [r for r in rows if r["type"] == "span"]
-    assert len(metric_rows) == len(registry)
-    assert len(span_rows) == len(spans)
+    assert len(metric_rows) == len(rows) == len(registry)
     by_name = {r["name"]: r for r in metric_rows}
     assert by_name["hope_guesses_total"]["value"] == 1
     latency = by_name["hope_commit_latency"]
@@ -51,7 +46,6 @@ def test_jsonl_rows_parse_and_cover_everything(populated):
     assert latency["sum"] == pytest.approx(3.0)
     # the +Inf tail serializes as a string, not Infinity (invalid JSON)
     assert latency["buckets"][-1][0] == "+Inf"
-    assert span_rows[0]["disposition"] == "finalized"
 
 
 def test_jsonl_empty_registry_is_empty_string():
@@ -59,7 +53,7 @@ def test_jsonl_empty_registry_is_empty_string():
 
 
 def test_prometheus_format(populated):
-    registry, _, _ = populated
+    registry, _ = populated
     text = to_prometheus(registry)
     assert "# TYPE hope_guesses_total counter\nhope_guesses_total 1\n" in text
     assert "# HELP hope_guesses_total" in text
@@ -85,13 +79,11 @@ def test_prometheus_float_rendering():
 
 
 def test_summary_table(populated):
-    registry, spans, spec = populated
-    text = summary(registry, spans, spec)
+    registry, spec = populated
+    text = summary(registry, spec)
     assert "speculation metrics" in text
     assert "hope_guesses_total" in text
     assert "wasted-work ratio" in text
-    assert "interval spans" in text
-    assert "✓" in text
     # histogram line carries n / mean / conservative quantiles
     assert "n=1 mean=3" in text
 
@@ -101,19 +93,18 @@ def test_summary_without_spans_or_spec():
     registry.counter("c").inc()
     text = summary(registry)
     assert "derived" not in text
-    assert "interval spans" not in text
 
 
 def test_render_dispatch(populated):
-    registry, spans, spec = populated
-    assert render("jsonl", registry, spans) == to_jsonl(registry, spans)
+    registry, spec = populated
+    assert render("jsonl", registry) == to_jsonl(registry)
     assert render("prom", registry) == to_prometheus(registry)
-    assert render("summary", registry, spans, spec) == summary(registry, spans, spec)
+    assert render("summary", registry, spec) == summary(registry, spec)
     with pytest.raises(ValueError):
         render("xml", registry)
 
 
 def test_exports_are_pure_functions(populated):
-    registry, spans, spec = populated
+    registry, spec = populated
     for fmt in ("jsonl", "prom", "summary"):
-        assert render(fmt, registry, spans, spec) == render(fmt, registry, spans, spec)
+        assert render(fmt, registry, spec) == render(fmt, registry, spec)

@@ -1,9 +1,12 @@
 """End-to-end tests: the observability layer wired into HopeSystem."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import HopeError
-from repro.obs import IntervalSpan, MetricsRegistry, NullRegistry
+from repro.core.inspect import to_dot
+from repro.obs import MetricsRegistry, NullRegistry
 from repro.runtime import HopeSystem
 from repro.sim import Tracer
 
@@ -36,9 +39,9 @@ def _program(decision):
     return worker, sink, verifier
 
 
-def run_metered(decision):
+def run_metered(decision, trace=None):
     registry = MetricsRegistry()
-    system = HopeSystem(metrics=registry)
+    system = HopeSystem(trace=trace, metrics=registry)
     worker, sink, verifier = _program(decision)
     system.spawn("worker", worker)
     system.spawn("sink", sink)
@@ -58,19 +61,11 @@ def test_affirm_run_counts_and_latency():
     assert spec.finalizes.value == 2           # worker's interval + sink's
     assert spec.commit_latency.count == 2
     assert spec._open_guesses == {}
-    spans = system.spans.spans()
-    assert len(spans) == 2
-    assert all(s.disposition is IntervalSpan.FINALIZED for s in spans)
-    # the sink's implicit span hangs off the worker's explicit span
-    implicit = [s for s in spans if s.aid is None]
-    explicit = [s for s in spans if s.aid is not None]
-    assert len(implicit) == 1 and len(explicit) == 1
-    assert implicit[0].parent is explicit[0]
-    assert implicit[0].pid == "sink"
 
 
 def test_deny_run_counts_rollback_and_waste():
-    system, registry = run_metered("deny")
+    tracer = Tracer(categories=("rollback",))
+    system, registry = run_metered("deny", trace=tracer)
     spec = system.spec_metrics
     stats = system.stats()
     assert spec.denies.value == 1
@@ -79,12 +74,11 @@ def test_deny_run_counts_rollback_and_waste():
     assert spec.wasted_time.value == pytest.approx(stats["wasted_time"])
     assert spec.cascade_depth.count == spec.rollbacks.value
     assert spec.intervals_discarded.value >= 2  # worker's + sink's interval
-    dead = [
-        s for s in system.spans.spans()
-        if s.disposition is IntervalSpan.ROLLED_BACK
-    ]
-    assert len(dead) == spec.intervals_discarded.value
-    assert all(s.cause is not None for s in dead)
+    # each rollback's trace record names its cause and what it discarded
+    rollbacks = tracer.records
+    assert len(rollbacks) == spec.rollbacks.value
+    assert sum(r.detail["discarded"] for r in rollbacks) == spec.intervals_discarded.value
+    assert all(r.detail["cause"] == "x#1" for r in rollbacks)
     # derived wasted-work ratio agrees with the timeline arithmetic
     system.metrics_snapshot()
     wasted, busy = stats["wasted_time"], stats["busy_time"]
@@ -107,20 +101,30 @@ def test_export_metrics_all_formats():
     text = system.export_metrics("summary")
     assert "hope_rollbacks_total" in text
     assert "wasted-work ratio" in text
-    assert "rolled_back" in text
     jsonl = system.export_metrics("jsonl")
-    assert '"type": "span"' in jsonl
+    assert '"type": "counter"' in jsonl
     prom = system.export_metrics("prom")
     assert "# TYPE hope_commit_latency histogram" in prom
     with pytest.raises(ValueError):
         system.export_metrics("xml")
 
 
+#: The deny run's three exports, one file each; the metrics carry every
+#: quantity the run reports, so an edit that moves one shows here.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["prom", "jsonl", "summary"])
+def test_deny_run_exports_match_golden(fmt):
+    system, _ = run_metered("deny")
+    expected = (GOLDEN / f"deny.{fmt}").read_text(encoding="utf-8")
+    assert system.export_metrics(fmt) == expected
+
+
 def test_unmetered_system_has_no_observability_state():
     system = HopeSystem()
     assert isinstance(system.metrics, NullRegistry)
     assert system.spec_metrics is None
-    assert system.spans is None
     with pytest.raises(HopeError):
         system.metrics_snapshot()
 
@@ -144,6 +148,8 @@ def test_metered_run_trace_is_byte_identical():
 
 
 def test_crash_discards_open_spans():
+    """A crash discards speculation without a rollback: the commit-latency
+    table forgets the open guesses with it."""
     registry = MetricsRegistry()
     system = HopeSystem(metrics=registry)
 
@@ -156,17 +162,12 @@ def test_crash_discards_open_spans():
     system.run()
     spec = system.spec_metrics
     assert len(spec._open_guesses) == 1
-    assert len(system.spans.open_spans()) == 1
     system.crash_process("worker")
     assert spec._open_guesses == {}
-    assert system.spans.open_spans() == []
-    dead = system.spans.spans()[0]
-    assert dead.disposition is IntervalSpan.ROLLED_BACK
 
 
-def test_dependency_dot_delegates_to_inspect():
-    registry = MetricsRegistry()
-    system = HopeSystem(metrics=registry)
+def test_to_dot_renders_an_unmetered_system():
+    system = HopeSystem()
 
     def worker(p):
         x = yield p.aid_init("x")
@@ -175,6 +176,6 @@ def test_dependency_dot_delegates_to_inspect():
 
     system.spawn("worker", worker)
     system.run()
-    dot = system.dependency_dot()
+    dot = to_dot(system.machine)
     assert dot.startswith("digraph hope")
     assert "worker" in dot
