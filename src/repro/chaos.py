@@ -2,97 +2,63 @@
 
 The paper's theorems (5.1–6.3) promise that optimism never corrupts
 committed state — rollback makes speculation *transparent*.  This module
-exercises that promise under an adversarial network: it sweeps seed ×
-:class:`~repro.sim.FaultPlan` combinations over the chaos workloads in
-:mod:`repro.bench.workloads`, attaches the
-:mod:`repro.verify.invariants` monitors to every run, and checks that
+exercises that promise under an adversarial network: each case of the
+seed × :class:`~repro.sim.FaultPlan` matrix over the chaos workloads is
+one seeded :func:`~repro.verify.walk` checked by
+:func:`~repro.verify.check_run` — no invariant fires, every process
+finishes (faults cause delay and rollback, never a hang), and the
+**committed state equals the fault-free twin's** — and one case per
+plan is re-run for a byte-identical trace fingerprint (faults are drawn
+from a seeded stream: chaos is replayable).  A failing walk shrinks to
+the shortest prefix of its choices that fails with no fault beyond it,
+written as the one reproducer format: ``python -m repro.cli chaos
+--repro <file>`` (or ``verify --repro``) replays it under the whole
+configuration it failed under.
 
-* no invariant fires (ledger monotonicity, definite safety, quiescent
-  resolution, machine algebra);
-* every process finishes (faults cause delay and rollback, never a hang);
-* the faulty run's **committed state equals its fault-free twin's** —
-  the observable outcome is independent of what the network did;
-* re-running a case reproduces a byte-identical trace fingerprint
-  (faults are sampled from a seeded stream — chaos is replayable).
-
-On failure the harness **shrinks** the fault plan — removing partitions,
-zeroing and halving fault probabilities — to a minimal still-failing
-reproducer and writes it to disk as JSON, runnable via
-``python -m repro.cli chaos --repro <file>``.
-
-Used by ``repro.cli chaos`` and ``benchmarks/smoke_chaos.py`` (the CI
-budget).
+The kill/resume (host-crash) matrix lives here too.  Used by
+``repro.cli chaos`` and ``benchmarks/smoke_chaos.py`` (the CI budget).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from .bench.workloads import build_chaos_mesh, build_chaos_ring, build_durable_counter
 from .durable import (
     DurableError,
     corrupt_latest_envelope,
     corrupt_ledger,
     corrupt_wal_tail,
 )
-from .runtime import DetectorConfig, HopeSystem, ReliableConfig
-from .sim import ConstantLatency, EventLimitExceeded, FaultPlan, LinkFaults, Partition, Tracer
-from .verify.invariants import InvariantViolation, attach_monitors, check_quiescent
+from .runtime import HopeSystem
+from .sim import ConstantLatency, EventLimitExceeded, FaultPlan, LinkFaults, Partition
+from .verify import (
+    FACTORIES,
+    InvariantViolation,
+    Scenario,
+    check_run,
+    reproduce,
+    walk,
+)
+from .verify.driver import committed_state
 
-
-class ChaosWorkload:
-    """A named workload the harness can build into a fresh system."""
-
-    __slots__ = ("name", "build", "max_events", "description")
-
-    def __init__(
-        self,
-        name: str,
-        build: Callable[[HopeSystem], None],
-        max_events: int,
-        description: str = "",
-    ) -> None:
-        self.name = name
-        self.build = build
-        self.max_events = max_events
-        self.description = description
-
-
-WORKLOADS: dict[str, ChaosWorkload] = {
-    "mesh": ChaosWorkload(
-        "mesh",
-        build_chaos_mesh,
-        max_events=200_000,
-        description="3 speculative workers fan in to a validator that "
-        "affirms/denies each round",
-    ),
-    "ring": ChaosWorkload(
-        "ring",
-        build_chaos_ring,
-        max_events=200_000,
-        description="a token circulates a 4-node ring of tagged "
-        "speculative hops, with periodic denies",
-    ),
+#: One-line descriptions of the chaos workloads (``--list-plans``).
+WORKLOAD_DESCRIPTIONS: dict[str, str] = {
+    "mesh": "3 speculative workers fan in to a validator that affirms/denies each round",
+    "ring": "a token circulates a 4-node ring of tagged speculative hops, with periodic denies",
+    "counter": "commit-point counters judged centrally — exercises "
+    "base-aware snapshots and fossil-trimmed WALs",
 }
-
+#: The workloads the matrix sweeps.
+WORKLOADS: dict[str, Scenario] = {name: FACTORIES[name]() for name in ("mesh", "ring")}
 #: Workloads for the kill/resume (host-crash) mode: the standard chaos
 #: pair plus the commit-point counter, all deterministic in their
 #: committed outputs so the resumed run must reconverge byte-identically.
-KILL_RESUME_WORKLOADS: dict[str, ChaosWorkload] = {
-    "mesh": WORKLOADS["mesh"],
-    "ring": WORKLOADS["ring"],
-    "counter": ChaosWorkload(
-        "counter",
-        build_durable_counter,
-        max_events=200_000,
-        description="commit-point counters judged centrally — exercises "
-        "base-aware snapshots and fossil-trimmed WALs",
-    ),
-}
+KILL_RESUME_WORKLOADS: dict[str, Scenario] = {**WORKLOADS, "counter": FACTORIES["counter"]()}
+_MAX_EVENTS = 200_000
 
 #: Endpoint groups per workload, used to aim partitions at real links.
 _PARTITION_SIDES = {
@@ -133,132 +99,6 @@ def standard_plans(workload: str) -> dict[str, FaultPlan]:
     }
 
 
-def committed_state(system: HopeSystem) -> dict[str, tuple]:
-    """Canonical committed-output multiset per process.
-
-    Sorted because fault plans legitimately permute *when* outputs
-    commit; the twin check compares *what* was committed.
-    """
-    return {
-        name: tuple(sorted(repr(value) for value in system.committed_outputs(name)))
-        for name in system.process_names()
-    }
-
-
-class CaseResult:
-    """Outcome of one (workload, seed, plan) run."""
-
-    __slots__ = (
-        "workload",
-        "seed",
-        "plan_name",
-        "plan",
-        "failure",
-        "fingerprint",
-        "committed",
-        "final_time",
-        "stats",
-    )
-
-    def __init__(self, workload, seed, plan_name, plan, failure, fingerprint,
-                 committed, final_time, stats) -> None:
-        self.workload = workload
-        self.seed = seed
-        self.plan_name = plan_name
-        self.plan = plan
-        self.failure = failure
-        self.fingerprint = fingerprint
-        self.committed = committed
-        self.final_time = final_time
-        self.stats = stats
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "plan_name": self.plan_name,
-            "plan": self.plan.to_dict() if self.plan is not None else None,
-            "failure": self.failure,
-            "fingerprint": self.fingerprint,
-            "final_time": self.final_time,
-        }
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"FAIL({self.failure})"
-        return f"<Case {self.workload} seed={self.seed} plan={self.plan_name}: {verdict}>"
-
-
-def run_case(
-    workload: ChaosWorkload,
-    seed: int,
-    plan: Optional[FaultPlan],
-    plan_name: str = "custom",
-    reliable: Any = True,
-    detector: Any = False,
-    twin: Optional[dict[str, tuple]] = None,
-    max_events: Optional[int] = None,
-) -> CaseResult:
-    """Run one chaos case with monitors attached; never raises.
-
-    ``plan=None`` is the fault-free configuration (used for twins).
-    ``twin`` is the fault-free committed state to compare against; pass
-    None to skip the comparison (e.g. when producing the twin itself).
-    """
-    tracer = Tracer()
-    system = HopeSystem(
-        seed=seed,
-        latency=ConstantLatency(1.0),
-        trace=tracer,
-        faults=plan,
-        reliable=ReliableConfig() if reliable is True else reliable,
-        failure_detector=(
-            DetectorConfig() if detector is True else detector
-        ),
-    )
-    attach_monitors(system)
-    workload.build(system)
-    failure: Optional[str] = None
-    final_time = 0.0
-    try:
-        final_time = system.run(
-            max_events=max_events if max_events is not None else workload.max_events
-        )
-        check_quiescent(system)
-        stuck = sorted(
-            name
-            for name, proc in system.procs.items()
-            if not proc.done and not proc.crashed
-        )
-        if stuck:
-            failure = f"stuck processes at quiescence: {stuck}"
-    except InvariantViolation as exc:
-        failure = f"invariant violation: {exc}"
-    except EventLimitExceeded as exc:
-        failure = f"livelock: {exc}"
-    committed = committed_state(system)
-    if failure is None and twin is not None and committed != twin:
-        diff = sorted(
-            name for name in set(committed) | set(twin)
-            if committed.get(name) != twin.get(name)
-        )
-        failure = f"committed state diverged from fault-free twin for {diff}"
-    return CaseResult(
-        workload.name,
-        seed,
-        plan_name,
-        plan,
-        failure,
-        tracer.fingerprint(),
-        committed,
-        final_time,
-        system.stats(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # kill/resume (host-crash) mode — repro.durable's chaos harness
 # ---------------------------------------------------------------------------
@@ -282,28 +122,22 @@ _KILLED_OK = 37
 _CHILD_ERROR = 41
 
 
+@dataclass
 class KillResumeResult:
     """Outcome of one host-crash case: kill at a seeded point, resume,
     compare committed state against the uninterrupted twin."""
 
-    __slots__ = ("workload", "seed", "kill_events", "frac", "corrupt",
-                 "corrupted_path", "failure", "durable_stats", "run_dir",
-                 "then_frac")
-
-    def __init__(self, workload, seed, kill_events, frac, corrupt,
-                 corrupted_path, failure, durable_stats, run_dir,
-                 then_frac=None) -> None:
-        self.workload = workload
-        self.seed = seed
-        self.kill_events = kill_events
-        self.frac = frac
-        self.corrupt = corrupt
-        self.corrupted_path = corrupted_path
-        self.failure = failure
-        self.durable_stats = durable_stats
-        self.run_dir = run_dir
-        #: A resume of a resume: the first resumed run was killed again here.
-        self.then_frac = then_frac
+    workload: str
+    seed: int
+    kill_events: int
+    frac: float
+    corrupt: Optional[str]
+    corrupted_path: Optional[str]
+    failure: Optional[str]
+    durable_stats: dict
+    run_dir: Optional[str]
+    #: A resume of a resume: the first resumed run was killed again here.
+    then_frac: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -318,7 +152,7 @@ class KillResumeResult:
         )
 
 
-def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
+def _durable_system(workload: Scenario, seed: int, run_dir: str,
                     durable_opts: dict) -> HopeSystem:
     system = HopeSystem(
         seed=seed,
@@ -331,7 +165,7 @@ def _durable_system(workload: ChaosWorkload, seed: int, run_dir: str,
     return system
 
 
-def _resume_system(workload: ChaosWorkload, seed: int, run_dir: str,
+def _resume_system(workload: Scenario, seed: int, run_dir: str,
                    durable_opts: dict) -> HopeSystem:
     return HopeSystem.resume(
         run_dir, workload.build, seed=seed,
@@ -419,9 +253,13 @@ def run_kill_resume_case(
     recovery path, available on platforms without ``os.fork``.
     The run directory is deleted on success unless ``keep_dir``.
     """
+    if corrupt is not None and corrupt not in _CORRUPTIONS:
+        raise ValueError(
+            f"corrupt must be 'envelope', 'wal' or 'ledger', got {corrupt!r}"
+        )
     if isinstance(workload, str):
         workload = KILL_RESUME_WORKLOADS[workload]
-    twin = run_case(workload, seed, None, plan_name="fault-free", reliable=False)
+    twin = check_run(workload, seed=seed, max_events=_MAX_EVENTS)
     if twin.failure is not None:
         return KillResumeResult(
             workload.name, seed, 0, kill_frac, corrupt, None,
@@ -463,10 +301,6 @@ def run_kill_resume_case(
         )
     corrupted_path = None
     if failure is None and corrupt is not None:
-        if corrupt not in _CORRUPTIONS:
-            raise ValueError(
-                f"corrupt must be 'envelope', 'wal' or 'ledger', got {corrupt!r}"
-            )
         corrupted_path = _CORRUPTIONS[corrupt][0](run_dir)
         if corrupted_path is None:
             # Nothing on disk to damage means the case proves nothing —
@@ -479,7 +313,7 @@ def run_kill_resume_case(
     if failure is None:
         try:
             resumed = _resume_system(workload, seed, run_dir, durable_opts)
-            resumed.run(max_events=workload.max_events)
+            resumed.run(max_events=_MAX_EVENTS)
             durable_stats = resumed.stats()["durable"]
             stuck = sorted(
                 name for name, proc in resumed.procs.items() if not proc.done
@@ -593,77 +427,6 @@ def format_kill_report(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shrinking
-# ---------------------------------------------------------------------------
-def _shrink_candidates(plan: FaultPlan) -> Iterable[tuple[str, FaultPlan]]:
-    """Structurally smaller plans, most aggressive first."""
-    # 1. drop each partition outright
-    for index in range(len(plan.partitions)):
-        kept = plan.partitions[:index] + plan.partitions[index + 1 :]
-        yield (f"-partition[{index}]", FaultPlan(plan.default, plan.links, kept))
-    # 2. zero each nonzero knob (default first, then per-link entries)
-    entries: list[tuple[Optional[tuple[str, str]], LinkFaults]] = [(None, plan.default)]
-    entries.extend(plan.links.items())
-    for key, faults in entries:
-        where = "default" if key is None else f"{key[0]}->{key[1]}"
-        for field in ("drop", "duplicate", "jitter"):
-            if getattr(faults, field) > 0.0:
-                yield (
-                    f"{where}.{field}=0",
-                    _with_link(plan, key, faults.replace(**{field: 0.0})),
-                )
-        if faults.reorder > 0.0:
-            yield (
-                f"{where}.reorder=0",
-                _with_link(plan, key, faults.replace(reorder=0.0, reorder_window=0.0)),
-            )
-    # 3. halve each nonzero knob
-    for key, faults in entries:
-        where = "default" if key is None else f"{key[0]}->{key[1]}"
-        for field in ("drop", "duplicate", "reorder", "jitter"):
-            value = getattr(faults, field)
-            if value > 0.0:
-                yield (
-                    f"{where}.{field}/2",
-                    _with_link(plan, key, faults.replace(**{field: value / 2.0})),
-                )
-
-
-def _with_link(
-    plan: FaultPlan, key: Optional[tuple[str, str]], faults: LinkFaults
-) -> FaultPlan:
-    if key is None:
-        return FaultPlan(faults, plan.links, plan.partitions)
-    links = dict(plan.links)
-    links[key] = faults
-    return FaultPlan(plan.default, links, plan.partitions)
-
-
-def shrink_plan(
-    plan: FaultPlan,
-    still_fails: Callable[[FaultPlan], bool],
-    max_runs: int = 40,
-) -> tuple[FaultPlan, int]:
-    """Greedy shrink: repeatedly adopt the first structurally smaller
-    plan that still fails, until none does (or the run budget is spent).
-    Returns the minimal plan found and how many candidate runs it cost."""
-    runs = 0
-    current = plan
-    progress = True
-    while progress and runs < max_runs:
-        progress = False
-        for _label, candidate in _shrink_candidates(current):
-            if runs >= max_runs:
-                break
-            runs += 1
-            if still_fails(candidate):
-                current = candidate
-                progress = True
-                break
-    return current, runs
-
-
-# ---------------------------------------------------------------------------
 # the matrix
 # ---------------------------------------------------------------------------
 def run_matrix(
@@ -678,57 +441,43 @@ def run_matrix(
 ) -> dict:
     """Sweep seeds × fault plans × workloads; returns the report dict.
 
-    Each faulty case is compared against its fault-free twin (same seed,
-    same workload, ``faults=None`` — computed once per pair).  Failures
-    are shrunk to minimal reproducers written under ``repro_dir``.
+    Each faulty case is a walk compared against its fault-free twin
+    (same seed, same workload, ``faults=None`` — computed once per pair).
+    Failures are shrunk to minimal reproducers written under
+    ``repro_dir``.
     """
     names = list(workloads) if workloads is not None else list(WORKLOADS)
     seeds = list(seeds)
-    results: list[CaseResult] = []
+    config: dict = dict(latency=1.0, reliable=reliable, detector=detector)
+    if max_events is not None:
+        config["max_events"] = max_events
+    results = []
     repro_files: list[str] = []
     determinism_checked = 0
     for wname in names:
-        workload = WORKLOADS[wname]
+        scenario = WORKLOADS[wname]
         plan_table = plans if plans is not None else standard_plans(wname)
-        twins: dict[int, dict[str, tuple]] = {}
-        for seed in seeds:
-            twin_case = run_case(
-                workload, seed, None, plan_name="fault-free",
-                reliable=reliable, detector=detector, max_events=max_events,
-            )
-            if twin_case.failure is not None:
+        twins = {s: check_run(scenario, seed=s, label="fault-free", **config) for s in seeds}
+        for seed, twin in twins.items():
+            if not twin.ok:
                 raise InvariantViolation(
-                    f"fault-free twin failed ({wname}, seed={seed}): "
-                    f"{twin_case.failure}"
+                    f"fault-free twin failed ({wname}, seed={seed}): {twin.failure}"
                 )
-            twins[seed] = twin_case.committed
         for plan_name, plan in plan_table.items():
             for seed in seeds:
-                result = run_case(
-                    workload, seed, plan, plan_name=plan_name,
-                    reliable=reliable, detector=detector,
-                    twin=twins[seed], max_events=max_events,
-                )
+                case = dict(seed=seed, faults=plan, twin=twins[seed], label=plan_name, **config)
+                result = walk(scenario, **case)
                 results.append(result)
                 if verify_determinism and result.ok and seed == seeds[0]:
-                    rerun = run_case(
-                        workload, seed, plan, plan_name=plan_name,
-                        reliable=reliable, detector=detector,
-                        twin=twins[seed], max_events=max_events,
-                    )
                     determinism_checked += 1
-                    if rerun.fingerprint != result.fingerprint:
-                        result.failure = (
+                    if walk(scenario, **case).fingerprint != result.fingerprint:
+                        result.violations.append(
                             "nondeterministic: re-run produced a different "
                             "trace fingerprint"
                         )
                 if not result.ok:
-                    repro_files.append(
-                        _write_reproducer(
-                            result, workload, reliable, detector,
-                            twins[seed], repro_dir,
-                        )
-                    )
+                    path = os.path.join(repro_dir, f"chaos-repro-{wname}-{plan_name}-seed{seed}.json")
+                    repro_files.append(reproduce(result, path, twin=twins[seed], command="chaos"))
     failures = [r for r in results if not r.ok]
     return {
         "cases": results,
@@ -738,107 +487,6 @@ def run_matrix(
         "determinism_checked": determinism_checked,
         "repro_files": repro_files,
     }
-
-
-def _write_reproducer(
-    result: CaseResult,
-    workload: ChaosWorkload,
-    reliable: Any,
-    detector: Any,
-    twin: dict[str, tuple],
-    repro_dir: str,
-) -> str:
-    """Shrink the failing plan and write the minimal reproducer to disk."""
-    def still_fails(candidate: FaultPlan) -> bool:
-        probe = run_case(
-            workload, result.seed, candidate, plan_name="shrink-probe",
-            reliable=reliable, detector=detector, twin=twin,
-        )
-        return probe.failure is not None
-
-    minimal, shrink_runs = (
-        shrink_plan(result.plan, still_fails)
-        if result.plan is not None
-        else (None, 0)
-    )
-    path = os.path.join(
-        repro_dir,
-        f"chaos-repro-{result.workload}-{result.plan_name}-seed{result.seed}.json",
-    )
-    payload = {
-        "workload": result.workload,
-        "seed": result.seed,
-        "failure": result.failure,
-        "plan": minimal.to_dict() if minimal is not None else None,
-        "original_plan": result.plan.to_dict() if result.plan is not None else None,
-        "shrink_runs": shrink_runs,
-        "command": (
-            f"python -m repro.cli chaos --repro {path}"
-        ),
-    }
-    write_reproducer(path, payload)
-    return path
-
-
-def write_reproducer(path: str, payload: dict) -> str:
-    """Write one JSON reproducer; the shared writer for every harness.
-
-    Both the chaos matrix and the DPOR explorer (:mod:`repro.verify.dpor`)
-    emit their minimal counterexamples through this function, so
-    reproducer files share one on-disk format: a stable, sorted,
-    indented JSON object whose ``command`` field replays it.
-    """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def load_reproducer(path: str) -> tuple[ChaosWorkload, int, Optional[FaultPlan]]:
-    """Parse and validate a reproducer file; every error names the
-    offending field so a hand-edited file fails with a pointer, not a
-    stack trace."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if "workload" not in payload:
-        raise ValueError(f"{path}: field 'workload' is missing")
-    wname = payload["workload"]
-    if wname not in WORKLOADS:
-        raise ValueError(
-            f"{path}: field 'workload': unknown workload {wname!r} "
-            f"(expected one of {sorted(WORKLOADS)})"
-        )
-    if "seed" not in payload:
-        raise ValueError(f"{path}: field 'seed' is missing")
-    seed = payload["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(
-            f"{path}: field 'seed': expected an integer, got {type(seed).__name__}"
-        )
-    plan = None
-    if payload.get("plan") is not None:
-        try:
-            plan = FaultPlan.from_dict(payload["plan"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: field 'plan': {exc}") from None
-    return WORKLOADS[wname], seed, plan
-
-
-def run_reproducer(path: str) -> CaseResult:
-    """Re-run a reproducer file written by :func:`run_matrix`."""
-    workload, seed, plan = load_reproducer(path)
-    twin_case = run_case(workload, seed, None, plan_name="fault-free")
-    return run_case(
-        workload, seed, plan,
-        plan_name="repro", twin=twin_case.committed,
-    )
 
 
 def format_report(report: dict) -> str:
@@ -851,7 +499,7 @@ def format_report(report: dict) -> str:
         stats = result.stats
         fault_info = stats.get("faults", {})
         lines.append(
-            f"  {result.workload:<5} seed={result.seed} plan={result.plan_name:<11} "
+            f"  {result.scenario.name:<5} seed={result.seed} plan={result.label:<11} "
             f"{'ok' if result.ok else 'FAIL':<4} "
             f"t={result.final_time:8.2f} rollbacks={stats.get('rollbacks', 0):<3} "
             f"dropped={fault_info.get('dropped', 0) + fault_info.get('partition_dropped', 0):<3} "

@@ -327,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--repro-dir",
         default="chaos-repros",
         metavar="DIR",
-        help="where minimal failing fault plans are written",
+        help="where minimal failing choice prefixes are written",
     )
     chaos.add_argument(
         "--repro",
         default=None,
         metavar="FILE",
-        help="re-run a reproducer file instead of the matrix",
+        help="replay a reproducer file (either command's) instead of the matrix",
     )
     chaos.add_argument(
         "--max-events", type=int, default=None, help="per-case livelock guard"
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repro",
         default=None,
         metavar="FILE",
-        help="replay a DPOR reproducer file instead of exploring",
+        help="replay a reproducer file (either command's) instead of exploring",
     )
     return parser
 
@@ -650,37 +650,26 @@ def cmd_chaos(args, out) -> int:
     from .chaos import (
         KILL_RESUME_WORKLOADS,
         PLAN_DESCRIPTIONS,
+        WORKLOAD_DESCRIPTIONS,
         WORKLOADS,
         format_kill_report,
         format_report,
         run_kill_resume_matrix,
         run_matrix,
-        run_reproducer,
     )
 
     if args.list_plans:
         print("fault plans (the standard matrix sweeps each):", file=out)
         for name, desc in PLAN_DESCRIPTIONS.items():
             print(f"  {name:<11} {desc}", file=out)
-        print("\nworkloads:", file=out)
-        for name, workload in WORKLOADS.items():
-            print(f"  {name:<11} {workload.description}", file=out)
-        print("\nkill/resume workloads (--kill-at):", file=out)
-        for name, workload in KILL_RESUME_WORKLOADS.items():
-            print(f"  {name:<11} {workload.description}", file=out)
+        for title, names in (("workloads", WORKLOADS),
+                             ("kill/resume workloads (--kill-at)", KILL_RESUME_WORKLOADS)):
+            print(f"\n{title}:", file=out)
+            for name in names:
+                print(f"  {name:<11} {WORKLOAD_DESCRIPTIONS[name]}", file=out)
         return 0
     if args.repro is not None:
-        try:
-            result = run_reproducer(args.repro)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        print(f"reproducer {args.repro}: {result!r}", file=out)
-        if result.failure:
-            print(f"failure: {result.failure}", file=out)
-            return 1
-        print("reproducer no longer fails", file=out)
-        return 0
+        return cmd_replay(args.repro, out)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s]
     except ValueError:
@@ -718,19 +707,10 @@ def cmd_chaos(args, out) -> int:
 def cmd_verify(args, out) -> int:
     import os
 
-    from .verify import DporExplorer, explore, run_dpor_reproducer, standard_scenarios
+    from .verify import DporExplorer, explore, standard_scenarios
 
     if args.repro is not None:
-        run = run_dpor_reproducer(args.repro)
-        print(
-            f"reproducer {args.repro}: {run.steps} steps, "
-            f"choices={run.choices}", file=out,
-        )
-        if run.violations:
-            print(f"failure: {run.violations}", file=out)
-            return 1
-        print("reproducer no longer fails", file=out)
-        return 0
+        return cmd_replay(args.repro, out)
     if args.mode == "random":
         report = explore(
             n_runs=args.runs,
@@ -758,7 +738,7 @@ def cmd_verify(args, out) -> int:
             scenario,
             seed=args.seed,
             latency=args.latency,
-                prune=args.mode != "full",
+            prune=args.mode != "full",
             max_schedules=args.max_schedules,
             max_events=args.max_events,
             allow_pending_orphans=not args.strict_orphans,
@@ -770,6 +750,23 @@ def cmd_verify(args, out) -> int:
         if not report.ok:
             exit_code = 1
     return exit_code
+
+
+def cmd_replay(path: str, out) -> int:
+    """Replay a reproducer file (``chaos --repro`` and ``verify --repro``)."""
+    from .verify import ReplayDivergence, replay
+
+    try:
+        run = replay(path)
+    except (ValueError, ReplayDivergence) as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    print(f"reproducer {path}: {run!r}, {len(run.choices)} steps", file=out)
+    if run.violations:
+        print(f"failure: {run.violations}", file=out)
+        return 1
+    print("reproducer no longer fails", file=out)
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:

@@ -1,28 +1,27 @@
-"""Verification harness: invariants, scenarios, randomized + exhaustive model checking.
+"""Verification harness: invariants, scenarios, one checked run, model checking.
 
 The paper proves its theorems over the abstract machine; this package
 checks the same properties hold *system-wide* over real HOPE programs,
 plus the observable-equivalence oracle the paper implies but never
 states: what an optimistic program commits equals what its pessimistic
-counterpart would print.  Two drivers share the scenario/oracle stack:
-
-* :mod:`repro.verify.explorer` — randomized schedule sampling (latency
-  draws plus seeded tie shuffles through a
-  :class:`~repro.verify.schedule.RandomTies` controller);
-* :mod:`repro.verify.dpor` — exhaustive enumeration of inequivalent
-  interleavings via dynamic partial-order reduction with sleep sets,
-  driven through the simulator's controller seam
-  (:mod:`repro.verify.schedule`).
+counterpart would print.  One driver, :func:`check_run`
+(:mod:`repro.verify.driver`), builds, runs and judges every run, and one
+shrinker and one reproducer serve its three campaigns: :func:`explore`
+(randomized walks), :class:`DporExplorer` (the DPOR-reduced DFS through
+the controller seam of :mod:`repro.verify.schedule`) and
+:func:`repro.chaos.run_matrix` (seeded walks over seeds x fault plans).
 """
 
-from .dpor import (
-    DporExplorer,
-    DporReport,
-    DporRun,
-    run_dpor_reproducer,
-    standard_scenarios,
+from .dpor import DporExplorer, DporReport, standard_scenarios
+from .driver import (
+    ExplorationReport,
+    Run,
+    check_run,
+    explore,
+    replay,
+    reproduce,
+    walk,
 )
-from .explorer import ExplorationReport, RunOutcome, explore, run_scenario
 from .invariants import (
     DefiniteSafetyMonitor,
     InvariantViolation,
@@ -42,22 +41,21 @@ from .programs import (
     two_aid_scenario,
 )
 from .schedule import (
-    RandomTies,
     RecordingController,
     ReplayDivergence,
     ScheduleController,
-    StepRecord,
 )
 
 __all__ = [
+    "Run",
+    "check_run",
+    "walk",
+    "reproduce",
+    "replay",
     "explore",
-    "run_scenario",
     "ExplorationReport",
-    "RunOutcome",
     "DporExplorer",
     "DporReport",
-    "DporRun",
-    "run_dpor_reproducer",
     "standard_scenarios",
     "Scenario",
     "chain_scenario",
@@ -74,8 +72,6 @@ __all__ = [
     "attach_monitors",
     "check_quiescent",
     "ScheduleController",
-    "RandomTies",
     "RecordingController",
-    "StepRecord",
     "ReplayDivergence",
 ]

@@ -1,8 +1,8 @@
 """Stateless model checking with dynamic partial-order reduction.
 
-The randomized explorer (:mod:`repro.verify.explorer`) samples schedules;
-this module *enumerates* them.  A DFS driver replays choice prefixes
-through fresh :class:`~repro.runtime.HopeSystem` instances (stateless
+A :func:`~repro.verify.driver.walk` samples one path of a run's choice
+tree; this module *enumerates* the tree.  A DFS replays choice prefixes
+through fresh :func:`~repro.verify.driver.check_run` runs (stateless
 model checking — no state snapshots, only re-execution), directing every
 same-virtual-time tie and every fault fate through the simulator's
 controller seam (:class:`~repro.verify.schedule.RecordingController`).
@@ -28,32 +28,26 @@ discrete-event world:
   ``prune=False`` mode doubles as the soundness oracle — tests assert
   both modes reach the same set of distinct outcomes.
 
-Every complete execution runs the full monitor stack from
-:mod:`repro.verify.invariants` plus the scenario's decision-derived
-reference oracle (and, for ``blocking_oracle`` scenarios, ledger
-equality with a once-computed pessimistic run of the same program).  A
-violation is shrunk to the minimal failing choice prefix and written as
-a JSON reproducer in the chaos-harness format (same writer), replayable
-with :func:`run_dpor_reproducer` or ``repro verify --repro``.
+Every execution is one :func:`~repro.verify.driver.check_run` (the
+blocking twin is computed once per exploration); the first violation
+is shrunk and written by :func:`~repro.verify.driver.reproduce`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..runtime import HopeSystem
-from ..sim import ConstantLatency, Tracer
 from ..sim.faults import FaultPlan
 from ..sim.kernel import SimulationError
-from .invariants import InvariantViolation, attach_monitors, check_quiescent
+from .driver import Run, check_run, failure_lines, reproduce, twin_of
 from .programs import (
     Scenario,
     chain_scenario,
     diamond_scenario,
     free_of_scenario,
     orphan_scenario,
-    scenario_from_spec,
     two_aid_scenario,
 )
 from .schedule import RecordingController, ReplayDivergence
@@ -81,30 +75,6 @@ class _Node:
     @property
     def chosen(self) -> int:
         return self.started[-1]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Node {self.kind} t={self.time:g} {len(self.keys)} options "
-            f"started={self.started} backtrack={sorted(self.backtrack)}>"
-        )
-
-
-@dataclass
-class DporRun:
-    """One executed schedule and everything checked about it."""
-
-    index: int
-    choices: list
-    fingerprint: str = ""
-    violations: list = field(default_factory=list)
-    rollbacks: int = 0
-    sleep_blocked: bool = False
-    steps: int = 0
-    committed: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass
@@ -134,7 +104,10 @@ class DporReport:
 
     def outcomes(self) -> set:
         """The distinct committed end states reached across all schedules."""
-        return {run.committed for run in self.runs}
+        return {
+            tuple(sorted((n, tuple(map(repr, out))) for n, out in run.ledgers.items()))
+            for run in self.runs
+        }
 
     def summary(self) -> str:
         mode = "dpor" if self.prune else "full"
@@ -145,13 +118,9 @@ class DporReport:
             f"{self.scenario}: {self.schedules} schedules explored ({mode}, "
             f"{status}), {len(self.failures)} failing, "
             f"{len(self.outcomes())} distinct outcome(s), "
-            f"{self.sleep_pruned} sleep-pruned"
+            f"{self.sleep_pruned} sleep-pruned",
+            *failure_lines(self.failures, lambda run: f"schedule {run.label}"),
         ]
-        for run in self.failures[:10]:
-            lines.append(f"  FAIL schedule #{run.index}: {run.violations}")
-        extra = len(self.failures) - 10
-        if extra > 0:
-            lines.append(f"  (+{extra} more failures)")
         if self.reproducer:
             lines.append(f"  reproducer: {self.reproducer}")
         return "\n".join(lines)
@@ -164,9 +133,10 @@ class DporExplorer:
     ----------
     scenario:
         The workload plus reference oracle (:mod:`repro.verify.programs`).
-    seed, latency:
-        Forwarded to every :class:`HopeSystem` replay — held fixed so the
-        controller's choices are the *only* source of divergence.
+    seed, latency, max_events, reliable, allow_pending_orphans, inject_bug:
+        :func:`~repro.verify.driver.check_run`'s, for every execution —
+        held fixed so the controller's choices are the *only* source of
+        divergence.
     prune:
         ``True`` (default) computes DPOR backtracking sets; ``False``
         enumerates every permutation of every tie batch — exponentially
@@ -178,21 +148,12 @@ class DporExplorer:
         Execution budget; exploration that exhausts it reports
         ``complete=False``.
     fault_plan:
-        Optional chaos-harness plan whose drop/reorder fates become
-        explored choice points (see
-        :class:`~repro.verify.schedule.RecordingController`); a plan
+        A plan whose drop/reorder fates become explored choice points; one
         with drops requires ``reliable`` so the reference oracle still
-        applies (losses are masked by resend, not observable), and one
-        with duplicates or jitter is refused.
+        applies (losses are masked by resend), and one with duplicates or
+        jitter is refused.
     max_drops:
         Per-execution bound on explored message drops.
-    allow_pending_orphans:
-        Forwarded to :func:`check_quiescent` after every execution.
-    inject_bug:
-        Deliberately misflag executions where an AID named ``y*`` is the
-        first to be resolved — a schedule-dependent "bug" only some
-        interleavings reach, used end-to-end to prove the explorer finds,
-        shrinks, and reproduces ordering bugs.
     repro_dir:
         When set, the first failure writes a JSON reproducer here.
     """
@@ -214,18 +175,17 @@ class DporExplorer:
         repro_dir: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
-        self.seed = seed
-        self.latency = latency
         self.prune = prune
         self.sleep_sets = sleep_sets and prune
         self.max_schedules = max_schedules
-        self.max_events = max_events
-        self.fault_plan = fault_plan
         self.max_drops = max_drops
-        self.reliable = reliable
-        self.allow_pending_orphans = allow_pending_orphans
-        self.inject_bug = inject_bug
         self.repro_dir = repro_dir
+        #: :func:`check_run`'s keywords for every execution.
+        self.config = dict(
+            seed=seed, latency=latency, faults=fault_plan, reliable=reliable,
+            max_events=max_events, allow_pending_orphans=allow_pending_orphans,
+            inject_bug=inject_bug,
+        )
         if fault_plan is not None:
             links = [fault_plan.default, *fault_plan.links.values()]
             if any(f.duplicate > 0.0 or f.jitter > 0.0 for f in links):
@@ -242,78 +202,16 @@ class DporExplorer:
         #: independence oracle shared with every RecordingController.
         self.known: dict = {}
         self._nodes: list[_Node] = []
-        self._blocking: Optional[dict] = None
-        self._blocking_violation: Optional[str] = None
+        self._twin: Optional[Run] = None
 
-    # ------------------------------------------------------------------
-    # single execution + per-run checks
-    # ------------------------------------------------------------------
     def execute(
         self, prescribed: Sequence[int] = (), initial_sleep: frozenset = frozenset()
-    ) -> tuple[RecordingController, DporRun]:
+    ) -> tuple[RecordingController, Run]:
         """Replay one choice prefix to completion and check everything."""
-        tracer = Tracer()
         controller = RecordingController(
-            prescribed, tracer, initial_sleep, self.known, self.max_drops
+            prescribed, initial_sleep, self.known, self.max_drops
         )
-        system = HopeSystem(
-            seed=self.seed,
-            latency=ConstantLatency(self.latency),
-            trace=tracer,
-            reliable=self.reliable,
-            faults=self.fault_plan,
-            controller=controller,
-        )
-        attach_monitors(system)
-        self.scenario.build(system)
-        run = DporRun(index=0, choices=[])
-        try:
-            system.run(max_events=self.max_events)
-        except InvariantViolation as exc:
-            run.violations.append(f"streaming invariant: {exc}")
-        controller.finish()
-        run.choices = [step.chosen for step in controller.records]
-        run.steps = len(controller.records)
-        run.sleep_blocked = controller.sleep_blocked
-        run.fingerprint = tracer.fingerprint()
-        if run.violations:
-            return controller, run
-        run.rollbacks = system.stats()["rollbacks"]
-        try:
-            check_quiescent(system, allow_pending_orphans=self.allow_pending_orphans)
-        except InvariantViolation as exc:
-            run.violations.append(f"quiescent invariant: {exc}")
-        for process, expected in self.scenario.reference.items():
-            actual = system.committed_outputs(process)
-            if actual != expected:
-                run.violations.append(
-                    f"oracle mismatch for {process!r}: expected {expected!r}, "
-                    f"committed {actual!r}"
-                )
-        if self.scenario.blocking_oracle and self._blocking is not None:
-            for process in self.scenario.reference:
-                speculative = system.committed_outputs(process)
-                blocking = self._blocking[process]
-                if speculative != blocking:
-                    run.violations.append(
-                        f"speculative/blocking divergence for {process!r}: "
-                        f"{speculative!r} vs {blocking!r}"
-                    )
-        if self.inject_bug:
-            for rec in tracer.records:
-                if rec.category in ("affirm", "deny") and rec.detail.get("aid"):
-                    if str(rec.detail["aid"]).startswith("y"):
-                        run.violations.append(
-                            "injected bug: AID "
-                            f"{rec.detail['aid']!r} resolved first"
-                        )
-                    break
-        run.committed = tuple(
-            sorted(
-                (name, tuple(repr(v) for v in system.committed_outputs(name)))
-                for name in system.process_names()
-            )
-        )
+        run = check_run(self.scenario, controller=controller, twin=self._twin, **self.config)
         return controller, run
 
     # ------------------------------------------------------------------
@@ -325,18 +223,15 @@ class DporExplorer:
             scenario=self.scenario.name, prune=self.prune, sleep_sets=self.sleep_sets
         )
         self._nodes = []
-        if self.scenario.blocking_oracle:
-            self._compute_blocking_reference()
+        self._twin = twin_of(Run(self.scenario, **self.config))
         prescribed: list = []
         initial_sleep: frozenset = frozenset()
         while len(report.runs) < self.max_schedules:
             controller, run = self.execute(prescribed, initial_sleep)
-            run.index = len(report.runs)
-            if self._blocking_violation and not run.violations:
-                run.violations.append(self._blocking_violation)
+            run.label = f"#{len(report.runs)}"
             report.runs.append(run)
             if run.violations and self.repro_dir and report.reproducer is None:
-                report.reproducer = self._write_reproducer(run, report)
+                report.reproducer = self._reproduce(run, report)
             self._absorb(controller.records)
             if self.prune:
                 self._add_backtracks(controller.records)
@@ -346,26 +241,6 @@ class DporExplorer:
                 break
             prescribed, initial_sleep = nxt
         return report
-
-    def _compute_blocking_reference(self) -> None:
-        """The pessimistic twin: same program text, guesses block.
-
-        Computed once per exploration — the blocking run has no
-        speculation to reorder, so a single canonical schedule suffices
-        as the comparison ledger for every explored speculative one.
-        """
-        system = HopeSystem(
-            seed=self.seed,
-            latency=ConstantLatency(self.latency),
-            speculation=False,
-        )
-        self.scenario.build(system)
-        system.run(max_events=self.max_events)
-        if system.stats()["rollbacks"] != 0:
-            self._blocking_violation = "blocking oracle rolled back"
-        self._blocking = {
-            p: system.committed_outputs(p) for p in self.scenario.reference
-        }
 
     def _absorb(self, steps) -> None:
         """Fold one execution's step records into the DFS node stack."""
@@ -475,103 +350,15 @@ class DporExplorer:
             return prescribed, frozenset(sleep_now)
         return None
 
-    # ------------------------------------------------------------------
-    # reproducers
-    # ------------------------------------------------------------------
-    def _shrink_choices(self, choices: list, report: DporReport) -> list:
-        """Minimal failing prefix: defaults beyond it must still fail.
-
-        Binary search over prefix lengths, maintaining the invariant that
-        the upper bound fails (the full sequence does, by construction) —
-        so the returned prefix is verified-failing even if failure is not
-        monotone in prefix length.
-        """
-
-        def fails(prefix: list) -> bool:
+    def _reproduce(self, run: Run, report: DporReport) -> str:
+        def probe(prefix: list) -> Run:
             report.shrink_runs += 1
-            _controller, run = self.execute(prefix, frozenset())
-            return bool(run.violations)
+            return self.execute(prefix)[1]
 
-        if fails([]):
-            return []
-        lo, hi = 0, len(choices)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fails(choices[:mid]):
-                hi = mid
-            else:
-                lo = mid
-        return choices[:hi]
-
-    def _write_reproducer(self, run: DporRun, report: DporReport) -> str:
-        import os
-
-        from ..chaos import write_reproducer  # late: chaos imports this package
-
-        shrunk = self._shrink_choices(run.choices, report)
-        path = os.path.join(
-            self.repro_dir, f"repro-dpor-{self.scenario.name}-{run.index}.json"
-        )
+        path = os.path.join(self.repro_dir, f"repro-dpor-{self.scenario.name}-{run.label[1:]}.json")
         # Scenario names carry parens/commas; keep the filename shell-safe.
         path = "".join(ch if ch.isalnum() or ch in "-_./" else "_" for ch in path)
-        payload = {
-            "kind": "dpor",
-            "scenario": self.scenario.spec,
-            "scenario_name": self.scenario.name,
-            "seed": self.seed,
-            "latency": self.latency,
-            "max_events": self.max_events,
-            "reliable": bool(self.reliable),
-            "fault_plan": (
-                self.fault_plan.to_dict() if self.fault_plan is not None else None
-            ),
-            "max_drops": self.max_drops,
-            "allow_pending_orphans": self.allow_pending_orphans,
-            "inject_bug": self.inject_bug,
-            "choices": shrunk,
-            "original_choices": run.choices,
-            "shrink_runs": report.shrink_runs,
-            "failure": run.violations,
-            "fingerprint": run.fingerprint,
-            "command": f"python -m repro.cli verify --repro {path}",
-        }
-        return write_reproducer(path, payload)
-
-
-def run_dpor_reproducer(path: str) -> DporRun:
-    """Replay a DPOR reproducer file; returns the (expected-failing) run."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "dpor":
-        raise ValueError(f"{path} is not a DPOR reproducer (kind={payload.get('kind')!r})")
-    # Files written while the engine had an AID-task mode carry this key.
-    if payload.get("aid_mode", "registry") != "registry":
-        raise ValueError(
-            f"{path}: aid_mode={payload['aid_mode']!r} is not a runtime mode; the "
-            "AID-task timing model is the AIDMODE experiment "
-            "(experiments/test_aid_modes.py)"
-        )
-    explorer = DporExplorer(
-        scenario_from_spec(payload["scenario"]),
-        seed=payload["seed"],
-        latency=payload["latency"],
-        max_events=payload["max_events"],
-        fault_plan=(
-            FaultPlan.from_dict(payload["fault_plan"])
-            if payload.get("fault_plan")
-            else None
-        ),
-        max_drops=payload.get("max_drops", 1),
-        reliable=payload.get("reliable", False),
-        allow_pending_orphans=payload.get("allow_pending_orphans", True),
-        inject_bug=payload.get("inject_bug", False),
-    )
-    if explorer.scenario.blocking_oracle:
-        explorer._compute_blocking_reference()
-    _controller, run = explorer.execute(payload["choices"], frozenset())
-    return run
+        return reproduce(run, path, probe=probe)
 
 
 def standard_scenarios() -> list:

@@ -1,17 +1,18 @@
-"""Parameterized HOPE scenarios for the schedule explorer.
+"""Parameterized HOPE scenarios: what :func:`repro.verify.check_run` runs.
 
 Each scenario knows how to build itself onto a fresh :class:`HopeSystem`
 and what its *committed reference output* must be — computed directly
-from the scenario's decision parameters, independent of any execution.
-The explorer then checks that every randomized schedule commits exactly
-the reference.
+from the scenario's decision parameters, independent of any execution —
+or, for the chaos workloads, that its oracle is the fault-free twin.
+Every checked run must commit exactly what that normal-order run does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
+from ..bench.workloads import build_chaos_mesh, build_chaos_ring, build_durable_counter
 from ..runtime import HopeSystem
 from ..sim import TIMED_OUT, RandomStream
 
@@ -19,6 +20,11 @@ from ..sim import TIMED_OUT, RandomStream
 @dataclass(frozen=True)
 class Scenario:
     """A buildable workload plus its expected committed ledger.
+
+    ``reference=None`` makes the fault-free twin the oracle: the same
+    workload run without faults or directed choices must commit the same
+    multiset per process (a fault may legitimately permute *when* an
+    output commits, never *what* commits), and every process must finish.
 
     ``blocking_oracle`` marks scenarios whose observable outcome does not
     depend on speculation-vs-waiting (all assumptions resolved by other
@@ -28,18 +34,15 @@ class Scenario:
     because it executes the *same program text* pessimistically.
 
     ``spec`` is the JSON-serializable recipe that rebuilt this scenario
-    (``{"factory": name, "kwargs": {...}}``) — what DPOR reproducer files
-    store so :func:`scenario_from_spec` can reconstruct the workload.
+    (``{"factory": name, "kwargs": {...}}``) — what reproducer files store
+    so :func:`scenario_from_spec` can reconstruct the workload.
     """
 
     name: str
-    build: object          # Callable[[HopeSystem], None]
-    reference: dict        # process name -> expected committed outputs
+    build: object                # Callable[[HopeSystem], None]
+    reference: Optional[dict]    # process name -> expected committed outputs
     blocking_oracle: bool = False
     spec: Optional[dict] = field(default=None, compare=False)
-
-    def expected(self, process: str) -> list:
-        return self.reference.get(process, [])
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +341,10 @@ def random_scenario(stream: RandomStream) -> Scenario:
     return free_of_scenario(violate=stream.bernoulli(0.5))
 
 
-ALL_FACTORIES: Sequence = (
-    chain_scenario,
-    two_aid_scenario,
-    diamond_scenario,
-    free_of_scenario,
-)
+def _workload(name: str, build) -> Callable[[], Scenario]:
+    """A chaos workload (:mod:`repro.bench.workloads`) as a twin-oracle scenario."""
+    return lambda: Scenario(name, build, None, spec={"factory": name, "kwargs": {}})
+
 
 #: Factory registry keyed by the ``spec["factory"]`` names reproducer
 #: files store (see :func:`scenario_from_spec`).
@@ -353,6 +354,9 @@ FACTORIES: dict = {
     "diamond": diamond_scenario,
     "free_of": free_of_scenario,
     "orphan": orphan_scenario,
+    "mesh": _workload("mesh", build_chaos_mesh),
+    "ring": _workload("ring", build_chaos_ring),
+    "counter": _workload("counter", build_durable_counter),
 }
 
 

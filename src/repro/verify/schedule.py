@@ -11,15 +11,15 @@ This module provides
 * :class:`ScheduleController` — the protocol (a leftmost-choice base
   class that samples fault fates from the seeded stream, like a run
   without a controller);
-* :class:`RandomTies` — seeded shuffling of same-time events;
 * :class:`RecordingController` — replays a prescribed choice prefix,
-  falls back to canonical defaults beyond it, and records every step
-  (batch composition, chosen index, and the *footprint* of resources the
-  chosen event's execution touched, extracted from the trace stream) —
-  everything the DFS driver in :mod:`repro.verify.dpor` needs to compute
-  happens-before backtracking points and sleep sets.  It turns message
-  drop and reorder fates into explicit binary choice points, so fault
-  fates are explored exhaustively instead of sampled.
+  continues past it (the DFS's canonical default, or a walk's seeded
+  draw), and records every step (batch composition, chosen index, and
+  the *footprint* of resources the chosen event's execution touched,
+  extracted from the trace stream) — everything the DFS driver in
+  :mod:`repro.verify.dpor` needs to compute happens-before backtracking
+  points and sleep sets.  Message drop and reorder fates are binary
+  choice points of the same tree, so one recorded choice sequence
+  replays any run, explored or sampled.
 
 Event identity across executions: a batch member is keyed by
 ``(label, seq)``.  Sequence numbers are a deterministic function of the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..sim import RandomStream, Tracer
+from ..sim import RandomStream
 from ..sim.faults import FateSource
 from ..sim.kernel import ScheduledEvent, SimulationError
 
@@ -43,32 +43,14 @@ class ScheduleController(FateSource):
 
     ``choose(time, events)`` is called at every pop with the canonical
     ``(time, seq)``-ordered batch of live events at the earliest virtual
-    time and returns the index of the event to fire.  Singleton batches
-    are consulted too (the choice is forced, but exploration drivers
-    still need the step in their records).
-
-    ``fate`` / ``lateness`` (inherited from
-    :class:`~repro.sim.faults.FateSource`) decide the fault layer's
-    fates; this base samples them from the seeded stream, exactly as a
-    run without a controller does.
+    time (a singleton too: exploration records forced steps) and returns
+    the index of the event to fire.  ``fate`` / ``lateness`` (from
+    :class:`~repro.sim.faults.FateSource`) decide the fault layer's fates;
+    this base samples them as a run without a controller does.
     """
 
     def choose(self, time: float, events: Sequence[ScheduledEvent]) -> int:
         return 0
-
-
-class RandomTies(ScheduleController):
-    """Seeded shuffling: each same-time batch fires a uniformly drawn
-    member, drawn from the stream ``"schedule-ties"`` of ``seed`` (a
-    batch of one draws nothing).  Genuinely concurrent events may fire
-    in any order; the randomized explorer sweeps seeds over them."""
-
-    def __init__(self, seed: int) -> None:
-        self.stream = RandomStream(seed, "schedule-ties")
-
-    def choose(self, time: float, events: Sequence[ScheduledEvent]) -> int:
-        size = len(events)
-        return 0 if size == 1 else self.stream.randint(0, size - 1)
 
 
 class ReplayDivergence(SimulationError):
@@ -92,10 +74,9 @@ class StepRecord:
     choice point closes the step; fate steps get a static footprint.
     """
 
-    __slots__ = ("index", "kind", "time", "keys", "chosen", "footprint")
+    __slots__ = ("kind", "time", "keys", "chosen", "footprint")
 
-    def __init__(self, index, kind, time, keys, chosen):
-        self.index = index
+    def __init__(self, kind, time, keys, chosen):
         self.kind = kind
         self.time = time
         self.keys = keys
@@ -103,18 +84,8 @@ class StepRecord:
         self.footprint: frozenset = frozenset()
 
     @property
-    def options(self) -> int:
-        return len(self.keys)
-
-    @property
     def chosen_key(self):
         return self.keys[self.chosen]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Step {self.index} {self.kind} t={self.time:g} "
-            f"chose {self.chosen}/{len(self.keys)} {self.keys[self.chosen]!r}>"
-        )
 
 
 def event_key(event: ScheduledEvent) -> tuple:
@@ -138,60 +109,66 @@ def label_target(label: str) -> Optional[str]:
 
 
 class RecordingController(ScheduleController):
-    """Replays a choice prefix, extends it with defaults, records steps.
+    """Replays a choice prefix, continues past it, records every step.
 
     Parameters
     ----------
     prescribed:
         Choice indices for the first ``len(prescribed)`` steps (ties and
-        fates in one unified sequence).  Beyond the prefix the controller
-        picks the canonical default: the lowest index whose key is not in
-        the live sleep set.
-    tracer:
-        The system's :class:`~repro.sim.Tracer`; the slice of records
-        appended between two consecutive tie steps is the earlier step's
-        footprint (each record contributes its process name and, when
-        present, its AID key).
-    initial_sleep:
-        Sleep set in force at the divergence point (keys of sibling
-        choices already fully explored).  From the divergence step on it
-        is filtered per Godefroid's rule: a sleeping event is woken (and
-        must be re-explored) as soon as a dependent event executes.
-    known_footprints:
-        Footprints observed in earlier executions, keyed by event key —
-        the independence oracle for sleep filtering.  A sleeping event
-        with no known footprint is conservatively treated as dependent
-        (woken immediately), costing pruning but never soundness.
+        fates in one sequence).  Beyond it the controller takes the DFS
+        default — the lowest index whose key is not asleep, and no fault
+        — unless it ``walk``-s.
+    initial_sleep, known_footprints:
+        The DFS's sleep set at the divergence point (keys of sibling
+        choices already explored), filtered per Godefroid's rule — a
+        sleeping event wakes as soon as a dependent one executes — by the
+        footprints observed in earlier executions (an unknown footprint
+        counts as dependent: less pruning, never unsound).
     max_drops:
-        Bound on the message drops one execution explores, so the
-        always-drop branch of a retrying (reliable) sender cannot produce
-        an infinite tree.
+        The DFS's bound on the drops one execution explores, so a
+        retrying sender's always-drop branch cannot make the tree
+        infinite; the DFS draws nothing (a fate that is no choice point
+        never befalls; a late copy is a whole ``reorder_window`` late).
+        ``None`` is the sampled environment: every fate is drawn from the
+        fault stream exactly as :data:`~repro.sim.faults.SAMPLED` draws
+        it — a prescribed one too, so a recorded walk replays byte for
+        byte — and drops are unbounded.
+    walk, shuffle_seed:
+        Beyond the prefix take the draws (needs ``max_drops=None``): the
+        drawn fate, and the tie drawn from the stream ``"schedule-ties"``
+        of ``shuffle_seed`` (a batch of one draws nothing) or the leftmost.
 
-    Fault fates: on a link with ``drop > 0`` every delivery asks "deliver
-    or drop?" (1 = drop, while fewer than ``max_drops`` dropped), and with
-    ``reorder > 0`` "on time or late?" (1 = a whole ``reorder_window``
-    late); probabilities are ignored.  Ack and heartbeat loss never
-    branch: retry timers already bound their effect, and branching on
-    every ack would square the tree for no new *message* order.
+    A step's footprint is the slice of ``tracer`` records (process names,
+    AID keys) appended until the next tie step; :func:`repro.verify.check_run`
+    binds the tracer.  A drop fate asks "deliver or drop?" (1 = drop), a
+    reorder fate "on time or late?" (1 = late).  Ack and heartbeat loss
+    never branch: retry timers already bound their effect, and branching
+    on every ack would square the tree for no new *message* order.
     """
 
     def __init__(
         self,
         prescribed: Sequence[int] = (),
-        tracer: Optional[Tracer] = None,
         initial_sleep: frozenset = frozenset(),
         known_footprints: Optional[dict] = None,
-        max_drops: int = 1,
+        max_drops: Optional[int] = 1,
+        walk: bool = False,
+        shuffle_seed: Optional[int] = None,
     ) -> None:
+        if walk and max_drops is not None:
+            raise ValueError("a walk draws its fates: pass max_drops=None")
         self.prescribed = list(prescribed)
-        self.tracer = tracer
+        self.tracer = None
         self.records: list[StepRecord] = []
         self.known = known_footprints if known_footprints is not None else {}
         self._sleep = set(initial_sleep)
-        self.sleep_blocked = False
         self._mark = 0
         self._open_tie: Optional[StepRecord] = None
         self.max_drops = max_drops
+        self.walk = walk
+        self._ties = (
+            RandomStream(shuffle_seed, "schedule-ties") if shuffle_seed is not None else None
+        )
         self.drops = 0
         self._fates: dict[str, int] = {}
 
@@ -206,8 +183,13 @@ class RecordingController(ScheduleController):
             step, len(keys), f"the batch of {len(keys)} events at t={time:.6g}"
         )
         if chosen is None:
-            chosen = self._default_choice(keys)
-        record = StepRecord(step, "tie", time, keys, chosen)
+            if not self.walk:
+                chosen = self._default_choice(keys)
+            elif self._ties is not None and len(keys) > 1:
+                chosen = self._ties.randint(0, len(keys) - 1)
+            else:
+                chosen = 0
+        record = StepRecord("tie", time, keys, chosen)
         self.records.append(record)
         self._open_tie = record
         if self.tracer is not None:
@@ -215,18 +197,22 @@ class RecordingController(ScheduleController):
         return chosen
 
     def fate(self, stream, kind: str, src: str, dst: str, p: float) -> bool:
+        sampled = self.max_drops is None
+        drawn = stream.bernoulli(p) if sampled else False
         if kind not in ("drop", "reorder") or (
-            kind == "drop" and self.drops >= self.max_drops
+            not sampled and kind == "drop" and self.drops >= self.max_drops
         ):
-            return False
+            return drawn
         step = len(self.records)
         # Fate identity: the n-th fate decision of this kind on this link.
         link = f"{kind}:{src}->{dst}"
         count = self._fates.get(link, 0)
         self._fates[link] = count + 1
         key = f"{link}#{count}"
-        chosen = self._prescribed(step, 2, f"the 2 fates of {key}") or 0
-        record = StepRecord(step, "fate", -1.0, ((key, 0), (key, 1)), chosen)
+        chosen = self._prescribed(step, 2, f"the 2 fates of {key}")
+        if chosen is None:
+            chosen = int(drawn) if self.walk else 0
+        record = StepRecord("fate", -1.0, ((key, 0), (key, 1)), chosen)
         # A fate decides one message's delivery: its footprint is the link
         # target (static — fate steps always branch fully in the driver).
         record.footprint = frozenset((dst,))
@@ -238,7 +224,7 @@ class RecordingController(ScheduleController):
     def lateness(
         self, stream, kind: str, src: str, dst: str, window: float
     ) -> float:
-        return window
+        return stream.uniform(0.0, window) if self.max_drops is None else window
 
     def finish(self) -> None:
         """Close the final step's footprint after the run completes."""
@@ -259,15 +245,11 @@ class RecordingController(ScheduleController):
         return chosen
 
     def _default_choice(self, keys: tuple) -> int:
-        if not self._sleep:
-            return 0
+        # When every enabled event is asleep the continuation is provably
+        # redundant; finishing it anyway (leftmost) keeps the driver simple.
         for index, key in enumerate(keys):
             if key not in self._sleep:
                 return index
-        # Every enabled event is asleep: this continuation is provably
-        # redundant.  Finishing it anyway (leftmost choice) keeps the
-        # driver simple; the run is flagged so reports can count it.
-        self.sleep_blocked = True
         return 0
 
     def _close_open_tie(self) -> None:

@@ -2,19 +2,20 @@
 
 import json
 
+import pytest
+
+from repro import cli
 from repro.chaos import (
     WORKLOADS,
     committed_state,
     format_report,
-    run_case,
     run_matrix,
-    run_reproducer,
-    shrink_plan,
     standard_plans,
 )
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, FaultPlan, LinkFaults, Tracer
 from repro.bench.workloads import build_chaos_mesh
+from repro.verify import RecordingController, Run, check_run, replay, walk
 
 
 # ---------------------------------------------------------------- the matrix
@@ -35,9 +36,9 @@ def test_full_matrix_is_green_and_big_enough(tmp_path):
 def test_case_fingerprint_reproduces_per_seed():
     workload = WORKLOADS["mesh"]
     plan = standard_plans("mesh")["storm"]
-    first = run_case(workload, 2, plan)
-    second = run_case(workload, 2, plan)
-    other_seed = run_case(workload, 9, plan)
+    first = check_run(workload, seed=2, faults=plan, reliable=True)
+    second = check_run(workload, seed=2, faults=plan, reliable=True)
+    other_seed = check_run(workload, seed=9, faults=plan, reliable=True)
     assert first.ok and second.ok
     assert first.fingerprint == second.fingerprint
     assert first.fingerprint != other_seed.fingerprint
@@ -45,78 +46,115 @@ def test_case_fingerprint_reproduces_per_seed():
 
 def test_faulty_committed_state_matches_twin_directly():
     workload = WORKLOADS["ring"]
-    twin = run_case(workload, 4, None, plan_name="fault-free")
-    faulty = run_case(
-        workload, 4, standard_plans("ring")["drop-heavy"], twin=twin.committed
+    twin = check_run(workload, seed=4, reliable=True, label="fault-free")
+    faulty = check_run(
+        workload, seed=4, faults=standard_plans("ring")["drop-heavy"],
+        reliable=True, twin=twin,
     )
     assert twin.ok and faulty.ok
     assert faulty.committed == twin.committed
 
 
-def test_run_case_flags_divergence_from_twin():
+def test_check_run_flags_divergence_from_twin():
     workload = WORKLOADS["mesh"]
-    fake_twin = {"validator": ("something-else",)}
-    result = run_case(workload, 1, None, twin=fake_twin)
+    fake_twin = Run(workload, ledgers={"validator": ("something-else",)})
+    result = check_run(workload, seed=1, reliable=True, twin=fake_twin)
     assert not result.ok
     assert "diverged" in result.failure
 
 
 # ---------------------------------------------------------------- shrinking
-def test_shrink_plan_zeroes_irrelevant_knobs():
-    plan = FaultPlan(
-        default=LinkFaults(drop=0.4, duplicate=0.3, jitter=2.0)
-    )
-    # a predicate that only cares about drop: everything else shrinks away
-    minimal, runs = shrink_plan(plan, lambda p: p.default.drop >= 0.1)
-    assert minimal.default.duplicate == 0.0
-    assert minimal.default.jitter == 0.0
-    assert minimal.default.drop >= 0.1
-    assert 0 < runs <= 40
-
-
-def test_failing_case_writes_shrunken_reproducer(tmp_path):
-    """Force a failure (drop everything with retries off) and check the
-    harness shrinks it and writes a runnable JSON reproducer."""
-    plans = {"blackout": FaultPlan(default=LinkFaults(drop=1.0))}
-    report = run_matrix(
+def _blackout(tmp_path):
+    """Drop everything with retries off: a case that must fail."""
+    return run_matrix(
         workloads=["mesh"],
         seeds=(1,),
-        plans=plans,
+        plans={"blackout": FaultPlan(default=LinkFaults(drop=1.0))},
         reliable=False,            # no retries: the drop is fatal
         repro_dir=str(tmp_path),
         verify_determinism=False,
         max_events=50_000,
     )
+
+
+def test_failing_case_writes_shrunken_reproducer(tmp_path):
+    """Force a failure and check the harness shrinks it — the choices
+    that do not matter take their no-fault default — and writes a
+    runnable JSON reproducer with the configuration it failed under."""
+    report = _blackout(tmp_path)
     assert len(report["failures"]) == 1
     assert len(report["repro_files"]) == 1
     path = report["repro_files"][0]
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["workload"] == "mesh"
+    assert payload["scenario"] == {"factory": "mesh", "kwargs": {}}
     assert payload["seed"] == 1
     assert payload["failure"]
-    assert payload["plan"] is not None
-    # the shrunken plan still fails when re-run
-    rerun = run_case(
-        WORKLOADS["mesh"], 1, FaultPlan.from_dict(payload["plan"]),
-        reliable=False, max_events=50_000,
-    )
+    assert (payload["reliable"], payload["max_events"]) == (False, 50_000)
+    assert payload["faults"] == FaultPlan(default=LinkFaults(drop=1.0)).to_dict()
+    assert len(payload["choices"]) < len(report["failures"][0].choices)
+    # the shrunken reproducer still fails when re-run
+    rerun = replay(path)
     assert not rerun.ok
+    assert rerun.fingerprint == payload["fingerprint"]
+
+
+def test_blackout_reproducer_fails_when_replayed_by_the_cli(tmp_path, capsys):
+    """The file keeps ``reliable=False`` and ``max_events``: replaying it
+    fails as the matrix case did, instead of passing under the defaults."""
+    path = _blackout(tmp_path)["repro_files"][0]
+    assert cli.main(["chaos", "--repro", path]) == 1
+    assert "reproducer no longer fails" not in capsys.readouterr().out
 
 
 def test_run_reproducer_roundtrip(tmp_path):
     payload = {
-        "workload": "ring",
+        "scenario": {"factory": "ring", "kwargs": {}},
         "seed": 2,
+        "latency": 1.0,
+        "max_events": 200_000,
+        "faults": FaultPlan(default=LinkFaults(drop=0.2)).to_dict(),
+        "reliable": True,
+        "max_drops": None,
+        "choices": [],
         "failure": "synthetic",
-        "plan": FaultPlan(default=LinkFaults(drop=0.2)).to_dict(),
     }
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(payload))
-    result = run_reproducer(str(path))
-    assert result.workload == "ring"
+    result = replay(str(path))
+    assert result.scenario.name == "ring"
     assert result.seed == 2
     assert result.ok  # with reliable delivery this plan passes
+
+
+def test_reproducer_keeps_custom_reliable_and_detector_configs(tmp_path):
+    from repro.runtime import DetectorConfig, ReliableConfig
+    from repro.verify.driver import load_reproducer, write_reproducer
+
+    run = Run(
+        WORKLOADS["ring"], seed=3, reliable=ReliableConfig(ack_timeout=3.0, max_attempts=4),
+        detector=DetectorConfig(interval=2.0, timeout=9.0),
+    )
+    path = write_reproducer(str(tmp_path / "r.json"), run, [0, 1])
+    scenario, config, max_drops, choices = load_reproducer(path)
+    assert (scenario.name, config["seed"], max_drops, choices) == ("ring", 3, None, [0, 1])
+    assert (config["reliable"].ack_timeout, config["reliable"].max_attempts) == (3.0, 4)
+    assert (config["detector"].interval, config["detector"].timeout) == (2.0, 9.0)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_walks_replay_from_their_recorded_choices(workload):
+    """Every fate of a walk is drawn even where a prescription decides it,
+    so replaying the recorded choices is the walk, byte for byte."""
+    scenario = WORKLOADS[workload]
+    twin = check_run(scenario, seed=1, reliable=True)
+    for name, plan in standard_plans(workload).items():
+        config = dict(seed=1, faults=plan, reliable=True, twin=twin)
+        run = walk(scenario, **config)
+        assert run.ok, (name, run.failure)
+        controller = RecordingController(run.choices, max_drops=None)
+        again = check_run(scenario, controller=controller, **config)
+        assert (again.fingerprint, again.choices) == (run.fingerprint, run.choices), name
 
 
 # ---------------------------------------------------------------- purity

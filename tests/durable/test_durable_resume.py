@@ -183,20 +183,29 @@ class TestCorruptionFallback:
         assert result.ok, result.failure
         assert result.corrupted_path.endswith("ledger.jsonl")
 
-    def test_undamaged_ledger_fails_the_ledger_case(self, monkeypatch):
-        """The case passes only on the named refusal, not on a clean resume."""
+    def test_undamaged_ledger_fails_the_ledger_case(self, tmp_path, monkeypatch):
+        """The case passes only on the named refusal, not on a clean resume.
+        (A failing case keeps its run directory: keep it under ``tmp_path``.)"""
+        import tempfile
+
         import repro.chaos
 
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setitem(repro.chaos._CORRUPTIONS, "ledger", (lambda root: root, None))
         result = run_kill_resume_case(
             "counter", 1, 0.85, corrupt="ledger", in_process=True
         )
         assert not result.ok and "not detected" in result.failure
 
-    def test_bad_corrupt_mode_raises(self):
+    def test_bad_corrupt_mode_raises(self, tmp_path, monkeypatch):
+        """Refused before anything runs: no run directory is left behind."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(ValueError, match="envelope.*wal"):
             run_kill_resume_case("counter", 1, 0.85, corrupt="bitrot",
                                  in_process=True)
+        assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------- commit_point × fossil restart edges

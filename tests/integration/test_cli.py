@@ -324,7 +324,7 @@ def test_verify_injected_bug_writes_replayable_reproducer(tmp_path, monkeypatch)
     repros = list(tmp_path.glob("repro-dpor-*.json"))
     assert len(repros) == 1
     payload = json.loads(repros[0].read_text())
-    assert payload["kind"] == "dpor"
+    assert payload["inject_bug"] is True and payload["choices"]
     assert str(repros[0]) in payload["command"]
 
     # the reproducer is self-contained (inject_bug is stored in the
@@ -454,14 +454,63 @@ def test_chaos_kill_at_unknown_workload():
 def test_chaos_repro_names_offending_field(tmp_path):
     import json
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"workload": "mesh", "seed": 1,
-                               "plan": {"default": {"drp": 0.5}}}))
-    code, out = run_cli(["chaos", "--repro", str(bad)])
-    assert code == 2
-    assert "field 'plan'" in out and "drp" in out
+    from repro.sim import FaultPlan, LinkFaults
 
-    bad.write_text(json.dumps({"seed": 1}))
+    good = {
+        "scenario": {"factory": "mesh", "kwargs": {}}, "seed": 1,
+        "latency": 1.0, "max_events": 50_000, "max_drops": None,
+        "faults": FaultPlan(default=LinkFaults(drop=0.5)).to_dict(),
+        "choices": [],
+    }
+    bad = tmp_path / "bad.json"
+    for field, value, says in (
+        ("faults", {"default": {"drp": 0.5}}, "drp"),
+        ("scenario", {"factory": "nope"}, "nope"),
+        ("reliable", {"ack_timeout": -1}, "ack_timeout"),
+        ("choices", [0, -1], "non-negative"),
+        ("seed", "1", "expected int"),
+    ):
+        bad.write_text(json.dumps({**good, field: value}))
+        for command in ("chaos", "verify"):
+            code, out = run_cli([command, "--repro", str(bad)])
+            assert code == 2, (field, out)
+            assert f"field '{field}'" in out and says in out, out
+
+    # A {workload, seed, plan} file does not say what it ran under: refused.
+    bad.write_text(json.dumps({"workload": "mesh", "seed": 1,
+                               "plan": {"default": {"drop": 0.5}}}))
     code, out = run_cli(["chaos", "--repro", str(bad)])
     assert code == 2
-    assert "field 'workload' is missing" in out
+    assert "field 'scenario' is missing" in out
+
+
+def _dpor_bug_file(tmp_path):
+    from repro.verify import DporExplorer, two_aid_scenario
+
+    return DporExplorer(
+        two_aid_scenario(True, True, 0.75, 0.75), latency=0.5,
+        inject_bug=True, repro_dir=str(tmp_path),
+    ).explore().reproducer
+
+
+def _blackout_file(tmp_path):
+    from repro.chaos import run_matrix
+    from repro.sim import FaultPlan, LinkFaults
+
+    return run_matrix(
+        workloads=["mesh"], seeds=(1,),
+        plans={"blackout": FaultPlan(default=LinkFaults(drop=1.0))},
+        reliable=False, repro_dir=str(tmp_path), verify_determinism=False,
+        max_events=50_000,
+    )["repro_files"][0]
+
+
+@pytest.mark.parametrize("write", [_dpor_bug_file, _blackout_file])
+def test_each_command_replays_the_others_reproducers(tmp_path, write):
+    """One reproducer format: a file the DFS or the chaos matrix found,
+    shrank and wrote fails again under either command."""
+    path = write(tmp_path)
+    for command in ("verify", "chaos"):
+        code, out = run_cli([command, "--repro", path])
+        assert code == 1, (command, out)
+        assert "failure:" in out

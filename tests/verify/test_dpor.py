@@ -26,8 +26,9 @@ from repro.verify import (
     ReplayDivergence,
     ScheduleController,
     chain_scenario,
+    explore,
     orphan_scenario,
-    run_dpor_reproducer,
+    replay,
     scenario_from_spec,
     standard_scenarios,
     two_aid_scenario,
@@ -170,19 +171,21 @@ def test_injected_bug_found_shrunk_and_reproduced(tmp_path):
     assert report.reproducer is not None
 
     payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
-    assert payload["kind"] == "dpor"
+    assert set(payload) == {
+        "scenario", "seed", "latency", "faults", "reliable", "detector",
+        "max_events", "max_drops", "allow_pending_orphans", "inject_bug",
+        "choices", "failure", "fingerprint", "command",
+    }
     assert payload["failure"] == report.failures[0].violations
     # shrinking kept a verified-failing prefix no longer than the original
-    assert len(payload["choices"]) <= len(payload["original_choices"])
+    assert len(payload["choices"]) <= len(report.failures[0].choices)
     assert report.shrink_runs > 0
 
-    replay = run_dpor_reproducer(report.reproducer)
-    assert replay.violations == report.failures[0].violations
+    again = replay(report.reproducer)
+    assert again.violations == report.failures[0].violations
     # the reproducer's scenario spec round-trips
     rebuilt = scenario_from_spec(payload["scenario"])
-    assert rebuilt.name == payload["scenario_name"]
-    assert "kernel" not in payload
-    assert "aid_mode" not in payload and "control_latency" not in payload
+    assert rebuilt.name == two_aid_scenario(**TWO_AID).name
 
 
 def test_reproducer_naming_an_event_queue_kernel_still_replays(tmp_path):
@@ -196,9 +199,9 @@ def test_reproducer_naming_an_event_queue_kernel_still_replays(tmp_path):
     payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
     payload["kernel"] = "wheel"
     path.write_text(json.dumps(payload))
-    replay = run_dpor_reproducer(str(path))
-    assert replay.violations == report.failures[0].violations
-    assert replay.fingerprint == payload["fingerprint"]
+    again = replay(str(path))
+    assert again.violations == report.failures[0].violations
+    assert again.fingerprint == payload["fingerprint"]
 
 
 def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
@@ -212,9 +215,9 @@ def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
     path = tmp_path / "old-format.json"
     for legacy in ({}, {"aid_mode": "registry", "control_latency": 0.5}):
         path.write_text(json.dumps({**payload, **legacy}))
-        replay = run_dpor_reproducer(str(path))
-        assert replay.violations == report.failures[0].violations
-        assert replay.fingerprint == payload["fingerprint"]
+        again = replay(str(path))
+        assert again.violations == report.failures[0].violations
+        assert again.fingerprint == payload["fingerprint"]
     path.write_text(
         json.dumps({**payload, "aid_mode": "aid_task", "control_latency": 0.5})
     )
@@ -223,7 +226,40 @@ def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
         match=(r"aid_mode='aid_task'.*AIDMODE experiment "
                r"\(experiments/test_aid_modes\.py\)"),
     ):
-        run_dpor_reproducer(str(path))
+        replay(str(path))
+
+
+#: A reproducer as the DPOR explorer wrote it before the chaos matrix and
+#: the explorer shared one format: ``kind``, ``fault_plan``,
+#: ``scenario_name``, ``original_choices``, ``shrink_runs``, no ``detector``.
+DPOR_FILE = {
+    "allow_pending_orphans": True,
+    "choices": [0, 0, 0, 0, 0, 0, 1],
+    "command": "python -m repro.cli verify --repro repro-dpor-two_aid_x_True_y_True_-1.json",
+    "failure": ["injected bug: AID 'y#2' resolved first"],
+    "fault_plan": None,
+    "fingerprint": "a6c560873071c33d5d38f6cea678dc266f1d6be738df879102feedcd184ba5c4",
+    "inject_bug": True,
+    "kind": "dpor",
+    "latency": 0.5,
+    "max_drops": 1,
+    "max_events": 200000,
+    "original_choices": [0, 0, 0, 0, 0, 0, 1, 0, 0],
+    "reliable": False,
+    "scenario": {"factory": "two_aid", "kwargs": {
+        "decide_x": True, "decide_y": True, "dx": 0.75, "dy": 0.75}},
+    "scenario_name": "two_aid(x=True,y=True)",
+    "seed": 0,
+    "shrink_runs": 4,
+}
+
+
+def test_a_dpor_file_of_the_earlier_format_still_replays(tmp_path):
+    path = tmp_path / "repro-dpor.json"
+    path.write_text(json.dumps(DPOR_FILE))
+    again = replay(str(path))
+    assert again.violations == DPOR_FILE["failure"]
+    assert again.fingerprint == DPOR_FILE["fingerprint"]
 
 
 def test_without_injected_bug_no_reproducer_written(tmp_path):
@@ -323,6 +359,28 @@ def test_fault_trees_are_the_recorded_ones(case):
     assert report.schedules == schedules
     joined = "".join(run.fingerprint for run in report.runs)
     assert hashlib.sha256(joined.encode()).hexdigest()[:12] == fp
+
+
+def _digest(runs) -> str:
+    joined = "".join(run.fingerprint for run in runs)
+    return hashlib.sha256(joined.encode()).hexdigest()[:12]
+
+
+def test_the_three_campaigns_walk_the_recorded_paths(tmp_path):
+    """What folding the three harnesses into one driver must not move,
+    recorded before the fold: each digest is the first 12 hex digits of
+    the SHA-256 of the campaign's run fingerprints, concatenated in
+    order (the same under any ``PYTHONHASHSEED``)."""
+    from repro.chaos import run_matrix
+
+    matrix = run_matrix(seeds=(1, 2, 3), repro_dir=str(tmp_path))
+    assert (matrix["total"], matrix["determinism_checked"]) == (42, 14)
+    assert _digest(matrix["cases"]) == "94cf1a2bccf5"
+    assert _digest(explore(80, 23).runs) == "17b7094108ce"
+    assert _digest(explore(80, 23, shuffle_ties=True).runs) == "ca0df816bb71"
+    reports = [explorer(scenario).explore() for scenario in standard_scenarios()]
+    assert [r.schedules for r in reports] == [1, 1, 2, 3, 3, 2, 1, 1, 2, 1]
+    assert _digest([run for r in reports for run in r.runs]) == "897ec32f4fb6"
 
 
 def test_ack_and_heartbeat_loss_never_branch():

@@ -5,9 +5,9 @@ import pytest
 from repro.verify import (
     chain_scenario,
     check_quiescent,
+    check_run,
     explore,
     free_of_scenario,
-    run_scenario,
     two_aid_scenario,
 )
 
@@ -16,7 +16,7 @@ from repro.verify import (
 @pytest.mark.parametrize("depth", [1, 3])
 def test_chain_scenario_conforms(depth, decide):
     scenario = chain_scenario(depth=depth, decide=decide, verify_delay=2.0)
-    outcome = run_scenario(scenario, seed=1, latency=1.0)
+    outcome = check_run(scenario, seed=1, latency=1.0)
     assert outcome.ok, outcome.violations
     if not decide:
         assert outcome.rollbacks >= 1
@@ -27,14 +27,14 @@ def test_chain_scenario_conforms(depth, decide):
 @pytest.mark.parametrize("decide_y", [True, False])
 def test_two_aid_scenario_all_verdict_orders(decide_x, decide_y, dx, dy):
     scenario = two_aid_scenario(decide_x, decide_y, dx, dy)
-    outcome = run_scenario(scenario, seed=2, latency=0.5)
+    outcome = check_run(scenario, seed=2, latency=0.5)
     assert outcome.ok, outcome.violations
 
 
 @pytest.mark.parametrize("violate", [True, False])
 def test_free_of_scenario_conforms(violate):
     scenario = free_of_scenario(violate)
-    outcome = run_scenario(scenario, seed=3, latency=1.0)
+    outcome = check_run(scenario, seed=3, latency=1.0)
     assert outcome.ok, outcome.violations
     if violate:
         assert outcome.rollbacks >= 1
@@ -42,8 +42,9 @@ def test_free_of_scenario_conforms(violate):
 
 def test_determinism_same_seed_same_fingerprint():
     scenario = chain_scenario(depth=2, decide=False, verify_delay=1.5)
-    outcome = run_scenario(scenario, seed=9, latency=2.0, check_determinism=True)
+    outcome = check_run(scenario, seed=9, latency=2.0)
     assert outcome.ok, outcome.violations
+    assert check_run(scenario, seed=9, latency=2.0).fingerprint == outcome.fingerprint
 
 
 def test_exploration_campaign_registry_mode():
@@ -61,7 +62,7 @@ def test_oracle_catches_a_wrong_reference():
         build=scenario.build,
         reference={"root": ["root-pessimistic"]},   # wrong on purpose
     )
-    outcome = run_scenario(broken, seed=1, latency=1.0)
+    outcome = check_run(broken, seed=1, latency=1.0)
     assert not outcome.ok
     assert any("oracle mismatch" in v for v in outcome.violations)
 
@@ -71,7 +72,7 @@ def test_diamond_scenario_conforms(decide):
     from repro.verify import diamond_scenario
 
     scenario = diamond_scenario(decide=decide, verify_delay=2.0)
-    outcome = run_scenario(scenario, seed=4, latency=1.0)
+    outcome = check_run(scenario, seed=4, latency=1.0)
     assert outcome.ok, outcome.violations
     if not decide:
         assert outcome.rollbacks >= 1
@@ -116,15 +117,13 @@ def test_per_run_seeds_reproducible_for_equal_root_seed():
 
 
 def test_summary_marks_failures_beyond_the_first_ten():
-    from repro.verify import ExplorationReport, RunOutcome
+    from repro.verify import ExplorationReport, Run
 
     report = ExplorationReport()
+    scenario = chain_scenario(depth=1, decide=True, verify_delay=1.0)
     for index in range(13):
         report.runs.append(
-            RunOutcome(
-                scenario=f"s{index}", seed=index, latency=1.0,
-                violations=["boom"],
-            )
+            Run(scenario, seed=index, latency=1.0, violations=["boom"])
         )
     summary = report.summary()
     assert summary.count("FAIL") == 10
@@ -132,14 +131,12 @@ def test_summary_marks_failures_beyond_the_first_ten():
 
 
 def test_summary_no_marker_at_ten_or_fewer_failures():
-    from repro.verify import ExplorationReport, RunOutcome
+    from repro.verify import ExplorationReport, Run
 
     report = ExplorationReport()
+    scenario = chain_scenario(depth=1, decide=True, verify_delay=1.0)
     for index in range(10):
         report.runs.append(
-            RunOutcome(
-                scenario=f"s{index}", seed=index, latency=1.0,
-                violations=["boom"],
-            )
+            Run(scenario, seed=index, latency=1.0, violations=["boom"])
         )
     assert "more failures" not in report.summary()

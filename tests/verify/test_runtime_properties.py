@@ -9,7 +9,7 @@ shrinkable inputs.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.verify import chain_scenario, run_scenario, two_aid_scenario
+from repro.verify import chain_scenario, check_run, two_aid_scenario
 
 _delay = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 _latency = st.floats(min_value=0.0, max_value=6.0, allow_nan=False)
@@ -24,7 +24,7 @@ _latency = st.floats(min_value=0.0, max_value=6.0, allow_nan=False)
 )
 def test_chain_conforms_for_all_parameters(depth, decide, verify_delay, latency):
     scenario = chain_scenario(depth=depth, decide=decide, verify_delay=verify_delay)
-    outcome = run_scenario(scenario, seed=0, latency=latency)
+    outcome = check_run(scenario, seed=0, latency=latency)
     assert outcome.ok, outcome.violations
 
 
@@ -38,5 +38,5 @@ def test_chain_conforms_for_all_parameters(depth, decide, verify_delay, latency)
 )
 def test_two_aids_conform_for_all_verdict_timings(decide_x, decide_y, dx, dy, latency):
     scenario = two_aid_scenario(decide_x, decide_y, dx, dy)
-    outcome = run_scenario(scenario, seed=0, latency=latency)
+    outcome = check_run(scenario, seed=0, latency=latency)
     assert outcome.ok, outcome.violations

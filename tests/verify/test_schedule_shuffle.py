@@ -1,24 +1,29 @@
 """Interleaving-level exploration: permuted same-time event orderings.
 
-Seeded shuffling is a :class:`~repro.verify.RandomTies` schedule
-controller: each same-time batch fires a member drawn from the stream
-``"schedule-ties"``."""
+Seeded shuffling is a walk of the choice tree: a
+:class:`~repro.verify.RecordingController` with ``walk=True`` and a
+``shuffle_seed`` fires, of each same-time batch, a member drawn from the
+stream ``"schedule-ties"``."""
 
 import pytest
 
 from repro.runtime import HopeSystem
 from repro.sim import Simulator
 from repro.verify import (
-    RandomTies,
+    RecordingController,
     chain_scenario,
     explore,
     free_of_scenario,
-    run_scenario,
+    walk,
 )
 
 
+def shuffled(seed):
+    return RecordingController(max_drops=None, walk=True, shuffle_seed=seed)
+
+
 def test_tie_breaker_permutes_same_time_events():
-    sim = Simulator(controller=RandomTies(3))
+    sim = Simulator(controller=shuffled(3))
     order = []
     for tag in range(6):
         sim.schedule(1.0, order.append, tag)
@@ -29,7 +34,7 @@ def test_tie_breaker_permutes_same_time_events():
 
 def test_tie_breaker_is_seeded_deterministic():
     def run(seed):
-        sim = Simulator(controller=RandomTies(seed))
+        sim = Simulator(controller=shuffled(seed))
         order = []
         for tag in range(8):
             sim.schedule(2.0, order.append, tag)
@@ -42,7 +47,7 @@ def test_tie_breaker_is_seeded_deterministic():
 
 def test_shuffled_system_equal_seed_reproduces():
     def run():
-        system = HopeSystem(seed=11, controller=RandomTies(11))
+        system = HopeSystem(seed=11, controller=shuffled(11))
         out = []
 
         def a(p):
@@ -70,9 +75,7 @@ def test_scenarios_conform_under_shuffled_schedules(seed):
         free_of_scenario(violate=True),
         free_of_scenario(violate=False),
     ):
-        outcome = run_scenario(
-            scenario, seed=seed, latency=1.0, shuffle_ties=True
-        )
+        outcome = walk(scenario, shuffle=True, seed=seed, latency=1.0)
         assert outcome.ok, (scenario.name, outcome.violations)
 
 
