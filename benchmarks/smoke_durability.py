@@ -10,18 +10,20 @@ Three budgets from ``overhead_threshold.json``:
   1 by design; the budget catches a regression that starts serializing
   speculative state, history the pass itself discards, or the whole run
   into every envelope.
-* **RECOVERY wall** — killing the workload at the latest budgeted crash
-  point and resuming (load + verify + WAL replay + reconvergence) must
+* **RECOVERY wall** — abandoning the workload at 85% of its twin's events
+  and resuming (load + verify + WAL replay + reconvergence) must
   finish within ``max_recovery_wall_s``.
-* **KILL/RESUME equality** — at each fraction in ``durable_kill_fracs``,
-  a child process is killed mid-run by ``os._exit`` (real process death
-  when the platform has ``fork``; in-process abandonment otherwise) and
-  the resumed run's committed state must equal the uninterrupted twin's
-  byte for byte — plus, per workload, one resume of a resume (killed at
-  the first fraction, resumed, killed again at the second, resumed), one
-  envelope- and one WAL-corruption case that must be *detected* (counted
-  rejections/discards) and survived, and one ledger-corruption case that
-  must be *refused* by name.
+* **CRASH sweep** — every crash workload (``repro.chaos.CRASH_WORKLOADS``)
+  x ``chaos_seeds`` is crashed before each file operation of its durable
+  store, as written and losing what no fsync covered
+  (:func:`repro.verify.sweep`); every distinct state is resumed once and
+  must commit what the uninterrupted twin commits, pass the image check,
+  count every rejection and restore the newest sealed batch.  Per
+  workload, one resumed leg (crashed at its middle point) is swept the
+  same way, one envelope- and one WAL-corruption case must be *detected*
+  (counted rejections/discards) and survived, and one ledger-corruption
+  case must be *refused* by name.  The script prints the crash points and
+  distinct states per workload.
 
 Fully deterministic except for wall clocks; the equality checks are a
 real regression whenever they fail, never flake.
@@ -152,22 +154,15 @@ def _check_recovery_wall(budget: dict) -> int:
     return 0
 
 
-def _check_kill_resume(budget: dict) -> int:
-    from repro.chaos import format_kill_report, run_kill_resume_matrix
+def _check_crash_sweep(budget: dict) -> int:
+    from repro.chaos import format_crash_report, run_crash_matrix
 
-    fracs = budget["durable_kill_fracs"]
-    in_process = not hasattr(os, "fork")
-    report = run_kill_resume_matrix(
-        seeds=budget["chaos_seeds"][:1], fracs=fracs, resume_chains=True,
-        in_process=in_process,
-    )
-    print(format_kill_report(report))
-    mode = "in-process" if in_process else "fork + os._exit"
-    print(f"kill/resume smoke ({mode}): {report['passed']}/{report['total']}")
+    report = run_crash_matrix(seeds=budget["chaos_seeds"], repro_dir=None)
+    print(format_crash_report(report))
     if report["failures"]:
-        print(f"FAIL: {len(report['failures'])} kill/resume case(s) failed")
+        print(f"FAIL: {report['failures']} crash state(s) or corruption case(s) failed")
         return 1
-    print("kill/resume smoke OK")
+    print("crash sweep smoke OK")
     return 0
 
 
@@ -175,7 +170,7 @@ def main() -> int:
     with open(os.path.join(HERE, "overhead_threshold.json"), encoding="utf-8") as fh:
         budget = json.load(fh)
     rc = 0
-    rc |= _check_kill_resume(budget)
+    rc |= _check_crash_sweep(budget)
     rc |= _check_overhead(budget)
     rc |= _check_recovery_wall(budget)
     return 1 if rc else 0

@@ -15,35 +15,21 @@ written as the one reproducer format: ``python -m repro.cli chaos
 --repro <file>`` (or ``verify --repro``) replays it under the whole
 configuration it failed under.
 
-The kill/resume (host-crash) matrix lives here too.  Used by
-``repro.cli chaos`` and ``benchmarks/smoke_chaos.py`` (the CI budget).
+The host-crash campaign, :func:`run_crash_matrix`, lives here too.  Used by
+``repro.cli chaos``, ``benchmarks/smoke_chaos.py`` and ``smoke_durability.py``.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from pathlib import Path
+from typing import Any, Iterable, Optional
 
-from .durable import (
-    DurableError,
-    corrupt_latest_envelope,
-    corrupt_ledger,
-    corrupt_wal_tail,
-)
-from .runtime import HopeSystem
-from .sim import ConstantLatency, EventLimitExceeded, FaultPlan, LinkFaults, Partition
-from .verify import (
-    FACTORIES,
-    InvariantViolation,
-    Scenario,
-    check_run,
-    reproduce,
-    walk,
-)
-from .verify.driver import committed_state
+from .durable import corrupt_latest_envelope, corrupt_ledger, corrupt_wal_tail
+from .sim import FaultPlan, LinkFaults, Partition
+from .verify import FACTORIES, InvariantViolation, Scenario, check_run, reproduce, sweep, walk
+from .verify.driver import WRITTEN, Run, committed_state, crash_states, write_state
 
 #: One-line descriptions of the chaos workloads (``--list-plans``).
 WORKLOAD_DESCRIPTIONS: dict[str, str] = {
@@ -54,11 +40,9 @@ WORKLOAD_DESCRIPTIONS: dict[str, str] = {
 }
 #: The workloads the matrix sweeps.
 WORKLOADS: dict[str, Scenario] = {name: FACTORIES[name]() for name in ("mesh", "ring")}
-#: Workloads for the kill/resume (host-crash) mode: the standard chaos
-#: pair plus the commit-point counter, all deterministic in their
-#: committed outputs so the resumed run must reconverge byte-identically.
-KILL_RESUME_WORKLOADS: dict[str, Scenario] = {**WORKLOADS, "counter": FACTORIES["counter"]()}
-_MAX_EVENTS = 200_000
+#: Workloads of the crash sweep (``--crash``), all deterministic in their
+#: committed outputs, so every resumed run must reconverge with the twin.
+CRASH_WORKLOADS: dict[str, Scenario] = {**WORKLOADS, "counter": FACTORIES["counter"]()}
 
 #: Endpoint groups per workload, used to aim partitions at real links.
 _PARTITION_SIDES = {
@@ -100,329 +84,74 @@ def standard_plans(workload: str) -> dict[str, FaultPlan]:
 
 
 # ---------------------------------------------------------------------------
-# kill/resume (host-crash) mode — repro.durable's chaos harness
+# the crash sweep — repro.durable's chaos campaign
 # ---------------------------------------------------------------------------
-
-#: Durable options for chaos runs: snapshot on every fossil pass so even
-#: early kill points have sealed state to recover.
-_KILL_DURABLE_OPTS = {"snapshot_every": 1}
-_KILL_FOSSIL_INTERVAL = 4
-#: Default seeded crash points, as fractions of the twin's event count.
-KILL_FRACS = (0.25, 0.55, 0.85)
-#: ``corrupt=`` modes: the helper that does the damage, and the
-#: ``stats()["durable"]`` counter that must show recovery saw it (None:
-#: nothing to fall back to, so ``resume`` must refuse by name instead).
+#: Corruption modes: the damage, and the ``stats()["durable"]`` counter that
+#: must show it (None: nothing to fall back to, so resume must refuse by name).
 _CORRUPTIONS = {
     "envelope": (corrupt_latest_envelope, "envelopes_rejected"),
     "wal": (corrupt_wal_tail, "wal_records_discarded"),
     "ledger": (corrupt_ledger, None),
 }
-#: Child exit codes: the kill landed as planned / the child errored.
-_KILLED_OK = 37
-_CHILD_ERROR = 41
 
 
-@dataclass
-class KillResumeResult:
-    """Outcome of one host-crash case: kill at a seeded point, resume,
-    compare committed state against the uninterrupted twin."""
-
-    workload: str
-    seed: int
-    kill_events: int
-    frac: float
-    corrupt: Optional[str]
-    corrupted_path: Optional[str]
-    failure: Optional[str]
-    durable_stats: dict
-    run_dir: Optional[str]
-    #: A resume of a resume: the first resumed run was killed again here.
-    then_frac: Optional[float] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"FAIL({self.failure})"
-        extra = f" corrupt={self.corrupt}" if self.corrupt else ""
-        return (
-            f"<KillResume {self.workload} seed={self.seed} "
-            f"kill@{self.kill_events}{extra}: {verdict}>"
-        )
-
-
-def _durable_system(workload: Scenario, seed: int, run_dir: str,
-                    durable_opts: dict) -> HopeSystem:
-    system = HopeSystem(
-        seed=seed,
-        latency=ConstantLatency(1.0),
-        fossil_interval=_KILL_FOSSIL_INTERVAL,
-        durable_dir=run_dir,
-        durable_opts=dict(durable_opts),
-    )
-    workload.build(system)
-    return system
-
-
-def _resume_system(workload: Scenario, seed: int, run_dir: str,
-                   durable_opts: dict) -> HopeSystem:
-    return HopeSystem.resume(
-        run_dir, workload.build, seed=seed,
-        latency=ConstantLatency(1.0),
-        fossil_interval=_KILL_FOSSIL_INTERVAL,
-        durable_opts=dict(durable_opts),
-    )
-
-
-def _run_child_until_kill(system: HopeSystem, kill_events: int) -> None:
-    try:
-        system.run(max_events=kill_events)
-    except EventLimitExceeded:
-        # This *is* the crash point: die without any orderly shutdown —
-        # no durable sync, no flush beyond the last sealed batch.
-        pass
-
-
-def _crash(leg: Callable[[], None], err_path: str, in_process: bool) -> Optional[str]:
-    """Run ``leg`` — a recording run that stops at its kill point — in a
-    child process killed by ``os._exit`` (real process death, no cleanup)
-    or, with ``in_process`` or without ``fork``, abandoned in this one.
-    Returns the failure, or None when the kill landed as planned."""
-    if not hasattr(os, "fork") or in_process:
-        try:
-            leg()
-        except Exception as exc:  # abandoned, never synced — a soft crash
-            return f"recording run raised: {exc!r}"
+def run_corruption_case(record: Run, mode: str) -> Optional[str]:
+    """Damage (``mode``) the newest as-written crash state of a sweep's
+    ``record`` that has something to damage, and judge its resume, the
+    record as the twin.  Returns the failure: None when recovery counted
+    the damage or — for the ledger, whose rows exist nowhere else —
+    refused by name."""
+    if mode not in _CORRUPTIONS:
+        raise ValueError(f"corrupt must be 'envelope', 'wal' or 'ledger', got {mode!r}")
+    damage, counter = _CORRUPTIONS[mode]
+    for files in reversed([s[2] for s in crash_states(*record.disk) if s[1] == WRITTEN]):
+        with tempfile.TemporaryDirectory(prefix="hope-corrupt-") as root:
+            if damage(write_state(root, files)) is None:
+                continue
+            files = {name: Path(root, name).read_bytes() for name in files}
+        run = check_run(record.scenario, twin=record, disk=(files, None), **record.config())
+        if counter is None:
+            refused = "refused the crash state: ledger" in (run.failure or "")
+            return None if refused else "ledger corruption was not detected by recovery"
+        if not run.ok or not run.stats["durable"][counter]:
+            return run.failure or f"{mode} corruption was not detected by recovery"
         return None
-    pid = os.fork()
-    if pid == 0:
-        code = _KILLED_OK
-        try:
-            leg()
-        except BaseException:
-            import traceback
-
-            with open(err_path, "w", encoding="utf-8") as fh:
-                traceback.print_exc(file=fh)
-            code = _CHILD_ERROR
-        finally:
-            # A host crash, not an exit: skip atexit/stdio/GC entirely.
-            os._exit(code)
-    _, wstatus = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(wstatus)
-    if code == _KILLED_OK:
-        return None
-    detail = ""
-    if os.path.exists(err_path):
-        with open(err_path, encoding="utf-8") as fh:
-            tail = fh.read().strip().splitlines()
-        detail = tail[-1] if tail else ""
-    return f"child exited {code} before the kill point: {detail}"
+    return f"nothing to corrupt for mode {mode!r} in any crash state"
 
 
-def run_kill_resume_case(
-    workload,
-    seed: int,
-    kill_frac: float = 0.5,
-    *,
-    kill_events: Optional[int] = None,
-    corrupt: Optional[str] = None,
-    run_dir: Optional[str] = None,
-    keep_dir: bool = False,
-    in_process: bool = False,
-    then_frac: Optional[float] = None,
-) -> KillResumeResult:
-    """One host-crash chaos case.
-
-    Runs the workload durably in a child process killed (``os._exit``,
-    no cleanup) once ``kill_events`` simulator events have fired, then
-    resumes from the run directory and requires the committed-state
-    fingerprint to match an uninterrupted fault-free twin byte for byte.
-    With ``then_frac`` the first resumed run is killed the same way, once
-    ``then_frac - kill_frac`` of the twin's events more have fired, and
-    the resume of that resume is what must match.
-    ``corrupt`` ("envelope" | "wal") additionally flips bytes in the
-    newest envelope / WAL tail before resuming and requires recovery to
-    *detect* the damage (counted rejections/discards) and still
-    converge via one-generation fallback.  ``corrupt="ledger"`` flips a
-    byte inside the output ledger's sealed prefix: committed outputs exist
-    nowhere else, so the only honest outcome — and the one required — is
-    a ``DurableError`` naming the ledger.  ``in_process=True`` skips the
-    fork and simply abandons the recording system mid-run — same
-    recovery path, available on platforms without ``os.fork``.
-    The run directory is deleted on success unless ``keep_dir``.
-    """
-    if corrupt is not None and corrupt not in _CORRUPTIONS:
-        raise ValueError(
-            f"corrupt must be 'envelope', 'wal' or 'ledger', got {corrupt!r}"
-        )
-    if isinstance(workload, str):
-        workload = KILL_RESUME_WORKLOADS[workload]
-    twin = check_run(workload, seed=seed, max_events=_MAX_EVENTS)
-    if twin.failure is not None:
-        return KillResumeResult(
-            workload.name, seed, 0, kill_frac, corrupt, None,
-            f"uninterrupted twin failed: {twin.failure}", {}, run_dir,
-        )
-    total_events = twin.stats["sim_events"]
-    durable_opts = dict(_KILL_DURABLE_OPTS)
-    if corrupt == "wal":
-        # Keep every record in wal-0 (no mid-run envelopes), so the
-        # corrupted tail is provably on the recovery replay path.
-        durable_opts["snapshot_every"] = 1_000_000_000
-    if kill_events is None:
-        if corrupt is not None:
-            # As late as possible: corruption needs sealed state to damage.
-            kill_events = max(2, total_events - 1)
-        else:
-            kill_events = max(2, int(total_events * kill_frac))
-    own_dir = run_dir is None
-    if own_dir:
-        run_dir = tempfile.mkdtemp(
-            prefix=f"hope-durable-{workload.name}-s{seed}-"
-        )
-    err_path = os.path.join(run_dir, "child-error.txt")
-    failure = _crash(
-        lambda: _run_child_until_kill(
-            _durable_system(workload, seed, run_dir, durable_opts), kill_events
-        ),
-        err_path, in_process,
-    )
-    if failure is None and then_frac is not None:
-        # A resume of a resume: the first resumed run dies too, once the
-        # events between the two fractions have fired.
-        failure = _crash(
-            lambda: _run_child_until_kill(
-                _resume_system(workload, seed, run_dir, durable_opts),
-                max(2, int(total_events * (then_frac - kill_frac))),
-            ),
-            err_path, in_process,
-        )
-    corrupted_path = None
-    if failure is None and corrupt is not None:
-        corrupted_path = _CORRUPTIONS[corrupt][0](run_dir)
-        if corrupted_path is None:
-            # Nothing on disk to damage means the case proves nothing —
-            # surface that instead of green-lighting a no-op.
-            failure = (
-                f"nothing to corrupt for mode {corrupt!r} at "
-                f"kill_events={kill_events} — pick a later kill point"
-            )
-    durable_stats: dict = {}
-    if failure is None:
-        try:
-            resumed = _resume_system(workload, seed, run_dir, durable_opts)
-            resumed.run(max_events=_MAX_EVENTS)
-            durable_stats = resumed.stats()["durable"]
-            stuck = sorted(
-                name for name, proc in resumed.procs.items() if not proc.done
-            )
-            committed = committed_state(resumed)
-            if stuck:
-                failure = f"stuck processes after resume: {stuck}"
-            elif committed != twin.committed:
-                diff = sorted(
-                    name for name in set(committed) | set(twin.committed)
-                    if committed.get(name) != twin.committed.get(name)
-                )
-                failure = (
-                    f"resumed committed state diverged from twin for {diff}"
-                )
-            elif corrupted_path is not None:
-                # A damaged ledger has no counter to show: resume must have
-                # refused (below), so getting here at all is the failure.
-                if durable_stats.get(_CORRUPTIONS[corrupt][1], 0) <= 0:
-                    failure = (
-                        f"{corrupt} corruption was not detected by recovery "
-                        "(silent acceptance of damaged state)"
-                    )
-        except EventLimitExceeded as exc:
-            failure = f"livelock after resume: {exc}"
-        except DurableError as exc:
-            # The one refusal that is a pass: a damaged ledger, named.
-            if corrupt != "ledger" or "ledger" not in str(exc):
-                failure = f"resume failed: {exc!r}"
-        except Exception as exc:
-            failure = f"resume failed: {exc!r}"
-    if own_dir and failure is None and not keep_dir:
-        shutil.rmtree(run_dir, ignore_errors=True)
-        run_dir = None
-    return KillResumeResult(
-        workload.name, seed, kill_events, kill_frac, corrupt,
-        corrupted_path, failure, durable_stats, run_dir, then_frac,
-    )
-
-
-def run_kill_resume_matrix(
-    workloads: Optional[Iterable[str]] = None,
-    seeds: Iterable[int] = (1, 2, 3),
-    fracs: Iterable[float] = KILL_FRACS,
-    *,
-    corruption_cases: bool = True,
-    resume_chains: bool = False,
-    in_process: bool = False,
-) -> dict:
-    """Sweep workloads × seeds × seeded crash points (plus one envelope-,
-    one WAL- and one ledger-corruption case per workload, and with
-    ``resume_chains`` one resume of a resume: killed at the first two
-    fractions in turn); returns a report dict."""
-    names = list(workloads) if workloads is not None else list(KILL_RESUME_WORKLOADS)
+def run_crash_matrix(workloads: Optional[Iterable[str]] = None, seeds: Iterable[int] = (1, 2, 3),
+                     repro_dir: Optional[str] = "chaos-repros") -> dict:
+    """Sweep every crash point of each workload x seed
+    (:func:`repro.verify.sweep`, as written and lost), plus per workload,
+    on its first seed, one resumed leg — crashed at its middle point as
+    written — swept the same way, and the three corruption cases."""
     seeds = list(seeds)
-    fracs = list(fracs)
-    results: list[KillResumeResult] = []
-    for wname in names:
-        for seed in seeds:
-            for frac in fracs:
-                results.append(run_kill_resume_case(
-                    wname, seed, frac, in_process=in_process,
-                ))
-        if corruption_cases:
-            # Late kill points so there is sealed state to damage.
-            for mode in _CORRUPTIONS:
-                results.append(run_kill_resume_case(
-                    wname, seeds[0], max(fracs), corrupt=mode,
-                    in_process=in_process,
-                ))
-        if resume_chains and len(fracs) >= 2:
-            results.append(run_kill_resume_case(
-                wname, seeds[0], fracs[0], then_frac=fracs[1],
-                in_process=in_process,
-            ))
-    failures = [r for r in results if not r.ok]
-    return {
-        "cases": results,
-        "total": len(results),
-        "passed": len(results) - len(failures),
-        "failures": failures,
-    }
+    sweeps, corruptions = [], []
+    for name in workloads or CRASH_WORKLOADS:
+        scenario = CRASH_WORKLOADS[name]
+        first = sweep(scenario, seed=seeds[0], repro_dir=repro_dir)
+        ops = first.record.disk[1]
+        middle = first.record.choices[:ops[len(ops) // 2][3]] + [WRITTEN]
+        sweeps += [first] + [sweep(scenario, seed=s, repro_dir=repro_dir) for s in seeds[1:]]
+        sweeps.append(sweep(scenario, seed=seeds[0], prefix=middle, repro_dir=repro_dir))
+        corruptions += [(name, mode, run_corruption_case(first.record, mode)) for mode in _CORRUPTIONS]
+    failures = sum(len(s.failures) for s in sweeps) + sum(f is not None for *_, f in corruptions)
+    return {"sweeps": sweeps, "corruptions": corruptions, "failures": failures}
 
 
-def format_kill_report(report: dict) -> str:
-    """Human-readable kill/resume summary (what ``chaos --kill-at`` prints)."""
-    lines = [
-        f"kill/resume matrix: {report['passed']}/{report['total']} cases passed"
-    ]
-    for result in report["cases"]:
-        ds = result.durable_stats or {}
-        if result.corrupt:
-            mode = f"corrupt={result.corrupt}"
-        elif result.then_frac is not None:
-            mode = f"frac={result.frac:g}+{result.then_frac:g}"
-        else:
-            mode = f"frac={result.frac:g}"
-        lines.append(
-            f"  {result.workload:<7} seed={result.seed} kill@{result.kill_events:<6} "
-            f"{mode:<16} {'ok' if result.ok else 'FAIL':<4} "
-            f"gen={ds.get('resumed_generation')} "
-            f"injected={ds.get('injected_messages', 0)} "
-            f"rejected={ds.get('envelopes_rejected', 0)} "
-            f"torn={ds.get('wal_records_discarded', 0)}"
-        )
-        if not result.ok:
-            lines.append(f"        failure: {result.failure}")
-            if result.run_dir:
-                lines.append(f"        run dir kept: {result.run_dir}")
+def format_crash_report(report: dict) -> str:
+    """Human-readable crash-sweep summary (what ``chaos --crash`` prints)."""
+    sweeps = report["sweeps"]
+    lines = [f"crash sweep: {sum(s.states for s in sweeps)} distinct states over "
+             f"{sum(s.points for s in sweeps)} crash points, {report['failures']} failing"]
+    for swept in sweeps:
+        run = swept.record
+        lines.append(f"  {run.scenario.name:<7} seed={run.seed} {run.label:<7} {swept.points:>3} "
+                     f"crash points {swept.states:>3} states {'FAIL' if swept.failures else 'ok'}")
+        lines += [f"        {r.label}: {r.failure}" for r in swept.failures]
+        lines += [f"        reproducer written: {path}" for path in swept.repro_files]
+    lines += [f"  {name:<7} corrupt={mode:<8} {failure or 'ok'}"
+              for name, mode, failure in report["corruptions"]]
     return "\n".join(lines)
 
 

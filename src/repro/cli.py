@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .lang import CheckError, check_program, compile_program, parse
 from .obs import FORMATS, MetricsRegistry
 from .runtime import HopeSystem
-from .sim import ConstantLatency, FaultPlan, LinkFaults, Partition, Tracer
+from .sim import ConstantLatency, FaultPlan, LinkFaults, Partition, SimulationError, Tracer
 
 
 class _CollectorClock:
@@ -101,6 +101,24 @@ def parse_partition(raw: str) -> Partition:
         )
 
 
+def _number(kind, holds, bound: str):
+    """An argparse ``type=``: a ``kind`` for which ``holds`` (``bound``
+    says what that is); argparse names the flag on refusal."""
+    def parse(raw: str):
+        value = kind(raw)       # a ValueError reads "invalid float value"
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {raw}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_PROBABILITY = _number(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_NON_NEGATIVE = _number(float, lambda v: v >= 0, ">= 0")
+_POSITIVE = _number(float, lambda v: v > 0, "> 0")
+_COUNT = _number(int, lambda v: v >= 1, ">= 1")
+
+
 def fault_plan_from_args(args) -> Optional[FaultPlan]:
     """Build the FaultPlan the run/chaos flags describe, or None."""
     default = LinkFaults(
@@ -119,23 +137,23 @@ def fault_plan_from_args(args) -> Optional[FaultPlan]:
 def add_fault_arguments(parser) -> None:
     group = parser.add_argument_group("fault injection (repro.sim.faults)")
     group.add_argument(
-        "--drop-rate", type=float, default=0.0, metavar="P",
+        "--drop-rate", type=_PROBABILITY, default=0.0, metavar="P",
         help="per-message drop probability on every link",
     )
     group.add_argument(
-        "--dup-rate", type=float, default=0.0, metavar="P",
+        "--dup-rate", type=_PROBABILITY, default=0.0, metavar="P",
         help="per-message duplication probability",
     )
     group.add_argument(
-        "--reorder-rate", type=float, default=0.0, metavar="P",
+        "--reorder-rate", type=_PROBABILITY, default=0.0, metavar="P",
         help="per-message reorder probability",
     )
     group.add_argument(
-        "--reorder-window", type=float, default=5.0, metavar="T",
+        "--reorder-window", type=_POSITIVE, default=5.0, metavar="T",
         help="max extra delay for reordered messages (with --reorder-rate)",
     )
     group.add_argument(
-        "--jitter", type=float, default=0.0, metavar="T",
+        "--jitter", type=_NON_NEGATIVE, default=0.0, metavar="T",
         help="uniform extra latency in [0, T) per message",
     )
     group.add_argument(
@@ -186,6 +204,26 @@ class SpawnSpec:
         return f"SpawnSpec({self.instance}={self.process}:{self.args})"
 
 
+def _add_run_arguments(parser, recorded: str = "") -> None:
+    """The flags ``run`` and ``resume`` share; ``recorded`` marks those a
+    resume must repeat."""
+    parser.add_argument(
+        "--spawn", action="append", type=SpawnSpec, default=[],
+        metavar="instance=Process[:json_args]",
+        help=f"spawn a process instance (repeatable, in order){recorded}",
+    )
+    parser.add_argument("--latency", type=_NON_NEGATIVE, default=1.0, help="network latency")
+    parser.add_argument("--seed", type=int, default=0, help=f"root random seed{recorded}")
+    parser.add_argument("--until", type=_NON_NEGATIVE, help="stop at this virtual time")
+    parser.add_argument("--max-events", type=_COUNT, default=1_000_000, help="livelock guard")
+    parser.add_argument("--trace", action="store_true", help="print the event trace at the end")
+    parser.add_argument(
+        "--fossil-interval", type=_COUNT, default=64, metavar="N",
+        help="minimum finalizes between fossil-collection passes "
+        "(see docs/PERFORMANCE.md §4 and §13)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -198,33 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a program on the HOPE runtime")
     run.add_argument("path", help="mini-HOPE source file")
-    run.add_argument(
-        "--spawn",
-        action="append",
-        type=SpawnSpec,
-        default=[],
-        metavar="instance=Process[:json_args]",
-        help="spawn a process instance (repeatable, in order)",
-    )
-    run.add_argument("--latency", type=float, default=1.0, help="network latency")
-    run.add_argument("--seed", type=int, default=0, help="root random seed")
-    run.add_argument(
-        "--until", type=float, default=None, help="stop at this virtual time"
-    )
-    run.add_argument(
-        "--max-events", type=int, default=1_000_000, help="livelock guard"
-    )
-    run.add_argument(
-        "--trace", action="store_true", help="print the event trace at the end"
-    )
-    run.add_argument(
-        "--fossil-interval",
-        type=int,
-        default=64,
-        metavar="N",
-        help="minimum finalizes between fossil-collection passes "
-        "(see docs/PERFORMANCE.md §4 and §13)",
-    )
+    _add_run_arguments(run)
     run.add_argument(
         "--profile",
         action="store_true",
@@ -276,34 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="the directory the interrupted run recorded into",
     )
-    resume.add_argument(
-        "--spawn",
-        action="append",
-        type=SpawnSpec,
-        default=[],
-        metavar="instance=Process[:json_args]",
-        help="spawn flags of the original run — resume must recreate the "
-        "same process tree (repeatable, in order)",
-    )
-    resume.add_argument("--latency", type=float, default=1.0, help="network latency")
-    resume.add_argument(
-        "--seed", type=int, default=0,
-        help="root random seed (must match the recorded run)",
-    )
-    resume.add_argument(
-        "--fossil-interval", type=int, default=64, metavar="N",
-        help="minimum finalizes between fossil-collection passes",
-    )
-    resume.add_argument(
-        "--until", type=float, default=None, help="stop at this virtual time"
-    )
-    resume.add_argument(
-        "--max-events", type=int, default=1_000_000, help="livelock guard"
-    )
-    resume.add_argument(
-        "--trace", action="store_true",
-        help="print the post-resume event trace at the end",
-    )
+    _add_run_arguments(resume, " (as in the recorded run)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -352,14 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the standard fault plans and workloads, then exit",
     )
     chaos.add_argument(
-        "--kill-at",
-        action="append",
-        type=float,
-        default=[],
-        metavar="FRAC",
-        help="kill/resume mode: crash a durable child at FRAC of the "
-        "twin's event count, resume, and require byte-identical "
-        "committed state (repeatable; see docs/DURABILITY.md)",
+        "--crash", action="store_true",
+        help="crash sweep: crash each durable workload before every file "
+        "operation (as written, and losing what no fsync covered), resume "
+        "every distinct state and require the twin's committed state "
+        "(see docs/DURABILITY.md §6)",
     )
 
     verify = sub.add_parser(
@@ -525,6 +507,9 @@ def cmd_run(args, out) -> int:
         profiler.enable()
     try:
         final = system.run(until=args.until, max_events=args.max_events)
+    except SimulationError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     finally:
         if profiler is not None:
             profiler.disable()
@@ -637,7 +622,11 @@ def cmd_resume(args, out) -> int:
         )
     else:
         print("no recoverable state found — starting fresh", file=out)
-    final = system.run(until=args.until, max_events=args.max_events)
+    try:
+        final = system.run(until=args.until, max_events=args.max_events)
+    except SimulationError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     print(f"finished at t={final:g}", file=out)
     _print_outcomes(system, args.spawn, out)
     if tracer is not None:
@@ -648,13 +637,13 @@ def cmd_resume(args, out) -> int:
 
 def cmd_chaos(args, out) -> int:
     from .chaos import (
-        KILL_RESUME_WORKLOADS,
+        CRASH_WORKLOADS,
         PLAN_DESCRIPTIONS,
         WORKLOAD_DESCRIPTIONS,
         WORKLOADS,
-        format_kill_report,
+        format_crash_report,
         format_report,
-        run_kill_resume_matrix,
+        run_crash_matrix,
         run_matrix,
     )
 
@@ -663,7 +652,7 @@ def cmd_chaos(args, out) -> int:
         for name, desc in PLAN_DESCRIPTIONS.items():
             print(f"  {name:<11} {desc}", file=out)
         for title, names in (("workloads", WORKLOADS),
-                             ("kill/resume workloads (--kill-at)", KILL_RESUME_WORKLOADS)):
+                             ("kill/resume workloads (--crash)", CRASH_WORKLOADS)):
             print(f"\n{title}:", file=out)
             for name in names:
                 print(f"  {name:<11} {WORKLOAD_DESCRIPTIONS[name]}", file=out)
@@ -676,21 +665,14 @@ def cmd_chaos(args, out) -> int:
         print(f"error: --seeds must be comma-separated ints, got {args.seeds!r}",
               file=out)
         return 2
-    if args.kill_at:
-        workloads = args.workload or None
-        if workloads is not None:
-            unknown = sorted(set(workloads) - set(KILL_RESUME_WORKLOADS))
-            if unknown:
-                print(
-                    f"error: unknown kill/resume workload(s) {unknown} "
-                    f"(expected one of {sorted(KILL_RESUME_WORKLOADS)})",
-                    file=out,
-                )
-                return 2
-        report = run_kill_resume_matrix(
-            workloads=workloads, seeds=seeds, fracs=args.kill_at,
-        )
-        print(format_kill_report(report), file=out)
+    if args.crash:
+        unknown = sorted(set(args.workload) - set(CRASH_WORKLOADS))
+        if unknown:
+            print(f"error: unknown crash workload(s) {unknown} "
+                  f"(expected one of {sorted(CRASH_WORKLOADS)})", file=out)
+            return 2
+        report = run_crash_matrix(args.workload or None, seeds, args.repro_dir)
+        print(format_crash_report(report), file=out)
         return 0 if not report["failures"] else 1
     report = run_matrix(
         workloads=args.workload or None,

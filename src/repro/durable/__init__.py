@@ -11,9 +11,9 @@ Entry points:
 * ``HopeSystem.resume("run/", build)`` — reload the newest verifiable
   snapshot, verify the output ledger it seals, replay the WAL suffix,
   and continue.
-* ``repro.chaos.run_kill_resume_matrix`` — kill a child process mid-run
-  at seeded points and prove the resumed committed state is byte-
-  identical to an uninterrupted twin.
+* ``repro.verify.sweep`` — crash a durable run before every file
+  operation of its store and require every crash state to resume to an
+  uninterrupted twin's committed state.
 """
 
 from .codec import DurableError, decode_value, encode_value

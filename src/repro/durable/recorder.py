@@ -86,7 +86,7 @@ class DurableRecorder:
     sealed snapshot envelopes."""
 
     def __init__(self, system, root: str, *, seed: int,
-                 opts: Optional[Dict[str, Any]] = None) -> None:
+                 opts: Optional[Dict[str, Any]] = None, crash=None) -> None:
         options = dict(opts or {})
         self._resuming = bool(options.pop("_resuming", False))
         self.snapshot_every = int(options.pop("snapshot_every", 4))
@@ -101,7 +101,7 @@ class DurableRecorder:
             raise DurableError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         self.system = system
         self.seed = seed
-        self.store = DurableStore(root, fsync=fsync, retain=retain)
+        self.store = DurableStore(root, fsync=fsync, retain=retain, crash=crash)
         self.generation = 0
         self.prev_seal = ""
         self.batch_index = 0
@@ -390,8 +390,10 @@ class DurableRecorder:
         self.stats["snapshots_written"] += 1
 
     def begin_fresh(self) -> None:
-        """Resume target was empty: start recording as a fresh run."""
-        self.store.open_wal(0)
+        """Nothing was restorable: start recording as a fresh run, over
+        whatever unsealed records the old WAL 0 holds (appended to, they
+        would break the first marker's digest)."""
+        self.store.open_wal(0, fresh=True)
 
     # -- recovery ------------------------------------------------------------
 

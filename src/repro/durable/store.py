@@ -18,7 +18,8 @@ The body carries ``prev``: the seal of generation ``gen - 1`` (empty for
 the first), chaining generations so a stale sealed envelope cannot be
 swapped in unnoticed.  Envelopes are written via temp file + fsync +
 atomic rename (+ directory fsync), so a crash mid-write leaves either
-the old generation or the new one, never a torn file.
+the old generation or the new one, never a torn file.  Creating a WAL
+fsyncs the directory too: what its markers seal keeps its name.
 
 WAL records are one compact JSON object per line with a trailing CRC32::
 
@@ -29,6 +30,10 @@ closes each batch with an HMAC over the batch's rolling SHA-256 digest,
 and the file is flushed (+fsynced) at markers only.  Recovery discards
 any suffix after the last valid marker — a torn tail is detected and
 counted, never silently applied.
+
+Every operation that hands bytes or a name to the file system goes
+through :meth:`DurableStore._io`, a crash point under
+:func:`repro.verify.sweep` (docs/DURABILITY.md §6).
 
 Ledger lines have the same ``<json> <crc32>`` shape, one line per process
 per envelope: ``{"p":"w0","r":[[value, log_index, time], ...]}``.  The
@@ -44,7 +49,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .codec import DurableError, crc_hex, seal_hex, seals_match
 
@@ -77,6 +82,11 @@ def _line(body: bytes) -> bytes:
     return body + b" " + crc_hex(body).encode("ascii") + b"\n"
 
 
+class HostCrash(BaseException):
+    """The host died before a store operation (:meth:`DurableStore._io`);
+    nothing between the store and the run that chose it may handle it."""
+
+
 def _checked_body(raw_line: bytes) -> Optional[bytes]:
     """The body of a line :func:`_line` wrote, None if torn or corrupt."""
     body, _, crc = raw_line.rstrip(b"\n").rpartition(b" ")
@@ -90,33 +100,54 @@ class DurableStore:
 
     Owns no runtime state — the :class:`~repro.durable.recorder.DurableRecorder`
     decides *what* to persist; this class decides *how it lands on disk*.
+    ``crash(op, name, arg, sealed)`` is asked before every file operation
+    (:meth:`_io`); ``sealed`` is the ``(gen, frames)`` of the newest batch
+    whose marker fsync has completed.
     """
 
-    def __init__(self, root: str, *, fsync: bool = True, retain: int = 2) -> None:
+    def __init__(self, root: str, *, fsync: bool = True, retain: int = 2,
+                 crash: Optional[Callable[..., bool]] = None) -> None:
         if retain < 1:
             raise DurableError(f"retain must be >= 1, got {retain}")
         self.root = root
         self.fsync = fsync
         self.retain = retain
+        self.crash = crash
+        self.sealed: Optional[Tuple[int, int]] = None
         os.makedirs(root, exist_ok=True)
         self.key = self._load_or_create_key()
         self._wal_fh = None
         self._wal_gen: Optional[int] = None
-        # Rolling digest + count of record lines since the last marker,
-        # mirrored by scan_wal during recovery.
+        # Rolling digest + lines of the records since the last marker
+        # (the digest is mirrored by scan_wal during recovery).
         self._batch_digest = hashlib.sha256()
-        self._batch_records = 0
+        self._batch: List[bytes] = []
+        self._wal_frames = 0
         self._ledger_fh = None
         self._ledger_digest = hashlib.sha256()
-        self._ledger_unsynced = False
+        self._ledger_lines: List[bytes] = []
         #: Output rows in the ledger, and the size of the newest envelope.
         self.ledger_rows = 0
         self.envelope_bytes = 0
 
+    # -- the seam -------------------------------------------------------------
+
+    def _io(self, op: str, name: str, arg: Any, call: Callable, *args: Any) -> Any:
+        """``call(*args)``, unless the ``crash`` hook ends the host first:
+        ``op`` ``name`` (relative to the root) is ``open`` (``arg`` ``"a"``
+        or ``"w"``), ``write`` (``arg``: the bytes), ``flush``, ``fsync``,
+        ``truncate`` / ``replace`` (to ``arg``), ``unlink`` or ``dirsync``."""
+        if self.crash is not None and self.crash(op, name, arg, self.sealed):
+            raise HostCrash(f"host crash before {op} {name}")
+        return call(*args)
+
+    def _path(self, name: str) -> str:
+        return os.path.join(self.root, name)
+
     # -- key ----------------------------------------------------------------
 
     def _load_or_create_key(self) -> bytes:
-        path = os.path.join(self.root, KEY_FILE)
+        path = self._path(KEY_FILE)
         try:
             with open(path, "rb") as fh:
                 key = fh.read()
@@ -124,15 +155,19 @@ class DurableStore:
                 raise DurableError(f"{path}: seal key too short ({len(key)} bytes)")
             return key
         except FileNotFoundError:
+            # Through a renamed temp file: a crash never leaves a short key.
             key = os.urandom(32)
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            try:
-                os.write(fd, key)
-                if self.fsync:
-                    os.fsync(fd)
-            finally:
-                os.close(fd)
+            self._replace(KEY_FILE, key)
             return key
+
+    def _replace(self, name: str, *chunks: bytes) -> None:
+        """Write ``name`` atomically: a private temp file, fsynced, renamed
+        over it (the next directory fsync makes the name durable)."""
+        tmp = f".{name}.tmp"
+        with self._io("open", tmp, "w", _open_private, self._path(tmp)) as fh:
+            self._write_lines(fh, tmp, list(chunks))
+            self._flush(fh, tmp)
+        self._io("replace", tmp, name, os.replace, self._path(tmp), self._path(name))
 
     # -- layout queries ------------------------------------------------------
 
@@ -140,7 +175,7 @@ class DurableStore:
         """Any envelope, WAL or ledger present (i.e. a run already lives here)?"""
         return bool(
             self.envelope_gens() or self.wal_gens()
-            or os.path.exists(os.path.join(self.root, LEDGER_FILE))
+            or os.path.exists(self._path(LEDGER_FILE))
         )
 
     def envelope_gens(self) -> List[int]:
@@ -153,34 +188,41 @@ class DurableStore:
         return sorted(_gens_in(self.root, pattern))
 
     def _dir_fsync(self) -> None:
-        if not self.fsync or not hasattr(os, "O_DIRECTORY"):
-            return
-        fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if self.fsync and hasattr(os, "O_DIRECTORY"):
+            self._io("dirsync", ".", None, _fsync_dir, self.root)
 
     # -- WAL writing ---------------------------------------------------------
 
-    def open_wal(self, gen: int) -> None:
-        """Start (or append to) the WAL for generation ``gen``."""
+    def open_wal(self, gen: int, fresh: bool = False) -> None:
+        """Start (or append to) the WAL for generation ``gen``; ``fresh``
+        empties it first.  Creating the file fsyncs the directory: the
+        markers it will hold are durable only if its name is."""
         self._close_wal()
-        path = os.path.join(self.root, _wal_name(gen))
-        self._wal_fh = open(path, "ab")
+        name, mode = _wal_name(gen), "w" if fresh else "a"
+        created = fresh or not os.path.exists(self._path(name))
+        self._wal_fh = self._io("open", name, mode, open, self._path(name), mode + "b")
+        if created:
+            self._dir_fsync()
         self._wal_gen = gen
+        self._wal_frames = 0        # every WAL is opened new (or ``fresh``)
         self._batch_digest = hashlib.sha256()
-        self._batch_records = 0
+        self._batch = []
 
     def append_record(self, rec: Dict[str, Any]) -> int:
-        """Write one WAL record line (buffered; durable at the next marker).
+        """Add one WAL record line to the batch (written with its marker).
         Returns the encoded size in bytes."""
         if self._wal_fh is None:
             raise DurableError("no WAL open — open_wal() first")
         body = _json_bytes(rec)
         self._batch_digest.update(body)
-        self._batch_records += 1
-        return self._wal_fh.write(_line(body))
+        line = _line(body)
+        self._batch.append(line)
+        return len(line)
+
+    def _flush(self, fh, name: str, sync: bool = True) -> None:
+        self._io("flush", name, None, fh.flush)
+        if sync and self.fsync:
+            self._io("fsync", name, None, os.fsync, fh.fileno())
 
     def write_marker(self, batch_index: int) -> int:
         """Seal the current batch with an HMAC marker and flush to disk."""
@@ -188,19 +230,28 @@ class DurableStore:
             raise DurableError("no WAL open — open_wal() first")
         digest = self._batch_digest.hexdigest()
         mac = seal_hex(self.key, f"{self._wal_gen}:{batch_index}:{digest}".encode())
-        size = self._wal_fh.write(
-            _line(_json_bytes({"t": "m", "n": batch_index, "h": mac}))
-        )
-        self._wal_fh.flush()
-        if self.fsync:
-            os.fsync(self._wal_fh.fileno())
+        marker = _line(_json_bytes({"t": "m", "n": batch_index, "h": mac}))
+        self._wal_frames += len(self._batch)
+        self._batch.append(marker)
+        name = _wal_name(self._wal_gen)
+        self._write_lines(self._wal_fh, name, self._batch)
+        self._flush(self._wal_fh, name)
+        self.sealed = (self._wal_gen, self._wal_frames)
         self._batch_digest = hashlib.sha256()
-        self._batch_records = 0
-        return size
+        return len(marker)
+
+    def _write_lines(self, fh, name: str, lines: List[bytes]) -> None:
+        """Hand the pending ``lines`` to the file system in one write."""
+        if lines:
+            data = b"".join(lines)
+            self._io("write", name, data, fh.write, data)
+            lines.clear()
 
     def _close_wal(self) -> None:
         if self._wal_fh is not None:
-            self._wal_fh.flush()
+            name = _wal_name(self._wal_gen)
+            self._write_lines(self._wal_fh, name, self._batch)  # an unsealed tail lands too
+            self._flush(self._wal_fh, name, sync=False)
             self._wal_fh.close()
             self._wal_fh = None
             self._wal_gen = None
@@ -208,6 +259,7 @@ class DurableStore:
     def close(self) -> None:
         self._close_wal()
         if self._ledger_fh is not None:
+            self._write_lines(self._ledger_fh, LEDGER_FILE, self._ledger_lines)
             self._ledger_fh.close()
             self._ledger_fh = None
 
@@ -225,7 +277,7 @@ class DurableStore:
         committed outputs exist nowhere else, so there is nothing to fall
         back to.
         """
-        path = os.path.join(self.root, LEDGER_FILE)
+        path = self._path(LEDGER_FILE)
         lines: List[Tuple[str, list]] = []
         hasher = hashlib.sha256()
         seen = end = 0
@@ -260,32 +312,29 @@ class DurableStore:
             )
         if self._ledger_fh is not None:
             self._ledger_fh.close()
-        self._ledger_fh = open(path, "ab")
+        self._ledger_fh = self._io("open", LEDGER_FILE, "a", open, path, "ab")
         truncated = os.fstat(self._ledger_fh.fileno()).st_size - end
         if truncated:
-            self._ledger_fh.truncate(end)
+            self._io("truncate", LEDGER_FILE, end, self._ledger_fh.truncate, end)
         self._ledger_digest = hasher
-        self._ledger_unsynced = False
+        self._ledger_lines = []
         self.ledger_rows = rows
         return lines, truncated
 
     def append_ledger(self, name: str, rows: list) -> None:
-        """Append one process's newly committed output rows (buffered; they
-        count once :meth:`seal_ledger` has run)."""
+        """Append one process's newly committed output rows (written by
+        :meth:`seal_ledger`, and they count once it has run)."""
         body = _json_bytes({"p": name, "r": rows})
         self._ledger_digest.update(body)
-        self._ledger_fh.write(_line(body))
-        self._ledger_unsynced = True
+        self._ledger_lines.append(_line(body))
         self.ledger_rows += len(rows)
 
     def seal_ledger(self) -> Tuple[int, str]:
-        """Make everything appended durable; returns the ``(rows, digest)``
-        pair the next envelope seals."""
-        if self._ledger_unsynced:
-            self._ledger_fh.flush()
-            if self.fsync:
-                os.fsync(self._ledger_fh.fileno())
-            self._ledger_unsynced = False
+        """Write and fsync everything appended; returns the ``(rows,
+        digest)`` pair the next envelope seals."""
+        if self._ledger_lines:
+            self._write_lines(self._ledger_fh, LEDGER_FILE, self._ledger_lines)
+            self._flush(self._ledger_fh, LEDGER_FILE)
         return self.ledger_rows, self._ledger_digest.hexdigest()
 
     # -- envelope writing ----------------------------------------------------
@@ -297,15 +346,7 @@ class DurableStore:
         body = _json_bytes(doc)
         seal = seal_hex(self.key, body)
         header = f"{_ENV_MAGIC} {gen} {crc_hex(body)} {seal}\n"
-        path = os.path.join(self.root, _env_name(gen))
-        tmp = os.path.join(self.root, f".snap-{gen:08d}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(header.encode("utf-8"))
-            fh.write(body)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        self._replace(_env_name(gen), header.encode("utf-8"), body)
         self._dir_fsync()
         self.envelope_bytes = len(header) + len(body)
         self.open_wal(gen)
@@ -323,7 +364,7 @@ class DurableStore:
 
     def _unlink(self, name: str) -> None:
         try:
-            os.unlink(os.path.join(self.root, name))
+            self._io("unlink", name, None, os.unlink, self._path(name))
         except OSError:
             pass
 
@@ -404,6 +445,18 @@ class DurableStore:
         discarded += len(pending)
         clean = not broken and not pending
         return records, discarded, clean
+
+
+def _open_private(path: str):
+    return open(path, "wb", opener=lambda p, flags: os.open(p, flags, 0o600))
+
+
+def _fsync_dir(root: str) -> None:
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # -- chaos corruption helpers (used by repro.chaos and the tests) ------------

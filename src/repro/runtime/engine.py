@@ -511,14 +511,11 @@ class HopeSystem:
                     "the failure detector yet (their transport state is not "
                     "persisted); see docs/DURABILITY.md"
                 )
-            if controller is not None:
-                raise HopeError(
-                    "durable runs do not compose with a schedule controller"
-                )
             from ..durable.recorder import DurableRecorder
 
-            self._durable = DurableRecorder(
-                self, durable_dir, seed=seed, opts=durable_opts
+            self._durable = DurableRecorder(      # file operations: crash points
+                self, durable_dir, seed=seed, opts=durable_opts,
+                crash=getattr(controller, "host_dies", None),
             )
         # The machine retires AIDs, so it accounts for the tags of
         # outstanding messages (Network.hold).
@@ -560,7 +557,7 @@ class HopeSystem:
         # Clean stop: flush the committed frontier and seal a consolidation
         # envelope.  A crash (exception, os._exit, EventLimitExceeded)
         # skips this on purpose — recovery then works from the last sealed
-        # batch, which is the contract under test in the kill/resume mode.
+        # batch, which is the contract the crash sweep checks.
         if self._durable is not None:
             self._durable_sync()
         return final
@@ -657,8 +654,8 @@ class HopeSystem:
             raise HopeError(
                 "in-simulation crash_process() is not supported on a durable "
                 "run: a volatile log reset would desynchronize the persisted "
-                "committed prefix (use the kill/resume chaos mode for "
-                "host-crash semantics instead; see docs/DURABILITY.md)"
+                "committed prefix (host crashes are the kill/resume crash "
+                "sweep, `repro chaos --crash`; see docs/DURABILITY.md)"
             )
         proc = self.procs.get(name) or self._revive(name)
         self._kill_incarnation(proc, "crash")

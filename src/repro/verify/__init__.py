@@ -6,10 +6,11 @@ plus the observable-equivalence oracle the paper implies but never
 states: what an optimistic program commits equals what its pessimistic
 counterpart would print.  One driver, :func:`check_run`
 (:mod:`repro.verify.driver`), builds, runs and judges every run, and one
-shrinker and one reproducer serve its three campaigns: :func:`explore`
+shrinker and one reproducer serve its four campaigns: :func:`explore`
 (randomized walks), :class:`DporExplorer` (the DPOR-reduced DFS through
-the controller seam of :mod:`repro.verify.schedule`) and
-:func:`repro.chaos.run_matrix` (seeded walks over seeds x fault plans).
+the controller seam of :mod:`repro.verify.schedule`),
+:func:`repro.chaos.run_matrix` (seeded walks over seeds x fault plans)
+and :func:`sweep` (a host crash before each durable file operation).
 """
 
 from .dpor import DporExplorer, DporReport, standard_scenarios
@@ -20,6 +21,7 @@ from .driver import (
     explore,
     replay,
     reproduce,
+    sweep,
     walk,
 )
 from .invariants import (
@@ -50,6 +52,7 @@ __all__ = [
     "Run",
     "check_run",
     "walk",
+    "sweep",
     "reproduce",
     "replay",
     "explore",

@@ -17,15 +17,23 @@ multiset.  A failing run shrinks (:func:`shrink`) to the shortest prefix of its
 choices that still fails with every later choice at its DFS default;
 ``repro verify --repro`` and ``repro chaos --repro`` both :func:`replay`
 the file :func:`write_reproducer` stores.
+
+A durable run (``durable_opts``) has one more choice point, a host crash
+before each file operation of its store: it resumes from what the crash
+leaves (:func:`crash_states`; :func:`sweep` tries them all), judged too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
+from ..durable.codec import DurableError
+from ..durable.store import DurableStore, HostCrash
 from ..runtime import DetectorConfig, HopeSystem, ReliableConfig
 from ..sim import ConstantLatency, EventLimitExceeded, FaultPlan, RandomStreams, Tracer
 from .invariants import InvariantViolation, attach_monitors, check_quiescent
@@ -43,6 +51,11 @@ def committed_state(ledgers) -> dict[str, tuple]:
     if isinstance(ledgers, HopeSystem):
         ledgers = {n: ledgers.committed_outputs(n) for n in ledgers.process_names()}
     return {name: tuple(sorted(repr(v) for v in out)) for name, out in ledgers.items()}
+
+
+#: A :class:`Run`'s configuration: :func:`check_run`'s keywords.
+_CONFIG = ("seed", "latency", "faults", "reliable", "detector", "max_events",
+           "allow_pending_orphans", "inject_bug", "fossil_interval", "durable_opts")
 
 
 @dataclass(eq=False)
@@ -63,6 +76,8 @@ class Run:
     max_events: int = 200_000
     allow_pending_orphans: bool = True
     inject_bug: bool = False
+    fossil_interval: int = 64
+    durable_opts: Optional[dict] = None
     max_drops: Optional[int] = None
     label: str = ""
     violations: list = field(default_factory=list)
@@ -72,6 +87,7 @@ class Run:
     stats: dict = field(default_factory=dict)
     final_time: float = 0.0
     choices: list = field(default_factory=list)
+    disk: tuple = ()    # a durable run's last leg, as crash_states() takes it
 
     @property
     def ok(self) -> bool:
@@ -87,13 +103,7 @@ class Run:
 
     def config(self) -> dict:
         """The keywords that re-run this configuration with :func:`check_run`."""
-        return {
-            "seed": self.seed, "latency": self.latency, "faults": self.faults,
-            "reliable": self.reliable, "detector": self.detector,
-            "max_events": self.max_events,
-            "allow_pending_orphans": self.allow_pending_orphans,
-            "inject_bug": self.inject_bug,
-        }
+        return {name: getattr(self, name) for name in _CONFIG}
 
     def __repr__(self) -> str:
         verdict = "ok" if self.ok else f"FAIL({self.failure})"
@@ -101,39 +111,27 @@ class Run:
         return f"<Run {self.scenario.name} seed={self.seed}{label}: {verdict}>"
 
 
-def check_run(
-    scenario: Scenario,
-    *,
-    seed: int = 0,
-    latency: float = 1.0,
-    faults: Optional[FaultPlan] = None,
-    reliable: Any = False,
-    detector: Any = False,
-    controller: Optional[RecordingController] = None,
-    max_events: int = 200_000,
-    allow_pending_orphans: bool = True,
-    inject_bug: bool = False,
-    twin: Optional[Run] = None,
-    label: str = "",
-) -> Run:
+def check_run(scenario: Scenario, *, controller: Optional[RecordingController] = None,
+              twin: Optional[Run] = None, label: str = "", disk: Optional[tuple] = None,
+              **config) -> Run:
     """Build, run and judge one monitored run; never raises on a finding.
 
+    ``config`` is the :class:`Run`'s configuration (:meth:`Run.config`;
+    with ``durable_opts`` the run records into a scratch directory, and
+    resumes from the crash state ``disk``, ``(files, sealed)``, if given).
     ``controller`` directs the run (``None``: the plain runtime).
     ``twin`` is the oracle's normal-order run (:func:`twin_of` computes
     it when needed and not given).  ``inject_bug`` misflags runs where an
     AID named ``y*`` is resolved first — a schedule-dependent "bug" that
     proves the find → shrink → reproduce pipeline end to end.
     """
-    run = Run(
-        scenario, seed, latency, faults, reliable, detector, max_events,
-        allow_pending_orphans, inject_bug, label=label,
-        max_drops=controller.max_drops if controller is not None else None,
-    )
+    run = Run(scenario, label=label, **config,
+              max_drops=controller.max_drops if controller is not None else None)
     if twin is None and (scenario.blocking_oracle or (
-        scenario.reference is None and (faults is not None or controller is not None)
+        scenario.reference is None and (run.faults is not None or controller is not None)
     )):
         twin = twin_of(run)
-    _check(run, controller, twin)
+    _check(run, controller, twin, disk=disk)
     return run
 
 
@@ -144,45 +142,71 @@ def twin_of(run: Run) -> Optional[Run]:
     blocking = run.scenario.blocking_oracle
     if not blocking and run.scenario.reference is not None:
         return None
-    twin = Run(**{**run.config(), "faults": None, "inject_bug": False},
+    twin = Run(**{**run.config(), "faults": None, "inject_bug": False, "durable_opts": None},
                scenario=run.scenario, label="twin")
     _check(twin, None, None, speculation=not blocking)
     return twin
 
 
-def _check(run: Run, controller, twin: Optional[Run], speculation: bool = True) -> None:
+def _check(run: Run, controller, twin: Optional[Run], speculation: bool = True,
+           disk: Optional[tuple] = None) -> None:
+    """Run and judge ``run``: a durable one from the crash state ``disk``
+    (``(files, sealed)``) if given, and on from each one a crash leaves."""
     tracer = Tracer()
     if controller is not None:
         controller.tracer = tracer
-    system = HopeSystem(
-        seed=run.seed,
-        latency=ConstantLatency(run.latency),
-        trace=tracer,
-        faults=run.faults,
-        reliable=run.reliable,
-        failure_detector=run.detector,
-        speculation=speculation,
-        controller=controller,
-    )
-    attach_monitors(system)
-    scenario = run.scenario
-    scenario.build(system)
     violations = run.violations
-    try:
-        run.final_time = system.run(max_events=run.max_events)
-    except InvariantViolation as exc:
-        violations.append(f"streaming invariant: {exc}")
-    except EventLimitExceeded as exc:
-        violations.append(f"livelock: {exc}")
+    config = dict(
+        seed=run.seed, latency=ConstantLatency(run.latency), trace=tracer,
+        faults=run.faults, reliable=run.reliable, failure_detector=run.detector,
+        speculation=speculation, controller=controller, fossil_interval=run.fossil_interval,
+        durable_opts=run.durable_opts,
+    )
+    durable = run.durable_opts is not None
+
+    def build(system):
+        attach_monitors(system)
+        run.scenario.build(system)
+
+    with tempfile.TemporaryDirectory(prefix="hope-crash-") if durable else nullcontext() as root:
+        while True:
+            leg, mark, system = disk or ({}, None), len(getattr(controller, "file_ops", ())), None
+            try:
+                if disk is None:
+                    system = HopeSystem(durable_dir=root and os.path.join(root, "0"), **config)
+                    build(system)
+                else:
+                    path = write_state(os.path.join(root, str(mark + 1)), disk[0])
+                    system = HopeSystem.resume(path, build, **config)
+                run.final_time = system.run(max_events=run.max_events)
+            except DurableError as exc:
+                where = "resume refused the crash state" if system is None else "durable store"
+                violations.append(f"{where}: {exc}")
+            except InvariantViolation as exc:
+                violations.append(f"streaming invariant: {exc}")
+            except EventLimitExceeded as exc:
+                violations.append(f"livelock: {exc}")
+            except HostCrash:               # building, resuming or running
+                mode = controller.records[-1].chosen
+                states = crash_states(leg[0], controller.file_ops[mark:], leg[1])
+                disk = [state[2:] for state in states if state[1] == mode][-1]
+                continue
+            break
     if controller is not None:
         controller.finish()
         run.choices = [step.chosen for step in controller.records]
+        run.disk = (leg[0], controller.file_ops[mark:], leg[1]) if durable else ()
+    if system is None:
+        return
     run.fingerprint = tracer.fingerprint()
     run.stats = system.stats()
     run.rollbacks = run.stats["rollbacks"]
     run.ledgers = {n: tuple(system.committed_outputs(n)) for n in system.process_names()}
     if violations:
         return
+    if disk is not None:
+        violations.extend(_recovery_violations(system, *disk))
+    scenario = run.scenario
     try:
         check_quiescent(system, allow_pending_orphans=run.allow_pending_orphans)
     except InvariantViolation as exc:
@@ -225,6 +249,125 @@ def _check(run: Run, controller, twin: Optional[Run], speculation: bool = True) 
                 if str(aid).startswith("y"):
                     violations.append(f"injected bug: AID {aid!r} resolved first")
                 break
+
+
+WRITTEN, LOST = 1, 2
+
+
+def crash_states(files: dict, ops: list, sealed: Optional[tuple] = None) -> Iterator[tuple]:
+    """Yield ``(k, mode, state, sealed)`` for a crash before each of ``ops``
+    (:meth:`RecordingController.host_dies`'s record) on a disk durably
+    holding ``files``.  ``state`` maps names to bytes: every earlier
+    operation's (``WRITTEN``, a write's bytes too, as unbuffered), or what
+    the POSIX loss model keeps (``LOST``: each file as of its last
+    ``fsync``, each name as of the last directory ``fsync``).  ``sealed``
+    is the ``(gen, frames)`` of the newest batch whose marker fsync completed."""
+    names = {name: [data, data] for name, data in files.items()}   # [written, synced]
+    durable = dict(names)
+    for k, (op, name, arg, _step, now_sealed) in enumerate(ops):
+        sealed = now_sealed or sealed
+        yield k, WRITTEN, {n: f[0] for n, f in names.items()}, sealed
+        yield k, LOST, {n: f[1] for n, f in durable.items()}, sealed
+        file = names.get(name)
+        if op == "open" and file is None:
+            names[name] = [b"", b""]
+        elif op == "open" and arg == "w":
+            file[0] = b""
+        elif op == "truncate":
+            file[0] = file[0][:arg]
+        elif op == "write":
+            file[0] += arg
+        elif op == "fsync":
+            file[1] = file[0]
+        elif op == "replace":
+            names[arg] = names.pop(name)
+        elif op == "unlink":
+            names.pop(name, None)
+        elif op == "dirsync":
+            durable = dict(names)
+
+
+def write_state(root: str, files: dict) -> str:
+    """Lay a crash state out as the files of the directory ``root``."""
+    os.makedirs(root, exist_ok=True)
+    for name, data in files.items():
+        with open(os.path.join(root, name), "wb") as fh:
+            fh.write(data)
+    return root
+
+
+def _recovery_violations(system: HopeSystem, files: dict, sealed: Optional[tuple]) -> list:
+    """What a resume from ``files`` failed: the image check, counting each
+    envelope and WAL record it skipped, restoring the batch ``sealed``."""
+    recorder, found = system._durable, []
+    try:
+        recorder.check_image()
+    except DurableError as exc:
+        found.append(f"image check: {exc}")
+    stats = recorder.stats
+    gen, frames = stats["resumed_generation"], stats["frames_replayed"]
+    with tempfile.TemporaryDirectory(prefix="hope-state-") as root:
+        store = DurableStore(write_state(root, files))    # the state as found
+        skipped = sum(1 for g in store.envelope_gens() if gen is None or g > gen)
+        records, at, clean = 0, gen or 0, True
+        while clean and at in store.wal_gens():     # the chain recovery walks
+            kept, discarded, clean = store.scan_wal(at)
+            records, at = records + len(kept) + discarded, at + 1
+    counted = (stats["envelopes_rejected"], frames + stats["wal_records_discarded"])
+    if counted != (skipped, records):
+        found.append(f"{skipped} envelope(s) skipped and {records} WAL record(s) on "
+                     f"the replay path, {counted[0]} and {counted[1]} counted")
+    if sealed is not None and (gen is None or (gen, frames) < sealed):
+        found.append(f"recovery reached WAL {gen} frame {frames}, short of the "
+                     f"batch sealed at WAL {sealed[0]} frame {sealed[1]}")
+    return found
+
+
+@dataclass(eq=False)
+class CrashSweep:
+    """:func:`sweep`'s report: the swept run (``record.disk`` is the swept
+    leg, of ``points`` crash points), the distinct crash states resumed,
+    the failing runs and their reproducers."""
+
+    record: Run
+    points: int
+    states: int = 0
+    failures: list = field(default_factory=list)
+    repro_files: list = field(default_factory=list)
+
+
+def sweep(scenario: Scenario, *, prefix: list = (), repro_dir: Optional[str] = None,
+          **config) -> CrashSweep:
+    """Crash one durable run before each file operation of its last leg,
+    as written and lost, and resume and judge each distinct state once.
+    ``config`` is :func:`check_run`'s (by default ``fossil_interval=4``
+    and an envelope every pass); a crash in ``prefix`` makes the swept
+    leg a resumed one.  A failing state's choices replay every leg under
+    a controller; they shrink into ``repro_dir``."""
+    config = {"fossil_interval": 4, "durable_opts": {"snapshot_every": 1}, **config}
+    record = Run(scenario, label="resumed" if prefix else "record", max_drops=1, **config)
+    twin = twin_of(record)
+    _check(record, RecordingController(prefix), twin)
+    report, states = CrashSweep(record, len(record.disk[1])), {}
+    if not record.ok:
+        report.failures.append(record)
+        return report
+    for state in crash_states(*record.disk):    # judged by the newest batch sealed with it
+        key = tuple(sorted(state[2].items()))
+        if key not in states or (state[3] or ()) > (states[key][3] or ()):
+            states[key] = state
+    report.states = len(states)
+    for k, mode, files, sealed in states.values():
+        op, name, _arg, step, _ = record.disk[1][k]
+        run = check_run(scenario, twin=twin, disk=(files, sealed), label=f"crash before "
+                        f"{op} {name} (#{k}, {('as written', 'lost')[mode - 1]})", **config)
+        if not run.ok:
+            run.choices = record.choices[:step] + [mode] + run.choices
+            report.failures.append(run)
+            if repro_dir is not None:
+                path = os.path.join(repro_dir, f"crash-{scenario.name}-seed{run.seed}-{k}-{mode}.json")
+                report.repro_files.append(reproduce(run, path, twin=twin))
+    return report
 
 
 def walk(scenario: Scenario, *, shuffle: bool = False, **kwargs) -> Run:
@@ -286,8 +429,11 @@ def write_reproducer(path: str, run: Run, choices: list, command: str = "verify"
     that makes it fail, and what it found.  ``max_drops`` is ``null`` for
     a walk's file (fates drawn from the fault stream, see
     :class:`~repro.verify.schedule.RecordingController`)."""
+    config = run.config()
+    if run.durable_opts is None:        # only a durable run's file has these
+        del config["fossil_interval"], config["durable_opts"]
     payload = {
-        **run.config(),
+        **config,
         "scenario": run.scenario.spec,
         "faults": run.faults.to_dict() if run.faults is not None else None,
         "reliable": _config_json(run.reliable),
@@ -312,6 +458,12 @@ def _choices(values: list) -> list:
     return values
 
 
+def _positive(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
 _REQUIRED = object()
 #: A reproducer's fields: the JSON types accepted, the default when absent
 #: (``_REQUIRED``: none), and how the value becomes :func:`check_run`'s.
@@ -326,6 +478,8 @@ _FIELDS = {
     "max_drops": ((int, type(None)), 1, None),
     "allow_pending_orphans": ((bool,), True, None),
     "inject_bug": ((bool,), False, None),
+    "fossil_interval": ((int,), 64, _positive),
+    "durable_opts": ((dict, type(None)), None, None),
     "choices": ((list,), _REQUIRED, _choices),
 }
 

@@ -19,7 +19,8 @@ This module provides
   :mod:`repro.verify.dpor` needs to compute happens-before backtracking
   points and sleep sets.  Message drop and reorder fates are binary
   choice points of the same tree, so one recorded choice sequence
-  replays any run, explored or sampled.
+  replays any run, explored or sampled.  So is a host crash before each
+  durable file operation (:meth:`RecordingController.host_dies`).
 
 Event identity across executions: a batch member is keyed by
 ``(label, seq)``.  Sequence numbers are a deterministic function of the
@@ -67,8 +68,9 @@ class StepRecord:
     """One executed choice point: what was enabled and what was picked.
 
     ``kind`` is ``"tie"`` for simulator batches, ``"fate"`` for fault
-    decisions.  ``keys`` are the stable identities of the alternatives
-    (``(label, seq)`` tuples for ties; a synthetic string for fates).
+    decisions, ``"crash"`` for a host crash before a file operation.
+    ``keys`` are the stable identities of the alternatives (``(label,
+    seq)`` tuples for ties; a synthetic string for fates and crashes).
     ``footprint`` is the set of resources (process names and AID keys)
     the chosen event's execution touched — filled in when the *next*
     choice point closes the step; fate steps get a static footprint.
@@ -171,6 +173,8 @@ class RecordingController(ScheduleController):
         )
         self.drops = 0
         self._fates: dict[str, int] = {}
+        #: Durable file operations ``(op, name, arg, step, sealed)`` asked about.
+        self.file_ops: list = []
 
     # ------------------------------------------------------------------
     # the seam
@@ -220,6 +224,16 @@ class RecordingController(ScheduleController):
         if chosen and kind == "drop":
             self.drops += 1
         return chosen == 1
+
+    def host_dies(self, op: str, name: str, arg, sealed) -> bool:
+        """The crash choice before a durable file operation: 0 the host lives
+        (the default), 1 it dies as written, 2 losing what no fsync covered."""
+        step = len(self.records)
+        key = f"{op}:{name}#{len(self.file_ops)}"
+        self.file_ops.append((op, name, arg, step, sealed))
+        chosen = self._prescribed(step, 3, f"the crash before {key}") or 0
+        self.records.append(StepRecord("crash", -1.0, ((key, 0), (key, 1), (key, 2)), chosen))
+        return bool(chosen)
 
     def lateness(
         self, stream, kind: str, src: str, dst: str, window: float

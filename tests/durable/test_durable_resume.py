@@ -1,4 +1,4 @@
-"""Crash–restart recovery end to end: kill a durable run, resume it, and
+"""Crash–restart recovery end to end: crash a durable run, resume it, and
 require the committed state to reconverge byte-identically with an
 uninterrupted twin (the durable extension of the paper's twin-equality
 property — a crash is just more network/scheduling weather, and Theorem
@@ -11,6 +11,7 @@ corruption detection with one-generation fallback, and the constructor
 guardrails.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -22,16 +23,18 @@ import pytest
 import repro
 from repro.bench.workloads import build_durable_counter
 from repro.chaos import (
-    KILL_RESUME_WORKLOADS,
-    format_kill_report,
-    run_kill_resume_case,
-    run_kill_resume_matrix,
+    CRASH_WORKLOADS,
+    format_crash_report,
+    run_corruption_case,
+    run_crash_matrix,
 )
 from repro.core.aid import VERDICTS, AidStatus
 from repro.durable import DurableError
 from repro.core.errors import HopeError
 from repro.runtime import HopeSystem
 from repro.sim import ConstantLatency, EventLimitExceeded, Tracer
+from repro.verify import RecordingController, check_run, sweep
+from repro.verify.driver import LOST, WRITTEN, crash_states
 
 
 def _durable_kwargs(run_dir, **extra):
@@ -109,102 +112,116 @@ class TestCleanRestart:
 
 
 # ---------------------------------------------------------- kill/resume core
+#: The crash sweep's durable settings (``repro.verify.sweep``'s defaults).
+_SWEPT = dict(fossil_interval=4, durable_opts={"snapshot_every": 1})
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(workload, seed):
+    """One uninterrupted durable run under a recording controller (its
+    ``disk`` holds the file operations: the crash points)."""
+    run = check_run(CRASH_WORKLOADS[workload], seed=seed,
+                    controller=RecordingController(), **_SWEPT)
+    assert run.ok, run.failure
+    return run
+
+
+def _crash_at(workload, seed, frac, mode):
+    """The state a crash (``mode``) before the file operation at ``frac``
+    of the run's crash points leaves, resumed and judged, the
+    uninterrupted run as the twin."""
+    record = _recorded(workload, seed)
+    at = int(frac * len(record.disk[1]))
+    (disk,) = [s[2:] for s in crash_states(*record.disk) if s[:2] == (at, mode)]
+    return check_run(CRASH_WORKLOADS[workload], seed=seed, twin=record, disk=disk, **_SWEPT)
+
+
 class TestKillResume:
+    """The kill fractions are crash points of the one driver now: a crash
+    at a fraction of the run's file operations, as written and lost."""
+
     @pytest.mark.parametrize("workload", ["mesh", "counter"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("frac", [0.25, 0.55, 0.85])
     def test_resumed_state_matches_uninterrupted_twin(self, workload, seed, frac):
-        result = run_kill_resume_case(workload, seed, frac, in_process=True)
-        assert result.ok, result.failure
+        for mode in (WRITTEN, LOST):
+            result = _crash_at(workload, seed, frac, mode)
+            assert result.ok, result.failure
 
     @pytest.mark.parametrize("frac", [0.55, 0.85])
     def test_ring_kill_points(self, frac):
-        result = run_kill_resume_case("ring", 5, frac, in_process=True)
-        assert result.ok, result.failure
+        for mode in (WRITTEN, LOST):
+            result = _crash_at("ring", 5, frac, mode)
+            assert result.ok, result.failure
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("workload,frac", [("counter", 0.55), ("mesh", 0.85)])
     def test_real_process_death(self, workload, frac):
-        """The fork path: the child dies by ``os._exit`` with no cleanup —
-        buffered-but-unflushed WAL bytes really are lost."""
-        result = run_kill_resume_case(workload, 2, frac)
+        """A process death loses what sat in its write buffers; the lost
+        state loses everything no fsync covered, which is more."""
+        result = _crash_at(workload, 2, frac, LOST)
         assert result.ok, result.failure
 
     def test_matrix_helper_reports_counts(self):
-        report = run_kill_resume_matrix(
-            workloads=["counter"], seeds=(1,), fracs=(0.55,),
-            corruption_cases=False, in_process=True,
-        )
-        assert report["total"] == 1
-        assert report["passed"] == 1
-        assert report["failures"] == []
+        report = run_crash_matrix(workloads=["counter"], seeds=(1,), repro_dir=None)
+        first, leg = report["sweeps"]
+        assert report["failures"] == 0
+        assert (first.record.label, leg.record.label) == ("record", "resumed")
+        assert first.points > first.states > 0 and leg.points > leg.states > 0
+        assert [mode for _, mode, _ in report["corruptions"]] == ["envelope", "wal", "ledger"]
+        assert "0 failing" in format_crash_report(report)
 
     @pytest.mark.parametrize("workload", ["mesh", "ring", "counter"])
     def test_a_resume_of_a_resume_matches_the_twin(self, workload):
-        """Killed at the first fraction, resumed, killed again at the
-        second (the fork path where there is one), resumed: the same
-        committed state as the run nobody killed."""
-        report = run_kill_resume_matrix(
-            workloads=[workload], seeds=(2,), fracs=(0.3, 0.6),
-            corruption_cases=False, resume_chains=True,
-        )
-        chain = report["cases"][-1]
-        assert (chain.frac, chain.then_frac) == (0.3, 0.6)
-        assert report["failures"] == [], format_kill_report(report)
-        assert "frac=0.3+0.6" in format_kill_report(report)
+        """Crashed at the middle point as written, resumed, and the resumed
+        leg crashed at each of its own points: every state recovers the
+        twin's committed state."""
+        record = _recorded(workload, 2)
+        step = record.disk[1][len(record.disk[1]) // 2][3]
+        leg = sweep(CRASH_WORKLOADS[workload], seed=2, prefix=record.choices[:step] + [WRITTEN])
+        assert leg.record.stats["durable"]["resumed"] is True
+        assert leg.states > 0
+        assert not leg.failures, [(run.label, run.failure) for run in leg.failures]
 
     def test_all_kill_resume_workloads_registered(self):
-        assert set(KILL_RESUME_WORKLOADS) >= {"mesh", "ring", "counter"}
+        assert set(CRASH_WORKLOADS) >= {"mesh", "ring", "counter"}
 
 
 # ---------------------------------------------------- corruption + fallback
+@functools.lru_cache(maxsize=None)
+def _swept():
+    return sweep(CRASH_WORKLOADS["counter"], seed=1)
+
+
 class TestCorruptionFallback:
+    """Damage the newest as-written crash state that has something to
+    damage, then resume it."""
+
     def test_envelope_corruption_is_detected_and_survived(self):
-        result = run_kill_resume_case(
-            "counter", 1, 0.85, corrupt="envelope", in_process=True
-        )
-        assert result.ok, result.failure
-        assert result.corrupted_path is not None
-        assert result.durable_stats["envelopes_rejected"] >= 1
+        assert run_corruption_case(_swept().record, "envelope") is None
 
     def test_wal_corruption_is_detected_and_survived(self):
-        result = run_kill_resume_case(
-            "counter", 1, 0.85, corrupt="wal", in_process=True
-        )
-        assert result.ok, result.failure
-        assert result.corrupted_path is not None
-        assert result.durable_stats["wal_records_discarded"] >= 1
+        assert run_corruption_case(_swept().record, "wal") is None
 
     def test_ledger_corruption_is_refused_by_name(self):
         """No fallback to pretend with: an output exists only in the ledger."""
-        result = run_kill_resume_case(
-            "counter", 1, 0.85, corrupt="ledger", in_process=True
-        )
-        assert result.ok, result.failure
-        assert result.corrupted_path.endswith("ledger.jsonl")
+        assert run_corruption_case(_swept().record, "ledger") is None
 
-    def test_undamaged_ledger_fails_the_ledger_case(self, tmp_path, monkeypatch):
-        """The case passes only on the named refusal, not on a clean resume.
-        (A failing case keeps its run directory: keep it under ``tmp_path``.)"""
-        import tempfile
-
+    def test_undamaged_ledger_fails_the_ledger_case(self, monkeypatch):
+        """The case passes only on the named refusal, not on a clean resume."""
         import repro.chaos
 
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setitem(repro.chaos._CORRUPTIONS, "ledger", (lambda root: root, None))
-        result = run_kill_resume_case(
-            "counter", 1, 0.85, corrupt="ledger", in_process=True
-        )
-        assert not result.ok and "not detected" in result.failure
+        failure = run_corruption_case(_swept().record, "ledger")
+        assert failure is not None and "not detected" in failure
 
     def test_bad_corrupt_mode_raises(self, tmp_path, monkeypatch):
         """Refused before anything runs: no run directory is left behind."""
         import tempfile
 
+        swept = _swept().record
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(ValueError, match="envelope.*wal"):
-            run_kill_resume_case("counter", 1, 0.85, corrupt="bitrot",
-                                 in_process=True)
+            run_corruption_case(swept, "bitrot")
         assert list(tmp_path.iterdir()) == []
 
 

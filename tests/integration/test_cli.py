@@ -432,23 +432,59 @@ def test_chaos_list_plans():
     assert "kill/resume workloads" in out and "counter" in out
 
 
-def test_chaos_kill_at_matrix():
+def test_chaos_crash_sweep(tmp_path):
     code, out = run_cli(
-        ["chaos", "--kill-at", "0.55", "--workload", "counter",
-         "--seeds", "1"]
+        ["chaos", "--crash", "--workload", "counter", "--seeds", "1",
+         "--repro-dir", str(tmp_path)]
     )
     assert code == 0
-    assert "kill/resume matrix:" in out
+    assert "crash sweep:" in out and ", 0 failing" in out
+    assert "seed=1 record" in out and "seed=1 resumed" in out
     assert "corrupt=envelope" in out and "corrupt=wal" in out
     assert "corrupt=ledger" in out
 
 
-def test_chaos_kill_at_unknown_workload():
+def test_chaos_crash_unknown_workload():
     code, out = run_cli(
-        ["chaos", "--kill-at", "0.5", "--workload", "nope", "--seeds", "1"]
+        ["chaos", "--crash", "--workload", "nope", "--seeds", "1"]
     )
     assert code == 2
     assert "nope" in out
+
+
+#: Out-of-range numeric options, refused by argparse with the flag named.
+_BAD_OPTIONS = [
+    ("--latency", "-1"), ("--fossil-interval", "0"), ("--until", "-1"),
+    ("--max-events", "-5"),
+]
+_BAD_FAULT_OPTIONS = [
+    ("--drop-rate", "2"), ("--dup-rate", "-0.1"), ("--jitter", "-1"),
+    ("--reorder-window", "-3"),
+]
+
+
+@pytest.mark.parametrize("flag,value", _BAD_OPTIONS + _BAD_FAULT_OPTIONS)
+def test_run_refuses_an_out_of_range_number(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["run", FIGURE2, *FIG2_SPAWNS, flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", _BAD_OPTIONS)
+def test_resume_refuses_an_out_of_range_number(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["resume", FIGURE2, *FIG2_SPAWNS, "--durable-dir", str(tmp_path), flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_an_exhausted_event_budget_is_one_error_line(tmp_path, command):
+    code, out = run_cli([command, FIGURE2, *FIG2_SPAWNS, "--durable-dir", str(tmp_path),
+                         "--max-events", "5"])
+    assert code == 1
+    assert out.splitlines()[-1].startswith("error: exceeded 5 events")
 
 
 def test_chaos_repro_names_offending_field(tmp_path):
@@ -469,6 +505,7 @@ def test_chaos_repro_names_offending_field(tmp_path):
         ("reliable", {"ack_timeout": -1}, "ack_timeout"),
         ("choices", [0, -1], "non-negative"),
         ("seed", "1", "expected int"),
+        ("fossil_interval", 0, "positive integer"),
     ):
         bad.write_text(json.dumps({**good, field: value}))
         for command in ("chaos", "verify"):
