@@ -40,9 +40,8 @@ def main() -> int:
     max_wall = budget["chaos_max_wall_s"]
     # Case outcomes are deterministic — any failure fails immediately.
     # The wall bound measures the box as much as the code, so it is
-    # judged best-of-attempts like the TRACK check in smoke_overhead.py:
-    # a real complexity regression is slow on every attempt, one
-    # contended CI moment is not.
+    # judged best of ``attempts``: a real complexity regression is slow
+    # on every attempt, one contended CI moment is not.
     best_wall = None
     for attempt in range(budget.get("attempts", 3)):
         started = time.perf_counter()

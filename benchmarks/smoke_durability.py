@@ -4,12 +4,12 @@ Three budgets from ``overhead_threshold.json``:
 
 * **DURABLE overhead** — wall time of the commit-point counter workload
   with snapshot+WAL recording on vs. off must stay at or below
-  ``max_durable_overhead_ratio``, judged best-of-attempts like the TRACK
-  check in ``smoke_overhead.py``.  Recording writes sealed envelopes and
-  fsyncs WAL batch markers from every fossil pass, so the ratio is above
-  1 by design; the budget catches a regression that starts serializing
-  speculative state, history the pass itself discards, or the whole run
-  into every envelope.
+  ``max_durable_overhead_ratio``, judged best of ``attempts``.
+  Recording writes sealed envelopes and fsyncs WAL batch markers from
+  every fossil pass, so the ratio is above 1 by design; the budget
+  catches a regression that starts serializing speculative state,
+  history the pass itself discards, or the whole run into every
+  envelope.
 * **RECOVERY wall** — abandoning the workload at 85% of its twin's events
   and resuming (load + verify + WAL replay + reconvergence) must
   finish within ``max_recovery_wall_s``.

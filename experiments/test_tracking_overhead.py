@@ -6,9 +6,10 @@ virtual makespan is identical bare (no HOPE), definite (HOPE, no
 speculation) and fully speculative (every message tagged): tracking
 costs the user process zero blocking.
 
-The wall-clock half of the measurement is host-dependent and is not in
-the table: ``benchmarks/smoke_overhead.py`` times these two bodies
-against its ``overhead_threshold.json`` budgets.
+The mechanical half of the measurement is not in the table: the call
+table (``tests/costs.py``, checked in tier-1) counts the ``repro`` calls
+of these two bodies at 200 messages, and its ``TRACK: HOPE ÷ bare
+calls`` row is their ratio.
 """
 
 import time

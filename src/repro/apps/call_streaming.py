@@ -96,10 +96,6 @@ class CallStreamResult:
     messages: int = 0
     stats: dict = field(default_factory=dict)
 
-    @property
-    def newpage_count(self) -> int:
-        return sum(1 for op in self.server_output if op[0] == "newpage")
-
 
 # ---------------------------------------------------------------------------
 # the shared print server

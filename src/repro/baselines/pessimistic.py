@@ -42,10 +42,6 @@ class RpcChain:
     steps: tuple
     latency: float
 
-    @property
-    def rpc_count(self) -> int:
-        return sum(1 for s in self.steps if s.rpc_service is not None)
-
 
 def predict_completion(chain: RpcChain) -> float:
     """Closed-form pessimistic completion time.

@@ -166,10 +166,6 @@ class LogicalProcess:
     def has_work(self) -> bool:
         return self.next_unprocessed() is not None
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # event processing
     # ------------------------------------------------------------------

@@ -133,6 +133,3 @@ class Program(Node):
 
     def names(self) -> list[str]:
         return [proc.name for proc in self.processes]
-
-    def function_names(self) -> list[str]:
-        return [fn.name for fn in self.functions]

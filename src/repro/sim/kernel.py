@@ -161,6 +161,9 @@ class Simulator:
         self._batching = controller is None
         #: The newest start batch (:meth:`repro.sim.process.Task.start`).
         self.start_batch: Optional[ScheduledEvent] = None
+        #: What a controlled pop offered and did not fire, in ``(time,
+        #: seq)`` order: the earliest events, off the heap until the next.
+        self._instant: list[ScheduledEvent] = []
 
     def _compact_if_dead(self) -> None:
         """Evict cancelled events once they outnumber live ones.
@@ -175,16 +178,23 @@ class Simulator:
         entries.  Rebuilding keeps (time, seq) ordering intact,
         so determinism is unaffected.
         """
-        heap = self._heap
-        size = len(heap)
+        heap, instant = self._heap, self._instant
+        size = len(heap) + len(instant)
         if size < COMPACT_MIN or (size - self._live) * 2 <= size:
             return
         heap[:] = [e for e in heap if not e.cancelled]
         heapify(heap)
+        if instant:
+            instant[:] = [e for e in instant if not e.cancelled]
         self.heap_compactions += 1
 
     def _peek(self) -> Optional[ScheduledEvent]:
-        """Next live event (popping cancelled heads on the way), or None."""
+        """Next live event (discarding cancelled ones ahead of it), or None."""
+        instant = self._instant
+        while instant and instant[0].cancelled:
+            del instant[0]
+        if instant:
+            return instant[0]
         heap = self._heap
         while heap:
             event = heap[0]
@@ -298,8 +308,10 @@ class Simulator:
         if thresholds is not None:
             gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_COLLECTION)
         try:
-            while not self._stopped and heap:
-                event = heap[0]
+            while not self._stopped:
+                event = self._peek() if controlled else heap[0] if heap else None
+                if event is None:
+                    break
                 if event.cancelled:
                     heappop(heap)
                     continue
@@ -334,15 +346,16 @@ class Simulator:
     def _pop_controlled(self) -> ScheduledEvent:
         """Pop the next event under the schedule controller.
 
-        Collects every live event sharing the earliest virtual time (in
-        canonical ``(time, seq)`` order), asks the controller
-        which one fires, and re-queues the rest.  The unchosen events go
-        back *before* the chosen one executes, so a callback that cancels
-        one of them finds it in the queue as usual.  The caller must have
-        peeked a live head first.
+        The batch is every live event sharing the earliest virtual time
+        in ``(time, seq)`` order: what the last pop left unfired, then
+        the heap's (scheduled since, so later).  The controller picks the
+        one that fires; the rest stay off the heap until the next pop, so
+        an instant of k events costs k heap pops, not k per pop.  The
+        caller must have peeked a live event first.
         """
         heap = self._heap
-        batch = [heappop(heap)]
+        batch = [e for e in self._instant if not e.cancelled] or [heappop(heap)]
+        self._instant = []
         time = batch[0].time
         while True:
             nxt = self._peek()
@@ -359,8 +372,7 @@ class Simulator:
                 f"{len(batch)} events at t={time:.6g}"
             )
         chosen = batch.pop(index)
-        for event in batch:
-            heappush(heap, event)
+        self._instant = batch
         return chosen
 
     def step(self) -> bool:

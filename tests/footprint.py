@@ -31,7 +31,8 @@ equal), then this interpreter's figures beside its budgets.
 :func:`residue` is the finish line the budgets work towards: what a run
 holds at quiescence besides its results, which must not grow with the
 size of the run; ``--residue`` prints it at N and 4N for each body in
-:data:`RESIDUE`.
+:data:`RESIDUE`, and :func:`fossil_peak` of a pair that never quiesces
+at N and 4N events.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Any, Callable, Optional
 from repro.core import AssumptionId
 from repro.obs import MetricsRegistry
 from repro.runtime import HopeSystem, ReliableConfig
-from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency
+from repro.sim import ConstantLatency, FaultPlan, LinkFaults, LinkLatency, Tracer
 
 #: A ``fossil_interval`` no run here reaches: its only pass is the one a
 #: run owes at quiescence, so nothing is collected while it runs.
@@ -633,6 +634,72 @@ def residues(name: str) -> tuple:
     return residue(lambda: build(n)), residue(lambda: build(4 * n))
 
 
+# -------------------------------------------------------------- fossil peak
+def _endless_worker(p, resume=None):
+    state = resume if resume is not None else {"round": 0, "acc": 0}
+    while True:
+        a = yield p.aid_init(f"r{state['round']}")
+        yield p.send("judge", a)
+        if (yield p.guess(a)):
+            yield p.compute(1.0)
+            state["acc"] += 3
+        else:
+            yield p.compute(2.0)
+            state["acc"] -= 1
+        state["round"] += 1
+        yield p.commit_point(state)
+
+
+def _endless_judge(p, deny_rate, resume=None):
+    state = resume if resume is not None else {"seen": 0}
+    while True:
+        msg = yield p.recv()
+        yield p.compute(0.3)
+        if (yield p.random()) < deny_rate:
+            yield p.deny(msg.payload)
+        else:
+            yield p.affirm(msg.payload)
+        state["seen"] += 1
+        yield p.commit_point(state)
+
+
+#: Sim events of :func:`fossil_peak` at size N: 16 passes' worth.
+FOSSIL_EVENTS = 2500
+
+
+def fossil_peak(events: int) -> int:
+    """The most ``tracemalloc`` saw allocated, over what the pair held once
+    spawned, while a worker and its judge ran ``events`` sim events: a
+    quarter of the rounds denied, a pass every 32 commit points, the
+    trace kept and collected but no record retained.  The bodies never
+    return, so this is the long run's shape that :func:`residue`, read
+    at quiescence, cannot see."""
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        system = HopeSystem(seed=0, latency=ConstantLatency(1.0),
+                            trace=Tracer(max_records=1), fossil_interval=32)
+        system.spawn("judge", _endless_judge, 0.25)
+        system.spawn("worker", _endless_worker)
+        spawned = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(events):
+            system.sim.step()
+        peak = tracemalloc.get_traced_memory()[1] - spawned
+    finally:
+        tracemalloc.stop()
+    stats = system.stats()
+    if not stats["fossil_collections"] or not stats["fossil_log_dropped"]:
+        raise AssertionError("fossil collection never reclaimed anything")
+    return peak
+
+
+def fossil_peaks() -> tuple:
+    """``(peak at N, peak at 4 N)`` of :func:`fossil_peak`."""
+    fossil_peak(FOSSIL_EVENTS // 4)             # imports, caches, interned strings
+    return fossil_peak(FOSSIL_EVENTS), fossil_peak(4 * FOSSIL_EVENTS)
+
+
 #: Every shape's census, in the order the script prints them.
 CENSUS = {
     "spawned process": spawned_process,
@@ -650,8 +717,8 @@ if __name__ == "__main__":
     version = "%d.%d" % sys.version_info[:2]
     if sys.argv[1:] == ["--residue"]:
         grown = []
-        for name in RESIDUE:
-            small, large = residues(name)
+        for name, (small, large) in [*((name, residues(name)) for name in RESIDUE),
+                                     ("fossil peak", fossil_peaks())]:
             print(f"{version} residue {name + ':':15} {small / 1024:7.1f} KiB at N, "
                   f"{large / 1024:7.1f} KiB at 4N ({large / small:.2f}x)")
             if large > RESIDUE_GROWTH * small:

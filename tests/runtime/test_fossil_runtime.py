@@ -23,7 +23,7 @@ from repro.runtime import ReplayDivergenceError
 from repro.runtime.engine import HopeSystem
 from repro.sim import ConstantLatency, Tracer
 
-from ..footprint import NEVER
+from ..footprint import FOSSIL_EVENTS, NEVER, RESIDUE_GROWTH, fossil_peaks
 
 
 # ---------------------------------------------------------------- workload
@@ -446,6 +446,16 @@ class TestCommittedOutputsPinNothing:
         assert len(early) == 100
         assert [ref() for ref in early] == [None] * 100
         assert len(system.committed_outputs("judge")) == 200
+
+
+def test_a_run_that_never_quiesces_holds_its_peak_flat():
+    """FOSSIL: a worker and judge that never return, collected every 32
+    commit points, reach no higher a ``tracemalloc`` peak over 4N events
+    than over N (``footprint.fossil_peak``): 1.1x of a ~216 KiB peak
+    leaves ~22 KiB for 3N more events, so a leak of 3 bytes an event
+    fails it."""
+    small, large = fossil_peaks()
+    assert large <= RESIDUE_GROWTH * small, (FOSSIL_EVENTS, small, large)
 
 
 class TestPassCost:

@@ -440,3 +440,28 @@ def test_run_leaves_a_disabled_collector_alone(sim, thresholds):
     assert seen == [thresholds, False]
     assert not gc.isenabled()
     assert gc.get_threshold() == thresholds
+
+
+def test_a_controlled_instant_pops_each_event_once(monkeypatch):
+    """Under a schedule controller an instant of k events costs k heap
+    pops: the unfired rest waits off the heap until the next pop, where
+    re-pushing it after every pop cost k (k + 1) / 2 pops."""
+    import heapq
+
+    from repro.sim import kernel
+
+    pops = []
+    monkeypatch.setattr(kernel, "heappop", lambda heap: pops.append(1) or heapq.heappop(heap))
+
+    class Last:
+        def choose(self, time, events):
+            return len(events) - 1
+
+    sim, fired = Simulator(controller=Last()), []
+    for i in range(50):
+        sim.schedule(1.0, fired.append, i)
+    sim.schedule(1.0, sim.stop)                 # fires first: the rest stays pending
+    sim.run()
+    assert fired == [] and sim.pending_events == 50 and sim.peek_time() == 1.0
+    sim.run()
+    assert fired == list(range(49, -1, -1)) and len(pops) == 51
