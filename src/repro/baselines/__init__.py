@@ -1,7 +1,7 @@
 """Baselines the paper positions HOPE against (§2).
 
-* :mod:`repro.baselines.pessimistic` — Figure 1 semantics: synchronous
-  RPCs, no speculation, plus the closed-form latency model;
+Figure 1's synchronous RPCs are :func:`repro.apps.call_streaming.run_pessimistic`.
+
 * :mod:`repro.baselines.static_scope` — Bubenik/Zwaenepoel-style
   statically-bounded optimism [2, 3]: speculation that cannot cross a
   process boundary;
@@ -9,7 +9,6 @@
   single hard-wired message-order assumption, with anti-messages and GVT.
 """
 
-from .pessimistic import RpcChain, RpcStep, predict_completion, run_chain
 from .static_scope import run_static_scope, static_scope_wart, static_scope_worker
 from .timewarp import (
     Emission,
@@ -21,10 +20,6 @@ from .timewarp import (
 )
 
 __all__ = [
-    "RpcChain",
-    "RpcStep",
-    "predict_completion",
-    "run_chain",
     "run_static_scope",
     "static_scope_worker",
     "static_scope_wart",

@@ -59,10 +59,3 @@ class TWMessage:
     def sort_key(self) -> tuple:
         """Deterministic processing order: virtual time, then uid."""
         return (self.recv_vt, self.uid)
-
-    def __repr__(self) -> str:
-        kind = "msg" if self.sign == 1 else "ANTI"
-        return (
-            f"<TW{kind} #{self.uid} {self.src}->{self.dst} "
-            f"vt={self.send_vt:g}->{self.recv_vt:g} {self.payload!r}>"
-        )

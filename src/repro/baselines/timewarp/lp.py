@@ -326,9 +326,3 @@ class LogicalProcess:
     def memory_footprint(self) -> int:
         """A proxy for memory: retained saves + queue + output log entries."""
         return len(self.saves) + len(self._queue) + len(self.output_log)
-
-    def __repr__(self) -> str:
-        return (
-            f"<LP {self.name!r} lvt={self.lvt:g} queue={len(self._queue)} "
-            f"rollbacks={self.rollbacks}>"
-        )

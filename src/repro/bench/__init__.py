@@ -1,7 +1,7 @@
 """Benchmark support: workload generators, sweeps, tables, statistics."""
 
 from .reporting import format_table
-from .stats import find_crossover, mean, percentile, speedup
+from .stats import find_crossover, speedup
 from .sweeps import SweepResult, sweep
 from .workloads import (
     build_tw_ring,
@@ -15,9 +15,7 @@ __all__ = [
     "sweep",
     "SweepResult",
     "format_table",
-    "mean",
     "speedup",
-    "percentile",
     "find_crossover",
     "streaming_config",
     "probabilistic_config",

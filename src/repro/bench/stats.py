@@ -5,28 +5,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
-
-
 def speedup(baseline: float, improved: float) -> float:
     """Fractional improvement: (baseline - improved) / baseline."""
     if baseline <= 0:
         raise ValueError(f"baseline must be positive, got {baseline}")
     return (baseline - improved) / baseline
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile, q in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 def find_crossover(

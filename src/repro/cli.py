@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .lang import CheckError, check_program, compile_program, parse
 from .obs import FORMATS, MetricsRegistry
 from .runtime import HopeSystem
-from .sim import ConstantLatency, FaultPlan, LinkFaults, Partition, SimulationError, Tracer
+from .sim import ConstantLatency, FaultPlan, LinkFaults, SimulationError, Tracer
 
 
 class _CollectorClock:
@@ -80,27 +80,6 @@ class _PassClock:
         )
 
 
-def parse_partition(raw: str) -> Partition:
-    """Parse ``--partition a,b|c,d:START-HEAL`` (HEAL optional: ``5-``
-    never heals)."""
-    try:
-        groups, window = raw.rsplit(":", 1)
-        side_a, side_b = groups.split("|", 1)
-        start_text, _, heal_text = window.partition("-")
-        start = float(start_text)
-        heal = float(heal_text) if heal_text else None
-        return Partition(
-            tuple(filter(None, side_a.split(","))),
-            tuple(filter(None, side_b.split(","))),
-            start=start,
-            heal_at=heal,
-        )
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"--partition needs a,b|c,d:START-HEAL (HEAL optional), got {raw!r}: {exc}"
-        )
-
-
 def _number(kind, holds, bound: str):
     """An argparse ``type=``: a ``kind`` for which ``holds`` (``bound``
     says what that is); argparse names the flag on refusal."""
@@ -128,10 +107,9 @@ def fault_plan_from_args(args) -> Optional[FaultPlan]:
         reorder_window=args.reorder_window if args.reorder_rate > 0 else 0.0,
         jitter=args.jitter,
     )
-    partitions = tuple(args.partition)
-    if default.is_null and not partitions:
+    if default.is_null:
         return None
-    return FaultPlan(default=default, partitions=partitions)
+    return FaultPlan(default=default)
 
 
 def add_fault_arguments(parser) -> None:
@@ -155,12 +133,6 @@ def add_fault_arguments(parser) -> None:
     group.add_argument(
         "--jitter", type=_NON_NEGATIVE, default=0.0, metavar="T",
         help="uniform extra latency in [0, T) per message",
-    )
-    group.add_argument(
-        "--partition", action="append", type=parse_partition, default=[],
-        metavar="a,b|c,d:START-HEAL",
-        help="timed partition between two process groups (repeatable; "
-        "omit HEAL to never heal)",
     )
     group.add_argument(
         "--reliable", action="store_true",
@@ -199,9 +171,6 @@ class SpawnSpec:
         self.instance = instance
         self.process = process
         self.args = args
-
-    def __repr__(self) -> str:
-        return f"SpawnSpec({self.instance}={self.process}:{self.args})"
 
 
 def _add_run_arguments(parser, recorded: str = "") -> None:
@@ -699,6 +668,7 @@ def cmd_verify(args, out) -> int:
             root_seed=args.seed,
             check_determinism=True,
             shuffle_ties=True,
+            repro_dir=args.repro_dir,
         )
         print(report.summary(), file=out)
         return 0 if report.ok else 1

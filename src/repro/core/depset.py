@@ -69,9 +69,6 @@ class DepSet:
     def __bool__(self) -> bool:
         return bool(self.members)
 
-    def __hash__(self) -> int:
-        return hash(self.members)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DepSet):
             if other._interner is self._interner:
@@ -85,37 +82,6 @@ class DepSet:
         if isinstance(other, DepSet):
             return self is other or self.members <= other.members
         return self.members <= other
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, DepSet):
-            return self is not other and self.members < other.members
-        return self.members < other
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, DepSet):
-            return self is other or self.members >= other.members
-        return self.members >= other
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, DepSet):
-            return self is not other and self.members > other.members
-        return self.members > other
-
-    def __or__(self, other) -> "DepSet":
-        if isinstance(other, DepSet):
-            return self._interner.union(self, other)
-        return self._interner.intern(self.members | frozenset(other))
-
-    def __sub__(self, other) -> "DepSet":
-        return self._interner.intern(self.members - frozenset(other))
-
-    def __and__(self, other) -> "DepSet":
-        if isinstance(other, DepSet):
-            other = other.members
-        return self._interner.intern(self.members & frozenset(other))
-
-    def isdisjoint(self, other: Iterable) -> bool:
-        return self.members.isdisjoint(other)
 
     # ------------------------------------------------------------------
     # interned views
@@ -132,10 +98,6 @@ class DepSet:
         if keys is None:
             keys = self._tag_keys = frozenset(a.key for a in self.members)
         return keys
-
-    def __repr__(self) -> str:
-        inner = ",".join(sorted(a.key for a in self.members)) or "∅"
-        return f"DepSet{{{inner}}}"
 
 
 class _TableRef(weakref.ref):

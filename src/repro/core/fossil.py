@@ -80,22 +80,6 @@ class FossilStats:
         self.depsets_dropped = 0
         self.resolve_entries_purged = 0
 
-    @property
-    def reclaimed_anything(self) -> bool:
-        return bool(
-            self.history_dropped
-            or self.intervals_dropped
-            or self.aids_retired
-            or self.depsets_dropped
-            or self.resolve_entries_purged
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<FossilStats hist={self.history_dropped} iv={self.intervals_dropped} "
-            f"aids={self.aids_retired} depsets={self.depsets_dropped}>"
-        )
-
 
 def collect(machine: "Machine", visited: list) -> FossilStats:
     """Run one fossil-collection pass over ``machine``, visiting the

@@ -270,23 +270,7 @@ class ProcessRecord:
     # ------------------------------------------------------------------
     # interval queries
     # ------------------------------------------------------------------
-    def live_intervals_from(self, start_index: int) -> list[Interval]:
-        """Speculative intervals whose start is at or after ``start_index``."""
-        return [
-            iv
-            for iv in self.intervals
-            if iv.speculative and iv.start_index >= start_index
-        ]
-
-    def speculative_chain(self) -> list[Interval]:
-        """The process's live speculative intervals in creation order."""
-        return [iv for iv in self.intervals if iv.speculative]
-
     @property
     def is_definite(self) -> bool:
         """True when S.I = ∅: nothing this process does can be undone."""
         return self.current is None
-
-    def __repr__(self) -> str:
-        cur = self.current.label if self.current is not None else "∅"
-        return f"<ProcessRecord {self.name!r} I={cur} |IS|={len(self.speculative)} |H|={len(self.history)}>"

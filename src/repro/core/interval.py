@@ -116,11 +116,3 @@ class Interval:
             head = self.aid.key if self.aid is not None else "recv"
             label = self._label = f"{self.pid}/I{self.serial}({head})"
         return label
-
-    def depends_on(self, aid: "AssumptionId") -> bool:
-        """Definition 4.5 dependence, as currently recorded in IDO."""
-        return aid in self.ido
-
-    def __repr__(self) -> str:
-        ido = "{" + ",".join(sorted(a.key for a in self.ido)) + "}"
-        return f"<Interval {self.label} {self.state.value} IDO={ido}>"

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional
 from weakref import KeyedRef
 
 from .aid import AidStatus, AssumptionId
-from .depset import DepSet, DepSetInterner
+from .depset import DepSetInterner
 from .errors import (
     FinalizePreconditionError,
     IntervalStateError,
@@ -1004,27 +1004,3 @@ class Machine:
         result = self.resolve_tags(self.aid(key) for key in tag_keys)
         self._resolve_key_cache[tag_keys] = result
         return result
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def dependencies_of(self, pid: str) -> DepSet:
-        """The AID set the process currently depends on (its message tag).
-
-        Returns the interval's interned :class:`DepSet` directly — it is
-        immutable, so no defensive re-freeze is needed, and its cached
-        :attr:`~DepSet.tag_keys` view makes per-send tagging O(1).
-        """
-        record = self.process(pid)
-        if record.current is None:
-            return self.depsets.empty
-        return record.current.ido
-
-    def is_definite(self, pid: str) -> bool:
-        return self.process(pid).is_definite
-
-    def __repr__(self) -> str:
-        return (
-            f"<Machine procs={len(self.processes)} aids={len(self.aids)} "
-            f"rollbacks={self.stats['rollbacks']}>"
-        )

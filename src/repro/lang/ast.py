@@ -106,30 +106,11 @@ class ProcessDef(Node):
 
 
 @dataclass(frozen=True)
-class FuncDef(Node):
-    """A user-defined function, callable from any process (may use effects)."""
-
-    name: str
-    params: tuple
-    body: tuple
-
-
-@dataclass(frozen=True)
 class Program(Node):
     processes: tuple = field(default_factory=tuple)
-    functions: tuple = field(default_factory=tuple)
 
     def process(self, name: str) -> ProcessDef:
         for proc in self.processes:
             if proc.name == name:
                 return proc
         raise KeyError(f"no process named {name!r}")
-
-    def function(self, name: str) -> FuncDef:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(f"no function named {name!r}")
-
-    def names(self) -> list[str]:
-        return [proc.name for proc in self.processes]

@@ -42,31 +42,18 @@ class CheckReport:
 def check_program(program: ast.Program) -> CheckReport:
     """Run all static checks; returns a :class:`CheckReport`."""
     report = CheckReport()
-    user_funcs = {}
-    for fn in program.functions:
-        if fn.name in BUILTINS:
-            report.errors.append(
-                f"function {fn.name!r} shadows a builtin (line {fn.line})"
-            )
-        if fn.name in user_funcs:
-            report.errors.append(
-                f"duplicate function name {fn.name!r} (line {fn.line})"
-            )
-        user_funcs[fn.name] = len(fn.params)
     seen = set()
     for proc in program.processes:
         if proc.name in seen:
             report.errors.append(f"duplicate process name {proc.name!r} (line {proc.line})")
         seen.add(proc.name)
-        _check_body(proc.name, proc.params, proc.body, report, user_funcs)
-    for fn in program.functions:
-        _check_body(f"func {fn.name}", fn.params, fn.body, report, user_funcs)
+        _check_body(proc.name, proc.params, proc.body, report)
     return report
 
 
-def _check_body(owner, params, body, report: CheckReport, user_funcs: dict) -> None:
+def _check_body(owner, params, body, report: CheckReport) -> None:
     declared = set(params)
-    _check_block(body, declared, report, owner, resolved=set(), user_funcs=user_funcs)
+    _check_block(body, declared, report, owner, resolved=set())
 
 
 def _check_block(
@@ -75,12 +62,11 @@ def _check_block(
     report: CheckReport,
     proc_name: str,
     resolved: set,
-    user_funcs: dict,
 ) -> None:
     for stmt in body:
         if isinstance(stmt, ast.VarDecl):
             if stmt.init is not None:
-                _check_expr(stmt.init, declared, report, proc_name, resolved, user_funcs)
+                _check_expr(stmt.init, declared, report, proc_name, resolved)
             if stmt.name in declared:
                 report.warnings.append(
                     f"{proc_name}: 'var {stmt.name}' shadows an existing "
@@ -93,27 +79,27 @@ def _check_block(
                     f"{proc_name}: assignment to undeclared variable "
                     f"{stmt.name!r} (line {stmt.line})"
                 )
-            _check_expr(stmt.value, declared, report, proc_name, resolved, user_funcs)
+            _check_expr(stmt.value, declared, report, proc_name, resolved)
         elif isinstance(stmt, ast.ExprStmt):
-            _check_expr(stmt.expr, declared, report, proc_name, resolved, user_funcs)
+            _check_expr(stmt.expr, declared, report, proc_name, resolved)
         elif isinstance(stmt, ast.If):
-            _check_expr(stmt.cond, declared, report, proc_name, resolved, user_funcs)
+            _check_expr(stmt.cond, declared, report, proc_name, resolved)
             # branches get copies: straight-line resolution tracking only
-            _check_block(stmt.then, set(declared), report, proc_name, set(resolved), user_funcs)
-            _check_block(stmt.otherwise, set(declared), report, proc_name, set(resolved), user_funcs)
+            _check_block(stmt.then, set(declared), report, proc_name, set(resolved))
+            _check_block(stmt.otherwise, set(declared), report, proc_name, set(resolved))
         elif isinstance(stmt, ast.While):
-            _check_expr(stmt.cond, declared, report, proc_name, resolved, user_funcs)
-            _check_block(stmt.body, set(declared), report, proc_name, set(resolved), user_funcs)
+            _check_expr(stmt.cond, declared, report, proc_name, resolved)
+            _check_block(stmt.body, set(declared), report, proc_name, set(resolved))
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                _check_expr(stmt.value, declared, report, proc_name, resolved, user_funcs)
+                _check_expr(stmt.value, declared, report, proc_name, resolved)
         elif isinstance(stmt, ast.Skip):
             pass
         else:  # pragma: no cover - parser produces only the above
             report.errors.append(f"{proc_name}: unknown statement {stmt!r}")
 
 
-def _check_expr(expr, declared, report, proc_name, resolved, user_funcs) -> None:
+def _check_expr(expr, declared, report, proc_name, resolved) -> None:
     if isinstance(expr, ast.Literal):
         return
     if isinstance(expr, ast.Var):
@@ -124,24 +110,18 @@ def _check_expr(expr, declared, report, proc_name, resolved, user_funcs) -> None
             )
         return
     if isinstance(expr, ast.Unary):
-        _check_expr(expr.operand, declared, report, proc_name, resolved, user_funcs)
+        _check_expr(expr.operand, declared, report, proc_name, resolved)
         return
     if isinstance(expr, ast.Binary):
-        _check_expr(expr.left, declared, report, proc_name, resolved, user_funcs)
-        _check_expr(expr.right, declared, report, proc_name, resolved, user_funcs)
+        _check_expr(expr.left, declared, report, proc_name, resolved)
+        _check_expr(expr.right, declared, report, proc_name, resolved)
         return
     if isinstance(expr, ast.Index):
-        _check_expr(expr.base, declared, report, proc_name, resolved, user_funcs)
-        _check_expr(expr.index, declared, report, proc_name, resolved, user_funcs)
+        _check_expr(expr.base, declared, report, proc_name, resolved)
+        _check_expr(expr.index, declared, report, proc_name, resolved)
         return
     if isinstance(expr, ast.CallExpr):
-        if expr.func in user_funcs:
-            if len(expr.args) != user_funcs[expr.func]:
-                report.errors.append(
-                    f"{proc_name}: {expr.func}() takes {user_funcs[expr.func]} "
-                    f"argument(s), got {len(expr.args)} (line {expr.line})"
-                )
-        elif expr.func not in BUILTINS:
+        if expr.func not in BUILTINS:
             report.errors.append(
                 f"{proc_name}: unknown function {expr.func!r} (line {expr.line})"
             )
@@ -168,6 +148,6 @@ def _check_expr(expr, declared, report, proc_name, resolved, user_funcs) -> None
                     )
                 resolved.add(target.name)
         for arg in expr.args:
-            _check_expr(arg, declared, report, proc_name, resolved, user_funcs)
+            _check_expr(arg, declared, report, proc_name, resolved)
         return
     report.errors.append(f"{proc_name}: unknown expression {expr!r}")

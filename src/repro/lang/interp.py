@@ -55,14 +55,13 @@ def compile_program(source: str) -> "CompiledProgram":
 
 
 class _Ctx:
-    """Interpreter context: the HOPE facade, the program's functions, and
-    the per-process RPC correlation counter (deterministic under replay)."""
+    """Interpreter context: the HOPE facade and the per-process RPC
+    correlation counter (deterministic under replay)."""
 
-    __slots__ = ("p", "funcs", "_corr")
+    __slots__ = ("p", "_corr")
 
-    def __init__(self, p, funcs: dict) -> None:
+    def __init__(self, p) -> None:
         self.p = p
-        self.funcs = funcs
         self._corr = 0
 
     def next_corr(self) -> int:
@@ -77,15 +76,10 @@ class CompiledProgram:
     def __init__(self, program: ast.Program, warnings: list) -> None:
         self.program = program
         self.warnings = warnings
-        self.funcs = {fn.name: fn for fn in program.functions}
-
-    def names(self) -> list[str]:
-        return self.program.names()
 
     def body(self, process_name: str):
         """The generator function implementing ``process_name``."""
         definition = self.program.process(process_name)
-        funcs = self.funcs
 
         def run(p, *args):
             if len(args) != len(definition.params):
@@ -93,7 +87,7 @@ class CompiledProgram:
                     f"process {process_name!r} expects {len(definition.params)} "
                     f"argument(s), got {len(args)}"
                 )
-            ctx = _Ctx(p, funcs)
+            ctx = _Ctx(p)
             env = _Env(dict(zip(definition.params, args)))
             try:
                 yield from _exec_block(ctx, env, definition.body)
@@ -222,20 +216,6 @@ def _eval_call(ctx: _Ctx, env: _Env, expr: ast.CallExpr):
     for arg in expr.args:
         value = yield from _eval(ctx, env, arg)
         args.append(value)
-    # --- user-defined functions (may themselves use effects) ---
-    definition = ctx.funcs.get(func)
-    if definition is not None:
-        if len(args) != len(definition.params):
-            raise HopeLangError(
-                f"{func}() takes {len(definition.params)} argument(s), "
-                f"got {len(args)} (line {expr.line})"
-            )
-        frame = _Env(dict(zip(definition.params, args)))
-        try:
-            yield from _exec_block(ctx, frame, definition.body)
-        except _ReturnSignal as signal:
-            return signal.value
-        return None
     p = ctx.p
     # --- HOPE primitives ---
     if func == "aid_init":

@@ -2,9 +2,8 @@
 
 Grammar (EBNF-ish)::
 
-    program    := (processdef | funcdef)*
+    program    := processdef*
     processdef := "process" NAME "(" [params] ")" block
-    funcdef    := "func" NAME "(" [params] ")" block
     block      := "{" stmt* "}"
     stmt       := "var" NAME ["=" expr] ";"
                 | NAME "=" expr ";"
@@ -67,28 +66,15 @@ class _Parser:
     # ------------------------------------------------------------- program
     def program(self) -> ast.Program:
         processes = []
-        functions = []
         first_line = self.peek().line
         while not self.check(EOF):
-            if self.check(KEYWORD, "func"):
-                functions.append(self.func_def())
-            else:
-                processes.append(self.process_def())
-        return ast.Program(
-            line=first_line,
-            processes=tuple(processes),
-            functions=tuple(functions),
-        )
+            processes.append(self.process_def())
+        return ast.Program(line=first_line, processes=tuple(processes))
 
     def process_def(self) -> ast.ProcessDef:
         start = self.expect(KEYWORD, "process")
         name, params, body = self._def_tail()
         return ast.ProcessDef(line=start.line, name=name, params=params, body=body)
-
-    def func_def(self) -> ast.FuncDef:
-        start = self.expect(KEYWORD, "func")
-        name, params, body = self._def_tail()
-        return ast.FuncDef(line=start.line, name=name, params=params, body=body)
 
     def _def_tail(self) -> tuple:
         name = self.expect(NAME).value

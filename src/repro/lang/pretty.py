@@ -23,18 +23,14 @@ _PRECEDENCE = {
 
 
 def pretty(program: ast.Program) -> str:
-    """Render a whole program (functions first, then processes)."""
+    """Render a whole program."""
     chunks = []
-    for keyword, definitions in (
-        ("func", program.functions),
-        ("process", program.processes),
-    ):
-        for definition in definitions:
-            params = ", ".join(definition.params)
-            chunks.append(f"{keyword} {definition.name}({params}) {{")
-            chunks.extend(_stmts(definition.body, 1))
-            chunks.append("}")
-            chunks.append("")
+    for definition in program.processes:
+        params = ", ".join(definition.params)
+        chunks.append(f"process {definition.name}({params}) {{")
+        chunks.extend(_stmts(definition.body, 1))
+        chunks.append("}")
+        chunks.append("")
     return "\n".join(chunks).rstrip() + "\n"
 
 

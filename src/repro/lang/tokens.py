@@ -14,7 +14,7 @@ EOF = "EOF"
 
 KEYWORDS = frozenset(
     {
-        "process", "func", "var", "if", "else", "while", "return", "skip",
+        "process", "var", "if", "else", "while", "return", "skip",
         "true", "false", "nil",
     }
 )
@@ -67,6 +67,3 @@ class Token:
     value: str
     line: int
     col: int
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r} @{self.line}:{self.col})"

@@ -5,7 +5,7 @@ paper's theorems argue about (wasted work, commit latency, cascade blast
 radius) as first-class counters/histograms instead of post-hoc trace
 grepping.  Wire it in with ``HopeSystem(metrics=MetricsRegistry())``;
 disabled (the default ``NullRegistry``) it costs nothing, the same
-contract as :class:`repro.sim.NullTracer`.
+contract as a disabled tracer (``Tracer(categories=())``).
 
 See docs/PERFORMANCE.md §5 ("Measuring speculation") for the metric set
 and exporter formats.

@@ -14,9 +14,9 @@ fast paths:
 * **sim-time only** — no instrument ever reads a wall clock; every
   observed duration is virtual time supplied by the caller, so metrics
   are as deterministic as the trace itself;
-* **disabled means free** — :class:`NullRegistry` hands out shared no-op
-  instruments and advertises ``enabled = False`` so embedding layers can
-  skip the observation code wholesale (the ``NullTracer`` pattern);
+* **disabled means free** — :class:`NullRegistry` advertises
+  ``enabled = False`` so embedding layers can skip the observation code
+  wholesale;
 * **bounded memory** — histograms have fixed buckets; nothing here grows
   with run length.
 """
@@ -53,9 +53,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
 
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
-
 
 class Gauge:
     """A point-in-time value (e.g. busy virtual time at snapshot)."""
@@ -70,9 +67,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -132,9 +126,6 @@ class Histogram:
         """(upper_bound, count) pairs, the tail as ``float('inf')``."""
         return list(zip(self.bounds + (float("inf"),), self.counts))
 
-    def __repr__(self) -> str:
-        return f"<Histogram {self.name} n={self.count} sum={self.sum:g}>"
-
 
 class MetricsRegistry:
     """Creates and holds named instruments; the exporters' input.
@@ -184,65 +175,13 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def snapshot(self) -> dict:
-        """Plain-data view of every instrument (for tests and JSON)."""
-        out: dict = {}
-        for metric in self:
-            if metric.kind == "histogram":
-                out[metric.name] = {
-                    "buckets": metric.items(),
-                    "sum": metric.sum,
-                    "count": metric.count,
-                }
-            else:
-                out[metric.name] = metric.value
-        return out
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
 
 class NullRegistry(MetricsRegistry):
-    """A registry that measures nothing — the default, for zero overhead.
-
-    Hands out shared no-op instruments, so code written against a real
-    registry runs unchanged; ``enabled = False`` lets hot paths skip the
-    observation calls entirely (the :class:`~repro.sim.NullTracer`
-    pattern — the engine checks once at construction, not per event).
-    """
+    """A registry that measures nothing — the default, for zero overhead:
+    ``enabled = False`` lets hot paths skip the observation calls entirely
+    (the engine checks once at construction, not per event)."""
 
     enabled = False
-
-    _COUNTER = _NullCounter("null")
-    _GAUGE = _NullGauge("null")
-    _HISTOGRAM = _NullHistogram("null", (1.0,))
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._GAUGE
-
-    def histogram(self, name: str, buckets: Iterable[float], help: str = "") -> Histogram:
-        return self._HISTOGRAM
 
 
 #: Default bucket bounds.  Cascade depth counts discarded intervals per

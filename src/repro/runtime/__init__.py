@@ -15,7 +15,7 @@ land one message hop later, are a timing model in the AIDMODE experiment.
 """
 
 from ..sim import TIMED_OUT
-from .api import AidHandle, CorrelationCounter, HopeProcess, aid_key, call
+from .api import AidHandle, HopeProcess, aid_key, call
 from .effects import (
     AffirmEffect,
     AidInitEffect,
@@ -33,7 +33,7 @@ from .effects import (
     SpawnEffect,
 )
 from .engine import HopeSystem, OutputRecord, ProcessRuntime, SpeculativeSpawnError
-from .messages import ReceivedMessage, RpcReply, RpcRequest, is_reply_to
+from .messages import ReceivedMessage, RpcReply, RpcRequest
 from .replay import Checkpoint, EffectLog, LogEntry, RebasePoint, ReplayDivergenceError
 from .resilience import (
     DETECTOR_PID,
@@ -62,11 +62,9 @@ __all__ = [
     "AidHandle",
     "aid_key",
     "call",
-    "CorrelationCounter",
     "ReceivedMessage",
     "RpcRequest",
     "RpcReply",
-    "is_reply_to",
     "EffectLog",
     "RebasePoint",
     "LogEntry",

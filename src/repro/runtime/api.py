@@ -254,9 +254,6 @@ class HopeProcess:
         """
         return CommitPointEffect(state)
 
-    def __repr__(self) -> str:
-        return f"HopeProcess({self.name!r})"
-
 
 #: Shared instances for the stateless effects (they are immutable and
 #: handlers only read them, so one object serves every yield — the
@@ -274,28 +271,12 @@ def call(p: HopeProcess, dst: str, body: Any, corr: int):
 
         reply = yield from call(p, "printer", ("print", text), corr)
 
-    ``corr`` must be unique per outstanding request within the caller —
-    the :class:`CorrelationCounter` below provides replay-safe ids.
+    ``corr`` must be unique per outstanding request within the caller; a
+    plain local counter in the body is replay-safe (a replay re-executes
+    the body, so it reproduces the same ids).
     """
     yield p.send(dst, RpcRequest(body, p.name, corr))
     message = yield p.recv(
         predicate=lambda m: isinstance(m.payload, RpcReply) and m.payload.corr == corr
     )
     return message.payload.body
-
-
-class CorrelationCounter:
-    """Replay-safe correlation ids.
-
-    Because process bodies re-execute deterministically during replay, a
-    plain local counter inside the body reproduces the same ids — this
-    helper just makes the idiom explicit.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def next(self) -> int:
-        value = self._next
-        self._next += 1
-        return value

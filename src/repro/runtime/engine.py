@@ -190,9 +190,6 @@ class ProcessRuntime:
         elif records:
             self.committed = [record.value for record in records]
 
-    def __repr__(self) -> str:
-        return f"<ProcessRuntime {self.name!r} restarts={self.restarts}>"
-
 
 class Outcomes:
     """The ledger of retired processes, in columns; a row is the retired
@@ -280,8 +277,7 @@ class _Incarnation(Task):
         self.context.mailbox._remove_waiter(self)
 
 
-#: Shared disabled registry: hands out no-op instruments, so one object
-#: serves every unmetered system (the NullTracer sharing idiom).
+#: Shared disabled registry: one object serves every unmetered system.
 _NULL_REGISTRY = NullRegistry()
 
 
@@ -338,7 +334,7 @@ class HopeSystem:
         :mod:`repro.obs.export` after :meth:`metrics_snapshot`.  The
         default is a shared :class:`repro.obs.NullRegistry`: no listener
         is subscribed and every metered branch is skipped, so the
-        disabled path costs nothing (the ``NullTracer`` contract);
+        disabled path costs nothing (as a ``Tracer(categories=())`` does);
         traces are byte-identical with metrics on or off.
     faults:
         Optional :class:`repro.sim.FaultPlan`.  When given, the network
@@ -466,7 +462,7 @@ class HopeSystem:
         # Observability: with a real registry, subscribe the metrics as
         # an extra machine listener; with the default NullRegistry
         # subscribe nothing at all, so the disabled path is exactly the
-        # pre-metrics hot path (the NullTracer pattern).
+        # pre-metrics hot path.
         self.metrics = metrics if metrics is not None else _NULL_REGISTRY
         self._metered = self.metrics.enabled
         if self._metered:

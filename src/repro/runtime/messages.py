@@ -54,8 +54,3 @@ class RpcReply(NamedTuple):
 
     def __repr__(self) -> str:
         return f"RpcReply({self.body!r} corr={self.corr})"
-
-
-def is_reply_to(message_payload: Any, corr: int) -> bool:
-    """Predicate: is this payload the reply with correlation id ``corr``?"""
-    return isinstance(message_payload, RpcReply) and message_payload.corr == corr

@@ -96,9 +96,6 @@ class RebasePoint:
         self.state = state
         self.time = time
 
-    def __repr__(self) -> str:
-        return f"RebasePoint(log_index={self.log_index}, t={self.time:.4f})"
-
 
 class Exited(NamedTuple):
     """The state of a *terminal* :class:`RebasePoint`: the body returned

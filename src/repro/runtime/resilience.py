@@ -145,10 +145,6 @@ class ReliableDelivery:
     def retract(self) -> None:
         self._transport._close(self._record, retract=True)
 
-    def __repr__(self) -> str:
-        state = "closed" if self._record.closed else f"attempt={self._record.attempts}"
-        return f"ReliableDelivery(#{self._record.msg_id} {state})"
-
 
 class ReliableTransport:
     """Ack/retry/dedup layer over the engine's network.

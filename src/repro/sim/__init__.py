@@ -16,7 +16,6 @@ from .kernel import (
 from .process import (
     TIMED_OUT,
     Effect,
-    Fork,
     GetTime,
     Halt,
     Recv,
@@ -38,14 +37,13 @@ from .faults import (
 )
 from .latency import (
     ConstantLatency,
-    ExponentialLatency,
     LatencyModel,
     LinkLatency,
     SequenceLatency,
     UniformLatency,
 )
 from .random import RandomStream, RandomStreams, derive_seed
-from .trace import NullTracer, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 from .failure import CrashRecord, FailureInjector
 from .timeline import ProcessTimeline, Span, Timeline
 from .render import render_timeline, render_utilization
@@ -60,7 +58,6 @@ __all__ = [
     "Timeout",
     "Recv",
     "GetTime",
-    "Fork",
     "Halt",
     "Task",
     "TaskKilled",
@@ -82,14 +79,12 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "SequenceLatency",
     "LinkLatency",
     "RandomStream",
     "RandomStreams",
     "derive_seed",
     "Tracer",
-    "NullTracer",
     "TraceRecord",
     "FailureInjector",
     "CrashRecord",

@@ -64,10 +64,6 @@ class Message:
         self.holds = 0
         self.copies = 0
 
-    def __repr__(self) -> str:
-        flags = " dead" if self.dead else ""
-        return f"<Message #{self.msg_id} {self.src}->{self.dst} {self.payload!r}{flags}>"
-
 
 class Delivery:
     """Handle on a sent message; supports retraction at any point.
@@ -109,9 +105,6 @@ class Delivery:
     @property
     def delivered(self) -> bool:
         return self.message.deliver_time is not None
-
-    def __repr__(self) -> str:
-        return f"Delivery({self.message!r})"
 
 
 class _Waiter:
@@ -593,6 +586,3 @@ class Network:
         """Fill transport-specific gauges on the
         :class:`repro.obs.SpeculationMetrics` instrument set during a
         metrics snapshot.  The reliable base network has none."""
-
-    def __repr__(self) -> str:
-        return f"<Network endpoints={len(self._mailboxes)} sent={self.messages_sent}>"

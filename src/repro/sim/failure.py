@@ -1,4 +1,4 @@
-"""Failure injection: crash processes at chosen or random times.
+"""Failure injection: crash processes at chosen times.
 
 Used by the optimistic-recovery application (:mod:`repro.apps.recovery`) —
 the original domain of optimism per Strom & Yemini [24] — and by
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import ScheduledEvent, SimulationError, Simulator
-from .random import RandomStream
+from .kernel import SimulationError, Simulator
 
 
 class CrashRecord:
@@ -62,7 +61,6 @@ class FailureInjector:
         self.crashes: list[CrashRecord] = []
         self._kill_fn: Optional[Callable[[str], None]] = None
         self._restart_fn: Optional[Callable[[str], None]] = None
-        self._pending: list[ScheduledEvent] = []
 
     def attach(
         self,
@@ -86,38 +84,9 @@ class FailureInjector:
                 f"crash_at({process!r}, restart_after={restart_after}) needs a "
                 "restart_fn: call attach(kill_fn, restart_fn=...) first"
             )
-        self._pending.append(
-            self.sim.schedule_at(
-                time, self._do_crash, process, restart_after, label=f"crash:{process}"
-            )
+        self.sim.schedule_at(
+            time, self._do_crash, process, restart_after, label=f"crash:{process}"
         )
-
-    def crash_randomly(
-        self,
-        process: str,
-        rate: float,
-        stream: RandomStream,
-        horizon: float,
-        restart_after: Optional[float] = None,
-    ) -> int:
-        """Schedule Poisson crashes for ``process`` up to virtual ``horizon``.
-
-        Returns how many crashes were scheduled.
-        """
-        if rate <= 0:
-            return 0
-        scheduled = 0
-        t = self.sim.now + stream.expovariate(rate)
-        while t < horizon:
-            self.crash_at(process, t, restart_after)
-            scheduled += 1
-            t += stream.expovariate(rate)
-        return scheduled
-
-    def cancel_all(self) -> None:
-        for event in self._pending:
-            event.cancel()
-        self._pending.clear()
 
     def _do_crash(self, process: str, restart_after: Optional[float]) -> None:
         if self._kill_fn is None:
@@ -137,8 +106,3 @@ class FailureInjector:
             self.sim.schedule(
                 restart_after, self._restart_fn, process, label=f"restart:{process}"
             )
-
-    def crash_count(self, process: Optional[str] = None) -> int:
-        if process is None:
-            return len(self.crashes)
-        return sum(1 for c in self.crashes if c.process == process)

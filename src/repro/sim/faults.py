@@ -128,14 +128,6 @@ class LinkFaults:
             return NotImplemented
         return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{slot}={getattr(self, slot)!r}"
-            for slot in self.__slots__
-            if getattr(self, slot) != 0.0
-        )
-        return f"LinkFaults({fields})"
-
 
 #: Shared all-zero parameter block — the default for untouched links.
 NO_FAULTS = LinkFaults()
@@ -220,13 +212,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash((frozenset((self.a, self.b)), self.start, self.heal_at))
 
-    def __repr__(self) -> str:
-        heal = "inf" if math.isinf(self.heal_at) else f"{self.heal_at:g}"
-        return (
-            f"Partition({sorted(self.a)}|{sorted(self.b)}, "
-            f"t=[{self.start:g}, {heal}))"
-        )
-
 
 class FaultPlan:
     """A complete, serializable description of what the network does wrong.
@@ -304,14 +289,6 @@ class FaultPlan:
             partitions=[Partition.from_dict(p) for p in data.get("partitions", [])],
         )
 
-    def __repr__(self) -> str:
-        parts = [f"default={self.default!r}"]
-        if self.links:
-            parts.append(f"links={len(self.links)}")
-        if self.partitions:
-            parts.append(f"partitions={list(self.partitions)!r}")
-        return f"FaultPlan({', '.join(parts)})"
-
 
 class FaultStats:
     """Counters for everything the fault layer did to traffic."""
@@ -335,10 +312,6 @@ class FaultStats:
 
     def as_dict(self) -> dict:
         return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __repr__(self) -> str:
-        fields = " ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<FaultStats {fields}>"
 
 
 class FateSource:
@@ -492,9 +465,3 @@ class FaultyNetwork(Network):
             self.fault_stats.heartbeats_dropped += 1
             return True
         return False
-
-    def __repr__(self) -> str:
-        return (
-            f"<FaultyNetwork endpoints={len(self._mailboxes)} "
-            f"sent={self.messages_sent} {self.fault_stats!r}>"
-        )

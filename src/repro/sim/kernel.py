@@ -318,6 +318,15 @@ class Simulator:
                 if until is not None and event.time > until:
                     self._now = until
                     break
+                if budget is not None:
+                    # Before the pop: the event over budget stays queued,
+                    # so a run that resumes after the exception fires it.
+                    if not budget:
+                        raise EventLimitExceeded(
+                            f"exceeded {max_events} events at t={event.time:.6g}; "
+                            f"likely livelock (next: {event!r})"
+                        )
+                    budget -= 1
                 if controlled:
                     event = self._pop_controlled()
                 else:
@@ -326,13 +335,6 @@ class Simulator:
                 event.sim = None  # detach: a late cancel() must not re-decrement
                 self._now = event.time
                 self._events_processed += 1
-                if budget is not None:
-                    budget -= 1
-                    if budget < 0:
-                        raise EventLimitExceeded(
-                            f"exceeded {max_events} events at t={self._now:.6g}; "
-                            f"likely livelock (next: {event!r})"
-                        )
                 event.fn(*event.args)
         finally:
             self._running = False

@@ -9,7 +9,6 @@ seeded simulation replays identically.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Protocol
 
 from .kernel import SimulationError
@@ -34,9 +33,6 @@ class ConstantLatency:
     def sample(self, src: str, dst: str) -> float:
         return self.value
 
-    def __repr__(self) -> str:
-        return f"ConstantLatency({self.value!r})"
-
 
 class UniformLatency:
     """Latency drawn uniformly from ``[low, high]``."""
@@ -50,32 +46,6 @@ class UniformLatency:
 
     def sample(self, src: str, dst: str) -> float:
         return self._stream.uniform(self.low, self.high)
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low!r}, {self.high!r})"
-
-
-class ExponentialLatency:
-    """Exponential latency with the given ``mean``, floored at ``minimum``.
-
-    The floor models the propagation delay under queueing jitter.
-    """
-
-    def __init__(self, mean: float, stream: RandomStream, minimum: float = 0.0) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
-        if minimum < 0:
-            raise ValueError(f"minimum must be >= 0, got {minimum}")
-        self.mean = mean
-        self.minimum = minimum
-        self._stream = stream
-
-    def sample(self, src: str, dst: str) -> float:
-        draw = -self.mean * math.log(1.0 - self._stream.random())
-        return self.minimum + draw
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency(mean={self.mean!r}, min={self.minimum!r})"
 
 
 class SequenceLatency:
@@ -134,6 +104,3 @@ class LinkLatency:
     def sample(self, src: str, dst: str) -> float:
         model = self._links.get((src, dst), self._default)
         return model.sample(src, dst)
-
-    def __repr__(self) -> str:
-        return f"LinkLatency({len(self._links)} links, default={self._default!r})"

@@ -46,9 +46,6 @@ class Timeout(Effect):
             raise ValueError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
 
-    def __repr__(self) -> str:
-        return f"Timeout({self.delay!r})"
-
 
 class Recv(Effect):
     """Block until a message is available in ``mailbox``.
@@ -70,40 +67,17 @@ class Recv(Effect):
         self.timeout = timeout
         self.predicate = predicate
 
-    def __repr__(self) -> str:
-        return f"Recv({self.mailbox!r}, timeout={self.timeout!r})"
-
 
 class GetTime(Effect):
     """Resume immediately with the current virtual time."""
 
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "GetTime()"
-
-
-class Fork(Effect):
-    """Spawn a child task; resumes with the new :class:`Task`."""
-
-    __slots__ = ("name", "fn", "args")
-
-    def __init__(self, name: str, fn: Callable[..., Generator], *args: Any) -> None:
-        self.name = name
-        self.fn = fn
-        self.args = args
-
-    def __repr__(self) -> str:
-        return f"Fork({self.name!r})"
-
 
 class Halt(Effect):
     """Terminate the task immediately (like returning from the generator)."""
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Halt()"
 
 
 class _TimedOut:
@@ -148,10 +122,10 @@ class Task:
     """A generator coroutine scheduled on a :class:`Simulator`.
 
     ``handler(task, effect)`` performs one yielded effect and must arrange
-    for ``task.resume(value)`` (or ``task.throw(exc)``) to be called
-    exactly once.  When ``handler`` is None the default sim-level handler
-    is used.  The HOPE runtime passes its own handler to interpose logging
-    and tagging on every effect.
+    for ``task.resume(value)`` to be called exactly once.  When
+    ``handler`` is None the default sim-level handler is used.  The HOPE
+    runtime passes its own handler to interpose logging and tagging on
+    every effect.
 
     The task is also the view of the world its body gets: ``fn(task,
     *args)`` reads ``task.now``, ``task.name`` and ``task.context``, an
@@ -234,10 +208,6 @@ class Task:
     def done(self) -> bool:
         return self._state == Task._DONE
 
-    @property
-    def failed(self) -> bool:
-        return self._state == Task._FAILED
-
     def resume(self, value: Any = None) -> None:
         """Resume the generator with ``value`` as the result of its yield.
 
@@ -246,11 +216,6 @@ class Task:
         """
         self._expect_waiting("resume")
         self._pending = self.sim.call_soon(self._step, value, False, label="resume:" + self.name)
-
-    def throw(self, exc: BaseException) -> None:
-        """Resume the generator by raising ``exc`` at its yield point."""
-        self._expect_waiting("throw")
-        self._pending = self.sim.call_soon(self._step, exc, True, label="throw:" + self.name)
 
     def resume_inline(self, value: Any = None) -> None:
         """Resume immediately, from within this task's own pending callback.
@@ -423,9 +388,6 @@ class Task:
         if self._pending is not None:
             raise SimulationError(f"task {self.name!r} already has a pending resume")
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Task {self.name!r} {self._state}>"
-
 
 def _start_batch(tasks: list) -> None:
     """Step a start batch's tasks in start order, skipping the killed; if
@@ -452,10 +414,6 @@ def default_effect_handler(task: Task, effect: Effect) -> None:
         effect.mailbox.register_receiver(task, effect.timeout, effect.predicate)
     elif isinstance(effect, GetTime):
         task.resume(task.sim.now)
-    elif isinstance(effect, Fork):
-        child = Task(task.sim, effect.name, effect.fn, *effect.args, handler=task.handler)
-        child.start()
-        task.resume(child)
     elif isinstance(effect, Halt):
         task._state = Task._DONE
         if task._gen is not None:

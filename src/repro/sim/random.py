@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -38,33 +35,15 @@ class RandomStream:
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
 
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         return self._rng.randint(low, high)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {p}")
         return self._rng.random() < p
-
-    def getstate(self):
-        return self._rng.getstate()
-
-    def setstate(self, state) -> None:
-        self._rng.setstate(state)
-
-    def __repr__(self) -> str:
-        return f"RandomStream({self.name!r}, seed={self.seed})"
 
 
 class RandomStreams:
@@ -86,9 +65,3 @@ class RandomStreams:
 
     def __getitem__(self, name: str) -> RandomStream:
         return self.stream(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._streams)
-
-    def __repr__(self) -> str:
-        return f"RandomStreams(root_seed={self.root_seed}, streams={self.names()})"

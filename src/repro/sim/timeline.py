@@ -28,9 +28,6 @@ class Span:
         self.start = start
         self.end = end
 
-    def __repr__(self) -> str:
-        return f"<Span {self.kind} [{self.start:.4f}, {self.end:.4f})>"
-
 
 #: The slot of :class:`ProcessTimeline` a span kind's folded total lives in.
 _FOLDED = {Span.BUSY: "_busy", Span.BLOCKED: "_blocked", Span.WASTED: "_wasted"}

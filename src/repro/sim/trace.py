@@ -68,7 +68,7 @@ class Tracer:
         ones — a subscriber is a streaming consumer (the fossil benchmark
         digests the full trace through a ``max_records=1`` tracer), so it
         must see records the bound will immediately discard.  A disabled
-        tracer (``categories=()``, i.e. :class:`NullTracer`) records
+        tracer (``categories=()``) records
         nothing, counts nothing, and notifies nobody: ``record()`` is a
         pure no-op, matching the engine's skip-wholesale fast path.
         """
@@ -100,12 +100,6 @@ class Tracer:
                 "its record() is a no-op and would never notify"
             )
         self._listeners.append(listener)
-
-    def by_category(self, category: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.category == category]
-
-    def by_process(self, process: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.process == process]
 
     def count(self, category: str) -> int:
         """Total occurrences of ``category``, including filtered-out ones."""
@@ -145,15 +139,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class NullTracer(Tracer):
-    """A tracer whose ``record()`` is a pure no-op — for benchmarks.
-
-    Records nothing, counts nothing: the whole point is that the traced
-    and untraced hot paths differ only by one early-return, so overhead
-    benchmarks measure the runtime, not the tracer.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(categories=())

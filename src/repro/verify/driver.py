@@ -550,6 +550,7 @@ class ExplorationReport:
     """Aggregate of an exploration campaign."""
 
     runs: list = field(default_factory=list)
+    repro_files: list = field(default_factory=list)
 
     @property
     def failures(self) -> list:
@@ -565,6 +566,7 @@ class ExplorationReport:
             f"{len(self.runs)} runs, {len(self.failures)} failing, "
             f"{rollbacks} rollbacks exercised",
             *failure_lines(self.failures, lambda run: f"{run.scenario.name} seed={run.seed}"),
+            *(f"  reproducer: {path}" for path in self.repro_files),
         ]
         return "\n".join(lines)
 
@@ -582,13 +584,15 @@ def explore(
     root_seed: int = 0,
     check_determinism: bool = False,
     shuffle_ties: bool = False,
+    repro_dir: Optional[str] = None,
 ) -> ExplorationReport:
     """Walk ``n_runs`` random scenarios at random latencies.
 
     Latency and verification delays are drawn per run, which permutes
     message orders and verdict timings across runs; ``shuffle_ties``
     also draws every same-time tie.  ``check_determinism`` re-runs each
-    walk and requires the same trace fingerprint.
+    walk and requires the same trace fingerprint.  Each failing walk
+    shrinks to a reproducer in ``repro_dir``, if given.
     """
     picker = RandomStreams(root_seed)["scenario"]
     report = ExplorationReport()
@@ -605,5 +609,8 @@ def explore(
         if check_determinism and run.ok:
             if walk(scenario, shuffle=shuffle_ties, **config).fingerprint != run.fingerprint:
                 run.violations.append("non-deterministic trace for equal seed")
+        if run.violations and repro_dir is not None:
+            path = os.path.join(repro_dir, f"repro-walk-{scenario.name}-seed{run.seed}.json")
+            report.repro_files.append(reproduce(run, path))
         report.runs.append(run)
     return report

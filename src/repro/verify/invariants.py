@@ -48,7 +48,13 @@ class LedgerMonitor:
 
     def __init__(self, system: HopeSystem) -> None:
         self.system = system
+        #: Verified committed prefix per process.  A retired process's
+        #: ledger is final, so its list is dropped after one last full
+        #: check: when a full check finds it retired, or in the sweep
+        #: that runs whenever the table reaches ``_limit`` (twice its
+        #: size after the last one).
         self._snapshots: dict[str, list] = {}
+        self._limit = 8
         #: Output records examined by the streaming checks (the
         #: monitor-overhead observable; see tests/verify).
         self.scans = 0
@@ -69,11 +75,18 @@ class LedgerMonitor:
         proc = self.system.procs.get(name)
         if proc is not None:
             committed, outputs = proc.committed, proc.outputs
-        elif full and name in self.system.timeline:
-            committed, outputs = self.system.committed_outputs(name), ()   # retired
+        elif full and name in self._snapshots:      # retired since: a last check
+            committed, outputs = self.system.committed_outputs(name), ()
         else:
-            return  # pseudo-pids (e.g. the failure detector) own no ledger
-        snapshot = self._snapshots.setdefault(name, [])
+            return  # retired and checked, or a pseudo-pid (e.g. the failure detector)
+        snapshot = self._snapshots.get(name)
+        if snapshot is None:
+            if len(self._snapshots) >= self._limit:
+                for retired in [n for n in self._snapshots if n not in self.system.procs]:
+                    self._check(retired, full=True)
+                self._snapshots = dict(self._snapshots)     # (a dict keeps its largest size)
+                self._limit = 2 * len(self._snapshots) + 8
+            snapshot = self._snapshots[name] = []
         k, n = len(snapshot), len(committed)
         if full:
             ledger = self.system.committed_outputs(name)
@@ -84,6 +97,8 @@ class LedgerMonitor:
                     f"{snapshot!r} -> {ledger!r}"
                 )
             snapshot.extend(ledger[k:])
+            if proc is None:
+                del self._snapshots[name]
             return
         # Delta path: the boundary sentinel — a value behind the watermark
         # or a record above it — catches a vanished or mutated prefix tail

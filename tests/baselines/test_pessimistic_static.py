@@ -1,6 +1,4 @@
-"""Tests for the pessimistic analytic model and the static-scope baseline."""
-
-import pytest
+"""Tests for the static-scope baseline."""
 
 from repro.apps.call_streaming import (
     CallStreamConfig,
@@ -8,38 +6,7 @@ from repro.apps.call_streaming import (
     run_optimistic,
     run_pessimistic,
 )
-from repro.baselines.pessimistic import (
-    RpcChain,
-    RpcStep,
-    predict_completion,
-    run_chain,
-)
 from repro.baselines.static_scope import run_static_scope
-
-
-# ---------------------------------------------------------------- pessimistic
-def test_predict_matches_simulation_single_rpc():
-    chain = RpcChain(steps=(RpcStep(compute=2.0, rpc_service=1.0),), latency=10.0)
-    assert predict_completion(chain) == pytest.approx(2.0 + 20.0 + 1.0)
-    assert run_chain(chain) == pytest.approx(predict_completion(chain))
-
-
-def test_predict_matches_simulation_long_chain():
-    steps = tuple(
-        RpcStep(compute=1.5, rpc_service=0.5) if i % 2 == 0 else RpcStep(compute=3.0)
-        for i in range(12)
-    )
-    chain = RpcChain(steps=steps, latency=7.0)
-    assert run_chain(chain) == pytest.approx(predict_completion(chain))
-
-
-def test_latency_dominates_for_remote_chains():
-    """The paper's motivation: RPC latency swamps compute at WAN distances."""
-    compute_only = RpcChain(steps=(RpcStep(compute=10.0),), latency=100.0)
-    with_rpc = RpcChain(
-        steps=(RpcStep(compute=10.0, rpc_service=0.1),), latency=100.0
-    )
-    assert predict_completion(with_rpc) > 20 * predict_completion(compute_only)
 
 
 # ---------------------------------------------------------------- static scope

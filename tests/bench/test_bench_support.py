@@ -6,24 +6,12 @@ from repro.apps.call_streaming import expected_output, run_optimistic, run_pessi
 from repro.bench import (
     find_crossover,
     format_table,
-    mean,
-    percentile,
     probabilistic_config,
     speedup,
     streaming_config,
     sweep,
     vt_workload,
 )
-
-
-def test_mean_and_percentile():
-    assert mean([1.0, 2.0, 3.0]) == 2.0
-    assert percentile([5, 1, 9, 3], 0) == 1
-    assert percentile([5, 1, 9, 3], 100) == 9
-    with pytest.raises(ValueError):
-        mean([])
-    with pytest.raises(ValueError):
-        percentile([1], 150)
 
 
 def test_speedup():

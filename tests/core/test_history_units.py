@@ -48,22 +48,6 @@ def test_history_entry_repr():
     assert "H[3]" in text and "guess" in text and "x#1" in text
 
 
-def test_live_intervals_from_and_chain():
-    machine = Machine(strict=False)
-    machine.create_process("p")
-    machine.create_process("q")
-    aids = [machine.aid_init(f"a{i}") for i in range(3)]
-    for aid in aids:
-        machine.guess("p", aid)
-    record = machine.process("p")
-    chain = record.speculative_chain()
-    assert len(chain) == 3
-    start = chain[1].start_index
-    assert record.live_intervals_from(start) == chain[1:]
-    machine.affirm("q", aids[0])
-    assert len(record.speculative_chain()) == 2
-
-
 def test_unknown_process_and_aid_errors():
     machine = Machine()
     with pytest.raises(UnknownProcessError):
@@ -96,7 +80,7 @@ def test_interval_labels_and_depends_on():
     machine.guess("p", x)
     interval = machine.process("p").current
     assert "lock" in interval.label
-    assert interval.depends_on(x)
+    assert x in interval.ido
     assert "p/I" in interval.label
 
 

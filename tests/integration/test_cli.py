@@ -309,30 +309,38 @@ def test_verify_unknown_scenario_is_usage_error():
     assert "no scenario matches" in out
 
 
-def test_verify_injected_bug_writes_replayable_reproducer(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode, prescribed", [
+    (["--scenario", "two_aid(x=True,y=True)"], True),               # DPOR: repro-dpor-*
+    # one failing walk (repro-walk-*); its latency alone fails it, so it
+    # shrinks to the empty prefix
+    (["--mode", "random", "--runs", "10", "--seed", "5"], False),
+], ids=["dpor", "random"])
+def test_verify_injected_bug_writes_replayable_reproducer(tmp_path, monkeypatch, mode, prescribed):
     import json
 
-    monkeypatch.setenv("REPRO_VERIFY_INJECT_BUG", "1")
-    code, out = run_cli(
-        [
-            "verify", "--scenario", "two_aid(x=True,y=True)",
-            "--repro-dir", str(tmp_path),
-        ]
-    )
+    from repro.verify import driver
+
+    monkeypatch.setenv("REPRO_VERIFY_INJECT_BUG", "1")      # the DPOR seam; a walk's bug is planted
+    walk = driver.walk
+    monkeypatch.setattr(driver, "walk", lambda sc, **kw: walk(sc, inject_bug=True, **kw))
+    code, out = run_cli(["verify", *mode, "--repro-dir", str(tmp_path)])
     assert code == 1
     assert "injected bug" in out
-    repros = list(tmp_path.glob("repro-dpor-*.json"))
+    repros = list(tmp_path.glob("repro-*.json"))
     assert len(repros) == 1
+    assert f"reproducer: {repros[0]}" in out
     payload = json.loads(repros[0].read_text())
-    assert payload["inject_bug"] is True and payload["choices"]
+    assert payload["inject_bug"] is True and bool(payload["choices"]) is prescribed
     assert str(repros[0]) in payload["command"]
 
     # the reproducer is self-contained (inject_bug is stored in the
-    # payload): replaying it reproduces the violation without the env flag
-    monkeypatch.delenv("REPRO_VERIFY_INJECT_BUG")
-    code, out = run_cli(["verify", "--repro", str(repros[0])])
-    assert code == 1
-    assert "injected bug" in out
+    # payload): replaying it reproduces the violation with nothing
+    # planted, under either command
+    monkeypatch.undo()
+    for command in ("verify", "chaos"):
+        code, out = run_cli([command, "--repro", str(repros[0])])
+        assert code == 1, (command, out)
+        assert "injected bug" in out
 
     # a replay whose recorded bug no longer exists exits clean
     payload["inject_bug"] = False

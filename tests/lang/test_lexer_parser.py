@@ -52,7 +52,7 @@ def test_line_numbers_tracked():
 # ---------------------------------------------------------------- parser
 def test_parse_empty_process():
     program = parse("process Main() { }")
-    assert program.names() == ["Main"]
+    assert [proc.name for proc in program.processes] == ["Main"]
     assert program.process("Main").body == ()
 
 
@@ -122,6 +122,6 @@ def test_unbalanced_braces_raise():
 
 def test_multiple_processes():
     program = parse("process A() { } process B() { }")
-    assert program.names() == ["A", "B"]
+    assert [proc.name for proc in program.processes] == ["A", "B"]
     with pytest.raises(KeyError):
         program.process("C")

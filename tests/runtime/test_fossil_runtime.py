@@ -200,8 +200,8 @@ class TestCommitPointSemantics:
         restart would re-feed every entry up to the absolute log position
         its rollback returned to (the trace's ``to_log_index``)."""
         coll, tracer, _ = _run(seed=2, rounds=60)
-        entry = [r.detail["to_log_index"] for r in tracer.by_category("rollback")]
-        replays = [r.detail["replay"] for r in tracer.by_category("restart")]
+        entry = [r.detail["to_log_index"] for r in tracer.records if r.category == "rollback"]
+        replays = [r.detail["replay"] for r in tracer.records if r.category == "restart"]
         assert len(replays) == len(entry) == coll.stats()["rollbacks"] > 0
         # the same result from far fewer replayed effects
         never, _, _ = _run(seed=2, interval=NEVER, rounds=60)
@@ -217,7 +217,7 @@ class TestCommitPointSemantics:
         before = coll.stats()
         coll.run()
         after = coll.stats()
-        restarts = [r for r in tracer.by_category("restart") if r.process == "worker"]
+        restarts = [r for r in tracer.records if (r.category, r.process) == ("restart", "worker")]
         assert restarts and all(r.detail["replay"] == 2 for r in restarts)
         assert after["restarts"] - before["restarts"] == len(restarts)
         assert after["replayed_effects"] - before["replayed_effects"] == 2 * len(restarts)
@@ -238,7 +238,8 @@ class TestCommitPointSemantics:
         replayed = system.stats()["replayed_effects"]
         assert replayed and system.stats()["fossil_log_dropped"]
         assert registry.get("hope_replay_entries_total").value == replayed
-        assert sum(r.detail["replay"] for r in tracer.by_category("restart")) == replayed
+        restarts = [r for r in tracer.records if r.category == "restart"]
+        assert sum(r.detail["replay"] for r in restarts) == replayed
 
     def test_crash_clears_rebase_state(self):
         coll, _, _ = _run(seed=1, rounds=40, until=40.0)

@@ -8,6 +8,8 @@ laziness, no compaction — nothing to get wrong, which is the point.
 
 from bisect import insort
 
+from repro.sim import EventLimitExceeded
+
 
 class RefEvent:
     def __init__(self, queue, time, seq, fn, args):
@@ -27,6 +29,7 @@ class ReferenceQueue:
         self.now = 0.0
         self.events = []
         self.seq = 0
+        self.events_processed = 0
         self.controller = controller
 
     def schedule(self, delay, fn, *args):
@@ -53,12 +56,17 @@ class ReferenceQueue:
             index = self.controller.choose(head, batch)
         event = self.events.pop(index)
         self.now = event.time
+        self.events_processed += 1
         event.fn(*event.args)
         return True
 
-    def run(self, until=None):
+    def run(self, until=None, max_events=None):
         assert until is None or until >= self.now
         while self.events and (until is None or self.events[0].time <= until):
+            if max_events is not None:
+                if not max_events:
+                    raise EventLimitExceeded("the over-budget event stays queued")
+                max_events -= 1
             self.step()
         if until is not None:
             self.now = until

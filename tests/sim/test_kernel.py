@@ -137,6 +137,17 @@ def test_max_events_guards_livelock(sim):
         sim.run(max_events=100)
 
 
+def test_an_exceeded_event_budget_loses_no_event(sim):
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, fired.append, t)
+    with pytest.raises(EventLimitExceeded, match="t=2"):
+        sim.run(max_events=1)
+    assert (fired, sim.now, sim.events_processed) == ([1.0], 1.0, 1)
+    sim.run()
+    assert (fired, sim.events_processed) == ([1.0, 2.0, 3.0], 3)
+
+
 def test_stop_breaks_run_loop(sim):
     fired = []
     sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))

@@ -4,7 +4,8 @@ reference in ``reference_queue.py``.
 Both run the same random program — schedules (same-time ties, zero
 delays scheduled from inside callbacks), cancels (including after the
 event fired, and storms large enough to cross the compaction floor),
-``run(until=...)``, ``step()`` — plainly or under a recording schedule
+``run(until=...)``, ``step()``, ``run(max_events=...)`` and a resume —
+plainly or under a recording schedule
 controller.  After every
 operation they must agree on the firing order, the clock,
 ``pending_events`` and ``peek_time()``, and the heap must respect the
@@ -13,7 +14,7 @@ compaction bound.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim import Simulator
+from repro.sim import EventLimitExceeded, Simulator
 
 from .reference_queue import ReferenceQueue
 
@@ -42,6 +43,7 @@ OPS = st.lists(
         st.tuples(st.just("storm"), st.integers(1, 5), st.integers(0, 3)),
         st.tuples(st.just("run"), st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, 7.0]))),
         st.just(("step",)),
+        st.tuples(st.just("bounded"), st.integers(0, 40)),
     ),
     max_size=30,
 )
@@ -96,6 +98,12 @@ class Runner:
         elif kind == "run":
             until = None if op[1] is None else self.queue.now + op[1]
             return self.queue.run(until=until)
+        elif kind == "bounded":    # run(max_events=n), then resume
+            try:
+                stopped = self.queue.run(max_events=op[1]), None
+            except EventLimitExceeded:
+                stopped = self.queue.now, (len(self.fired), self.queue.pending_events)
+            return stopped, self.queue.run()
         else:
             return self.queue.step()
 
@@ -134,6 +142,7 @@ def test_heap_matches_the_sorted_list_reference(mode, picks, actions, ops):
         assert under_test.apply(op) == oracle.apply(op), op
         assert under_test.fired == oracle.fired, op
         assert sim.now == ref.now
+        assert sim.events_processed == ref.events_processed
         assert sim.pending_events == ref.pending_events
         assert len(sim._heap) <= 2 * sim.pending_events + 64
         assert sim.peek_time() == ref.peek_time()

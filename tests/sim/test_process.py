@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     TIMED_OUT,
-    Fork,
     GetTime,
     Halt,
     Network,
@@ -116,24 +115,6 @@ def test_recv_timeout_cancelled_when_message_wins():
     assert sim.now == 1.0  # the 10s timer did not hold the clock
 
 
-def test_fork_spawns_child():
-    sim = Simulator()
-    log = []
-
-    def child(env):
-        yield Timeout(1.0)
-        log.append("child")
-
-    def parent(env):
-        yield Fork("kid", child)
-        log.append("parent")
-        yield Timeout(5.0)
-
-    Task(sim, "parent", parent).start()
-    sim.run()
-    assert log == ["parent", "child"]
-
-
 def test_halt_terminates_immediately():
     sim = Simulator()
     log = []
@@ -206,7 +187,7 @@ def test_task_exception_propagates_and_marks_failed():
     task = Task(sim, "t", body).start()
     with pytest.raises(ValueError):
         sim.run()
-    assert task.failed
+    assert task.state == "failed"
     assert isinstance(task.error, ValueError)
 
 

@@ -5,10 +5,8 @@ import pytest
 from repro.sim import (
     ConstantLatency,
     CrashRecord,
-    ExponentialLatency,
     FailureInjector,
     LinkLatency,
-    NullTracer,
     RandomStream,
     RandomStreams,
     SequenceLatency,
@@ -37,13 +35,6 @@ def test_uniform_latency_within_bounds():
     model = UniformLatency(1.0, 2.0, streams["lat"])
     for _ in range(100):
         assert 1.0 <= model.sample("a", "b") <= 2.0
-
-
-def test_exponential_latency_respects_minimum():
-    streams = RandomStreams(7)
-    model = ExponentialLatency(5.0, streams["lat"], minimum=2.0)
-    for _ in range(100):
-        assert model.sample("a", "b") >= 2.0
 
 
 def test_sequence_latency_cycles():
@@ -97,8 +88,8 @@ def test_tracer_records_and_counts():
     tracer.record(2.0, "recv", "q", src="p")
     assert len(tracer) == 2
     assert tracer.count("send") == 1
-    assert [r.process for r in tracer.by_category("recv")] == ["q"]
-    assert tracer.by_process("p")[0].detail == {"dst": "q"}
+    assert [(r.category, r.process, r.detail) for r in tracer.records] == [
+        ("send", "p", {"dst": "q"}), ("recv", "q", {"src": "p"})]
 
 
 def test_tracer_category_filter_still_counts():
@@ -138,7 +129,7 @@ def test_tracer_fingerprint_raises_on_truncated_trace():
 
 
 def test_null_tracer_records_nothing():
-    tracer = NullTracer()
+    tracer = Tracer(categories=())
     tracer.record(1.0, "send", "p")
     assert len(tracer) == 0
     assert tracer.count("send") == 0
@@ -146,7 +137,7 @@ def test_null_tracer_records_nothing():
 
 
 def test_null_tracer_refuses_subscribers():
-    tracer = NullTracer()
+    tracer = Tracer(categories=())
     with pytest.raises(ValueError, match="disabled tracer"):
         tracer.subscribe(lambda rec: None)
 
@@ -181,9 +172,7 @@ def test_crash_at_kills_process():
     injector.crash_at("victim", 5.0)
     sim.run()
     assert killed == ["victim"]
-    assert injector.crash_count() == 1
-    assert injector.crash_count("victim") == 1
-    assert injector.crash_count("other") == 0
+    assert [c.process for c in injector.crashes] == ["victim"]
 
 
 def test_crash_with_restart():
@@ -197,28 +186,6 @@ def test_crash_with_restart():
     injector.crash_at("victim", 2.0, restart_after=3.0)
     sim.run()
     assert log == [("kill", "victim", 2.0), ("restart", "victim", 5.0)]
-
-
-def test_crash_randomly_schedules_poisson_crashes():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    injector.attach(kill_fn=lambda p: None)
-    stream = RandomStreams(3)["crash"]
-    n = injector.crash_randomly("victim", rate=1.0, stream=stream, horizon=20.0)
-    assert n > 0
-    sim.run()
-    assert injector.crash_count("victim") == n
-
-
-def test_cancel_all_prevents_crashes():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    killed = []
-    injector.attach(kill_fn=killed.append)
-    injector.crash_at("victim", 5.0)
-    injector.cancel_all()
-    sim.run()
-    assert killed == []
 
 
 def test_unattached_injector_raises():
@@ -326,7 +293,7 @@ def test_crash_at_with_restart_but_no_restart_fn_raises_at_schedule_time():
     assert "victim" in str(exc.value)
     # nothing was scheduled: the run must not crash anyone
     sim.run()
-    assert injector.crash_count() == 0
+    assert injector.crashes == []
 
 
 def test_crash_record_marks_restart_requested():

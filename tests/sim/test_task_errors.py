@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    Fork,
     Recv,
     Network,
     SimulationError,
@@ -93,32 +92,6 @@ def test_task_swallowing_taskkilled_does_not_crash_kernel():
     task.kill()
     sim.run()
     assert task.state == "killed"
-
-
-def test_forked_child_inherits_handler():
-    sim = Simulator()
-    seen = []
-
-    calls = []
-
-    def handler(task, effect):
-        calls.append((task.name, type(effect).__name__))
-        from repro.sim import default_effect_handler
-
-        default_effect_handler(task, effect)
-
-    def child(env):
-        yield Timeout(1.0)
-        seen.append("child-done")
-
-    def parent(env):
-        yield Fork("kid", child)
-        yield Timeout(2.0)
-
-    Task(sim, "parent", parent, handler=handler).start()
-    sim.run()
-    assert "child-done" in seen
-    assert ("kid", "Timeout") in calls
 
 
 def test_negative_timeout_rejected():
