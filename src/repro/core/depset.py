@@ -32,10 +32,14 @@ Lemma 5.1 / Theorem 5.1 invariant checks run against DepSets unchanged.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .aid import AssumptionId
+
+
+_KEY = attrgetter("key")
 
 
 class DepSet:
@@ -96,7 +100,7 @@ class DepSet:
         """
         keys = self._tag_keys
         if keys is None:
-            keys = self._tag_keys = frozenset(a.key for a in self.members)
+            keys = self._tag_keys = frozenset(map(_KEY, self.members))
         return keys
 
 

@@ -43,6 +43,7 @@ Semantic decisions beyond the paper's letter (see DESIGN.md §3):
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 from weakref import KeyedRef
 
@@ -69,17 +70,13 @@ from .history import NO_INTERVALS, ProcessRecord
 from .interval import Interval, IntervalState
 
 
-def _aid_order(aid: AssumptionId) -> int:
-    return aid.serial
+#: Sort keys, read in C: AIDs and intervals by creation (serial), and the
+#: order every sweep of X.DOM visits its intervals in (Eq 7, 11, 15, 22).
+_BY_SERIAL = attrgetter("serial")
+_DOM_ORDER = attrgetter("pid", "start_index", "serial")
 
-
-def _interval_order(interval: Interval) -> tuple:
-    return (interval.pid, interval.start_index, interval.serial)
-
-
-def _interval_serial(interval: Interval) -> int:
-    return interval.serial
-
+_PENDING, _AFFIRMED, _DENIED = AidStatus.PENDING, AidStatus.AFFIRMED, AidStatus.DENIED
+_SPECULATIVE = IntervalState.SPECULATIVE
 
 #: Resolution of an empty tag set: alive, no dependencies.  Shared so the
 #: per-delivery fast path allocates nothing.
@@ -365,12 +362,12 @@ class Machine:
         which is the runtime's job).
         """
         record = self.process(pid)
-        current_deps = record.current.ido if record.current is not None else self.depsets.empty
-        fresh = [a for a in aids if a.pending and a not in current_deps]
+        held = (record.current.ido if record.current is not None else self.depsets.empty).members
+        fresh = [a for a in aids if a.status is _PENDING and a not in held]
         if not fresh:
             return None
         # A tag set iterates in address order; the partial IDOs interned may not.
-        fresh.sort(key=_aid_order)
+        fresh.sort(key=_BY_SERIAL)
         self.stats["implicit_guesses"] += len(fresh)
         return self._make_interval(record, fresh, head_aid=None, ps=ps)
 
@@ -399,7 +396,7 @@ class Machine:
         # X ∈ A.IDO ⟺ A ∈ X.DOM, and Theorem 5.1's proof relies on
         # inherited dependencies being in DOM (the definite deny of an
         # inherited X must reach this interval through X.DOM).
-        for aid in interval.ido:
+        for aid in interval.ido.members:
             aid.dom.add(interval)
         if record.intervals:
             record.intervals.append(interval)
@@ -449,24 +446,26 @@ class Machine:
 
     def _shed_affirmed(self, aid: AssumptionId) -> None:
         """The Eq 7-9 set operations: release every dependent of an
-        affirmed AID, finalizing those whose IDO empties."""
-        for dependent in sorted(aid.dom, key=_interval_order):   # Eq 7: ∀B ∈ X.DOM
-            if not dependent.speculative:
-                continue
-            dependent.ido = self.depsets.discard(dependent.ido, aid)   # Eq 8
-            aid.dom.discard(dependent)                           # Eq 9
-            self._note_ido_update(dependent, aid)
-            if not dependent.ido:                                # Eq 9: finalize
-                self._finalize(dependent)
-        aid.dom.clear()
-        self._retire_candidates.append(aid)
+        affirmed AID, finalizing those whose IDO empties.
 
-    def _note_ido_update(self, dependent: Interval, aid: AssumptionId) -> None:
-        record = self.processes[dependent.pid]
-        if record.keeps_history:
-            record.append("ido_update", aid=aid.key, interval=dependent.label)
-        else:
-            record.tick()
+        Each dependent is rewritten from its IDO at its turn: a finalize
+        earlier in the sweep may run a nested Eq 7-9 (Lemma 6.1) or an
+        Eq 22 cascade that rewrites or rolls back a later one."""
+        discard, processes, dom = self.depsets.discard, self.processes, aid.dom
+        for dependent in sorted(dom, key=_DOM_ORDER):           # Eq 7: ∀B ∈ X.DOM
+            if dependent.state is not _SPECULATIVE:
+                continue
+            ido = dependent.ido = discard(dependent.ido, aid)   # Eq 8
+            dom.discard(dependent)                              # Eq 9
+            record = processes[dependent.pid]
+            if record.keeps_history:
+                record.append("ido_update", aid=aid.key, interval=dependent.label)
+            else:
+                record.tick()
+            if not ido.members:                                 # Eq 9: finalize
+                self._finalize(dependent)
+        dom.clear()
+        self._retire_candidates.append(aid)
 
     def _affirm_speculative(
         self,
@@ -482,21 +481,25 @@ class Machine:
         else:
             current.spec_affirms = [aid]
         record.append("affirm", aid=aid.key, mode="speculative", via=via)
-        dom_snapshot = sorted(aid.dom, key=_interval_order)
         # current.ido is an immutable interned DepSet, so it doubles as
         # the loop snapshot (a dependent's Eq 12 rewrite cannot alias it).
         affirmer_ido = current.ido
-        for dependent in dom_snapshot:                           # Eq 11: ∀B ∈ X.DOM
-            if not dependent.speculative:
+        upstreams = sorted(affirmer_ido.members, key=_BY_SERIAL)
+        for dependent in sorted(aid.dom, key=_DOM_ORDER):        # Eq 11: ∀B ∈ X.DOM
+            if dependent.state is not _SPECULATIVE:
                 continue
-            for upstream in sorted(affirmer_ido, key=_aid_order):
+            for upstream in upstreams:
                 upstream.dom.add(dependent)                      # Eq 10
             dependent.ido = self.depsets.discard(                # Eq 12
                 self.depsets.union(dependent.ido, affirmer_ido), aid
             )
             aid.dom.discard(dependent)                           # Eq 14
-            self._note_ido_update(dependent, aid)
-            if not dependent.ido:                                # Eq 13
+            owner = self.processes[dependent.pid]
+            if owner.keeps_history:
+                owner.append("ido_update", aid=aid.key, interval=dependent.label)
+            else:
+                owner.tick()
+            if not dependent.ido.members:                        # Eq 13
                 self._finalize(dependent)
         aid.dom.clear()
         self._emit(AffirmEvent(record.name, aid, definite=False))
@@ -551,8 +554,8 @@ class Machine:
 
     def _deny_cascade(self, aid: AssumptionId) -> None:
         """Roll back all of X.DOM (the ∀B ∈ X.DOM of Eq 15 and Eq 22)."""
-        for dependent in sorted(aid.dom, key=_interval_order):
-            if dependent.speculative:
+        for dependent in sorted(aid.dom, key=_DOM_ORDER):
+            if dependent.state is _SPECULATIVE:
                 self._rollback(dependent, cause=aid)
         aid.dom.clear()
         self._retire_candidates.append(aid)
@@ -601,12 +604,12 @@ class Machine:
     # ------------------------------------------------------------------
     def _finalize(self, interval: Interval) -> None:
         """Make ``interval`` definite.  Internal: not a user primitive (§5.2)."""
-        if interval.ido:                                         # Eq 20
+        if interval.ido.members:                                 # Eq 20
             raise FinalizePreconditionError(
                 f"finalize({interval.label}) with non-empty IDO "
                 f"{sorted(a.key for a in interval.ido)}"
             )
-        if not interval.speculative:
+        if interval.state is not _SPECULATIVE:
             return
         self.stats["finalizes"] += 1
         self._bump_resolution_epoch()
@@ -639,7 +642,7 @@ class Machine:
                 affirmed.resolved_by = interval.pid
                 self._emit(AffirmEvent(interval.pid, affirmed, definite=True))
                 self._shed_affirmed(affirmed)
-        for parked in sorted(interval.ihd, key=_aid_order):      # Eq 22
+        for parked in sorted(interval.ihd, key=_BY_SERIAL):      # Eq 22
             parked.parked_denies -= 1
             self._retire_candidates.append(parked)
             if parked.denied:
@@ -688,7 +691,7 @@ class Machine:
         start_index = interval.start_index
         discarded = sorted(
             (iv for iv in record.speculative if iv.start_index >= start_index),
-            key=_interval_serial,
+            key=_BY_SERIAL,
         )
         for dead in discarded:
             self._discard_interval(record, dead)
@@ -699,7 +702,7 @@ class Machine:
         # This is usually interval.parent, but the parent may have been
         # finalized in the meantime — a finalized prefix stays definite
         # (Theorem 5.2), so the process resumes with I = ∅ in that case.
-        record.current = max(record.speculative, key=_interval_serial, default=None)
+        record.current = max(record.speculative, key=_BY_SERIAL, default=None)
         record.g = False                                         # Eq 24: S.G ← False
         record.rollback_count += 1
         if record.keeps_history:
@@ -971,14 +974,15 @@ class Machine:
             if aid in seen:
                 continue
             seen.add(aid)
-            if aid.denied:
+            status = aid.status
+            if status is _DENIED:
                 result = (False, frozenset())
                 break
-            if aid.affirmed:
+            if status is _AFFIRMED:
                 continue
             affirmer = aid.speculative_affirmer
-            if affirmer is not None and affirmer.speculative:
-                stack.extend(affirmer.ido)
+            if affirmer is not None and affirmer.state is _SPECULATIVE:
+                stack.extend(affirmer.ido.members)
             else:
                 deps.add(aid)
         else:
@@ -1001,6 +1005,10 @@ class Machine:
         if cached is not None:
             self.stats["resolve_cache_hits"] += 1
             return cached
-        result = self.resolve_tags(self.aid(key) for key in tag_keys)
+        tags = frozenset(map(self.aids.get, tag_keys))
+        if None in tags:
+            for key in tag_keys:
+                self.aid(key)       # raises for the key that is not there
+        result = self.resolve_tags(tags)
         self._resolve_key_cache[tag_keys] = result
         return result

@@ -1396,7 +1396,7 @@ class HopeSystem:
             proc.mailbox.register_waiter(task, task, proc.recv.timeout)
             return
         if message.tags:
-            live, deps = self._resolve_message_tags(message)
+            live, deps = self.machine.resolve_tag_keys(message.tags)
             if not live:
                 if self._tracing:
                     self.tracer.record(
@@ -1455,12 +1455,9 @@ class HopeSystem:
             # instead of burning a resume event per message
             # (resume_inline, flattened — this runs once per delivery).
             task._pending = None
-            follow = task._drive(received, False)
+            follow = task._drive(received)
             if follow is not None:
                 task.dispatch(follow)
-
-    def _resolve_message_tags(self, message: Message):
-        return self.machine.resolve_tag_keys(message.tags)
 
     # ------------------------------------------------------------------
     # rollback propagation

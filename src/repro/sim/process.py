@@ -215,7 +215,7 @@ class Task:
         handlers never re-enter the generator from within its own yield.
         """
         self._expect_waiting("resume")
-        self._pending = self.sim.call_soon(self._step, value, False, label="resume:" + self.name)
+        self._pending = self.sim.call_soon(self._step, value, label="resume:" + self.name)
 
     def resume_inline(self, value: Any = None) -> None:
         """Resume immediately, from within this task's own pending callback.
@@ -227,7 +227,7 @@ class Task:
         """
         self._pending = None
         # _step inlined: this runs once per batched delivery.
-        effect = self._drive(value, False)
+        effect = self._drive(value)
         if effect is not None:
             self.dispatch(effect)
 
@@ -293,8 +293,8 @@ class Task:
     # ------------------------------------------------------------------
     # trampoline
     # ------------------------------------------------------------------
-    def _step(self, value: Any, is_throw: bool) -> None:
-        effect = self._drive(value, is_throw)
+    def _step(self, value: Any) -> None:
+        effect = self._drive(value)
         if effect is not None:
             self.dispatch(effect)
 
@@ -316,7 +316,7 @@ class Task:
             self._inline = _NO_INLINE
             if self._state != Task._WAITING:
                 return  # killed/finished from within the handler
-            effect = self._drive(value, False)
+            effect = self._drive(value)
             if effect is None:
                 return
 
@@ -334,18 +334,15 @@ class Task:
             raise SimulationError(
                 f"cannot drive task {self.name!r} in state {self._state!r}"
             )
-        return self._drive(value, False)
+        return self._drive(value)
 
-    def _drive(self, value: Any, is_throw: bool) -> Optional[Effect]:
+    def _drive(self, value: Any) -> Optional[Effect]:
         self._pending = None
         if self._cleanup is not None:
             self._run_cleanups()
         self._state = Task._RUNNING
         try:
-            if is_throw:
-                effect = self._gen.throw(value)
-            else:
-                effect = self._gen.send(value)
+            effect = self._gen.send(value)
         except StopIteration as stop:
             self._state = Task._DONE
             self.result = stop.value
@@ -395,7 +392,7 @@ def _start_batch(tasks: list) -> None:
     for at, task in enumerate(tasks):
         try:
             if task._pending is not None:
-                task._step(None, False)
+                task._step(None)
         except BaseException:
             rest = [t for t in tasks[at + 1:] if t._pending is not None]
             if rest:    # (a kill of one of them now skips it, as in a firing)
@@ -408,7 +405,7 @@ def default_effect_handler(task: Task, effect: Effect) -> None:
     """Perform one sim-level effect.  See module docstring for the contract."""
     if isinstance(effect, Timeout):
         task._pending = task.sim.schedule(
-            effect.delay, task._step, None, False, label=f"timeout:{task.name}"
+            effect.delay, task._step, None, label=f"timeout:{task.name}"
         )
     elif isinstance(effect, Recv):
         effect.mailbox.register_receiver(task, effect.timeout, effect.predicate)

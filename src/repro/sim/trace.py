@@ -13,7 +13,7 @@ as a :class:`TraceRecord`.  Traces serve three purposes:
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 
 class TraceRecord:
@@ -52,54 +52,29 @@ class Tracer:
         #: categories=() means "record nothing": every record() call is
         #: pure overhead.  The engine reads this to skip its hot-path
         #: record calls entirely, and record() itself returns immediately
-        #: when it *is* called (no counting, no listener fan-out).
+        #: when it *is* called (no counting).
         self._disabled = self._categories is not None and not self._categories
         self._max_records = max_records
         self.records: list[TraceRecord] = []
         self.truncated = False
         self.counts: dict[str, int] = {}
-        self._listeners: list[Callable[[TraceRecord], None]] = []
 
     def record(self, time: float, category: str, process: str, **detail: Any) -> None:
         """Append one record (subject to category filter and size bound).
 
-        Ordering contract: listeners are notified for every *recorded*
-        record **before** the ``max_records`` truncation drops the oldest
-        ones — a subscriber is a streaming consumer (the fossil benchmark
-        digests the full trace through a ``max_records=1`` tracer), so it
-        must see records the bound will immediately discard.  A disabled
-        tracer (``categories=()``) records
-        nothing, counts nothing, and notifies nobody: ``record()`` is a
-        pure no-op, matching the engine's skip-wholesale fast path.
+        A disabled tracer (``categories=()``) records nothing and counts
+        nothing: ``record()`` is a pure no-op, matching the engine's
+        skip-wholesale fast path.
         """
         if self._disabled:
             return
         self.counts[category] = self.counts.get(category, 0) + 1
         if self._categories is not None and category not in self._categories:
             return
-        rec = TraceRecord(time, category, process, detail)
-        self.records.append(rec)
-        # Listeners first, truncation second (see the ordering contract
-        # above): the streamed view is complete, the retained view bounded.
-        for listener in self._listeners:
-            listener(rec)
+        self.records.append(TraceRecord(time, category, process, detail))
         if self._max_records is not None and len(self.records) > self._max_records:
             del self.records[0 : len(self.records) - self._max_records]
             self.truncated = True
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` on every record as it is added.
-
-        Refused on a disabled tracer: its ``record()`` never fans out, so
-        a subscription there is a silent black hole (historically it
-        *looked* like it would stream).
-        """
-        if self._disabled:
-            raise ValueError(
-                "cannot subscribe to a disabled tracer (categories=()); "
-                "its record() is a no-op and would never notify"
-            )
-        self._listeners.append(listener)
 
     def count(self, category: str) -> int:
         """Total occurrences of ``category``, including filtered-out ones."""
@@ -119,7 +94,7 @@ class Tracer:
         if self.truncated and not allow_truncated:
             raise ValueError(
                 "trace was truncated by max_records; fingerprint() would "
-                "hash an arbitrary suffix — stream via subscribe() or pass "
+                "hash an arbitrary suffix — raise max_records or pass "
                 "allow_truncated=True"
             )
         h = hashlib.sha256()

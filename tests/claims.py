@@ -90,6 +90,7 @@ THM-5.2 | a definite interval never rolls back
 LEMMA-6.1/6.2 | affirms are transitive; definite affirms finalize
     machine: {THM}test_lemma_6_1_affirm_transitivity
     machine: {THM}test_lemma_6_2_all_definite_affirms_finalize
+    machine: tests/core/test_affirm.py::test_nested_sweep_rewrites_each_dependent_at_its_turn
     engine: tests/apps/test_virtual_time.py::test_all_guard_aids_resolved_at_quiescence
 THM-6.1 | an interval finalizes once all it depends on is affirmed
     machine: {THM}test_theorem_6_1_mixed_definite_and_speculative_affirms

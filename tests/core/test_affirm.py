@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     AidStatus,
+    FinalizeEvent,
     FinalizePreconditionError,
     IntervalState,
     Machine,
@@ -108,6 +109,49 @@ def test_speculative_affirm_made_definite_finalizes_dependents(machine):
     machine.affirm("judge", y)                  # definite ⇒ wart definite ⇒ x's old dependents free
     assert machine.process("worker").current is None
     assert machine.process("wart").current is None
+    machine.check_invariants()
+
+
+def test_nested_sweep_rewrites_each_dependent_at_its_turn():
+    """Finalizing p1 in X's Eq 7-9 sweep makes p1's speculative affirm of
+    Y definite (Lemma 6.1), and Y's nested sweep sheds Y from p2's second
+    interval before the outer sweep reaches it: the outer sweep must
+    rewrite that interval from {X}, not from the {X, Y} it held when the
+    sweep began, or {Y} is left in a definite interval."""
+    machine = Machine()
+    for pid in ("p1", "p2", "p3"):
+        machine.create_process(pid)
+    x = machine.aid_init("x")
+    y = machine.aid_init("y")
+    machine.guess("p1", x)
+    machine.affirm("p1", y)                     # speculative: p1 depends on x
+    machine.guess("p2", x)
+    machine.guess("p2", y)
+    intervals = machine.process("p1").intervals + machine.process("p2").intervals
+    machine.affirm("p3", x)                     # definite: Eq 7-9 over x.DOM
+    assert y.status is AidStatus.AFFIRMED
+    for interval in intervals:
+        assert interval.state is IntervalState.DEFINITE
+        assert not interval.ido
+    machine.check_invariants()
+
+
+def test_sweep_visits_dom_in_pid_start_index_serial_order():
+    """Eq 7's ∀B ∈ X.DOM visits in (pid, start_index, serial) order, not in
+    creation or set order; the order of the finalizes is in every trace."""
+    machine = Machine()
+    events = []
+    machine.subscribe(events.append)
+    for pid in ("c", "b", "a", "judge"):
+        machine.create_process(pid)
+    x = machine.aid_init("x")
+    for pid in ("c", "b", "a", "a"):            # serials 1..4, out of pid order
+        machine.guess(pid, x)
+    machine.affirm("judge", x)
+    finalized = [e.interval for e in events if isinstance(e, FinalizeEvent)]
+    assert [(iv.pid, iv.serial) for iv in finalized] == [
+        ("a", 3), ("a", 4), ("b", 2), ("c", 1)]
+    assert finalized[0].start_index < finalized[1].start_index
     machine.check_invariants()
 
 

@@ -8,7 +8,9 @@ tag set whose meaning actually changes and asserts the post-change
 resolution differs — i.e. it would fail if the cache survived the event.
 """
 
-from repro.core import Machine
+import pytest
+
+from repro.core import Machine, UnknownAidError
 
 
 def _machine(procs=("p", "q")):
@@ -108,6 +110,13 @@ class TestCacheBehaviour:
         hits = machine.stats["resolve_cache_hits"]
         machine.resolve_tag_keys(frozenset({x.key, y.key}))
         assert machine.stats["resolve_cache_hits"] == hits + 1
+
+    def test_key_lookup_names_the_key_it_cannot_find(self):
+        machine = _machine()
+        x = machine.aid_init("x")
+        with pytest.raises(UnknownAidError, match="'ghost#9'"):
+            machine.resolve_tag_keys(frozenset({x.key, "ghost#9"}))
+        assert not machine._resolve_key_cache
 
     def test_cached_result_is_correct_across_distinct_tagsets(self):
         machine = _machine()

@@ -76,10 +76,10 @@ CALLS = {
     "stream: sim.process": (11036, 11036, 11036, 11036),
     "stream: sim.channel": (10955, 10955, 10955, 10935),
     "stream: sim.faults": (0, 0, 0, 0),
-    "stream: core.machine": (70781, 70781, 70133, 70133),
-    "stream: core.depset": (35172, 35172, 35172, 35172),
+    "stream: core.machine": (24405, 24405, 23757, 23757),
+    "stream: core.depset": (19575, 19575, 19575, 19575),
     "stream: core.fossil": (42, 42, 28, 28),
-    "stream: runtime.engine": (26605, 26605, 26448, 26448),
+    "stream: runtime.engine": (25868, 25868, 25711, 25711),
     "stream: runtime.replay": (6600, 6600, 6600, 6600),
     "stream: runtime.resilience": (2, 2, 2, 2),
     "stream: durable": (0, 0, 0, 0),
@@ -90,10 +90,10 @@ CALLS = {
     "pingpong: sim.process": (36014, 36014, 36014, 36014),
     "pingpong: sim.channel": (40009, 40009, 40009, 40009),
     "pingpong: sim.faults": (0, 0, 0, 0),
-    "pingpong: core.machine": (132523, 132523, 130523, 130523),
-    "pingpong: core.depset": (54064, 54064, 54064, 54064),
+    "pingpong: core.machine": (98523, 98523, 96523, 96523),
+    "pingpong: core.depset": (28063, 28063, 28063, 28063),
     "pingpong: core.fossil": (378, 378, 252, 252),
-    "pingpong: runtime.engine": (98305, 98305, 98302, 98302),
+    "pingpong: runtime.engine": (96305, 96305, 96302, 96302),
     "pingpong: runtime.replay": (18135, 18135, 18135, 18135),
     "pingpong: runtime.resilience": (0, 0, 0, 0),
     "pingpong: durable": (0, 0, 0, 0),
@@ -104,10 +104,10 @@ CALLS = {
     "cascade: sim.process": (86401, 86401, 86401, 86401),
     "cascade: sim.channel": (31501, 31501, 31501, 31401),
     "cascade: sim.faults": (0, 0, 0, 0),
-    "cascade: core.machine": (50521, 50521, 49321, 49321),
-    "cascade: core.depset": (10987, 10987, 10987, 10987),
+    "cascade: core.machine": (39201, 39201, 38001, 38001),
+    "cascade: core.depset": (6986, 6986, 6986, 6986),
     "cascade: core.fossil": (68, 68, 46, 46),
-    "cascade: runtime.engine": (133714, 133714, 129464, 129464),
+    "cascade: runtime.engine": (132464, 132464, 128214, 128214),
     "cascade: runtime.replay": (47799, 47799, 47799, 47799),
     "cascade: runtime.resilience": (0, 0, 0, 0),
     "cascade: durable": (0, 0, 0, 0),
@@ -118,10 +118,10 @@ CALLS = {
     "steady: sim.process": (38773, 38773, 38773, 38773),
     "steady: sim.channel": (18661, 18661, 18661, 18634),
     "steady: sim.faults": (0, 0, 0, 0),
-    "steady: core.machine": (64419, 64419, 64419, 64419),
-    "steady: core.depset": (22053, 22053, 22053, 22053),
+    "steady: core.machine": (51634, 51634, 51634, 51634),
+    "steady: core.depset": (15300, 15300, 15300, 15300),
     "steady: core.fossil": (90, 90, 60, 60),
-    "steady: runtime.engine": (90092, 90092, 89712, 89712),
+    "steady: runtime.engine": (89196, 89196, 88816, 88816),
     "steady: runtime.replay": (26235, 26235, 26235, 26235),
     "steady: runtime.resilience": (0, 0, 0, 0),
     "steady: durable": (0, 0, 0, 0),
@@ -132,10 +132,10 @@ CALLS = {
     "durable: sim.process": (19276, 19276, 19276, 19276),
     "durable: sim.channel": (9180, 9180, 9180, 9172),
     "durable: sim.faults": (0, 0, 0, 0),
-    "durable: core.machine": (32612, 32612, 32612, 32612),
-    "durable: core.depset": (10941, 10941, 10941, 10941),
+    "durable: core.machine": (26237, 26237, 26237, 26237),
+    "durable: core.depset": (7590, 7590, 7590, 7590),
     "durable: core.fossil": (42, 42, 28, 28),
-    "durable: runtime.engine": (44810, 44810, 44622, 44622),
+    "durable: runtime.engine": (44362, 44362, 44174, 44174),
     "durable: runtime.replay": (20389, 20389, 20389, 20389),
     "durable: runtime.resilience": (0, 0, 0, 0),
     "durable: durable": (6073, 6073, 6024, 6024),
@@ -146,27 +146,27 @@ CALLS = {
     "lossy: sim.process": (29830, 29830, 29830, 29830),
     "lossy: sim.channel": (11019, 11019, 11019, 10941),
     "lossy: sim.faults": (11387, 11387, 11386, 11386),
-    "lossy: core.machine": (63618, 63618, 62924, 62924),
-    "lossy: core.depset": (26454, 26454, 26454, 26454),
+    "lossy: core.machine": (41159, 41159, 40465, 40465),
+    "lossy: core.depset": (14245, 14245, 14245, 14245),
     "lossy: core.fossil": (96, 96, 64, 64),
-    "lossy: runtime.engine": (55168, 55168, 55066, 55066),
+    "lossy: runtime.engine": (54466, 54466, 54364, 54364),
     "lossy: runtime.replay": (18294, 18294, 18294, 18294),
     "lossy: runtime.resilience": (7810, 7810, 7809, 7809),
     "lossy: durable": (0, 0, 0, 0),
     "lossy: observers": (12316, 12316, 12316, 12316),
     "lossy: workload": (15147, 15147, 15147, 15147),
     "lossy: other": (0, 0, 0, 0),
-    "TRACK: HOPE ping-pong": (11747, 11747, 11745, 11745),
+    "TRACK: HOPE ping-pong": (11746, 11746, 11744, 11744),
     "TRACK: bare ping-pong": (11626, 11626, 11626, 11626),
-    "METRICS: metered ping-pong": (16727, 16727, 16327, 16327),
-    "METRICS: plain ping-pong": (16594, 16594, 16194, 16194),
+    "METRICS: metered ping-pong": (15517, 15517, 15117, 15117),
+    "METRICS: plain ping-pong": (15384, 15384, 14984, 14984),
     "EVSEC chain: calls": (4004, 4004, 4004, 4004),
     "EVSEC chain: events": (2000, 2000, 2000, 2000),
     "EVSEC fanout: calls": (27745, 27745, 27745, 27745),
     "EVSEC fanout: events": (2000, 2000, 2000, 2000),
     "EVSEC cancel: calls": (29811, 29811, 29811, 29811),
     "EVSEC cancel: events": (1000, 1000, 1000, 1000),
-    "walk(wide): calls": (155176, 155176, 154127, 154127),
+    "walk(wide): calls": (154946, 154946, 153897, 153897),
 }
 
 #: Ratio -> (numerator row, denominator row).

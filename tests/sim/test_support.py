@@ -136,33 +136,6 @@ def test_null_tracer_records_nothing():
     assert tracer.counts == {}
 
 
-def test_null_tracer_refuses_subscribers():
-    tracer = Tracer(categories=())
-    with pytest.raises(ValueError, match="disabled tracer"):
-        tracer.subscribe(lambda rec: None)
-
-
-def test_tracer_subscribe():
-    tracer = Tracer()
-    seen = []
-    tracer.subscribe(seen.append)
-    tracer.record(1.0, "send", "p")
-    assert len(seen) == 1
-
-
-def test_tracer_listeners_see_records_before_truncation():
-    # Streaming consumers (e.g. the fossil benchmark's trace digest) must
-    # observe *every* record even when max_records retains almost none.
-    tracer = Tracer(max_records=1)
-    seen = []
-    tracer.subscribe(seen.append)
-    for i in range(5):
-        tracer.record(float(i), "e", "p", i=i)
-    assert [r.detail["i"] for r in seen] == [0, 1, 2, 3, 4]
-    assert len(tracer) == 1
-    assert tracer.truncated
-
-
 # ---------------------------------------------------------------- failure
 def test_crash_at_kills_process():
     sim = Simulator()
