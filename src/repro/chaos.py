@@ -163,7 +163,6 @@ def run_matrix(
     seeds: Iterable[int] = (1, 2, 3),
     plans: Optional[dict[str, FaultPlan]] = None,
     reliable: Any = True,
-    detector: Any = False,
     repro_dir: str = "chaos-repros",
     verify_determinism: bool = True,
     max_events: Optional[int] = None,
@@ -177,7 +176,7 @@ def run_matrix(
     """
     names = list(workloads) if workloads is not None else list(WORKLOADS)
     seeds = list(seeds)
-    config: dict = dict(latency=1.0, reliable=reliable, detector=detector)
+    config: dict = dict(latency=1.0, reliable=reliable)
     if max_events is not None:
         config["max_events"] = max_events
     results = []

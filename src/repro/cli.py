@@ -138,10 +138,6 @@ def add_fault_arguments(parser) -> None:
         "--reliable", action="store_true",
         help="ack/retry delivery with receiver dedup (repro.runtime.resilience)",
     )
-    group.add_argument(
-        "--failure-detector", action="store_true",
-        help="heartbeat failure detector: suspected peers' pending AIDs are denied",
-    )
 
 
 class SpawnSpec:
@@ -296,10 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify-determinism",
         action="store_true",
         help="skip the fingerprint re-run check",
-    )
-    chaos.add_argument(
-        "--failure-detector", action="store_true",
-        help="also run the heartbeat failure detector in every case",
     )
     chaos.add_argument(
         "--list-plans", action="store_true",
@@ -460,7 +452,6 @@ def cmd_run(args, out) -> int:
         metrics=registry,
         faults=faults,
         reliable=args.reliable,
-        failure_detector=args.failure_detector,
         durable_dir=args.durable_dir,
     )
     for spec in args.spawn:
@@ -504,13 +495,6 @@ def cmd_run(args, out) -> int:
             f"reliable: sent={rs['sent']} retries={rs['retries']} "
             f"acked={rs['acked']} dup_suppressed={rs['dup_suppressed']} "
             f"exhausted={rs['exhausted']}",
-            file=out,
-        )
-    if "detector" in stats:
-        ds = stats["detector"]
-        print(
-            f"detector: suspects={ds['suspects']} false={ds['false_suspicions']} "
-            f"denies={ds['detector_denies']}",
             file=out,
         )
     if tracer is not None:
@@ -646,7 +630,6 @@ def cmd_chaos(args, out) -> int:
     report = run_matrix(
         workloads=args.workload or None,
         seeds=seeds,
-        detector=args.failure_detector,
         repro_dir=args.repro_dir,
         verify_determinism=not args.no_verify_determinism,
         max_events=args.max_events,

@@ -91,17 +91,16 @@ class DurableRecorder:
         self._resuming = bool(options.pop("_resuming", False))
         self.snapshot_every = int(options.pop("snapshot_every", 4))
         retain = int(options.pop("retain", 2))
-        fsync = bool(options.pop("fsync", True))
         if options:
             raise DurableError(
                 f"unknown durable_opts key(s): {sorted(options)}; "
-                "allowed: snapshot_every, retain, fsync"
+                "allowed: snapshot_every, retain"
             )
         if self.snapshot_every < 1:
             raise DurableError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         self.system = system
         self.seed = seed
-        self.store = DurableStore(root, fsync=fsync, retain=retain, crash=crash)
+        self.store = DurableStore(root, retain=retain, crash=crash)
         self.generation = 0
         self.prev_seal = ""
         self.batch_index = 0

@@ -105,12 +105,11 @@ class DurableStore:
     whose marker fsync has completed.
     """
 
-    def __init__(self, root: str, *, fsync: bool = True, retain: int = 2,
+    def __init__(self, root: str, *, retain: int = 2,
                  crash: Optional[Callable[..., bool]] = None) -> None:
         if retain < 1:
             raise DurableError(f"retain must be >= 1, got {retain}")
         self.root = root
-        self.fsync = fsync
         self.retain = retain
         self.crash = crash
         self.sealed: Optional[Tuple[int, int]] = None
@@ -188,7 +187,7 @@ class DurableStore:
         return sorted(_gens_in(self.root, pattern))
 
     def _dir_fsync(self) -> None:
-        if self.fsync and hasattr(os, "O_DIRECTORY"):
+        if hasattr(os, "O_DIRECTORY"):
             self._io("dirsync", ".", None, _fsync_dir, self.root)
 
     # -- WAL writing ---------------------------------------------------------
@@ -221,7 +220,7 @@ class DurableStore:
 
     def _flush(self, fh, name: str, sync: bool = True) -> None:
         self._io("flush", name, None, fh.flush)
-        if sync and self.fsync:
+        if sync:
             self._io("fsync", name, None, os.fsync, fh.fileno())
 
     def write_marker(self, batch_index: int) -> int:

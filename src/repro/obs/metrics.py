@@ -277,7 +277,7 @@ class SpeculationMetrics:
         self.messages_sent = g("hope_messages_sent", "user messages sent")
         self.sim_events = g("hope_sim_events", "simulator events processed")
         # --- chaos / resilience (filled by metrics_snapshot when the
-        # --- fault layer, reliable delivery, or the detector is on) ----
+        # --- fault layer or reliable delivery is on) -------------------
         self.net_dropped = g("hope_net_dropped", "messages dropped by fault injection")
         self.net_duplicated = g("hope_net_duplicated", "messages duplicated by fault injection")
         self.net_reordered = g("hope_net_reordered", "message copies delayed for reorder")
@@ -292,17 +292,6 @@ class SpeculationMetrics:
         )
         self.retry_exhausted = g(
             "hope_retry_exhausted", "reliable sends abandoned after max_attempts"
-        )
-        self.suspects = g("hope_suspects", "failure-detector suspicions raised")
-        self.false_suspicions = g(
-            "hope_false_suspicions", "suspicions of processes that were alive"
-        )
-        self.detector_denies = g(
-            "hope_detector_denies", "AIDs denied on behalf of suspected processes"
-        )
-        self.reconciled_affirms = g(
-            "hope_reconciled_affirms",
-            "affirms of detector-denied AIDs reconciled to no-ops",
         )
         #: Open-interval guess times by interval serial, for commit
         #: latency.  Bounded by the live speculation window: finalize and

@@ -8,7 +8,7 @@ Public surface:
 * :func:`call` — the synchronous-RPC sub-generator used by the examples;
 * :data:`TIMED_OUT` — the sentinel ``p.recv(timeout=...)`` returns when no
   message arrives in time (compare with ``is``);
-* :mod:`repro.runtime.resilience` — reliable delivery + failure detector.
+* :mod:`repro.runtime.resilience` — reliable delivery.
 
 Every primitive takes effect at once; §7's AID tasks, whose resolutions
 land one message hop later, are a timing model in the AIDMODE experiment.
@@ -36,10 +36,6 @@ from .engine import HopeSystem, OutputRecord, ProcessRuntime, SpeculativeSpawnEr
 from .messages import ReceivedMessage, RpcReply, RpcRequest
 from .replay import Checkpoint, EffectLog, LogEntry, RebasePoint, ReplayDivergenceError
 from .resilience import (
-    DETECTOR_PID,
-    DetectorConfig,
-    DetectorStats,
-    HeartbeatDetector,
     ReliableConfig,
     ReliableDelivery,
     ReliableStats,
@@ -49,10 +45,6 @@ from .resilience import (
 __all__ = [
     "HopeSystem",
     "TIMED_OUT",
-    "DETECTOR_PID",
-    "DetectorConfig",
-    "DetectorStats",
-    "HeartbeatDetector",
     "ReliableConfig",
     "ReliableDelivery",
     "ReliableStats",

@@ -83,13 +83,7 @@ from .replay import (
     Exited,
     RebasePoint,
 )
-from .resilience import (
-    DETECTOR_PID,
-    DetectorConfig,
-    HeartbeatDetector,
-    ReliableConfig,
-    ReliableTransport,
-)
+from .resilience import ReliableConfig, ReliableTransport
 
 _DEFINITE = IntervalState.DEFINITE
 _SEND_CODE, _RECV_CODE = KIND_CODE["send"], KIND_CODE["recv"]
@@ -352,14 +346,6 @@ class HopeSystem:
         timeout-driven resend with capped exponential backoff, and
         receiver-side dedup by ``msg_id``.  ``Delivery.retract`` on a
         rolled-back sender kills in-flight copies and retries alike.
-    failure_detector:
-        ``True`` or a :class:`repro.runtime.resilience.DetectorConfig`
-        enables the heartbeat failure detector: a suspected process's
-        unresolved AIDs are denied (definite, by the ``__detector__``
-        pseudo-process) so dependents roll back instead of hanging; a
-        falsely suspected process is unsuspected on its next heartbeat
-        and its later ``affirm`` of a detector-denied AID is reconciled
-        to a no-op.
     controller:
         Optional :class:`repro.verify.ScheduleController`, the one seam
         for every nondeterminism the verifiers explore:
@@ -384,7 +370,6 @@ class HopeSystem:
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
         reliable: Any = False,
-        failure_detector: Any = False,
         controller: Optional[Any] = None,
         durable_dir: Optional[str] = None,
         durable_opts: Optional[dict] = None,
@@ -472,25 +457,12 @@ class HopeSystem:
             self.machine.subscribe(self._observe_machine_event)
         else:
             self.spec_metrics = None
-        # Resilience layers (opt-in; both None keeps the engine's hot
-        # path and trace stream exactly as before).
+        # Reliable delivery (opt-in; None keeps the engine's hot path and
+        # trace stream exactly as before).
         if reliable is True:
             reliable = ReliableConfig()
         self.reliable: Optional[ReliableTransport] = (
             ReliableTransport(self, reliable) if reliable else None
-        )
-        if failure_detector is True:
-            failure_detector = DetectorConfig()
-        #: AID key -> owning process name, tracked only when the detector
-        #: is on (it needs to know whose AIDs to deny on suspicion).
-        self._aid_owner: Optional[dict[str, str]] = (
-            {} if failure_detector else None
-        )
-        #: AID keys the detector denied — a falsely suspected process's
-        #: later affirm of one of these is reconciled to a no-op.
-        self._detector_denied: set[str] = set()
-        self.detector: Optional[HeartbeatDetector] = (
-            HeartbeatDetector(self, failure_detector) if failure_detector else None
         )
         #: Resume support: True while HopeSystem.resume() rebuilds the
         #: process tree — spawns register everything but leave the initial
@@ -501,11 +473,11 @@ class HopeSystem:
         #: byte-identical to pre-durable builds.
         self._durable = None
         if durable_dir is not None:
-            if self.reliable is not None or self.detector is not None:
+            if self.reliable is not None:
                 raise HopeError(
-                    "durable runs do not compose with reliable delivery or "
-                    "the failure detector yet (their transport state is not "
-                    "persisted); see docs/DURABILITY.md"
+                    "durable runs do not compose with reliable delivery yet "
+                    "(its transport state is not persisted); see "
+                    "docs/DURABILITY.md"
                 )
             from ..durable.recorder import DurableRecorder
 
@@ -530,8 +502,6 @@ class HopeSystem:
         self.procs[name] = proc
         proc.mailbox = self.network.register(name)
         proc.mproc = self.machine.create_process(name)
-        if self.detector is not None:
-            self.detector.on_spawn(name)
         if not self._defer_start:
             self._start_task(proc, delay=0.0)
         self.tracer.record(self.sim.now, "spawn", name)
@@ -740,11 +710,6 @@ class HopeSystem:
                 else {}
             ),
             **(
-                {"detector": self.detector.stats.as_dict()}
-                if self.detector is not None
-                else {}
-            ),
-            **(
                 {"durable": self._durable.stats_entries()}
                 if self._durable is not None
                 else {}
@@ -754,50 +719,6 @@ class HopeSystem:
     def pending_aids(self) -> list[AssumptionId]:
         """AIDs never affirmed or denied — a smell for stuck programs."""
         return [a for a in self.machine.aids.values() if a.pending]
-
-    # ------------------------------------------------------------------
-    # failure-detector support
-    # ------------------------------------------------------------------
-    def _deny_owned_aids(self, name: str) -> int:
-        """Issue a definite deny for every unresolved AID ``name`` owns
-        (the detector's suspicion action).  Returns how many were denied.
-
-        Denies are authored by the ``__detector__`` machine pseudo-process
-        — never speculative, so they are definite and cascade (Eq 15/24),
-        rolling dependents back instead of leaving them stranded.
-        """
-        if self._aid_owner is None:
-            return 0
-        denied = 0
-        for key, owner in list(self._aid_owner.items()):
-            if owner != name:
-                continue
-            aid = self.machine.aids.get(key)
-            if aid is None:
-                # Retired by fossil collection — prune the owner entry.
-                del self._aid_owner[key]
-                continue
-            if not aid.pending:
-                continue
-            self._detector_denied.add(key)
-            self.machine.deny(DETECTOR_PID, aid)
-            denied += 1
-            if self._tracing:
-                self.tracer.record(
-                    self.sim.now, "detector_deny", name, aid=key
-                )
-        return denied
-
-    def _owner_has_pending_aids(self, name: str) -> bool:
-        if self._aid_owner is None:
-            return False
-        for key, owner in self._aid_owner.items():
-            if owner != name:
-                continue
-            aid = self.machine.aids.get(key)
-            if aid is not None and aid.pending:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # observability (repro.obs)
@@ -831,12 +752,6 @@ class HopeSystem:
             spec.acks_sent.set(rel.acks_sent)
             spec.dup_suppressed.set(rel.dup_suppressed)
             spec.retry_exhausted.set(rel.exhausted)
-        if self.detector is not None:
-            det = self.detector.stats
-            spec.suspects.set(det.suspects)
-            spec.false_suspicions.set(det.false_suspicions)
-            spec.detector_denies.set(det.detector_denies)
-            spec.reconciled_affirms.set(det.reconciled_affirms)
         if self._durable is not None:
             self._durable.observe_gauges(self.metrics)
         return self.metrics
@@ -1108,8 +1023,6 @@ class HopeSystem:
         aid = self.machine.aid_init(effect.name)
         handle = AidHandle(aid.key, effect.name, aid)
         self.machine.hold(aid, handle)
-        if self._aid_owner is not None:
-            self._aid_owner[aid.key] = proc.name
         proc.log.append("aid_init", handle)
         if self._tracing:
             self.tracer.record(self.sim.now, "aid_init", proc.name, aid=aid.key)
@@ -1140,36 +1053,6 @@ class HopeSystem:
 
     def _do_resolution(self, proc, task, effect) -> None:
         """affirm / deny / free_of share the may-roll-back-self pattern."""
-        if self._detector_denied and effect.aid_key in self._detector_denied:
-            if isinstance(effect, AffirmEffect):
-                # False-suspicion reconciliation: the detector already
-                # issued a definite deny for this AID, and definite
-                # resolutions are immutable (§5) — the process was fenced
-                # out.  Its affirm becomes a traced no-op rather than a
-                # resolution conflict; it re-reached this statement via
-                # the deny's own rollback, on the pessimistic branch.
-                if self.detector is not None:
-                    self.detector.stats.reconciled_affirms += 1
-                if self._tracing:
-                    self.tracer.record(
-                        self.sim.now, "reconcile_affirm", proc.name,
-                        aid=effect.aid_key,
-                    )
-                proc.log.append(effect.kind, None)
-                task.resume_now(None)
-                return
-            if isinstance(effect, DenyEffect):
-                # Same direction as the detector's deny: duplicate
-                # resolutions are no-ops in lenient mode, and harmless to
-                # short-circuit in strict mode too.
-                proc.log.append(effect.kind, None)
-                if self._tracing:
-                    self.tracer.record(
-                        self.sim.now, effect.kind, proc.name,
-                        aid=effect.aid_key, status="denied",
-                    )
-                task.resume_now(None)
-                return
         aid = self._lookup_aid(effect)
         if isinstance(effect, AffirmEffect):
             self.machine.affirm(proc.name, aid)

@@ -1,31 +1,16 @@
-"""Runtime resilience: reliable delivery and a heartbeat failure detector.
+"""Runtime resilience: reliable delivery.
 
-Two opt-in layers that let HOPE programs survive the faults
-:mod:`repro.sim.faults` injects:
+An opt-in layer that lets HOPE programs survive the message faults
+:mod:`repro.sim.faults` injects: :class:`ReliableTransport` — per-message
+acks, timeout-driven resend with capped exponential backoff, and
+receiver-side dedup by ``msg_id``.  A retransmission reuses the original
+message id, so the receiver suppresses copies it has already delivered;
+retraction (:meth:`ReliableDelivery.retract`) kills every in-flight copy
+*and* the retry timer, so a rolled-back sender's retries die with it.
 
-* :class:`ReliableTransport` — per-message acks, timeout-driven resend
-  with capped exponential backoff, and receiver-side dedup by ``msg_id``.
-  A retransmission reuses the original message id, so the receiver
-  suppresses copies it has already delivered; retraction
-  (:meth:`ReliableDelivery.retract`) kills every in-flight copy *and*
-  the retry timer, so a rolled-back sender's retries die with it.
-
-* :class:`HeartbeatDetector` — each non-crashed process "sends" a
-  heartbeat to a detector pseudo-endpoint every ``interval``; a process
-  silent for longer than ``timeout`` is *suspected*, and every unresolved
-  AID it owns is issued a definite ``deny`` — converting a crashed peer
-  into the rollback the model was built for (Theorems 5.1–6.3) instead
-  of stranding its speculative dependents.  Suspicion is unreliable by
-  design (partitions and heartbeat loss produce false positives); a
-  heartbeat from a suspected process *unsuspects* it, and the engine
-  reconciles the false suspicion by treating the process's later
-  ``affirm`` of a detector-denied AID as a no-op (the deny already won —
-  the paper's lenient duplicate-resolution rule, §5).
-
-Both layers draw any probabilistic fate (ack loss, heartbeat loss) from
-the network's fault plan, so a resilient faulty run still replays
-byte-identically from its seed.  With neither enabled the engine's hot
-path is untouched.
+Ack loss is drawn from the network's fault plan, so a reliable faulty run
+still replays byte-identically from its seed.  Switched off, the
+engine's hot path is untouched.
 """
 
 from __future__ import annotations
@@ -36,11 +21,6 @@ from ..sim import Delivery, ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import HopeSystem
-
-#: Machine pseudo-process that authors detector denies.  Registered with
-#: the abstract machine (denies need an issuing pid) but never spawned as
-#: a runtime process, so it is always definite — its denies cascade.
-DETECTOR_PID = "__detector__"
 
 
 class ReliableConfig:
@@ -336,176 +316,3 @@ class ReliableTransport:
         for record in list(self._pending.values()):
             if record.src == name:
                 self._close(record, retract=False)
-
-
-class DetectorConfig:
-    """Tuning for :class:`HeartbeatDetector`.
-
-    ``interval`` is the heartbeat (and sweep) period, ``timeout`` the
-    silence threshold before suspicion, ``latency`` the one-way heartbeat
-    delay.  ``timeout`` should comfortably exceed ``interval + latency``
-    or every process is suspected between its own heartbeats.
-    """
-
-    __slots__ = ("interval", "timeout", "latency")
-
-    def __init__(
-        self, interval: float = 5.0, timeout: float = 15.0, latency: float = 1.0
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
-        if timeout <= interval + latency:
-            raise ValueError(
-                f"timeout={timeout} must exceed interval+latency="
-                f"{interval + latency} or every process gets suspected"
-            )
-        self.interval = float(interval)
-        self.timeout = float(timeout)
-        self.latency = float(latency)
-
-
-class DetectorStats:
-    """Counters for the suspicion machinery."""
-
-    __slots__ = (
-        "heartbeats_sent",
-        "heartbeats_lost",
-        "suspects",
-        "unsuspects",
-        "false_suspicions",
-        "detector_denies",
-        "reconciled_affirms",
-    )
-
-    def __init__(self) -> None:
-        self.heartbeats_sent = 0
-        self.heartbeats_lost = 0
-        self.suspects = 0
-        self.unsuspects = 0
-        self.false_suspicions = 0
-        self.detector_denies = 0
-        self.reconciled_affirms = 0
-
-    def as_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-
-class HeartbeatDetector:
-    """An eventually-perfect-ish failure detector over simulated heartbeats.
-
-    Every ``interval`` the detector tick (one simulator event) emits a
-    heartbeat per non-crashed process — each is one scheduled arrival,
-    lost according to the network's fault plan (partition minority side,
-    or the ``(name, DETECTOR_ENDPOINT)`` drop probability) — then sweeps
-    for processes silent past ``timeout`` and suspects them.
-
-    Suspecting ``name`` issues a **definite deny** (authored by the
-    machine pseudo-process :data:`DETECTOR_PID`, which never speculates)
-    for every unresolved AID ``name`` owns: dependents roll back instead
-    of hanging on a dead peer.  A later heartbeat unsuspects; if the
-    process never actually crashed the suspicion is counted false, and
-    the engine turns its subsequent ``affirm`` of a detector-denied AID
-    into a reconciled no-op.
-
-    Termination: the tick only reschedules itself while other simulation
-    events are outstanding, or while some unsuspected crashed process
-    still owns pending AIDs (i.e. a future suspicion would still unblock
-    someone).  Otherwise the heartbeat loop lets the event heap drain so
-    ``run()`` terminates.
-    """
-
-    def __init__(self, engine: "HopeSystem", config: DetectorConfig) -> None:
-        self.engine = engine
-        self.config = config
-        self.stats = DetectorStats()
-        self.suspected: set[str] = set()
-        self.last_seen: dict[str, float] = {}
-        #: Suspects that were alive when suspected — false-positive candidates.
-        self._was_alive: set[str] = set()
-        #: Simulator events owned by the detector (tick + in-flight
-        #: heartbeats); the termination rule subtracts them from the
-        #: heap's pending count.
-        self._own_pending = 0
-        engine.machine.create_process(DETECTOR_PID)
-        self._schedule_tick()
-
-    def _schedule_tick(self) -> None:
-        self._own_pending += 1
-        self.engine.sim.schedule(
-            self.config.interval, self._tick, label="detector-tick"
-        )
-
-    def on_spawn(self, name: str) -> None:
-        self.last_seen[name] = self.engine.sim.now
-
-    # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        self._own_pending -= 1
-        engine = self.engine
-        now = engine.sim.now
-        network = engine.network
-        hb_lost = getattr(network, "heartbeat_lost", None)
-        names = engine.process_names()      # a retired process heartbeats too
-        for name in names:
-            proc = engine.procs.get(name)
-            if proc is not None and proc.crashed:
-                continue
-            # Heartbeats are node-level liveness: a blocked process still
-            # heartbeats; only a crashed one goes silent.
-            if hb_lost is not None and hb_lost(name):
-                self.stats.heartbeats_lost += 1
-                continue
-            self.stats.heartbeats_sent += 1
-            self._own_pending += 1
-            engine.sim.schedule(
-                self.config.latency, self._on_heartbeat, name,
-                label=f"heartbeat:{name}",
-            )
-        for name in names:
-            if name in self.suspected:
-                continue
-            seen = self.last_seen.get(name, now)
-            if now - seen > self.config.timeout:
-                self._suspect(name, now)
-        if self._should_continue():
-            self._schedule_tick()
-
-    def _on_heartbeat(self, name: str) -> None:
-        self._own_pending -= 1
-        now = self.engine.sim.now
-        self.last_seen[name] = now
-        if name in self.suspected:
-            self.suspected.discard(name)
-            self.stats.unsuspects += 1
-            proc = self.engine.procs.get(name)
-            if name in self._was_alive and (proc is None or not proc.crashed):
-                self.stats.false_suspicions += 1
-            self._was_alive.discard(name)
-            if self.engine._tracing:
-                self.engine.tracer.record(now, "unsuspect", name)
-
-    def _suspect(self, name: str, now: float) -> None:
-        self.suspected.add(name)
-        self.stats.suspects += 1
-        proc = self.engine.procs.get(name)
-        if proc is None or not proc.crashed:
-            self._was_alive.add(name)
-        if self.engine._tracing:
-            self.engine.tracer.record(now, "suspect", name)
-        denied = self.engine._deny_owned_aids(name)
-        self.stats.detector_denies += denied
-
-    def _should_continue(self) -> bool:
-        engine = self.engine
-        if engine.sim.pending_events - self._own_pending > 0:
-            return True
-        for name, proc in engine.procs.items():
-            if (
-                proc.crashed
-                and name not in self.suspected
-                and engine._owner_has_pending_aids(name)
-            ):
-                return True
-        return False

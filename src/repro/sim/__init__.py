@@ -27,7 +27,6 @@ from .process import (
 )
 from .channel import Delivery, Mailbox, Message, Network, UnknownEndpointError
 from .faults import (
-    DETECTOR_ENDPOINT,
     NO_FAULTS,
     FaultPlan,
     FaultStats,
@@ -69,7 +68,6 @@ __all__ = [
     "Network",
     "Delivery",
     "UnknownEndpointError",
-    "DETECTOR_ENDPOINT",
     "NO_FAULTS",
     "FaultPlan",
     "FaultStats",

@@ -570,7 +570,7 @@ class Network:
         return box.purge()
 
     def control_fate(self, src: str, dst: str) -> tuple[bool, float]:
-        """Fate of a control datagram (ack/heartbeat) on the ``src -> dst``
+        """Fate of a control datagram (an ack) on the ``src -> dst``
         link: ``(lost, delay)``.  The reliable network never loses one;
         :class:`~repro.sim.faults.FaultyNetwork` applies its fault plan."""
         return (False, self.latency.sample(src, dst))

@@ -15,18 +15,17 @@ apply a per-link :class:`FaultPlan`:
 * **partition** — a timed two-sided cut: messages crossing it between
   ``start`` and ``heal_at`` are dropped deterministically.
 
-Every fate — message drop, duplicate, reorder and jitter, ack and
-heartbeat loss — is asked of one :class:`FateSource`: the simulator's
+Every fate — message drop, duplicate, reorder and jitter, ack loss —
+is asked of one :class:`FateSource`: the simulator's
 schedule controller when it has one, else :data:`SAMPLED`, which draws
 from one seeded :class:`~repro.sim.random.RandomStream` (conventionally
 ``streams["faults"]``) in send order, so a faulty run replays
 byte-identically from its seed.  Fates are asked only when ``param >
 0`` — an all-zero plan consumes no randomness and perturbs nothing.
 
-Control datagrams (the reliable layer's acks, the failure detector's
-heartbeats) do not travel as :class:`~repro.sim.channel.Message`
-envelopes; they consult :meth:`FaultyNetwork.control_fate` /
-:meth:`FaultyNetwork.heartbeat_lost`, which apply the same plan.
+Control datagrams (the reliable layer's acks) do not travel as
+:class:`~repro.sim.channel.Message` envelopes; they consult
+:meth:`FaultyNetwork.control_fate`, which applies the same plan.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from .channel import Mailbox, Message, Network
 from .kernel import ScheduledEvent, SimulationError, Simulator
 from .latency import LatencyModel
 from .random import RandomStream
-
-#: Pseudo-endpoint name for heartbeat traffic in per-link fault tables.
-DETECTOR_ENDPOINT = "@detector"
-
 
 def _check_prob(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
@@ -138,9 +133,7 @@ class Partition:
 
     Between ``start`` and ``heal_at`` (virtual time), any message whose
     endpoints fall on opposite sides is dropped.  Endpoints in neither
-    group are unaffected.  ``minority()`` names the smaller side — the
-    failure detector treats its heartbeats as lost, modelling the usual
-    "majority side keeps the cluster" deployment.
+    group are unaffected.
     """
 
     __slots__ = ("a", "b", "start", "heal_at")
@@ -170,16 +163,6 @@ class Partition:
         if not self.active(now):
             return False
         return (src in self.a and dst in self.b) or (src in self.b and dst in self.a)
-
-    def minority(self) -> frozenset:
-        """The smaller side (ties broken toward the lexicographically
-        smaller member set), used for heartbeat loss during the cut."""
-        if len(self.a) != len(self.b):
-            return self.a if len(self.a) < len(self.b) else self.b
-        return self.a if sorted(self.a) < sorted(self.b) else self.b
-
-    def isolates(self, name: str, now: float) -> bool:
-        return self.active(now) and name in self.minority()
 
     def to_dict(self) -> dict:
         return {
@@ -217,8 +200,7 @@ class FaultPlan:
     """A complete, serializable description of what the network does wrong.
 
     ``default`` applies to every link without an entry in ``links``
-    (keys are ``(src, dst)`` directed pairs).  Heartbeat traffic from
-    process ``p`` uses the link ``(p, DETECTOR_ENDPOINT)``.
+    (keys are ``(src, dst)`` directed pairs).
     """
 
     __slots__ = ("default", "links", "partitions")
@@ -239,13 +221,6 @@ class FaultPlan:
     def partitioned(self, src: str, dst: str, now: float) -> bool:
         for partition in self.partitions:
             if partition.separates(src, dst, now):
-                return True
-        return False
-
-    def isolated(self, name: str, now: float) -> bool:
-        """True when ``name`` sits on the minority side of an active cut."""
-        for partition in self.partitions:
-            if partition.isolates(name, now):
                 return True
         return False
 
@@ -299,7 +274,6 @@ class FaultStats:
         "reordered",
         "partition_dropped",
         "acks_dropped",
-        "heartbeats_dropped",
     )
 
     def __init__(self) -> None:
@@ -308,7 +282,6 @@ class FaultStats:
         self.reordered = 0
         self.partition_dropped = 0
         self.acks_dropped = 0
-        self.heartbeats_dropped = 0
 
     def as_dict(self) -> dict:
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -318,8 +291,8 @@ class FateSource:
     """Where a :class:`FaultyNetwork`'s fates come from: this base samples
     the network's seeded stream.
 
-    ``kind`` is ``"drop"``, ``"duplicate"``, ``"reorder"``, ``"ack"`` or
-    ``"heartbeat"`` for :meth:`fate`, and ``"reorder"`` or ``"jitter"``
+    ``kind`` is ``"drop"``, ``"duplicate"``, ``"reorder"`` or ``"ack"``
+    for :meth:`fate`, and ``"reorder"`` or ``"jitter"``
     for :meth:`lateness`; ``src``/``dst`` name the link.  A schedule
     controller (:class:`repro.verify.schedule.ScheduleController`) is a
     source, and an exploring one overrides both methods.
@@ -431,7 +404,7 @@ class FaultyNetwork(Network):
         spec.acks_dropped.set(stats.acks_dropped)
 
     # ------------------------------------------------------------------
-    # control-plane traffic (acks, heartbeats)
+    # control-plane traffic (acks)
     # ------------------------------------------------------------------
     def control_fate(self, src: str, dst: str) -> tuple[bool, float]:
         """Loss decision + delay for an ack-style datagram on ``src->dst``."""
@@ -447,21 +420,3 @@ class FaultyNetwork(Network):
         if faults.jitter > 0.0:
             delay += fates.lateness(self.stream, "jitter", src, dst, faults.jitter)
         return (False, delay)
-
-    def heartbeat_lost(self, src: str) -> bool:
-        """Fate of one heartbeat from ``src`` to the failure detector.
-
-        Lost when ``src`` is on the minority side of an active partition,
-        or by the drop probability of the ``(src, DETECTOR_ENDPOINT)``
-        link (falling back to the plan default).
-        """
-        if self.plan.isolated(src, self.sim.now):
-            self.fault_stats.heartbeats_dropped += 1
-            return True
-        faults = self.plan.for_link(src, DETECTOR_ENDPOINT)
-        if faults.drop > 0.0 and self.fates.fate(
-            self.stream, "heartbeat", src, DETECTOR_ENDPOINT, faults.drop
-        ):
-            self.fault_stats.heartbeats_dropped += 1
-            return True
-        return False

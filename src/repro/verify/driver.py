@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from ..durable.codec import DurableError
 from ..durable.store import DurableStore, HostCrash
-from ..runtime import DetectorConfig, HopeSystem, ReliableConfig
+from ..runtime import HopeSystem, ReliableConfig
 from ..sim import ConstantLatency, EventLimitExceeded, FaultPlan, RandomStreams, Tracer
 from .invariants import InvariantViolation, attach_monitors, check_quiescent
 from .programs import Scenario, random_scenario, scenario_from_spec
@@ -54,7 +54,7 @@ def committed_state(ledgers) -> dict[str, tuple]:
 
 
 #: A :class:`Run`'s configuration: :func:`check_run`'s keywords.
-_CONFIG = ("seed", "latency", "faults", "reliable", "detector", "max_events",
+_CONFIG = ("seed", "latency", "faults", "reliable", "max_events",
            "allow_pending_orphans", "inject_bug", "fossil_interval", "durable_opts")
 
 
@@ -72,7 +72,6 @@ class Run:
     latency: float = 1.0
     faults: Optional[FaultPlan] = None
     reliable: Any = False
-    detector: Any = False
     max_events: int = 200_000
     allow_pending_orphans: bool = True
     inject_bug: bool = False
@@ -158,7 +157,7 @@ def _check(run: Run, controller, twin: Optional[Run], speculation: bool = True,
     violations = run.violations
     config = dict(
         seed=run.seed, latency=ConstantLatency(run.latency), trace=tracer,
-        faults=run.faults, reliable=run.reliable, failure_detector=run.detector,
+        faults=run.faults, reliable=run.reliable,
         speculation=speculation, controller=controller, fossil_interval=run.fossil_interval,
         durable_opts=run.durable_opts,
     )
@@ -418,7 +417,7 @@ def reproduce(run: Run, path: str, *, twin: Optional[Run] = None,
 # the reproducer file
 # ---------------------------------------------------------------------------
 def _config_json(value: Any) -> Any:
-    """``reliable`` / ``detector`` as JSON: a bool, or a custom config's fields."""
+    """``reliable`` as JSON: a bool, or a custom config's fields."""
     if value is None or isinstance(value, bool):
         return bool(value)
     return {slot: getattr(value, slot) for slot in type(value).__slots__}
@@ -437,7 +436,6 @@ def write_reproducer(path: str, run: Run, choices: list, command: str = "verify"
         "scenario": run.scenario.spec,
         "faults": run.faults.to_dict() if run.faults is not None else None,
         "reliable": _config_json(run.reliable),
-        "detector": _config_json(run.detector),
         "max_drops": run.max_drops,
         "choices": choices,
         "failure": run.violations,
@@ -465,6 +463,12 @@ def _positive(value: int) -> int:
 
 
 _REQUIRED = object()
+#: Keys that configure nothing: what the run found, and what earlier
+#: writers recorded besides (the DPOR explorer's own format, an event-queue
+#: ``kernel``, the AID-task mode's ``control_latency``).
+_INERT = frozenset(("failure", "fingerprint", "command", "kind", "scenario_name",
+                    "original_choices", "shrink_runs", "kernel", "aid_mode",
+                    "control_latency"))
 #: A reproducer's fields: the JSON types accepted, the default when absent
 #: (``_REQUIRED``: none), and how the value becomes :func:`check_run`'s.
 _FIELDS = {
@@ -473,7 +477,6 @@ _FIELDS = {
     "latency": ((int, float), _REQUIRED, None),
     "faults": ((dict, type(None)), None, lambda d: None if d is None else FaultPlan.from_dict(d)),
     "reliable": ((bool, dict), False, lambda v: ReliableConfig(**v) if isinstance(v, dict) else v),
-    "detector": ((bool, dict), False, lambda v: DetectorConfig(**v) if isinstance(v, dict) else v),
     "max_events": ((int,), _REQUIRED, None),
     "max_drops": ((int, type(None)), 1, None),
     "allow_pending_orphans": ((bool,), True, None),
@@ -489,7 +492,8 @@ def load_reproducer(path: str) -> tuple[Scenario, dict, Optional[int], list]:
     keywords, max_drops, choices)``.  Every error names the offending
     field, so a hand-edited file fails with a pointer, not a stack trace.
     Files the DPOR explorer wrote before the reproducer was shared
-    (``kind: "dpor"``, ``fault_plan``) still load."""
+    (``kind: "dpor"``, ``fault_plan``) still load, and so does a file that
+    names an option since removed, if it has that option off."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -514,6 +518,14 @@ def load_reproducer(path: str) -> tuple[Scenario, dict, Optional[int], list]:
         )
     if "fault_plan" in payload:
         payload["faults"] = payload.pop("fault_plan")
+    for name in sorted(payload.keys() - _FIELDS.keys() - _INERT):
+        # An option the runtime has since lost: a run with it off is the
+        # same run without it, a run with it on cannot be replayed.
+        if payload[name] not in (False, None):
+            raise ValueError(
+                f"{path}: field {name!r}: {payload[name]!r} turns on an option "
+                "that was removed from the runtime; only a file with it false replays"
+            )
     fields = {}
     for name, (kinds, default, parse) in _FIELDS.items():
         if name not in payload:

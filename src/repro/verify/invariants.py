@@ -78,7 +78,7 @@ class LedgerMonitor:
         elif full and name in self._snapshots:      # retired since: a last check
             committed, outputs = self.system.committed_outputs(name), ()
         else:
-            return  # retired and checked, or a pseudo-pid (e.g. the failure detector)
+            return  # retired and checked
         snapshot = self._snapshots.get(name)
         if snapshot is None:
             if len(self._snapshots) >= self._limit:

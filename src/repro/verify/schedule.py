@@ -143,8 +143,8 @@ class RecordingController(ScheduleController):
     A step's footprint is the slice of ``tracer`` records (process names,
     AID keys) appended until the next tie step; :func:`repro.verify.check_run`
     binds the tracer.  A drop fate asks "deliver or drop?" (1 = drop), a
-    reorder fate "on time or late?" (1 = late).  Ack and heartbeat loss
-    never branch: retry timers already bound their effect, and branching
+    reorder fate "on time or late?" (1 = late).  Ack loss never
+    branches: retry timers already bound its effect, and branching
     on every ack would square the tree for no new *message* order.
     """
 

@@ -128,18 +128,19 @@ def test_run_reproducer_roundtrip(tmp_path):
 
 
 def test_reproducer_keeps_custom_reliable_and_detector_configs(tmp_path):
-    from repro.runtime import DetectorConfig, ReliableConfig
+    """A custom ``ReliableConfig`` round-trips through the file.  (The
+    failure detector is gone: tests/verify/test_dpor.py checks that the
+    writer no longer emits its key and how an old file's key loads.)"""
+    from repro.runtime import ReliableConfig
     from repro.verify.driver import load_reproducer, write_reproducer
 
     run = Run(
         WORKLOADS["ring"], seed=3, reliable=ReliableConfig(ack_timeout=3.0, max_attempts=4),
-        detector=DetectorConfig(interval=2.0, timeout=9.0),
     )
     path = write_reproducer(str(tmp_path / "r.json"), run, [0, 1])
     scenario, config, max_drops, choices = load_reproducer(path)
     assert (scenario.name, config["seed"], max_drops, choices) == ("ring", 3, None, [0, 1])
     assert (config["reliable"].ack_timeout, config["reliable"].max_attempts) == (3.0, 4)
-    assert (config["detector"].interval, config["detector"].timeout) == (2.0, 9.0)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -169,7 +170,7 @@ def test_fault_layer_disabled_is_byte_identical_to_plain_run():
         return tracer.fingerprint(), committed_state(system)
 
     plain = run()
-    disabled = run(faults=None, reliable=False, failure_detector=False)
+    disabled = run(faults=None, reliable=False)
     assert plain == disabled
 
 

@@ -590,11 +590,6 @@ class TestGuardrails:
             HopeSystem(seed=1, latency=ConstantLatency(1.0),
                        reliable=True, durable_dir=str(tmp_path))
 
-    def test_no_failure_detector(self, tmp_path):
-        with pytest.raises(HopeError, match="failure detector"):
-            HopeSystem(seed=1, latency=ConstantLatency(1.0),
-                       failure_detector=True, durable_dir=str(tmp_path))
-
     def test_crash_process_refused(self, tmp_path):
         system = HopeSystem(**_durable_kwargs(tmp_path))
         build_durable_counter(system)

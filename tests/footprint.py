@@ -89,20 +89,20 @@ BUDGETS = {
     # a slot in the start batch, the task, runtime, record, track, log
     # and mailbox of a process not yet run (PERFORMANCE §20, §26)
     "spawned process": {
-        (3, 10): (1787, 14.2), (3, 11): (1398, 13.1),
-        (3, 12): (1380, 13.1), (3, 13): (1381, 13.1),
+        (3, 10): (1787, 14.2), (3, 11): (1397, 13.1),
+        (3, 12): (1380, 13.1), (3, 13): (1380, 13.1),
     },
     # the same, blocked in ``recv``: its task is the mailbox's waiter
     # (§18, §20, §26)
     "idle process": {
         (3, 10): (1902, 17.5), (3, 11): (1512, 16.4),
-        (3, 12): (1495, 16.4), (3, 13): (1495, 16.4),
+        (3, 12): (1494, 16.4), (3, 13): (1494, 16.4),
     },
     # eight log entries (two of them receives: a payload and an
     # envelope row each), a committed emit and a handle whose settled
     # AID is the shared verdict (§15, §17, §22, §27)
     "running round": {
-        (3, 10): (566, 10.1), (3, 11): (569, 10.0),
+        (3, 10): (565, 10.1), (3, 11): (569, 10.0),
         (3, 12): (569, 10.0), (3, 13): (569, 10.0),
     },
     # what a retired process keeps: its ledger row and directory slot,

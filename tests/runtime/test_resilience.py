@@ -1,18 +1,13 @@
-"""Tests for reliable delivery and the heartbeat failure detector."""
+"""Tests for reliable delivery, and for what a crash does to speculation."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from repro.runtime import (
-    DetectorConfig,
-    HopeSystem,
-    ReliableConfig,
-    ReliableTransport,
-    TIMED_OUT,
-)
-from repro.sim import ConstantLatency, FaultPlan, LinkFaults, Partition, Tracer
+from repro.runtime import HopeSystem, ReliableConfig, ReliableTransport, TIMED_OUT
+from repro.sim import ConstantLatency, FaultPlan, LinkFaults, Tracer
+from repro.verify.invariants import InvariantViolation, check_quiescent
 
 from ..footprint import acked_send, budget
 
@@ -51,13 +46,6 @@ def test_reliable_config_validation():
         ReliableConfig(ack_timeout=10.0, max_backoff=5.0)
     with pytest.raises(ValueError):
         ReliableConfig(max_attempts=0)
-
-
-def test_detector_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(interval=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(interval=5.0, timeout=5.5, latency=1.0)
 
 
 # ---------------------------------------------------------------- delivery
@@ -186,113 +174,64 @@ def test_sender_crash_stops_retries_without_retracting():
     assert stats["exhausted"] == 0
 
 
-# ---------------------------------------------------------------- detector
-def detector_scenario(crash_time=None, **kwargs):
-    """An owner guesses and goes silent; a dependent consumes the tagged
-    message and waits on a second message that never comes unless the
-    detector denies the owner's AID."""
-    system = HopeSystem(
-        seed=1,
-        latency=ConstantLatency(1.0),
-        failure_detector=DetectorConfig(interval=4.0, timeout=10.0, latency=1.0),
-        **kwargs,
-    )
+# ---------------------------------------------------------------- crash
+def crashed_creator(restart: bool, judge: bool):
+    """The creator of AID x sends its handle to a dependent (and to a
+    judge), the dependent guesses x, and the creator crashes at t = 3,
+    long before its own affirm.  Nothing resolves x on the crashed
+    process's behalf: only another holder of the handle can."""
+    system = HopeSystem(seed=1, latency=ConstantLatency(1.0))
 
-    def owner(p):
+    def creator(p):
         x = yield p.aid_init("x")
-        yield p.guess(x)
-        yield p.send("dep", "speculative-hint")
-        yield p.compute(200.0)                  # never resolves in time
+        yield p.send("dep", x)
+        if judge:
+            yield p.send("judge", x)
+        yield p.compute(100.0)
         yield p.affirm(x)
-        return "owner-done"
 
     def dep(p):
-        msg = yield p.recv(timeout=50.0)
-        if msg is TIMED_OUT:
-            # post-deny re-execution: the hint died with the speculation
-            yield p.emit("no-hint")
-            return "dep-done"
-        # consumed the speculative hint; the follow-up never arrives
-        yield p.recv(timeout=100.0)
-        yield p.emit(("fallback", msg.payload))
-        return "dep-done"
+        msg = yield p.recv()
+        yield p.guess(msg.payload)
+        yield p.emit("optimistic")
 
-    system.spawn("owner", owner)
-    system.spawn("dep", dep)
-    if crash_time is not None:
-        system.failures.crash_at("owner", crash_time)
-    return system
+    def judge_body(p):
+        msg = yield p.recv()
+        yield p.compute(10.0)
+        yield p.affirm(msg.payload)
+
+    system.spawn("creator", creator)
+    dependent = system.spawn("dep", dep)
+    if judge:
+        system.spawn("judge", judge_body)
+    system.failures.crash_at("creator", 3.0, restart_after=2.0 if restart else None)
+    system.run(max_events=10_000)
+    return system, dependent
 
 
-def test_detector_denies_crashed_owners_aids():
-    system = detector_scenario(crash_time=3.0)
-    system.run(max_events=100_000)
-    # the dependent rolled back (its consumed message died) and finished
-    assert system.result_of("dep") == "dep-done"
-    stats = system.stats()["detector"]
-    assert stats["suspects"] >= 1
-    assert stats["detector_denies"] >= 1
-    assert stats["false_suspicions"] == 0
-    assert system.stats()["rollbacks"] >= 1
+@pytest.mark.parametrize("restart", [False, True], ids=["crashed", "restarted"])
+def test_a_crashed_creators_aid_waits_for_another_holder(restart):
+    """A crash resolves nothing: the dependent stays speculative on x#1
+    whether or not the creator restarts (the restarted body mints a fresh
+    AID), and the quiescence check names the AID it waits on."""
+    system, dependent = crashed_creator(restart, judge=False)
+    assert dependent.mproc.current.speculative
+    assert system.outputs("dep") == ["optimistic"] and not system.committed_outputs("dep")
+    with pytest.raises(InvariantViolation, match=r"pending AID x#1 that still has 1 dependent"):
+        check_quiescent(system)
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["crashed", "restarted"])
+def test_a_third_holder_affirms_a_crashed_creators_aid(restart):
+    system, _ = crashed_creator(restart, judge=True)
+    assert system.committed_outputs("dep") == ["optimistic"]
     assert not system.pending_aids()
-
-
-def test_detector_run_terminates_after_suspicion():
-    system = detector_scenario(crash_time=3.0)
-    final = system.run(max_events=100_000)
-    # the detector's own heartbeat loop must not keep the run alive
-    assert final < 500.0
-
-
-def test_false_suspicion_reconciles_late_affirm():
-    """A partitioned (not crashed) owner is suspected and its AID denied;
-    when it heals, its affirm of the detector-denied AID must reconcile
-    to a no-op instead of raising a resolution conflict."""
-    # owner alone vs two peers: owner is the minority, so its heartbeats
-    # are the ones the cut swallows
-    plan = FaultPlan(
-        partitions=(
-            Partition(("owner",), ("dep", "bystander"), start=1.0, heal_at=60.0),
-        )
-    )
-    system = HopeSystem(
-        seed=1,
-        latency=ConstantLatency(1.0),
-        faults=plan,
-        reliable=True,
-        failure_detector=DetectorConfig(interval=4.0, timeout=10.0, latency=1.0),
-    )
-
-    def owner(p):
-        x = yield p.aid_init("x")
-        yield p.guess(x)
-        yield p.compute(80.0)                    # silent past the timeout
-        yield p.affirm(x)                        # reconciled: already denied
-        return "owner-done"
-
-    def dep(p):
-        return "dep-done"
-        yield  # pragma: no cover
-
-    def bystander(p):
-        yield p.compute(1.0)
-        return "bystander-done"
-
-    system.spawn("owner", owner)
-    system.spawn("dep", dep)
-    system.spawn("bystander", bystander)
-    system.run(max_events=100_000)
-    assert system.result_of("owner") == "owner-done"
-    stats = system.stats()["detector"]
-    assert stats["suspects"] >= 1
-    assert stats["detector_denies"] >= 1
-    assert stats["false_suspicions"] >= 1
-    assert stats["reconciled_affirms"] >= 1
+    check_quiescent(system)
 
 
 # ---------------------------------------------------------------- purity
 def test_disabled_layers_leave_traces_byte_identical():
-    """faults=None + reliable=False + failure_detector=False must be
+    """faults=None + reliable=False must be
     byte-identical to a build that predates the whole resilience layer —
     checked against a plain run's fingerprint."""
     def run(**kwargs):
@@ -301,7 +240,7 @@ def test_disabled_layers_leave_traces_byte_identical():
         system.run(max_events=100_000)
         return tracer.fingerprint()
 
-    assert run() == run(faults=None, reliable=False, failure_detector=False)
+    assert run() == run(faults=None, reliable=False)
 
 
 def test_faulty_run_replays_byte_identically():
@@ -549,45 +488,4 @@ def test_a_retired_endpoint_under_reliable_delivery():
     }
     assert tracer.fingerprint() == (
         "fa7aa4d154a6b3d3fa7a628c1413383923df56d68d708b0b37038a862e84302f"
-    )
-
-
-def test_the_detector_heartbeats_a_retired_process():
-    """A retired process is a live node to the failure detector: it
-    heartbeats as it did while its runtime existed, so the chaos ``ring``
-    under heavy drop suspects what it suspected, and the trace and
-    ``DetectorStats`` are those recorded before retirement dropped the
-    runtime."""
-    from repro.chaos import WORKLOADS, standard_plans
-
-    tracer = Tracer()
-    system = HopeSystem(
-        seed=3, latency=ConstantLatency(1.0), trace=tracer,
-        faults=standard_plans("ring")["drop-heavy"], reliable=ReliableConfig(),
-        failure_detector=DetectorConfig(), fossil_interval=4,
-    )
-    retired_at = {}
-    retire = system._retire
-
-    def recording_retire(proc):
-        retired_at[proc.name] = system.sim.now
-        retire(proc)
-
-    system._retire = recording_retire
-    beats, on_heartbeat = [], system.detector._on_heartbeat
-
-    def recording_heartbeat(name):
-        beats.append(name in retired_at and system.sim.now > retired_at[name])
-        on_heartbeat(name)
-
-    system.detector._on_heartbeat = recording_heartbeat
-    WORKLOADS["ring"].build(system)
-    system.run(max_events=200_000)
-    assert retired_at and sum(beats) > 0       # heartbeats of retired names
-    assert system.stats()["detector"] == {
-        "heartbeats_sent": 22, "heartbeats_lost": 8, "suspects": 1, "unsuspects": 0,
-        "false_suspicions": 0, "detector_denies": 0, "reconciled_affirms": 0,
-    }
-    assert tracer.fingerprint() == (
-        "95946c72cf5aed771e2232bbea579a62093ff584eaf1a203c91e6e45174d4d13"
     )

@@ -130,7 +130,7 @@ def test_a_controller_samples_fates_like_a_run_without_one():
         tracer = Tracer()
         system = HopeSystem(
             seed=3, latency=ConstantLatency(1.0), trace=tracer, faults=plan,
-            reliable=True, failure_detector=True, controller=controller,
+            reliable=True, controller=controller,
         )
         build_chaos_mesh(system)
         system.run(max_events=200_000)
@@ -139,7 +139,7 @@ def test_a_controller_samples_fates_like_a_run_without_one():
     plain, controlled = run(None), run(ScheduleController())
     assert controlled == plain
     assert all(plain[1][kind] > 0 for kind in (
-        "dropped", "duplicated", "reordered", "acks_dropped", "heartbeats_dropped"
+        "dropped", "duplicated", "reordered", "acks_dropped"
     ))
 
 
@@ -172,7 +172,7 @@ def test_injected_bug_found_shrunk_and_reproduced(tmp_path):
 
     payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
     assert set(payload) == {
-        "scenario", "seed", "latency", "faults", "reliable", "detector",
+        "scenario", "seed", "latency", "faults", "reliable",
         "max_events", "max_drops", "allow_pending_orphans", "inject_bug",
         "choices", "failure", "fingerprint", "command",
     }
@@ -226,6 +226,31 @@ def test_reproducer_aid_mode_key_absent_registry_or_refused(tmp_path):
         match=(r"aid_mode='aid_task'.*AIDMODE experiment "
                r"\(experiments/test_aid_modes\.py\)"),
     ):
+        replay(str(path))
+
+
+def test_reproducer_with_the_detector_off_still_replays(tmp_path):
+    """Reproducers written while the runtime had a failure detector carry
+    ``"detector": false``; such a file replays as it did."""
+    report = explorer(
+        two_aid_scenario(**TWO_AID), inject_bug=True, repro_dir=str(tmp_path)
+    ).explore()
+    payload = json.loads((tmp_path / report.reproducer.split("/")[-1]).read_text())
+    path = tmp_path / "old-format.json"
+    path.write_text(json.dumps({**payload, "detector": False}))
+    again = replay(str(path))
+    assert again.violations == report.failures[0].violations
+    assert again.fingerprint == payload["fingerprint"]
+
+
+@pytest.mark.parametrize("on", [True, {"interval": 2.0, "timeout": 9.0, "latency": 1.0}],
+                         ids=["true", "config"])
+def test_reproducer_with_the_detector_on_is_refused(tmp_path, on):
+    """A run with the detector on cannot be replayed without it: the file
+    is refused, naming the field."""
+    path = tmp_path / "old-format.json"
+    path.write_text(json.dumps({**DPOR_FILE, "detector": on}))
+    with pytest.raises(ValueError, match=r"field 'detector': .* removed from the runtime"):
         replay(str(path))
 
 
@@ -384,11 +409,11 @@ def test_the_three_campaigns_walk_the_recorded_paths(tmp_path):
 
 
 def test_ack_and_heartbeat_loss_never_branch():
-    """Retry timers already bound what a lost ack or heartbeat does, so
-    the explorer neither records a choice point nor draws for one."""
+    """Retry timers already bound what a lost ack does, so the explorer
+    neither records a choice point nor draws for one.  (There are no
+    heartbeats any more: the failure detector that sent them is gone.)"""
     controller = RecordingController(max_drops=5)
-    for kind in ("ack", "heartbeat"):
-        assert controller.fate(None, kind, "a", "b", 1.0) is False
+    assert controller.fate(None, "ack", "a", "b", 1.0) is False
     assert controller.records == []
     assert controller.fate(None, "drop", "a", "b", 0.5) is False  # default: deliver
     assert [r.keys for r in controller.records] == [(("drop:a->b#0", 0), ("drop:a->b#0", 1))]
