@@ -35,8 +35,8 @@ class AidTaskTiming:
     guess sends one DEPEND registration per dependency it adds.
     ``messages`` counts all three kinds.
 
-    Delayed application commutes with the runtime's lenient
-    resolution-conflict policy, so a run reaches the same AID statuses and
+    Delayed application commutes with the machine's resolution-conflict
+    rule (a redundant resolution is a no-op), so a run reaches the same AID statuses and
     committed outputs as on the registry; only timing and wasted work
     differ.
     """

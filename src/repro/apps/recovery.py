@@ -275,17 +275,17 @@ def run_recovery(
     system.spawn("sender", sender, config)
     system.spawn("receiver", receiver, config)
     for t in crash_sender_at or []:
-        system.failures.crash_at("sender", t)
+        system.sim.schedule_at(t, system.crash_process, "sender")
         system.sim.schedule_at(t + restart_after, system.restart_process, "sender")
     for t in crash_receiver_at or []:
-        system.failures.crash_at("receiver", t)
+        system.sim.schedule_at(t, system.crash_process, "receiver")
         system.sim.schedule_at(t + restart_after, system.restart_process, "receiver")
     makespan = system.run(max_events=5_000_000)
     stats = system.stats()
     return RecoveryResult(
         makespan=makespan,
         ledger=system.committed_outputs("disk"),
-        crashes=len(system.failures.crashes),
+        crashes=len(crash_sender_at or ()) + len(crash_receiver_at or ()),
         rollbacks=stats["rollbacks"],
         stats=stats,
     )

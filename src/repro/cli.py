@@ -22,6 +22,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from .core import HopeError
 from .lang import CheckError, check_program, compile_program, parse
 from .obs import FORMATS, MetricsRegistry
 from .runtime import HopeSystem
@@ -444,18 +445,22 @@ def cmd_run(args, out) -> int:
     tracer = Tracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics_out else None
     faults = fault_plan_from_args(args)
-    system = HopeSystem(
-        seed=args.seed,
-        latency=ConstantLatency(args.latency),
-        trace=tracer,
-        fossil_interval=args.fossil_interval,
-        metrics=registry,
-        faults=faults,
-        reliable=args.reliable,
-        durable_dir=args.durable_dir,
-    )
-    for spec in args.spawn:
-        compiled.spawn(system, spec.instance, spec.process, *spec.args)
+    try:
+        system = HopeSystem(
+            seed=args.seed,
+            latency=ConstantLatency(args.latency),
+            trace=tracer,
+            fossil_interval=args.fossil_interval,
+            metrics=registry,
+            faults=faults,
+            reliable=args.reliable,
+            durable_dir=args.durable_dir,
+        )
+        for spec in args.spawn:
+            compiled.spawn(system, spec.instance, spec.process, *spec.args)
+    except HopeError as exc:         # a composition the runtime refuses
+        print(f"error: {exc}", file=out)
+        return 1
     profiler = None
     if args.profile:
         import cProfile

@@ -16,13 +16,13 @@ class UnknownProcessError(HopeError):
 
 
 class ResolutionConflictError(HopeError):
-    """Conflicting or repeated affirm/deny/free_of on one assumption identifier.
+    """Conflicting affirm/deny/free_of on one assumption identifier.
 
     The paper (§5.2): "more than one affirm or deny primitive applied to a
     single assumption identifier, in any combination, is a user error, and
-    the meaning is undefined."  We refuse to leave it undefined: in strict
-    mode any second resolution raises; in lenient mode redundant
-    same-direction resolutions are no-ops and only contradictions raise.
+    the meaning is undefined."  We refuse to leave it undefined: a
+    redundant same-direction resolution is a no-op and only a
+    contradiction raises.
     """
 
 

@@ -23,12 +23,10 @@ Eq     Where
 Semantic decisions beyond the paper's letter (see DESIGN.md §3):
 
 * **Resolution conflicts.**  The paper declares repeated/conflicting
-  affirm/deny "a user error, and the meaning is undefined".  In
-  ``strict`` mode any second resolution of an AID raises
-  :class:`ResolutionConflictError`.  In lenient mode (used by the
-  runtime, where rollback legitimately re-executes resolution
-  statements) a redundant same-direction resolution is a no-op and only
-  a contradiction raises.
+  affirm/deny "a user error, and the meaning is undefined".  Rollback
+  legitimately re-executes resolution statements, so a redundant
+  same-direction resolution is a no-op and only a contradiction raises
+  :class:`ResolutionConflictError`.
 * **Speculative resolutions and rollback.**  A speculative deny dies in
   the interval's IHD (paper: "they die with the interval").  A
   speculative affirm that is rolled back is "equivalent to a deny"
@@ -86,16 +84,14 @@ _LIVE_NO_DEPS: tuple[bool, frozenset] = (True, frozenset())
 class Machine:
     """The abstract machine of §4, with the five primitives of §3.
 
-    ``strict`` selects resolution-conflict behaviour (see module
-    docstring).  ``history=False`` keeps each process's index clock but
+    ``history=False`` keeps each process's index clock but
     not the Definition 4.1 entries — no primitive reads them back, so an
     embedding runtime that shows them to nobody need not retain them.
     Subscribed listeners receive a :class:`MachineEvent` for every guess,
     affirm, deny, finalize and rollback.
     """
 
-    def __init__(self, strict: bool = True, history: bool = True) -> None:
-        self.strict = strict
+    def __init__(self, history: bool = True) -> None:
         self.history = history
         self.processes: dict[str, ProcessRecord] = {}
         #: Records ever created: the next one's ``order`` (spawn index).
@@ -584,11 +580,6 @@ class Machine:
                     f"{pid!r} depends on resolved AID {aid.key} — "
                     "a resolved AID must have an empty DOM"
                 )
-            if self.strict:
-                raise ResolutionConflictError(
-                    f"free_of({aid.key}) after the AID was already "
-                    f"{aid.status.value} (strict mode)"
-                )
             record.append("free_of_noop", aid=aid.key)
             return
         record.append("free_of", aid=aid.key)
@@ -651,14 +642,7 @@ class Machine:
                 # A definite affirm landed while this deny was parked.
                 # The paper calls conflicting resolutions a user error with
                 # undefined meaning; we resolve the race deterministically:
-                # in lenient mode the earlier definite affirm wins and the
-                # parked deny dies; strict mode refuses.
-                if self.strict:
-                    raise ResolutionConflictError(
-                        f"speculative deny({parked.key}) became definite at "
-                        f"finalize({interval.label}) but the AID was already "
-                        "affirmed"
-                    )
+                # the earlier definite affirm wins and the parked deny dies.
                 continue
             parked.status = AidStatus.DENIED
             parked.resolved_by = interval.pid
@@ -759,19 +743,13 @@ class Machine:
     ) -> bool:
         """Gate a resolution attempt.  Returns True when it should proceed.
 
-        Strict mode: any second resolution raises.  Lenient: redundant
-        same-direction resolutions return False (no-op); contradictions
-        raise.  A second affirm while a live speculative affirm is pending
-        is a user error in both modes (two distinct intervals claiming the
-        same assumption).
+        A redundant same-direction resolution returns False (no-op); a
+        contradiction raises.  A second affirm while a live speculative
+        affirm is pending is a user error (two distinct intervals claiming
+        the same assumption).
         """
         if aid.status is not AidStatus.PENDING:
             by = "" if aid.resolved_by is None else f" by {aid.resolved_by!r}"
-            if self.strict:
-                raise ResolutionConflictError(
-                    f"{via}({aid.key}) by {pid!r}: AID already "
-                    f"{aid.status.value}{by} (strict mode)"
-                )
             if aid.status is wanted:
                 return False
             raise ResolutionConflictError(

@@ -113,7 +113,10 @@ class DurableStore:
         self.retain = retain
         self.crash = crash
         self.sealed: Optional[Tuple[int, int]] = None
-        os.makedirs(root, exist_ok=True)
+        try:
+            os.makedirs(root, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise DurableError(f"durable root {root!r} is not a directory") from None
         self.key = self._load_or_create_key()
         self._wal_fh = None
         self._wal_gen: Optional[int] = None

@@ -169,12 +169,6 @@ class MetricsRegistry:
     def __iter__(self):
         return iter(self._metrics.values())
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
 
 class NullRegistry(MetricsRegistry):
     """A registry that measures nothing — the default, for zero overhead:

@@ -30,9 +30,8 @@ from .effects import (
     RandomEffect,
     RecvEffect,
     SendEffect,
-    SpawnEffect,
 )
-from .engine import HopeSystem, OutputRecord, ProcessRuntime, SpeculativeSpawnError
+from .engine import HopeSystem, OutputRecord, ProcessRuntime
 from .messages import ReceivedMessage, RpcReply, RpcRequest
 from .replay import Checkpoint, EffectLog, LogEntry, RebasePoint, ReplayDivergenceError
 from .resilience import (
@@ -62,7 +61,6 @@ __all__ = [
     "LogEntry",
     "Checkpoint",
     "ReplayDivergenceError",
-    "SpeculativeSpawnError",
     "HopeEffect",
     "AidInitEffect",
     "GuessEffect",
@@ -76,6 +74,5 @@ __all__ = [
     "RandomEffect",
     "EmitEffect",
     "CommitPointEffect",
-    "SpawnEffect",
     "OutputRecord",
 ]

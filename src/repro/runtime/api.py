@@ -35,7 +35,6 @@ from .effects import (
     RandomEffect,
     RecvEffect,
     SendEffect,
-    SpawnEffect,
 )
 from .messages import ReceivedMessage, RpcReply, RpcRequest
 
@@ -217,10 +216,6 @@ class HopeProcess:
         Read results with :meth:`HopeSystem.outputs` /
         :meth:`HopeSystem.committed_outputs`."""
         return EmitEffect(value)
-
-    def spawn(self, name: str, fn: Callable, *args: Any) -> SpawnEffect:
-        """Start another HOPE process; resumes with its name."""
-        return SpawnEffect(name, fn, *args)
 
     def commit_point(self, state: Any) -> CommitPointEffect:
         """Declare that ``state`` fully captures this process here.

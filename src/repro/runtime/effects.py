@@ -192,18 +192,3 @@ class CommitPointEffect(HopeEffect):
 
     def __repr__(self) -> str:
         return "CommitPoint()"
-
-
-class SpawnEffect(HopeEffect):
-    """Spawn another HOPE process; resumes with its name."""
-
-    __slots__ = ("name", "fn", "args")
-    kind = "spawn"
-
-    def __init__(self, name: str, fn: Callable, *args: Any) -> None:
-        self.name = name
-        self.fn = fn
-        self.args = args
-
-    def __repr__(self) -> str:
-        return f"Spawn({self.name!r})"

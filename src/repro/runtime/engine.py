@@ -43,7 +43,6 @@ from ..core.aid import settled
 from ..sim import (
     TIMED_OUT,
     ConstantLatency,
-    FailureInjector,
     FaultPlan,
     FaultyNetwork,
     LatencyModel,
@@ -73,7 +72,6 @@ from .effects import (
     RandomEffect,
     RecvEffect,
     SendEffect,
-    SpawnEffect,
 )
 from .messages import new_received as _new_received
 from .replay import (
@@ -87,15 +85,6 @@ from .resilience import ReliableConfig, ReliableTransport
 
 _DEFINITE = IntervalState.DEFINITE
 _SEND_CODE, _RECV_CODE = KIND_CODE["send"], KIND_CODE["recv"]
-
-
-class SpeculativeSpawnError(HopeError):
-    """Spawning a process from a speculative interval is not supported.
-
-    The paper's model creates processes outside the optimistic machinery;
-    spawn before guessing, or send a message to a pre-spawned worker (the
-    message's tags carry the dependency instead).
-    """
 
 
 class OutputRecord:
@@ -294,10 +283,6 @@ class HopeSystem:
         The machine keeps only the index clock either way
         (``Machine(history=False)``): ``ProcessRecord.history`` is empty,
         and the trace is the run's record.
-    strict_aids:
-        Forward the machine's strict resolution-conflict mode.  The
-        runtime default is lenient because rollback legitimately
-        re-executes resolution statements (see Figure 2's WorryWart).
     fossil_collect:
         Accepts only ``True``: collection is the only mode.  The system
         reclaims committed state behind the commit frontier (Theorem 6.1:
@@ -363,7 +348,6 @@ class HopeSystem:
         latency: Optional[LatencyModel] = None,
         rollback_overhead: float = 0.0,
         trace: Optional[Tracer] = None,
-        strict_aids: bool = False,
         speculation: bool = True,
         fossil_collect: bool = True,
         fossil_interval: int = 64,
@@ -393,7 +377,7 @@ class HopeSystem:
         self._tracing = not getattr(self.tracer, "_disabled", False)
         # The index clock only: nothing in the engine reads a Definition
         # 4.1 history entry back (a bare Machine() keeps them).
-        self.machine = Machine(strict=strict_aids, history=False)
+        self.machine = Machine(history=False)
         self.machine.subscribe(self._on_machine_event)
         self.machine.on_settle = _set_aid
         #: Pre-bound effect-dispatch lookup and interned-empty DepSet —
@@ -403,10 +387,6 @@ class HopeSystem:
         #: (handler, on_exit) shared by every task (see _start_task).
         self._task_hooks: Optional[tuple] = None
         self.timeline = Timeline()
-        self.failures = FailureInjector(self.sim)
-        self.failures.attach(
-            kill_fn=self.crash_process, restart_fn=self.restart_process
-        )
         self.rollback_overhead = rollback_overhead
         #: speculation=False turns every guess into a *blocking wait* for
         #: the AID's resolution: the same program runs pessimistically —
@@ -611,10 +591,11 @@ class HopeSystem:
     def crash_process(self, name: str) -> None:
         """Crash a process: kill its task and drop its volatile effect log.
 
-        Used by failure injection (the optimistic-recovery application);
-        the process's machine record survives (it models the global
-        dependency state, which in the paper lives in AID bookkeeping,
-        not in the crashed node's volatile memory).
+        Schedule it with ``sim.schedule_at(t, system.crash_process, name)``
+        (the optimistic-recovery application does).  The process's machine
+        record survives: it models the global dependency state, which in
+        the paper lives in AID bookkeeping, not in the crashed node's
+        volatile memory.
         """
         if self._durable is not None:
             raise HopeError(
@@ -1189,23 +1170,6 @@ class HopeSystem:
             self.tracer.record(self.sim.now, "commit_point", proc.name)
         task.resume_now(None)
 
-    def _do_spawn(self, proc, task, effect: SpawnEffect) -> None:
-        if proc.mproc.current is not None:
-            raise SpeculativeSpawnError(
-                f"{proc.name!r} tried to spawn {effect.name!r} while speculative"
-            )
-        if self._durable is not None:
-            # Replay never re-invokes handlers, so a committed spawn entry
-            # could not recreate its child at resume; durable runs must
-            # build their whole tree up front.
-            raise HopeError(
-                "dynamic p.spawn is not supported on a durable run — spawn "
-                "every process from build() (see docs/DURABILITY.md)"
-            )
-        self.spawn(effect.name, effect.fn, *effect.args)
-        proc.log.append("spawn", effect.name)
-        task.resume_now(effect.name)
-
     def _lookup_aid(self, effect) -> AssumptionId:
         """The AID a guess / affirm / deny / free_of names.
 
@@ -1232,7 +1196,6 @@ class HopeSystem:
         RandomEffect: _do_random,
         EmitEffect: _do_emit,
         CommitPointEffect: _do_commit_point,
-        SpawnEffect: _do_spawn,
     }
 
     # ------------------------------------------------------------------

@@ -217,10 +217,6 @@ class EffectLog:
     # ------------------------------------------------------------------
     # replay side
     # ------------------------------------------------------------------
-    @property
-    def replaying(self) -> bool:
-        return self.pending > 0
-
     def begin_replay(self, origin: Optional[int] = None) -> None:
         """Reset the cursor for a fresh incarnation starting at ``origin``.
 

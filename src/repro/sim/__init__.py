@@ -43,7 +43,6 @@ from .latency import (
 )
 from .random import RandomStream, RandomStreams, derive_seed
 from .trace import TraceRecord, Tracer
-from .failure import CrashRecord, FailureInjector
 from .timeline import ProcessTimeline, Span, Timeline
 from .render import render_timeline, render_utilization
 
@@ -84,8 +83,6 @@ __all__ = [
     "derive_seed",
     "Tracer",
     "TraceRecord",
-    "FailureInjector",
-    "CrashRecord",
     "Timeline",
     "ProcessTimeline",
     "Span",

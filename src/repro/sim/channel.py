@@ -102,10 +102,6 @@ class Delivery:
                 message.copies -= 1
             event.cancel()
 
-    @property
-    def delivered(self) -> bool:
-        return self.message.deliver_time is not None
-
 
 class _Waiter:
     """A sim task blocked on a mailbox (the default handler's ``Recv``).

@@ -106,11 +106,6 @@ class LinkFaults:
             and self.jitter == 0.0
         )
 
-    def replace(self, **kwargs: float) -> "LinkFaults":
-        fields = {slot: getattr(self, slot) for slot in self.__slots__}
-        fields.update(kwargs)
-        return LinkFaults(**fields)
-
     def to_dict(self) -> dict:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 

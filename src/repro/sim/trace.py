@@ -76,10 +76,6 @@ class Tracer:
             del self.records[0 : len(self.records) - self._max_records]
             self.truncated = True
 
-    def count(self, category: str) -> int:
-        """Total occurrences of ``category``, including filtered-out ones."""
-        return self.counts.get(category, 0)
-
     def fingerprint(self, allow_truncated: bool = False) -> str:
         """Stable hash of the whole trace; equal traces ⇒ equal fingerprints.
 
@@ -106,11 +102,3 @@ class Tracer:
         """Human-readable rendering of the trace (last ``limit`` records)."""
         records = self.records if limit is None else self.records[-limit:]
         return "\n".join(repr(r) for r in records)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.counts.clear()
-        self.truncated = False
-
-    def __len__(self) -> int:
-        return len(self.records)

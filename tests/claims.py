@@ -31,7 +31,7 @@ OPEN = "open: item 4"
 #: How many functions ``--audit`` lists.  A rise is new code that no claim
 #: reaches; a fall (a function deleted, or a check that now reaches one)
 #: must be recorded here.
-AUDIT = 65
+AUDIT = 44
 CLI = "tests/integration/test_cli.py::"
 THM = "tests/core/test_theorems.py::"
 PROPS = "tests/core/test_properties.py::"
@@ -81,6 +81,13 @@ RECOVERY | §7 future work: optimistic recovery
 CORRECT | output equals the reference, exactly once under crashes, equal per seed
     tests/apps tests/verify/test_explorer.py::test_determinism_same_seed_same_fingerprint
     tests/runtime/test_resilience.py::test_sender_crash_stops_retries_without_retracting
+MAILBOX | §7: a mailbox loses and duplicates nothing, and redelivers a rolled-back receive first
+    tests/sim/test_mailbox_properties.py
+HANDLES | an AID handle reads its verdict after collection retires the AID (API.md, LIMITATIONS 9)
+    tests/runtime/test_aid_handles.py::test_a_settled_aid_retires_under_a_live_handle
+LOG | the effect log hands back each kind and result it logged, bounded on both sides (API.md)
+    tests/runtime/test_replay_log.py::test_every_effect_kind_has_a_code_and_reads_back_by_name
+    tests/runtime/test_replay_log.py::test_entry_at_is_bounded_on_both_sides
 LEMMA-5.1 | X ∈ A.IDO iff A ∈ X.DOM
     machine: {THM}test_lemma_5_1_symmetry_through_all_operations
     machine: {PROPS}test_invariants_hold_under_random_schedules
@@ -127,12 +134,14 @@ BUDGETS | memory per unit of work within BUDGETS
 RESIDUE | a finished run holds only its results, as much at 4N as at N
     `python tests/footprint.py --residue`
     tests/runtime/test_process_retirement.py::test_a_finished_run_holds_its_results_and_nothing_else
+    tests/core/test_fossil.py::TestDepSetAndCachePurge::test_depset_table_compacts_to_live_sets
 CALLS | calls per layer equal CALLS
     tests/integration/test_costs_table.py
 KERNEL | the event kernel fires what the sorted-list reference fires
     tests/sim/test_kernel_reference.py
 CRASH-SWEEP | a crash before any store operation resumes to the twin's state
     tests/durable/test_crash_sweep.py
+    tests/durable/test_durable_store.py::TestWal::test_unmarked_tail_is_discarded_not_applied
 OBS-GOLDEN | a deny run's metric exports
     tests/obs/test_obs_runtime.py::test_deny_run_exports_match_golden
 DISK-GOLDEN | the bytes a durable run writes

@@ -14,7 +14,7 @@ from repro.core import (
 
 @pytest.fixture
 def machine():
-    return Machine(strict=True)
+    return Machine()
 
 
 def test_definite_affirm_finalizes_sole_dependent(machine):
@@ -180,17 +180,8 @@ def test_self_affirm_with_other_dependencies_sheds_only_x(machine):
     machine.check_invariants()
 
 
-def test_second_affirm_strict_raises(machine):
-    machine.create_process("p")
-    machine.create_process("q")
-    x = machine.aid_init("x")
-    machine.affirm("q", x)
-    with pytest.raises(ResolutionConflictError):
-        machine.affirm("p", x)
-
-
 def test_second_affirm_lenient_is_noop():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")
@@ -201,7 +192,7 @@ def test_second_affirm_lenient_is_noop():
 
 
 def test_affirm_conflicting_with_deny_raises_even_lenient():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")

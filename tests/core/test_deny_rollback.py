@@ -6,7 +6,6 @@ from repro.core import (
     AidStatus,
     IntervalState,
     Machine,
-    ResolutionConflictError,
     RollbackEvent,
 )
 from repro.core.interval import NO_DENIES
@@ -14,7 +13,7 @@ from repro.core.interval import NO_DENIES
 
 @pytest.fixture
 def machine():
-    return Machine(strict=True)
+    return Machine()
 
 
 def test_definite_deny_rolls_back_sole_dependent(machine):
@@ -171,6 +170,23 @@ def test_speculative_deny_applies_at_finalize(machine):
     machine.check_invariants()
 
 
+def test_parked_deny_dies_when_the_aid_was_affirmed_meanwhile(machine):
+    """Eq 22 meets a definite affirm that landed while the deny was parked:
+    the earlier affirm wins and the parked deny dies (SEMANTICS.md §2)."""
+    for pid in ("p", "q", "judge"):
+        machine.create_process(pid)
+    x = machine.aid_init("x")
+    y = machine.aid_init("y")
+    machine.guess("p", y)
+    interval = machine.process("p").current
+    machine.deny("p", x)                        # parked in p's interval
+    machine.affirm("q", x)                      # definite, x still PENDING
+    machine.affirm("judge", y)                  # p finalizes: the deny dies
+    assert interval.definite and x.parked_denies == 0
+    assert x.status is AidStatus.AFFIRMED and x.resolved_by == "q"
+    machine.check_invariants()
+
+
 def test_speculative_deny_dies_with_rolled_back_interval(machine):
     """§5.6: speculative denies 'die with the interval inside the IHD set'."""
     machine.create_process("p")
@@ -223,17 +239,8 @@ def test_released_aid_can_be_resolved_again(machine):
     machine.check_invariants()
 
 
-def test_second_deny_strict_raises(machine):
-    machine.create_process("p")
-    machine.create_process("q")
-    x = machine.aid_init("x")
-    machine.deny("q", x)
-    with pytest.raises(ResolutionConflictError):
-        machine.deny("p", x)
-
-
 def test_second_deny_lenient_noop():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")

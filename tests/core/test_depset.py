@@ -24,7 +24,7 @@ def _aids(n):
 
 
 def _machine(procs=("p0", "p1", "p2")):
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in procs:
         machine.create_process(name)
     return machine

@@ -14,7 +14,7 @@ from repro.core import (
 
 
 def machine_with(events):
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in ("p", "q"):
         machine.create_process(name)
     machine.subscribe(events.append)
@@ -93,7 +93,7 @@ def test_finalize_event_fires_per_interval():
 
 def test_multiple_listeners_all_notified_in_order():
     first, second = [], []
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     order = []
     machine.subscribe(lambda e: (first.append(e), order.append("first")))

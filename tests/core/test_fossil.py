@@ -19,7 +19,7 @@ from repro.core import (
 
 
 def _machine(procs=("p", "q")):
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in procs:
         machine.create_process(name)
     return machine

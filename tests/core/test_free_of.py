@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import AidStatus, Machine, ResolutionConflictError
+from repro.core import AidStatus, Machine
 
 
 @pytest.fixture
 def machine():
-    return Machine(strict=True)
+    return Machine()
 
 
 def test_free_of_in_definite_state_is_definite_affirm(machine):
@@ -97,7 +97,7 @@ def test_resolve_tags_affirmed_and_denied(machine):
 
 
 def test_free_of_on_denied_aid_lenient_noop():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")
@@ -107,28 +107,10 @@ def test_free_of_on_denied_aid_lenient_noop():
 
 
 def test_free_of_on_affirmed_aid_lenient_noop():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     machine.create_process("q")
     x = machine.aid_init("x")
     machine.affirm("q", x)
     machine.free_of("p", x)
     assert x.status is AidStatus.AFFIRMED
-
-
-def test_free_of_on_resolved_aid_strict_raises(machine):
-    machine.create_process("p")
-    machine.create_process("q")
-    x = machine.aid_init("x")
-    machine.affirm("q", x)
-    with pytest.raises(ResolutionConflictError):
-        machine.free_of("p", x)
-
-
-def test_free_of_consumes_aid_second_use_strict_raises(machine):
-    machine.create_process("p")
-    machine.create_process("q")
-    x = machine.aid_init("x")
-    machine.free_of("p", x)                     # definite affirm
-    with pytest.raises(ResolutionConflictError):
-        machine.free_of("q", x)

@@ -7,7 +7,7 @@ from repro.core import AidStatus, Machine, ResolutionConflictError
 
 @pytest.fixture
 def machine():
-    return Machine(strict=True)
+    return Machine()
 
 
 def test_guess_returns_true_and_creates_interval(machine):

@@ -74,7 +74,7 @@ def test_machine_step_records_events():
 
 
 def test_interval_labels_and_depends_on():
-    machine = Machine(strict=False)
+    machine = Machine()
     machine.create_process("p")
     x = machine.aid_init("lock")
     machine.guess("p", x)

@@ -16,7 +16,7 @@ from repro.core.inspect import (
 
 
 def make_machine():
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in ("p", "q", "r"):
         machine.create_process(name)
     return machine
@@ -227,7 +227,7 @@ def golden_machine():
     Every IDO and IHD holds one AID: a set of several iterates in address
     order, which no golden can pin.
     """
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in ("p", "q", "r", "s", "t", "judge"):
         machine.create_process(name)
     x, y, z, w, u, v = (machine.aid_init(key) for key in "xyzwuv")

@@ -25,7 +25,7 @@ PROCS = ["p0", "p1", "p2"]
 
 
 def _machine():
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in PROCS:
         machine.create_process(name)
     return machine
@@ -401,7 +401,7 @@ def _move_handles(machine, aids, mask, held):
 
 
 def test_a_pass_visits_only_changed_records():
-    machine = Machine(strict=False)
+    machine = Machine()
     for i in range(50):
         machine.create_process(f"idle{i}")
     machine.create_process("p")
@@ -422,7 +422,7 @@ def test_a_pass_visits_only_changed_records():
 
 
 def test_take_queued_serves_the_reclaimable_first_and_the_rest_in_turn():
-    machine = Machine(strict=False)
+    machine = Machine()
     names = [f"p{i}" for i in range(10)]
     for name in names:
         machine.create_process(name)             # queued: they changed ("init")
@@ -487,7 +487,7 @@ def test_machine_without_history_is_the_same_machine(actions):
     interval, AID table, counter and FossilStats field agrees (a pass
     counts the history it drops in indices, so even that one does), the
     invariants hold on both, and the second keeps no entry at all."""
-    machines = [Machine(strict=False), Machine(strict=False, history=False)]
+    machines = [Machine(), Machine(history=False)]
     pools = []
     for machine in machines:
         for name in PROCS:

@@ -14,7 +14,7 @@ from repro.core import Machine, UnknownAidError
 
 
 def _machine(procs=("p", "q")):
-    machine = Machine(strict=False)
+    machine = Machine()
     for name in procs:
         machine.create_process(name)
     return machine

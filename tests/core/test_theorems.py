@@ -17,7 +17,7 @@ from repro.core import (
 
 @pytest.fixture
 def machine():
-    m = Machine(strict=False)
+    m = Machine()
     for name in ("p", "q", "r", "judge"):
         m.create_process(name)
     return m

@@ -90,12 +90,12 @@ BUDGETS = {
     # and mailbox of a process not yet run (PERFORMANCE §20, §26)
     "spawned process": {
         (3, 10): (1787, 14.2), (3, 11): (1397, 13.1),
-        (3, 12): (1380, 13.1), (3, 13): (1380, 13.1),
+        (3, 12): (1379, 13.1), (3, 13): (1379, 13.1),
     },
     # the same, blocked in ``recv``: its task is the mailbox's waiter
     # (§18, §20, §26)
     "idle process": {
-        (3, 10): (1902, 17.5), (3, 11): (1512, 16.4),
+        (3, 10): (1901, 17.5), (3, 11): (1511, 16.4),
         (3, 12): (1494, 16.4), (3, 13): (1494, 16.4),
     },
     # eight log entries (two of them receives: a payload and an
@@ -103,13 +103,13 @@ BUDGETS = {
     # AID is the shared verdict (§15, §17, §22, §27)
     "running round": {
         (3, 10): (565, 10.1), (3, 11): (569, 10.0),
-        (3, 12): (569, 10.0), (3, 13): (569, 10.0),
+        (3, 12): (569, 10.0), (3, 13): (568, 10.0),
     },
     # what a retired process keeps: its ledger row and directory slot,
     # its name and arguments (§14, §20, §24, §29)
     "retired process": {
-        (3, 10): (294, 3.8), (3, 11): (278, 3.8),
-        (3, 12): (271, 3.8), (3, 13): (271, 3.8),
+        (3, 10): (291, 3.8), (3, 11): (278, 3.8),
+        (3, 12): (269, 3.8), (3, 13): (269, 3.8),
     },
     # one slot of ``committed`` (§19)
     "committed output": {

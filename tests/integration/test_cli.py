@@ -425,6 +425,23 @@ def test_spawn_with_the_wrong_arity_is_an_error(tmp_path):
     assert "a=Server: process 'Server' takes 1 argument(s), got 3" in out
 
 
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_a_durable_dir_that_is_a_file_is_one_error_line(tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out = run_cli([command, FIGURE2, *FIG2_SPAWNS, "--durable-dir", str(taken)])
+    assert code == 1
+    assert out == f"error: durable root {str(taken)!r} is not a directory\n"
+
+
+def test_run_refuses_reliable_durable_by_name(tmp_path):
+    code, out = run_cli(["run", FIGURE2, *FIG2_SPAWNS, "--durable-dir", str(tmp_path / "d"),
+                         "--reliable"])
+    assert code == 1
+    assert out.startswith("error: durable runs do not compose with reliable delivery")
+    assert not (tmp_path / "d").exists()
+
+
 def test_resume_requires_spawns(tmp_path):
     code, out = run_cli(
         ["resume", FIGURE2, "--durable-dir", str(tmp_path)]

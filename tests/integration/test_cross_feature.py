@@ -34,7 +34,7 @@ def _recovery_system(config, seed=0):
 def test_recovery_with_sender_crash():
     config = RecoveryConfig(items=tuple(range(10)), log_write_latency=9.0)
     system = _recovery_system(config)
-    system.failures.crash_at("sender", 7.0)
+    system.sim.schedule_at(7.0, system.crash_process, "sender")
     system.sim.schedule_at(10.0, system.restart_process, "sender")
     system.run(max_events=5_000_000)
     assert system.committed_outputs("disk") == reference_ledger(config)
@@ -77,7 +77,7 @@ def test_recovery_determinism_across_seeds_with_crashes():
     ledgers = []
     for seed in (0, 1, 2):
         system = _recovery_system(config, seed)
-        system.failures.crash_at("sender", 6.0)
+        system.sim.schedule_at(6.0, system.crash_process, "sender")
         system.sim.schedule_at(9.0, system.restart_process, "sender")
         system.run(max_events=5_000_000)
         ledgers.append(system.committed_outputs("disk"))

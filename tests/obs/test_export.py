@@ -20,7 +20,7 @@ def populated():
     """A registry fed by one guess/affirm round."""
     registry = MetricsRegistry()
     spec = SpeculationMetrics(registry)
-    machine = Machine(strict=True)
+    machine = Machine()
     clock = {"now": 0.0}
     machine.subscribe(lambda event: spec.observe_event(event, clock["now"]))
     machine.create_process("p")
@@ -38,7 +38,7 @@ def test_jsonl_rows_parse_and_cover_everything(populated):
     lines = to_jsonl(registry).splitlines()
     rows = [json.loads(line) for line in lines]
     metric_rows = [r for r in rows if r["type"] in ("counter", "gauge", "histogram")]
-    assert len(metric_rows) == len(rows) == len(registry)
+    assert len(metric_rows) == len(rows) == len(list(registry))
     by_name = {r["name"]: r for r in metric_rows}
     assert by_name["hope_guesses_total"]["value"] == 1
     latency = by_name["hope_commit_latency"]

@@ -127,7 +127,7 @@ def _run(interval, ok=True):
     got = []
     tracer = Tracer()
     system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
-                        strict_aids=False, fossil_interval=interval)
+                        fossil_interval=interval)
     system.spawn("judge", _judge, ok)
     system.spawn("maker", _maker, got, ok)
     system.run()
@@ -178,11 +178,11 @@ def _late_maker(p, seen, late):
     yield p.emit("late")
 
 
-def _late_run(interval, ok, late, strict):
+def _late_run(interval, ok, late):
     seen, events = [], []
     tracer = Tracer()
     system = HopeSystem(seed=1, latency=ConstantLatency(1.0), trace=tracer,
-                        strict_aids=strict, fossil_interval=interval)
+                        fossil_interval=interval)
     system.machine.subscribe(events.append)
     system.spawn("judge", _judge, ok)
     system.spawn("maker", _late_maker, seen, late)
@@ -195,11 +195,10 @@ def _late_run(interval, ok, late, strict):
 
 
 @pytest.mark.parametrize("late", sorted(_LATE))
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize("ok", [True, False], ids=["affirmed", "denied"])
-def test_a_late_primitive_through_a_verdict_is_unchanged(ok, strict, late):
-    system, tracer, seen, events, error = _late_run(1, ok, late, strict)
-    twin, twin_tracer, twin_seen, _, twin_error = _late_run(NEVER, ok, late, strict)
+def test_a_late_primitive_through_a_verdict_is_unchanged(ok, late):
+    system, tracer, seen, events, error = _late_run(1, ok, late)
+    twin, twin_tracer, twin_seen, _, twin_error = _late_run(NEVER, ok, late)
     (handle, held), *rest = seen
     verdict = VERDICTS[AidStatus.AFFIRMED if ok else AidStatus.DENIED]
     # The pass had pointed the handle at the shared verdict before the

@@ -7,7 +7,6 @@ from repro.runtime import (
     AidHandle,
     HopeSystem,
     ReceivedMessage,
-    SpeculativeSpawnError,
 )
 from repro.sim import ConstantLatency, TIMED_OUT, Tracer
 
@@ -121,39 +120,6 @@ def test_random_effect_draws_from_process_stream():
     s2.run()
     assert values == run1                     # deterministic per seed
     assert run1["a"] != run1["b"]             # independent per process
-
-
-def test_spawn_effect_creates_process():
-    system = HopeSystem()
-    log = []
-
-    def child(p, tag):
-        yield p.compute(1.0)
-        log.append(tag)
-
-    def parent(p):
-        name = yield p.spawn("kid", child, "hello")
-        log.append(name)
-
-    system.spawn("parent", parent)
-    system.run()
-    assert log == ["kid", "hello"]
-
-
-def test_spawn_while_speculative_rejected():
-    system = HopeSystem()
-
-    def child(p):
-        yield p.compute(1.0)
-
-    def parent(p):
-        x = yield p.aid_init("x")
-        yield p.guess(x)
-        yield p.spawn("kid", child)
-
-    system.spawn("parent", parent)
-    with pytest.raises(SpeculativeSpawnError):
-        system.run()
 
 
 def test_non_hope_effect_rejected():

@@ -42,6 +42,8 @@ from repro.sim import ConstantLatency, FaultPlan, LinkFaults
 from repro.sim.channel import Message
 from repro.sim.process import _start_batch
 
+from .test_resilience import crash_at
+
 
 # ----------------------------------------------------------------------
 # the reference
@@ -300,7 +302,7 @@ def test_deny_cascade_retracts_an_in_flight_delivery():
     audit.finish()
     stats = system.stats()
     assert stats["rollbacks"] >= 3 and stats["denies"] == 1
-    never_arrived = [d.message for d in sent if d.message.dead and not d.delivered]
+    never_arrived = [d.message for d in sent if d.message.dead and d.message.deliver_time is None]
     assert [(m.src, m.dst, m.send_time) for m in never_arrived] == [("n1", "n2", 8.0)]
     assert [system.committed_outputs(f"n{i}") for i in range(4)] == [
         [(f"n{i}", 7 + i)] for i in range(4)
@@ -415,7 +417,7 @@ def test_crash_and_restart_purge_the_mailbox(reliable):
     audit = PinAudit(system)
     system.spawn("sink", _crash_sink)
     system.spawn("worker", _crash_worker, "sink", 8)
-    system.failures.crash_at("sink", 9.0, restart_after=5.0)
+    crash_at(system, "sink", 9.0, restart_after=5.0)
     system.run(until=200.0)
     audit.finish()
     assert audit.passes > 20

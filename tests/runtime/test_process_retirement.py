@@ -76,22 +76,15 @@ def _wave_judge(p, count):
     return count
 
 
-def _driver(p, waves, resume=None):
-    """Spawns a judge and ``_WIDTH`` children per wave, all short-lived;
-    its own log is bounded the way the programmer bounds one today."""
-    for wave in range(resume or 0, waves):
-        judge = f"j{wave}"
-        yield p.spawn(judge, _wave_judge, _WIDTH)
-        for i in range(_WIDTH):
-            yield p.spawn(f"c{wave}.{i}", _child, judge)
-        yield p.compute(8.0)
-        yield p.commit_point(wave + 1)
-    return waves
-
-
 def _churn(waves):
+    """A judge and ``_WIDTH`` children per wave, all short-lived, spawned
+    by the host one wave every 8 time units."""
     system = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=4)
-    system.spawn("driver", _driver, waves)
+    for wave in range(waves):
+        judge = f"j{wave}"
+        system.sim.schedule_at(8.0 * wave, system.spawn, judge, _wave_judge, _WIDTH)
+        for i in range(_WIDTH):
+            system.sim.schedule_at(8.0 * wave, system.spawn, f"c{wave}.{i}", _child, judge)
     system.run()
     return system
 
@@ -127,13 +120,9 @@ def test_memory_is_flat_in_processes_spawned():
     small, s_small = _left_behind(6)
     large, s_large = _left_behind(24)
     spawned = len(s_large.process_names())
-    assert spawned == 1 + 24 * (_WIDTH + 1) > 3.9 * len(s_small.process_names())
+    assert spawned == 24 * (_WIDTH + 1) > 3.9 * len(s_small.process_names())
     # Four times the processes, the same residue: none.  A retired process
-    # keeps no runtime, and the pass a run owes at quiescence also retires
-    # the process that spawns the waves, which exits after the last pass a
-    # finalize starts.  (Before retirement: 683 entries, 55 tasks, 6
-    # bridges at 6 waves; 2 699, 217 and 24 at 24.  Before that pass: its
-    # runtime, task and 11 entries.)
+    # keeps no runtime (PERFORMANCE.md §14).
     assert large == small
     assert large == {"LogEntry": 0, "_Incarnation": 0, "generator": 0, "ProcessRuntime": 0}
     assert not s_large.procs
@@ -142,7 +131,7 @@ def test_memory_is_flat_in_processes_spawned():
     assert stats["fossil_log_dropped"] >= 24 * _WIDTH * (_K + 5)
     # ... and the run is the run it was: the closed-form ledger, in which
     # every child commits and returns its name and every judge its count.
-    expected = {"driver": (24, [])}
+    expected = {}
     for wave in range(24):
         expected[f"j{wave}"] = (_WIDTH, [])
         for child in (f"c{wave}.{i}" for i in range(_WIDTH)):

@@ -21,7 +21,7 @@ def test_append_advances_cursor_keeps_live():
     log.append("compute", None)
     log.append("recv", "msg")
     assert len(log) == 2
-    assert not log.replaying
+    assert not log.pending
 
 
 def test_begin_replay_rewinds_and_feeds_in_order():
@@ -29,10 +29,10 @@ def test_begin_replay_rewinds_and_feeds_in_order():
     log.append("now", 1)
     log.append("random", 2)
     log.begin_replay()
-    assert log.replaying
+    assert log.pending
     assert log.feed("now") == 1
     assert log.feed("random") == 2
-    assert not log.replaying
+    assert not log.pending
     assert (log.origin, log.replayed_entries_total) == (0, 2)
 
 
@@ -51,7 +51,7 @@ def test_truncate_drops_suffix_and_clamps_cursor():
     dropped = log.truncate(2)
     assert dropped == 3
     assert len(log) == 2
-    assert not log.replaying            # cursor clamped to the new tail
+    assert not log.pending            # cursor clamped to the new tail
 
 
 def test_truncate_beyond_length_raises():
@@ -69,14 +69,14 @@ def test_live_appends_during_partial_replay_not_allowed_by_shape():
     log.feed("now")
     log.append("random", 2)
     assert len(log) == 2
-    assert not log.replaying
+    assert not log.pending
 
 
 def test_begin_replay_on_empty_log_counts_nothing():
     log = EffectLog()
     log.begin_replay()
     assert (log.pending, log.replayed_entries_total) == (0, 0)
-    assert not log.replaying
+    assert not log.pending
 
 
 def test_checkpoint_repr_and_fields():
@@ -173,7 +173,7 @@ def _assert_in_step(log, model, base, cursor, rng):
     assert len(log.envelopes) == 2 * sum(kind == "recv" for kind, _ in model)
     assert (log.base, log.cursor, len(log)) == (base, cursor, base + len(model))
     assert log.pending == log.base + log.retained - log.cursor
-    assert log.replaying == (cursor < base + len(model))
+    assert (log.pending > 0) == (cursor < base + len(model))
     pairs = list(log.pairs(base, len(log)))
     assert pairs == model and all(map(_same, (r for _, r in pairs), (r for _, r in model)))
     if model:
@@ -229,7 +229,7 @@ def test_random_op_sequences_keep_columns_and_cursor_in_step(seed):
             cursor = rng.choice((base, rng.randint(base, end)))
             log.begin_replay(cursor)
         _assert_in_step(log, model, base, cursor, rng)
-    while log.replaying:                        # ... and feed to exhaustion
+    while log.pending:                        # ... and feed to exhaustion
         kind, result = model[cursor - base]
         assert _same(log.feed(kind), result)
         cursor += 1
@@ -271,7 +271,7 @@ def test_restart_replays_the_logged_prefix():
     assert stats["rollbacks"] == 1
     assert stats["replayed_effects"] == prefix + 2    # computes, aid_init, send
     assert system.result_of("worker") == "denied" and system.outputs("worker") == []
-    assert len(proc.log) > prefix and not proc.log.replaying
+    assert len(proc.log) > prefix and not proc.log.pending
     system.machine.check_invariants()
 
 

@@ -12,6 +12,15 @@ from repro.verify.invariants import InvariantViolation, check_quiescent
 from ..footprint import acked_send, budget
 
 
+def crash_at(system, name, time, restart_after=None):
+    """Crash ``name`` at ``time``; a restart is scheduled by the crash."""
+    def crash():
+        system.crash_process(name)
+        if restart_after is not None:
+            system.sim.schedule(restart_after, system.restart_process, name)
+    system.sim.schedule_at(time, crash)
+
+
 def ping_system(n=5, drop=0.0, seed=1, **kwargs):
     if drop > 0:
         kwargs["faults"] = FaultPlan(default=LinkFaults(drop=drop))
@@ -165,7 +174,7 @@ def test_sender_crash_stops_retries_without_retracting():
 
     system.spawn("tx", sender)
     system.spawn("rx", receiver)
-    system.failures.crash_at("tx", 12.0)
+    crash_at(system, "tx", 12.0)
     system.run(max_events=100_000)
     assert system.result_of("rx") is True
     stats = system.stats()["reliable"]
@@ -204,7 +213,7 @@ def crashed_creator(restart: bool, judge: bool):
     dependent = system.spawn("dep", dep)
     if judge:
         system.spawn("judge", judge_body)
-    system.failures.crash_at("creator", 3.0, restart_after=2.0 if restart else None)
+    crash_at(system, "creator", 3.0, restart_after=2.0 if restart else None)
     system.run(max_events=10_000)
     return system, dependent
 
@@ -325,7 +334,7 @@ def test_a_copy_landing_at_a_crashed_receiver_settles_its_send():
 
     system.spawn("tx", sender)
     system.spawn("rx", receiver)
-    system.failures.crash_at("rx", 6.0)
+    crash_at(system, "rx", 6.0)
     arrivals = []
     judge = system.network.deliver_hook
     transport = system.reliable
@@ -371,8 +380,8 @@ def _lossy_pairs(seed, pairs=4, rounds=12, crash=False, **options):
         system.spawn(f"v{k}", validator)
         system.spawn(f"w{k}", worker, f"v{k}")
     if crash:
-        system.failures.crash_at("v0", 6.0, restart_after=5.0)
-        system.failures.crash_at("w1", 9.0, restart_after=5.0)
+        crash_at(system, "v0", 6.0, restart_after=5.0)
+        crash_at(system, "w1", 9.0, restart_after=5.0)
     return system
 
 

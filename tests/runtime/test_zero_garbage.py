@@ -169,16 +169,13 @@ def test_retired_processes_leave_no_cycles():
             else:
                 yield p.deny(x)
 
-    def driver(p):
-        for wave in range(waves):
-            yield p.spawn(f"j{wave}", judge)
-            for i in range(width):
-                yield p.spawn(f"c{wave}.{i}", child, f"j{wave}", i)
-            yield p.compute(10.0)
-
     def run():
         system = HopeSystem(latency=ConstantLatency(1.0), fossil_interval=2)
-        system.spawn("driver", driver)
+        for wave in range(waves):
+            system.sim.schedule_at(10.0 * wave, system.spawn, f"j{wave}", judge)
+            for i in range(width):
+                system.sim.schedule_at(10.0 * wave, system.spawn, f"c{wave}.{i}", child,
+                                       f"j{wave}", i)
         system.run()
         stats = system.stats()
         assert stats["rollbacks"] == 2 * waves

@@ -2,8 +2,11 @@
 
 A plain list kept sorted by ``(time, seq)``: cancel removes the
 event outright, a pop takes the head (or, under a schedule controller,
-the controller's pick among the events sharing the head's time).  No
-laziness, no compaction — nothing to get wrong, which is the point.
+the controller's pick among the events sharing the head's time).
+``stop()`` from a callback makes the current ``run`` return after that
+event; with events still queued, the clock stays at that event's time
+even under ``run(until=)``.  No laziness, no compaction — nothing to get
+wrong, which is the point.
 """
 
 from bisect import insort
@@ -31,6 +34,7 @@ class ReferenceQueue:
         self.seq = 0
         self.events_processed = 0
         self.controller = controller
+        self.stopped = False
 
     def schedule(self, delay, fn, *args):
         assert delay >= 0
@@ -60,14 +64,19 @@ class ReferenceQueue:
         event.fn(*event.args)
         return True
 
+    def stop(self):
+        self.stopped = True
+
     def run(self, until=None, max_events=None):
         assert until is None or until >= self.now
-        while self.events and (until is None or self.events[0].time <= until):
+        self.stopped = False
+        while not self.stopped and self.events and (
+                until is None or self.events[0].time <= until):
             if max_events is not None:
                 if not max_events:
                     raise EventLimitExceeded("the over-budget event stays queued")
                 max_events -= 1
             self.step()
-        if until is not None:
+        if until is not None and not (self.stopped and self.events):
             self.now = until
         return self.now

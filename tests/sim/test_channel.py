@@ -79,7 +79,7 @@ def test_retract_before_delivery_drops_message():
     delivery.retract()
     sim.run()
     assert len(box) == 0
-    assert not delivery.delivered
+    assert delivery.message.deliver_time is None
 
 
 def test_retract_after_delivery_marks_dead_and_queue_drops_it():

@@ -4,8 +4,8 @@ reference in ``reference_queue.py``.
 Both run the same random program — schedules (same-time ties, zero
 delays scheduled from inside callbacks), cancels (including after the
 event fired, and storms large enough to cross the compaction floor),
-``run(until=...)``, ``step()``, ``run(max_events=...)`` and a resume —
-plainly or under a recording schedule
+``run(until=...)``, ``step()``, ``run(max_events=...)`` and a resume,
+and ``stop()`` from a callback — plainly or under a recording schedule
 controller.  After every
 operation they must agree on the firing order, the clock,
 ``pending_events`` and ``peek_time()``, and the heap must respect the
@@ -26,6 +26,7 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5, 10.0])
 ACTIONS = st.lists(
     st.one_of(
         st.just(("none", 0)),
+        st.just(("stop", 0)),
         st.tuples(st.just("child"), DELAYS),
         st.tuples(st.just("cancel"), st.integers(0, LABELS)),
     ),
@@ -81,6 +82,8 @@ class Runner:
             self.schedule(arg)
         elif kind == "cancel":
             self.cancel(arg)
+        elif kind == "stop":
+            self.queue.stop()
 
     def apply(self, op):
         kind = op[0]
@@ -113,8 +116,12 @@ class Runner:
 BURIED = [("burst", 150, 5, 0.0), ("burst", 150, 5, 20.0), ("storm", 5, 2)]
 
 
-def _case(ops, mode="plain", picks=(0,)):
-    return example(mode=mode, picks=list(picks), actions=[("none", 0)], ops=ops)
+def _case(ops, mode="plain", picks=(0,), actions=(("none", 0),)):
+    return example(mode=mode, picks=list(picks), actions=list(actions), ops=ops)
+
+
+#: Every third event stops the run it fires in, with later events queued.
+STOPS = [("stop", 0), ("none", 0), ("none", 0)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +129,10 @@ def _case(ops, mode="plain", picks=(0,)):
 @_case(BURIED + [("run", 7.0), ("run", None)])       # firing tips the balance
 @_case(BURIED + [("step",)] * 150)                   # ... one step at a time
 @_case([("burst", 30, 1, 0.0), ("run", None)], "controller", (3, 1))
+@_case([("burst", 9, 3, 0.0), ("run", 7.0), ("run", 7.0), ("step",), ("run", None)],
+       actions=STOPS)
+@_case([("burst", 9, 3, 0.0), ("run", 0.5), ("bounded", 2), ("run", None)], "controller",
+       (2, 1), actions=STOPS)
 @given(
     mode=st.sampled_from(["plain", "controller"]),
     picks=st.lists(st.integers(0, 7), min_size=1, max_size=6),

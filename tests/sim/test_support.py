@@ -1,16 +1,13 @@
-"""Tests for latency models, random streams, tracer, failure injection, timeline."""
+"""Tests for latency models, random streams, tracer, timeline."""
 
 import pytest
 
 from repro.sim import (
     ConstantLatency,
-    CrashRecord,
-    FailureInjector,
     LinkLatency,
     RandomStream,
     RandomStreams,
     SequenceLatency,
-    Simulator,
     Span,
     Timeline,
     Tracer,
@@ -86,8 +83,8 @@ def test_tracer_records_and_counts():
     tracer = Tracer()
     tracer.record(1.0, "send", "p", dst="q")
     tracer.record(2.0, "recv", "q", src="p")
-    assert len(tracer) == 2
-    assert tracer.count("send") == 1
+    assert len(tracer.records) == 2
+    assert tracer.counts["send"] == 1
     assert [(r.category, r.process, r.detail) for r in tracer.records] == [
         ("send", "p", {"dst": "q"}), ("recv", "q", {"src": "p"})]
 
@@ -96,8 +93,8 @@ def test_tracer_category_filter_still_counts():
     tracer = Tracer(categories={"send"})
     tracer.record(1.0, "send", "p")
     tracer.record(1.0, "recv", "q")
-    assert len(tracer) == 1
-    assert tracer.count("recv") == 1
+    assert len(tracer.records) == 1
+    assert tracer.counts["recv"] == 1
 
 
 def test_tracer_fingerprint_stable_and_sensitive():
@@ -113,7 +110,7 @@ def test_tracer_max_records_truncates():
     tracer = Tracer(max_records=2)
     for i in range(5):
         tracer.record(float(i), "e", "p", i=i)
-    assert len(tracer) == 2
+    assert len(tracer.records) == 2
     assert tracer.truncated
     assert tracer.records[0].detail == {"i": 3}
 
@@ -131,42 +128,8 @@ def test_tracer_fingerprint_raises_on_truncated_trace():
 def test_null_tracer_records_nothing():
     tracer = Tracer(categories=())
     tracer.record(1.0, "send", "p")
-    assert len(tracer) == 0
-    assert tracer.count("send") == 0
+    assert len(tracer.records) == 0
     assert tracer.counts == {}
-
-
-# ---------------------------------------------------------------- failure
-def test_crash_at_kills_process():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    killed = []
-    injector.attach(kill_fn=killed.append)
-    injector.crash_at("victim", 5.0)
-    sim.run()
-    assert killed == ["victim"]
-    assert [c.process for c in injector.crashes] == ["victim"]
-
-
-def test_crash_with_restart():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    log = []
-    injector.attach(
-        kill_fn=lambda p: log.append(("kill", p, sim.now)),
-        restart_fn=lambda p: log.append(("restart", p, sim.now)),
-    )
-    injector.crash_at("victim", 2.0, restart_after=3.0)
-    sim.run()
-    assert log == [("kill", "victim", 2.0), ("restart", "victim", 5.0)]
-
-
-def test_unattached_injector_raises():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    injector.crash_at("victim", 1.0)
-    with pytest.raises(RuntimeError):
-        sim.run()
 
 
 # ---------------------------------------------------------------- timeline
@@ -251,36 +214,3 @@ def test_sequence_latency_exhaustion_raises_naming_link():
 def test_sequence_latency_repr_shows_cycle_flag():
     assert "cycle=False" in repr(SequenceLatency([1.0], cycle=False))
     assert "cycle=False" not in repr(SequenceLatency([1.0]))
-
-
-# ------------------------------------------------- crash/restart contract
-def test_crash_at_with_restart_but_no_restart_fn_raises_at_schedule_time():
-    from repro.sim import SimulationError
-
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    injector.attach(kill_fn=lambda p: None)  # no restart_fn
-    with pytest.raises(SimulationError) as exc:
-        injector.crash_at("victim", 2.0, restart_after=3.0)
-    assert "restart_fn" in str(exc.value)
-    assert "victim" in str(exc.value)
-    # nothing was scheduled: the run must not crash anyone
-    sim.run()
-    assert injector.crashes == []
-
-
-def test_crash_record_marks_restart_requested():
-    sim = Simulator()
-    injector = FailureInjector(sim)
-    injector.attach(kill_fn=lambda p: None, restart_fn=lambda p: None)
-    injector.crash_at("victim", 1.0, restart_after=2.0)
-    injector.crash_at("other", 1.0)
-    sim.run()
-    by_name = {record.process: record for record in injector.crashes}
-    assert by_name["victim"].restart_requested
-    assert by_name["victim"].restarted
-    assert "restarted" in repr(by_name["victim"])
-    assert not by_name["other"].restart_requested
-    # the requested-but-not-yet-restarted state is the repr's third face
-    pending = CrashRecord("p", 1.0, restarted=False, restart_requested=True)
-    assert "restart-requested" in repr(pending)
