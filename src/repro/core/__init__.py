@@ -7,7 +7,6 @@ its events into task restarts and message retraction.
 """
 
 from .aid import AidStatus, AssumptionId
-from .depset import DepSet, DepSetInterner
 from .errors import (
     FinalizePreconditionError,
     HopeError,
@@ -35,8 +34,6 @@ __all__ = [
     "Machine",
     "AssumptionId",
     "AidStatus",
-    "DepSet",
-    "DepSetInterner",
     "Interval",
     "IntervalState",
     "ProcessRecord",

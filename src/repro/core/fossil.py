@@ -30,10 +30,6 @@ This module reclaims, per collection pass:
   orphans minted inside rolled-back intervals that nothing can ever
   resolve.  A retired AID leaves ``Machine.aids``; by-handle use still
   works, by-key lookup raises;
-* **interned DepSets** — the table holds its sets weakly, so one dies
-  with the last interval that carries it; a pass drops what else kept
-  them, the ``id()``-keyed operation memos (see
-  :meth:`~repro.core.depset.DepSetInterner.clear_memos`);
 * **stale resolution-cache entries** — memoized ``resolve_tags`` /
   ``resolve_tag_keys`` results whose key mentions a retired AID, so
   retirement never leaves a cache entry pinning a dead identifier.
@@ -69,7 +65,6 @@ class FossilStats:
         "history_dropped",
         "intervals_dropped",
         "aids_retired",
-        "depsets_dropped",
         "resolve_entries_purged",
     )
 
@@ -77,7 +72,6 @@ class FossilStats:
         self.history_dropped = 0
         self.intervals_dropped = 0
         self.aids_retired = 0
-        self.depsets_dropped = 0
         self.resolve_entries_purged = 0
 
 
@@ -164,11 +158,7 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
     if not deferred:
         machine._retire_deferred = {}
 
-    # 3. Drop the DepSet operation memos: what only they kept alive goes
-    # with them, and no id() key outlives the AID it was taken from.
-    out.depsets_dropped = machine.depsets.clear_memos()
-
-    # 4. Purge resolution-cache entries that mention a retired AID
+    # 3. Purge resolution-cache entries that mention a retired AID
     # (satellite: retirement must not leave pinned resolution results).
     if retired:
         retired_set = set(retired.values())
@@ -186,7 +176,6 @@ def collect(machine: "Machine", visited: list) -> FossilStats:
     machine.stats["fossil_history_dropped"] += out.history_dropped
     machine.stats["fossil_intervals_dropped"] += out.intervals_dropped
     machine.stats["fossil_aids_retired"] += out.aids_retired
-    machine.stats["fossil_depsets_dropped"] += out.depsets_dropped
     return out
 
 

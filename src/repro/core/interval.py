@@ -73,12 +73,10 @@ class Interval:
         self.serial = serial if serial is not None else next(_interval_serial)
         self.pid = pid                      # A.PID (Eq 2)
         self.ps = ps                        # A.PS  (Eq 1)
-        #: A.IDO (Eq 3).  The machine rebinds this to an interned,
-        #: immutable :class:`repro.core.depset.DepSet` at creation; the
+        #: A.IDO (Eq 3): a ``frozenset`` the machine sets at creation.  The
         #: Eq 8/12 updates replace the binding rather than mutating, so a
-        #: held reference is always a consistent snapshot.  The plain-set
-        #: default only exists for intervals built outside a machine.
-        self.ido = set()                        # A.IDO (Eq 3)
+        #: held reference is always a consistent snapshot.
+        self.ido: "frozenset[AssumptionId]" = frozenset()
         #: A.IHD (Eq 16): :data:`NO_DENIES` until a deny parks, then a set.
         self.ihd: "set[AssumptionId] | frozenset" = NO_DENIES
         self.aid = aid

@@ -46,7 +46,6 @@ from typing import Callable, Iterable, Optional
 from weakref import KeyedRef
 
 from .aid import AidStatus, AssumptionId
-from .depset import DepSetInterner
 from .errors import (
     FinalizePreconditionError,
     IntervalStateError,
@@ -76,9 +75,11 @@ _DOM_ORDER = attrgetter("pid", "start_index", "serial")
 _PENDING, _AFFIRMED, _DENIED = AidStatus.PENDING, AidStatus.AFFIRMED, AidStatus.DENIED
 _SPECULATIVE = IntervalState.SPECULATIVE
 
-#: Resolution of an empty tag set: alive, no dependencies.  Shared so the
+#: The IDO of a definite process (no current interval), and the
+#: resolution of an empty tag set: alive, no dependencies.  Shared so the
 #: per-delivery fast path allocates nothing.
-_LIVE_NO_DEPS: tuple[bool, frozenset] = (True, frozenset())
+_NO_DEPS: frozenset = frozenset()
+_LIVE_NO_DEPS: tuple[bool, frozenset] = (True, _NO_DEPS)
 
 
 class Machine:
@@ -121,16 +122,12 @@ class Machine:
             "fossil_history_dropped": 0,
             "fossil_intervals_dropped": 0,
             "fossil_aids_retired": 0,
-            "fossil_depsets_dropped": 0,
             # Status tallies of retired AIDs, so aggregate counts stay
             # reportable after the AID objects are gone.
             "aids_retired_affirmed": 0,
             "aids_retired_denied": 0,
             "aids_retired_pending": 0,
         }
-        #: Hash-consed IDO sets: one canonical DepSet per distinct member
-        #: set, with memoized add/discard/union (see :mod:`.depset`).
-        self.depsets = DepSetInterner(stats=self.stats)
         #: Resolution epoch: bumped by every affirm, deny, finalize and
         #: rollback.  The resolve_tags caches are only valid within one
         #: epoch — any dependency-landscape change flushes them.
@@ -358,12 +355,10 @@ class Machine:
         which is the runtime's job).
         """
         record = self.process(pid)
-        held = (record.current.ido if record.current is not None else self.depsets.empty).members
+        held = record.current.ido if record.current is not None else _NO_DEPS
         fresh = [a for a in aids if a.status is _PENDING and a not in held]
         if not fresh:
             return None
-        # A tag set iterates in address order; the partial IDOs interned may not.
-        fresh.sort(key=_BY_SERIAL)
         self.stats["implicit_guesses"] += len(fresh)
         return self._make_interval(record, fresh, head_aid=None, ps=ps)
 
@@ -386,13 +381,13 @@ class Machine:
             parent=record.current,
             serial=self._interval_serials,
         )
-        inherited = record.current.ido if record.current is not None else self.depsets.empty
-        interval.ido = self.depsets.extend(inherited, new_aids)   # Eq 3
+        inherited = record.current.ido if record.current is not None else _NO_DEPS
+        interval.ido = inherited.union(new_aids)        # Eq 3
         # Eq 4, generalized to every member of A.IDO: Lemma 5.1 demands
         # X ∈ A.IDO ⟺ A ∈ X.DOM, and Theorem 5.1's proof relies on
         # inherited dependencies being in DOM (the definite deny of an
         # inherited X must reach this interval through X.DOM).
-        for aid in interval.ido.members:
+        for aid in interval.ido:
             aid.dom.add(interval)
         if record.intervals:
             record.intervals.append(interval)
@@ -447,18 +442,18 @@ class Machine:
         Each dependent is rewritten from its IDO at its turn: a finalize
         earlier in the sweep may run a nested Eq 7-9 (Lemma 6.1) or an
         Eq 22 cascade that rewrites or rolls back a later one."""
-        discard, processes, dom = self.depsets.discard, self.processes, aid.dom
+        processes, dom, shed = self.processes, aid.dom, (aid,)
         for dependent in sorted(dom, key=_DOM_ORDER):           # Eq 7: ∀B ∈ X.DOM
             if dependent.state is not _SPECULATIVE:
                 continue
-            ido = dependent.ido = discard(dependent.ido, aid)   # Eq 8
+            ido = dependent.ido = dependent.ido.difference(shed)  # Eq 8
             dom.discard(dependent)                              # Eq 9
             record = processes[dependent.pid]
             if record.keeps_history:
                 record.append("ido_update", aid=aid.key, interval=dependent.label)
             else:
                 record.tick()
-            if not ido.members:                                 # Eq 9: finalize
+            if not ido:                                         # Eq 9: finalize
                 self._finalize(dependent)
         dom.clear()
         self._retire_candidates.append(aid)
@@ -477,25 +472,23 @@ class Machine:
         else:
             current.spec_affirms = [aid]
         record.append("affirm", aid=aid.key, mode="speculative", via=via)
-        # current.ido is an immutable interned DepSet, so it doubles as
-        # the loop snapshot (a dependent's Eq 12 rewrite cannot alias it).
-        affirmer_ido = current.ido
-        upstreams = sorted(affirmer_ido.members, key=_BY_SERIAL)
+        # current.ido is an immutable frozenset, so it doubles as the
+        # loop snapshot (a dependent's Eq 12 rewrite cannot alias it).
+        affirmer_ido, shed = current.ido, (aid,)
+        upstreams = sorted(affirmer_ido, key=_BY_SERIAL)
         for dependent in sorted(aid.dom, key=_DOM_ORDER):        # Eq 11: ∀B ∈ X.DOM
             if dependent.state is not _SPECULATIVE:
                 continue
             for upstream in upstreams:
                 upstream.dom.add(dependent)                      # Eq 10
-            dependent.ido = self.depsets.discard(                # Eq 12
-                self.depsets.union(dependent.ido, affirmer_ido), aid
-            )
+            dependent.ido = (dependent.ido | affirmer_ido).difference(shed)  # Eq 12
             aid.dom.discard(dependent)                           # Eq 14
             owner = self.processes[dependent.pid]
             if owner.keeps_history:
                 owner.append("ido_update", aid=aid.key, interval=dependent.label)
             else:
                 owner.tick()
-            if not dependent.ido.members:                        # Eq 13
+            if not dependent.ido:                                # Eq 13
                 self._finalize(dependent)
         aid.dom.clear()
         self._emit(AffirmEvent(record.name, aid, definite=False))
@@ -595,7 +588,7 @@ class Machine:
     # ------------------------------------------------------------------
     def _finalize(self, interval: Interval) -> None:
         """Make ``interval`` definite.  Internal: not a user primitive (§5.2)."""
-        if interval.ido.members:                                 # Eq 20
+        if interval.ido:                                         # Eq 20
             raise FinalizePreconditionError(
                 f"finalize({interval.label}) with non-empty IDO "
                 f"{sorted(a.key for a in interval.ido)}"
@@ -960,7 +953,7 @@ class Machine:
                 continue
             affirmer = aid.speculative_affirmer
             if affirmer is not None and affirmer.state is _SPECULATIVE:
-                stack.extend(affirmer.ido.members)
+                stack.extend(affirmer.ido)
             else:
                 deps.add(aid)
         else:

@@ -256,9 +256,6 @@ class SpeculationMetrics:
         self.fossil_aids_retired = c(
             "hope_fossil_aids_retired_total", "AIDs retired from the table"
         )
-        self.fossil_depsets_dropped = c(
-            "hope_fossil_depsets_dropped_total", "interned DepSets reclaimed"
-        )
         # --- snapshot gauges (filled by metrics_snapshot) --------------
         self.busy_time = g("hope_busy_time", "useful busy virtual time (timeline)")
         self.blocked_time = g("hope_blocked_time", "blocked virtual time (timeline)")

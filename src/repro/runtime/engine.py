@@ -84,6 +84,9 @@ from .replay import (
 from .resilience import ReliableConfig, ReliableTransport
 
 _DEFINITE = IntervalState.DEFINITE
+#: A send's tag set is the string keys of the sender's IDO (read in C).
+_KEY = attrgetter("key")
+_NO_TAGS: frozenset = frozenset()
 _SEND_CODE, _RECV_CODE = KIND_CODE["send"], KIND_CODE["recv"]
 
 
@@ -288,11 +291,11 @@ class HopeSystem:
         reclaims committed state behind the commit frontier (Theorem 6.1:
         finalized intervals never roll back), which bounds long-run memory
         to O(active speculation window): machine history prefixes, retired
-        AIDs, unreachable interned DepSets, effect-log prefixes behind a
-        ``commit_point`` (exit is the last one: a body that returned and
-        committed keeps no log and no task), and closed timeline spans are
-        all dropped; a run that reaches quiescence ends with a pass over
-        every record.  See docs/PERFORMANCE.md §4, §13, §14 and §25.
+        AIDs, effect-log prefixes behind a ``commit_point`` (exit is the
+        last one: a body that returned and committed keeps no log and no
+        task), and closed timeline spans are all dropped; a run that
+        reaches quiescence ends with a pass over every record.  See
+        docs/PERFORMANCE.md §4, §13, §14 and §25.
     fossil_interval:
         Collect after every N machine finalizes (default 64); the cadence
         is unobservable in the trace but for what a restart replays.  A pass
@@ -380,10 +383,9 @@ class HopeSystem:
         self.machine = Machine(history=False)
         self.machine.subscribe(self._on_machine_event)
         self.machine.on_settle = _set_aid
-        #: Pre-bound effect-dispatch lookup and interned-empty DepSet —
-        #: read once per effect / per definite send (see _handle_effect).
+        #: Pre-bound effect-dispatch lookup, read once per effect (see
+        #: _handle_effect).
         self._handler_get = self._LIVE_HANDLERS.get
-        self._empty_ido = self.machine.depsets.empty
         #: (handler, on_exit) shared by every task (see _start_task).
         self._task_hooks: Optional[tuple] = None
         self.timeline = Timeline()
@@ -666,6 +668,10 @@ class HopeSystem:
         out, procs = self.outcomes, self.procs.values()     # (int sums)
         return {
             **machine,
+            # No interner exists any more; the frozen benchmark harness
+            # (benchmarks/e2e/layers.py) still reads both keys.
+            "depset_hits": 0,
+            "depset_misses": 0,
             # Retired AIDs left the table but still count toward the run's
             # totals (orphaned pending ones included).
             "aids_pending": statuses["pending"] + machine["aids_retired_pending"],
@@ -841,7 +847,6 @@ class HopeSystem:
             spec.fossil_history_dropped.inc(fossil_stats.history_dropped)
             spec.fossil_intervals_dropped.inc(fossil_stats.intervals_dropped)
             spec.fossil_aids_retired.inc(fossil_stats.aids_retired)
-            spec.fossil_depsets_dropped.inc(fossil_stats.depsets_dropped)
 
     def _retire(self, proc: ProcessRuntime) -> None:
         """Exit promoted, the log gone whole: only the outcome can be
@@ -1056,8 +1061,7 @@ class HopeSystem:
 
     def _do_send(self, proc, task, effect: SendEffect) -> None:
         current = proc.mproc.current
-        ido = current.ido if current is not None else self._empty_ido
-        tags = ido.tag_keys           # interned: O(1) after the first send
+        tags = frozenset(map(_KEY, current.ido)) if current is not None else _NO_TAGS
         if self.reliable is not None:
             msg_id, delivery = self.reliable.send(
                 proc.name, effect.dst, effect.payload, tags
@@ -1098,7 +1102,7 @@ class HopeSystem:
         # Inside the dispatch trampoline: a synchronous delivery (message
         # already queued) completes the effect via resume_now, so a
         # process draining a same-tick backlog re-enters the trampoline,
-        # DepSet propagation, and obs hooks once per (process, tick)
+        # dependency propagation, and obs hooks once per (process, tick)
         # instead of once per message.
         syncing, self._syncing = self._syncing, task
         try:

@@ -28,6 +28,7 @@ harness (``repro.verify``) able to replay schedules exactly.
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -254,7 +255,11 @@ class Simulator:
         """Queue ``fn(*args)`` at ``key``, the ``(time, seq)`` of a batch
         raising mid-way: its rest fires where its own events would."""
         time, seq = key
-        heappush(self._heap, ScheduledEvent(time, seq, fn, args, "", sim=self))
+        event = ScheduledEvent(time, seq, fn, args, "", sim=self)
+        if self._instant:       # a controlled pop's rest: keep (time, seq) order
+            insort(self._instant, event)
+        else:
+            heappush(self._heap, event)
         self._live += 1
 
     def schedule_at(
@@ -316,7 +321,8 @@ class Simulator:
                     heappop(heap)
                     continue
                 if until is not None and event.time > until:
-                    self._now = until
+                    # (a nested run from a callback may have passed it)
+                    self._now = max(self._now, until)
                     break
                 if budget is not None:
                     # Before the pop: the event over budget stays queued,

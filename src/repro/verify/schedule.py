@@ -166,6 +166,10 @@ class RecordingController(ScheduleController):
         self._sleep = set(initial_sleep)
         self._mark = 0
         self._open_tie: Optional[StepRecord] = None
+        #: The last batch but the event it fired, and their keys: the next
+        #: batch starts with these events unless one was cancelled since.
+        self._left: list = []
+        self._left_keys: tuple = ()
         self.max_drops = max_drops
         self.walk = walk
         self._ties = (
@@ -182,7 +186,11 @@ class RecordingController(ScheduleController):
     def choose(self, time: float, events: Sequence[ScheduledEvent]) -> int:
         self._close_open_tie()
         step = len(self.records)
-        keys = tuple(event_key(e) for e in events)
+        left = self._left
+        if events[:len(left)] == left:          # by identity, in C
+            keys = self._left_keys + tuple(map(event_key, events[len(left):]))
+        else:
+            keys = tuple(map(event_key, events))
         chosen = self._prescribed(
             step, len(keys), f"the batch of {len(keys)} events at t={time:.6g}"
         )
@@ -193,6 +201,8 @@ class RecordingController(ScheduleController):
                 chosen = self._ties.randint(0, len(keys) - 1)
             else:
                 chosen = 0
+        self._left = [*events[:chosen], *events[chosen + 1:]]
+        self._left_keys = keys[:chosen] + keys[chosen + 1:]
         record = StepRecord("tie", time, keys, chosen)
         self.records.append(record)
         self._open_tie = record

@@ -210,20 +210,11 @@ class TestCollect:
         machine.fossil_collect()
         second = machine.fossil_collect()
         assert not (second.history_dropped or second.intervals_dropped or second.aids_retired
-                    or second.depsets_dropped or second.resolve_entries_purged)
+                    or second.resolve_entries_purged)
 
 
-# ----------------------------------------------------------- depsets/caches
-class TestDepSetAndCachePurge:
-    def test_depset_table_compacts_to_live_sets(self):
-        machine, _ = self._run_and_resolve(12)
-        table_before = len(machine.depsets)
-        stats = machine.fossil_collect()
-        assert stats.depsets_dropped > 0
-        assert len(machine.depsets) < table_before
-        # the empty set always survives (it is the definite state)
-        assert machine.depsets.empty is machine.depsets.intern(frozenset())
-
+# ---------------------------------------------------------------- caches
+class TestCachePurge:
     def test_resolve_cache_entries_for_retired_aids_purged(self):
         """Satellite: retirement must not leave memoized resolutions
         pinning a dead identifier."""

@@ -224,7 +224,7 @@ def _full_sweep(machine, held=frozenset()):
     object names it)."""
     out = FossilStats()
     pinned_keys = set(machine.pins)
-    referenced, live_depsets = set(), []
+    referenced = set()
     for record in machine.processes.values():
         hist, ivs = record.fossilize_before(record.frontier_index())
         out.history_dropped += hist
@@ -234,7 +234,6 @@ def _full_sweep(machine, held=frozenset()):
             referenced.update(iv.ido)
             referenced.update(iv.ihd)
             referenced.update(iv.spec_affirms)
-            live_depsets.append(iv.ido)
     retired = [
         aid for key, aid in machine.aids.items()
         if not (aid.dom or aid in referenced or key in pinned_keys
@@ -244,13 +243,6 @@ def _full_sweep(machine, held=frozenset()):
         del machine.aids[aid.key]
         machine.stats["aids_retired_" + aid.status.value] += 1
     out.aids_retired = len(retired)
-    # the interned table: the IDO sets of the retained intervals and ∅,
-    # which is what must be left once the memos let go of the rest
-    before = len(machine.depsets)
-    machine.depsets.clear_memos()
-    live = {ds.members for ds in live_depsets} | {frozenset()}
-    assert set(machine.depsets._table) == live
-    out.depsets_dropped = before - len(live)
     if retired:
         gone, gone_keys = set(retired), {a.key for a in retired}
         for cache, dead in (
@@ -264,7 +256,6 @@ def _full_sweep(machine, held=frozenset()):
     machine.stats["fossil_history_dropped"] += out.history_dropped
     machine.stats["fossil_intervals_dropped"] += out.intervals_dropped
     machine.stats["fossil_aids_retired"] += out.aids_retired
-    machine.stats["fossil_depsets_dropped"] += out.depsets_dropped
     return out
 
 
@@ -281,7 +272,6 @@ def _tables(machine):
             n: [iv.parent.serial if iv.parent is not None else None for iv in r.intervals]
             for n, r in machine.processes.items()
         },
-        "depsets": sorted(keys(members) for members in machine.depsets._table),
         "resolve_cache": sorted(keys(tagset) for tagset in machine._resolve_cache),
         "resolve_key_cache": sorted(tuple(sorted(k)) for k in machine._resolve_key_cache),
         "stats": {
@@ -328,11 +318,10 @@ def test_incremental_fossil_pass_reclaims_what_a_full_sweep_does(actions):
     orphaning schedules with passes at random points (and pins taken and
     released, handle objects made and dropped, between them): one runs
     the incremental pass, the other a full sweep.  After every pass the
-    tables and the FossilStats agree — orphaned-AID retirement, DepSet
-    compaction and the resolve-cache purge included — although the
-    incremental pass only visits the records queued as changed and
-    examines only the AIDs whose state changed or whose last pin or held
-    handle went."""
+    tables and the FossilStats agree — orphaned-AID retirement and the
+    resolve-cache purge included — although the incremental pass only
+    visits the records queued as changed and examines only the AIDs whose
+    state changed or whose last pin or held handle went."""
     machine, reference = _machine(), _machine()
     pools = [[m.aid_init(f"a{i}") for i in range(3)] for m in (machine, reference)]
     handles = [{}, {}]                      # per machine: key -> live handle objects

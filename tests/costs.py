@@ -77,7 +77,7 @@ CALLS = {
     "stream: sim.channel": (10955, 10955, 10955, 10935),
     "stream: sim.faults": (0, 0, 0, 0),
     "stream: core.machine": (24405, 24405, 23757, 23757),
-    "stream: core.depset": (19575, 19575, 19575, 19575),
+    "stream: core.depset": (0, 0, 0, 0),
     "stream: core.fossil": (42, 42, 28, 28),
     "stream: runtime.engine": (25868, 25868, 25711, 25711),
     "stream: runtime.replay": (6600, 6600, 6600, 6600),
@@ -91,7 +91,7 @@ CALLS = {
     "pingpong: sim.channel": (40009, 40009, 40009, 40009),
     "pingpong: sim.faults": (0, 0, 0, 0),
     "pingpong: core.machine": (98523, 98523, 96523, 96523),
-    "pingpong: core.depset": (28063, 28063, 28063, 28063),
+    "pingpong: core.depset": (0, 0, 0, 0),
     "pingpong: core.fossil": (378, 378, 252, 252),
     "pingpong: runtime.engine": (96305, 96305, 96302, 96302),
     "pingpong: runtime.replay": (18135, 18135, 18135, 18135),
@@ -105,7 +105,7 @@ CALLS = {
     "cascade: sim.channel": (31501, 31501, 31501, 31401),
     "cascade: sim.faults": (0, 0, 0, 0),
     "cascade: core.machine": (39201, 39201, 38001, 38001),
-    "cascade: core.depset": (6986, 6986, 6986, 6986),
+    "cascade: core.depset": (0, 0, 0, 0),
     "cascade: core.fossil": (68, 68, 46, 46),
     "cascade: runtime.engine": (132464, 132464, 128214, 128214),
     "cascade: runtime.replay": (47799, 47799, 47799, 47799),
@@ -119,7 +119,7 @@ CALLS = {
     "steady: sim.channel": (18661, 18661, 18661, 18634),
     "steady: sim.faults": (0, 0, 0, 0),
     "steady: core.machine": (51634, 51634, 51634, 51634),
-    "steady: core.depset": (15300, 15300, 15300, 15300),
+    "steady: core.depset": (0, 0, 0, 0),
     "steady: core.fossil": (90, 90, 60, 60),
     "steady: runtime.engine": (89196, 89196, 88816, 88816),
     "steady: runtime.replay": (26235, 26235, 26235, 26235),
@@ -133,7 +133,7 @@ CALLS = {
     "durable: sim.channel": (9180, 9180, 9180, 9172),
     "durable: sim.faults": (0, 0, 0, 0),
     "durable: core.machine": (26237, 26237, 26237, 26237),
-    "durable: core.depset": (7590, 7590, 7590, 7590),
+    "durable: core.depset": (0, 0, 0, 0),
     "durable: core.fossil": (42, 42, 28, 28),
     "durable: runtime.engine": (44362, 44362, 44174, 44174),
     "durable: runtime.replay": (20389, 20389, 20389, 20389),
@@ -147,7 +147,7 @@ CALLS = {
     "lossy: sim.channel": (11019, 11019, 11019, 10941),
     "lossy: sim.faults": (11387, 11387, 11386, 11386),
     "lossy: core.machine": (41159, 41159, 40465, 40465),
-    "lossy: core.depset": (14245, 14245, 14245, 14245),
+    "lossy: core.depset": (0, 0, 0, 0),
     "lossy: core.fossil": (96, 96, 64, 64),
     "lossy: runtime.engine": (54466, 54466, 54364, 54364),
     "lossy: runtime.replay": (18294, 18294, 18294, 18294),
@@ -156,17 +156,17 @@ CALLS = {
     "lossy: observers": (12316, 12316, 12316, 12316),
     "lossy: workload": (15147, 15147, 15147, 15147),
     "lossy: other": (0, 0, 0, 0),
-    "TRACK: HOPE ping-pong": (11744, 11744, 11742, 11742),
+    "TRACK: HOPE ping-pong": (11340, 11340, 11338, 11338),
     "TRACK: bare ping-pong": (11626, 11626, 11626, 11626),
-    "METRICS: metered ping-pong": (15503, 15503, 15103, 15103),
-    "METRICS: plain ping-pong": (15382, 15382, 14982, 14982),
+    "METRICS: metered ping-pong": (15089, 15089, 14689, 14689),
+    "METRICS: plain ping-pong": (14972, 14972, 14572, 14572),
     "EVSEC chain: calls": (4004, 4004, 4004, 4004),
     "EVSEC chain: events": (2000, 2000, 2000, 2000),
     "EVSEC fanout: calls": (27745, 27745, 27745, 27745),
     "EVSEC fanout: events": (2000, 2000, 2000, 2000),
     "EVSEC cancel: calls": (29811, 29811, 29811, 29811),
     "EVSEC cancel: events": (1000, 1000, 1000, 1000),
-    "walk(wide): calls": (154942, 154942, 153893, 153893),
+    "walk(wide): calls": (70170, 70170, 69121, 69121),
 }
 
 #: Ratio -> (numerator row, denominator row).

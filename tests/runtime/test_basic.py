@@ -83,6 +83,28 @@ def test_definite_send_carries_no_tags():
     assert system.network.tag_count_total == 0
 
 
+def test_speculative_send_is_tagged_with_its_ido_keys():
+    """A send's tag set is the keys of the sender's IDO: the receiver
+    takes on exactly the sender's dependencies (§3)."""
+    system = HopeSystem()
+    taken = []
+
+    def sender(p):
+        for name in ("x", "y"):
+            yield p.guess((yield p.aid_init(name)))
+        yield p.send("rx", "spec")
+
+    def rx(p):
+        yield p.recv()
+        taken.append(sorted(a.key for a in system.machine.process("rx").current.ido))
+
+    system.spawn("sender", sender)
+    system.spawn("rx", rx)
+    system.run()
+    assert taken == [["x#1", "y#2"]]
+    assert system.network.tag_count_total == 2
+
+
 def test_aid_init_returns_handle():
     system = HopeSystem()
     handles = []

@@ -5,8 +5,10 @@ event outright, a pop takes the head (or, under a schedule controller,
 the controller's pick among the events sharing the head's time).
 ``stop()`` from a callback makes the current ``run`` return after that
 event; with events still queued, the clock stays at that event's time
-even under ``run(until=)``.  No laziness, no compaction — nothing to get
-wrong, which is the point.
+even under ``run(until=)``.  ``requeue`` inserts an event at the
+``(time, seq)`` it is given, and ``run(until=)`` never moves the clock
+back (a nested run from a callback may have passed ``until``).  No
+laziness, no compaction — nothing to get wrong, which is the point.
 """
 
 from bisect import insort
@@ -43,6 +45,9 @@ class ReferenceQueue:
         insort(self.events, event)
         return event
 
+    def requeue(self, key, fn, *args):
+        insort(self.events, RefEvent(self, key[0], key[1], fn, args))
+
     @property
     def pending_events(self):
         return len(self.events)
@@ -77,6 +82,6 @@ class ReferenceQueue:
                     raise EventLimitExceeded("the over-budget event stays queued")
                 max_events -= 1
             self.step()
-        if until is not None and not (self.stopped and self.events):
-            self.now = until
+        if until is not None and until > self.now and not (self.stopped and self.events):
+            self.now = until        # (a nested run may have passed it)
         return self.now

@@ -5,11 +5,12 @@ Both run the same random program — schedules (same-time ties, zero
 delays scheduled from inside callbacks), cancels (including after the
 event fired, and storms large enough to cross the compaction floor),
 ``run(until=...)``, ``step()``, ``run(max_events=...)`` and a resume,
-and ``stop()`` from a callback — plainly or under a recording schedule
-controller.  After every
-operation they must agree on the firing order, the clock,
-``pending_events`` and ``peek_time()``, and the heap must respect the
-compaction bound.
+and from a callback ``stop()``, a nested ``run``, or an exception (also
+from a member of a batch event, whose rest ``requeue`` queues at the
+batch's key) — plainly or under a recording schedule controller.  After
+every operation they must agree on the firing order, the clock,
+``events_processed``, ``pending_events`` and ``peek_time()``, and the
+heap must respect the compaction bound.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +28,8 @@ ACTIONS = st.lists(
     st.one_of(
         st.just(("none", 0)),
         st.just(("stop", 0)),
+        st.just(("raise", 0)),
+        st.tuples(st.just("nested"), st.one_of(st.none(), st.sampled_from([0.0, 1.0, 3.5]))),
         st.tuples(st.just("child"), DELAYS),
         st.tuples(st.just("cancel"), st.integers(0, LABELS)),
     ),
@@ -45,6 +48,7 @@ OPS = st.lists(
         st.tuples(st.just("run"), st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, 7.0]))),
         st.just(("step",)),
         st.tuples(st.just("bounded"), st.integers(0, 40)),
+        st.tuples(st.just("batch"), DELAYS, st.integers(1, 6)),
     ),
     max_size=30,
 )
@@ -61,15 +65,40 @@ class Recorder:
         return self.picks[len(self.log) % len(self.picks)] % len(events)
 
 
+class Boom(Exception):
+    """What a ``raise`` action throws out of its callback."""
+
+
 class Runner:
     """Applies one program to one queue, naming events by label."""
 
     def __init__(self, queue, actions):
         self.queue, self.actions = queue, actions
         self.handles, self.fired = [], []
+        self.members = LABELS           # the next batch member's label
+        self.depth = 0                  # nested runs in progress
 
     def schedule(self, delay):
         self.handles.append(self.queue.schedule(delay, self.fire, len(self.handles)))
+
+    def batch(self, delay, size):
+        """One event firing ``size`` labels in turn, as a start batch or a
+        delivery sweep does."""
+        labels = list(range(self.members, self.members + size))
+        self.members += size
+        key = []
+        self.handles.append(self.queue.schedule(delay, self.fire_batch, labels, key))
+        key.append(self.handles[-1].key)
+
+    def fire_batch(self, labels, key):
+        """A member that raises leaves the rest queued at the batch's key."""
+        for at, label in enumerate(labels, 1):
+            try:
+                self.fire(label)
+            except Boom:
+                if at < len(labels):
+                    self.queue.requeue(key[0], self.fire_batch, labels[at:], key)
+                raise
 
     def cancel(self, index):
         if self.handles:
@@ -84,8 +113,22 @@ class Runner:
             self.cancel(arg)
         elif kind == "stop":
             self.queue.stop()
+        elif kind == "raise":
+            raise Boom(label)
+        elif kind == "nested" and self.depth < 2:
+            self.depth += 1
+            try:
+                self.queue.run(until=None if arg is None else self.queue.now + arg)
+            finally:
+                self.depth -= 1
 
     def apply(self, op):
+        try:
+            return self._apply(op)
+        except Boom as boom:
+            return "raised", boom.args
+
+    def _apply(self, op):
         kind = op[0]
         if kind == "schedule":
             self.schedule(op[1])
@@ -101,6 +144,8 @@ class Runner:
         elif kind == "run":
             until = None if op[1] is None else self.queue.now + op[1]
             return self.queue.run(until=until)
+        elif kind == "batch":
+            self.batch(op[1], op[2])
         elif kind == "bounded":    # run(max_events=n), then resume
             try:
                 stopped = self.queue.run(max_events=op[1]), None
@@ -133,6 +178,12 @@ STOPS = [("stop", 0), ("none", 0), ("none", 0)]
        actions=STOPS)
 @_case([("burst", 9, 3, 0.0), ("run", 0.5), ("bounded", 2), ("run", None)], "controller",
        (2, 1), actions=STOPS)
+@_case([("batch", 0.0, 3), ("schedule", 0.0), ("run", None), ("run", None)],
+       actions=[("none", 0), ("raise", 0)])          # a batch raises mid-way
+@_case([("batch", 0.0, 2), ("schedule", 0.0), ("run", None), ("step",)], "controller",
+       actions=[("raise", 0)])                       # ... and its rest waits its turn
+@_case([("schedule", 0.0), ("schedule", 0.5), ("schedule", 3.0), ("run", 0.0)],
+       actions=[("nested", 1.0)])                    # a nested run passes until
 @given(
     mode=st.sampled_from(["plain", "controller"]),
     picks=st.lists(st.integers(0, 7), min_size=1, max_size=6),
