@@ -1,9 +1,11 @@
-"""Machine event notifications.
+"""Machine event notifications, for observers.
 
-The abstract machine is pure bookkeeping; embedding layers (the HOPE
-runtime, the verification oracle) subscribe to these events to perform
-real-world effects — restarting a task after a rollback, retracting sent
-messages, recording statistics.
+The abstract machine is pure bookkeeping.  Observers — metrics, the
+``repro.verify`` monitors, tests — ``Machine.subscribe`` to these events;
+an event is built only while one is subscribed.  The embedding runtime
+does not observe: its effects (releasing messages on a finalize,
+restarting a task and retracting its sends on a rollback) run from the
+``Machine.on_finalize`` / ``on_rollback`` hooks, before any observer.
 """
 
 from __future__ import annotations

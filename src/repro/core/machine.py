@@ -2,8 +2,9 @@
 
 This module is the single source of truth for the semantics.  Both the
 pure theorem-verification tests and the simulator-embedded runtime drive
-this machine; the runtime subscribes to its events to turn bookkeeping
-into real effects (task restarts, message retraction).
+this machine; the runtime sets its :attr:`~Machine.on_finalize` and
+:attr:`~Machine.on_rollback` hooks to turn bookkeeping into real effects
+(message release, task restarts, message retraction).
 
 Equation cross-reference (paper §5 → code):
 
@@ -89,7 +90,8 @@ class Machine:
     not the Definition 4.1 entries — no primitive reads them back, so an
     embedding runtime that shows them to nobody need not retain them.
     Subscribed listeners receive a :class:`MachineEvent` for every guess,
-    affirm, deny, finalize and rollback.
+    affirm, deny, finalize and rollback; with none subscribed no event is
+    built.
     """
 
     def __init__(self, history: bool = True) -> None:
@@ -156,6 +158,11 @@ class Machine:
         #: ``on_settle(handle, verdict)`` points a live handle held on an AID
         #: a pass settles at its shared verdict (None: handles stay as are).
         self.on_settle: Optional[Callable[[object, AssumptionId], None]] = None
+        #: The embedding's hooks, called before any listener sees the
+        #: event: ``on_finalize(interval)`` (Eq 20-23) and
+        #: ``on_rollback(interval, discarded, cause)`` (Eq 24).
+        self.on_finalize: Optional[Callable[[Interval], None]] = None
+        self.on_rollback: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # registration
@@ -298,6 +305,8 @@ class Machine:
             self._resolve_key_cache = {}
 
     def _emit(self, event: MachineEvent) -> None:
+        """Hand ``event`` to every listener.  Call sites test
+        ``self._listeners`` first, so that no event is built for nobody."""
         for listener in self._listeners:
             listener(event)
 
@@ -321,16 +330,12 @@ class Machine:
         """
         record = self.process(pid)
         self.stats["guesses"] += 1
-        if aid.affirmed:
-            record.g = True
-            record.append("guess_skip", aid=aid.key, value=True)
-            self._emit(GuessSkippedEvent(pid, aid, True))
-            return True
-        if aid.denied:
-            record.g = False
-            record.append("guess_skip", aid=aid.key, value=False)
-            self._emit(GuessSkippedEvent(pid, aid, False))
-            return False
+        if aid.status is not _PENDING:
+            value = record.g = aid.status is _AFFIRMED
+            record.append("guess_skip", aid=aid.key, value=value)
+            if self._listeners:
+                self._emit(GuessSkippedEvent(pid, aid, value))
+            return value
         self._make_interval(record, [aid], head_aid=aid, ps=ps)
         return True
 
@@ -407,7 +412,8 @@ class Machine:
             )
         else:
             record.tick()
-        self._emit(GuessEvent(record.name, interval))
+        if self._listeners:
+            self._emit(GuessEvent(record.name, interval))
         return interval
 
     # ------------------------------------------------------------------
@@ -433,7 +439,8 @@ class Machine:
         aid.resolved_by = record.name
         record.append("affirm", aid=aid.key, mode="definite", via=via)
         self._shed_affirmed(aid)
-        self._emit(AffirmEvent(record.name, aid, definite=True))
+        if self._listeners:
+            self._emit(AffirmEvent(record.name, aid, definite=True))
 
     def _shed_affirmed(self, aid: AssumptionId) -> None:
         """The Eq 7-9 set operations: release every dependent of an
@@ -491,7 +498,8 @@ class Machine:
             if not dependent.ido:                                # Eq 13
                 self._finalize(dependent)
         aid.dom.clear()
-        self._emit(AffirmEvent(record.name, aid, definite=False))
+        if self._listeners:
+            self._emit(AffirmEvent(record.name, aid, definite=False))
 
     # ------------------------------------------------------------------
     # deny — Eq 15-16
@@ -521,7 +529,8 @@ class Machine:
         aid.status = AidStatus.DENIED
         aid.resolved_by = record.name
         record.append("deny", aid=aid.key, mode="definite", via=via)
-        self._emit(DenyEvent(record.name, aid, definite=True))
+        if self._listeners:
+            self._emit(DenyEvent(record.name, aid, definite=True))
         self._deny_cascade(aid)
 
     def _deny_speculative(
@@ -539,7 +548,8 @@ class Machine:
                 current.ihd = {aid}
             aid.parked_denies += 1
         record.append("deny", aid=aid.key, mode="speculative", via=via)
-        self._emit(DenyEvent(record.name, aid, definite=False))
+        if self._listeners:
+            self._emit(DenyEvent(record.name, aid, definite=False))
 
     def _deny_cascade(self, aid: AssumptionId) -> None:
         """Roll back all of X.DOM (the ∀B ∈ X.DOM of Eq 15 and Eq 22)."""
@@ -611,7 +621,10 @@ class Machine:
                 f"speculative intervals remain — violates the Theorem 5.1 "
                 f"IDO-subset chain"
             )
-        self._emit(FinalizeEvent(record.name, interval))
+        if self.on_finalize is not None:
+            self.on_finalize(interval)
+        if self._listeners:
+            self._emit(FinalizeEvent(record.name, interval))
         # Lemma 6.1: a speculative affirm whose asserting interval is made
         # definite has the same effect as a definite affirm — record the
         # now-unrevocable status and release any dependents the AID
@@ -624,7 +637,8 @@ class Machine:
             if affirmed.pending:
                 affirmed.status = AidStatus.AFFIRMED
                 affirmed.resolved_by = interval.pid
-                self._emit(AffirmEvent(interval.pid, affirmed, definite=True))
+                if self._listeners:
+                    self._emit(AffirmEvent(interval.pid, affirmed, definite=True))
                 self._shed_affirmed(affirmed)
         for parked in sorted(interval.ihd, key=_BY_SERIAL):      # Eq 22
             parked.parked_denies -= 1
@@ -639,7 +653,8 @@ class Machine:
                 continue
             parked.status = AidStatus.DENIED
             parked.resolved_by = interval.pid
-            self._emit(DenyEvent(interval.pid, parked, definite=True))
+            if self._listeners:
+                self._emit(DenyEvent(interval.pid, parked, definite=True))
             self._deny_cascade(parked)
         if not record.speculative:                               # Eq 23
             record.current = None
@@ -691,14 +706,10 @@ class Machine:
             )
         else:
             record.tick()
-        self._emit(
-            RollbackEvent(
-                record.name,
-                resume_interval=interval,
-                discarded=tuple(discarded),
-                cause=cause,
-            )
-        )
+        if self.on_rollback is not None:
+            self.on_rollback(interval, discarded, cause)
+        if self._listeners:
+            self._emit(RollbackEvent(record.name, interval, tuple(discarded), cause))
 
     def _discard_interval(self, record: ProcessRecord, dead: Interval) -> None:
         """Kill one speculative interval (rollback or crash): unlink it

@@ -32,12 +32,10 @@ from typing import Any, Callable, Generator, Optional
 from ..core import (
     AidStatus,
     AssumptionId,
-    FinalizeEvent,
     HopeError,
     IntervalState,
     Machine,
     MachineEvent,
-    RollbackEvent,
 )
 from ..core.aid import settled
 from ..sim import (
@@ -381,7 +379,8 @@ class HopeSystem:
         # The index clock only: nothing in the engine reads a Definition
         # 4.1 history entry back (a bare Machine() keeps them).
         self.machine = Machine(history=False)
-        self.machine.subscribe(self._on_machine_event)
+        self.machine.on_finalize = self._on_finalize
+        self.machine.on_rollback = self._apply_rollback
         self.machine.on_settle = _set_aid
         #: Pre-bound effect-dispatch lookup, read once per effect (see
         #: _handle_effect).
@@ -396,6 +395,9 @@ class HopeSystem:
         #: are resolved only by the guessing process itself would
         #: deadlock in this mode; that is inherent, not a bug.
         self.speculation = speculation
+        if not speculation:
+            # Every resolution may release a blocked guesser.
+            self.machine.subscribe(self._wake_aid_waiters)
         if not fossil_collect:
             raise HopeError("fossil collection cannot be switched off: "
                             "collection is the only mode")
@@ -426,19 +428,16 @@ class HopeSystem:
         self.procs: dict[str, ProcessRuntime] = _LiveProcs()
         self.outcomes = Outcomes()
         self._dropped = 0               # retirements since procs was rebuilt
-        # Observability: with a real registry, subscribe the metrics as
-        # an extra machine listener; with the default NullRegistry
-        # subscribe nothing at all, so the disabled path is exactly the
-        # pre-metrics hot path.
+        # Observability: a real registry subscribes the metrics to the
+        # machine, a listener that only reads (metered and unmetered runs
+        # stay byte-identical); the default NullRegistry subscribes
+        # nothing, so the machine builds no event at all.
         self.metrics = metrics if metrics is not None else _NULL_REGISTRY
         self._metered = self.metrics.enabled
+        self.spec_metrics: Optional[SpeculationMetrics] = None
         if self._metered:
-            self.spec_metrics: Optional[SpeculationMetrics] = SpeculationMetrics(
-                self.metrics
-            )
-            self.machine.subscribe(self._observe_machine_event)
-        else:
-            self.spec_metrics = None
+            spec = self.spec_metrics = SpeculationMetrics(self.metrics)
+            self.machine.subscribe(lambda event: spec.observe_event(event, self.sim.now))
         # Reliable delivery (opt-in; None keeps the engine's hot path and
         # trace stream exactly as before).
         if reliable is True:
@@ -486,7 +485,8 @@ class HopeSystem:
         proc.mproc = self.machine.create_process(name)
         if not self._defer_start:
             self._start_task(proc, delay=0.0)
-        self.tracer.record(self.sim.now, "spawn", name)
+        if self._tracing:
+            self.tracer.record(self.sim.now, "spawn", name)
         return proc
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -1312,40 +1312,23 @@ class HopeSystem:
     # ------------------------------------------------------------------
     # rollback propagation
     # ------------------------------------------------------------------
-    def _on_machine_event(self, event: MachineEvent) -> None:
-        if isinstance(event, RollbackEvent):
-            self._apply_rollback(event)
-        elif isinstance(event, FinalizeEvent):
-            if self._tracing:
-                interval = event.interval
-                self.tracer.record(
-                    self.sim.now,
-                    "finalize",
-                    event.pid,
-                    interval=interval.label,
-                    aid=interval.aid.key if interval.aid is not None else None,
-                )
-            received = event.interval.received
-            if received:
-                self._release_received(received)
-            # Finalize is what advances the commit frontier (Eq 21), so
-            # it is the natural collection trigger — but the machine is
-            # mid-primitive here, so only raise the deferred flag.
-            self._finalizes_since_collect += 1
-            if self._finalizes_since_collect >= self.fossil_interval:
-                self._fossil_pending = True
-        if self._aid_waiters:
-            self._wake_aid_waiters()
+    def _on_finalize(self, interval) -> None:
+        if self._tracing:
+            self.tracer.record(self.sim.now, "finalize", interval.pid, interval=interval.label,
+                               aid=interval.aid.key if interval.aid is not None else None)
+        received = interval.received
+        if received:
+            self._release_received(received)
+        # Finalize is what advances the commit frontier (Eq 21), so
+        # it is the natural collection trigger — but the machine is
+        # mid-primitive here, so only raise the deferred flag.
+        self._finalizes_since_collect += 1
+        if self._finalizes_since_collect >= self.fossil_interval:
+            self._fossil_pending = True
 
-    def _observe_machine_event(self, event: MachineEvent) -> None:
-        """Second machine listener, subscribed only when metered: folds
-        every event into the instrument set.  Purely reads — it must
-        never schedule, trace, or mutate machine state, so metered and
-        unmetered runs stay byte-identical."""
-        self.spec_metrics.observe_event(event, self.sim.now)
-
-    def _wake_aid_waiters(self) -> None:
-        """Resume pessimistic-mode guessers whose AIDs have resolved."""
+    def _wake_aid_waiters(self, event: MachineEvent) -> None:
+        """Machine listener of a ``speculation=False`` run: resume the
+        guessers whose AIDs have resolved."""
         for key in list(self._aid_waiters):
             aid = self.machine.aids.get(key)
             if aid is None or aid.pending:
@@ -1362,28 +1345,24 @@ class HopeSystem:
                     )
                 task.resume(value)
 
-    def _apply_rollback(self, event: RollbackEvent) -> None:
-        proc = self.procs.get(event.pid)
+    def _apply_rollback(self, interval, discarded: list, cause) -> None:
+        proc = self.procs.get(interval.pid)
         if proc is None:
             # A process known to the machine but not the runtime (pure
             # machine users, e.g. the oracle) — bookkeeping only.
             return
-        checkpoint: Checkpoint = event.resume_interval.ps
+        checkpoint: Checkpoint = interval.ps
         redeliver: list[Message] = []
-        for dead in event.discarded:
+        for dead in discarded:
             for delivery in dead.sent:
                 delivery.retract()
             for message in dead.received:
                 if not message.dead:
                     redeliver.append(message)
-        self.tracer.record(
-            self.sim.now,
-            "rollback",
-            proc.name,
-            to_log_index=checkpoint.log_index,
-            discarded=len(event.discarded),
-            cause=event.cause.key if event.cause is not None else None,
-        )
+        if self._tracing:
+            self.tracer.record(self.sim.now, "rollback", proc.name,
+                               to_log_index=checkpoint.log_index, discarded=len(discarded),
+                               cause=cause.key if cause is not None else None)
         # Kill the current incarnation first so redelivered messages do not
         # reach it (the killed task is off the mailbox).
         self._kill_incarnation(proc, "rollback")
@@ -1429,10 +1408,6 @@ class HopeSystem:
             spec.restarts.inc()
             spec.wasted_time.inc(wasted)
             spec.replay_entries.inc(proc.log.pending)
-        self.tracer.record(
-            self.sim.now,
-            "restart",
-            proc.name,
-            replay=proc.log.pending,
-            wasted=round(wasted, 6),
-        )
+        if self._tracing:
+            self.tracer.record(self.sim.now, "restart", proc.name,
+                               replay=proc.log.pending, wasted=round(wasted, 6))

@@ -226,7 +226,10 @@ class ReliableTransport:
     def _close(self, record: _PendingSend, retract: bool) -> None:
         if not record.closed:
             record.closed = True
-            self._pending.pop(record.msg_id, None)
+            pending = self._pending
+            pending.pop(record.msg_id, None)
+            if not pending:     # a dict keeps the capacity of its largest size
+                self._pending = {}
             if record.timer is not None:
                 record.timer.cancel()
                 record.timer = None

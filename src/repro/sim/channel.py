@@ -467,7 +467,7 @@ class Network:
                         # which the sweep honours.
                         entries = batch[1] = [(batch[2], batch[3])]
                         levent.fn = self._sweep_deliveries
-                        levent.args = (entries, levent.key)
+                        levent.args = (entries, (levent.time, levent.seq))
                         batch[4]._event = None
                     entries.append((box, message))
                     message.copies += 1

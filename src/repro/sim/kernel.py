@@ -12,7 +12,8 @@ latency argument (30 ms coast-to-coast photons vs. 3 million instructions)
 only depends on *ratios* of latency to compute, so units are deliberately
 abstract; benchmarks pick ratios, not microseconds.
 
-The pending events live in one binary heap (``heapq``).  Cancellation is
+The pending events live in one binary heap (``heapq``) of ``(time, seq,
+event)`` tuples, so every sift compares in C.  Cancellation is
 lazy: a cancelled event stays in the heap and is discarded when it
 reaches the head, and the heap is rebuilt once dead entries outnumber
 live ones, so a cancel-heavy speculative workload (rollback retracting
@@ -30,6 +31,7 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 
@@ -37,6 +39,12 @@ from typing import Any, Callable, Optional
 #: reach of the young-collection count it is compared against, so no full
 #: (generation-2) collection starts inside a run.
 _NO_FULL_COLLECTION = 1 << 30
+
+#: Floor of the first ``gc`` threshold while :meth:`Simulator.run` is
+#: looping: young collections every 10 000 net allocations, not ~700.
+_YOUNG_COLLECTION = 10_000
+
+_TIME_SEQ = attrgetter("time", "seq")
 
 #: Heaps smaller than this are never compacted — rebuilding a tiny heap
 #: costs more than lazily popping its cancelled entries.
@@ -63,14 +71,14 @@ class ScheduledEvent:
     compacted).  This is how timeouts that lost a race and messages that
     were rolled back are retracted.  A cancelled event lets go of its
     work at once — ``fn`` and ``args`` become None and ``label`` empty —
-    so the dead entry costs only its key until it leaves the heap.
+    so the dead entry costs only its heap tuple until it leaves the heap.
 
     Events at the same virtual time fire in scheduling order (``seq``);
     a schedule controller (see :class:`Simulator`) is the only way to
     pick another order.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "label", "sim", "key")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "label", "sim")
 
     def __init__(
         self,
@@ -90,11 +98,6 @@ class ScheduledEvent:
         #: Owning simulator, so cancellation can keep its live-event count
         #: exact without a queue scan (None for standalone events).
         self.sim = sim
-        #: Precomputed sort key.  time/seq never change after construction,
-        #: and heap sift chains compare the same event many times —
-        #: building the two tuples inside ``__lt__`` per comparison was
-        #: measurable.
-        self.key = (time, seq)
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -107,9 +110,6 @@ class ScheduledEvent:
         if sim is not None:
             sim._live -= 1
             sim._compact_if_dead()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self.key < other.key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -132,11 +132,12 @@ class Simulator:
 
     def __init__(self, controller: Optional[Any] = None) -> None:
         self._now: float = 0.0
-        #: The event queue: a ``heapq`` heap of :class:`ScheduledEvent`,
+        #: The event queue: a ``heapq`` heap of ``(time, seq, event)``
+        #: tuples (``seq`` is unique, so the event is never compared),
         #: cancelled entries included until they reach the head or a
         #: compaction evicts them.  Compaction rebuilds it in place, so a
         #: reference to the list stays valid for the simulator's lifetime.
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         #: Times the heap was rebuilt to evict cancelled entries.
         self.heap_compactions = 0
         #: Count of not-yet-cancelled, not-yet-executed events.  Kept exact
@@ -148,7 +149,7 @@ class Simulator:
         #: scheduled since event X?" by comparing this against ``X.seq + 1``.
         self._seq_next = 0
         self._events_processed = 0
-        self._running = False
+        self._last_time = -1.0  # the newest schedule's time, for the next to share
         self._stopped = False
         #: optional :class:`~repro.verify.schedule.ScheduleController`: at
         #: every pop the batch of live events sharing the earliest time is
@@ -183,7 +184,7 @@ class Simulator:
         size = len(heap) + len(instant)
         if size < COMPACT_MIN or (size - self._live) * 2 <= size:
             return
-        heap[:] = [e for e in heap if not e.cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapify(heap)
         if instant:
             instant[:] = [e for e in instant if not e.cancelled]
@@ -198,7 +199,7 @@ class Simulator:
             return instant[0]
         heap = self._heap
         while heap:
-            event = heap[0]
+            event = heap[0][2]
             if not event.cancelled:
                 return event
             heappop(heap)
@@ -239,8 +240,13 @@ class Simulator:
             )
         seq = self._seq_next
         self._seq_next = seq + 1
-        event = ScheduledEvent(self._now + delay, seq, fn, args, label, sim=self)
-        heappush(self._heap, event)
+        time = self._now + delay
+        if time == self._last_time:     # a same-time burst shares one float
+            time = self._last_time
+        else:
+            self._last_time = time
+        event = ScheduledEvent(time, seq, fn, args, label, sim=self)
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -257,9 +263,9 @@ class Simulator:
         time, seq = key
         event = ScheduledEvent(time, seq, fn, args, "", sim=self)
         if self._instant:       # a controlled pop's rest: keep (time, seq) order
-            insort(self._instant, event)
+            insort(self._instant, event, key=_TIME_SEQ)
         else:
-            heappush(self._heap, event)
+            heappush(self._heap, (time, seq, event))
         self._live += 1
 
     def schedule_at(
@@ -282,39 +288,40 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue is empty, ``until`` is reached, or ``max_events``.
 
-        Returns the final virtual time.  ``until`` is inclusive: events at
+        Returns the final virtual time (after a :meth:`stop`, the stopping
+        event's, even short of ``until``).  ``until`` is inclusive: events at
         exactly ``until`` fire.  An ``until`` before the current time is a
         :class:`SimulationError` — the clock never moves backwards.  A
         ``max_events`` bound turns a livelocked simulation into a
         diagnosable :class:`EventLimitExceeded` instead of a hang.
 
         Full (generation-2) garbage collections are held off while the
-        loop runs and the caller's thresholds restored on the way out: a
-        run's heap is mostly append-only journals (effect logs, intervals,
-        messages), which a full pass walks end to end, again and again, to
-        free nothing — the runtime itself leaves no reference cycles
-        behind.  The young generations collect as before, so short-lived
-        cycles a user body makes are still reclaimed during the run;
-        cycles among objects that have already aged wait for the first
-        full pass after ``run`` returns.  A collector the caller disabled
-        is left alone.
+        loop runs, young ones spaced to every ``_YOUNG_COLLECTION``
+        allocations, and the caller's thresholds restored on the way out:
+        a run's heap is mostly append-only journals (effect logs,
+        intervals, messages), which a full pass walks end to end, again
+        and again, to free nothing — the runtime itself leaves no
+        reference cycles behind.  Short-lived cycles a user body makes
+        are still reclaimed during the run, less often; cycles among
+        objects that have already aged wait for the first full pass after
+        ``run`` returns.  A collector the caller disabled is left alone.
         """
         if until is not None and not until >= self._now:
             raise SimulationError(
                 f"run(until={until}) is before the current time "
                 f"{self._now}; the virtual clock never moves backwards"
             )
-        self._running = True
         self._stopped = False
         budget = max_events
         heap = self._heap
         controlled = self._controller is not None
         thresholds = gc.get_threshold() if gc.isenabled() else None
         if thresholds is not None:
-            gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_COLLECTION)
+            young = thresholds[0] and max(thresholds[0], _YOUNG_COLLECTION)
+            gc.set_threshold(young, thresholds[1], _NO_FULL_COLLECTION)
         try:
             while not self._stopped:
-                event = self._peek() if controlled else heap[0] if heap else None
+                event = self._peek() if controlled else heap[0][2] if heap else None
                 if event is None:
                     break
                 if event.cancelled:
@@ -343,10 +350,10 @@ class Simulator:
                 self._events_processed += 1
                 event.fn(*event.args)
         finally:
-            self._running = False
             if thresholds is not None:
                 gc.set_threshold(*thresholds)
-        if until is not None and self._now < until and self._peek() is None:
+        if (until is not None and not self._stopped and self._now < until
+                and self._peek() is None):
             self._now = until
         self._compact_if_dead()
         return self._now
@@ -362,14 +369,14 @@ class Simulator:
         caller must have peeked a live event first.
         """
         heap = self._heap
-        batch = [e for e in self._instant if not e.cancelled] or [heappop(heap)]
+        batch = [e for e in self._instant if not e.cancelled] or [heappop(heap)[2]]
         self._instant = []
         time = batch[0].time
         while True:
             nxt = self._peek()
             if nxt is None or nxt.time != time:
                 break
-            batch.append(heappop(heap))
+            batch.append(heappop(heap)[2])
         # Singleton batches are forced, but the controller is still
         # consulted: exploration drivers track per-step footprints and
         # co-enabled sets, which must cover forced steps too.

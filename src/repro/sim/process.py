@@ -396,7 +396,8 @@ def _start_batch(tasks: list) -> None:
         except BaseException:
             rest = [t for t in tasks[at + 1:] if t._pending is not None]
             if rest:    # (a kill of one of them now skips it, as in a firing)
-                task.sim.requeue(rest[0]._pending.key, _start_batch, rest)
+                first = rest[0]._pending
+                task.sim.requeue((first.time, first.seq), _start_batch, rest)
             raise
     tasks.clear()       # Simulator.start_batch may outlive the firing
 

@@ -324,6 +324,6 @@ _NO_NETWORKX = textwrap.dedent("""
 def test_inspect_needs_no_networkx():
     src = Path(__file__).resolve().parents[2] / "src"
     subprocess.run(
-        [sys.executable, "-c", _NO_NETWORKX], check=True,
+        [sys.executable, "-B", "-c", _NO_NETWORKX], check=True,
         env={"PYTHONPATH": str(src)},
     )

@@ -47,6 +47,7 @@ direction, not a measurement of seconds.
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import os
 import pstats
@@ -72,101 +73,101 @@ TOLERANCE = 0.01
 #: ``"<workload>: <layer>"`` for the benchmark's workloads, then the
 #: terms of :data:`RATIOS` and the walk.
 CALLS = {
-    "stream: sim.kernel": (18150, 18150, 18150, 18150),
+    "stream: sim.kernel": (9605, 9605, 9605, 9605),
     "stream: sim.process": (11036, 11036, 11036, 11036),
     "stream: sim.channel": (10955, 10955, 10955, 10935),
     "stream: sim.faults": (0, 0, 0, 0),
-    "stream: core.machine": (24405, 24405, 23757, 23757),
+    "stream: core.machine": (22186, 22186, 21538, 21538),
     "stream: core.depset": (0, 0, 0, 0),
     "stream: core.fossil": (42, 42, 28, 28),
-    "stream: runtime.engine": (25868, 25868, 25711, 25711),
+    "stream: runtime.engine": (24809, 24809, 24652, 24652),
     "stream: runtime.replay": (6600, 6600, 6600, 6600),
     "stream: runtime.resilience": (0, 0, 0, 0),
     "stream: durable": (0, 0, 0, 0),
-    "stream: observers": (5108, 5108, 5108, 5108),
+    "stream: observers": (4917, 4917, 4917, 4917),
     "stream: workload": (4926, 4926, 4926, 4926),
     "stream: other": (0, 0, 0, 0),
     "pingpong: sim.kernel": (26011, 26011, 26011, 26011),
     "pingpong: sim.process": (36014, 36014, 36014, 36014),
     "pingpong: sim.channel": (40009, 40009, 40009, 40009),
     "pingpong: sim.faults": (0, 0, 0, 0),
-    "pingpong: core.machine": (98523, 98523, 96523, 96523),
+    "pingpong: core.machine": (82523, 82523, 80523, 80523),
     "pingpong: core.depset": (0, 0, 0, 0),
     "pingpong: core.fossil": (378, 378, 252, 252),
-    "pingpong: runtime.engine": (96305, 96305, 96302, 96302),
+    "pingpong: runtime.engine": (88305, 88305, 88302, 88302),
     "pingpong: runtime.replay": (18135, 18135, 18135, 18135),
     "pingpong: runtime.resilience": (0, 0, 0, 0),
     "pingpong: durable": (0, 0, 0, 0),
     "pingpong: observers": (145, 145, 145, 145),
     "pingpong: workload": (16006, 16006, 16006, 16006),
     "pingpong: other": (0, 0, 0, 0),
-    "cascade: sim.kernel": (89361, 89361, 89361, 89361),
+    "cascade: sim.kernel": (46955, 46955, 46955, 46955),
     "cascade: sim.process": (86401, 86401, 86401, 86401),
     "cascade: sim.channel": (31501, 31501, 31501, 31401),
     "cascade: sim.faults": (0, 0, 0, 0),
-    "cascade: core.machine": (39201, 39201, 38001, 38001),
+    "cascade: core.machine": (36151, 36151, 34951, 34951),
     "cascade: core.depset": (0, 0, 0, 0),
     "cascade: core.fossil": (68, 68, 46, 46),
-    "cascade: runtime.engine": (132464, 132464, 128214, 128214),
+    "cascade: runtime.engine": (130364, 130364, 126114, 126114),
     "cascade: runtime.replay": (47799, 47799, 47799, 47799),
     "cascade: runtime.resilience": (0, 0, 0, 0),
     "cascade: durable": (0, 0, 0, 0),
-    "cascade: observers": (36502, 36502, 36502, 36502),
-    "cascade: workload": (36105, 36105, 36105, 36103),
+    "cascade: observers": (35202, 35202, 35202, 35202),
+    "cascade: workload": (36103, 36103, 36103, 36103),
     "cascade: other": (0, 0, 0, 0),
-    "steady: sim.kernel": (51011, 51011, 51011, 51011),
+    "steady: sim.kernel": (28561, 28561, 28561, 28561),
     "steady: sim.process": (38773, 38773, 38773, 38773),
     "steady: sim.channel": (18661, 18661, 18661, 18634),
     "steady: sim.faults": (0, 0, 0, 0),
-    "steady: core.machine": (51634, 51634, 51634, 51634),
+    "steady: core.machine": (43753, 43753, 43753, 43753),
     "steady: core.depset": (0, 0, 0, 0),
     "steady: core.fossil": (90, 90, 60, 60),
-    "steady: runtime.engine": (89196, 89196, 88816, 88816),
+    "steady: runtime.engine": (85869, 85869, 85489, 85489),
     "steady: runtime.replay": (26235, 26235, 26235, 26235),
     "steady: runtime.resilience": (0, 0, 0, 0),
     "steady: durable": (0, 0, 0, 0),
-    "steady: observers": (19517, 19517, 19517, 19517),
+    "steady: observers": (18917, 18917, 18917, 18917),
     "steady: workload": (18197, 18197, 18197, 18197),
     "steady: other": (0, 0, 0, 0),
-    "durable: sim.kernel": (25302, 25302, 25302, 25302),
+    "durable: sim.kernel": (14178, 14178, 14178, 14178),
     "durable: sim.process": (19276, 19276, 19276, 19276),
     "durable: sim.channel": (9180, 9180, 9180, 9172),
     "durable: sim.faults": (0, 0, 0, 0),
-    "durable: core.machine": (26237, 26237, 26237, 26237),
+    "durable: core.machine": (22325, 22325, 22325, 22325),
     "durable: core.depset": (0, 0, 0, 0),
     "durable: core.fossil": (42, 42, 28, 28),
-    "durable: runtime.engine": (44362, 44362, 44174, 44174),
+    "durable: runtime.engine": (42710, 42710, 42522, 42522),
     "durable: runtime.replay": (20389, 20389, 20389, 20389),
     "durable: runtime.resilience": (0, 0, 0, 0),
     "durable: durable": (6073, 6073, 6024, 6024),
-    "durable: observers": (9701, 9701, 9701, 9701),
+    "durable: observers": (9405, 9405, 9405, 9405),
     "durable: workload": (9040, 9040, 9040, 9040),
     "durable: other": (0, 0, 0, 0),
-    "lossy: sim.kernel": (50078, 50078, 50074, 50074),
+    "lossy: sim.kernel": (17409, 17409, 17405, 17405),
     "lossy: sim.process": (29830, 29830, 29830, 29830),
     "lossy: sim.channel": (11019, 11019, 11019, 10941),
     "lossy: sim.faults": (11387, 11387, 11386, 11386),
-    "lossy: core.machine": (41159, 41159, 40465, 40465),
+    "lossy: core.machine": (35594, 35594, 34900, 34900),
     "lossy: core.depset": (0, 0, 0, 0),
     "lossy: core.fossil": (96, 96, 64, 64),
-    "lossy: runtime.engine": (54466, 54466, 54364, 54364),
+    "lossy: runtime.engine": (51625, 51625, 51523, 51523),
     "lossy: runtime.replay": (18294, 18294, 18294, 18294),
     "lossy: runtime.resilience": (7810, 7810, 7809, 7809),
     "lossy: durable": (0, 0, 0, 0),
-    "lossy: observers": (12316, 12316, 12316, 12316),
+    "lossy: observers": (12004, 12004, 12004, 12004),
     "lossy: workload": (15147, 15147, 15147, 15147),
     "lossy: other": (0, 0, 0, 0),
-    "TRACK: HOPE ping-pong": (11340, 11340, 11338, 11338),
+    "TRACK: HOPE ping-pong": (11335, 11335, 11333, 11333),
     "TRACK: bare ping-pong": (11626, 11626, 11626, 11626),
-    "METRICS: metered ping-pong": (15089, 15089, 14689, 14689),
-    "METRICS: plain ping-pong": (14972, 14972, 14572, 14572),
+    "METRICS: metered ping-pong": (15080, 15080, 14680, 14680),
+    "METRICS: plain ping-pong": (14961, 14961, 14561, 14561),
     "EVSEC chain: calls": (4004, 4004, 4004, 4004),
     "EVSEC chain: events": (2000, 2000, 2000, 2000),
-    "EVSEC fanout: calls": (27745, 27745, 27745, 27745),
+    "EVSEC fanout: calls": (4004, 4004, 4004, 4004),
     "EVSEC fanout: events": (2000, 2000, 2000, 2000),
-    "EVSEC cancel: calls": (29811, 29811, 29811, 29811),
+    "EVSEC cancel: calls": (6004, 6004, 6004, 6004),
     "EVSEC cancel: events": (1000, 1000, 1000, 1000),
-    "walk(wide): calls": (70170, 70170, 69121, 69121),
+    "walk(wide): calls": (62388, 62388, 61339, 61339),
 }
 
 #: Ratio -> (numerator row, denominator row).
@@ -237,6 +238,7 @@ def layer_calls(run: Callable[[], Any]) -> tuple:
     """``({layer: calls}, run())``: the calls of every layer's own
     functions while ``run()`` ran."""
     layers, _ = _layers()
+    gc.collect()                    # earlier work's debris is not ours
     profile = cProfile.Profile()
     profile.enable()
     try:

@@ -301,17 +301,17 @@ class TestWatermarkAcrossResume:
             restored[name] = list(proc.committed)
 
         rollbacks = []
-        apply_rollback = resumed._apply_rollback
+        apply_rollback = resumed.machine.on_rollback
 
-        def checked_rollback(event):
-            apply_rollback(event)
-            proc = resumed.procs[event.pid]
-            kept = restored[event.pid]
+        def checked_rollback(interval, discarded, cause):
+            apply_rollback(interval, discarded, cause)
+            proc = resumed.procs[interval.pid]
+            kept = restored[interval.pid]
             # only post-resume outputs may be withdrawn
             assert proc.committed[:len(kept)] == kept
-            rollbacks.append(event.pid)
+            rollbacks.append(interval.pid)
 
-        resumed._apply_rollback = checked_rollback
+        resumed.machine.on_rollback = checked_rollback
         resumed.run()
         assert rollbacks, "the continued run never rolled back"
         twin = HopeSystem(seed=1, latency=ConstantLatency(1.0), fossil_interval=2)

@@ -102,8 +102,8 @@ BUDGETS = {
     # envelope row each), a committed emit and a handle whose settled
     # AID is the shared verdict (§15, §17, §22, §27)
     "running round": {
-        (3, 10): (560, 10.1), (3, 11): (566, 9.9),
-        (3, 12): (566, 9.9), (3, 13): (566, 9.9),
+        (3, 10): (560, 10.1), (3, 11): (565, 9.9),
+        (3, 12): (565, 9.9), (3, 13): (565, 9.9),
     },
     # what a retired process keeps: its ledger row and directory slot,
     # its name and arguments (§14, §20, §24, §29)
@@ -116,7 +116,7 @@ BUDGETS = {
         (3, 10): (8.8, 0.1), (3, 11): (8.8, 0.1),
         (3, 12): (8.8, 0.1), (3, 13): (8.8, 0.1),
     },
-    # the dead timer's heap entry and key, two log entries (§21, §27, §28)
+    # the dead timer's heap tuple and event, two log entries (§21, §27, §28, §32)
     "acked send": {
         (3, 10): (677, 12.1), (3, 11): (692, 12.1),
         (3, 12): (692, 12.1), (3, 13): (692, 12.1),

@@ -51,7 +51,7 @@ from .test_resilience import crash_at
 def _in_flight(system):
     """Messages a pending simulator event will still deliver, plus the
     rest of a coalesced sweep that is being delivered right now."""
-    for event in system.sim._heap:
+    for _time, _seq, event in system.sim._heap:
         if event.cancelled or event.fn is _start_batch:     # tasks, no message
             continue
         for arg in event.args:

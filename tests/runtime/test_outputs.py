@@ -155,13 +155,13 @@ def _run_scripted(ops, fossil_interval, pass_every, crash_at):
     system.spawn("worker", _scripted, tuple(ops))
     monitor = LedgerMonitor(system)
 
-    apply_rollback = system._apply_rollback
+    apply_rollback = system.machine.on_rollback
 
-    def checked_rollback(event):
-        proc = system.procs[event.pid]
-        cut = event.resume_interval.ps.log_index
+    def checked_rollback(interval, discarded, cause):
+        proc = system.procs[interval.pid]
+        cut = interval.ps.log_index
         want = [r for r in proc.outputs if r.log_index < cut]   # the old filter
-        apply_rollback(event)
+        apply_rollback(interval, discarded, cause)
         assert list(proc.outputs) == want
 
     run_pass = system._run_fossil_collection
@@ -171,7 +171,7 @@ def _run_scripted(ops, fossil_interval, pass_every, crash_at):
         for proc in system.procs.values():
             assert system._settle_frontier(proc)[2] == ()
 
-    system._apply_rollback = checked_rollback
+    system.machine.on_rollback = checked_rollback
     system._run_fossil_collection = checked_pass
     seen = {name: [] for name in system.procs}
     steps = 0

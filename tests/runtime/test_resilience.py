@@ -432,7 +432,7 @@ def test_forgetting_changes_no_dedup_decision(seed, crash):
 # ---------------------------------------------------------------- acked send
 def test_an_acked_send_keeps_nothing_but_its_dead_timer_key():
     system, traced, blocks = acked_send()
-    timers = [event for event in system.sim._heap if event.cancelled]
+    timers = [entry[2] for entry in system.sim._heap if entry[2].cancelled]
     assert len(timers) == 4 * 500 and system.sim.heap_compactions == 0
     assert all(event.fn is None and event.args is None for event in timers)
     assert not system.reliable._seen and not system.reliable._pending

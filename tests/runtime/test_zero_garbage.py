@@ -267,7 +267,7 @@ def test_an_incarnation_killed_in_recv_leaves_no_waiter(timeout, ending):
         assert system.committed_outputs("rx") == ["next"]
         assert system.stats()["rollbacks"] >= 1
         # Blocked again, alone; the served recv's timer went with it.
-        timers = [event for event in system.sim._heap
+        timers = [event for _time, _seq, event in system.sim._heap
                   if not event.cancelled and event.label.startswith("recv-timeout")]
         assert box._waiters is rx.task and timers == ([rx.task._pending] if timeout else [])
         return system

@@ -4,8 +4,8 @@ A plain list kept sorted by ``(time, seq)``: cancel removes the
 event outright, a pop takes the head (or, under a schedule controller,
 the controller's pick among the events sharing the head's time).
 ``stop()`` from a callback makes the current ``run`` return after that
-event; with events still queued, the clock stays at that event's time
-even under ``run(until=)``.  ``requeue`` inserts an event at the
+event, with the clock at that event's time even under ``run(until=)``
+(queue empty or not).  ``requeue`` inserts an event at the
 ``(time, seq)`` it is given, and ``run(until=)`` never moves the clock
 back (a nested run from a callback may have passed ``until``).  No
 laziness, no compaction — nothing to get wrong, which is the point.
@@ -18,7 +18,7 @@ from repro.sim import EventLimitExceeded
 
 class RefEvent:
     def __init__(self, queue, time, seq, fn, args):
-        self.queue, self.time, self.fn, self.args = queue, time, fn, args
+        self.queue, self.time, self.seq, self.fn, self.args = queue, time, seq, fn, args
         self.key = (time, seq)
 
     def __lt__(self, other):
@@ -82,6 +82,6 @@ class ReferenceQueue:
                     raise EventLimitExceeded("the over-budget event stays queued")
                 max_events -= 1
             self.step()
-        if until is not None and until > self.now and not (self.stopped and self.events):
+        if until is not None and until > self.now and not self.stopped:
             self.now = until        # (a nested run may have passed it)
         return self.now

@@ -79,7 +79,7 @@ def test_cancelled_event_does_not_fire(sim):
 
 def test_a_cancelled_event_lets_go_of_its_work(sim):
     """A cancelled event waits in the heap for its turn or a compaction,
-    holding its key only: what it would have run is freed at once."""
+    holding its heap tuple only: what it would have run is freed at once."""
 
     class Payload:
         pass
@@ -92,7 +92,7 @@ def test_a_cancelled_event_lets_go_of_its_work(sim):
     event.cancel()
     assert gone() is None
     assert event.fn is None and event.args is None and event.label == ""
-    assert event in sim._heap and event.key == (2.0, 1)
+    assert (2.0, 1, event) in sim._heap
     assert not blocker.cancelled and sim.run() == 1.0
 
 
@@ -373,7 +373,8 @@ def test_firing_live_events_past_buried_dead_ones_compacts(sim):
 
 
 # ----------------------------------------------------------------------
-# run() holds full collections off, and gives the thresholds back
+# run() holds full collections off, spaces young ones, and gives the
+# thresholds back
 # ----------------------------------------------------------------------
 @pytest.fixture
 def thresholds():
@@ -394,14 +395,14 @@ def _seen_inside(sim, seen):
 
 
 def _held(inside, thresholds):
-    """Young generations untouched; the third out of reach of any run
-    (where the interpreter has one)."""
-    return inside[:2] == thresholds[:2] and (
+    """The first threshold raised to 10 000, the second untouched, the
+    third out of reach of any run (where the interpreter has one)."""
+    return inside[:2] == (10_000, thresholds[1]) and (
         inside[2] > 1_000_000 or thresholds[2] == 0
     )
 
 
-def test_run_raises_only_the_third_threshold_and_restores_it(sim, thresholds):
+def test_run_raises_the_first_and_third_thresholds_and_restores_them(sim, thresholds):
     seen = []
     _seen_inside(sim, seen)
     sim.run()
@@ -451,6 +452,16 @@ def test_run_leaves_a_disabled_collector_alone(sim, thresholds):
     assert seen == [thresholds, False]
     assert not gc.isenabled()
     assert gc.get_threshold() == thresholds
+
+
+def test_run_keeps_a_zero_first_threshold(sim, thresholds):
+    """A first threshold of 0 is automatic collection switched off: a
+    run must not raise it into collecting."""
+    gc.set_threshold(0, 11, 13)
+    seen = []
+    _seen_inside(sim, seen)
+    sim.run()
+    assert seen[0][:2] == (0, 11) and gc.get_threshold() == (0, 11, 13)
 
 
 def test_a_controlled_instant_pops_each_event_once(monkeypatch):

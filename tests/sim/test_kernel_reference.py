@@ -88,7 +88,8 @@ class Runner:
         self.members += size
         key = []
         self.handles.append(self.queue.schedule(delay, self.fire_batch, labels, key))
-        key.append(self.handles[-1].key)
+        handle = self.handles[-1]
+        key.append((handle.time, handle.seq))
 
     def fire_batch(self, labels, key):
         """A member that raises leaves the rest queued at the batch's key."""
@@ -184,6 +185,8 @@ STOPS = [("stop", 0), ("none", 0), ("none", 0)]
        actions=[("raise", 0)])                       # ... and its rest waits its turn
 @_case([("schedule", 0.0), ("schedule", 0.5), ("schedule", 3.0), ("run", 0.0)],
        actions=[("nested", 1.0)])                    # a nested run passes until
+@_case([("schedule", 0.5), ("run", 2.0), ("run", 2.0)],
+       actions=[("stop", 0)])                        # a stop that empties the queue
 @given(
     mode=st.sampled_from(["plain", "controller"]),
     picks=st.lists(st.integers(0, 7), min_size=1, max_size=6),
